@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint docs docs-strict bench-ingest clean-docs
+.PHONY: test lint docs docs-strict bench bench-compare bench-ingest clean-docs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -21,6 +21,15 @@ docs:
 # Lenient variant for drafting.
 docs-draft:
 	$(PYTHON) docs/build_docs.py --no-strict
+
+# The repository's benchmark (BENCHMARK.json): all five workloads, seed 1.
+bench:
+	$(PYTHON) benchmarks/e2e/run.py
+
+# Judge two result sets (`run.py --repeat N --out X.json`), metric by metric:
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 bench-ingest:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_ingest.py -q -s

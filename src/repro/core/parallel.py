@@ -154,7 +154,10 @@ def attached_frame(segment: str, meta: dict) -> MODFrame:
         frame = MODFrame.from_shm(segment, meta, arena=_WORKER_ARENA)
         _ATTACHED_FRAMES[segment] = frame
         while len(_ATTACHED_FRAMES) > _ATTACH_CACHE_LIMIT:
-            stale, _ = _ATTACHED_FRAMES.popitem(last=False)
+            # Keep the evicted name only: a live reference to the evicted
+            # frame would pin numpy views into the mapping being closed
+            # (BufferError: cannot close exported pointers exist).
+            stale = _ATTACHED_FRAMES.popitem(last=False)[0]
             _WORKER_ARENA.release(stale)
     else:
         _ATTACHED_FRAMES.move_to_end(segment)

@@ -77,6 +77,8 @@ def spatiotemporal_distance_batch(
     vectorised and all rows are interpolated in one
     :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` pass.
     """
+    if max_samples < 1:
+        raise ValueError("max_samples must be at least 1")
     out = np.full(len(frame), math.inf)
     if len(frame) == 0:
         return out
@@ -85,8 +87,6 @@ def spatiotemporal_distance_batch(
     if valid.size == 0:
         return out
 
-    if max_samples < 1:
-        raise ValueError("max_samples must be at least 1")
     n = max_samples
     steps = np.arange(n, dtype=float)
     # Chunk so one batch never materialises more than MAX_BATCH_CELLS cells.

@@ -7,10 +7,18 @@ end up with fewer than ``min_cluster_support`` members are dissolved and
 their members become outliers, matching the role of the ``γ`` parameter in
 the QuT SQL signature.
 
-The representatives are snapshotted once into a columnar
-:class:`~repro.hermes.frame.MODFrame` (their sample grids concatenated), so
-the per-(sub, representative) :func:`spatiotemporal_distance` loop collapses
-into one :func:`spatiotemporal_distance_batch` call per sub-trajectory.
+The sub-trajectories are snapshotted once into a columnar
+:class:`~repro.hermes.frame.MODFrame` (row ``i`` = sub-trajectory ``i``,
+addressed by position; :meth:`S2TClustering.fit
+<repro.s2t.pipeline.S2TClustering.fit>` shares the frame it built for
+sampling).  :func:`greedy_clustering` then issues one
+:func:`spatiotemporal_distance_batch` call **per representative** against
+that frame and keeps a running ``(best representative, best distance)`` per
+sub-trajectory, so memory stays O(sub-trajectories) — no representatives x
+sub-trajectories distance matrix is materialised.
+:func:`assign_to_representatives_batch` is the one-sub-trajectory-at-a-time
+counterpart against a *representative* frame, used by the ReTraTree's
+insertion path.
 """
 
 from __future__ import annotations
@@ -95,8 +103,14 @@ def greedy_clustering(
     subtrajectories: list[SubTrajectory],
     representatives: list[SubTrajectory],
     params: S2TParams,
+    *,
+    frame: MODFrame | None = None,
 ) -> tuple[ClusteringResult, float]:
     """Build clusters around the representatives.
+
+    ``frame`` is the optional prebuilt columnar snapshot of
+    ``subtrajectories`` (row ``i`` = ``subtrajectories[i].traj``); when
+    omitted it is built here.
 
     Returns ``(result, elapsed_seconds)``.  The returned result's ``method``
     is ``"s2t"``; the pipeline overwrites timings with the per-phase view.
@@ -104,22 +118,35 @@ def greedy_clustering(
     start = time.perf_counter()
     eps = params.eps
     assert eps is not None, "params must be resolved before clustering"
+    if frame is None:
+        frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
 
     clusters = [
         Cluster(cluster_id=i, representative=rep, members=[rep])
         for i, rep in enumerate(representatives)
     ]
     rep_keys = {rep.key for rep in representatives}
-    rep_frame = MODFrame.from_trajectories(rep.traj for rep in representatives)
     outliers: list[SubTrajectory] = []
 
-    for sub in subtrajectories:
+    # Running minimum over the representatives, one batch row per
+    # representative.  Strict ``<`` keeps the first-selected representative
+    # on ties, as a per-sub-trajectory argmin over the representatives would.
+    best_dist = np.full(len(subtrajectories), math.inf)
+    best_rep = np.full(len(subtrajectories), -1, dtype=np.intp)
+    tol = params.temporal_tolerance
+    for idx, rep in enumerate(representatives):
+        dists = spatiotemporal_distance_batch(frame, rep.traj, max_samples=32)
+        closer = dists < best_dist
+        if tol > 0:
+            closer &= frame.overlaps_period(rep.period, tol)
+        best_dist[closer] = dists[closer]
+        best_rep[closer] = idx
+
+    assigned = np.where(best_dist <= eps, best_rep, -1).tolist()
+    for sub, idx in zip(subtrajectories, assigned):
         if sub.key in rep_keys:
             continue
-        idx, _dist = assign_to_representatives_batch(
-            sub, rep_frame, eps, params.temporal_tolerance
-        )
-        if idx is None:
+        if idx < 0:
             outliers.append(sub)
         else:
             clusters[idx].members.append(sub)

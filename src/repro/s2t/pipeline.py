@@ -13,12 +13,16 @@ dictionary holds the per-phase wall-clock breakdown used by benchmark E10.
 The voting phase honours ``S2TParams.voting_strategy`` (``"dense"``,
 ``"indexed"`` or ``"batched"``, default batched — see
 :mod:`repro.s2t.voting`); the strategy actually used is reported in
-``result.extras["voting_strategy"]``.  Greedy clustering always runs on the
-batched columnar path (:mod:`repro.hermes.frame`).
+``result.extras["voting_strategy"]``.  Sampling and greedy clustering always
+run on the batched columnar path (:mod:`repro.hermes.frame`).
 
-The pipeline is frame-native: the MOD's columnar :class:`MODFrame` is built
-**once per fit** (or taken prebuilt from the engine's frame catalog /
-a partition scheduler) and shared by the voting and segmentation phases.
+The pipeline is frame-native end to end: the MOD's columnar
+:class:`MODFrame` is built **once per fit** (or taken prebuilt from the
+engine's frame catalog / a partition scheduler) and shared by the voting and
+segmentation phases; after segmentation one frame of the *sub-trajectories*
+is built, scoped to the fit, and shared by the two SaCO phases (sampling and
+greedy clustering), each of which issues one batched distance call per
+representative against it.
 For partition-parallel execution across a process pool see
 :func:`repro.core.parallel.partitioned_s2t`.
 """
@@ -92,11 +96,15 @@ class S2TClustering:
         subtrajectories, voting_mass, seg_elapsed = segment_mod(
             mod, profile, params, frame=frame
         )
+        # SaCO runs on one frame of the sub-trajectories (row i = candidate
+        # i).  Like the dataset frame above, its build (a few ms) is outside
+        # the four phase timings.
+        sub_frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
         representatives, sampling_elapsed = select_representatives(
-            subtrajectories, voting_mass, params
+            subtrajectories, voting_mass, params, frame=sub_frame
         )
         result, clustering_elapsed = greedy_clustering(
-            subtrajectories, representatives, params
+            subtrajectories, representatives, params, frame=sub_frame
         )
 
         result.params = params

@@ -185,6 +185,44 @@ class TestEngineIntegration:
         # close() tears the pool down; the next request starts a fresh one.
         assert engine._worker_pool is None
 
+    def test_pooled_calls_outlive_the_worker_attach_cache(self, lanes_small):
+        """Regression: the fifth pooled S2T on one engine raised BufferError.
+
+        Each call publishes a fresh segment, so the workers' attach cache
+        (``_ATTACH_CACHE_LIMIT`` entries) starts evicting on the fifth call;
+        the eviction used to keep the stale frame alive while closing its
+        mapping (``cannot close exported pointers exist``).
+        """
+        import repro
+        from repro.core.parallel import _ATTACH_CACHE_LIMIT
+        from repro.hermes.shm import default_arena
+        from tests.hermes.test_shm import _segment_listing
+
+        mod, _ = lanes_small
+        calls = _ATTACH_CACHE_LIMIT + 3
+        assert calls >= 6
+        before = _segment_listing()
+        conn = repro.connect()
+        try:
+            conn.engine.load_mod("lanes", mod)
+            results = [
+                conn.execute(
+                    "SELECT S2T('lanes', NULL, NULL, 2, 'batched', 2, 4)"
+                ).fetchall()
+                for _ in range(calls)
+            ]
+            assert conn.engine.pool().created == 1
+            last = conn.engine.last_result("lanes")
+        finally:
+            conn.close()
+        assert results[0]
+        assert all(rows == results[0] for rows in results[1:])
+        # Every call really ran on the pool (no silent serial fallback).
+        assert last.extras["n_jobs"] == 2
+        assert "pool_error" not in last.extras
+        assert _segment_listing() - before == set()
+        assert default_arena().live_segments() == []
+
     def test_merged_extras_keep_voting_metadata(self, lanes_small):
         mod, _ = lanes_small
         result = partitioned_s2t(mod, n_jobs=1)

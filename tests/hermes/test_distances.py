@@ -12,7 +12,9 @@ from repro.hermes.distances import (
     point_to_segment_distance_2d,
     segment_trajectory_distance,
     spatiotemporal_distance,
+    spatiotemporal_distance_batch,
 )
+from repro.hermes.frame import MODFrame
 from repro.hermes.types import PointST, SegmentST
 from tests.conftest import make_linear_trajectory
 
@@ -42,6 +44,32 @@ class TestSpatiotemporalDistance:
         assert spatiotemporal_distance(a, b) > 3.0
         # ... while the purely spatial Hausdorff distance is ~0.
         assert hausdorff_distance(a, b) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestSpatiotemporalDistanceBatch:
+    def test_matches_scalar_and_marks_disjoint_rows_inf(self, parallel_pair):
+        a, b = parallel_pair
+        late = make_linear_trajectory("l", "0", t0=200, t1=300)
+        dists = spatiotemporal_distance_batch(MODFrame.from_trajectories([a, b, late]), a)
+        assert dists[0] == pytest.approx(0.0)
+        assert dists[1] == pytest.approx(spatiotemporal_distance(b, a))
+        assert math.isinf(dists[2])
+
+    @pytest.mark.parametrize("max_samples", [0, -3])
+    def test_bad_max_samples_rejected_before_the_early_returns(
+        self, parallel_pair, max_samples
+    ):
+        # Neither an empty frame nor a frame with no overlapping row may
+        # swallow the bad argument: the check precedes both early returns.
+        a, b = parallel_pair
+        late = make_linear_trajectory("l", "0", t0=200, t1=300)
+        for frame in (
+            MODFrame.from_trajectories([]),
+            MODFrame.from_trajectories([late]),
+            MODFrame.from_trajectories([b]),
+        ):
+            with pytest.raises(ValueError, match="max_samples"):
+                spatiotemporal_distance_batch(frame, a, max_samples=max_samples)
 
 
 class TestClosestApproach:

@@ -1,6 +1,7 @@
 """Integration-level tests of the full S2T pipeline."""
 
 
+import repro.s2t.pipeline as pipeline_mod
 from repro.eval.metrics import clustering_quality
 from repro.hermes.mod import MOD
 from repro.s2t.params import S2TParams
@@ -33,7 +34,15 @@ class TestPipelineOnToyData:
 
     def test_timings_and_extras_recorded(self, small_mod):
         result = S2TClustering().fit(small_mod)
-        assert set(result.timings) == {"voting", "segmentation", "sampling", "clustering"}
+        # Exact keys: the e2e trace and the BENCH_* writers read them by name.
+        assert list(result.timings) == ["voting", "segmentation", "sampling", "clustering"]
+        assert list(result.extras) == [
+            "num_subtrajectories",
+            "num_representatives",
+            "voting_strategy",
+            "voting_pairs_evaluated",
+            "voting_pairs_pruned",
+        ]
         assert all(v >= 0 for v in result.timings.values())
         assert result.extras["num_subtrajectories"] >= len(small_mod)
         assert result.extras["num_representatives"] >= result.num_clusters
@@ -41,6 +50,61 @@ class TestPipelineOnToyData:
     def test_result_accounts_for_every_subtrajectory(self, small_mod):
         result = S2TClustering().fit(small_mod)
         assert result.num_clustered + result.num_outliers == result.extras["num_subtrajectories"]
+
+
+class TestSharedSubTrajectoryFrame:
+    """SaCO runs on one sub-trajectory frame; sharing it changes nothing."""
+
+    @staticmethod
+    def _signature(result: ClusteringResult):
+        return (
+            [c.cluster_id for c in result.clusters],
+            [c.representative.key for c in result.clusters],
+            [[m.key for m in c.members] for c in result.clusters],
+            [o.key for o in result.outliers],
+        )
+
+    def test_fit_hands_one_frame_to_both_phases(self, segmented_scenario, monkeypatch):
+        mod, subs, _masses, _params = segmented_scenario
+        seen = []
+
+        def spy(real):
+            def wrapper(*args, frame=None, **kwargs):
+                seen.append(frame)
+                return real(*args, frame=frame, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            pipeline_mod, "select_representatives", spy(pipeline_mod.select_representatives)
+        )
+        monkeypatch.setattr(
+            pipeline_mod, "greedy_clustering", spy(pipeline_mod.greedy_clustering)
+        )
+        S2TClustering().fit(mod)
+        sampling_frame, clustering_frame = seen
+        assert sampling_frame is not None and sampling_frame is clustering_frame
+        # Row i is sub-trajectory i (addressed by position, keys repeat).
+        assert len(sampling_frame) == len(subs)
+        assert sampling_frame.keys == [sub.traj.key for sub in subs]
+
+    def test_shared_frame_equals_phase_built_frames(self, segmented_scenario, monkeypatch):
+        mod, _subs, _masses, _params = segmented_scenario
+        shared = S2TClustering().fit(mod)
+
+        def without_frame(real):
+            return lambda *args, frame=None, **kwargs: real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            pipeline_mod,
+            "select_representatives",
+            without_frame(pipeline_mod.select_representatives),
+        )
+        monkeypatch.setattr(
+            pipeline_mod, "greedy_clustering", without_frame(pipeline_mod.greedy_clustering)
+        )
+        own = S2TClustering().fit(mod)
+        assert self._signature(own) == self._signature(shared)
+        assert own.extras == shared.extras
 
 
 class TestPipelineOnScenarios:

@@ -112,6 +112,36 @@ class TestSegmentMod:
         mass_z = max(m for key, m in masses.items() if key[0] == "z")
         assert mass_a > mass_z
 
+    @pytest.mark.parametrize("method", ["dp", "greedy"])
+    def test_every_subtrajectory_has_at_least_two_samples(self, segmented_scenario, method):
+        # The columnar kernels bracket each instant between two samples of
+        # its row, so the sub-trajectory frame SaCO builds must never be
+        # handed a one-sample row — even at the smallest legal segment size.
+        mod, _subs, _masses, _params = segmented_scenario
+        params = S2TParams(
+            segmentation_method=method, min_segment_samples=2, segmentation_penalty=1e-4
+        ).resolved(mod)
+        subs, masses, _ = segment_mod(mod, compute_voting(mod, params), params)
+        assert len(subs) > len(mod)
+        assert min(sub.num_points for sub in subs) >= 2
+        assert all(sub.traj.ts[-1] > sub.traj.ts[0] for sub in subs)
+        assert len(masses) == len(subs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0, max_value=10), min_size=2, max_size=40),
+        st.sampled_from(["dp", "greedy"]),
+    )
+    def test_segment_by_voting_never_emits_a_single_sample(self, values, method):
+        votes = np.asarray(values)
+        traj = make_linear_trajectory("a", "0", n=len(votes) + 1)
+        params = S2TParams(
+            segmentation_method=method, min_segment_samples=2, segmentation_penalty=1e-4
+        )
+        subs = segment_by_voting(traj, votes, params)
+        assert subs and all(sub.num_points >= 2 for sub in subs)
+        assert subs[0].start_idx == 0 and subs[-1].end_idx == traj.num_points - 1
+
 
 def _dp_segmentation_reference(votes: np.ndarray, penalty: float, min_len: int) -> list[int]:
     """The pre-vectorisation O(n^2) Python loop, kept as the exactness oracle."""
