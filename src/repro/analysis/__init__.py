@@ -10,7 +10,7 @@ call-graph summaries in :mod:`repro.analysis.flow`:
 ========== ========================= ==================================================
 Rule       Slug                      Invariant
 ========== ========================= ==================================================
-REPRO101   ``io-discipline``         mutating I/O in the storage/engine/ingest layers
+REPRO101   ``io-discipline``         mutating I/O in the storage layer and ingest path
                                      routes through the fault-injectable ``IOShim``
 REPRO102   ``lock-discipline``       ``# guarded-by:`` attributes only mutate under
                                      their declared lock (or in ``# holds:`` methods)

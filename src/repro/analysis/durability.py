@@ -18,17 +18,17 @@ cut power at exactly the wrong syscall — which is why this is a lint
 rule and not only a fault-sweep concern.
 
 The checker runs on every function in the REPRO101 scope (``storage/``
-plus ``core/engine.py`` / ``core/ingest.py``; ``storage/faults.py`` is
-the shim and exempt) that performs a ``replace``.  Over the function's
-CFG it tracks a small state machine — *staged-dirty* after a shim
-``write``, *staged-synced* after a shim ``fsync``, with the set of
-renames still awaiting a directory fsync carried alongside — and reports
+— which is where the durable catalog lives — plus ``core/ingest.py``;
+``storage/faults.py`` is the shim and exempt) that performs a
+``replace``.  Over the function's CFG it tracks a small state machine —
+*staged-dirty* after a shim ``write``, *staged-synced* after a shim
+``fsync``, with the set of renames still awaiting a directory fsync carried alongside — and reports
 a finding when **any** path renames while dirty, or reaches a normal
 exit with a rename not followed by ``fsync_dir`` (explicit ``raise``
 paths are exempt: a crashed commit is the fault sweep's business, not
 this rule's).  Local closures are inlined: the
 ``self._retry(stage)`` / ``self._retry(lambda: io.replace(...))``
-pattern used by :meth:`~repro.storage.catalog.DurableCatalog.write_manifest`
+pattern used by :meth:`~repro.storage.catalog.StorageManager.write_manifest`
 contributes its I/O events at the reference site, in body order —
 referencing a local ``def`` counts as invoking it, which is exactly the
 retry-wrapper contract.
@@ -189,7 +189,7 @@ class DurabilityChecker(Checker):
             return False
         if parts[0] == "storage":
             return parts[-1] != "faults.py"  # the shim itself: raw by design
-        return parts in (("core", "engine.py"), ("core", "ingest.py"))
+        return parts == ("core", "ingest.py")
 
     def check(self, module: SourceModule) -> list[Finding]:
         """Run the staging state machine over every function that renames."""

@@ -5,11 +5,13 @@ leave bytes on disk (open-for-write, write, fsync, rename/replace,
 unlink) is issued through an :class:`~repro.storage.faults.IOShim`, so
 the fault injector can cut power at any single operation and the crash
 sweep can prove recovery.  A raw ``open()`` or ``os.replace()`` in the
-storage/engine/ingest layers is invisible to that sweep — a silent hole
-in the durability proof.
+storage/ingest layers is invisible to that sweep — a silent hole in the
+durability proof.  (The engine facade commits nothing itself: it goes
+through :class:`~repro.storage.durable.DurableCatalog`, which lives under
+``storage/`` and is covered by path.)
 
 The rule therefore flags, in modules under ``storage/`` and in
-``core/engine.py`` / ``core/ingest.py``:
+``core/ingest.py``:
 
 * calls to the ``open`` builtin,
 * ``os.rename`` / ``os.replace`` / ``os.unlink`` / ``os.remove`` /
@@ -64,13 +66,13 @@ class IoDisciplineChecker(Checker):
     )
 
     def applies(self, module: SourceModule) -> bool:
-        """Storage layer plus the two engine modules that commit state."""
+        """Storage layer plus the append path that drives its commits."""
         parts = module.logical_parts
         if not parts:
             return False
         if parts[0] == "storage":
             return parts[-1] != "faults.py"  # the shim itself: raw by design
-        return parts in (("core", "engine.py"), ("core", "ingest.py"))
+        return parts == ("core", "ingest.py")
 
     def check(self, module: SourceModule) -> list[Finding]:
         """Walk every call; flag the raw-syscall shapes documented above."""

@@ -4,8 +4,7 @@
 builds and caches ReTraTrees, and exposes every clustering method.  End
 users should normally reach it through the public API v1
 (:func:`repro.connect` → :class:`repro.api.Connection`), whose SQL and
-fluent front-ends share one logical-plan layer; ``engine.sql()`` survives
-only as a deprecated shim over a default connection.
+fluent front-ends share one logical-plan layer.
 :class:`~repro.core.session.ProgressiveSession` wraps the progressive
 time-aware analysis workflow of the paper's scenario 2.
 :func:`~repro.core.parallel.partitioned_s2t` is the partition-parallel S2T

@@ -27,15 +27,16 @@ Durability
 ----------
 An ``HermesEngine.on_disk(directory)`` engine is *persistent*, mirroring the
 paper's in-DBMS deployment where S2T runs once and the ReTraTree lives in
-PostgreSQL.  Each dataset owns one subdirectory of ``directory`` holding its
-heapfile partitions plus a ``manifest.json`` catalog root
-(:mod:`repro.storage.catalog`):
+PostgreSQL.  Durability is the storage layer's job: the engine owns a
+:class:`~repro.storage.durable.DurableCatalog` (``engine.catalog``) — the one
+module that knows the manifest layout and the stage → checkpoint → stamp →
+commit → sweep protocol — and only tells it *when* to commit:
 
-* ``load_mod`` archives the dataset's trajectories into a ``__dataset``
-  partition and writes the manifest;
-* ``retratree`` serialises the built tree's structure (sub-chunk periods,
-  cluster entries, representative references) into the manifest, next to the
-  member partitions the build already wrote;
+* ``load_mod`` commits the dataset's archive (``catalog.commit_dataset``);
+* ``retratree`` commits the built tree's structure next to the member
+  partitions the build already wrote (``catalog.commit_tree``), and
+  ``append`` commits the batch together with the maintained tree
+  (``catalog.commit_append``);
 * constructing a new engine over the same directory **recovers** every
   catalogued dataset — the MOD, its frame-catalog entry and (lazily, on
   first use) the ReTraTree — so a cold process answers ``qut`` and SQL
@@ -43,7 +44,7 @@ heapfile partitions plus a ``manifest.json`` catalog root
 * ``drop`` (and dataset replacement through ``load_mod``) deletes the
   dataset's partition files and manifest, reclaiming the disk space.
 
-In-memory engines skip all of this; their partitions die with the process.
+In-memory engines have no catalog; their partitions die with the process.
 """
 
 from __future__ import annotations
@@ -58,11 +59,10 @@ from repro.baselines.range_then_cluster import RangeThenCluster
 from repro.baselines.toptics import TOpticsClustering, TOpticsParams
 from repro.baselines.traclus import TraclusClustering, TraclusParams
 from repro.core.parallel import WorkerPool, partitioned_s2t
-from repro.core.shard import ShardPlan, ShardedReTraTree, build_sharded_tree
+from repro.core.shard import ShardPlan, ShardedReTraTree, build_sharded_tree, tree_layout
 from repro.hermes.frame import MODFrame
 from repro.hermes.io import read_csv, write_csv
 from repro.hermes.mod import MOD
-from repro.hermes.trajectory import Trajectory
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
@@ -70,35 +70,14 @@ from repro.qut.retratree import ReTraTree
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.result import ClusteringResult
-from repro.storage.catalog import MANIFEST_FILENAME, StorageManager, manifest_checksum
-from repro.storage.errors import CorruptManifestError, CorruptPartitionError
+from repro.storage.durable import DurableCatalog
 from repro.storage.faults import IOShim
-from repro.storage.records import encode_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.ingest import AppendReport
     from repro.storage.fsck import FsckReport
 
 __all__ = ["HermesEngine"]
-
-# Manifest layout version written by this engine.  Version 2 added
-# append-path delta partitions (``deltas``), the tree's ``dataset_state``
-# snapshot and staged representatives partitions.  Version 3 added
-# integrity stamps: per-page CRC32 ``checksums`` for every referenced
-# partition and a ``manifest_crc`` over the manifest itself, verified on
-# cold open and by ``repro-fsck``.  Older formats are still *read* — every
-# newer field degrades to a sensible default (no deltas; a tree without
-# ``dataset_state`` counts as stale and rebuilds; a manifest without
-# checksums simply skips page verification until the next commit upgrades
-# it in place) — so existing stores stay reachable after an upgrade;
-# anything else is skipped at recovery so a future incompatible layout
-# never recovers garbage.  Version 4 added the ``shards`` section — the
-# serialised per-shard trees of a sharded ReTraTree deployment
-# (:mod:`repro.core.shard`), mutually exclusive with the single-tree
-# ``tree`` section; older manifests simply have no shards (``get`` →
-# ``None``) and any commit upgrades the file in place.
-MANIFEST_FORMAT = 4
-READABLE_MANIFEST_FORMATS = (1, 2, 3, 4)
 
 
 class HermesEngine:
@@ -121,13 +100,12 @@ class HermesEngine:
         io: IOShim | None = None,
     ) -> None:
         self.storage_directory = Path(storage_directory) if storage_directory else None
-        # Optional OS-call shim threaded through every storage manager this
-        # engine opens; fault-injection tests pass a FaultInjector here.
+        # Optional OS-call shim threaded through every storage manager the
+        # catalog opens; fault-injection tests pass a FaultInjector here.
         self.io = io
-        # Datasets whose manifest failed to parse at recovery, keyed by
-        # directory name → diagnostic.  They are withheld from datasets()
-        # rather than recovered wrong; repro-fsck quarantines them.
-        self._damaged_datasets: dict[str, str] = {}
+        #: The durable catalog (``None`` on in-memory engines): manifests,
+        #: per-dataset storage managers, commits and recovery.
+        self.catalog: DurableCatalog | None = None
         self._datasets: dict[str, MOD] = {}
         # The frame catalog is the first cache the multi-client server mode
         # (ROADMAP) will share across threads; its mutations are lock-checked
@@ -148,28 +126,13 @@ class HermesEngine:
         # dataset_replacement_generation).
         self._replacements: dict[str, int] = {}
         self._plan_executor = None
-        self._default_connection = None
-        # Per-dataset storage managers (on-disk engines only); the ReTraTree
-        # build, the dataset archive and the manifest all share one manager.
-        self._storages: dict[str, StorageManager] = {}
-        # Serialised tree structures recovered from manifests, consumed
-        # lazily by the first retratree() call.
-        self._tree_manifests: dict[str, dict] = {}
-        # Serialised *sharded* tree sections (manifest ``shards``), likewise
-        # consumed lazily; mutually exclusive with _tree_manifests per name.
-        self._shard_manifests: dict[str, dict] = {}
         # Engine-owned persistent worker pool (lazily started by pool());
         # shared by every partition-parallel S2T run and sharded tree build
         # so consecutive jobs reuse warm worker processes.
         self._worker_pool: WorkerPool | None = None
         self._pool_finalizer = None
-        # Catalogued-but-not-yet-materialised datasets (manifest dicts); the
-        # archived records are decoded lazily on first get_mod/frame access,
-        # so opening a large store costs one manifest read per dataset, not
-        # a full decode of every archive.
-        self._pending_datasets: dict[str, dict] = {}
         if self.storage_directory is not None:
-            self._recover_catalog()
+            self._open_catalog()
 
     # -- constructors -------------------------------------------------------------
 
@@ -202,28 +165,14 @@ class HermesEngine:
         registration's partition files are reclaimed — the manifest write is
         the commit point, so a crash mid-replacement leaves either the old
         or the new archive recoverable, never neither (see
-        :meth:`_persist_dataset`).
+        :meth:`repro.storage.durable.DurableCatalog.commit_dataset`).
         """
-        if self.storage_directory is not None:
-            self._check_durable_name(name)
+        if self.catalog is not None:
+            self.catalog.check_name(name)
         self._datasets[name] = mod
         self._invalidate(name)
-        self._persist_dataset(name)
-
-    @staticmethod
-    def _check_durable_name(name: str) -> None:
-        """Reject dataset names that cannot safely become path components.
-
-        On a durable engine the name is embedded in the dataset's directory
-        and partition filenames, and ``drop`` *deletes* those paths — a name
-        like ``"../evil"`` would write and later destroy files outside the
-        storage directory.
-        """
-        if not name or name in (".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
-            raise ValueError(
-                f"dataset name {name!r} cannot be persisted: names must be "
-                "non-empty and must not contain path separators"
-            )
+        if self.catalog is not None:
+            self.catalog.commit_dataset(name, mod, self._generations[name])
 
     def _invalidate(self, name: str) -> None:
         """Evict every cache derived from dataset ``name`` and bump its generation.
@@ -234,13 +183,10 @@ class HermesEngine:
         """
         with self._catalog_lock:
             self._frames.pop(name, None)
-        self._pending_datasets.pop(name, None)
-        self._tree_manifests.pop(name, None)
-        self._shard_manifests.pop(name, None)
         tree = self._retratrees.pop(name, None)
-        if tree is not None and tree.storage is not self._storages.get(name):
-            # A private (in-memory) manager dies with the tree; the shared
-            # on-disk manager stays open for the successor's persist.
+        if tree is not None and self.catalog is None:
+            # A private (in-memory) manager dies with the tree; the
+            # catalog's shared manager stays open for the successor's commit.
             tree.storage.close()
         self._last_results.pop(name, None)
         self._append_batches.pop(name, None)
@@ -328,29 +274,17 @@ class HermesEngine:
         ``KeyError`` — the data may well still be there, it just cannot be
         trusted until ``repro-fsck`` has looked at it.
         """
-        if name in self._pending_datasets:
-            self._materialise_recovered(name)
+        self._materialise(name)
         if name not in self._datasets:
-            self._check_not_damaged(name)
+            if self.catalog is not None:
+                self.catalog.raise_if_damaged(name)
             raise KeyError(f"unknown dataset {name!r}; loaded: {self.datasets()}")
         return self._datasets[name]
 
-    def _check_not_damaged(self, name: str) -> None:
-        """Raise the recorded diagnostic for a damaged on-disk dataset."""
-        if name in self._damaged_datasets:
-            raise CorruptManifestError(
-                f"dataset {name!r} exists on disk but its manifest is damaged "
-                f"({self._damaged_datasets[name]})",
-                path=(
-                    self.storage_directory / name / MANIFEST_FILENAME
-                    if self.storage_directory is not None
-                    else None
-                ),
-            )
-
     def datasets(self) -> list[str]:
         """Names of the registered datasets (including recovered ones)."""
-        return sorted(set(self._datasets) | set(self._pending_datasets))
+        pending = self.catalog.pending() if self.catalog is not None else []
+        return sorted({*self._datasets, *pending})
 
     def drop(self, name: str) -> None:
         """Remove a dataset, its cached frame/index and any SQL buffered state.
@@ -361,7 +295,8 @@ class HermesEngine:
         """
         self._datasets.pop(name, None)
         self._invalidate(name)
-        self._reclaim_storage(name)
+        if self.catalog is not None:
+            self.catalog.drop(name)
         if self._plan_executor is not None:
             self._plan_executor.forget(name)
 
@@ -382,8 +317,7 @@ class HermesEngine:
         through this one frame, so it is constructed at most once per
         registration.  ``load_mod``/``drop`` evict the entry.
         """
-        if name in self._pending_datasets:
-            self._materialise_recovered(name)  # seeds the frame entry too
+        self._materialise(name)  # seeds the frame entry too
         with self._catalog_lock:
             if name not in self._frames:
                 self._frames[name] = MODFrame.from_mod(self.get_mod(name))
@@ -526,11 +460,16 @@ class HermesEngine:
             if not (params_ok and shards_ok):
                 self._forget_tree(name)
         if name not in self._retratrees:
-            tree = self._recover_any_tree(name, params, shards)
+            tree = self._reopen_tree(name, params, shards)
             if tree is None:
                 self._forget_tree(name)
                 tree = self._build_tree(name, params, shards)
-                self._persist_tree(name, tree)
+                if self.catalog is not None and tree.params is not None:
+                    # An empty tree (no resolved params) has nothing to
+                    # persist; a cold successor rebuilds it for free.
+                    self.catalog.commit_tree(
+                        name, self.dataset_generation(name), *tree_layout(tree)
+                    )
             self._retratrees[name] = tree
         return self._retratrees[name]
 
@@ -545,6 +484,7 @@ class HermesEngine:
         plain single-tree bulk load.
         """
         mod = self.get_mod(name)
+        storage = self.catalog.storage(name) if self.catalog is not None else None
         if shards is not None and shards > 1 and len(mod) > 0:
             raw = params or QuTParams()
             resolved = raw.resolved(mod)
@@ -555,14 +495,14 @@ class HermesEngine:
                 resolved,
                 mod.period.tmin,
                 plan,
-                storage=self._dataset_storage(name),
+                storage=storage,
                 name=name,
                 pool=self.pool(),
             )
         return ReTraTree.build(
             mod,
             params=params,
-            storage=self._dataset_storage(name),
+            storage=storage,
             name=name,
             frame=self.frame(name),
         )
@@ -617,58 +557,42 @@ class HermesEngine:
 
     # -- persistence & recovery -------------------------------------------------------------------
 
-    def _dataset_storage(self, name: str) -> StorageManager | None:
-        """The dataset's shared storage manager (``None`` on in-memory engines).
+    def _open_catalog(self) -> None:
+        """(Re)open the durable catalog and register what it recovered.
 
-        One manager per dataset directory serves the dataset archive, the
-        ReTraTree partitions and the manifest, so no two open handles ever
-        point at the same heapfile.
+        Deliberately cheap — the catalog reads one manifest per dataset
+        (:class:`~repro.storage.durable.DurableCatalog`); archives decode on
+        first :meth:`get_mod`/:meth:`frame` access and the persisted tree
+        reopens on the first :meth:`retratree` call.  Every recovered
+        dataset gets a fresh generation token.
         """
-        if self.storage_directory is None:
-            return None
-        self._check_durable_name(name)
-        if name not in self._storages:
-            self._storages[name] = StorageManager(
-                self.storage_directory / name, io=self.io
-            )
-        return self._storages[name]
+        self.catalog = DurableCatalog(self.storage_directory, io=self.io)
+        for name in self.catalog.pending():
+            self._generation_counter += 1
+            self._generations[name] = self._generation_counter
+
+    def _materialise(self, name: str) -> None:
+        """Decode a catalogued-but-pending dataset into a live MOD + frame.
+
+        A no-op for anything else.  Corruption surfaces as
+        :class:`~repro.storage.errors.CorruptPartitionError` (a
+        ``RuntimeError``, not ``KeyError``), so callers can tell catalog
+        corruption apart from a simple unknown-dataset typo, and corrupt
+        bytes never materialise into query answers.
+        """
+        if name in self._datasets or self.catalog is None or name not in self.catalog.pending():
+            return
+        ordered = self.catalog.load(name)
+        # The generation token was assigned when the catalog was opened;
+        # materialisation only decodes what that generation committed, so no
+        # bump happens (or is needed) here.
+        self._datasets[name] = MOD(name=name, trajectories=ordered)  # repro-lint: allow[generation-discipline]
+        with self._catalog_lock:
+            self._frames[name] = MODFrame.from_trajectories(ordered)
 
     def is_persisted(self, name: str) -> bool:
         """Whether dataset ``name`` has a durable manifest on disk."""
-        if self.storage_directory is None:
-            return False
-        try:
-            self._check_durable_name(name)
-        except ValueError:
-            return False
-        storage = self._storages.get(name)
-        if storage is not None and storage.manifest_path is not None:
-            # Trust the tracked manager: recovery keys on manifest contents,
-            # not directory names, and the two views must agree.
-            return storage.manifest_path.exists()
-        return (self.storage_directory / name / MANIFEST_FILENAME).exists()
-
-    def _reclaim_storage(self, name: str) -> None:
-        """Delete dataset ``name``'s partition files, manifest and directory."""
-        self._tree_manifests.pop(name, None)
-        self._shard_manifests.pop(name, None)
-        if self.storage_directory is None:
-            return
-        try:
-            self._check_durable_name(name)
-        except ValueError:
-            return  # such a name can never have been persisted
-        storage = self._storages.pop(name, None)
-        if storage is None:
-            directory = self.storage_directory / name
-            if (
-                not (directory / MANIFEST_FILENAME).exists()
-                and not any(directory.glob("*.part"))
-                and not any(directory.glob("*.json.tmp"))
-            ):
-                return
-            storage = StorageManager(directory, io=self.io)
-        storage.destroy()
+        return self.catalog is not None and self.catalog.is_persisted(name)
 
     @staticmethod
     def _params_satisfied(
@@ -689,673 +613,53 @@ class HermesEngine:
         data = requested.to_dict()
         return data == raw_params or data == resolved_params
 
-    def _read_manifest_or_none(self, storage: StorageManager) -> dict | None:
-        """The storage's manifest, or ``None`` if absent or unparseable.
-
-        Read *without* CRC verification: a hand-edited but parseable
-        manifest still commits the partition inventory, and its content is
-        re-verified downstream against the partition checksums and record
-        counts it references; the CRC status itself is surfaced through
-        :meth:`artifact_status` (``degraded``) and ``repro-fsck``.
-        """
-        try:
-            manifest = storage.read_manifest(verify=False)
-        except (ValueError, OSError):  # truncated / hand-edited / unreadable
-            return None
-        return manifest if isinstance(manifest, dict) else None
-
-    @staticmethod
-    def _dataset_partitions(manifest: dict) -> list[str]:
-        """The partitions archiving a dataset: the base plus every delta.
-
-        This list doubles as the *dataset state* identity the persisted
-        tree records (see :meth:`_persist_tree`): a tree serialised against
-        one state is stale for any other.
-        """
-        partitions = []
-        base = manifest.get("frame_partition")
-        if isinstance(base, str):
-            partitions.append(base)
-        for delta in manifest.get("deltas") or []:
-            if isinstance(delta, dict) and isinstance(delta.get("partition"), str):
-                partitions.append(delta["partition"])
-        return partitions
-
-    @staticmethod
-    def _tree_manifest_dicts(manifest: dict) -> list[dict]:
-        """Every serialised tree structure the manifest carries.
-
-        The single ``tree`` section and the per-shard trees of a ``shards``
-        section are the same layout (:meth:`ReTraTree.to_manifest`); the
-        two sections are mutually exclusive, but a hand-edited manifest
-        carrying both is simply walked in full.
-        """
-        trees = []
-        if isinstance(manifest.get("tree"), dict):
-            trees.append(manifest["tree"])
-        shards = manifest.get("shards")
-        if isinstance(shards, dict):
-            trees.extend(tm for tm in shards.get("trees") or [] if isinstance(tm, dict))
-        return trees
-
-    @classmethod
-    def _tree_partitions(cls, manifest: dict) -> list[str]:
-        """Every partition the manifest's serialised tree(s) reference."""
-        partitions = []
-        for tree in cls._tree_manifest_dicts(manifest):
-            if isinstance(tree.get("reps_partition"), str):
-                partitions.append(tree["reps_partition"])
-            for sc in tree.get("subchunks") or []:
-                if not isinstance(sc, dict):
-                    continue
-                if isinstance(sc.get("unclustered_partition"), str):
-                    partitions.append(sc["unclustered_partition"])
-                for entry in sc.get("entries") or []:
-                    if isinstance(entry, dict) and isinstance(entry.get("partition"), str):
-                        partitions.append(entry["partition"])
-        return partitions
-
-    @classmethod
-    def _manifest_partitions(cls, manifest: dict) -> list[str]:
-        """Every partition a committed manifest references (dataset + tree)."""
-        return cls._dataset_partitions(manifest) + cls._tree_partitions(manifest)
-
-    def _stamp_manifest_integrity(
-        self, storage: StorageManager, manifest: dict, fresh: set[str]
-    ) -> None:
-        """Stamp ``checksums`` and ``manifest_crc`` onto a manifest (format 3).
-
-        Called after the checkpoint and immediately before the manifest
-        write, so the per-page CRC32s reflect exactly the bytes the commit
-        publishes.  ``fresh`` names the partitions this commit staged or
-        mutated — their checksums are recomputed from disk; checksums of
-        untouched partitions are carried over from the previous manifest,
-        keeping commit cost proportional to what changed.
-        """
-        manifest["format_version"] = MANIFEST_FORMAT
-        referenced = self._manifest_partitions(manifest)
-        old = manifest.get("checksums")
-        old = old if isinstance(old, dict) else {}
-        to_compute = [name for name in referenced if name in fresh or name not in old]
-        computed = storage.partition_checksums(to_compute)
-        manifest["checksums"] = {
-            name: computed[name] if name in computed else old[name]
-            for name in referenced
-            if name in computed or name in old
-        }
-        manifest["manifest_crc"] = manifest_checksum(manifest)
-
-    @staticmethod
-    def _fresh_suffixed_partition(
-        storage: StorageManager, stem: str, start: int, taken: set[str]
-    ) -> str:
-        """``<stem><N>`` for the first ``N >= start`` nothing else uses.
-
-        Skips names in ``taken`` (referenced by the committed manifest),
-        open in the manager, or present as stale ``.part`` files from a
-        crashed earlier attempt — staging must never write into a file a
-        committed manifest still points at.
-        """
-        counter = start
-        while True:
-            partition = f"{stem}{counter}"
-            stale_file = (
-                storage.directory is not None
-                and (storage.directory / f"{partition}.part").exists()
-            )
-            if partition not in taken and not storage.has(partition) and not stale_file:
-                return partition
-            counter += 1
-
-    def _fresh_dataset_partition(
-        self, storage: StorageManager, name: str, taken: set[str]
-    ) -> str:
-        """A generation-suffixed dataset partition name nothing else uses.
-
-        Skips names referenced by the current manifest (``taken``), open in
-        the manager, or present as stale ``.part`` files from a crashed
-        earlier attempt.
-        """
-        return self._fresh_suffixed_partition(
-            storage, f"{name}__dataset_g", self._generations.get(name, 0), taken
-        )
-
-    def _stage_tree_manifest(
-        self, storage: StorageManager, name: str, manifest: dict, tree
-    ) -> None:
-        """Serialise ``tree`` into ``manifest`` via a *fresh* reps partition.
-
-        The representatives partition a committed manifest references is
-        never rewritten in place: the new records stage into a
-        generation-suffixed ``<name>__reps_g<N>`` partition, so a crash
-        before the manifest commit leaves the old manifest's representative
-        RIDs resolving against untouched records.  The superseded reps
-        partition is reclaimed by :meth:`_sweep_stale_reps` after the
-        commit.
-        """
-        old_tree = manifest.get("tree")
-        taken = set()
-        if isinstance(old_tree, dict) and isinstance(old_tree.get("reps_partition"), str):
-            taken.add(old_tree["reps_partition"])
-        taken.add(f"{name}__reps")  # the historical fixed name
-        reps_partition = self._fresh_suffixed_partition(
-            storage, f"{name}__reps_g", self._generations.get(name, 0), taken
-        )
-        tree_manifest = tree.to_manifest(reps_partition=reps_partition)
-        tree_manifest["dataset_state"] = self._dataset_partitions(manifest)
-        manifest["tree"] = tree_manifest
-        manifest["shards"] = None
-
-    def _stage_shard_manifests(
-        self, storage: StorageManager, name: str, manifest: dict, tree: ShardedReTraTree
-    ) -> None:
-        """Serialise a sharded tree into the manifest's ``shards`` section.
-
-        Each shard stages its representatives into its own fresh
-        generation-suffixed ``<name>_s<i>__reps_g<N>`` partition (the same
-        never-rewrite-in-place rule as :meth:`_stage_tree_manifest`); the
-        section records the shard plan, the shared parameters and the
-        dataset state the shards index, so recovery can check identity
-        without opening any heapfile.
-        """
-        old = manifest.get("shards")
-        taken: set[str] = set()
-        if isinstance(old, dict):
-            for tm in old.get("trees") or []:
-                if isinstance(tm, dict) and isinstance(tm.get("reps_partition"), str):
-                    taken.add(tm["reps_partition"])
-        trees = []
-        for i, shard in enumerate(tree.shards):
-            taken.add(f"{name}_s{i}__reps")
-            reps_partition = self._fresh_suffixed_partition(
-                storage, f"{name}_s{i}__reps_g", self._generations.get(name, 0), taken
-            )
-            taken.add(reps_partition)
-            trees.append(shard.to_manifest(reps_partition=reps_partition))
-        manifest["shards"] = {
-            "count": tree.plan.count,
-            "plan": tree.plan.to_manifest(),
-            "origin": tree.origin,
-            "params": tree.params.to_dict() if tree.params is not None else None,
-            "raw_params": tree.raw_params.to_dict(),
-            "dataset_state": self._dataset_partitions(manifest),
-            "trees": trees,
-        }
-        manifest["tree"] = None
-
-    def _stage_tree_state(
-        self, storage: StorageManager, name: str, manifest: dict, tree
-    ) -> None:
-        """Serialise whichever index layout ``tree`` is into the manifest.
-
-        The ``tree`` and ``shards`` sections are mutually exclusive: staging
-        one layout nulls the other, so a relayout (``shards=N`` after a
-        single-tree build, or back) commits atomically with the manifest
-        write.
-        """
-        if isinstance(tree, ShardedReTraTree):
-            self._stage_shard_manifests(storage, name, manifest, tree)
-        else:
-            self._stage_tree_manifest(storage, name, manifest, tree)
-
-    def _sweep_stale_reps(self, storage: StorageManager, name: str, manifest: dict) -> None:
-        """Drop representatives partitions the committed manifest no longer uses.
-
-        Covers both layouts: the single tree's ``<name>__reps*`` names and
-        every shard's ``<name>_s<i>__reps*`` names.  The dataset directory
-        is private to one dataset, so any partition containing ``__reps``
-        is a representatives partition of this dataset.
-        """
-        keep = {
-            tm["reps_partition"]
-            for tm in self._tree_manifest_dicts(manifest)
-            if isinstance(tm.get("reps_partition"), str)
-        }
-        for info in list(storage.partitions()):
-            if info.name not in keep and "__reps" in info.name:
-                storage.drop_partition(info.name)
-        if storage.directory is not None:
-            for path in storage.directory.glob("*__reps*.part"):
-                if path.stem not in keep and not storage.has(path.stem):
-                    storage.unlink_path(path)
-
-    def _sweep_partitions(self, storage: StorageManager, keep: set[str]) -> None:
-        """Drop every partition (open or stale on disk) not in ``keep``."""
-        for info in list(storage.partitions()):
-            if info.name not in keep:
-                storage.drop_partition(info.name)
-        if storage.directory is not None:
-            # Stale partition files from an earlier process (or a crashed
-            # replacement attempt) that this manager never opened.
-            for path in storage.directory.glob("*.part"):
-                if path.stem not in keep and not storage.has(path.stem):
-                    storage.unlink_path(path)
-
-    def _persist_dataset(self, name: str) -> None:
-        """Archive the dataset's trajectories and write the manifest root.
-
-        One record per trajectory goes into a fresh, generation-suffixed
-        ``<name>__dataset_g<N>`` partition (the dataset's durable
-        ``MODFrame`` columns); the manifest records the row order
-        explicitly, because heapfile scan order can differ from insertion
-        order once records span pages.
-
-        Crash safety — stage, commit, sweep: the new archive is written
-        into a partition the old manifest does not reference, checkpointed,
-        and only then committed by the manifest write (atomic rename); the
-        predecessor's partitions (old archive + derived tree) are deleted
-        last.  A crash anywhere in between leaves a manifest that points at
-        a complete archive — the old one before the commit, the new one
-        after — never at missing records.
-        """
-        if self.storage_directory is None or name not in self._datasets:
-            return
-        storage = self._dataset_storage(name)
-        assert storage is not None
-        old_manifest = self._read_manifest_or_none(storage)
-        taken = set(self._dataset_partitions(old_manifest)) if old_manifest else set()
-        partition = self._fresh_dataset_partition(storage, name, taken)
-        info = storage.create_partition(partition)
-        row_keys: list[list[str]] = []
-        for traj in self._datasets[name]:
-            info.heapfile.insert(encode_record(traj))
-            info.record_count += 1
-            row_keys.append(list(traj.key))
-        # Checkpoint BEFORE the manifest: the manifest is the commit record,
-        # so it must never reference records that have not reached disk.
-        storage.checkpoint()
-        manifest = {
-            "format_version": MANIFEST_FORMAT,
-            "dataset": name,
-            "frame_partition": partition,
-            "row_keys": row_keys,
-            "deltas": [],
-            "tree": None,
-            "shards": None,
-        }
-        self._stamp_manifest_integrity(storage, manifest, fresh={partition})
-        storage.write_manifest(manifest)
-        self._damaged_datasets.pop(name, None)
-        self._sweep_partitions(storage, {partition})
-
-    def _persist_append(self, name: str, trajectories, tree) -> bool:
-        """Stage an append batch as a delta partition and commit it.
-
-        The same stage → checkpoint → manifest-commit → sweep ordering as
-        :meth:`_persist_dataset`, scoped to the batch: the new records go
-        into a fresh generation-suffixed ``<name>__dataset_g<N>`` partition
-        the current manifest does not reference, the (maintained) tree is
-        re-serialised, everything is checkpointed, and one manifest write
-        commits dataset *and* tree atomically.  A crash anywhere before
-        that write leaves the old manifest pointing at the pre-append
-        state — the delta file is an orphan the next sweep reclaims — so a
-        cold engine recovers the pre-append generation.
-
-        Returns ``True`` when the batch was committed; ``False`` on
-        in-memory engines or when the manifest is missing/corrupt (the
-        append keeps serving warm; a cold successor recovers the last good
-        state — same skip-persist degradation as :meth:`_persist_tree`).
-        """
-        if self.storage_directory is None:
-            return False
-        storage = self._dataset_storage(name)
-        assert storage is not None
-        manifest = self._read_manifest_or_none(storage)
-        if manifest is None or not isinstance(manifest.get("frame_partition"), str):
-            return False
-        referenced = set(self._dataset_partitions(manifest))
-        partition = self._fresh_dataset_partition(storage, name, referenced)
-        info = storage.create_partition(partition)
-        row_keys: list[list[str]] = []
-        for traj in trajectories:
-            info.heapfile.insert(encode_record(traj))
-            info.record_count += 1
-            row_keys.append(list(traj.key))
-        deltas = list(manifest.get("deltas") or [])
-        deltas.append({"partition": partition, "row_keys": row_keys})
-        manifest["deltas"] = deltas
-        if tree is not None and tree.params is not None:
-            # The maintained tree's new members/representatives must commit
-            # with the dataset they index — one manifest write, one state;
-            # the representatives stage into a fresh partition so the
-            # committed manifest's RIDs stay valid until the commit.
-            self._stage_tree_state(storage, name, manifest, tree)
-        # A tree that exists only in the manifest (not cached, so not
-        # maintained) keeps its old dataset_state — which no longer matches,
-        # making the staleness explicit (artifact_status / _recover_tree).
-        storage.checkpoint()
-        # The fresh set: the staged delta, plus — when the maintained tree
-        # was re-serialised — every tree partition (incremental maintenance
-        # mutates member/unclustered heapfiles in place).
-        fresh = {partition}
-        if tree is not None and tree.params is not None:
-            fresh.update(self._tree_partitions(manifest))
-        self._stamp_manifest_integrity(storage, manifest, fresh=fresh)
-        storage.write_manifest(manifest)
-        # Reclaim staging files from crashed earlier appends (dataset deltas
-        # and superseded reps); member partitions are never touched here.
-        keep = set(self._dataset_partitions(manifest))
-        if storage.directory is not None:
-            for path in storage.directory.glob(f"{name}__dataset_g*.part"):
-                if path.stem not in keep and not storage.has(path.stem):
-                    storage.unlink_path(path)
-        if tree is not None and tree.params is not None:
-            self._sweep_stale_reps(storage, name, manifest)
-        return True
-
-    def _persist_tree(self, name: str, tree) -> None:
-        """Serialise a freshly built tree (either layout) into the manifest.
-
-        A missing or corrupt manifest degrades to skip-persist: the freshly
-        built tree keeps serving this process, and a cold successor simply
-        rebuilds — never a crash after the expensive bulk load.
-        """
-        if self.storage_directory is None or tree.params is None:
-            return
-        storage = self._dataset_storage(name)
-        assert storage is not None
-        manifest = self._read_manifest_or_none(storage)
-        if manifest is None:
-            return
-        # Stage the representatives into a fresh partition and record which
-        # dataset state (base + delta partitions) the tree indexes; a
-        # mismatch later marks the persisted tree stale.
-        self._stage_tree_state(storage, name, manifest, tree)
-        # Flush the member/representative records first; the manifest write
-        # is the commit point (see _persist_dataset).
-        storage.checkpoint()
-        self._stamp_manifest_integrity(
-            storage, manifest, fresh=set(self._tree_partitions(manifest))
-        )
-        storage.write_manifest(manifest)
-        self._sweep_stale_reps(storage, name, manifest)
-
     def _forget_tree(self, name: str) -> None:
         """Discard the cached *and* persisted tree, keeping the dataset archive.
 
         Used before a rebuild: the ReTraTree partitions (members,
         unclustered, representatives) are dropped so the new bulk load
-        starts from empty heapfiles rather than appending to stale ones,
-        while the ``__dataset`` partition and the manifest root survive.
+        starts from empty heapfiles rather than appending to stale ones.
         """
         self._retratrees.pop(name, None)
-        self._tree_manifests.pop(name, None)
-        self._shard_manifests.pop(name, None)
-        storage = self._storages.get(name)
-        if storage is None:
-            return
-        manifest = self._read_manifest_or_none(storage)
-        if manifest is None:
-            return
-        if manifest.get("tree") is not None or manifest.get("shards") is not None:
-            # Commit the un-registration BEFORE deleting the partitions: a
-            # crash in between then leaves only harmless orphan files (the
-            # next sweep reclaims them), never a manifest referencing
-            # deleted heapfiles.  Both layouts are reset together — they
-            # are mutually exclusive, and a rebuild may switch between them.
-            manifest["tree"] = None
-            manifest["shards"] = None
-            self._stamp_manifest_integrity(storage, manifest, fresh=set())
-            storage.write_manifest(manifest)
-        self._sweep_partitions(storage, set(self._dataset_partitions(manifest)))
+        if self.catalog is not None:
+            self.catalog.forget_tree(name)
 
-    def _recover_tree(self, name: str, params: QuTParams | None) -> ReTraTree | None:
-        """Reopen the persisted ReTraTree, or ``None`` when there is none.
+    def _reopen_tree(self, name: str, params: QuTParams | None, shards: int | None):
+        """Reopen the persisted index in whichever layout satisfies the request.
 
-        ``params=None`` accepts whatever the tree was built with (the
-        progressive workflow: the tree in the store *is* the index); explicit
-        params must match the persisted build parameters, otherwise the
-        caller rebuilds.  A persisted tree whose recorded ``dataset_state``
-        no longer matches the manifest's base + delta partitions is *stale*
-        (the dataset moved on without the tree being maintained — e.g. an
-        append in a process that never loaded it) and is likewise rejected,
-        so the caller rebuilds against the current data.
+        One acceptance check for both layouts: the catalog hands back the
+        persisted section only while its ``dataset_state`` is current (an
+        append in a process that never loaded the tree leaves it stale);
+        an explicit ``shards`` must equal the persisted layout's count (1
+        for the single tree); explicit ``params`` must match the persisted
+        build parameters (``None`` accepts — the tree in the store *is* the
+        index).  Any failure to reopen — damaged partitions, crash windows,
+        record-count mismatches — returns ``None`` too: a rebuild is always
+        a correct answer, so queries never fail permanently.
         """
-        data = self._tree_manifests.get(name)
-        if data is None:
+        if self.catalog is None:
             return None
-        if not self._params_satisfied(params, data.get("raw_params"), data.get("params")):
+        section = self.catalog.tree_section(name)
+        if section is None:
             return None
-        storage = self._dataset_storage(name)
-        assert storage is not None
-        manifest = self._read_manifest_or_none(storage)
-        if manifest is not None and data.get("dataset_state") != self._dataset_partitions(
-            manifest
-        ):
-            self._tree_manifests.pop(name, None)
+        sharded = "trees" in section
+        if shards is not None and shards != (section.get("count") if sharded else 1):
             return None
+        if not self._params_satisfied(params, section.get("raw_params"), section.get("params")):
+            return None
+        storage = self.catalog.storage(name)
         try:
-            tree = ReTraTree.from_manifest(data, storage=storage)
-        except Exception:
-            # Damaged tree partitions (crash windows, disk corruption) must
-            # never make queries fail permanently — a rebuild is always a
-            # correct answer, so degrade to it.
-            self._tree_manifests.pop(name, None)
-            return None
-        self._tree_manifests.pop(name, None)
-        return tree
-
-    def _recover_sharded(
-        self, name: str, params: QuTParams | None, requested: int | None
-    ) -> ShardedReTraTree | None:
-        """Reopen a persisted sharded tree, or ``None`` when there is none.
-
-        Same acceptance rules as :meth:`_recover_tree` — parameters must be
-        satisfied, the recorded ``dataset_state`` must match the manifest's
-        current partitions — plus one: an explicit ``requested`` shard
-        count must equal the persisted plan's count, otherwise the caller
-        rebuilds with the new layout.  Any shard failing its record-count
-        checks degrades the whole facade to a rebuild.
-        """
-        data = self._shard_manifests.get(name)
-        if data is None:
-            return None
-        if requested is not None and data.get("count") != requested:
-            return None
-        if not self._params_satisfied(params, data.get("raw_params"), data.get("params")):
-            return None
-        storage = self._dataset_storage(name)
-        assert storage is not None
-        manifest = self._read_manifest_or_none(storage)
-        if manifest is not None and data.get("dataset_state") != self._dataset_partitions(
-            manifest
-        ):
-            self._shard_manifests.pop(name, None)
-            return None
-        try:
-            plan = ShardPlan.from_manifest(data["plan"])
-            shards = [
-                ReTraTree.from_manifest(tm, storage=storage)
-                for tm in data["trees"]
-            ]
-            facade = ShardedReTraTree(
-                shards, plan, storage=storage, name=name, recovered=True
+            if not sharded:
+                return ReTraTree.from_manifest(section, storage=storage)
+            return ShardedReTraTree(
+                [ReTraTree.from_manifest(tm, storage=storage) for tm in section["trees"]],
+                ShardPlan.from_manifest(section["plan"]),
+                storage=storage,
+                name=name,
+                recovered=True,
             )
         except Exception:
-            self._shard_manifests.pop(name, None)
             return None
-        self._shard_manifests.pop(name, None)
-        return facade
-
-    def _recover_any_tree(self, name: str, params: QuTParams | None, shards: int | None):
-        """Recover whichever persisted layout satisfies the request.
-
-        ``shards=None`` accepts either layout (sharded first — the two
-        manifest sections are mutually exclusive, so at most one exists);
-        ``shards=1`` accepts only a single tree; ``shards=N`` only a
-        sharded tree whose persisted plan counts ``N``.
-        """
-        if shards == 1:
-            return self._recover_tree(name, params)
-        recovered = self._recover_sharded(name, params, shards)
-        if recovered is not None or shards is not None:
-            return recovered
-        return self._recover_tree(name, params)
-
-    def _recover_catalog(self) -> None:
-        """Re-register every dataset catalogued under the storage directory.
-
-        Runs at construction of an on-disk engine.  Deliberately cheap: only
-        the manifests are read here — one small JSON file per dataset — and
-        the heavy parts are parked for lazy consumption (archive records
-        decode on first :meth:`get_mod`/:meth:`frame` access, the persisted
-        tree structure reopens on the first :meth:`retratree` call).  A
-        directory whose manifest is unreadable, has the wrong format
-        version, or fails its ``manifest_crc`` integrity stamp is recorded
-        in ``_damaged_datasets`` and withheld from
-        :meth:`datasets` — one damaged dataset never prevents the engine
-        from serving the healthy ones, and asking for it by name raises
-        :class:`~repro.storage.errors.CorruptManifestError` pointing at
-        ``repro-fsck`` instead of a misleading ``KeyError``.
-
-        Two extra recovery duties ride along per healthy dataset: the
-        manifest's recorded partition checksums are handed to the storage
-        manager (verified lazily, on each partition's first open), and
-        partition/staging files the manifest does not reference — debris a
-        crash left in the window between a commit and its sweep — are
-        reclaimed immediately.
-        """
-        from repro.storage.fsck import QUARANTINE_DIRNAME
-
-        assert self.storage_directory is not None
-        if not self.storage_directory.exists():
-            return
-        for sub in sorted(p for p in self.storage_directory.iterdir() if p.is_dir()):
-            if sub.name == QUARANTINE_DIRNAME:
-                continue
-            if not (sub / MANIFEST_FILENAME).exists():
-                continue
-            storage = StorageManager(sub, io=self.io)
-            try:
-                manifest = storage.read_manifest(verify=False)
-            except (OSError, ValueError) as exc:
-                self._damaged_datasets[sub.name] = str(exc)
-                storage.close()
-                continue
-            if (
-                not isinstance(manifest, dict)
-                or manifest.get("format_version") not in READABLE_MANIFEST_FORMATS
-                or not isinstance(manifest.get("dataset"), str)
-                or not isinstance(manifest.get("frame_partition"), str)
-            ):
-                self._damaged_datasets[sub.name] = (
-                    "manifest is structurally invalid or has an unsupported "
-                    f"format version {manifest.get('format_version')!r}"
-                    if isinstance(manifest, dict)
-                    else "manifest is not a JSON object"
-                )
-                storage.close()
-                continue
-            if not StorageManager.manifest_crc_ok(manifest):
-                # Parsable but failing its integrity stamp: any field —
-                # including the partition names the orphan sweep keys on —
-                # may be the damaged one, so sweeping here could delete the
-                # real committed file.  Leave every byte in place for
-                # repro-fsck and withhold the dataset.
-                self._damaged_datasets[sub.name] = (
-                    "manifest fails its CRC32 integrity check (the file was "
-                    "modified or damaged after its commit)"
-                )
-                storage.close()
-                continue
-            name = manifest["dataset"]
-            storage.set_expected_checksums(manifest.get("checksums"))
-            self._sweep_recovered_orphans(storage, manifest)
-            self._pending_datasets[name] = manifest
-            self._storages[name] = storage
-            if manifest.get("tree") is not None:
-                self._tree_manifests[name] = manifest["tree"]
-            if isinstance(manifest.get("shards"), dict):
-                self._shard_manifests[name] = manifest["shards"]
-            self._generation_counter += 1
-            self._generations[name] = self._generation_counter
-
-    def _sweep_recovered_orphans(self, storage: StorageManager, manifest: dict) -> None:
-        """Reclaim crash debris at cold start: unreferenced partitions, tmp files.
-
-        A crash between a manifest commit and its stale-file sweep leaves
-        partition files nothing references (a half-staged replacement, a
-        superseded reps generation) and manifest staging files.  They are
-        invisible to queries but cost disk forever — recovery deletes them
-        so ``repro-fsck`` on a store that merely crashed reports clean.
-        """
-        if storage.directory is None:
-            return
-        referenced = set(self._manifest_partitions(manifest))
-        for path in storage.directory.glob("*.part"):
-            if path.stem not in referenced:
-                storage.unlink_path(path)
-        for path in storage.directory.glob("*.json.tmp"):
-            storage.unlink_path(path)
-
-    def _materialise_recovered(self, name: str) -> None:
-        """Decode a catalogued dataset's archive into a live MOD + frame.
-
-        Raises :class:`~repro.storage.errors.CorruptPartitionError` (a
-        ``RuntimeError``, not ``KeyError``) when the archive does not
-        contain every record the manifest promises, or when its pages fail
-        their recorded checksums or decode — so callers can tell catalog
-        corruption apart from a simple unknown-dataset typo, and corrupt
-        bytes never materialise into query answers.
-        """
-        from repro.storage.records import decode_record
-
-        manifest = self._pending_datasets[name]
-        storage = self._dataset_storage(name)
-        assert storage is not None
-
-        def partition_path(partition: str) -> Path | None:
-            if storage.directory is None:
-                return None
-            return storage.directory / f"{partition}.part"
-
-        def decode_partition(partition: str, row_keys: list) -> list[Trajectory]:
-            info = storage.get_or_create(partition)
-            by_key: dict[tuple[str, str], Trajectory] = {}
-            count = 0
-            try:
-                for _rid, raw in info.heapfile.scan_records():
-                    rec = decode_record(raw)
-                    by_key[(rec.obj_id, rec.traj_id)] = rec.to_trajectory()
-                    count += 1
-            except CorruptPartitionError:
-                raise
-            except (ValueError, KeyError) as exc:
-                raise CorruptPartitionError(
-                    f"dataset {name!r} is catalogued but partition {partition!r} "
-                    f"does not decode: {exc}",
-                    path=partition_path(partition),
-                ) from exc
-            info.record_count = count
-            try:
-                return [by_key[tuple(key)] for key in row_keys]
-            except KeyError as exc:
-                # Leave the dataset pending: every retry reports the same
-                # diagnostic instead of degrading to "unknown dataset".
-                raise CorruptPartitionError(
-                    f"dataset {name!r} is catalogued but its archive is incomplete "
-                    f"(missing record for trajectory {exc.args[0]!r} in partition "
-                    f"{partition!r}); the directory {storage.directory} needs "
-                    "manual inspection",
-                    path=partition_path(partition),
-                ) from exc
-
-        # Base archive first, then every committed delta in append order —
-        # reconstructing the exact row order the warm process ended with.
-        ordered = decode_partition(
-            manifest["frame_partition"], manifest.get("row_keys", [])
-        )
-        for delta in manifest.get("deltas") or []:
-            ordered.extend(
-                decode_partition(delta["partition"], delta.get("row_keys", []))
-            )
-        self._pending_datasets.pop(name)
-        # The generation token was already assigned for this dataset during
-        # _recover_catalog; materialisation only decodes what that generation
-        # committed, so no bump happens (or is needed) here.
-        self._datasets[name] = MOD(name=name, trajectories=ordered)  # repro-lint: allow[generation-discipline]
-        with self._catalog_lock:
-            self._frames[name] = MODFrame.from_trajectories(ordered)
 
     def verify(self, repair: bool = False) -> "FsckReport":
         """Check the engine's storage directory for corruption (``repro-fsck``).
@@ -1375,14 +679,13 @@ class HermesEngine:
         """
         from repro.storage.fsck import FsckReport, fsck_store
 
-        if self.storage_directory is None:
+        if self.catalog is None:
             return FsckReport(root=None)
         if not repair:
-            for storage in self._storages.values():
-                storage.checkpoint()
-            return fsck_store(self.storage_directory, repair=False, io=self.io)
+            self.catalog.checkpoint()
+            return fsck_store(self.catalog.root, repair=False, io=self.io)
         self.close()
-        report = fsck_store(self.storage_directory, repair=True, io=self.io)
+        report = fsck_store(self.catalog.root, repair=True, io=self.io)
         # Reopen the catalog: repairs may have quarantined datasets, dropped
         # deltas or reset trees, and the caches must not outlive the state
         # they were derived from.  The generation counter keeps running so
@@ -1393,14 +696,10 @@ class HermesEngine:
                 self._frames,
                 self._retratrees,
                 self._last_results,
-                self._pending_datasets,
-                self._tree_manifests,
-                self._shard_manifests,
-                self._damaged_datasets,
+                self._append_batches,
             ):
                 cache.clear()
-        self._append_batches.clear()
-        self._recover_catalog()
+        self._open_catalog()
         return report
 
     # -- results ----------------------------------------------------------------------------------
@@ -1445,61 +744,36 @@ class HermesEngine:
         (cached or persisted).
 
         ``degraded`` reports whether the dataset's durable state is less
-        than what was once committed: its manifest is damaged or fails its
-        CRC stamp, or a ``repro-fsck --repair`` had to drop corrupt append
-        batches (the manifest's ``degraded`` list records what was lost).
+        than what was once committed: its manifest is damaged, or a
+        ``repro-fsck --repair`` had to drop corrupt append batches (the
+        manifest's ``degraded`` list records what was lost).  The durable
+        fields come from
+        :meth:`repro.storage.durable.DurableCatalog.status`.
         """
-        storage = self._storages.get(name)
-        tree_persisted = name in self._tree_manifests or name in self._shard_manifests
-        # Either layout's section carries dataset_state; whichever exists
-        # drives the staleness check (they are mutually exclusive).
-        tree_data: dict | None = self._tree_manifests.get(name) or self._shard_manifests.get(
-            name
-        )
         cached_tree = self._retratrees.get(name)
-        tree_shards = getattr(cached_tree, "shards_count", 1) if cached_tree else 0
-        partitions = 0
-        delta_partitions = 0
-        tree_stale = False
-        degraded = name in self._damaged_datasets
-        if storage is not None:
-            partitions = len(list(storage.partitions()))
-            manifest = self._read_manifest_or_none(storage)
-            if manifest is not None:
-                delta_partitions = len(manifest.get("deltas") or [])
-                if tree_data is None and isinstance(manifest.get("tree"), dict):
-                    tree_data = manifest["tree"]
-                if tree_data is None and isinstance(manifest.get("shards"), dict):
-                    tree_data = manifest["shards"]
-                tree_persisted = tree_persisted or tree_data is not None
-                if tree_data is not None:
-                    tree_stale = tree_data.get("dataset_state") != self._dataset_partitions(
-                        manifest
-                    )
-                degraded = (
-                    degraded
-                    or bool(manifest.get("degraded"))
-                    or not StorageManager.manifest_crc_ok(manifest)
-                )
-        if tree_shards == 0 and tree_data is not None:
-            tree_shards = int(tree_data.get("count") or 1)
+        pending = self.catalog.pending() if self.catalog is not None else []
         with self._catalog_lock:
             frame_cached = name in self._frames
-        return {
+        status: dict[str, object] = {
             "dataset": name,
-            "loaded": name in self._datasets or name in self._pending_datasets,
+            "loaded": name in self._datasets or name in pending,
             "generation": self.dataset_generation(name),
             "frame_cached": frame_cached,
-            "tree_cached": name in self._retratrees,
-            "tree_persisted": tree_persisted,
-            "tree_stale": tree_stale,
-            "tree_shards": tree_shards,
-            "persisted": self.is_persisted(name),
-            "storage_partitions": partitions,
+            "tree_cached": cached_tree is not None,
+            "tree_persisted": False,
+            "tree_stale": False,
+            "tree_shards": 0,
+            "persisted": False,
+            "storage_partitions": 0,
             "append_batches": self._append_batches.get(name, 0),
-            "delta_partitions": delta_partitions,
-            "degraded": degraded,
+            "delta_partitions": 0,
+            "degraded": False,
         }
+        if self.catalog is not None:
+            status.update(self.catalog.status(name))
+        if cached_tree is not None:
+            status["tree_shards"] = getattr(cached_tree, "shards_count", 1)
+        return status
 
     def close(self) -> None:
         """Release the engine's storage handles and stop its worker pool.
@@ -1511,31 +785,5 @@ class HermesEngine:
         if self._worker_pool is not None:
             self._worker_pool.shutdown()
             self._worker_pool = None
-        for storage in self._storages.values():
-            storage.close()
-        self._storages.clear()
-
-    def sql(
-        self, statement: str, params=None
-    ) -> list[dict[str, object]]:
-        """Execute an SQL statement against this engine (see :mod:`repro.sql`).
-
-        .. deprecated:: public API v1
-           ``engine.sql()`` is a shim over a default
-           :class:`~repro.api.Connection`; prefer ``repro.connect()`` and
-           the connection's cursors, which add parameter binding, streaming
-           fetches and prepared statements.
-        """
-        import warnings
-
-        warnings.warn(
-            "HermesEngine.sql() is deprecated; use repro.connect() and "
-            "Connection.cursor()/execute() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api import Connection
-
-        if self._default_connection is None:
-            self._default_connection = Connection(engine=self)
-        return self._default_connection.execute(statement, params).fetchall()
+        if self.catalog is not None:
+            self.catalog.close()

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
+from repro.core.shard import tree_layout
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
@@ -301,17 +302,20 @@ class IngestPipeline:
             #    updated.
             engine._note_append(name)
 
-        # 5. Durability: stage the batch as a delta partition; the manifest
-        #    write commits dataset + maintained tree atomically.  The retry
+        # 5. Durability: the catalog stages the batch as a delta partition
+        #    and one manifest write commits dataset + maintained tree
+        #    atomically (an empty tree has nothing to persist).  The retry
         #    delta around the commit surfaces absorbed transient I/O errors.
-        storage = engine._storages.get(name)
-        retries_before = storage.io_stats().get("io_retries", 0) if storage else 0
-        report.persisted = engine._persist_append(name, trajs, tree)
-        storage = engine._storages.get(name)
-        if storage is not None:
-            report.io_retries = (
-                storage.io_stats().get("io_retries", 0) - retries_before
+        catalog = engine.catalog
+        if catalog is not None:
+            storage = catalog.storage(name)
+            retries_before = storage.io_stats()["io_retries"]
+            maintained = tree is not None and tree.params is not None
+            trees, shards = tree_layout(tree) if maintained else (None, None)
+            report.persisted = catalog.commit_append(
+                name, trajs, engine.dataset_generation(name), trees, shards
             )
+            report.io_retries = storage.io_stats()["io_retries"] - retries_before
 
         report.trajectories = len(trajs)
         report.points = int(delta_frame.total_points)

@@ -61,6 +61,7 @@ __all__ = [
     "build_sharded_tree",
     "export_shard_tree",
     "import_shard_tree",
+    "tree_layout",
 ]
 
 
@@ -448,3 +449,23 @@ class ShardedReTraTree:
                 totals[key] += value
         totals["trajectories"] = len(trajs)
         return totals
+
+
+def tree_layout(tree: "ReTraTree | ShardedReTraTree") -> tuple[list[ReTraTree], dict | None]:
+    """``(trees, shards header)`` — how the durable catalog persists ``tree``.
+
+    The arguments :meth:`repro.storage.durable.DurableCatalog.commit_tree`
+    and ``commit_append`` take: a single tree is ``([tree], None)``; a
+    sharded one is its shard trees plus the ``shards`` section header (the
+    plan and the grid and parameters every shard shares), so recovery can
+    check identity without opening any heapfile.
+    """
+    if not isinstance(tree, ShardedReTraTree):
+        return [tree], None
+    return tree.shards, {
+        "count": tree.plan.count,
+        "plan": tree.plan.to_manifest(),
+        "origin": tree.origin,
+        "params": tree.params.to_dict() if tree.params is not None else None,
+        "raw_params": tree.raw_params.to_dict(),
+    }

@@ -56,6 +56,7 @@ API_TARGETS: tuple[tuple[str, tuple[str, ...] | None], ...] = (
     ("repro.eval.quality", None),
     ("repro.analysis", ("Checker", "Finding", "SourceModule", "lint_paths", "select_checkers")),
     ("repro.sql.errors", None),
+    ("repro.storage.durable", None),
     ("repro.storage.errors", None),
     ("repro.storage.faults", None),
     ("repro.storage.fsck", None),

@@ -12,8 +12,7 @@ plan → executor:
 * the logical-plan layer shared with the fluent Python API
   (:mod:`repro.sql.plan`) and the AST → plan lowering
   (:mod:`repro.sql.planner`);
-* a streaming :class:`~repro.sql.executor.PlanExecutor` plus the historical
-  string-in/rows-out :class:`~repro.sql.executor.SQLExecutor` facade;
+* a streaming :class:`~repro.sql.executor.PlanExecutor`;
 * the table functions of the paper's API — most importantly
   ``SELECT QUT(D, Wi, We, tau, delta, t, d, gamma)`` — plus ``S2T``,
   ``TRACLUS``, ``TOPTICS``, ``CONVOY``, ``SUMMARY``, ``CLUSTER_HISTOGRAM``
@@ -30,7 +29,7 @@ from repro.sql.errors import (
     SQLExecutionError,
     SQLParseError,
 )
-from repro.sql.executor import PlanExecutor, ResultSet, SQLExecutor
+from repro.sql.executor import PlanExecutor, ResultSet
 from repro.sql.plan import (
     CountPlan,
     CreatePlan,
@@ -49,7 +48,6 @@ from repro.sql.plan import (
 from repro.sql.planner import plan_sql, plan_sql_script, plan_statement
 
 __all__ = [
-    "SQLExecutor",
     "PlanExecutor",
     "ResultSet",
     "SQLError",

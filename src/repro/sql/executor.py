@@ -1,13 +1,10 @@
 """Plan execution against a :class:`~repro.core.engine.HermesEngine`.
 
-The execution layer is split in two:
-
-* :class:`PlanExecutor` — runs *logical plans* (:mod:`repro.sql.plan`) and
-  returns a streaming :class:`ResultSet`.  This is the single executor under
-  both front-ends: the SQL string path and the fluent Python path compile to
-  the same plan objects and land here.
-* :class:`SQLExecutor` — the historical string-in/rows-out facade, now a
-  thin wrapper: parse → plan → bind → execute → materialise.
+:class:`PlanExecutor` runs *logical plans* (:mod:`repro.sql.plan`) and
+returns a streaming :class:`ResultSet`.  It is the single executor under
+both front-ends: the SQL string path and the fluent Python path compile to
+the same plan objects and land here; :class:`repro.api.Connection` is the
+one SQL entry point above it.
 
 ``INSERT INTO`` point buffering lives on the :class:`PlanExecutor` (one per
 engine, shared by every connection over that engine): records for datasets
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator
 
 from repro.core.engine import HermesEngine
 from repro.core.ingest import AppendBuffer
@@ -47,12 +44,11 @@ from repro.sql.plan import (
     S2TPlan,
     ScanPlan,
     ShowPlan,
-    bind_for_execution,
     plan_lines,
 )
-from repro.sql.planner import plan_sql, plan_sql_script
+from repro.sql.planner import plan_sql_script
 
-__all__ = ["ResultSet", "PlanExecutor", "SQLExecutor", "iter_script"]
+__all__ = ["ResultSet", "PlanExecutor", "iter_script"]
 
 _OPERATORS = {
     "=": operator.eq,
@@ -425,8 +421,8 @@ def iter_script(
     is advanced, and only its own result rows are held — a multi-statement
     script never keeps every statement's full result set alive at once.
     Statement splitting is token-aware; ``;`` inside string literals is
-    data, not a separator.  Shared by :meth:`SQLExecutor.execute_script`
-    and :meth:`repro.api.Connection.executescript`.
+    data, not a separator.  Behind
+    :meth:`repro.api.Connection.executescript`.
     """
     plans = plan_sql_script(sql)
 
@@ -435,48 +431,3 @@ def iter_script(
             yield list(executor.execute(plan))
 
     return run()
-
-
-class SQLExecutor:
-    """Parses and executes SQL statements, returning rows as dicts.
-
-    Historical facade kept for compatibility: ``execute`` materialises the
-    full result list.  New code should prefer the connection/cursor API
-    (:mod:`repro.api`), which streams.
-    """
-
-    def __init__(self, engine: HermesEngine) -> None:
-        self.engine = engine
-        self._executor = engine.plan_executor()
-
-    def forget(self, name: str) -> None:
-        """Discard buffered state for a dataset (called by ``engine.drop``)."""
-        self._executor.forget(name)
-
-    # -- public API ----------------------------------------------------------------
-
-    def execute(
-        self,
-        sql: str,
-        params: Mapping[str, object] | Sequence[object] | None = None,
-    ) -> list[dict[str, object]]:
-        """Execute one statement (binding ``params``) and return its rows.
-
-        ``EXPLAIN`` statements render unbound placeholders as-is.
-        """
-        plan = bind_for_execution(plan_sql(sql), params)
-        return list(self._executor.execute(plan))
-
-    def execute_script(
-        self, sql: str
-    ) -> Iterator[list[dict[str, object]]]:
-        """Execute a ``;``-separated script lazily (see :func:`iter_script`).
-
-        .. warning:: behaviour change in public API v1 — this used to run
-           every statement eagerly and return a list of result lists; it now
-           returns a generator, and statements only execute as it is
-           advanced.  Callers running a script purely for its side effects
-           must drain the generator (e.g. ``for _ in ex.execute_script(s):
-           pass``) or nothing runs.
-        """
-        return iter_script(self._executor, sql)

@@ -11,7 +11,9 @@ but real storage engine:
 * :mod:`repro.storage.heapfile`    -- record files addressed by RID,
 * :mod:`repro.storage.records`     -- (sub-)trajectory record serialisation,
 * :mod:`repro.storage.catalog`     -- named partitions (create/open/drop),
-  manifest persistence and directory reclamation,
+  the atomic manifest write and directory reclamation,
+* :mod:`repro.storage.durable`     -- the durable catalog: the manifest
+  layout, the one commit, the one sweep, cold-open recovery,
 * :mod:`repro.storage.errors`      -- structured corruption diagnostics,
 * :mod:`repro.storage.faults`      -- the OS-call shim every component does
   its I/O through, and its fault-injecting test double,
@@ -20,64 +22,12 @@ but real storage engine:
 
 Manifest format
 ---------------
-A directory-backed :class:`~repro.storage.catalog.StorageManager` owns one
-``manifest.json``, the durable root the engine recovers from.  Layout
-(``format_version`` = 3).  Older formats are still readable: version-1
-manifests lack ``deltas`` and the tree's
-``dataset_state``/``reps_partition``/``reps_count`` fields (missing deltas
-default to none and a tree without ``dataset_state`` counts as stale and
-rebuilds); version-2 manifests lack the integrity stamps ``checksums`` and
-``manifest_crc`` (page verification is skipped until the next commit
-upgrades the manifest in place)::
-
-    {
-      "format_version": 3,
-      "dataset": "<name>",                 # dataset registered under this dir
-      "frame_partition":                   # heapfile with one whole-trajectory
-        "<name>__dataset_g<N>",            #   record per row (see records.py);
-                                           #   generation-suffixed: replacements
-                                           #   stage into a fresh partition and
-                                           #   commit via the manifest write
-      "row_keys": [[obj_id, traj_id], …],  # explicit row order: heapfile scan
-                                           #   order may differ once records
-                                           #   span pages
-      "deltas": [{                         # committed append batches, in order;
-        "partition":                       #   recovery decodes the base archive
-          "<name>__dataset_g<M>",          #   then every delta, reconstructing
-        "row_keys": [[obj, traj], …]       #   the warm process's row order
-      }, …],
-      "tree": null | {                     # ReTraTree.to_manifest() output
-        "name": "<name>", "origin": float, "next_cluster_id": int,
-        "params": {…}, "raw_params": {…},  # QuTParams.to_dict()
-        "reps_partition":                  # representatives partition; staged
-          "<name>__reps_g<K>",             #   fresh per persist, never rewritten
-                                           #   in place under a committed manifest
-        "reps_count": int,                 # torn-state check on reopen
-        "dataset_state": [str, …],         # base+delta partitions the tree
-                                           #   indexes; mismatch => tree stale,
-                                           #   next retratree() rebuilds
-        "subchunks": [{
-          "chunk_idx": int, "sub_idx": int, "period": [tmin, tmax],
-          "unclustered_partition": str, "unclustered_count": int,
-          "entries": [{
-            "cluster_id": int, "partition": str, "member_count": int,
-            "bbox": [xmin, ymin, tmin, xmax, ymax, tmax] | null,
-            "representative_rid": [page_no, slot]   # in reps_partition
-          }, …]
-        }, …]
-      },
-      "checksums": {                       # v3: per-page CRC32s of every
-        "<partition>": [int, …], …         #   referenced partition, computed
-      },                                   #   at commit, verified on first
-                                           #   cold open and by repro-fsck
-      "manifest_crc": int,                 # v3: CRC32 over the manifest's
-                                           #   canonical JSON (excluding this
-                                           #   key) — detects tampering and
-                                           #   torn manifest writes
-      "degraded": [str, …]                 # optional: what a repro-fsck
-                                           #   --repair had to give up
-                                           #   (quarantined append batches)
-    }
+Each dataset directory owns one ``manifest.json``, the durable root the
+engine recovers from.  Its layout (``format_version`` 4, the only one read
+or written — dataset archive, append deltas, the ``tree`` *or* ``shards``
+index section, integrity stamps) and the stage → checkpoint → stamp →
+commit → sweep protocol that writes it are documented, once, in
+:mod:`repro.storage.durable`, the module that owns both.
 
 Member records stay in their partitions' heapfiles; the manifest only adds
 the structure that lived in memory.  Partition pg3D-Rtrees are not
@@ -109,6 +59,7 @@ from repro.storage.catalog import (
     page_checksums,
     staged_tmp_path,
 )
+from repro.storage.durable import MANIFEST_FORMAT, DurableCatalog
 from repro.storage.errors import (
     CorruptManifestError,
     CorruptPartitionError,
@@ -139,6 +90,8 @@ __all__ = [
     "decode_record",
     "StorageManager",
     "PartitionInfo",
+    "DurableCatalog",
+    "MANIFEST_FORMAT",
     "manifest_checksum",
     "page_checksums",
     "staged_tmp_path",

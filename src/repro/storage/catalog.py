@@ -364,8 +364,10 @@ class StorageManager:
 
         Raises :class:`CorruptManifestError` when the file exists but is
         not a JSON object, or — with ``verify=True`` — when it carries a
-        ``manifest_crc`` stamp that does not match its content.  Manifests
-        without a stamp (formats 1 and 2) are returned unverified.
+        ``manifest_crc`` stamp that does not match its content.  This is
+        the generic JSON-root API: a manifest without a stamp is returned
+        unverified (:func:`repro.storage.durable.manifest_problem` is the
+        check that *requires* one).
         """
         path = self.manifest_path
         if path is None:
@@ -396,8 +398,8 @@ class StorageManager:
     def manifest_crc_ok(manifest: Manifest) -> bool:
         """Whether a manifest's content matches its ``manifest_crc`` stamp.
 
-        Manifests without a stamp (written before format 3) trivially
-        pass — there is nothing to verify against.
+        A manifest without a stamp trivially passes — there is nothing to
+        verify against.
         """
         stored = manifest.get("manifest_crc")
         if stored is None:

@@ -4,15 +4,18 @@
 dataset, each owning a ``manifest.json`` catalog root) and cross-checks
 three layers of evidence against each other:
 
-1. **the manifest** — readable JSON, supported format, CRC32 stamp intact;
-2. **the partition files it references** — present, a whole number of
-   pages, page CRC32s matching the manifest's recorded checksums
-   (format-3 stores), and heapfile record counts matching the counts the
-   manifest committed (all formats — this is what catches a torn append
-   on a checksum-less format-2 store);
-3. **the directory contents** — generation-suffixed partition files and
-   manifest staging files nothing references (the debris a crash between
-   a manifest commit and the stale-file sweep leaves behind).
+1. **the manifest** — readable JSON that
+   :func:`~repro.storage.durable.manifest_problem` accepts: format 4, a
+   matching ``manifest_crc`` stamp, a ``checksums`` map.  Anything else is
+   an error, never "legacy";
+2. **the partition files it references** (walked by
+   :func:`~repro.storage.durable.manifest_partitions`) — present, a whole
+   number of pages, page CRC32s matching the manifest's recorded
+   checksums, and heapfile record counts matching the counts the manifest
+   committed;
+3. **the directory contents** — partition files and manifest staging
+   files nothing references (the debris a crash between a manifest commit
+   and its sweep leaves behind).
 
 With ``repair=True`` the checker acts on what it found, always preferring
 *loss of derived state* over *wrong answers*:
@@ -24,13 +27,17 @@ With ``repair=True`` the checker acts on what it found, always preferring
 * a corrupt **delta** partition is quarantined and its batch removed from
   the manifest, with the data loss recorded in the manifest's
   ``degraded`` list (surfaced by ``artifact_status``/``EXPLAIN``);
-* a corrupt **base archive** or unreadable manifest quarantines the whole
-  dataset directory under ``<root>/_quarantine/`` — nothing trustworthy
-  remains to serve.
+* a corrupt **base archive**, or a manifest that is unreadable, of another
+  format or without a ``checksums`` map, quarantines the whole dataset
+  directory under ``<root>/_quarantine/`` — nothing trustworthy remains to
+  serve.  A manifest whose only defect is its ``manifest_crc`` stamp is
+  re-stamped, and only after every partition it references verified
+  against its ``checksums`` map: repair never blesses content it cannot
+  verify.
 
-Every repair that changes the manifest rewrites it atomically with fresh
-``checksums``/``manifest_crc`` stamps, so a post-repair store verifies
-clean.
+Every repair that changes the manifest goes through the catalog's one
+commit (:func:`~repro.storage.durable.commit_manifest` — stamp, atomic
+write, sweep), so a post-repair store verifies clean.
 """
 
 from __future__ import annotations
@@ -41,11 +48,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.catalog import (
-    MANIFEST_FILENAME,
-    manifest_checksum,
-    page_checksums,
-    staged_tmp_path,
+from repro.storage.catalog import MANIFEST_FILENAME, StorageManager, page_checksums
+from repro.storage.durable import (
+    QUARANTINE_DIRNAME,
+    commit_manifest,
+    manifest_partitions,
+    manifest_problem,
+    sweep,
 )
 from repro.storage.errors import StorageError
 from repro.storage.faults import DEFAULT_IO, IOShim
@@ -54,12 +63,6 @@ from repro.storage.page import PAGE_SIZE, Page
 from repro.storage.pager import Pager
 
 __all__ = ["FsckIssue", "FsckReport", "fsck_store", "QUARANTINE_DIRNAME"]
-
-#: Directory (under the store root) corrupt files are moved into on repair.
-QUARANTINE_DIRNAME = "_quarantine"
-
-#: Manifest layouts this checker knows how to validate.
-_KNOWN_FORMATS = (1, 2, 3, 4)
 
 
 @dataclass
@@ -72,8 +75,7 @@ class FsckIssue:
         Machine-readable issue class (``orphan_file``, ``stale_staging``,
         ``checksum_mismatch``, ``torn_partition``, ``missing_partition``,
         ``manifest_unreadable``, ``manifest_checksum``,
-        ``manifest_unsupported``, ``uncommitted_directory``,
-        ``unchecksummed``).
+        ``manifest_unsupported``, ``uncommitted_directory``).
     path:
         The file or directory the issue concerns.
     detail:
@@ -203,67 +205,6 @@ def _as_int(value) -> int | None:
         return None
 
 
-def _tree_partition_expectations(tree: dict) -> list[tuple[str, object]]:
-    """``(partition, recorded_count)`` for every tree partition.
-
-    Counts are returned as recorded — possibly corrupt/non-numeric — and
-    coerced (and reported) by the caller.
-    """
-    out: list[tuple[str, object]] = []
-    reps = tree.get("reps_partition")
-    if isinstance(reps, str):
-        out.append((reps, tree.get("reps_count")))
-    for sc in tree.get("subchunks") or []:
-        if not isinstance(sc, dict):
-            continue
-        unclustered = sc.get("unclustered_partition")
-        if isinstance(unclustered, str):
-            out.append((unclustered, sc.get("unclustered_count")))
-        for entry in sc.get("entries") or []:
-            if isinstance(entry, dict) and isinstance(entry.get("partition"), str):
-                out.append((entry["partition"], entry.get("member_count")))
-    return out
-
-
-def _partition_expectations(manifest: dict) -> list[tuple[str, object, str]]:
-    """Every referenced partition as ``(name, recorded_count, role)``.
-
-    ``role`` is ``"base"``, ``"delta:<i>"`` or ``"tree"`` — it decides the
-    repair strategy when the partition turns out damaged.  Counts are the
-    raw manifest values (possibly corrupt); the caller coerces via
-    :func:`_as_int` and reports non-numeric ones.
-    """
-    out: list[tuple[str, object, str]] = []
-    base = manifest.get("frame_partition")
-    if isinstance(base, str):
-        row_keys = manifest.get("row_keys")
-        out.append((base, len(row_keys) if isinstance(row_keys, list) else None, "base"))
-    for i, delta in enumerate(manifest.get("deltas") or []):
-        if isinstance(delta, dict) and isinstance(delta.get("partition"), str):
-            row_keys = delta.get("row_keys")
-            out.append(
-                (
-                    delta["partition"],
-                    len(row_keys) if isinstance(row_keys, list) else None,
-                    f"delta:{i}",
-                )
-            )
-    tree = manifest.get("tree")
-    if isinstance(tree, dict):
-        for name, count in _tree_partition_expectations(tree):
-            out.append((name, count, "tree"))
-    # A format-4 sharded deployment serialises one tree structure per shard
-    # under ``shards.trees`` (mutually exclusive with ``tree``); every shard
-    # partition carries the same repair policy as a single tree's.
-    shards = manifest.get("shards")
-    if isinstance(shards, dict):
-        for shard_tree in shards.get("trees") or []:
-            if isinstance(shard_tree, dict):
-                for name, count in _tree_partition_expectations(shard_tree):
-                    out.append((name, count, "tree"))
-    return out
-
-
 def _quarantine(root: Path, source: Path) -> Path:
     """Move a file or directory under ``<root>/_quarantine/``, never clobbering.
 
@@ -281,22 +222,6 @@ def _quarantine(root: Path, source: Path) -> Path:
         counter += 1
     shutil.move(str(source), str(target))
     return target
-
-
-def _write_manifest_atomic(io: IOShim, directory: Path, manifest: dict) -> None:
-    """Atomically rewrite a dataset's manifest with a fresh CRC stamp."""
-    manifest["manifest_crc"] = manifest_checksum(manifest)
-    path = directory / MANIFEST_FILENAME
-    tmp = staged_tmp_path(path)
-    payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    fh = io.open(tmp, "wb")
-    try:
-        io.write(fh, payload)
-        io.fsync(fh)
-    finally:
-        fh.close()
-    io.replace(tmp, path)
-    io.fsync_dir(directory)
 
 
 def _check_dataset(
@@ -342,36 +267,22 @@ def _check_dataset(
         return
 
     report.datasets.append(directory.name)
-    if manifest.get("format_version") not in _KNOWN_FORMATS:
-        report.add(
-            "manifest_unsupported",
-            manifest_path,
-            f"manifest format {manifest.get('format_version')!r} is not one "
-            f"of the supported versions {_KNOWN_FORMATS}",
-        )
-        return  # nothing else about this layout can be interpreted safely
-
-    crc_issue: FsckIssue | None = None
-    stored_crc = manifest.get("manifest_crc")
-    if stored_crc is not None and stored_crc != manifest_checksum(manifest):
-        crc_issue = report.add(
-            "manifest_checksum",
-            manifest_path,
-            "manifest content does not match its manifest_crc stamp",
-        )
-    elif "checksums" not in manifest:
-        report.add(
-            "unchecksummed",
-            manifest_path,
-            "pre-checksum manifest (format < 3); page integrity cannot be "
-            "verified until the next commit upgrades it",
-            severity="info",
-        )
+    stamp_issue: FsckIssue | None = None
+    problem = manifest_problem(manifest)
+    if problem is not None:
+        kind, detail = problem
+        stamp_issue = report.add(kind, manifest_path, detail)
+        if kind == "manifest_unsupported":
+            # Nothing else about this layout can be interpreted safely.
+            if repair:
+                target = _quarantine(root, directory)
+                stamp_issue.repaired = True
+                stamp_issue.action = f"dataset directory quarantined to {target}"
+            return
 
     # -- layer 2: the referenced partitions --------------------------------
     checksums = manifest.get("checksums")
-    checksums = checksums if isinstance(checksums, dict) else {}
-    expectations = _partition_expectations(manifest)
+    expectations = list(manifest_partitions(manifest))
     referenced = {name for name, _, _ in expectations}
     damaged_roles: dict[str, FsckIssue] = {}
     damaged_issues: list[tuple[str, FsckIssue]] = []
@@ -379,6 +290,12 @@ def _check_dataset(
     def damage(issue: FsckIssue, role: str) -> None:
         damaged_roles.setdefault(role, issue)
         damaged_issues.append((role, issue))
+
+    if stamp_issue is not None and not isinstance(checksums, dict):
+        # Without the checksums map no partition can be verified, so not
+        # even the base archive is trustworthy: repair quarantines.
+        damage(stamp_issue, "base")
+        checksums = None
 
     for name, recorded_count, role in expectations:
         path = directory / f"{name}.part"
@@ -421,8 +338,19 @@ def _check_dataset(
                 role,
             )
             continue
-        expected_crcs = checksums.get(name)
-        if isinstance(expected_crcs, list):
+        expected_crcs = checksums.get(name) if checksums is not None else []
+        if not isinstance(expected_crcs, list):
+            damage(
+                report.add(
+                    "checksum_mismatch",
+                    path,
+                    f"partition {name!r} has no recorded page checksums; its "
+                    "content cannot be verified",
+                ),
+                role,
+            )
+            continue
+        if checksums is not None:
             actual_crcs = page_checksums(data)
             coerced_crcs = [_as_int(want) for want in expected_crcs]
             bad_page = next(
@@ -475,30 +403,24 @@ def _check_dataset(
             )
 
     # -- layer 3: directory debris -----------------------------------------
-    orphan_issues: list[tuple[FsckIssue, Path]] = []
+    orphan_issues: list[FsckIssue] = []
     for path in sorted(directory.glob("*.part")):
         if path.stem not in referenced:
             orphan_issues.append(
-                (
-                    report.add(
-                        "orphan_file",
-                        path,
-                        "partition file is referenced by nothing (crash debris)",
-                        severity="warning",
-                    ),
+                report.add(
+                    "orphan_file",
                     path,
+                    "partition file is referenced by nothing (crash debris)",
+                    severity="warning",
                 )
             )
     for path in sorted(directory.glob("*.json.tmp")):
         orphan_issues.append(
-            (
-                report.add(
-                    "stale_staging",
-                    path,
-                    "manifest staging file from an interrupted commit",
-                    severity="warning",
-                ),
+            report.add(
+                "stale_staging",
                 path,
+                "manifest staging file from an interrupted commit",
+                severity="warning",
             )
         )
 
@@ -514,12 +436,12 @@ def _check_dataset(
         for _role, issue in damaged_issues:
             issue.repaired = True
             issue.action = f"dataset directory quarantined to {target}"
-        for issue, _ in orphan_issues:
+        for issue in orphan_issues:
             issue.repaired = True
             issue.action = "removed with the quarantined dataset"
-        if crc_issue is not None:
-            crc_issue.repaired = True
-            crc_issue.action = f"dataset directory quarantined to {target}"
+        if stamp_issue is not None:
+            stamp_issue.repaired = True
+            stamp_issue.action = f"dataset directory quarantined to {target}"
         return
 
     degraded = [d for d in manifest.get("degraded") or [] if isinstance(d, str)]
@@ -555,37 +477,19 @@ def _check_dataset(
         manifest.get("tree") is not None or manifest.get("shards") is not None
     ):
         # Reset every serialised tree structure — the single ``tree``
-        # section or the per-shard trees of a ``shards`` section (they are
-        # mutually exclusive, but a damaged manifest carrying both is
-        # reset in full): one shard's corruption invalidates the sharded
-        # facade as a whole, and the rebuild restores whichever layout the
-        # next query asks for.
-        damaged_trees = []
-        if isinstance(manifest.get("tree"), dict):
-            damaged_trees.append(manifest["tree"])
-        if isinstance(manifest.get("shards"), dict):
-            damaged_trees.extend(
-                tm
-                for tm in manifest["shards"].get("trees") or []
-                if isinstance(tm, dict)
-            )
+        # section or the per-shard trees of a ``shards`` section: one
+        # shard's corruption invalidates the sharded facade as a whole, and
+        # the rebuild restores whichever layout the next query asks for.
+        # The partitions become unreferenced; the commit's sweep removes them.
         manifest["tree"] = None
         manifest["shards"] = None
-        removed = []
-        for tree in damaged_trees:
-            for name, _count in _tree_partition_expectations(tree):
-                part_path = directory / f"{name}.part"
-                if part_path.exists():
-                    io.unlink(part_path)
-                    removed.append(name)
-        action = (
-            "tree entry reset (next query rebuilds from the verified "
-            f"archive); {len(removed)} tree partition file(s) removed"
-        )
         for role, issue in damaged_issues:
             if role == "tree" and not issue.repaired:
                 issue.repaired = True
-                issue.action = action
+                issue.action = (
+                    "tree entry reset (next query rebuilds from the verified "
+                    "archive); its partition files removed"
+                )
         manifest_dirty = True
     # Tree-role issues on an already-reset tree ride on that reset.
     for role, issue in damaged_issues:
@@ -602,29 +506,27 @@ def _check_dataset(
         manifest["degraded"] = degraded
         manifest_dirty = True
 
-    for issue, path in orphan_issues:
-        if path.exists():
-            io.unlink(path)
+    # What remains referenced verified against the checksums map, so the
+    # manifest may be committed anew (dropping the entries of removed
+    # partitions); the commit's sweep — or, with the manifest untouched, a
+    # bare sweep — deletes the orphans and every un-referenced partition.
+    storage = StorageManager(directory, io=io)
+    try:
+        if manifest_dirty or stamp_issue is not None:
+            commit_manifest(storage, manifest, set())
+        else:
+            sweep(storage, manifest)
+    finally:
+        storage.close()
+    for issue in orphan_issues:
         issue.repaired = True
         issue.action = "deleted"
-
-    if manifest_dirty or crc_issue is not None:
-        # Recompute the checksum map for what the manifest now references
-        # (dropping entries for removed partitions, keeping trusted ones).
-        if isinstance(manifest.get("checksums"), dict):
-            still = {name for name, _, _ in _partition_expectations(manifest)}
-            manifest["checksums"] = {
-                name: crcs
-                for name, crcs in manifest["checksums"].items()
-                if name in still
-            }
-        _write_manifest_atomic(io, directory, manifest)
-        if crc_issue is not None and not crc_issue.repaired:
-            crc_issue.repaired = True
-            crc_issue.action = (
-                "manifest re-stamped (content verified against partition "
-                "checksums and record counts)"
-            )
+    if stamp_issue is not None:
+        stamp_issue.repaired = True
+        stamp_issue.action = (
+            "manifest re-stamped (content verified against partition "
+            "checksums and record counts)"
+        )
 
 
 def fsck_store(

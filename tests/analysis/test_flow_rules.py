@@ -391,7 +391,7 @@ def test_durability_suppression(lint_tree):
 
 
 def test_durability_real_write_manifest_is_clean(lint_tree):
-    # The shipped DurableCatalog.write_manifest commits through retry
+    # The shipped StorageManager.write_manifest commits through retry
     # closures; the checker must follow them and stay quiet.
     findings = lint_tree(
         {"storage/catalog.py": (REPO_SRC / "storage" / "catalog.py").read_text()},

@@ -285,27 +285,6 @@ class TestExecuteScript:
         assert "two" not in conn.engine.datasets()
 
 
-class TestEngineShim:
-    def test_engine_sql_is_deprecated_but_works(self, conn):
-        with pytest.deprecated_call():
-            rows = conn.engine.sql("SELECT SUMMARY(lanes)")
-        assert rows[0]["dataset"] == "lanes"
-
-    def test_engine_sql_accepts_params(self, conn):
-        with pytest.deprecated_call():
-            rows = conn.engine.sql(
-                "SELECT COUNT(*) FROM lanes WHERE t >= :t0", {"t0": 0.0}
-            )
-        assert rows[0]["count"] > 0
-
-    def test_engine_sql_shares_state_with_connections(self, conn):
-        with pytest.deprecated_call():
-            conn.engine.sql("CREATE DATASET shim")
-        assert "shim" in conn.engine.datasets()
-        rows = conn.execute("SHOW DATASETS").fetchall()
-        assert {"dataset": "shim"} in rows
-
-
 class TestSessionOverConnection:
     def test_progressive_session_rides_connection(self, conn, lanes_small):
         from repro.core import ProgressiveSession

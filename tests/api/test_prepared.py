@@ -36,10 +36,9 @@ class TestPrepare:
         period = mod.period
         stmt = conn.prepare("SELECT QUT(lanes, :wi, :we)")
         prepared = stmt.execute({"wi": period.tmin, "we": period.tmax}).fetchall()
-        with pytest.deprecated_call():
-            one_shot = conn.engine.sql(
-                f"SELECT QUT(lanes, {period.tmin}, {period.tmax})"
-            )
+        one_shot = conn.execute(
+            f"SELECT QUT(lanes, {period.tmin}, {period.tmax})"
+        ).fetchall()
         assert prepared == one_shot
 
     def test_identical_bindings_are_memoised(self, conn):
@@ -188,7 +187,7 @@ class TestWarmColdBitIdentity:
     def test_prepared_matches_one_shot_on_warm_and_cold_engines(
         self, tmp_path, lanes_small
     ):
-        """Acceptance: prepared execution == one-shot engine.sql(), warm and cold."""
+        """Acceptance: prepared execution == one-shot SQL, warm and cold."""
         mod, _ = lanes_small
         period = mod.period
         wi = period.tmin + 0.2 * period.duration
@@ -198,16 +197,14 @@ class TestWarmColdBitIdentity:
         warm.engine.load_mod("lanes", mod)
         stmt = warm.prepare("SELECT QUT(lanes, :wi, :we)")
         warm_prepared = stmt.execute({"wi": wi, "we": we}).fetchall()
-        with pytest.deprecated_call():
-            warm_one_shot = warm.engine.sql(f"SELECT QUT(lanes, {wi}, {we})")
+        warm_one_shot = warm.execute(f"SELECT QUT(lanes, {wi}, {we})").fetchall()
         assert warm_prepared == warm_one_shot
         warm.close()
 
         cold = repro.connect(tmp_path / "store")
         cold_stmt = cold.prepare("SELECT QUT(lanes, :wi, :we)")
         cold_prepared = cold_stmt.execute({"wi": wi, "we": we}).fetchall()
-        with pytest.deprecated_call():
-            cold_one_shot = cold.engine.sql(f"SELECT QUT(lanes, {wi}, {we})")
+        cold_one_shot = cold.execute(f"SELECT QUT(lanes, {wi}, {we})").fetchall()
         assert cold_prepared == cold_one_shot
         assert cold_prepared == warm_prepared
         cold.close()

@@ -11,10 +11,7 @@ from repro.hermes.trajectory import Trajectory
 
 
 def run_sql(engine, sql: str, params=None) -> list[dict]:
-    """Execute one SQL statement over an engine through the public API v1.
-
-    Test helper replacing the deprecated ``engine.sql(...)`` shim.
-    """
+    """Execute one SQL statement over an engine through the public API v1."""
     from repro.api import Connection
 
     return Connection(engine=engine).execute(sql, params).fetchall()

@@ -152,9 +152,12 @@ class TestRestartRecovery:
         engine, mod = warm
         cold = HermesEngine.on_disk(tmp_path / "engine")
         assert cold.datasets() == ["lanes"]
-        assert "lanes" in cold._pending_datasets  # not yet decoded
+        storage = cold.catalog.storage("lanes")
+        assert storage.io_stats()["pages_read"] == 0  # no archive page touched yet
+        assert not cold.artifact_status("lanes")["frame_cached"]
         assert len(cold.get_mod("lanes")) == len(mod)
-        assert "lanes" not in cold._pending_datasets
+        assert storage.io_stats()["pages_read"] > 0
+        assert cold.artifact_status("lanes")["frame_cached"]
 
     def test_corrupt_archive_fails_lazily_with_clear_error(self, warm, tmp_path):
         """A manifest whose archive is incomplete must not brick engine
@@ -286,6 +289,64 @@ class TestManifestHygiene:
         engine.load_mod("lanes", mod)
         assert (tmp_path / "engine" / "lanes" / MANIFEST_FILENAME).exists()
         assert engine.is_persisted("lanes")
+
+    def test_v4_layout_is_pinned(self, tmp_path, lanes_small):
+        """The on-disk format, asserted once: key sets and partition names.
+
+        A refactor that renames, adds or drops a manifest key — or changes
+        how partitions are named — changes what an older build's store looks
+        like to a newer one; it must show up here, deliberately.
+        """
+        import json
+        import re
+
+        mod, _ = lanes_small
+        engine = HermesEngine.on_disk(tmp_path / "engine")
+        engine.load_mod("lanes", mod)
+        engine.retratree("lanes")
+        some = list(mod)[0]
+        engine.append("lanes", [type(some)("late", "0", some.xs, some.ys, some.ts)])
+        path = tmp_path / "engine" / "lanes" / MANIFEST_FILENAME
+        single = json.loads(path.read_text())
+        engine.retratree("lanes", shards=2)
+        sharded = json.loads(path.read_text())
+        engine.close()
+
+        root_keys = {
+            "format_version", "dataset", "frame_partition", "row_keys", "deltas",
+            "tree", "shards", "checksums", "manifest_crc",
+        }
+        tree_keys = {
+            "name", "origin", "next_cluster_id", "params", "raw_params", "chunk_range",
+            "reps_partition", "reps_count", "subchunks",
+        }
+        assert set(single) == root_keys and set(sharded) == root_keys
+        assert single["format_version"] == 4
+        assert single["shards"] is None and sharded["tree"] is None
+        assert set(single["deltas"][0]) == {"partition", "row_keys"}
+        assert set(single["tree"]) == tree_keys | {"dataset_state"}
+        assert set(sharded["shards"]) == {
+            "count", "plan", "origin", "params", "raw_params", "dataset_state", "trees",
+        }
+        assert all(set(tree) == tree_keys for tree in sharded["shards"]["trees"])
+        subchunk = next(sc for sc in single["tree"]["subchunks"] if sc["entries"])
+        assert set(subchunk) == {
+            "chunk_idx", "sub_idx", "period",
+            "unclustered_partition", "unclustered_count", "entries",
+        }
+        assert set(subchunk["entries"][0]) == {
+            "cluster_id", "partition", "member_count", "bbox", "representative_rid",
+        }
+
+        assert re.fullmatch(r"lanes__dataset_g\d+", single["frame_partition"])
+        assert re.fullmatch(r"lanes__dataset_g\d+", single["deltas"][0]["partition"])
+        assert re.fullmatch(r"lanes__reps_g\d+", single["tree"]["reps_partition"])
+        for i, tree in enumerate(sharded["shards"]["trees"]):
+            assert re.fullmatch(rf"lanes_s{i}__reps_g\d+", tree["reps_partition"])
+        assert single["tree"]["dataset_state"] == [
+            single["frame_partition"], single["deltas"][0]["partition"],
+        ]
+        assert set(single["checksums"]) >= set(single["tree"]["dataset_state"])
 
     def test_unversioned_directories_are_ignored(self, tmp_path, lanes_small):
         mod, _ = lanes_small

@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.core.engine import MANIFEST_FORMAT, HermesEngine
+from repro.core.engine import HermesEngine
+from repro.storage import MANIFEST_FORMAT
 from repro.core.shard import ShardPlan, ShardedReTraTree, build_sharded_tree
 from repro.datagen import lane_scenario
 from repro.hermes.frame import MODFrame

@@ -32,7 +32,8 @@ from repro.eval.quality import (
     run_quality_matrix,
     write_report,
 )
-from repro.sql.executor import SQLExecutor
+
+from tests.conftest import run_sql
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +181,8 @@ class TestSQLPathParity:
         mod, truth = generate_cell_data("lanes", "dropout", seed=seed)
         engine = HermesEngine.in_memory()
         engine.load_mod("d", mod)
-        executor = SQLExecutor(engine)
         shards_sql = "NULL" if shards == 1 else str(shards)
-        executor.execute(
-            f"SELECT S2T(d, NULL, NULL, NULL, '{strategy}', 1, {shards_sql})"
-        )
+        run_sql(engine, f"SELECT S2T(d, NULL, NULL, NULL, '{strategy}', 1, {shards_sql})")
         quality = clustering_quality(engine.last_result("d"), truth)
         engine.close()
 

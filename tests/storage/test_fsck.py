@@ -112,17 +112,6 @@ class TestDetection:
         report = fsck_store(tmp_path / "s")
         assert any(i.kind == "manifest_unsupported" for i in report.errors)
 
-    def test_v2_manifest_reports_unchecksummed_info(self, tmp_path):
-        d = build_store(tmp_path / "s", with_tree=False, with_delta=False)
-        manifest = manifest_of(d)
-        manifest.pop("checksums", None)
-        manifest.pop("manifest_crc", None)
-        manifest["format_version"] = 2
-        (d / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-        report = fsck_store(tmp_path / "s")
-        assert report.clean  # count checks still pass; just unverifiable pages
-        assert any(i.kind == "unchecksummed" and i.severity == "info" for i in report.issues)
-
     def test_type_corrupt_manifest_numbers_reported_not_crashed(self, tmp_path):
         """Non-numeric values where the manifest promises counts/CRCs must
         produce a report, never a traceback — diagnosing arbitrary corrupt

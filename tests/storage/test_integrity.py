@@ -1,4 +1,4 @@
-"""Integrity properties: bit-flip detection and the v2 → v3 manifest upgrade."""
+"""Integrity properties: bit-flip detection and format-4-only manifest acceptance."""
 
 import json
 
@@ -6,11 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import MANIFEST_FORMAT, HermesEngine
+from repro.cli import main_fsck
+from repro.core.engine import HermesEngine
 from repro.datagen import lane_scenario
-from repro.storage.catalog import MANIFEST_FILENAME, StorageManager
-from repro.storage.errors import StorageCorruptionError
-from repro.storage.fsck import fsck_store
+from repro.storage.catalog import MANIFEST_FILENAME
+from repro.storage.errors import CorruptManifestError, StorageCorruptionError
+from repro.storage.fsck import QUARANTINE_DIRNAME, fsck_store
 
 from tests.conftest import make_linear_trajectory
 
@@ -138,46 +139,76 @@ class TestCorruptManifestRecovery:
             engine.close()
 
 
-class TestManifestFormatUpgrade:
-    """Satellite: format-2 manifests open read-only and upgrade on next commit."""
+STRIPPED = {
+    "no-crc": lambda m: m.pop("manifest_crc"),
+    "no-checksums": lambda m: m.pop("checksums"),
+    "no-stamps-two-rows-dropped": lambda m: (
+        m.pop("manifest_crc"),
+        m.pop("checksums"),
+        m.__setitem__("row_keys", m["row_keys"][:-2]),
+    ),
+    "format-1": lambda m: m.__setitem__("format_version", 1),
+    "format-2": lambda m: m.__setitem__("format_version", 2),
+    "format-3": lambda m: m.__setitem__("format_version", 3),
+    "format-99": lambda m: m.__setitem__("format_version", 99),
+}
 
-    def _downgrade_to_v2(self, dataset_dir) -> None:
-        path = dataset_dir / MANIFEST_FILENAME
-        manifest = json.loads(path.read_text())
-        manifest["format_version"] = 2
-        manifest.pop("checksums", None)
-        manifest.pop("manifest_crc", None)
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    def test_v2_round_trip_and_in_place_upgrade(self, tmp_path):
+class TestStrippedStampsAreDamageNotLegacy:
+    """Format 4 only: a manifest without its stamps, or claiming another
+    format, is damaged — never served as an "unverifiable legacy" store."""
+
+    @pytest.mark.parametrize("strip", STRIPPED.values(), ids=STRIPPED.keys())
+    def test_withheld_reported_and_never_blessed(self, tmp_path, strip):
         root = tmp_path / "s"
         _build_store(root)
-        self._downgrade_to_v2(root / "d")
+        manifest_path = root / "d" / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        restampable = "checksums" in manifest and strip is STRIPPED["no-crc"]
+        strip(manifest)
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-        # A v2 store opens and answers — integrity is simply unverifiable.
-        engine = HermesEngine.on_disk(root)
-        assert len(engine.get_mod("d")) == 17
-        report = fsck_store(root)
-        assert report.clean
-        assert any(issue.kind == "unchecksummed" for issue in report.issues)
-
-        # The next commit upgrades the manifest in place to the current
-        # format, with a full checksum map (including the partitions v2
-        # never hashed).
-        engine.append(
-            "d",
-            [make_linear_trajectory("l2", "0", (0.0, 2.0), (10.0, 2.0), 0.0, 100.0)],
-        )
-        engine.close()
-        manifest = json.loads((root / "d" / MANIFEST_FILENAME).read_text())
-        assert manifest["format_version"] == MANIFEST_FORMAT
-        assert StorageManager.manifest_crc_ok(manifest)
-        referenced = {manifest["frame_partition"]}
-        referenced.update(d["partition"] for d in manifest["deltas"])
-        assert referenced <= set(manifest["checksums"])
-
-        # Round trip: the upgraded store reopens bit-verified and complete.
         cold = HermesEngine.on_disk(root)
-        assert len(cold.get_mod("d")) == 18
-        cold.close()
+        try:
+            assert cold.datasets() == []
+            with pytest.raises(CorruptManifestError, match="repro-fsck"):
+                cold.get_mod("d")
+            assert cold.artifact_status("d")["degraded"] is True
+        finally:
+            cold.close()
+
+        report = fsck_store(root)
+        assert not report.clean
+        assert {i.severity for i in report.issues} == {"error"}
+        assert main_fsck([str(root)]) == 1
+
+        assert fsck_store(root, repair=True).clean
         assert fsck_store(root).issues == []
+        reopened = HermesEngine.on_disk(root)
+        try:
+            if restampable:
+                # Every referenced partition matched the checksums map, so
+                # the content is verified and only the stamp was renewed.
+                assert len(reopened.get_mod("d")) == 17
+            else:
+                # Nothing to verify the content against: quarantined, bytes
+                # kept for a human, never served.
+                assert reopened.datasets() == []
+                assert (root / QUARANTINE_DIRNAME / "d" / MANIFEST_FILENAME).exists()
+        finally:
+            reopened.close()
+
+    def test_restamp_refused_when_a_partition_fails_the_checksums_map(self, tmp_path):
+        root = tmp_path / "s"
+        _build_store(root)
+        manifest_path = root / "d" / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest.pop("manifest_crc")
+        manifest_path.write_text(json.dumps(manifest))
+        base = root / "d" / f"{manifest['frame_partition']}.part"
+        data = bytearray(base.read_bytes())
+        data[100] ^= 1
+        base.write_bytes(bytes(data))
+
+        assert fsck_store(root, repair=True).clean
+        assert not (root / "d").exists()  # quarantined, not re-stamped

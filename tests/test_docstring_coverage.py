@@ -48,6 +48,7 @@ ENFORCED_MODULES = [
     "repro/hermes/frame.py",
     "repro/hermes/shm.py",
     "repro/qut/retratree.py",
+    "repro/storage/durable.py",
 ]
 
 
