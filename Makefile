@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint docs docs-strict bench bench-compare bench-ingest clean-docs
+.PHONY: test lint docs docs-strict bench bench-compare clean-docs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -31,8 +31,5 @@ bench:
 bench-compare:
 	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
-bench-ingest:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_ingest.py -q -s
-
 clean-docs:
-	rm -rf docs/_site docs/_mkdocs_site
+	rm -rf docs/_site

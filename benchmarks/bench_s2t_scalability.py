@@ -53,8 +53,8 @@ def test_s2t_scalability_with_mod_size(benchmark):
 def test_s2t_index_pruning_reduces_voting_cost(benchmark, aircraft_data):
     """The in-DBMS index path of voting vs the dense all-pairs path."""
     mod, _ = aircraft_data
-    with_index = S2TClustering(S2TParams(use_index=True)).fit(mod)
-    without_index = S2TClustering(S2TParams(use_index=False)).fit(mod)
+    with_index = S2TClustering().fit(mod)
+    without_index = S2TClustering(S2TParams(voting_strategy="dense")).fit(mod)
     print()
     print(
         format_table(
@@ -77,6 +77,4 @@ def test_s2t_index_pruning_reduces_voting_cost(benchmark, aircraft_data):
         with_index.extras["voting_pairs_evaluated"]
         <= without_index.extras["voting_pairs_evaluated"]
     )
-    benchmark.pedantic(
-        S2TClustering(S2TParams(use_index=True)).fit, args=(mod,), rounds=2, iterations=1
-    )
+    benchmark.pedantic(S2TClustering().fit, args=(mod,), rounds=2, iterations=1)

@@ -20,8 +20,7 @@ Flagged in those packages:
 
 ``eval/quality.py`` is also in scope: the BENCH_scenarios matrix promises
 that every cell reproduces from its recorded seed alone, which only holds
-if the harness draws no ambient entropy of its own (``time.perf_counter``
-for latency measurement stays legal).  The rest of ``eval/``,
+if the harness draws no ambient entropy of its own.  The rest of ``eval/``,
 ``benchmarks/`` and ``datagen`` are outside the rule's scope: benchmarks
 time things and scenario generators own their seeds.
 """

@@ -70,18 +70,14 @@ class RangeThenCluster:
                 timings={"range_query": range_time, "index_build": 0.0},
             )
 
-        # (ii) build a fresh 3D R-tree on the query result.  The margin must
-        # match the voting strategy: the batched engine prunes at the kernel
-        # support radius (its 1e-8 dense-equivalence contract), while the
-        # legacy pair strategies use the paper's 3 sigma.
+        # (ii) build a fresh 3D R-tree on the query result.  The margin is
+        # the kernel support radius the batched voting engine prunes at (its
+        # 1e-8 dense-equivalence contract).
         t0 = time.perf_counter()
         params = self.s2t_params.resolved(restricted)
         sigma = params.sigma
         assert sigma is not None
-        if params.effective_voting_strategy == "batched":
-            margin = kernel_support_radius(sigma, params.voting_kernel)
-        else:
-            margin = 3.0 * sigma
+        margin = kernel_support_radius(sigma, params.voting_kernel)
         index: RTree3D = build_trajectory_index(restricted, spatial_margin=margin)
         index_time = time.perf_counter() - t0
 

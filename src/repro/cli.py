@@ -5,16 +5,6 @@
   Statements may use ``:name`` parameters (bound from ``--param NAME=VALUE``
   or the REPL's ``\\set NAME VALUE``) and ``EXPLAIN <stmt>`` renders the
   logical plan plus cached-artifact info instead of executing.
-* ``repro-bench-voting`` — run the voting-strategy benchmark and write the
-  ``BENCH_voting.json`` report.
-* ``repro-bench-pipeline`` — run the end-to-end partitioned-pipeline
-  benchmark (serial vs parallel per-phase breakdown) and write the
-  ``BENCH_pipeline.json`` report.
-* ``repro-bench-qut`` — run the QuT window-restriction benchmark (batched
-  frame slicing vs the per-member loop) and write the ``BENCH_qut.json``
-  report.
-* ``repro-bench-ingest`` — run the incremental-ingestion benchmark (append
-  path vs full rebuild) and write the ``BENCH_ingest.json`` report.
 * ``repro-datagen`` — generate a seeded synthetic scenario (optionally
   degraded through a profile spec) as a points CSV plus ground-truth
   labels JSON.
@@ -42,10 +32,6 @@ __all__ = [
     "main_sql",
     "main_fsck",
     "main_datagen",
-    "main_bench_voting",
-    "main_bench_pipeline",
-    "main_bench_qut",
-    "main_bench_ingest",
     "main_bench_scenarios",
     "main_docs",
 ]
@@ -281,151 +267,6 @@ def main_fsck(argv: list[str] | None = None) -> int:
     return 0 if report.clean else 1
 
 
-def main_bench_voting(argv: list[str] | None = None) -> int:
-    """Run the voting-strategy benchmark and write BENCH_voting.json."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench-voting",
-        description="Benchmark dense/indexed/batched voting strategies.",
-    )
-    parser.add_argument("--trajectories", type=int, default=100)
-    parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--kernel", choices=("gaussian", "triangular"), default="gaussian")
-    parser.add_argument("--out", default="BENCH_voting.json")
-    args = parser.parse_args(argv)
-
-    from repro.eval.voting_bench import run_voting_benchmark, write_report
-
-    report = run_voting_benchmark(
-        n_trajectories=args.trajectories,
-        n_samples=args.samples,
-        seed=args.seed,
-        repeats=args.repeats,
-        kernel=args.kernel,
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    path = write_report(report, args.out)
-    print(f"report written to {path}", file=sys.stderr)
-    return 0
-
-
-def main_bench_pipeline(argv: list[str] | None = None) -> int:
-    """Run the partitioned-pipeline benchmark and write BENCH_pipeline.json."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench-pipeline",
-        description="Benchmark the partition-parallel S2T pipeline (serial vs parallel).",
-    )
-    parser.add_argument("--scenario", choices=("aircraft", "lanes"), default="aircraft")
-    parser.add_argument("--trajectories", type=int, default=100)
-    parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        nargs="+",
-        default=(1, 4),
-        help="worker counts to benchmark (first one is the serial reference)",
-    )
-    parser.add_argument("--out", default="BENCH_pipeline.json")
-    args = parser.parse_args(argv)
-
-    from repro.eval.pipeline_bench import run_pipeline_benchmark, write_report
-
-    report = run_pipeline_benchmark(
-        scenario=args.scenario,
-        n_trajectories=args.trajectories,
-        n_samples=args.samples,
-        seed=args.seed,
-        jobs=tuple(args.jobs),
-        repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    path = write_report(report, args.out)
-    print(f"report written to {path}", file=sys.stderr)
-    return 0
-
-
-def main_bench_qut(argv: list[str] | None = None) -> int:
-    """Run the QuT window-restriction benchmark and write BENCH_qut.json."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench-qut",
-        description=(
-            "Benchmark QuT's frame-native batched window restriction "
-            "against the per-member slice_period loop."
-        ),
-    )
-    parser.add_argument("--scenario", choices=("aircraft", "lanes"), default="aircraft")
-    parser.add_argument("--trajectories", type=int, default=100)
-    parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--windows",
-        type=float,
-        nargs="+",
-        default=(0.2, 0.45, 0.7),
-        help="window widths to benchmark, as fractions of the dataset lifespan",
-    )
-    parser.add_argument("--out", default="BENCH_qut.json")
-    args = parser.parse_args(argv)
-
-    from repro.eval.qut_bench import run_qut_benchmark, write_report
-
-    report = run_qut_benchmark(
-        scenario=args.scenario,
-        n_trajectories=args.trajectories,
-        n_samples=args.samples,
-        seed=args.seed,
-        window_fractions=tuple(args.windows),
-        repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    path = write_report(report, args.out)
-    print(f"report written to {path}", file=sys.stderr)
-    return 0
-
-
-def main_bench_ingest(argv: list[str] | None = None) -> int:
-    """Run the ingestion benchmark and write BENCH_ingest.json."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench-ingest",
-        description=(
-            "Benchmark incremental append-path ingestion (ReTraTree "
-            "maintenance) against load-everything-and-rebuild."
-        ),
-    )
-    parser.add_argument("--scenario", choices=("aircraft", "lanes"), default="lanes")
-    parser.add_argument("--trajectories", type=int, default=80)
-    parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--base-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of trajectories loaded up front (the rest is appended)",
-    )
-    parser.add_argument("--batches", type=int, default=4)
-    parser.add_argument("--out", default="BENCH_ingest.json")
-    args = parser.parse_args(argv)
-
-    from repro.eval.ingest_bench import run_ingest_benchmark, write_report
-
-    report = run_ingest_benchmark(
-        scenario=args.scenario,
-        n_trajectories=args.trajectories,
-        n_samples=args.samples,
-        seed=args.seed,
-        base_fraction=args.base_fraction,
-        n_batches=args.batches,
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    path = write_report(report, args.out)
-    print(f"report written to {path}", file=sys.stderr)
-    return 0
-
-
 def main_datagen(argv: list[str] | None = None) -> int:
     """Generate a seeded synthetic scenario, optionally degraded, as CSV + labels."""
     from repro.datagen.profiles import PROFILES
@@ -534,8 +375,8 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
         description=(
             "Sweep scenarios x degradation profiles x voting strategies x "
             "shard counts x warm/cold engines, computing ARI/NMI against "
-            "ground truth and per-phase latency per cell; writes the "
-            "BENCH_scenarios.json matrix and exits nonzero when any "
+            "ground truth per cell; writes the BENCH_scenarios.json matrix "
+            "(a pure function of its seeds) and exits nonzero when any "
             "(scenario, profile) cell falls below quality_floor.json."
         ),
     )
@@ -545,7 +386,7 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
     parser.add_argument("--profiles", nargs="+", default=list(DEFAULT_PROFILES))
     parser.add_argument(
         "--strategies", nargs="+", default=list(DEFAULT_STRATEGIES),
-        choices=("dense", "indexed", "batched"),
+        choices=DEFAULT_STRATEGIES,
     )
     parser.add_argument(
         "--shards", type=int, nargs="+", default=list(DEFAULT_SHARD_COUNTS)
@@ -592,9 +433,6 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
                 "min_ari": round(min(c["ari"] for c in cells), 4),
                 "mean_ari": round(sum(c["ari"] for c in cells) / len(cells), 4),
                 "mean_nmi": round(sum(c["nmi"] for c in cells) / len(cells), 4),
-                "mean_wall_s": round(
-                    sum(c["latency"]["wall_s"] for c in cells) / len(cells), 4
-                ),
             }
         )
     print(format_table(rows, title="Cross-scenario quality matrix"))

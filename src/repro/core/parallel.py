@@ -246,7 +246,7 @@ def merge_partition_results(
     )
     result.extras = dict(extras_sums)
     # Uniform across partitions (all fits share the resolved params).
-    result.extras["voting_strategy"] = params.effective_voting_strategy
+    result.extras["voting_strategy"] = params.voting_strategy
     return result
 
 

@@ -2,10 +2,8 @@
 
 Builds a static HTML site from the markdown sources under ``docs/`` plus an
 **API reference generated from live docstrings** — no third-party
-dependency (Sphinx/MkDocs are optional niceties; this builder is the one CI
-gates on, so the docs build everywhere the code builds).  An
-MkDocs-compatible ``mkdocs.yml`` at the repository root points at the same
-sources for anyone who prefers ``mkdocs serve`` locally.
+dependency, so the docs build everywhere the code builds; this builder is
+the one CI gates on.
 
 The build is *strict by default* — warnings are errors — and checks:
 

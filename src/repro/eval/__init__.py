@@ -1,4 +1,4 @@
-"""Evaluation utilities: quality metrics, timing helpers, the quality matrix."""
+"""Evaluation utilities: quality metrics, table rendering, the quality matrix."""
 
 from repro.eval.metrics import (
     QualityReport,
@@ -7,7 +7,7 @@ from repro.eval.metrics import (
     normalized_mutual_information,
     point_level_labels,
 )
-from repro.eval.harness import Stopwatch, format_table
+from repro.eval.harness import format_table
 from repro.eval.quality import check_floor, run_cell, run_quality_matrix
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "clustering_quality",
     "normalized_mutual_information",
     "point_level_labels",
-    "Stopwatch",
     "format_table",
     "check_floor",
     "run_cell",

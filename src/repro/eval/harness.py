@@ -1,40 +1,8 @@
-"""Small helpers shared by the benchmark scripts."""
+"""The fixed-width table renderer shared by the CLI, examples and benchmarks."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-__all__ = ["Stopwatch", "format_table"]
-
-
-@dataclass
-class Stopwatch:
-    """Accumulates named wall-clock measurements."""
-
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def measure(self, name: str):
-        """Context manager measuring one named section."""
-        return _Section(self, name)
-
-    def total(self) -> float:
-        return sum(self.timings.values())
-
-
-class _Section:
-    def __init__(self, watch: Stopwatch, name: str) -> None:
-        self._watch = watch
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._watch.timings[self._name] = self._watch.timings.get(self._name, 0.0) + elapsed
+__all__ = ["format_table"]
 
 
 def format_table(rows: list[dict[str, object]], title: str | None = None) -> str:

@@ -177,7 +177,7 @@ class QuTClustering:
     ) -> list[SubTrajectory]:
         """Per-member reference implementation of :meth:`_restrict_members`.
 
-        Kept as the equivalence oracle for tests and ``bench_qut``.
+        Kept as the equivalence oracle for ``tests/qut/test_query.py``.
         """
         out: list[SubTrajectory] = []
         for member in members:

@@ -9,11 +9,14 @@ TRACLUS/co-movement parameters).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.hermes.mod import MOD
 
-__all__ = ["S2TParams"]
+__all__ = ["S2TParams", "VOTING_STRATEGIES"]
+
+#: The reference pair loop and the engine that is pinned against it.
+VOTING_STRATEGIES: tuple[str, ...] = ("dense", "batched")
 
 
 @dataclass(frozen=True)
@@ -31,17 +34,10 @@ class S2TParams:
         How the voting phase executes (see :mod:`repro.s2t.voting`):
 
         * ``"dense"`` — all-pairs Python loop, the exact reference;
-        * ``"indexed"`` — pair loop pruned by a 3D R-tree with a ``3 sigma``
-          margin (the paper's access path; approximate for the Gaussian
-          kernel at the ``~1e-2`` level);
         * ``"batched"`` (default) — the columnar
           :class:`~repro.hermes.frame.MODFrame` engine: R-tree plus
           sweep-line temporal prefilter, one vectorised interpolation pass
           per target; matches ``"dense"`` within ``1e-8``.
-    use_index:
-        Legacy knob: ``use_index=False`` forces the ``"dense"`` strategy
-        regardless of ``voting_strategy``.  Kept for backward compatibility;
-        prefer ``voting_strategy``.
     segmentation_method:
         ``"dp"`` for the optimal dynamic-programming segmentation or
         ``"greedy"`` for the linear-time heuristic — ablation E12.
@@ -82,7 +78,6 @@ class S2TParams:
     sigma: float | None = None
     voting_kernel: str = "gaussian"
     voting_strategy: str = "batched"
-    use_index: bool = True
     segmentation_method: str = "dp"
     segmentation_penalty: float = 0.05
     min_segment_samples: int = 4
@@ -110,25 +105,20 @@ class S2TParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "S2TParams":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; an unknown key is a ``ValueError``."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown S2T parameter(s): {', '.join(unknown)}")
         return cls(**data)
-
-    @property
-    def effective_voting_strategy(self) -> str:
-        """The strategy the voting phase will actually run.
-
-        ``use_index=False`` predates ``voting_strategy`` and means "no
-        pruning, evaluate every pair" — it therefore forces ``"dense"``.
-        """
-        if not self.use_index:
-            return "dense"
-        return self.voting_strategy
 
     def __post_init__(self) -> None:
         if self.voting_kernel not in ("gaussian", "triangular"):
             raise ValueError(f"unknown voting kernel {self.voting_kernel!r}")
-        if self.voting_strategy not in ("dense", "indexed", "batched"):
-            raise ValueError(f"unknown voting strategy {self.voting_strategy!r}")
+        if self.voting_strategy not in VOTING_STRATEGIES:
+            raise ValueError(
+                f"unknown voting strategy {self.voting_strategy!r}; "
+                f"available: {', '.join(VOTING_STRATEGIES)}"
+            )
         if self.segmentation_method not in ("dp", "greedy"):
             raise ValueError(f"unknown segmentation method {self.segmentation_method!r}")
         if self.min_segment_samples < 2:

@@ -10,9 +10,8 @@
 and returns a :class:`~repro.s2t.result.ClusteringResult` whose ``timings``
 dictionary holds the per-phase wall-clock breakdown used by benchmark E10.
 
-The voting phase honours ``S2TParams.voting_strategy`` (``"dense"``,
-``"indexed"`` or ``"batched"``, default batched — see
-:mod:`repro.s2t.voting`); the strategy actually used is reported in
+The voting phase honours ``S2TParams.voting_strategy`` (``"dense"`` or
+``"batched"``, default batched — see :mod:`repro.s2t.voting`), reported in
 ``result.extras["voting_strategy"]``.  Sampling and greedy clustering always
 run on the batched columnar path (:mod:`repro.hermes.frame`).
 

@@ -11,20 +11,16 @@ The total vote of a segment is the sum over the other trajectories and lies
 in ``[0, N-1]``; its physical meaning is "how many objects co-move with this
 segment", exactly as the paper describes.
 
-Three execution strategies are provided, selected by
+Two execution strategies are provided, selected by
 ``S2TParams.voting_strategy``:
 
 * ``"dense"`` — the all-pairs reference computation: a Python loop over
   (target, voter) pairs, each pair synchronised with a fresh ``np.interp``
-  call.  Exact but slow; every other strategy is validated against it.
-* ``"indexed"`` — the dense pair loop, but pairs are pruned with a 3D R-tree
-  over trajectory bounding boxes expanded by ``3 sigma`` — the in-DBMS access
-  path of the paper and the source of the E6 speedup.  Pruned pairs may carry
-  (tiny) non-zero Gaussian votes, so this path is approximate at the
-  ``~exp(-4.5)`` level.
+  call.  Exact but slow; the batched engine is validated against it.
 * ``"batched"`` (default) — the columnar engine: a
   :class:`~repro.hermes.frame.MODFrame` is built once per MOD, candidate
-  voters are pruned by the R-tree *plus* a sweep-line temporal prefilter
+  voters are pruned by a 3D R-tree over trajectory bounding boxes (the
+  in-DBMS access path of the paper) *plus* a sweep-line temporal prefilter
   (an :class:`~repro.index.interval.IntervalIndex` over trajectory
   lifespans), and all surviving voters of a target are interpolated onto the
   target's time grid in one :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`
@@ -158,34 +154,21 @@ def _pairwise_votes(
     return out
 
 
-# -- pairwise strategies ("dense" / "indexed") -----------------------------------
+# -- dense strategy (the reference) ------------------------------------------------
 
 
-def _compute_voting_pairwise(
-    mod: MOD,
-    params: S2TParams,
-    profile: VotingProfile,
-    index: RTree3D[tuple[str, str]] | None,
-) -> None:
-    """The original pair-at-a-time loop; ``index`` enables R-tree pruning."""
+def _compute_voting_dense(mod: MOD, params: S2TParams, profile: VotingProfile) -> None:
+    """The all-pairs loop every equivalence pin compares against."""
     sigma = params.sigma
     assert sigma is not None
     trajectories = mod.trajectories()
 
-    total_pairs = 0
     evaluated = 0
     for target in trajectories:
         point_votes = np.zeros(target.num_points)
-        if index is not None:
-            candidate_keys = set(index.range_search(target.bbox))
-            candidate_keys.discard(target.key)
-            # Sort so the floating-point summation order (and therefore the
-            # result) does not depend on set/hash iteration order.
-            candidates = [mod.get(k) for k in sorted(candidate_keys)]
-        else:
-            candidates = [t for t in trajectories if t.key != target.key]
-        total_pairs += len(trajectories) - 1
-        for voter in candidates:
+        for voter in trajectories:
+            if voter.key == target.key:
+                continue
             votes = _pairwise_votes(
                 voter, target, sigma, params.voting_kernel, params.voting_samples
             )
@@ -197,7 +180,6 @@ def _compute_voting_pairwise(
         profile.votes[target.key] = seg_votes
 
     profile.pairs_evaluated = evaluated
-    profile.pairs_pruned = total_pairs - evaluated
 
 
 # -- batched strategy --------------------------------------------------------------
@@ -367,15 +349,13 @@ def compute_voting(
         The MOD to vote over.
     params:
         Resolved S2T parameters (``sigma`` must not be ``None``).  The
-        execution strategy is ``params.voting_strategy`` (``"dense"``,
-        ``"indexed"`` or ``"batched"``); the legacy ``use_index=False`` knob
-        forces ``"dense"``.
+        execution strategy is ``params.voting_strategy`` (``"dense"`` or
+        ``"batched"``).
     index:
-        Optional pre-built trajectory R-tree; when a pruning strategy is
-        selected and no index is given, one is built on the fly (with a
-        ``3 sigma`` margin for ``"indexed"``, the kernel support radius for
-        ``"batched"``).  A caller-supplied index keeps its own margin, which
-        then governs the pruning accuracy.
+        Optional pre-built trajectory R-tree for the batched strategy; when
+        none is given, large MODs build one on the fly with the kernel
+        support radius as margin.  A caller-supplied index keeps its own
+        margin, which then governs the pruning accuracy.
     frame:
         Optional prebuilt columnar snapshot of ``mod`` (the engine's frame
         catalog passes its cached frame here); the batched strategy then
@@ -383,20 +363,12 @@ def compute_voting(
     """
     start = time.perf_counter()
     params = params.resolved(mod)
-    sigma = params.sigma
-    assert sigma is not None
+    profile = VotingProfile(strategy=params.voting_strategy)
 
-    strategy = params.effective_voting_strategy
-    profile = VotingProfile(strategy=strategy)
-
-    if strategy == "batched":
+    if params.voting_strategy == "batched":
         _compute_voting_batched(mod, params, profile, index, frame=frame)
-    elif strategy == "indexed":
-        if index is None:
-            index = build_trajectory_index(mod, spatial_margin=3.0 * sigma)
-        _compute_voting_pairwise(mod, params, profile, index)
     else:  # dense
-        _compute_voting_pairwise(mod, params, profile, index=None)
+        _compute_voting_dense(mod, params, profile)
 
     profile.elapsed_s = time.perf_counter() - start
     return profile

@@ -17,6 +17,31 @@ def run_sql(engine, sql: str, params=None) -> list[dict]:
     return Connection(engine=engine).execute(sql, params).fetchall()
 
 
+def membership_signature(result) -> tuple:
+    """Hashable view of exactly which sub-trajectories cluster together."""
+    clusters = tuple(
+        tuple(sorted(member.key for member in cluster.members))
+        for cluster in result.clusters
+    )
+    outliers = tuple(sorted(outlier.key for outlier in result.outliers))
+    return clusters, outliers
+
+
+def restriction_signature(restricted) -> tuple:
+    """Hashable, bit-exact view of a QuT-restricted member list."""
+    return tuple(
+        (
+            sub.parent_key,
+            sub.start_idx,
+            sub.end_idx,
+            sub.traj.xs.tobytes(),
+            sub.traj.ys.tobytes(),
+            sub.traj.ts.tobytes(),
+        )
+        for sub in restricted
+    )
+
+
 def make_linear_trajectory(
     obj_id: str = "obj",
     traj_id: str = "0",

@@ -16,7 +16,6 @@ from repro.core.engine import HermesEngine
 from repro.core.ingest import AppendBuffer
 from repro.datagen import lane_scenario
 from repro.eval.metrics import adjusted_rand_index, point_level_labels
-from repro.eval.pipeline_bench import membership_signature
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
@@ -24,6 +23,7 @@ from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import StorageManager
+from tests.conftest import membership_signature
 
 
 def split_scenario(n=24, seed=3, base_fraction=0.5):

@@ -12,15 +12,7 @@ from repro.datagen import aircraft_scenario, lane_scenario
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.s2t.params import S2TParams
-from repro.s2t.result import ClusteringResult
-
-
-def membership_signature(result: ClusteringResult):
-    clusters = [
-        sorted(member.key for member in cluster.members) for cluster in result.clusters
-    ]
-    outliers = sorted(outlier.key for outlier in result.outliers)
-    return clusters, outliers
+from tests.conftest import membership_signature
 
 
 class TestSerialParallelEquivalence:

@@ -12,14 +12,13 @@ import pytest
 from repro.core.engine import HermesEngine
 from repro.core.session import ProgressiveSession
 from repro.datagen import lane_scenario
-from repro.eval.pipeline_bench import membership_signature
 from repro.hermes.frame import MODFrame
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import MANIFEST_FILENAME
 
-from tests.conftest import run_sql
+from tests.conftest import membership_signature, run_sql
 
 
 def query_window(mod, lo=0.2, hi=0.7):
@@ -202,6 +201,40 @@ class TestRestartRecovery:
         assert ReTraTree.build_calls == builds_before + 1
         result = cold.qut("lanes", query_window(mod))
         assert result.num_clusters >= 0  # query serves normally
+
+    def test_tree_params_with_a_retired_key_degrade_to_rebuild(self, warm, tmp_path):
+        """Stores written before ``S2TParams.use_index`` was removed carry it
+        in the tree's params; such a tree is not reopened, and the rebuild
+        answers exactly like a fresh build."""
+        import json
+
+        from repro.storage.catalog import manifest_checksum
+
+        engine, mod = warm
+        window = query_window(mod)
+        engine.close()
+        manifest_path = tmp_path / "engine" / "lanes" / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        for section in ("params", "raw_params"):
+            manifest["tree"][section]["s2t"]["use_index"] = True
+        manifest["manifest_crc"] = manifest_checksum(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+
+        def answer(result):
+            return membership_signature(result), [
+                (c.representative.key, c.representative.traj.xs.tobytes(),
+                 c.representative.traj.ts.tobytes())
+                for c in result.clusters
+            ]
+
+        cold = HermesEngine.on_disk(tmp_path / "engine")
+        builds_before = ReTraTree.build_calls
+        reopened = cold.qut("lanes", window)
+        assert ReTraTree.build_calls == builds_before + 1
+        assert not cold.retratree("lanes").recovered
+        fresh = HermesEngine.in_memory()
+        fresh.load_mod("lanes", mod)
+        assert answer(reopened) == answer(fresh.qut("lanes", window))
 
     def test_corrupt_manifest_skips_only_that_dataset(self, warm, tmp_path, flights_small):
         """Unparseable JSON in one manifest must not brick construction or

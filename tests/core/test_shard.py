@@ -25,17 +25,7 @@ from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import MANIFEST_FILENAME
 from repro.storage.fsck import fsck_store
 
-from tests.conftest import make_linear_trajectory
-
-
-def qut_signature(result) -> tuple:
-    """Hashable view of exactly which sub-trajectories cluster together."""
-    clusters = tuple(
-        tuple(sorted(member.key for member in cluster.members))
-        for cluster in result.clusters
-    )
-    outliers = tuple(sorted(outlier.key for outlier in result.outliers))
-    return clusters, outliers
+from tests.conftest import make_linear_trajectory, membership_signature
 
 
 def subchunk_signature(tree, subchunk) -> tuple:
@@ -115,7 +105,7 @@ class TestScatterGatherEquivalence:
         single = HermesEngine.in_memory()
         single.load_mod("d", lanes_mod)
         windows = _windows(lanes_mod)
-        expected = [qut_signature(single.qut("d", w)) for w in windows]
+        expected = [membership_signature(single.qut("d", w)) for w in windows]
         single.close()
         assert any(clusters for clusters, _ in expected)  # non-degenerate
 
@@ -125,7 +115,7 @@ class TestScatterGatherEquivalence:
             tree = engine.retratree("d", shards=shards)
             assert isinstance(tree, ShardedReTraTree)
             assert tree.shards_count == shards
-            got = [qut_signature(engine.qut("d", w)) for w in windows]
+            got = [membership_signature(engine.qut("d", w)) for w in windows]
             assert got == expected, f"shards={shards} diverged from single tree"
             engine.close()
 
@@ -184,7 +174,7 @@ class TestScatterGatherEquivalence:
         single.retratree("d", shards=1)
         single.append("d", batch)
         window = Period(-100.0, 500.0)
-        expected = qut_signature(single.qut("d", window))
+        expected = membership_signature(single.qut("d", window))
         single.close()
 
         sharded = HermesEngine.in_memory()
@@ -194,7 +184,7 @@ class TestScatterGatherEquivalence:
         assert report.tree_maintained
         # The append went to the *facade*, which routed pieces per shard.
         assert sharded.retratree("d") is tree
-        assert qut_signature(sharded.qut("d", window)) == expected
+        assert membership_signature(sharded.qut("d", window)) == expected
         sharded.close()
 
 
@@ -207,7 +197,7 @@ class TestDurableShards:
         engine.load_mod("d", mod)
         engine.retratree("d", shards=shards)
         window = mod.period
-        signature = qut_signature(engine.qut("d", window))
+        signature = membership_signature(engine.qut("d", window))
         engine.close()
         return window, signature
 
@@ -238,7 +228,7 @@ class TestDurableShards:
         # Recovery re-opens persisted shard state; it never re-runs a bulk
         # load (same discipline as single-tree recovery).
         assert ReTraTree.build_calls == before
-        assert qut_signature(cold.qut("d", window)) == warm
+        assert membership_signature(cold.qut("d", window)) == warm
         status = cold.artifact_status("d")
         assert status["tree_shards"] == 3
         cold.close()
@@ -251,7 +241,7 @@ class TestDurableShards:
         tree = cold.retratree("d")
         assert isinstance(tree, ShardedReTraTree)
         assert tree.recovered
-        assert qut_signature(cold.qut("d", window)) == warm
+        assert membership_signature(cold.qut("d", window)) == warm
         cold.close()
 
     def test_fsck_repairs_damaged_shard_partition(self, tmp_path):
@@ -282,5 +272,5 @@ class TestDurableShards:
         tree = engine.retratree("d", shards=2)
         assert isinstance(tree, ShardedReTraTree)
         assert not tree.recovered
-        assert qut_signature(engine.qut("d", window)) == reference
+        assert membership_signature(engine.qut("d", window)) == reference
         engine.close()

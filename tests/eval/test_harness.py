@@ -1,27 +1,6 @@
-"""Unit tests for the benchmark helpers."""
+"""Unit tests for the table renderer."""
 
-import time
-
-from repro.eval.harness import Stopwatch, format_table
-
-
-class TestStopwatch:
-    def test_measures_named_sections(self):
-        watch = Stopwatch()
-        with watch.measure("a"):
-            time.sleep(0.01)
-        with watch.measure("b"):
-            pass
-        assert watch.timings["a"] >= 0.01
-        assert watch.timings["b"] >= 0.0
-        assert watch.total() == sum(watch.timings.values())
-
-    def test_repeated_sections_accumulate(self):
-        watch = Stopwatch()
-        for _ in range(3):
-            with watch.measure("loop"):
-                time.sleep(0.002)
-        assert watch.timings["loop"] >= 0.006
+from repro.eval.harness import format_table
 
 
 class TestFormatTable:

@@ -2,7 +2,7 @@
 
 Pins the three properties the BENCH_scenarios matrix is trusted for:
 
-* every cell reproduces exactly from its recorded seed (ARI to 1e-12),
+* every cell reproduces exactly from its recorded seed (equal dicts),
 * the floor gate actually fires — an artificially raised floor turns into
   violations and a nonzero ``repro-bench-scenarios`` exit code,
 * the SQL surface computes the *same* cells: ``SELECT S2T(..., strategy,
@@ -78,8 +78,6 @@ class TestMatrixReport:
                         assert cell["seed"] == cell_seed(
                             small_matrix["base_seed"], "lanes", profile
                         )
-                        assert "wall_s" in cell["latency"]
-                        assert "voting" in cell["latency"]
 
     def test_warm_cold_identical(self, small_matrix):
         assert small_matrix["warm_cold_identical"] is True
@@ -91,7 +89,8 @@ class TestMatrixReport:
     @pytest.mark.parametrize("n_cells", [3])
     def test_cells_reproduce_from_recorded_seed(self, small_matrix, tmp_path, n_cells):
         """Re-running any cell with only its recorded axes + seed yields the
-        recorded ARI to 1e-12 — the repro contract of the matrix."""
+        recorded cell, key for key — a cell holds nothing that varies between
+        runs, which is what makes the checked-in matrix byte-diffable."""
         cells = list(small_matrix["cells"].values())
         picked = cells[:: max(1, len(cells) // n_cells)][:n_cells]
         for cell in picked:
@@ -104,8 +103,7 @@ class TestMatrixReport:
                 seed=cell["seed"],
                 work_dir=tmp_path,
             )
-            assert abs(rerun["ari"] - cell["ari"]) <= 1e-12
-            assert abs(rerun["nmi"] - cell["nmi"]) <= 1e-12
+            assert rerun == cell
 
 
 class TestFloorGate:
@@ -167,6 +165,13 @@ class TestBenchScenariosCLI:
         assert rc == 1
         captured = capsys.readouterr()
         assert "FLOOR VIOLATION" in captured.out + captured.err
+
+
+    def test_retired_strategy_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_bench_scenarios(["--strategies", "indexed"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'indexed'" in capsys.readouterr().err
 
 
 class TestSQLPathParity:

@@ -16,9 +16,10 @@ import pytest
 
 import repro.core.parallel as parallel_mod
 from repro.core.parallel import WorkerPool, partitioned_s2t
-from repro.eval.pipeline_bench import membership_signature
+from repro.datagen import aircraft_scenario
 from repro.hermes.frame import MODFrame
 from repro.hermes.shm import ShmArena, ShmTransportError, default_arena
+from tests.conftest import membership_signature
 
 SHM_DIR = Path("/dev/shm")
 
@@ -134,6 +135,24 @@ class TestSchedulerHygiene:
         assert result.extras["transport"] in ("shm", "pickle")
         assert _segment_listing() - before == set()
         assert default_arena().live_segments() == []
+
+    def test_forced_transports_agree_and_shm_ships_100x_fewer_bytes(self):
+        # The wire economics the zero-copy transport exists for: a task
+        # carries a segment name plus a period, not the frame columns.
+        mod, _ = aircraft_scenario(n_trajectories=100, n_samples=50, seed=1)
+        pool = WorkerPool()
+        try:
+            shm = partitioned_s2t(mod, n_jobs=2, pool=pool, transport="shm")
+            pickled = partitioned_s2t(mod, n_jobs=2, pool=pool, transport="pickle")
+        finally:
+            pool.shutdown()
+        assert (shm.extras["transport"], pickled.extras["transport"]) == ("shm", "pickle")
+        assert membership_signature(shm) == membership_signature(pickled)
+        assert shm.extras["bytes_shipped_per_task"] > 0
+        assert (
+            pickled.extras["bytes_shipped_per_task"]
+            >= 100 * shm.extras["bytes_shipped_per_task"]
+        )
 
     def test_worker_crash_falls_back_serial_and_leaks_nothing(
         self, monkeypatch, lanes_small

@@ -88,7 +88,7 @@ class TestClusteringInvariants:
     @given(random_mod())
     def test_s2t_partitions_subtrajectories(self, mod):
         """Every sub-trajectory is either clustered or an outlier, never both."""
-        result = S2TClustering(S2TParams(use_index=False)).fit(mod)
+        result = S2TClustering(S2TParams(voting_strategy="dense")).fit(mod)
         clustered_keys = [m.key for c in result.clusters for m in c.members]
         outlier_keys = [o.key for o in result.outliers]
         assert len(set(clustered_keys)) == len(clustered_keys)
@@ -101,7 +101,7 @@ class TestClusteringInvariants:
     @settings(max_examples=10, deadline=None)
     @given(random_mod())
     def test_s2t_covers_every_parent_sample(self, mod):
-        result = S2TClustering(S2TParams(use_index=False)).fit(mod)
+        result = S2TClustering(S2TParams(voting_strategy="dense")).fit(mod)
         assignments = result.point_assignments()
         for traj in mod:
             assert set(assignments[traj.key].keys()) == set(range(traj.num_points))
@@ -159,7 +159,7 @@ class TestBatchKernelEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(random_mod(min_trajs=2, max_trajs=7))
     def test_batched_voting_matches_dense(self, mod):
-        dense = compute_voting(mod, S2TParams(sigma=2.0, use_index=False))
+        dense = compute_voting(mod, S2TParams(sigma=2.0, voting_strategy="dense"))
         batched = compute_voting(mod, S2TParams(sigma=2.0, voting_strategy="batched"))
         for key, votes in dense.votes.items():
             np.testing.assert_allclose(

@@ -6,6 +6,7 @@ from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
 from repro.qut.retratree import ReTraTree
+from tests.conftest import restriction_signature
 from tests.qut.test_retratree import flow_mod
 
 
@@ -114,13 +115,6 @@ class TestEdgeWindows:
 class TestRestrictionEquivalence:
     """The frame-native batched restriction is bit-identical to the loop."""
 
-    @staticmethod
-    def _signature(restricted):
-        # The canonical bit-exactness definition, shared with the benchmark.
-        from repro.eval.qut_bench import restriction_signature
-
-        return restriction_signature(restricted)
-
     @pytest.mark.parametrize("bounds", [(10.0, 40.0), (30.0, 60.0), (0.0, 95.0)])
     def test_batched_matches_loop_on_archived_members(self, built_tree, bounds):
         _mod, tree = built_tree
@@ -131,16 +125,16 @@ class TestRestrictionEquivalence:
             batched = QuTClustering._restrict_member_groups(groups, window)
             for group, restricted in zip(groups, batched):
                 expected = QuTClustering._restrict_members_loop(group, window)
-                assert self._signature(restricted) == self._signature(expected)
+                assert restriction_signature(restricted) == restriction_signature(expected)
 
     def test_single_list_helper_matches_loop(self, built_tree):
         _mod, tree = built_tree
         window = Period(20.0, 55.0)
         subchunk = tree.subchunks_overlapping(window)[0]
         members = tree.load_unclustered(subchunk)
-        assert self._signature(
+        assert restriction_signature(
             QuTClustering._restrict_members(members, window)
-        ) == self._signature(QuTClustering._restrict_members_loop(members, window))
+        ) == restriction_signature(QuTClustering._restrict_members_loop(members, window))
 
     def test_empty_groups_pass_through(self, built_tree):
         _mod, tree = built_tree

@@ -39,6 +39,12 @@ class TestS2TParams:
         twice = once.resolved(small_mod)
         assert once == twice
 
+    def test_from_dict_names_an_unknown_key(self):
+        data = S2TParams(eps=2.0).to_dict()
+        assert S2TParams.from_dict(data) == S2TParams(eps=2.0)
+        with pytest.raises(ValueError, match="use_index"):
+            S2TParams.from_dict({**data, "use_index": True})
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             S2TParams().sigma = 3.0  # type: ignore[misc]

@@ -96,7 +96,7 @@ class TestSegmentByVoting:
 
 class TestSegmentMod:
     def test_segment_mod_outputs_masses(self, small_mod):
-        params = S2TParams(sigma=1.0, use_index=False).resolved(small_mod)
+        params = S2TParams(sigma=1.0, voting_strategy="dense").resolved(small_mod)
         profile = compute_voting(small_mod, params)
         subs, masses, elapsed = segment_mod(small_mod, profile, params)
         assert len(subs) >= len(small_mod)
@@ -105,7 +105,7 @@ class TestSegmentMod:
         assert elapsed >= 0.0
 
     def test_co_moving_subtrajectories_have_higher_mass(self, small_mod):
-        params = S2TParams(sigma=1.0, use_index=False).resolved(small_mod)
+        params = S2TParams(sigma=1.0, voting_strategy="dense").resolved(small_mod)
         profile = compute_voting(small_mod, params)
         subs, masses, _ = segment_mod(small_mod, profile, params)
         mass_a = max(m for key, m in masses.items() if key[0] == "a")

@@ -208,6 +208,10 @@ class TestClusteringFunctions:
         with pytest.raises(SQLExecutionError):
             execute("SELECT S2T(42)")
 
+    def test_s2t_retired_strategy_names_the_available_ones(self, execute):
+        with pytest.raises(SQLExecutionError, match="'indexed'.*dense, batched"):
+            execute("SELECT S2T(lanes, NULL, NULL, 2, 'indexed')")
+
 
 class TestParallelS2TFunction:
     def test_s2t_jobs_argument(self, execute):
