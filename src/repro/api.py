@@ -600,9 +600,9 @@ class Dataset:
     ) -> "Query":
         """QuT window clustering (``SELECT QUT(D, Wi, We, ...)``).
 
-        ``shards`` selects the index layout (``N`` shard-local ReTraTrees
-        queried scatter-gather; ``None`` accepts whatever layout exists);
-        every value returns bit-identical clusters.
+        ``shards`` fans a *needed* ReTraTree bulk load out over ``N`` chunk
+        windows on the worker pool; an existing tree is reused whatever its
+        value, and every value returns bit-identical clusters.
         """
         return Query(
             self.connection,

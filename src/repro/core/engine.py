@@ -59,7 +59,7 @@ from repro.baselines.range_then_cluster import RangeThenCluster
 from repro.baselines.toptics import TOpticsClustering, TOpticsParams
 from repro.baselines.traclus import TraclusClustering, TraclusParams
 from repro.core.parallel import WorkerPool, partitioned_s2t
-from repro.core.shard import ShardPlan, ShardedReTraTree, build_sharded_tree, tree_layout
+from repro.core.shard import ShardPlan, build_sharded_tree
 from repro.hermes.frame import MODFrame
 from repro.hermes.io import read_csv, write_csv
 from repro.hermes.mod import MOD
@@ -127,8 +127,8 @@ class HermesEngine:
         self._replacements: dict[str, int] = {}
         self._plan_executor = None
         # Engine-owned persistent worker pool (lazily started by pool());
-        # shared by every partition-parallel S2T run and sharded tree build
-        # so consecutive jobs reuse warm worker processes.
+        # shared by every partition-parallel S2T run and fanned-out tree
+        # load so consecutive jobs reuse warm worker processes.
         self._worker_pool: WorkerPool | None = None
         self._pool_finalizer = None
         if self.storage_directory is not None:
@@ -347,8 +347,8 @@ class HermesEngine:
         """The engine-owned persistent worker pool, starting it lazily.
 
         One :class:`~repro.core.parallel.WorkerPool` per engine: every
-        partition-parallel S2T run and sharded ReTraTree build submits to
-        the same pool, so consecutive parallel calls reuse warm worker
+        partition-parallel S2T run and fanned-out ReTraTree bulk load submits
+        to the same pool, so consecutive parallel calls reuse warm worker
         processes instead of forking a fresh ``ProcessPoolExecutor`` per
         call.  The pool itself defers process creation to the first job.
         It is shut down by :meth:`close` and — as a backstop — by a
@@ -397,18 +397,14 @@ class HermesEngine:
         mod = self.get_mod(name)
         if len(mod) == 0:
             result = S2TClustering(params).fit(mod)
-        elif jobs > 1:
+        elif jobs > 1 or n_partitions is not None:
             result = partitioned_s2t(
                 mod,
                 params,
                 n_jobs=jobs,
                 n_partitions=n_partitions,
                 frame=self.frame(name),
-                pool=self.pool(),
-            )
-        elif n_partitions is not None:
-            result = partitioned_s2t(
-                mod, params, n_jobs=1, n_partitions=n_partitions, frame=self.frame(name)
+                pool=self.pool() if jobs > 1 else None,
             )
         else:
             result = S2TClustering(params).fit(mod, frame=self.frame(name))
@@ -421,7 +417,7 @@ class HermesEngine:
         params: QuTParams | None = None,
         rebuild: bool = False,
         shards: int | None = None,
-    ):
+    ) -> ReTraTree:
         """The (cached) ReTraTree of a dataset, building it on first use.
 
         On an on-disk engine a persisted tree (from a previous process, or a
@@ -435,53 +431,47 @@ class HermesEngine:
         while ``params=None`` always accepts the existing tree — so warm
         and cold processes answer identical calls identically.
 
-        ``shards`` selects the index layout (SQL surfaces it as the
-        ``SHARDS`` knob): ``N >= 2`` builds — on the engine's persistent
-        worker pool — a :class:`~repro.core.shard.ShardedReTraTree` of
-        ``N`` shard-local trees over disjoint chunk windows, whose
-        scatter-gather QuT answers are bit-identical to the single tree's;
-        ``1`` forces the single-tree layout; ``None`` (the default) accepts
-        whatever layout is cached or persisted, so progressive queries
-        never trigger a relayout.  A cached/persisted layout whose shard
-        count differs from an explicit request is discarded and rebuilt.
+        ``shards`` (SQL surfaces it as the ``SHARDS`` knob) only says how a
+        *needed* bulk load runs: ``N >= 2`` fans it out over ``N`` chunk
+        windows on the engine's persistent worker pool
+        (:func:`~repro.core.shard.build_sharded_tree`); ``1`` or ``None``
+        loads in process.  The result is the same plain
+        :class:`~repro.qut.retratree.ReTraTree` either way — bit-identical
+        sub-chunks — so a cached or persisted tree is accepted whatever
+        fan-out built it.
         """
         if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1")
         if rebuild:
             self._forget_tree(name)
         cached = self._retratrees.get(name)
-        if cached is not None:
-            params_ok = self._params_satisfied(
-                params,
-                cached.raw_params.to_dict(),
-                cached.params.to_dict() if cached.params is not None else None,
-            )
-            shards_ok = shards is None or getattr(cached, "shards_count", 1) == shards
-            if not (params_ok and shards_ok):
-                self._forget_tree(name)
+        if cached is not None and not self._params_satisfied(
+            params,
+            cached.raw_params.to_dict(),
+            cached.params.to_dict() if cached.params is not None else None,
+        ):
+            self._forget_tree(name)
         if name not in self._retratrees:
-            tree = self._reopen_tree(name, params, shards)
+            tree = self._reopen_tree(name, params)
             if tree is None:
                 self._forget_tree(name)
                 tree = self._build_tree(name, params, shards)
                 if self.catalog is not None and tree.params is not None:
                     # An empty tree (no resolved params) has nothing to
                     # persist; a cold successor rebuilds it for free.
-                    self.catalog.commit_tree(
-                        name, self.dataset_generation(name), *tree_layout(tree)
-                    )
+                    self.catalog.commit_tree(name, self.dataset_generation(name), tree)
             self._retratrees[name] = tree
         return self._retratrees[name]
 
-    def _build_tree(self, name: str, params: QuTParams | None, shards: int | None):
-        """Bulk-load a dataset's index in the requested layout.
+    def _build_tree(self, name: str, params: QuTParams | None, shards: int | None) -> ReTraTree:
+        """Bulk-load a dataset's index, fanned out over ``shards`` chunk windows.
 
         ``shards >= 2`` resolves the grid **once over the whole MOD**
-        (origin and parameters shared by every shard — the invariant the
+        (origin and parameters shared by every window — the invariant the
         bit-identity guarantee rests on), plans the chunk-axis split and
-        builds the shard trees on the engine's worker pool; anything else
+        loads the windows on the engine's worker pool; anything else
         (including an empty dataset, which has no grid to split) is the
-        plain single-tree bulk load.
+        plain in-process bulk load.
         """
         mod = self.get_mod(name)
         storage = self.catalog.storage(name) if self.catalog is not None else None
@@ -519,8 +509,8 @@ class HermesEngine:
         The first call builds (and caches) the dataset's ReTraTree; later
         calls only pay the query cost — that is the progressive behaviour the
         paper demonstrates.  ``shards`` is forwarded to :meth:`retratree`;
-        any value returns bit-identical clusters, sharding only changes how
-        the index is built and stored.
+        any value returns bit-identical clusters, it only changes how a
+        needed bulk load runs.
         """
         tree = self.retratree(name, params=params, shards=shards)
         result = QuTClustering(tree).query(window)
@@ -624,40 +614,27 @@ class HermesEngine:
         if self.catalog is not None:
             self.catalog.forget_tree(name)
 
-    def _reopen_tree(self, name: str, params: QuTParams | None, shards: int | None):
-        """Reopen the persisted index in whichever layout satisfies the request.
+    def _reopen_tree(self, name: str, params: QuTParams | None) -> ReTraTree | None:
+        """Reopen the persisted tree if it satisfies the request.
 
-        One acceptance check for both layouts: the catalog hands back the
-        persisted section only while its ``dataset_state`` is current (an
-        append in a process that never loaded the tree leaves it stale);
-        an explicit ``shards`` must equal the persisted layout's count (1
-        for the single tree); explicit ``params`` must match the persisted
-        build parameters (``None`` accepts — the tree in the store *is* the
-        index).  Any failure to reopen — damaged partitions, crash windows,
-        record-count mismatches — returns ``None`` too: a rebuild is always
-        a correct answer, so queries never fail permanently.
+        The catalog hands back the persisted section only while its
+        ``dataset_state`` is current (an append in a process that never
+        loaded the tree leaves it stale); explicit ``params`` must match
+        the persisted build parameters (``None`` accepts — the tree in the
+        store *is* the index).  Any failure to reopen — damaged partitions,
+        crash windows, record-count mismatches — returns ``None`` too: a
+        rebuild is always a correct answer, so queries never fail
+        permanently.
         """
         if self.catalog is None:
             return None
         section = self.catalog.tree_section(name)
         if section is None:
             return None
-        sharded = "trees" in section
-        if shards is not None and shards != (section.get("count") if sharded else 1):
-            return None
         if not self._params_satisfied(params, section.get("raw_params"), section.get("params")):
             return None
-        storage = self.catalog.storage(name)
         try:
-            if not sharded:
-                return ReTraTree.from_manifest(section, storage=storage)
-            return ShardedReTraTree(
-                [ReTraTree.from_manifest(tm, storage=storage) for tm in section["trees"]],
-                ShardPlan.from_manifest(section["plan"]),
-                storage=storage,
-                name=name,
-                recovered=True,
-            )
+            return ReTraTree.from_manifest(section, storage=self.catalog.storage(name))
         except Exception:
             return None
 
@@ -738,10 +715,7 @@ class HermesEngine:
         manifest has committed (``delta_partitions``), and whether the
         persisted tree is *stale* — serialised against a dataset state the
         deltas have since outgrown, so the next ``retratree`` call will
-        rebuild instead of recovering it (``tree_stale``).  ``tree_shards``
-        reports the index layout: ``0`` when no tree exists, ``1`` for the
-        single-tree layout, ``N`` for a sharded deployment of ``N`` shards
-        (cached or persisted).
+        rebuild instead of recovering it (``tree_stale``).
 
         ``degraded`` reports whether the dataset's durable state is less
         than what was once committed: its manifest is damaged, or a
@@ -762,7 +736,6 @@ class HermesEngine:
             "tree_cached": cached_tree is not None,
             "tree_persisted": False,
             "tree_stale": False,
-            "tree_shards": 0,
             "persisted": False,
             "storage_partitions": 0,
             "append_batches": self._append_batches.get(name, 0),
@@ -771,8 +744,6 @@ class HermesEngine:
         }
         if self.catalog is not None:
             status.update(self.catalog.status(name))
-        if cached_tree is not None:
-            status["tree_shards"] = getattr(cached_tree, "shards_count", 1)
         return status
 
     def close(self) -> None:

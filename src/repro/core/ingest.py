@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.core.shard import tree_layout
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
@@ -311,9 +310,8 @@ class IngestPipeline:
             storage = catalog.storage(name)
             retries_before = storage.io_stats()["io_retries"]
             maintained = tree is not None and tree.params is not None
-            trees, shards = tree_layout(tree) if maintained else (None, None)
             report.persisted = catalog.commit_append(
-                name, trajs, engine.dataset_generation(name), trees, shards
+                name, trajs, engine.dataset_generation(name), tree if maintained else None
             )
             report.io_retries = storage.io_stats()["io_retries"] - retries_before
 

@@ -14,9 +14,9 @@ partition.  Two things make the fan-out actually pay off:
   and derive their partition frame locally with
   :meth:`~repro.hermes.frame.MODFrame.slice_period` — the *same* slice the
   serial path takes, so results stay bitwise identical.  When shared memory
-  is unavailable (or a worker fails to attach) the scheduler automatically
-  falls back to the legacy pickle wire format that ships each pre-sliced
-  partition frame (:meth:`~repro.hermes.frame.MODFrame.to_payload`).
+  is unavailable (or a worker fails to attach) the job is retried with each
+  task carrying its pre-sliced partition frame by value
+  (:meth:`~repro.hermes.frame.MODFrame.to_payload`).
 * **A persistent worker pool.**  :class:`WorkerPool` wraps a lazily started
   :class:`concurrent.futures.ProcessPoolExecutor` that survives across
   calls (the engine owns one: ``engine.pool()``), amortising fork + import
@@ -41,6 +41,10 @@ scaling across cores.
 Entry points: :func:`partitioned_s2t` (library),
 ``HermesEngine.s2t(name, n_jobs=...)`` (engine) and
 ``SELECT S2T(D, sigma, eps, gamma, strategy, jobs, shards)`` (SQL).
+
+:func:`scatter` is the one pooled fan-out — publish, ship, retry by value,
+degrade, drain — shared with the ReTraTree's parallel bulk load
+(:mod:`repro.core.shard`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import Counter, OrderedDict
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from typing import TypeVar
 
 import numpy as np
 
@@ -66,7 +72,11 @@ __all__ = [
     "WorkerPool",
     "partitioned_s2t",
     "merge_partition_results",
+    "scatter",
+    "shipped_task",
 ]
+
+_R = TypeVar("_R")
 
 # Default temporal fan-out: the ReTraTree's data-driven default chunk length
 # is tau = lifespan / 4, i.e. four level-1 chunks per dataset.
@@ -135,8 +145,8 @@ def _fit_partition(task: tuple[MODFrame, S2TParams]) -> ClusteringResult:
 # One arena + small caches per worker process: the first task touching a
 # shipped segment attaches it (and rebuilds derived state once); subsequent
 # tasks over the same dataset reuse the mapping.  The job's constant context
-# (frame metadata + resolved params) travels once per job in its own tiny
-# control segment, so each task ships only segment names plus its period —
+# (frame metadata + e.g. the resolved params) travels once per job in its own
+# tiny control segment, so each task ships only segment names plus its item —
 # a couple hundred bytes regardless of params size.  Evicted segments are
 # closed through the arena.  Fork-start workers inherit the parent's
 # (empty) caches.
@@ -165,7 +175,7 @@ def attached_frame(segment: str, meta: dict) -> MODFrame:
 
 
 def _job_context(control: str, nbytes: int) -> tuple:
-    """The job's shared ``(meta, params)`` context, attached and cached."""
+    """The job's shared ``(frame meta, context)`` block, attached and cached."""
     ctx = _JOB_CONTEXTS.get(control)
     if ctx is None:
         shm = _WORKER_ARENA.attach(control)
@@ -187,21 +197,30 @@ def _publish_context(arena: ShmArena, payload: tuple) -> tuple[str, int]:
     return shm.name, len(blob)
 
 
+def shipped_task(task: tuple) -> tuple[MODFrame, object, object]:
+    """Worker side of :func:`scatter`'s shm route: ``(frame, context, item)``.
+
+    Attaches the shipped dataset frame and the job's control block (both
+    cached per worker process) named by a
+    ``("shm", segment, control, nbytes, item)`` task.
+    """
+    _, segment, control, nbytes, item = task
+    meta, context = _job_context(control, nbytes)
+    return attached_frame(segment, meta), context, item
+
+
 def _fit_partition_task(task: tuple) -> ClusteringResult:
     """Worker entry point: fit one partition from a tagged transport task.
 
-    ``("shm", segment, control, nbytes, period)`` attaches the shipped
-    dataset frame plus the job's control block (frame metadata + resolved
-    params) and slices the partition locally — the identical
+    An ``"shm"`` task names the shipped dataset frame plus the job's control
+    block (the resolved params) and carries the partition's period; the
+    partition is sliced locally — the identical
     ``frame.slice_period(period)`` the serial path performs, so transports
-    never change results.  ``("pickle", piece_frame, params)`` is the
-    legacy wire format carrying the pre-sliced partition.
+    never change results.  ``("pickle", piece_frame, params)`` carries the
+    pre-sliced partition by value.
     """
-    kind = task[0]
-    if kind == "shm":
-        _, segment, control, nbytes, period = task
-        meta, params = _job_context(control, nbytes)
-        frame = attached_frame(segment, meta)
+    if task[0] == "shm":
+        frame, params, period = shipped_task(task)
         return _fit_partition((frame.slice_period(period), params))
     _, piece, params = task
     return _fit_partition((piece, params))
@@ -278,7 +297,6 @@ def partitioned_s2t(
     n_partitions: int | None = None,
     frame: MODFrame | None = None,
     pool: WorkerPool | None = None,
-    transport: str = "auto",
 ) -> ClusteringResult:
     """S2T-Clustering fitted per temporal partition, optionally in parallel.
 
@@ -307,19 +325,17 @@ def partitioned_s2t(
         Optional :class:`WorkerPool` to run on (the engine passes its
         persistent ``engine.pool()``).  Without one, a private pool is
         created for this call and shut down before returning.
-    transport:
-        ``"auto"`` (shared memory with automatic pickle fallback, the
-        default), ``"shm"`` (fail instead of falling back) or ``"pickle"``
-        (legacy wire format).  The transport actually used is recorded in
-        ``result.extras["transport"]`` together with
-        ``bytes_shipped_per_task``.
+
+    ``result.extras`` records the execution that happened: ``n_jobs`` is
+    ``1`` whenever no pool ran (one non-empty partition, or the pool fell
+    over), and a pooled run adds what :func:`scatter` reports —
+    ``transport`` (``"shm"``, or ``"pickle"`` after a refused publish or
+    attach) and ``bytes_shipped_per_task``.
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be at least 1")
     if n_partitions is not None and n_partitions < 1:
         raise ValueError("n_partitions must be at least 1")
-    if transport not in ("auto", "shm", "pickle"):
-        raise ValueError(f"unknown transport: {transport!r}")
     params = (params or S2TParams()).resolved(mod) if len(mod) else (params or S2TParams())
     if len(mod) == 0:
         return ClusteringResult(method="s2t", clusters=[], outliers=[], params=params)
@@ -333,13 +349,18 @@ def partitioned_s2t(
     parts: list[ClusteringResult] | None = None
     transport_info: dict = {}
     if n_jobs > 1 and len(fitted) > 1:
-        parts, transport_info = _fit_partitions_pooled(
-            frame, fitted, params, n_jobs=n_jobs, pool=pool, transport=transport
+        parts, transport_info = scatter(
+            _fit_partition_task,
+            frame,
+            params,
+            fitted,
+            lambda period: ("pickle", frame.slice_period(period), params),
+            workers=min(n_jobs, len(fitted)),
+            pool=pool,
         )
     if parts is None:
         parts = [_fit_partition((frame.slice_period(p), params)) for p in fitted]
-        if n_jobs > 1 and len(fitted) > 1:
-            n_jobs = 1  # pool fell over; record the execution that happened
+        n_jobs = 1  # no pool ran, or it fell over
 
     result = merge_partition_results(parts, params)
     result.extras.update(transport_info)
@@ -347,68 +368,70 @@ def partitioned_s2t(
     return result
 
 
-def _fit_partitions_pooled(
+def scatter(
+    entry: Callable[[tuple], _R],
     frame: MODFrame,
-    fitted: list[Period],
-    params: S2TParams,
+    context: object,
+    items: Sequence[object],
+    by_value: Callable[[object], tuple],
     *,
-    n_jobs: int,
+    workers: int,
     pool: WorkerPool | None,
-    transport: str,
-) -> tuple[list[ClusteringResult] | None, dict]:
-    """Run the partition fits on a process pool; ``(None, info)`` on failure.
+) -> tuple[list[_R] | None, dict]:
+    """Run ``entry`` once per item on a process pool, the frame shipped zero-copy.
 
-    Owns the transport negotiation (shm with pickle fallback) and the
-    shared-memory segment lifetime: the dataset frame is published into a
-    per-call :class:`~repro.hermes.shm.ShmArena` that is drained in a
-    ``finally`` block, so no ``/dev/shm`` segment outlives the call even on
-    worker crashes or ``KeyboardInterrupt``.
+    The one pooled fan-out (partition fits here, chunk-window bulk loads in
+    :mod:`repro.core.shard`).  ``frame`` is published into a per-call
+    :class:`~repro.hermes.shm.ShmArena`, the job-constant ``context`` into
+    a control segment beside it, and each task is
+    ``("shm", segment, control, nbytes, item)`` — ``entry`` resolves it with
+    :func:`shipped_task`.  When the publish is refused, or a worker cannot
+    attach, the whole job runs over ``by_value(item)`` tasks instead (the
+    caller's ``("pickle", …)`` wire shape, the frame travelling by value).
+
+    Returns ``(results, info)`` in item order.  Only the *pool* failing
+    degrades: a :class:`~concurrent.futures.process.BrokenProcessPool`
+    (worker killed mid-job, or a platform that refuses to start one) resets
+    the pool and returns ``(None, info)`` with ``info["pool_error"]`` set,
+    for the caller to run in-process.  An exception raised by ``entry``
+    propagates.  ``info`` records ``transport``, ``bytes_shipped_per_task``,
+    ``transport_setup_bytes`` (shm) and ``shm_error`` (after a fallback).
+    The arena is drained on every way out, so no ``/dev/shm`` segment
+    outlives the call even on worker crashes or ``KeyboardInterrupt``; a
+    pool created here (``pool=None``) is shut down too.
     """
     info: dict = {}
     owned_pool = pool is None
     run_pool = pool if pool is not None else WorkerPool()
+
+    def run(transport: str, tasks: list[tuple]) -> list[_R]:
+        info["transport"] = transport
+        info["bytes_shipped_per_task"] = _mean_task_bytes(tasks)
+        try:
+            results = run_pool.executor(workers).map(entry, tasks)
+        except OSError as exc:
+            # Refused while *starting* the pool (sandboxes that forbid
+            # semaphores or fork fail in the executor's constructor or at
+            # submit): no pool here.  An OSError raised by ``entry`` arrives
+            # with the results below and propagates like any worker error.
+            raise BrokenProcessPool(repr(exc)) from exc
+        return list(results)
+
     with ShmArena() as arena:
         try:
-            tasks: list[tuple] | None = None
-            if transport in ("auto", "shm"):
-                try:
-                    segment, meta = frame.to_shm(arena)
-                    control, nbytes = _publish_context(arena, (meta, params))
-                    tasks = [("shm", segment, control, nbytes, p) for p in fitted]
-                    info["transport"] = "shm"
-                    info["transport_setup_bytes"] = nbytes
-                except ShmTransportError as exc:
-                    if transport == "shm":
-                        raise
-                    info["shm_error"] = repr(exc)
-            if tasks is None:
-                tasks = [("pickle", frame.slice_period(p), params) for p in fitted]
-                info["transport"] = "pickle"
-            info["bytes_shipped_per_task"] = _mean_task_bytes(tasks)
-
-            workers = min(n_jobs, len(tasks))
             try:
-                parts = list(run_pool.executor(workers).map(_fit_partition_task, tasks))
+                segment, meta = frame.to_shm(arena)
+                control, nbytes = _publish_context(arena, (meta, context))
+                info["transport_setup_bytes"] = nbytes
+                return run("shm", [("shm", segment, control, nbytes, i) for i in items]), info
             except ShmTransportError as exc:
-                # A worker could not attach the published segment (fault
-                # injection, exotic platforms).  Retry the whole job over
-                # the pickle wire format on the same pool.
-                if transport == "shm":
-                    raise
+                # The publish was refused, or a worker could not attach the
+                # published segment (fault injection, exotic platforms):
+                # run the whole job by value on the same pool.
                 info["shm_error"] = repr(exc)
-                info["transport"] = "pickle"
-                tasks = [("pickle", frame.slice_period(p), params) for p in fitted]
-                info["bytes_shipped_per_task"] = _mean_task_bytes(tasks)
-                parts = list(run_pool.executor(workers).map(_fit_partition_task, tasks))
-            return parts, info
+                return run("pickle", [by_value(i) for i in items]), info
         except BrokenProcessPool as exc:
             run_pool.reset()
-            info["pool_error"] = repr(exc)
-            return None, info
-        except (OSError, PermissionError) as exc:  # pragma: no cover - sandboxed hosts
-            # Platforms without working process pools (e.g. sandboxes that
-            # forbid semaphores) degrade to the serial partition loop, which
-            # produces identical results.
             info["pool_error"] = repr(exc)
             return None, info
         finally:

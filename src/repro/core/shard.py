@@ -1,80 +1,64 @@
-"""Shard-local ReTraTrees with scatter-gather QuT.
+"""Parallel ReTraTree bulk load: one tree, built by chunk window.
 
-The paper's architecture is *distributed*: the dataset is range-partitioned,
-every node builds its own local index, and queries scatter to the nodes and
-gather their partial answers.  This module is that design scaled down to one
-box — the seam for multi-machine later:
+The paper has one index — the ReTraTree — and sharding is only a way to
+*build* it faster.  The level-1 chunk axis makes the bulk load embarrassingly
+parallel, the same way temporal partitions do for S2T
+(:mod:`repro.core.parallel`):
 
-* :class:`ShardPlan` splits the dataset's level-1 chunk axis (the ReTraTree's
-  ``tau``-grid) into ``N`` contiguous, disjoint ownership windows.  The grid
-  itself — origin and resolved parameters — is computed **once over the
-  whole MOD**, never per shard, so every shard agrees on where sub-chunk
-  boundaries fall.
-* Each shard builds its own :class:`~repro.qut.retratree.ReTraTree` over its
-  window (:meth:`~repro.qut.retratree.ReTraTree.build_shard`): the *whole*
-  dataset frame is broadcast (free over the shared-memory transport of
-  :mod:`repro.core.parallel`) and the tree's ``chunk_range`` gate keeps only
-  the owned pieces.  Builds run on the engine's worker pool; each worker
-  returns a compact record-level export that the parent re-archives into the
-  dataset's storage (:func:`export_shard_tree` / :func:`import_shard_tree`),
-  byte-for-byte the state an in-process build would have produced.  Any pool
-  or transport failure degrades to the identical serial in-process build.
-* :class:`ShardedReTraTree` is the gather side: it exposes the exact
-  interface :class:`~repro.qut.query.QuTClustering` consumes
-  (``subchunks_overlapping`` / ``load_members`` / ``load_unclustered`` /
-  ``params`` / ``recovered``), broadcasting the window to every shard and
-  merging the overlapping sub-chunks **in global temporal order**.
+* :class:`ShardPlan` splits the chunk axis (the ``tau``-grid) into ``N``
+  contiguous, disjoint windows.  The grid itself — origin and resolved
+  parameters — is computed **once over the whole MOD**, never per window, so
+  every window agrees on where sub-chunk boundaries fall.
+* :func:`build_sharded_tree` fans the windows out over the worker pool with
+  the one scatter (:func:`repro.core.parallel.scatter`): the *whole* dataset
+  frame is broadcast (free over shared memory), each worker runs the
+  ordinary :meth:`~repro.qut.retratree.ReTraTree.bulk_load` with its window
+  as the tree's ``chunk_range`` gate, and returns a compact record-level
+  export (:func:`export_shard_tree`).
+* The parent adopts every export into **one** plain
+  :class:`~repro.qut.retratree.ReTraTree` (:func:`import_shard_tree`):
+  disjoint windows mean disjoint sub-chunk keys, so adoption is a union.
+  What comes back is an ordinary tree — queried, appended to, persisted and
+  recovered like any other; nothing downstream knows how it was built.
 
-Equivalence guarantee: shard windows partition the chunk axis, every shard
-shares the single-tree grid, and each shard's bulk load walks the same rows
-through the same partition-frame slices — so the union of shard sub-chunks
-is *bit-identical* to the single tree's sub-chunks, and QuT over the facade
-returns bit-identical clusters for every window and every ``N`` (pinned by
-``tests/core/test_shard.py``, the same discipline as the scheduler's
-serial/parallel equality).
+Equivalence guarantee: the windows partition the chunk axis, every worker
+shares the whole-load grid, and each walks the same rows through the same
+partition-frame slices — so the adopted sub-chunks are *bit-identical* to
+those of an unrestricted bulk load, for every ``N`` (pinned tree against
+tree by ``tests/core/test_shard.py``).  Only cluster ids differ: they are
+handed out in adoption order rather than flush order.  A pool that fails
+degrades to that unrestricted load, in process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
 
-from repro.core.parallel import WorkerPool, attached_frame
+from repro.core.parallel import WorkerPool, scatter, shipped_task
 from repro.hermes.frame import MODFrame
-from repro.hermes.shm import ShmArena, ShmTransportError
-from repro.hermes.trajectory import Trajectory
-from repro.index.rtree3d import RTree3D
 from repro.qut.params import QuTParams
-from repro.qut.retratree import (
-    ClusterEntry,
-    ReTraTree,
-    SubChunk,
-    _record_to_subtrajectory,
-)
+from repro.qut.retratree import ReTraTree, _record_to_subtrajectory
 from repro.storage.catalog import StorageManager
 from repro.storage.records import encode_record
 
 __all__ = [
     "ShardPlan",
-    "ShardedReTraTree",
     "build_sharded_tree",
     "export_shard_tree",
     "import_shard_tree",
-    "tree_layout",
 ]
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Contiguous ownership windows over the ReTraTree's level-1 chunk axis.
+    """Contiguous windows over the ReTraTree's level-1 chunk axis.
 
-    ``count`` is the *requested* shard count (the engine's cache identity);
-    ``ranges`` holds the effective windows — at most ``count``, fewer when
-    the dataset spans fewer chunks than shards requested.  Windows are
-    half-open ``[lo, hi)`` with the first ``lo`` and last ``hi`` left open
-    (``None``), so appends that extend the grid in either direction still
-    route to exactly one shard.
+    ``count`` is the *requested* fan-out; ``ranges`` holds the effective
+    windows — at most ``count``, fewer when the dataset spans fewer chunks
+    than requested.  Windows are half-open ``[lo, hi)`` with the first
+    ``lo`` and last ``hi`` left open (``None``), so together they cover the
+    whole axis.
     """
 
     count: int
@@ -83,11 +67,11 @@ class ShardPlan:
 
     @classmethod
     def for_layout(cls, duration: float, tau: float, count: int) -> "ShardPlan":
-        """Plan ``count`` shards over a dataset spanning ``duration`` seconds.
+        """Plan ``count`` windows over a dataset spanning ``duration`` seconds.
 
         ``tau`` is the resolved level-1 chunk length; the chunk axis holds
-        ``ceil(duration / tau)`` chunks, distributed over the shards as
-        evenly as possible (earlier shards take the remainder).
+        ``ceil(duration / tau)`` chunks, distributed over the windows as
+        evenly as possible (earlier windows take the remainder).
         """
         if count < 1:
             raise ValueError("shard count must be at least 1")
@@ -108,51 +92,29 @@ class ShardPlan:
         ranges[-1] = (last_lo if len(ranges) > 1 else None, None)
         return cls(count=count, n_chunks=n_chunks, ranges=tuple(ranges))
 
-    def to_manifest(self) -> dict:
-        """JSON-friendly form for the storage-catalog manifest."""
-        return {
-            "count": self.count,
-            "n_chunks": self.n_chunks,
-            "ranges": [list(r) for r in self.ranges],
-        }
-
-    @classmethod
-    def from_manifest(cls, data: dict) -> "ShardPlan":
-        """Inverse of :meth:`to_manifest`."""
-        return cls(
-            count=int(data["count"]),
-            n_chunks=int(data["n_chunks"]),
-            ranges=tuple(
-                (None if lo is None else int(lo), None if hi is None else int(hi))
-                for lo, hi in data["ranges"]
-            ),
-        )
-
 
 # -- worker protocol -----------------------------------------------------------
 
 
-def export_shard_tree(tree: ReTraTree) -> dict:
-    """Flatten a freshly built shard tree into a picklable record payload.
+def export_shard_tree(tree: ReTraTree) -> list[dict]:
+    """Flatten a freshly loaded window's tree into a picklable record payload.
 
-    Workers build their shard over private in-memory storage; what crosses
+    Workers load their window over private in-memory storage; what crosses
     back to the parent is the *final* state only — per sub-chunk, the
     unclustered records and per entry the representative plus member records
     (raw encoded bytes, in heapfile scan order = insertion order).
     :func:`import_shard_tree` re-archives them in the same order, so the
-    parent-side tree is indistinguishable from one built in process.
+    adopted sub-chunk is indistinguishable from one loaded in process.
     """
     subchunks = []
     for sc in tree.subchunks():
         entries = []
         for entry in sc.entries:
             info = tree.storage.get(entry.partition_name)
-            members = [raw for _rid, raw in info.heapfile.scan_records()]
             entries.append(
                 {
-                    "cluster_id": entry.cluster_id,
                     "representative": encode_record(entry.representative),
-                    "members": members,
+                    "members": [raw for _rid, raw in info.heapfile.scan_records()],
                 }
             )
         unclustered_info = tree.storage.get(sc.unclustered_partition)
@@ -164,81 +126,47 @@ def export_shard_tree(tree: ReTraTree) -> dict:
                 "entries": entries,
             }
         )
-    return {
-        "origin": tree.origin,
-        "chunk_range": tree.chunk_range,
-        "next_cluster_id": tree._next_cluster_id,
-        "params": tree.params,
-        "raw_params": tree.raw_params,
-        "subchunks": subchunks,
-    }
+    return subchunks
 
 
-def import_shard_tree(
-    payload: dict, storage: StorageManager | None, name: str
-) -> ReTraTree:
-    """Rebuild a shard tree from :func:`export_shard_tree` output.
+def import_shard_tree(tree: ReTraTree, payload: list[dict]) -> None:
+    """Adopt one window's :func:`export_shard_tree` output into ``tree``.
 
-    Archives every record through the tree's normal
-    :meth:`~repro.qut.retratree.ReTraTree._archive` path (heapfile +
-    pg3D-Rtree), in export order, into ``storage`` under partition names
-    prefixed by ``name`` — producing exactly the partitions a serial
-    in-process :meth:`~repro.qut.retratree.ReTraTree.build_shard` with the
-    same ``name`` would have written.
+    Archives every record through the tree's normal archive path (heapfile
+    + pg3D-Rtree), in export order, into ``tree.storage``.  Entries open
+    under ``tree``'s own cluster-id counter, so ids stay unique across
+    windows.
     """
-    tree = ReTraTree(
-        params=payload["raw_params"],
-        storage=storage,
-        origin=float(payload["origin"]),
-        name=name,
-        chunk_range=payload["chunk_range"],
-    )
-    tree.params = payload["params"]
-    for sc_data in payload["subchunks"]:
-        subchunk = tree._get_subchunk(int(sc_data["chunk_idx"]), int(sc_data["sub_idx"]))
+    for sc_data in payload:
+        subchunk = tree._get_subchunk(sc_data["chunk_idx"], sc_data["sub_idx"])
         for raw in sc_data["unclustered"]:
             tree._archive(subchunk.unclustered_partition, _record_to_subtrajectory(raw))
             subchunk.unclustered_count += 1
         for entry_data in sc_data["entries"]:
-            cluster_id = int(entry_data["cluster_id"])
-            entry = ClusterEntry(
-                cluster_id=cluster_id,
-                representative=_record_to_subtrajectory(entry_data["representative"]),
-                partition_name=(
-                    f"{name}_part_{subchunk.chunk_idx}_{subchunk.sub_idx}_{cluster_id}"
-                ),
+            entry = tree._open_entry(
+                subchunk, _record_to_subtrajectory(entry_data["representative"])
             )
-            tree.storage.get_or_create(entry.partition_name)
-            tree._rtrees[entry.partition_name] = RTree3D(max_entries=16)
             for raw in entry_data["members"]:
-                member = _record_to_subtrajectory(raw)
-                tree._archive(entry.partition_name, member)
-                entry.member_count += 1
-                entry.expand_bbox(member.bbox)
+                tree._archive_member(entry, _record_to_subtrajectory(raw))
             subchunk.entries.append(entry)
         subchunk.touch_entries()
-    tree._next_cluster_id = int(payload["next_cluster_id"])
-    return tree
 
 
-def _build_shard_task(task: tuple) -> dict:
-    """Worker entry point: build one shard tree and export it.
+def _build_shard_task(task: tuple) -> list[dict]:
+    """Worker entry point: bulk-load one chunk window and export it.
 
-    ``("shm", segment, meta, raw, resolved, origin, chunk_range, name)``
-    attaches the broadcast dataset frame zero-copy;
-    ``("pickle", frame, ...)`` is the fallback wire format carrying the
-    whole frame by value.  Either way the build itself is identical.
+    The scatter's ``"shm"`` task attaches the broadcast dataset frame
+    zero-copy; ``("pickle", frame, context, chunk_range)`` carries the whole
+    frame by value.  Either way the load itself is identical.
     """
-    kind = task[0]
-    if kind == "shm":
-        _, segment, meta, raw, resolved, origin, chunk_range, name = task
-        frame = attached_frame(segment, meta)
+    if task[0] == "shm":
+        frame, context, chunk_range = shipped_task(task)
     else:
-        _, frame, raw, resolved, origin, chunk_range, name = task
-    tree = ReTraTree.build_shard(
-        frame, raw, resolved, origin, chunk_range, storage=None, name=name
+        _, frame, context, chunk_range = task
+    raw_params, resolved, origin = context
+    return export_shard_tree(
+        ReTraTree.bulk_load(frame, raw_params, resolved, origin, chunk_range)
     )
-    return export_shard_tree(tree)
 
 
 def build_sharded_tree(
@@ -251,221 +179,36 @@ def build_sharded_tree(
     storage: StorageManager | None,
     name: str,
     pool: WorkerPool | None = None,
-    parallel: bool = True,
-) -> "ShardedReTraTree":
-    """Build every shard of ``plan`` and assemble the scatter-gather facade.
+) -> ReTraTree:
+    """Bulk-load a ReTraTree with one worker process per window of ``plan``.
 
-    Shards are built in worker processes on ``pool`` (the frame broadcast
-    once over shared memory, with automatic pickle fallback) and imported
-    into ``storage``; any pool or transport failure degrades to the serial
-    in-process build, which is bit-identical by construction.  ``storage``
-    is the dataset's storage manager (or ``None`` for a facade-private
-    in-memory one); shard ``i``'s partitions are prefixed ``{name}_s{i}``.
+    The windows are loaded on ``pool`` (the frame broadcast once over shared
+    memory, by value when that is refused) and adopted into one tree over
+    ``storage`` (the dataset's storage manager, or ``None`` for a private
+    in-memory one).  A single window, or a pool that fails, is the plain
+    unrestricted :meth:`~repro.qut.retratree.ReTraTree.bulk_load` in this
+    process — bit-identical by construction.  Nothing is written to
+    ``storage`` before every window has come back, so a degraded load
+    starts from clean partitions; an error raised *by* a load or by the
+    adoption propagates.
     """
-    shared = storage or StorageManager()
-    names = [f"{name}_s{i}" for i in range(len(plan.ranges))]
-    shards: list[ReTraTree] | None = None
-    if parallel and len(plan.ranges) > 1:
-        shards = _build_shards_pooled(frame, raw_params, resolved, origin, plan, names, shared, pool)
-    if shards is None:
-        shards = [
-            ReTraTree.build_shard(
-                frame, raw_params, resolved, origin, chunk_range,
-                storage=shared, name=shard_name,
-            )
-            for chunk_range, shard_name in zip(plan.ranges, names)
-        ]
-    return ShardedReTraTree(shards, plan, storage=shared, name=name)
-
-
-def _build_shards_pooled(
-    frame: MODFrame,
-    raw_params: QuTParams,
-    resolved: QuTParams,
-    origin: float,
-    plan: ShardPlan,
-    names: list[str],
-    shared: StorageManager,
-    pool: WorkerPool | None,
-) -> list[ReTraTree] | None:
-    """Worker-pool shard build; ``None`` when the pool or transport fails."""
-    owned_pool = pool is None
-    run_pool = pool if pool is not None else WorkerPool()
-    with ShmArena() as arena:
-        try:
-            try:
-                segment, meta = frame.to_shm(arena)
-                tasks = [
-                    ("shm", segment, meta, raw_params, resolved, origin, r, n)
-                    for r, n in zip(plan.ranges, names)
-                ]
-            except ShmTransportError:
-                tasks = [
-                    ("pickle", frame, raw_params, resolved, origin, r, n)
-                    for r, n in zip(plan.ranges, names)
-                ]
-            try:
-                payloads = list(
-                    run_pool.executor(len(tasks)).map(_build_shard_task, tasks)
-                )
-            except ShmTransportError:
-                tasks = [
-                    ("pickle", frame, raw_params, resolved, origin, r, n)
-                    for r, n in zip(plan.ranges, names)
-                ]
-                payloads = list(
-                    run_pool.executor(len(tasks)).map(_build_shard_task, tasks)
-                )
-            return [
-                import_shard_tree(payload, shared, shard_name)
-                for payload, shard_name in zip(payloads, names)
-            ]
-        except Exception:  # noqa: BLE001 - any pool failure degrades to serial
-            run_pool.reset()
-            return None
-        finally:
-            if owned_pool:
-                run_pool.shutdown()
-
-
-# -- the gather side -----------------------------------------------------------
-
-
-class ShardedReTraTree:
-    """Scatter-gather view over ``N`` shard-local ReTraTrees.
-
-    Duck-types the exact surface :class:`~repro.qut.query.QuTClustering`
-    consumes, so QuT runs unchanged: a window query broadcasts to every
-    shard (``subchunks_overlapping``), and the overlapping sub-chunks are
-    gathered **sorted by grid key** — global temporal order, the same order
-    a single tree would return.  Because shard ownership windows are
-    disjoint and every shard shares the single-tree grid, the merged list
-    is bit-identical to the single tree's, which makes every downstream QuT
-    step (restrict, merge, gamma filter, dense renumbering) identical too.
-
-    All shard trees archive into one shared
-    :class:`~repro.storage.catalog.StorageManager` (the dataset's, in
-    durable mode), so member loads go straight to the shared heapfiles.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[ReTraTree],
-        plan: ShardPlan,
-        *,
-        storage: StorageManager,
-        name: str,
-        recovered: bool = False,
-    ) -> None:
-        if not shards:
-            raise ValueError("a sharded tree needs at least one shard")
-        self.shards = list(shards)
-        self.plan = plan
-        self.storage = storage
-        self.name = name
-        self.recovered = recovered
-
-    # -- identity (the engine's cache checks) ---------------------------------
-
-    @property
-    def params(self) -> QuTParams | None:
-        """The resolved parameters every shard shares."""
-        return self.shards[0].params
-
-    @property
-    def raw_params(self) -> QuTParams:
-        """The pre-resolution parameters (the engine's request identity)."""
-        return self.shards[0].raw_params
-
-    @property
-    def origin(self) -> float:
-        """The shared grid origin (the whole dataset's ``tmin``)."""
-        return self.shards[0].origin
-
-    @property
-    def shards_count(self) -> int:
-        """The *requested* shard count (``engine.retratree(shards=N)``)."""
-        return self.plan.count
-
-    @property
-    def num_clusters(self) -> int:
-        """Total level-3 cluster entries across all shards."""
-        return sum(shard.num_clusters for shard in self.shards)
-
-    # -- the QuT surface ------------------------------------------------------
-
-    def subchunks(self) -> list[SubChunk]:
-        """All materialised sub-chunks across shards, in global temporal order."""
-        merged = [sc for shard in self.shards for sc in shard.subchunks()]
-        return sorted(merged, key=lambda sc: sc.key)
-
-    def subchunks_overlapping(self, period) -> list[SubChunk]:
-        """Scatter ``period`` to every shard, gather in global temporal order."""
-        merged = [
-            sc for shard in self.shards for sc in shard.subchunks_overlapping(period)
-        ]
-        return sorted(merged, key=lambda sc: sc.key)
-
-    def _load_partition(self, partition_name: str):
-        info = self.storage.get(partition_name)
-        return [_record_to_subtrajectory(raw) for _rid, raw in info.heapfile.scan_records()]
-
-    def load_members(self, entry: ClusterEntry) -> list:
-        """Load a cluster entry's archived members (shared storage)."""
-        return self._load_partition(entry.partition_name)
-
-    def load_unclustered(self, subchunk: SubChunk) -> list:
-        """Load a sub-chunk's unclustered sub-trajectories (shared storage)."""
-        return self._load_partition(subchunk.unclustered_partition)
-
-    # -- incremental maintenance ----------------------------------------------
-
-    def append(self, trajectories: Sequence[Trajectory], frame: MODFrame | None = None) -> dict[str, int]:
-        """Absorb a batch of new trajectories, routing pieces to their shards.
-
-        Every shard runs its normal
-        :meth:`~repro.qut.retratree.ReTraTree.append` over the *whole*
-        batch; the ``chunk_range`` gates make the work disjoint, so the
-        union of what the shards absorb equals what a single tree would.
-        Counters are summed across shards (``trajectories`` reported once).
-        """
-        trajs = list(trajectories)
-        totals = {
-            "trajectories": 0,
-            "pieces": 0,
-            "assigned": 0,
-            "unclustered": 0,
-            "subchunks_touched": 0,
-            "subchunks_new": 0,
-            "s2t_runs": 0,
-        }
-        if not trajs:
-            return totals
-        if frame is None:
-            frame = MODFrame.from_trajectories(trajs)
-        for shard in self.shards:
-            counters = shard.append(trajs, frame=frame)
-            for key, value in counters.items():
-                totals[key] += value
-        totals["trajectories"] = len(trajs)
-        return totals
-
-
-def tree_layout(tree: "ReTraTree | ShardedReTraTree") -> tuple[list[ReTraTree], dict | None]:
-    """``(trees, shards header)`` — how the durable catalog persists ``tree``.
-
-    The arguments :meth:`repro.storage.durable.DurableCatalog.commit_tree`
-    and ``commit_append`` take: a single tree is ``([tree], None)``; a
-    sharded one is its shard trees plus the ``shards`` section header (the
-    plan and the grid and parameters every shard shares), so recovery can
-    check identity without opening any heapfile.
-    """
-    if not isinstance(tree, ShardedReTraTree):
-        return [tree], None
-    return tree.shards, {
-        "count": tree.plan.count,
-        "plan": tree.plan.to_manifest(),
-        "origin": tree.origin,
-        "params": tree.params.to_dict() if tree.params is not None else None,
-        "raw_params": tree.raw_params.to_dict(),
-    }
+    context = (raw_params, resolved, origin)
+    payloads = None
+    if len(plan.ranges) > 1:
+        payloads, _info = scatter(
+            _build_shard_task,
+            frame,
+            context,
+            plan.ranges,
+            lambda chunk_range: ("pickle", frame, context, chunk_range),
+            workers=len(plan.ranges),
+            pool=pool,
+        )
+    if payloads is None:
+        return ReTraTree.bulk_load(frame, *context, storage=storage, name=name)
+    ReTraTree.build_calls += 1  # one bulk load, fanned out
+    tree = ReTraTree(params=raw_params, storage=storage, origin=origin, name=name)
+    tree.params = resolved
+    for payload in payloads:
+        import_shard_tree(tree, payload)
+    return tree

@@ -43,7 +43,7 @@ API_TARGETS: tuple[tuple[str, tuple[str, ...] | None], ...] = (
     ("repro.core.ingest", None),
     ("repro.core.parallel", ("WorkerPool", "partitioned_s2t")),
     ("repro.core.session", ("ProgressiveSession", "SessionStep")),
-    ("repro.core.shard", ("ShardPlan", "ShardedReTraTree", "build_sharded_tree")),
+    ("repro.core.shard", ("ShardPlan", "build_sharded_tree")),
     ("repro.hermes.frame", ("MODFrame",)),
     ("repro.hermes.mod", ("MOD",)),
     ("repro.hermes.shm", None),

@@ -1,7 +1,7 @@
 """Shared-memory segment bookkeeping for the zero-copy frame transport.
 
 The partition-parallel scheduler (:mod:`repro.core.parallel`) and the
-sharded ReTraTree build (:mod:`repro.core.shard`) ship a dataset's
+fanned-out ReTraTree bulk load (:mod:`repro.core.shard`) ship a dataset's
 :class:`~repro.hermes.frame.MODFrame` to worker processes.  The pickle wire
 format copies every column per task; the shared-memory transport instead
 publishes the columns **once** into a ``multiprocessing.shared_memory``

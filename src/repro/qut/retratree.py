@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -151,9 +151,7 @@ class SubChunk:
         assert params is not None and params.overflow_threshold is not None
         entry = tree._best_entry(self, sub)
         if entry is not None:
-            tree._archive(entry.partition_name, sub)
-            entry.member_count += 1
-            entry.expand_bbox(sub.bbox)
+            tree._archive_member(entry, sub)
             tree.stats.pieces_assigned += 1
             return True
         tree._archive(self.unclustered_partition, sub)
@@ -180,9 +178,10 @@ class ReTraTreeStats:
 class ReTraTree:
     """Incrementally maintained index for time-aware sub-trajectory clustering."""
 
-    # Class-level counter of bulk :meth:`build` invocations.  The restart
-    # recovery tests assert through it (together with a fresh tree's zeroed
-    # ``stats``) that reopening a persisted tree never re-runs the bulk load.
+    # Class-level counter of bulk loads (:meth:`build` / :meth:`bulk_load`;
+    # a fanned-out load counts once in the parent).  The restart recovery
+    # tests assert through it (together with a fresh tree's zeroed ``stats``)
+    # that reopening a persisted tree never re-runs the bulk load.
     build_calls: int = 0
 
     def __init__(
@@ -199,11 +198,11 @@ class ReTraTree:
         self.storage = storage or StorageManager()
         self.origin = origin
         # Half-open level-1 chunk ownership window ``[lo, hi)`` (``None``
-        # bounds are open).  A sharded deployment (:mod:`repro.core.shard`)
-        # gives each shard tree a disjoint window over a *shared* grid: the
-        # insertion walkers simply skip sub-chunks outside the window, so a
-        # shard inserts exactly the pieces the single tree would place in
-        # its chunks.  ``None`` (the default) owns every chunk.
+        # bounds are open).  A fanned-out bulk load (:mod:`repro.core.shard`)
+        # gives each worker's tree a disjoint window over a *shared* grid:
+        # the sub-chunk walk skips what lies outside the window, so a worker
+        # inserts exactly the pieces the whole load would place in its
+        # chunks.  ``None`` (the default) owns every chunk.
         self.chunk_range = chunk_range
         self._subchunks: dict[tuple[int, int], SubChunk] = {}
         self._rtrees: dict[str, RTree3D[RID]] = {}
@@ -312,6 +311,30 @@ class ReTraTree:
         self._rtrees[partition_name].insert(sub.bbox, rid)
         return rid
 
+    def _open_entry(self, subchunk: SubChunk, representative: SubTrajectory) -> ClusterEntry:
+        """A fresh level-3 entry under the next cluster id, its member partition empty.
+
+        The caller lists it in ``subchunk.entries`` once it has members.
+        """
+        entry = ClusterEntry(
+            cluster_id=self._next_cluster_id,
+            representative=representative,
+            partition_name=(
+                f"{self.name}_part_{subchunk.chunk_idx}_{subchunk.sub_idx}_"
+                f"{self._next_cluster_id}"
+            ),
+        )
+        self._next_cluster_id += 1
+        self.storage.get_or_create(entry.partition_name)
+        self._rtrees[entry.partition_name] = RTree3D(max_entries=16)
+        return entry
+
+    def _archive_member(self, entry: ClusterEntry, sub: SubTrajectory) -> None:
+        """Archive ``sub`` into ``entry``'s partition and grow its count and bbox."""
+        self._archive(entry.partition_name, sub)
+        entry.member_count += 1
+        entry.expand_bbox(sub.bbox)
+
     def _load_partition(self, partition_name: str) -> list[SubTrajectory]:
         info = self.storage.get(partition_name)
         out = []
@@ -339,17 +362,17 @@ class ReTraTree:
 
     # -- insertion ----------------------------------------------------------------------
 
-    def insert_trajectory(self, traj: Trajectory) -> set[tuple[int, int]]:
-        """Insert a whole trajectory: cut at sub-chunk boundaries and insert each piece.
+    def _owned_subchunks(self, traj: Trajectory) -> Iterator[tuple[int, int]]:
+        """Keys of the owned sub-chunks ``traj``'s lifespan crosses, in time order.
 
-        Returns the keys of the sub-chunks that received a piece.
+        The one sub-chunk cursor walk: from the sub-chunk holding the
+        trajectory's first instant, hop just past each sub-chunk's end until
+        the one holding its last instant.  Sub-chunks outside this tree's
+        :attr:`chunk_range` are skipped.
         """
         params = self._ensure_params(traj)
         assert params.delta is not None
-        self.stats.trajectories_inserted += 1
         end_chunk = self._locate(traj.period.tmax)
-        touched: set[tuple[int, int]] = set()
-        # Enumerate sub-chunks from the first to the last the trajectory touches.
         cursor = traj.period.tmin
         seen: set[tuple[int, int]] = set()
         while True:
@@ -357,17 +380,24 @@ class ReTraTree:
             if key not in seen:
                 seen.add(key)
                 if self._owns_chunk(key[0]):
-                    period = self._subchunk_period(*key)
-                    piece = traj.slice_period(period)
-                    if piece is not None:
-                        touched.add(
-                            self.insert_subtrajectory(
-                                subtrajectory_from_slice(traj, piece)
-                            )
-                        )
+                    yield key
             if key == end_chunk or cursor >= traj.period.tmax:
                 break
             cursor = self._subchunk_period(*key).tmax + params.delta * 1e-9
+
+    def insert_trajectory(self, traj: Trajectory) -> set[tuple[int, int]]:
+        """Insert a whole trajectory: cut at sub-chunk boundaries and insert each piece.
+
+        Returns the keys of the sub-chunks that received a piece.
+        """
+        self.stats.trajectories_inserted += 1
+        touched: set[tuple[int, int]] = set()
+        for key in self._owned_subchunks(traj):
+            piece = traj.slice_period(self._subchunk_period(*key))
+            if piece is not None:
+                touched.add(
+                    self.insert_subtrajectory(subtrajectory_from_slice(traj, piece))
+                )
         return touched
 
     def insert_subtrajectory(self, sub: SubTrajectory) -> tuple[int, int]:
@@ -468,25 +498,13 @@ class ReTraTree:
         archived: set[tuple[str, str]] = set()
         for cluster in result.clusters:
             rep_parent = key_map[cluster.representative.parent_key]
-            entry = ClusterEntry(
-                cluster_id=self._next_cluster_id,
-                representative=rep_parent,
-                partition_name=(
-                    f"{self.name}_part_{subchunk.chunk_idx}_{subchunk.sub_idx}_"
-                    f"{self._next_cluster_id}"
-                ),
-            )
-            self._next_cluster_id += 1
-            self.storage.get_or_create(entry.partition_name)
-            self._rtrees[entry.partition_name] = RTree3D(max_entries=16)
+            entry = self._open_entry(subchunk, rep_parent)
             for member in cluster.members:
                 original = key_map[member.parent_key]
                 if original.traj.key in archived:
                     continue
                 archived.add(original.traj.key)
-                self._archive(entry.partition_name, original)
-                entry.member_count += 1
-                entry.expand_bbox(original.bbox)
+                self._archive_member(entry, original)
             if entry.member_count > 0:
                 subchunk.entries.append(entry)
                 subchunk.touch_entries()
@@ -503,9 +521,7 @@ class ReTraTree:
             archived.add(original.traj.key)
             entry = self._best_entry(subchunk, original)
             if entry is not None:
-                self._archive(entry.partition_name, original)
-                entry.member_count += 1
-                entry.expand_bbox(original.bbox)
+                self._archive_member(entry, original)
                 self.stats.outliers_reinserted += 1
             else:
                 leftovers.append(original)
@@ -596,7 +612,7 @@ class ReTraTree:
         partition_frames: dict[tuple[int, int], MODFrame] = {}
         touched: set[tuple[int, int]] = set()
         for traj in trajs:
-            self._bulk_insert_from_frame(traj, partition_frames, frame, touched=touched)
+            touched |= self._bulk_insert_from_frame(traj, partition_frames, frame)
         # Localised finalize: only sub-chunks this batch touched are
         # candidates for an S2T re-clustering of their outlier buffers.
         for key in sorted(touched):
@@ -802,9 +818,8 @@ class ReTraTree:
         traj: Trajectory,
         partition_frames: dict[tuple[int, int], MODFrame],
         parent_frame: MODFrame,
-        touched: set[tuple[int, int]] | None = None,
-    ) -> None:
-        """Frame-native :meth:`insert_trajectory` used by the bulk load.
+    ) -> set[tuple[int, int]]:
+        """Frame-native :meth:`insert_trajectory` used by the bulk load and append.
 
         Walks the same sub-chunk cursor as :meth:`insert_trajectory`, but the
         per-sub-chunk piece comes from the sub-chunk's *partition frame* —
@@ -813,37 +828,22 @@ class ReTraTree:
         ``traj.slice_period`` concatenation per (trajectory, sub-chunk) pair.
         The slicing algorithms are row-for-row identical, so the inserted
         pieces (and therefore the resulting tree) match the incremental path
-        exactly.  ``touched``, when given, collects the keys of the
-        sub-chunks that received a piece (the append path's bookkeeping).
+        exactly.  Returns the keys of the sub-chunks that received a piece.
         """
-        params = self._ensure_params(traj)
-        assert params.delta is not None
         self.stats.trajectories_inserted += 1
-        end_chunk = self._locate(traj.period.tmax)
-        cursor = traj.period.tmin
-        seen: set[tuple[int, int]] = set()
-        while True:
-            key = self._locate(cursor)
-            if key not in seen:
-                seen.add(key)
-                if self._owns_chunk(key[0]):
-                    partition = partition_frames.get(key)
-                    if partition is None:
-                        partition = parent_frame.slice_period(
-                            self._subchunk_period(*key)
-                        )
-                        partition_frames[key] = partition
-                    row = partition.maybe_row_of(traj.key)
-                    if row is not None:
-                        piece = partition.trajectory_of(row)
-                        hit = self.insert_subtrajectory(
-                            subtrajectory_from_slice(traj, piece)
-                        )
-                        if touched is not None:
-                            touched.add(hit)
-            if key == end_chunk or cursor >= traj.period.tmax:
-                break
-            cursor = self._subchunk_period(*key).tmax + params.delta * 1e-9
+        touched: set[tuple[int, int]] = set()
+        for key in self._owned_subchunks(traj):
+            partition = partition_frames.get(key)
+            if partition is None:
+                partition = parent_frame.slice_period(self._subchunk_period(*key))
+                partition_frames[key] = partition
+            row = partition.maybe_row_of(traj.key)
+            if row is not None:
+                piece = partition.trajectory_of(row)
+                touched.add(
+                    self.insert_subtrajectory(subtrajectory_from_slice(traj, piece))
+                )
+        return touched
 
     @classmethod
     def build(
@@ -856,51 +856,44 @@ class ReTraTree:
     ) -> "ReTraTree":
         """Build a ReTraTree over an existing MOD (bulk load + finalize).
 
-        ``frame`` is the MOD's columnar snapshot (the engine passes its
-        cached catalog entry); built here otherwise.  The bulk load derives
-        each sub-chunk's pieces from *partition frames* sliced off this
-        parent frame rather than re-concatenating trajectory objects
-        per piece.
+        Resolves the grid — origin and parameters — over the whole MOD and
+        runs :meth:`bulk_load` with no ``chunk_range``.  ``frame`` is the
+        MOD's columnar snapshot (the engine passes its cached catalog
+        entry); built here otherwise.
         """
-        ReTraTree.build_calls += 1
-        tree = cls(params=params, storage=storage, name=name)
         if len(mod) == 0:
-            return tree
-        tree.origin = mod.period.tmin
-        tree.params = (params or QuTParams()).resolved(mod)
+            ReTraTree.build_calls += 1
+            return cls(params=params, storage=storage, name=name)
         if frame is None:
             frame = MODFrame.from_mod(mod)
-        partition_frames: dict[tuple[int, int], MODFrame] = {}
-        for traj in mod:
-            tree._bulk_insert_from_frame(traj, partition_frames, frame)
-        tree.finalize()
-        return tree
+        raw = params or QuTParams()
+        return cls.bulk_load(
+            frame, raw, raw.resolved(mod), mod.period.tmin, storage=storage, name=name
+        )
 
     @classmethod
-    def build_shard(
+    def bulk_load(
         cls,
         frame: MODFrame,
         params: QuTParams,
         resolved: QuTParams,
         origin: float,
-        chunk_range: tuple[int | None, int | None] | None,
+        chunk_range: tuple[int | None, int | None] | None = None,
         storage: StorageManager | None = None,
         name: str = "retratree",
     ) -> "ReTraTree":
-        """Bulk-load one shard of a sharded deployment from a dataset frame.
+        """The one bulk load: walk a dataset frame's rows into a fresh tree.
 
-        The sharded execution layer (:mod:`repro.core.shard`) hands every
-        shard the *whole* dataset frame (free over shared memory) plus the
-        globally resolved grid — ``origin`` and ``resolved`` come from the
-        full MOD, not from the shard's slice — and a disjoint
-        ``chunk_range`` ownership window.  The bulk load then walks the
-        frame's rows in dataset order, exactly like :meth:`build`, but the
-        :attr:`chunk_range` gate keeps only the pieces falling in this
-        shard's level-1 chunks.  Because the grid, the parameters, the
-        partition frames and the walk order are all identical to the single
-        tree's, each shard's sub-chunks are bit-identical to the
-        corresponding sub-chunks of a single-tree build — the invariant
-        scatter-gather QuT relies on.
+        The grid — ``origin`` and ``resolved`` — comes from the *whole*
+        dataset, never from ``chunk_range``'s slice of it.  Rows are walked
+        in dataset order and each sub-chunk's pieces derive from *partition
+        frames* sliced off ``frame`` (one batched pass per sub-chunk rather
+        than a concatenation per piece).  ``chunk_range`` keeps only the
+        pieces falling in that window of level-1 chunks: a fanned-out load
+        (:mod:`repro.core.shard`) runs one of these per disjoint window, and
+        because grid, parameters, partition frames and walk order are those
+        of the unrestricted load, each window's sub-chunks are bit-identical
+        to the corresponding sub-chunks of a whole load.
         """
         ReTraTree.build_calls += 1
         tree = cls(
@@ -913,8 +906,6 @@ class ReTraTree:
         tree.params = resolved
         partition_frames: dict[tuple[int, int], MODFrame] = {}
         for row in range(len(frame)):
-            tree._bulk_insert_from_frame(
-                frame.trajectory_of(row), partition_frames, frame
-            )
+            tree._bulk_insert_from_frame(frame.trajectory_of(row), partition_frames, frame)
         tree.finalize()
         return tree

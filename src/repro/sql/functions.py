@@ -94,10 +94,10 @@ def _opt_str(args: tuple, idx: int, default: str) -> str:
 def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``QUT(D, Wi, We [, tau, delta, t, d, gamma, shards])``
 
-    ``shards`` selects the index layout: ``N >= 2`` builds (or reuses) a
-    sharded ReTraTree deployment whose scatter-gather answers are
-    bit-identical to the single tree's; omitted/NULL accepts whatever
-    layout is cached or persisted.
+    ``shards`` only says how a *needed* ReTraTree bulk load runs: ``N >= 2``
+    fans it out over ``N`` chunk windows on the worker pool.  The tree — and
+    so the answer — is the same for every value, and a cached or persisted
+    tree is reused whatever ``shards`` says.
     """
     dataset = _require_dataset(args, "QUT")
     wi = _opt_float(args, 1)

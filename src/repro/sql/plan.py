@@ -267,9 +267,9 @@ class QuTPlan(LogicalPlan):
     """QuT query-window clustering (``SELECT QUT(D, Wi, We, tau, delta, t, d,
     gamma, shards)`` / ``conn.dataset(D).qut(wi, we, ...)``).
 
-    ``shards`` selects the index layout (``N`` shard-local ReTraTrees with
-    scatter-gather queries; ``None`` accepts whatever layout exists) — any
-    value returns bit-identical clusters.
+    ``shards`` fans a *needed* ReTraTree bulk load out over ``N`` chunk
+    windows; an existing tree is reused whatever its value — any value
+    returns bit-identical clusters.
     """
 
     dataset: str

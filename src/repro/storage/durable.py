@@ -39,7 +39,7 @@ Manifest schema (``format_version`` 4 — the only format read or written)
           "<name>__dataset_g<M>",          #   then every delta
         "row_keys": [[obj, traj], …]
       }, …],
-      "tree": null | {                     # single-tree layout:
+      "tree": null | {                     # the dataset's index:
         "name", "origin", "next_cluster_id",   # ReTraTree.to_manifest() …
         "params": {…}, "raw_params": {…},  # QuTParams.to_dict()
         "chunk_range": null | [lo, hi],
@@ -58,13 +58,6 @@ Manifest schema (``format_version`` 4 — the only format read or written)
         "dataset_state": [str, …]          # … plus the base+delta partitions
       },                                   #   the tree indexes; a mismatch
                                            #   means stale => rebuild
-      "shards": null | {                   # sharded layout (mutually
-        "count": int, "plan": {…},         #   exclusive with "tree"):
-        "origin": float,                   #   ShardPlan.to_manifest(), the
-        "params": {…}, "raw_params": {…},  #   shared grid and parameters,
-        "dataset_state": [str, …],
-        "trees": [{…}, …]                  #   one tree structure per shard,
-      },                                   #   reps in "<name>_s<i>__reps_g<K>"
       "checksums": {                       # per-page CRC32s of every referenced
         "<partition>": [int, …], …         #   partition, computed at commit,
       },                                   #   verified on first cold open
@@ -94,7 +87,7 @@ runs one, and so does every cold open).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Protocol
 
@@ -145,12 +138,9 @@ def _length(value: object) -> int | None:
 
 
 def _tree_section(manifest: Manifest) -> Manifest | None:
-    """The persisted index section — ``tree`` or ``shards`` — if any."""
-    for key in ("tree", "shards"):
-        if isinstance(manifest.get(key), dict):
-            section: Manifest = manifest[key]
-            return section
-    return None
+    """The persisted index section, if any."""
+    section = manifest.get("tree")
+    return section if isinstance(section, dict) else None
 
 
 def manifest_partitions(manifest: Manifest) -> Iterator[tuple[str, object, str]]:
@@ -158,8 +148,7 @@ def manifest_partitions(manifest: Manifest) -> Iterator[tuple[str, object, str]]
 
     ``role`` is ``"base"``, ``"delta:<i>"`` (``i`` indexes ``deltas``) or
     ``"tree"`` (representatives, members and unclustered partitions of the
-    single tree or of every shard tree) — it decides what losing the
-    partition costs.  Dataset partitions come first, in decode order.
+    index) — it decides what losing the partition costs.  Dataset partitions come first, in decode order.
     Counts are the raw manifest values (``None`` when not recorded); a
     manifest under diagnosis may hold anything there, so callers that act
     on a count coerce it themselves.
@@ -169,22 +158,19 @@ def manifest_partitions(manifest: Manifest) -> Iterator[tuple[str, object, str]]
     for i, delta in enumerate(_items(manifest.get("deltas"))):
         if isinstance(delta, dict) and isinstance(delta.get("partition"), str):
             yield delta["partition"], _length(delta.get("row_keys")), f"delta:{i}"
-    trees = [manifest.get("tree")]
-    if isinstance(manifest.get("shards"), dict):
-        trees.extend(_items(manifest["shards"].get("trees")))
-    for tree in trees:
-        if not isinstance(tree, dict):
+    tree = _tree_section(manifest)
+    if tree is None:
+        return
+    if isinstance(tree.get("reps_partition"), str):
+        yield tree["reps_partition"], tree.get("reps_count"), "tree"
+    for sc in _items(tree.get("subchunks")):
+        if not isinstance(sc, dict):
             continue
-        if isinstance(tree.get("reps_partition"), str):
-            yield tree["reps_partition"], tree.get("reps_count"), "tree"
-        for sc in _items(tree.get("subchunks")):
-            if not isinstance(sc, dict):
-                continue
-            if isinstance(sc.get("unclustered_partition"), str):
-                yield sc["unclustered_partition"], sc.get("unclustered_count"), "tree"
-            for entry in _items(sc.get("entries")):
-                if isinstance(entry, dict) and isinstance(entry.get("partition"), str):
-                    yield entry["partition"], entry.get("member_count"), "tree"
+        if isinstance(sc.get("unclustered_partition"), str):
+            yield sc["unclustered_partition"], sc.get("unclustered_count"), "tree"
+        for entry in _items(sc.get("entries")):
+            if isinstance(entry, dict) and isinstance(entry.get("partition"), str):
+                yield entry["partition"], entry.get("member_count"), "tree"
 
 
 def dataset_state(manifest: Manifest) -> list[str]:
@@ -288,6 +274,9 @@ def commit_manifest(storage: StorageManager, manifest: Manifest, fresh: set[str]
     """
     if fresh:
         storage.checkpoint()
+    # The retired sharded-layout section of a store written before there was
+    # one index: its trees are unreferenced (swept), so the index rebuilds.
+    manifest.pop("shards", None)
     manifest["format_version"] = MANIFEST_FORMAT
     referenced = [name for name, _, _ in manifest_partitions(manifest)]
     old = manifest.get("checksums")
@@ -467,13 +456,11 @@ class DurableCatalog:
             ) from exc
 
     def tree_section(self, name: str) -> Manifest | None:
-        """The persisted index section, if it is current for the dataset.
+        """The persisted ``tree`` section, if it is current for the dataset.
 
-        Returns the manifest's ``tree`` section (single-tree layout) or
-        ``shards`` section (which has a ``trees`` list), as a dict for the
-        caller to rebuild from; ``None`` when nothing is persisted or the
-        section's ``dataset_state`` no longer matches the manifest's base +
-        delta partitions — the dataset moved on without the tree being
+        ``None`` when nothing is persisted or the section's
+        ``dataset_state`` no longer matches the manifest's base + delta
+        partitions — the dataset moved on without the tree being
         maintained, so the caller rebuilds.
         """
         manifest = self._committed(self._storages.get(name))
@@ -524,40 +511,25 @@ class DurableCatalog:
             row_keys.append(list(traj.key))
         return row_keys
 
-    def _stage_trees(
+    def _stage_tree(
         self,
         storage: StorageManager,
         name: str,
         seed: int,
         manifest: Manifest,
-        trees: Sequence[_TreeStructure],
-        shards: Manifest | None,
+        tree: _TreeStructure,
     ) -> set[str]:
-        """Serialise an index into ``manifest``; return its partitions.
+        """Serialise the index into ``manifest``; return its partitions.
 
-        Every tree writes its representatives into a *fresh* partition —
-        ``<name>__reps_g<N>``, or ``<name>_s<i>__reps_g<N>`` per shard — so
-        the records a committed manifest's RIDs resolve against are never
-        rewritten under it.  The ``tree`` and ``shards`` sections are
-        mutually exclusive: staging one layout nulls the other, so a
-        relayout commits atomically with the manifest write.
+        The tree writes its representatives into a *fresh* partition
+        (``<name>__reps_g<N>``), so the records a committed manifest's RIDs
+        resolve against are never rewritten under it.
         """
-        state = dataset_state(manifest)
-        stems = (
-            [f"{name}__reps_g"]
-            if shards is None
-            else [f"{name}_s{i}__reps_g" for i in range(len(trees))]
-        )
-        sections = [
-            tree.to_manifest(reps_partition=self._fresh_partition(storage, stem, seed, manifest))
-            for tree, stem in zip(trees, stems)
-        ]
-        if shards is None:
-            manifest["tree"] = {**sections[0], "dataset_state": state}
-            manifest["shards"] = None
-        else:
-            manifest["tree"] = None
-            manifest["shards"] = {**shards, "dataset_state": state, "trees": sections}
+        reps = self._fresh_partition(storage, f"{name}__reps_g", seed, manifest)
+        manifest["tree"] = {
+            **tree.to_manifest(reps_partition=reps),
+            "dataset_state": dataset_state(manifest),
+        }
         # Incremental maintenance mutates member/unclustered heapfiles in
         # place, so every tree partition counts as touched by this commit.
         return {part for part, _, role in manifest_partitions(manifest) if role == "tree"}
@@ -581,7 +553,6 @@ class DurableCatalog:
             "row_keys": self._archive(storage, partition, trajectories),
             "deltas": [],
             "tree": None,
-            "shards": None,
         }
         commit_manifest(storage, manifest, {partition})
         self._pending.pop(name, None)
@@ -592,13 +563,11 @@ class DurableCatalog:
         name: str,
         trajectories: Iterable[Trajectory],
         seed: int,
-        trees: Sequence[_TreeStructure] | None = None,
-        shards: Manifest | None = None,
+        tree: _TreeStructure | None = None,
     ) -> bool:
         """Commit an append batch as a delta partition, with the maintained index.
 
-        ``trees`` (and, for the sharded layout, the ``shards`` section
-        header) is the index that absorbed the batch; one manifest write
+        ``tree`` is the index that absorbed the batch; one manifest write
         commits dataset *and* index, one state.  Without it a persisted
         section keeps its old ``dataset_state`` — which no longer matches,
         making the staleness explicit.  Returns ``False``, committing
@@ -616,19 +585,13 @@ class DurableCatalog:
             {"partition": partition, "row_keys": row_keys},
         ]
         fresh = {partition}
-        if trees is not None:
-            fresh |= self._stage_trees(storage, name, seed, manifest, trees, shards)
+        if tree is not None:
+            fresh |= self._stage_tree(storage, name, seed, manifest, tree)
         commit_manifest(storage, manifest, fresh)
         return True
 
-    def commit_tree(
-        self,
-        name: str,
-        seed: int,
-        trees: Sequence[_TreeStructure],
-        shards: Manifest | None = None,
-    ) -> None:
-        """Commit a freshly built index: ``[tree]``, or the shard trees + header.
+    def commit_tree(self, name: str, seed: int, tree: _TreeStructure) -> None:
+        """Commit a freshly built index.
 
         Without a committed manifest this is a no-op: the built tree keeps
         serving its process and a cold successor rebuilds — never a failure
@@ -637,7 +600,7 @@ class DurableCatalog:
         storage = self.storage(name)
         manifest = self._committed(storage)
         if manifest is not None:
-            fresh = self._stage_trees(storage, name, seed, manifest, trees, shards)
+            fresh = self._stage_tree(storage, name, seed, manifest, tree)
             commit_manifest(storage, manifest, fresh)
 
     def forget_tree(self, name: str) -> None:
@@ -654,7 +617,7 @@ class DurableCatalog:
         if _tree_section(manifest) is None:
             sweep(storage, manifest)  # partitions of a build that never committed
             return
-        manifest["tree"] = manifest["shards"] = None
+        manifest["tree"] = None
         commit_manifest(storage, manifest, set())
 
     def drop(self, name: str) -> None:
@@ -696,7 +659,6 @@ class DurableCatalog:
             "delta_partitions": 0,
             "tree_persisted": False,
             "tree_stale": False,
-            "tree_shards": 0,
             "degraded": name in self._damaged
             or (persisted if manifest is None else bool(manifest.get("degraded"))),
         }
@@ -706,7 +668,6 @@ class DurableCatalog:
             if section is not None:
                 status["tree_persisted"] = True
                 status["tree_stale"] = section.get("dataset_state") != dataset_state(manifest)
-                status["tree_shards"] = int(section.get("count") or 1)
         return status
 
     def checkpoint(self) -> None:

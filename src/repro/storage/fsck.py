@@ -469,20 +469,14 @@ def _check_dataset(
         issue.repaired = True
         issue.action = action
         # Losing a delta invalidates any tree serialised over it.
-        if manifest.get("tree") is not None or manifest.get("shards") is not None:
+        if manifest.get("tree") is not None:
             damaged_roles.setdefault("tree", issue)
         manifest_dirty = True
 
-    if "tree" in damaged_roles and (
-        manifest.get("tree") is not None or manifest.get("shards") is not None
-    ):
-        # Reset every serialised tree structure — the single ``tree``
-        # section or the per-shard trees of a ``shards`` section: one
-        # shard's corruption invalidates the sharded facade as a whole, and
-        # the rebuild restores whichever layout the next query asks for.
-        # The partitions become unreferenced; the commit's sweep removes them.
+    if "tree" in damaged_roles and manifest.get("tree") is not None:
+        # Reset the serialised tree structure; its partitions become
+        # unreferenced and the commit's sweep removes them.
         manifest["tree"] = None
-        manifest["shards"] = None
         for role, issue in damaged_issues:
             if role == "tree" and not issue.repaired:
                 issue.repaired = True
@@ -493,12 +487,7 @@ def _check_dataset(
         manifest_dirty = True
     # Tree-role issues on an already-reset tree ride on that reset.
     for role, issue in damaged_issues:
-        if (
-            role == "tree"
-            and not issue.repaired
-            and manifest.get("tree") is None
-            and manifest.get("shards") is None
-        ):
+        if role == "tree" and not issue.repaired and manifest.get("tree") is None:
             issue.repaired = True
             issue.action = "tree entry reset; next query rebuilds"
 

@@ -236,6 +236,61 @@ class TestRestartRecovery:
         fresh.load_mod("lanes", mod)
         assert answer(reopened) == answer(fresh.qut("lanes", window))
 
+    def test_store_with_a_retired_shards_section_opens_and_rebuilds(self, warm, tmp_path):
+        """What ``retratree(shards=N)`` persisted before there was one index:
+        ``tree`` null, a ``shards`` section of per-shard trees over
+        ``<dataset>_s<i>_…`` partitions.  Such a store opens and serves its
+        dataset; the section is not read, so the index rebuilds on first
+        use, and the commit that follows sweeps the old partitions and drops
+        the key."""
+        import json
+
+        from repro.storage.catalog import manifest_checksum
+        from repro.storage.durable import manifest_partitions
+        from repro.storage.fsck import fsck_store
+
+        engine, mod = warm
+        window = query_window(mod)
+        expected = membership_signature(engine.qut("lanes", window))
+        engine.close()
+        directory = tmp_path / "engine" / "lanes"
+        manifest = json.loads((directory / MANIFEST_FILENAME).read_text())
+        text = json.dumps(manifest["tree"])
+        for part in [p for p, _, role in manifest_partitions(manifest) if role == "tree"]:
+            shard_part = part.replace("lanes_", "lanes_s0_", 1)
+            (directory / f"{part}.part").rename(directory / f"{shard_part}.part")
+            manifest["checksums"][shard_part] = manifest["checksums"].pop(part)
+            text = text.replace(json.dumps(part), json.dumps(shard_part))
+        shard_tree = json.loads(text)
+        shard_tree["name"] = "lanes_s0"
+        manifest["tree"] = None
+        manifest["shards"] = {
+            "count": 3,
+            "plan": {"count": 3, "n_chunks": 1, "ranges": [[None, None]]},
+            "origin": shard_tree["origin"],
+            "params": shard_tree["params"],
+            "raw_params": shard_tree["raw_params"],
+            "dataset_state": shard_tree.pop("dataset_state"),
+            "trees": [shard_tree],
+        }
+        manifest["manifest_crc"] = manifest_checksum(manifest)
+        (directory / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+
+        cold = HermesEngine.on_disk(tmp_path / "engine")
+        assert cold.datasets() == ["lanes"]
+        assert len(cold.get_mod("lanes")) == len(mod)
+        assert not cold.artifact_status("lanes")["tree_persisted"]
+        builds_before = ReTraTree.build_calls
+        assert membership_signature(cold.qut("lanes", window)) == expected
+        assert ReTraTree.build_calls == builds_before + 1
+        assert not cold.retratree("lanes").recovered
+        cold.close()
+
+        rewritten = json.loads((directory / MANIFEST_FILENAME).read_text())
+        assert "shards" not in rewritten and isinstance(rewritten["tree"], dict)
+        assert not list(directory.glob("lanes_s0_*"))
+        assert fsck_store(tmp_path / "engine").issues == []
+
     def test_corrupt_manifest_skips_only_that_dataset(self, warm, tmp_path, flights_small):
         """Unparseable JSON in one manifest must not brick construction or
         hide the healthy datasets."""
@@ -341,27 +396,25 @@ class TestManifestHygiene:
         engine.append("lanes", [type(some)("late", "0", some.xs, some.ys, some.ts)])
         path = tmp_path / "engine" / "lanes" / MANIFEST_FILENAME
         single = json.loads(path.read_text())
-        engine.retratree("lanes", shards=2)
-        sharded = json.loads(path.read_text())
+        engine.retratree("lanes", shards=2, rebuild=True)
+        fanned = json.loads(path.read_text())
         engine.close()
 
         root_keys = {
             "format_version", "dataset", "frame_partition", "row_keys", "deltas",
-            "tree", "shards", "checksums", "manifest_crc",
+            "tree", "checksums", "manifest_crc",
         }
         tree_keys = {
             "name", "origin", "next_cluster_id", "params", "raw_params", "chunk_range",
             "reps_partition", "reps_count", "subchunks",
         }
-        assert set(single) == root_keys and set(sharded) == root_keys
+        assert set(single) == root_keys and set(fanned) == root_keys
         assert single["format_version"] == 4
-        assert single["shards"] is None and sharded["tree"] is None
         assert set(single["deltas"][0]) == {"partition", "row_keys"}
-        assert set(single["tree"]) == tree_keys | {"dataset_state"}
-        assert set(sharded["shards"]) == {
-            "count", "plan", "origin", "params", "raw_params", "dataset_state", "trees",
-        }
-        assert all(set(tree) == tree_keys for tree in sharded["shards"]["trees"])
+        # One index section, whatever fan-out built the tree.
+        for manifest in (single, fanned):
+            assert set(manifest["tree"]) == tree_keys | {"dataset_state"}
+            assert manifest["tree"]["chunk_range"] is None
         subchunk = next(sc for sc in single["tree"]["subchunks"] if sc["entries"])
         assert set(subchunk) == {
             "chunk_idx", "sub_idx", "period",
@@ -374,8 +427,7 @@ class TestManifestHygiene:
         assert re.fullmatch(r"lanes__dataset_g\d+", single["frame_partition"])
         assert re.fullmatch(r"lanes__dataset_g\d+", single["deltas"][0]["partition"])
         assert re.fullmatch(r"lanes__reps_g\d+", single["tree"]["reps_partition"])
-        for i, tree in enumerate(sharded["shards"]["trees"]):
-            assert re.fullmatch(rf"lanes_s{i}__reps_g\d+", tree["reps_partition"])
+        assert re.fullmatch(r"lanes__reps_g\d+", fanned["tree"]["reps_partition"])
         assert single["tree"]["dataset_state"] == [
             single["frame_partition"], single["deltas"][0]["partition"],
         ]

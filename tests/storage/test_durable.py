@@ -91,8 +91,8 @@ class TestCommitAndReopen:
         assert catalog.pending() == []
         catalog.commit_dataset("d", base, seed=1)
         tree = FakeTree(catalog.storage("d"), "d", base)
-        catalog.commit_tree("d", 1, [tree])
-        assert catalog.commit_append("d", batch, 2, [tree])
+        catalog.commit_tree("d", 1, tree)
+        assert catalog.commit_append("d", batch, 2, tree)
         catalog.close()
 
         manifest = manifest_of(tmp_path)
@@ -121,34 +121,13 @@ class TestCommitAndReopen:
         catalog = DurableCatalog(tmp_path)
         base = trajectories("b", 3)
         catalog.commit_dataset("d", base, 1)
-        catalog.commit_tree("d", 1, [FakeTree(catalog.storage("d"), "d", base)])
+        catalog.commit_tree("d", 1, FakeTree(catalog.storage("d"), "d", base))
         assert catalog.commit_append("d", trajectories("n", 1), 2)
         assert catalog.status("d")["tree_stale"]
         assert catalog.tree_section("d") is None  # the caller rebuilds
         catalog.forget_tree("d")
         manifest = manifest_of(tmp_path)
-        assert manifest["tree"] is None and manifest["shards"] is None
-        assert files(tmp_path / "d") == referenced_files(manifest)
-        catalog.close()
-
-    def test_sharded_layout_replaces_the_single_tree(self, tmp_path):
-        catalog = DurableCatalog(tmp_path)
-        base = trajectories("b", 4)
-        catalog.commit_dataset("d", base, 1)
-        storage = catalog.storage("d")
-        catalog.commit_tree("d", 1, [FakeTree(storage, "d", base)])
-        catalog.forget_tree("d")  # before the rebuild: it sweeps every tree partition
-        shards = [FakeTree(storage, f"d_s{i}", base[i::2]) for i in range(2)]
-        catalog.commit_tree("d", 1, shards, {"count": 2, "plan": {"ranges": []}})
-        manifest = manifest_of(tmp_path)
-        assert manifest["tree"] is None
-        assert manifest["shards"]["count"] == 2
-        assert [t["reps_partition"] for t in manifest["shards"]["trees"]] == [
-            "d_s0__reps_g1",
-            "d_s1__reps_g1",
-        ]
-        assert catalog.tree_section("d")["trees"] == manifest["shards"]["trees"]
-        assert catalog.status("d")["tree_shards"] == 2
+        assert manifest["tree"] is None and "shards" not in manifest
         assert files(tmp_path / "d") == referenced_files(manifest)
         catalog.close()
 
@@ -196,14 +175,14 @@ class TestCrashAtEveryOpOfOneCommit:
         seed_root = tmp_path / "seed"
         catalog = DurableCatalog(seed_root)
         catalog.commit_dataset("d", base, 1)
-        catalog.commit_tree("d", 1, [FakeTree(catalog.storage("d"), "d", base)])
+        catalog.commit_tree("d", 1, FakeTree(catalog.storage("d"), "d", base))
         catalog.close()
         pre = manifest_of(seed_root)
 
         def append(root, io):
             catalog = DurableCatalog(root, io=io)
             tree = FakeTree(catalog.storage("d"), "d", batch, already=len(base))
-            catalog.commit_append("d", batch, 2, [tree])
+            catalog.commit_append("d", batch, 2, tree)
             return catalog
 
         counted = tmp_path / "count"
@@ -242,7 +221,7 @@ class TestSweepDeletesExactlyTheUnreferenced:
         catalog = DurableCatalog(tmp_path)
         base = trajectories("b", 3)
         catalog.commit_dataset(name, base, 1)
-        catalog.commit_tree(name, 1, [FakeTree(catalog.storage(name), name, base)])
+        catalog.commit_tree(name, 1, FakeTree(catalog.storage(name), name, base))
         directory = tmp_path / name
         debris = [
             f"{name}__dataset_g99.part",  # a crashed append's delta
@@ -263,7 +242,7 @@ class TestSweepDeletesExactlyTheUnreferenced:
         catalog = DurableCatalog(tmp_path)
         base = trajectories("b", 3)
         catalog.commit_dataset("d", base, 1)
-        catalog.commit_tree("d", 1, [FakeTree(catalog.storage("d"), "d", base)])
+        catalog.commit_tree("d", 1, FakeTree(catalog.storage("d"), "d", base))
         catalog.commit_dataset("d", trajectories("r", 2), 5)
         manifest = manifest_of(tmp_path)
         assert manifest["frame_partition"] == "d__dataset_g5"
