@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint docs docs-strict bench bench-compare clean-docs
+.PHONY: test lint docs docs-strict bench bench-qut bench-compare clean-docs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -25,6 +25,23 @@ docs-draft:
 # The repository's benchmark (BENCHMARK.json): all five workloads, seed 1.
 bench:
 	$(PYTHON) benchmarks/e2e/run.py
+
+# The three durable workloads (QuT read path, append beside QuT, cold open),
+# three runs each, merged into one result set for `make bench-compare`
+# (`run.py --repeat N --out` itself only covers the all-workload run):
+#   make bench-qut OUT=change.json
+QUT_WORKLOADS = qut_progressive ingest_stream cold_recovery
+OUT ?= benchmarks/e2e/out/bench-qut.json
+SEED ?= 1
+bench-qut:
+	for i in 1 2 3; do for w in $(QUT_WORKLOADS); do \
+		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seed $(SEED) || exit $$?; \
+		cp benchmarks/e2e/out/result-$$w.json benchmarks/e2e/out/bench-qut-$$w-$$i.json; \
+	done; done
+	$(PYTHON) -c 'import json, sys; out, *names = sys.argv[1:]; \
+		runs = {w: [json.load(open(f"benchmarks/e2e/out/bench-qut-{w}-{i}.json")) for i in (1, 2, 3)] for w in names}; \
+		json.dump({"trace": False, "runs": runs}, open(out, "w"), indent=1)' $(OUT) $(QUT_WORKLOADS)
+	@echo "wrote $(OUT)"
 
 # Judge two result sets (`run.py --repeat N --out X.json`), metric by metric:
 #   make bench-compare A=parent.json B=change.json

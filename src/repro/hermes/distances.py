@@ -12,6 +12,9 @@ implemented here is what the clustering modules and the baselines need:
 * :func:`closest_approach_distance` -- minimum synchronous distance,
 * :func:`hausdorff_distance` -- spatial Hausdorff distance (time-agnostic,
   used by TRACLUS-style comparisons),
+* :func:`hausdorff_distance_batch` -- the same distance from one trajectory
+  to every row of a frame (QuT's "same spatial path" merge test over a
+  sub-chunk's representative frame),
 * :func:`dtw_distance` -- dynamic time warping on the spatial footprint,
 * :func:`lcss_similarity` -- longest common subsequence similarity,
 * :func:`segment_trajectory_distance` -- distance between one 3D segment and
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.hermes.frame import MAX_BATCH_CELLS, MODFrame
 from repro.hermes.interpolation import common_time_grid, synchronize
@@ -37,6 +41,7 @@ __all__ = [
     "spatiotemporal_distance_batch",
     "closest_approach_distance",
     "hausdorff_distance",
+    "hausdorff_distance_batch",
     "dtw_distance",
     "lcss_similarity",
     "segment_trajectory_distance",
@@ -67,7 +72,7 @@ def spatiotemporal_distance_batch(
     frame: MODFrame,
     traj: Trajectory,
     max_samples: int = 128,
-) -> np.ndarray:
+) -> npt.NDArray[np.float64]:
     """:func:`spatiotemporal_distance` from ``traj`` to every row of ``frame``.
 
     Returns a ``(len(frame),)`` array; rows whose lifespan does not overlap
@@ -134,6 +139,42 @@ def hausdorff_distance(a: Trajectory, b: Trajectory) -> float:
     pb = np.column_stack([b.xs, b.ys])
     d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def hausdorff_distance_batch(frame: MODFrame, traj: Trajectory) -> npt.NDArray[np.float64]:
+    """:func:`hausdorff_distance` from every row of ``frame`` to ``traj``.
+
+    Returns a ``(len(frame),)`` array of finite distances, equal to
+    ``hausdorff_distance(frame row, traj)`` per row: the point-to-point
+    distances are the same ``hypot`` terms, only reduced per row with
+    ``reduceat`` over the frame's sample column instead of one matrix per
+    pair.
+
+    A caller thresholding the result at ``d`` can skip the call when no row
+    can pass: ``H(A, B) <= d`` puts every point of each set within ``d`` of
+    the other set, hence each bounding box inside the other's
+    ``d``-expansion — every bounding-box face of ``A`` lies within ``d`` of
+    the matching face of ``B``.
+    """
+    out = np.empty(len(frame))
+    if len(frame) == 0:
+        return out
+    # Chunk whole rows so one batch never materialises more than
+    # MAX_BATCH_CELLS (sample, point) cells.
+    longest = int(np.diff(frame.offsets).max())
+    chunk = max(1, MAX_BATCH_CELLS // (longest * traj.num_points))
+    for start in range(0, len(frame), chunk):
+        stop = min(start + chunk, len(frame))
+        lo, hi = frame.offsets[start], frame.offsets[stop]
+        d = np.hypot(
+            frame.xs[lo:hi, None] - traj.xs[None, :],
+            frame.ys[lo:hi, None] - traj.ys[None, :],
+        )
+        starts = frame.offsets[start:stop] - lo
+        forward = np.maximum.reduceat(d.min(axis=1), starts)
+        backward = np.minimum.reduceat(d, starts, axis=0).max(axis=1)
+        out[start:stop] = np.maximum(forward, backward)
+    return out
 
 
 def dtw_distance(a: Trajectory, b: Trajectory, window: int | None = None) -> float:

@@ -629,6 +629,17 @@ class MODFrame:
         np.clip(idx, lo, hi, out=idx)
 
         t_lo = self.ts[idx]
+        # The banded key ``(q - t0) + row * step`` carries fewer low bits
+        # than ``q`` itself, so an instant an ulp *below* a knot can round
+        # onto the knot's band value and bracket one segment late (the
+        # rounding is monotone, so never early).  Re-check against the true
+        # timestamps and step those brackets back: the bracket is then
+        # exactly ``searchsorted(row ts, q, "right") - 1``, the one
+        # :meth:`Trajectory.position_at` interpolates in.
+        late = t_lo > q
+        if late.any():
+            idx -= late
+            t_lo = self.ts[idx]
         dt = self.ts[idx + 1] - t_lo
         # dt > 0 always (timestamps are strictly increasing per trajectory).
         w = np.clip((q - t_lo) / dt, 0.0, 1.0)

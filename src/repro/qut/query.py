@@ -9,8 +9,9 @@ sub-trajectory clusters and outliers that temporally intersect ``W``:
    their archived members restricted to ``W`` and re-matched against the
    sub-chunk's representatives.
 3. **Merge**: clusters of temporally adjacent sub-chunks whose
-   representatives follow the same spatial path are stitched together, so a
-   flow that spans several sub-chunks is reported as one cluster.
+   representatives co-move or follow the same spatial path are stitched
+   together, so a flow that spans several sub-chunks is reported as one
+   cluster.
 4. **Filter**: clusters with fewer than ``gamma`` members are dissolved into
    outliers.
 
@@ -18,20 +19,38 @@ The point is that none of this re-runs the expensive voting/segmentation
 work: the cost is index lookups plus partition reads, which is why QuT beats
 the "range query + fresh index + S2T from scratch" alternative (benchmark
 E7 / the paper's scenario 2).
+
+The merge decision — do two cluster entries of adjacent sub-chunks continue
+each other — depends on the stored representatives only, never on the
+window, so it is read off the tree: one boolean merge-adjacency matrix per
+pair of adjacent sub-chunks, derived on first touch and invalidated on
+mutation (the "Derived state" section of :mod:`repro.qut.retratree`).  What
+happens here per window is which sub-chunks and entries it touches, the
+partition reads (member records stay on disk and are decoded per query,
+through the buffer pool), restricting the members of the (at most two)
+partially covered sub-chunks, and the connected components of the merge
+links among the entries present.  A window that re-touches a sub-chunk pair
+an earlier query touched since its last mutation measures no distance; the
+per-query deltas of the tree's read-path counters are reported in ``extras``
+(``partitions_decoded``, ``merge_pairs_evaluated``, ``rtrees_built``).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.hermes.distances import hausdorff_distance, spatiotemporal_distance
+import numpy as np
+
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory
 from repro.hermes.types import Period
-from repro.qut.retratree import ClusterEntry, ReTraTree, SubChunk, subtrajectory_from_slice
+from repro.qut.retratree import ReTraTree, SubChunk, subtrajectory_from_slice
 from repro.s2t.result import Cluster, ClusteringResult
 
 __all__ = ["QuTClustering"]
+
+# ReTraTreeStats read-path counters whose per-query deltas go into ``extras``.
+_READ_COUNTERS = ("partitions_decoded", "merge_pairs_evaluated", "rtrees_built")
 
 
 class QuTClustering:
@@ -64,22 +83,11 @@ class QuTClustering:
         if not subchunks:
             return self._empty_result(window, timings)
 
+        stats = self.tree.stats
+        before = [getattr(stats, name) for name in _READ_COUNTERS]
+
         t0 = time.perf_counter()
-        partial_clusters: list[tuple[SubChunk, ClusterEntry, list[SubTrajectory]]] = []
-        outliers: list[SubTrajectory] = []
-        for subchunk in subchunks:
-            fully_covered = window.contains_period(subchunk.period)
-            groups = [self.tree.load_members(entry) for entry in subchunk.entries]
-            pending = self.tree.load_unclustered(subchunk)
-            if not fully_covered:
-                # One batched frame restriction for the whole sub-chunk —
-                # every entry's members plus the unclustered set.
-                restricted = self._restrict_member_groups([*groups, pending], window)
-                groups, pending = restricted[:-1], restricted[-1]
-            for entry, members in zip(subchunk.entries, groups):
-                if members:
-                    partial_clusters.append((subchunk, entry, members))
-            outliers.extend(pending)
+        partial_clusters, outliers = self._load_partial_clusters(subchunks, window)
         timings["load"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -110,6 +118,10 @@ class QuTClustering:
             "window": (window.tmin, window.tmax),
             "subchunks_touched": len(subchunks),
             "entries_touched": sum(len(sc.entries) for sc in subchunks),
+            **{
+                name: getattr(stats, name) - count
+                for name, count in zip(_READ_COUNTERS, before)
+            },
             "tree_recovered": self.tree.recovered,
         }
         return result
@@ -127,9 +139,35 @@ class QuTClustering:
             "window": (window.tmin, window.tmax),
             "subchunks_touched": 0,
             "entries_touched": 0,
+            **dict.fromkeys(_READ_COUNTERS, 0),
             "tree_recovered": self.tree.recovered,
         }
         return result
+
+    def _load_partial_clusters(
+        self, subchunks: list[SubChunk], window: Period
+    ) -> tuple[list[tuple[SubChunk, int, list[SubTrajectory]]], list[SubTrajectory]]:
+        """Per sub-chunk, each entry's members inside ``window`` plus the outliers.
+
+        Returns ``(rows, outliers)``: one ``(sub-chunk, entry position,
+        members)`` row per entry with at least one member in the window, in
+        sub-chunk then entry order, and the unclustered sub-trajectories.
+        """
+        rows: list[tuple[SubChunk, int, list[SubTrajectory]]] = []
+        outliers: list[SubTrajectory] = []
+        for subchunk in subchunks:
+            groups = [self.tree.load_members(entry) for entry in subchunk.entries]
+            pending = self.tree.load_unclustered(subchunk)
+            if not window.contains_period(subchunk.period):
+                # One batched frame restriction for the whole sub-chunk —
+                # every entry's members plus the unclustered set.
+                restricted = self._restrict_member_groups([*groups, pending], window)
+                groups, pending = restricted[:-1], restricted[-1]
+            for position, members in enumerate(groups):
+                if members:
+                    rows.append((subchunk, position, members))
+            outliers.extend(pending)
+        return rows, outliers
 
     @staticmethod
     def _restrict_member_groups(
@@ -146,7 +184,8 @@ class QuTClustering:
         The frame slicing is row-for-row identical to
         :meth:`Trajectory.slice_period
         <repro.hermes.trajectory.Trajectory.slice_period>`, so each output
-        list matches :meth:`_restrict_members_loop` on its input exactly.
+        list matches the per-member loop on its input exactly (the oracle
+        lives in ``tests/qut/oracles.py``).
         """
         flat = [member for group in groups for member in group]
         out: list[list[SubTrajectory]] = [[] for _ in groups]
@@ -171,38 +210,25 @@ class QuTClustering:
         """Restrict one member list to the query window (frame-native)."""
         return cls._restrict_member_groups([members], window)[0]
 
-    @staticmethod
-    def _restrict_members_loop(
-        members: list[SubTrajectory], window: Period
-    ) -> list[SubTrajectory]:
-        """Per-member reference implementation of :meth:`_restrict_members`.
-
-        Kept as the equivalence oracle for ``tests/qut/test_query.py``.
-        """
-        out: list[SubTrajectory] = []
-        for member in members:
-            piece = member.traj.slice_period(window)
-            if piece is not None:
-                out.append(subtrajectory_from_slice(member.traj, piece))
-        return out
-
     def _merge_across_subchunks(
         self,
-        partial: list[tuple[SubChunk, ClusterEntry, list[SubTrajectory]]],
+        partial: list[tuple[SubChunk, int, list[SubTrajectory]]],
     ) -> list[tuple[SubTrajectory, list[SubTrajectory]]]:
         """Stitch clusters whose representatives continue across sub-chunk borders.
 
-        Two cluster entries are merged when their sub-chunks are temporally
-        adjacent (or identical is impossible — entries within one sub-chunk are
-        distinct clusters) and their representatives either co-move (finite
-        time-aware distance below the threshold) or trace the same spatial
-        path (Hausdorff distance below the threshold).
+        ``partial`` rows are ``(sub-chunk, entry position, members in the
+        window)`` in sub-chunk (= temporal) order.  Two rows are merged when
+        their sub-chunks are distinct and temporally adjacent (gap within the
+        temporal tolerance) and the tree's
+        :meth:`~repro.qut.retratree.ReTraTree.merge_adjacency` matrix of that
+        sub-chunk pair links their entries; the connected components of
+        those links are the merged clusters.  Nothing here measures a
+        distance: the matrices are a property of the tree.
         """
         params = self.tree.params
-        assert params is not None and params.distance_threshold is not None
-        threshold = params.distance_threshold
-        n = len(partial)
-        parent = list(range(n))
+        assert params is not None
+        tolerance = params.temporal_tolerance + 1e-9
+        parent = list(range(len(partial)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -210,41 +236,42 @@ class QuTClustering:
                 i = parent[i]
             return i
 
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+        # One run of consecutive rows per sub-chunk: where it starts and
+        # which entry positions are present in this window.
+        runs: list[tuple[SubChunk, int, list[int]]] = []
+        for row, (subchunk, position, _members) in enumerate(partial):
+            if not runs or runs[-1][0] is not subchunk:
+                runs.append((subchunk, row, []))
+            runs[-1][2].append(position)
 
-        for i in range(n):
-            sc_i, entry_i, _ = partial[i]
-            for j in range(i + 1, n):
-                sc_j, entry_j, _ = partial[j]
-                if sc_i.key == sc_j.key:
-                    continue
-                gap = self._temporal_gap(sc_i.period, sc_j.period)
-                if gap > params.temporal_tolerance + 1e-9:
-                    continue
-                rep_i, rep_j = entry_i.representative.traj, entry_j.representative.traj
-                st_dist = spatiotemporal_distance(rep_i, rep_j, max_samples=32)
-                if st_dist <= threshold:
-                    union(i, j)
-                    continue
-                if hausdorff_distance(rep_i, rep_j) <= threshold:
-                    union(i, j)
+        for a, (earlier, start_a, present_a) in enumerate(runs):
+            for later, start_b, present_b in runs[a + 1 :]:
+                # Later sub-chunks only start later: once one is out of
+                # reach, so is the rest.
+                if self._temporal_gap(earlier.period, later.period) > tolerance:
+                    break
+                linked = self.tree.merge_adjacency(earlier, later)[
+                    np.ix_(present_a, present_b)
+                ]
+                for hit_a, hit_b in np.argwhere(linked):
+                    root_a, root_b = find(start_a + int(hit_a)), find(start_b + int(hit_b))
+                    if root_a != root_b:
+                        parent[root_b] = root_a
 
         groups: dict[int, list[int]] = {}
-        for i in range(n):
+        for i in range(len(partial)):
             groups.setdefault(find(i), []).append(i)
 
         merged: list[tuple[SubTrajectory, list[SubTrajectory]]] = []
         for indices in groups.values():
             # The representative of the merged cluster is the one with most members.
-            best = max(indices, key=lambda idx: len(partial[idx][2]))
-            representative = partial[best][1].representative
+            subchunk, position, _members = partial[
+                max(indices, key=lambda idx: len(partial[idx][2]))
+            ]
             members: list[SubTrajectory] = []
             for idx in indices:
                 members.extend(partial[idx][2])
-            merged.append((representative, members))
+            merged.append((subchunk.entries[position].representative, members))
         return merged
 
     @staticmethod

@@ -10,15 +10,41 @@ The structure follows the paper's description (Section II.B and Fig. 2):
   representative sub-trajectory, the name of the disk partition archiving the
   members, a member count and the members' bounding box.
 * **Level 4 — storage**: members are archived in heap-file partitions
-  (:mod:`repro.storage`), each with its own pg3D-Rtree mapping member
-  bounding boxes to record ids.  Sub-trajectories that fit no representative
-  go to the sub-chunk's *unclustered* partition.
+  (:mod:`repro.storage`), each with a pg3D-Rtree mapping member bounding
+  boxes to record ids.  Sub-trajectories that fit no representative go to
+  the sub-chunk's *unclustered* partition.
 
 When an unclustered partition exceeds ``overflow_threshold``, S2T-Clustering
 is run on its content: newly found representatives are back-propagated into
 the in-memory level-3 entry list, their members are archived into fresh
 partitions, and the remaining outliers are re-inserted (they may be absorbed
 by the new representatives) — exactly the dataflow of the paper's Figure 2.
+
+Derived state
+-------------
+What a query needs from the *index* (levels 1–3) that does not depend on its
+window is a property of the tree: computed on first use, kept, and dropped by
+the mutation that changes it.  Nothing is precomputed at build or reopen
+time, so neither pays for state no query asks for.
+
+* *representative frame* per sub-chunk (``_rep_frame``) — keyed on the
+  sub-chunk's ``entries_version``;
+* *merge adjacency* per pair of sub-chunks (:meth:`ReTraTree.merge_adjacency`)
+  — keyed on both ``entries_version`` values;
+* *pg3D-Rtree* per partition (:meth:`ReTraTree.partition_rtree`) — dropped
+  by ``_archive`` into, or a drop of, that partition name (which covers the
+  drop-and-recreate in :meth:`ReTraTree.flush_unclustered`).
+
+Version-keyed slots are *replaced* on mismatch, never accumulated, so the
+state is bounded by the number of cluster entries.  Level 4 stays on disk:
+member records are read through the buffer pool and decoded per query
+(:meth:`ReTraTree.load_members`), so the tree's memory does not grow with
+the archived data.  The pg3D-Rtree is lazy because QuT reads whole
+partitions — only :meth:`~ReTraTree.load_members_in` probes it — while
+maintaining it eagerly cost a pure-Python R-tree insert on every archived
+record and a full rebuild of every partition's tree on reopen.
+:class:`ReTraTreeStats` counts the read-path work (``partitions_decoded``,
+``merge_pairs_evaluated``, ``rtrees_built``).
 """
 
 from __future__ import annotations
@@ -30,6 +56,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro.hermes.distances import hausdorff_distance_batch, spatiotemporal_distance_batch
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
@@ -72,6 +99,25 @@ def _partition_path(storage: StorageManager, name: str):
     if storage.directory is None:
         return None
     return storage.directory / f"{name}.part"
+
+
+def _bbox_faces_within(frame: MODFrame, traj: Trajectory, d: float) -> np.ndarray:
+    """Per frame row: can its Hausdorff distance to ``traj`` be within ``d`` at all?
+
+    ``H(A, B) <= d`` needs every face of ``A``'s bounding box within ``d`` of
+    the matching face of ``B``'s (see
+    :func:`~repro.hermes.distances.hausdorff_distance_batch`); rows failing
+    that are rejected without computing the distance.  The bound carries a
+    few ulps of slack so coordinate rounding can only let a row through,
+    never reject one the exact test would accept.
+    """
+    xmin, xmax = float(traj.xs.min()), float(traj.xs.max())
+    ymin, ymax = float(traj.ys.min()), float(traj.ys.max())
+    gap = np.maximum(
+        np.maximum(np.abs(frame.xmins - xmin), np.abs(frame.xmaxs - xmax)),
+        np.maximum(np.abs(frame.ymins - ymin), np.abs(frame.ymaxs - ymax)),
+    )
+    return gap <= d + 4.0 * np.spacing(gap + d)
 
 
 def _record_to_subtrajectory(raw: bytes) -> SubTrajectory:
@@ -173,6 +219,12 @@ class ReTraTreeStats:
     s2t_runs: int = 0
     outliers_reinserted: int = 0
     maintenance_seconds: float = 0.0
+    # Read-path work (see the module docstring's "Derived state"): partition
+    # scans that decoded every record, and fills of the two lazy structures —
+    # a query that re-touches a sub-chunk pair moves only the first.
+    partitions_decoded: int = 0
+    merge_pairs_evaluated: int = 0
+    rtrees_built: int = 0
 
 
 class ReTraTree:
@@ -205,12 +257,19 @@ class ReTraTree:
         # chunks.  ``None`` (the default) owns every chunk.
         self.chunk_range = chunk_range
         self._subchunks: dict[tuple[int, int], SubChunk] = {}
-        self._rtrees: dict[str, RTree3D[RID]] = {}
         # Columnar snapshot of each sub-chunk's representatives, keyed by the
         # sub-chunk's entries_version at build time: any entry mutation
         # (append or representative replacement) bumps the version and
         # invalidates the cached frame.
         self._entry_frames: dict[tuple[int, int], tuple[int, MODFrame]] = {}
+        # Merge adjacency of a sub-chunk pair, keyed the same way on both
+        # entries_versions; one slot per pair, replaced on mismatch.
+        self._merge_edges: dict[
+            tuple[tuple[int, int], tuple[int, int]], tuple[tuple[int, int], np.ndarray]
+        ] = {}
+        # Per partition name: the pg3D-Rtree over its records, built on first
+        # use and dropped by _touch_partition.
+        self._rtrees: dict[str, RTree3D[RID]] = {}
         self._next_cluster_id = 0
         self.stats = ReTraTreeStats()
         # True when this instance was reopened from a manifest instead of
@@ -272,7 +331,6 @@ class ReTraTree:
         if key not in self._subchunks:
             partition = f"{self.name}_unclustered_{chunk_idx}_{sub_idx}"
             self.storage.get_or_create(partition)
-            self._rtrees[partition] = RTree3D(max_entries=16)
             self._subchunks[key] = SubChunk(
                 chunk_idx=chunk_idx,
                 sub_idx=sub_idx,
@@ -297,18 +355,31 @@ class ReTraTree:
         return sum(len(sc.entries) for sc in self._subchunks.values())
 
     def partition_rtree(self, partition_name: str) -> RTree3D[RID]:
-        """The pg3D-Rtree of a partition."""
-        return self._rtrees[partition_name]
+        """The pg3D-Rtree of a partition, built from one scan on first use."""
+        rtree = self._rtrees.get(partition_name)
+        if rtree is None:
+            rtree = RTree3D(max_entries=16)
+            for rid, raw in self.storage.get(partition_name).heapfile.scan_records():
+                rtree.insert(_record_to_subtrajectory(raw).bbox, rid)
+            self._rtrees[partition_name] = rtree
+            self.stats.rtrees_built += 1
+        return rtree
 
     # -- record archival -----------------------------------------------------------------
 
+    def _touch_partition(self, partition_name: str) -> None:
+        """Forget what was derived from a partition whose records are about to change."""
+        self._rtrees.pop(partition_name, None)
+
+    def _drop_partition(self, partition_name: str) -> None:
+        self._touch_partition(partition_name)
+        self.storage.drop_partition(partition_name)
+
     def _archive(self, partition_name: str, sub: SubTrajectory) -> RID:
+        self._touch_partition(partition_name)
         info = self.storage.get_or_create(partition_name)
-        if partition_name not in self._rtrees:
-            self._rtrees[partition_name] = RTree3D(max_entries=16)
         rid = info.heapfile.insert(encode_record(sub))
         info.record_count += 1
-        self._rtrees[partition_name].insert(sub.bbox, rid)
         return rid
 
     def _open_entry(self, subchunk: SubChunk, representative: SubTrajectory) -> ClusterEntry:
@@ -326,7 +397,6 @@ class ReTraTree:
         )
         self._next_cluster_id += 1
         self.storage.get_or_create(entry.partition_name)
-        self._rtrees[entry.partition_name] = RTree3D(max_entries=16)
         return entry
 
     def _archive_member(self, entry: ClusterEntry, sub: SubTrajectory) -> None:
@@ -337,10 +407,8 @@ class ReTraTree:
 
     def _load_partition(self, partition_name: str) -> list[SubTrajectory]:
         info = self.storage.get(partition_name)
-        out = []
-        for _rid, raw in info.heapfile.scan_records():
-            out.append(_record_to_subtrajectory(raw))
-        return out
+        self.stats.partitions_decoded += 1
+        return [_record_to_subtrajectory(raw) for _rid, raw in info.heapfile.scan_records()]
 
     def load_members(self, entry: ClusterEntry) -> list[SubTrajectory]:
         """Load a cluster entry's archived members from its partition."""
@@ -357,7 +425,7 @@ class ReTraTree:
         fetched from the heap file — the index-based access path of the paper.
         """
         info = self.storage.get(entry.partition_name)
-        rids = self._rtrees[entry.partition_name].range_search(box)
+        rids = self.partition_rtree(entry.partition_name).range_search(box)
         return [_record_to_subtrajectory(info.heapfile.get(rid)) for rid in rids]
 
     # -- insertion ----------------------------------------------------------------------
@@ -463,6 +531,38 @@ class ReTraTree:
         )
         return None if idx is None else subchunk.entries[idx]
 
+    def merge_adjacency(self, earlier: SubChunk, later: SubChunk) -> np.ndarray:
+        """Which cluster entries of two sub-chunks continue each other (cached).
+
+        A boolean ``(len(earlier.entries), len(later.entries))`` matrix:
+        cell ``[i, j]`` is true when the two entries' representatives
+        co-move (time-aware distance over 32 common instants within the
+        distance threshold) *or* trace the same spatial path (Hausdorff
+        distance within it).  That depends on the stored representatives
+        only — never on a query window — so it is computed once per pair
+        with the batched kernels over :meth:`_rep_frame` and kept until
+        either sub-chunk's ``entries_version`` moves.
+        """
+        params = self.params
+        assert params is not None and params.distance_threshold is not None
+        threshold = params.distance_threshold
+        key = (earlier.key, later.key)
+        versions = (earlier.entries_version, later.entries_version)
+        cached = self._merge_edges.get(key)
+        if cached is not None and cached[0] == versions:
+            return cached[1]
+        frame = self._rep_frame(earlier)
+        edges = np.zeros((len(earlier.entries), len(later.entries)), dtype=np.bool_)
+        for j, entry in enumerate(later.entries):
+            rep = entry.representative.traj
+            linked = spatiotemporal_distance_batch(frame, rep, max_samples=32) <= threshold
+            if np.any(~linked & _bbox_faces_within(frame, rep, threshold)):
+                linked |= hausdorff_distance_batch(frame, rep) <= threshold
+            edges[:, j] = linked
+        self._merge_edges[key] = (versions, edges)
+        self.stats.merge_pairs_evaluated += edges.size
+        return edges
+
     # -- maintenance (S2T on overflowing partitions) -----------------------------------------
 
     def flush_unclustered(self, subchunk: SubChunk) -> None:
@@ -509,8 +609,7 @@ class ReTraTree:
                 subchunk.entries.append(entry)
                 subchunk.touch_entries()
             else:
-                self.storage.drop_partition(entry.partition_name)
-                self._rtrees.pop(entry.partition_name, None)
+                self._drop_partition(entry.partition_name)
 
         # Re-insert the outliers: they may now fit one of the new representatives.
         leftovers: list[SubTrajectory] = []
@@ -528,10 +627,8 @@ class ReTraTree:
 
         # Rebuild the unclustered partition with only the leftovers.
         old_partition = subchunk.unclustered_partition
-        self.storage.drop_partition(old_partition)
-        self._rtrees.pop(old_partition, None)
+        self._drop_partition(old_partition)
         self.storage.get_or_create(old_partition)
-        self._rtrees[old_partition] = RTree3D(max_entries=16)
         for sub in leftovers:
             self._archive(old_partition, sub)
         subchunk.unclustered_count = len(leftovers)
@@ -652,7 +749,7 @@ class ReTraTree:
         committed manifest references is never rewritten in place — a crash
         before the next manifest commit must leave the old manifest's RIDs
         resolving against untouched records.  ``from_manifest`` inverts the
-        whole thing; the partitions' pg3D-Rtrees are rebuilt by scanning.
+        whole thing.
         """
         if self.params is None:
             raise ValueError("cannot persist an empty ReTraTree (no resolved params)")
@@ -698,8 +795,8 @@ class ReTraTree:
             "subchunks": subchunks,
         }
 
-    def _reopen_partition_rtree(self, partition_name: str) -> tuple[int, BoxST | None]:
-        """Open an existing partition and rebuild its pg3D-Rtree by scanning.
+    def _reopen_partition(self, partition_name: str) -> tuple[int, BoxST | None]:
+        """Open an existing partition and scan it once.
 
         Returns the record count and the union bounding box of the scanned
         records.  Both are taken from the heapfile — not the manifest —
@@ -707,19 +804,17 @@ class ReTraTree:
         the last persist (and flushed by buffer-pool eviction) must be
         counted, and records that never reached disk must not be.
         ``PartitionInfo.record_count`` is caller tracked, so reopening
-        restores it too.
+        restores it too.  Nothing is kept from the scan: members and the
+        pg3D-Rtree are derived on first use like on any other tree.
         """
         info = self.storage.get_or_create(partition_name)
-        rtree: RTree3D[RID] = RTree3D(max_entries=16)
         count = 0
         bbox: BoxST | None = None
-        for rid, raw in info.heapfile.scan_records():
+        for _rid, raw in info.heapfile.scan_records():
             sub_bbox = _record_to_subtrajectory(raw).bbox
-            rtree.insert(sub_bbox, rid)
             bbox = sub_bbox if bbox is None else bbox.union(sub_bbox)
             count += 1
         info.record_count = count
-        self._rtrees[partition_name] = rtree
         return count, bbox
 
     @classmethod
@@ -729,7 +824,7 @@ class ReTraTree:
         ``storage`` must be the manager over the directory the tree was
         persisted into (its heapfiles hold the member and representative
         records).  No S2T work runs here — the cost is one scan per
-        partition to restore the pg3D-Rtrees and record counts.
+        partition to restore the record counts and bounding boxes.
 
         Bounding boxes are re-derived from the scanned heapfiles, and the
         scanned record counts are *checked* against the counts the manifest
@@ -774,7 +869,7 @@ class ReTraTree:
                 period=Period(*sc_data["period"]),
                 unclustered_partition=sc_data["unclustered_partition"],
             )
-            subchunk.unclustered_count, _ = tree._reopen_partition_rtree(
+            subchunk.unclustered_count, _ = tree._reopen_partition(
                 subchunk.unclustered_partition
             )
             if subchunk.unclustered_count != int(sc_data["unclustered_count"]):
@@ -787,7 +882,7 @@ class ReTraTree:
             for entry_data in sc_data["entries"]:
                 rid = RID(*entry_data["representative_rid"])
                 representative = _record_to_subtrajectory(reps.heapfile.get(rid))
-                member_count, bbox = tree._reopen_partition_rtree(
+                member_count, bbox = tree._reopen_partition(
                     entry_data["partition"]
                 )
                 if member_count != int(entry_data["member_count"]):

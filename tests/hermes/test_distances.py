@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hermes.distances import (
     closest_approach_distance,
     dtw_distance,
     hausdorff_distance,
+    hausdorff_distance_batch,
     lcss_similarity,
     point_to_segment_distance_2d,
     segment_trajectory_distance,
@@ -15,6 +19,7 @@ from repro.hermes.distances import (
     spatiotemporal_distance_batch,
 )
 from repro.hermes.frame import MODFrame
+from repro.hermes.trajectory import Trajectory
 from repro.hermes.types import PointST, SegmentST
 from tests.conftest import make_linear_trajectory
 
@@ -103,6 +108,59 @@ class TestHausdorff:
         b = make_linear_trajectory("b", "0", (0, 0), (5, 0))
         assert hausdorff_distance(a, b) == pytest.approx(hausdorff_distance(b, a))
         assert hausdorff_distance(a, b) == pytest.approx(5.0)
+
+
+@st.composite
+def planar_trajectory(draw, obj_id: str):
+    """2-12 samples on a coarse grid, so coincident points and ties do occur."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    coord = st.integers(min_value=-8, max_value=8).map(lambda v: v / 4.0)
+    xs = draw(st.lists(coord, min_size=n, max_size=n))
+    ys = draw(st.lists(coord, min_size=n, max_size=n))
+    return Trajectory(obj_id, "0", xs, ys, np.arange(n, dtype=float))
+
+
+class TestHausdorffBatch:
+    def test_matches_scalar_per_row(self, parallel_pair, linear_trajectory):
+        a, b = parallel_pair
+        short = make_linear_trajectory("s", "0", (3, 3), (4, 7), n=2)  # single segment
+        far = make_linear_trajectory("far", "0", (500, 500), (510, 500))
+        rows = [a, b, short, far, linear_trajectory]
+        frame = MODFrame.from_trajectories(rows)
+        for probe in rows:
+            batch = hausdorff_distance_batch(frame, probe)
+            assert batch.shape == (len(rows),)
+            assert np.all(np.isfinite(batch))
+            assert batch.tolist() == [hausdorff_distance(row, probe) for row in rows]
+
+    def test_identical_point_sets_are_zero(self, linear_trajectory):
+        frame = MODFrame.from_trajectories([linear_trajectory, linear_trajectory])
+        assert hausdorff_distance_batch(frame, linear_trajectory).tolist() == [0.0, 0.0]
+
+    def test_empty_frame(self, linear_trajectory):
+        assert hausdorff_distance_batch(MODFrame([]), linear_trajectory).shape == (0,)
+
+    def test_chunked_batches_agree(self, monkeypatch, parallel_pair):
+        import repro.hermes.distances as distances
+
+        a, b = parallel_pair
+        rows = [a, b, make_linear_trajectory("c", "0", (0, 9), (1, 9), n=3)] * 3
+        frame = MODFrame.from_trajectories(rows)
+        whole = hausdorff_distance_batch(frame, b)
+        monkeypatch.setattr(distances, "MAX_BATCH_CELLS", 1)  # one row per batch
+        assert hausdorff_distance_batch(frame, b).tolist() == whole.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_on_generated_sets(self, data):
+        rows = [
+            data.draw(planar_trajectory(f"r{i}"))
+            for i in range(data.draw(st.integers(min_value=1, max_value=6)))
+        ]
+        probe = data.draw(planar_trajectory("probe"))
+        batch = hausdorff_distance_batch(MODFrame.from_trajectories(rows), probe)
+        scalar = np.array([hausdorff_distance(row, probe) for row in rows])
+        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-12)
 
 
 class TestDTW:

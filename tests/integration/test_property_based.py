@@ -235,6 +235,76 @@ class TestFrameSlicingInvariants:
         np.testing.assert_array_equal(sliced.ys, direct.ys)
         np.testing.assert_array_equal(sliced.ts, direct.ts)
 
+    def test_slice_period_bound_one_ulp_below_a_knot(self):
+        """The shrunk ``--hypothesis-seed=18`` counterexample of the test above.
+
+        ``a=0.0, b=1/3`` puts the window's upper bound one ulp *below* the
+        second trajectory's knot ``ts[10]``.  ``positions_at_batch``'s banded
+        search key ``(q - t0) + row * band_step`` drops that ulp, so the
+        instant used to bracket into the *next* segment and come out as the
+        knot's own ``x`` (…855) instead of the interpolated …853 that
+        ``Trajectory.slice_period`` computes.
+        """
+        xs = [
+            -10.98212738099623, -11.114232244287532, -10.47380959384425,
+            -10.368909476691211, -10.90457884985232, -10.542983794942836,
+            -9.2389837498127, -8.291902786683458, -8.99563802249045,
+            -10.261059493536502, -10.884333956073855, -10.84300797672661,
+            -13.168038751365446, -13.386830415297991, -14.632741362551057,
+            -15.365008717254508, -15.909267700111817, -16.22556785648097,
+            -15.813937320106838, -14.771423950664161, -14.899958613608195,
+            -13.53349514305851, -14.198689816545123, -13.847179746452102,
+            -12.943709564800294, -12.849697267039419, -13.593196516393228,
+            -14.514921892651646, -14.972647718318987, -14.752452594848936,
+            -15.762070778387674,
+        ]
+        ys = [
+            7.874013588770589, 8.414859173456396, 8.629518295962738,
+            8.984891005002659, 8.33106239558432, 8.20144876189155,
+            8.98542423195288, 10.478855377173641, 9.21978984506952,
+            10.733713619808583, 12.079589043590886, 12.860900444291314,
+            13.125356074620617, 12.81143326008419, 14.269453943621148,
+            16.229712260071114, 18.031347129937238, 19.346450894671612,
+            19.703831305330567, 18.495512673048395, 18.49105853992831,
+            19.14753347500465, 17.859172011255094, 18.2542940714371,
+            18.684157766259332, 19.3802004902222, 18.19608252346501,
+            17.534379951425976, 17.097944704282753, 15.92814279650989,
+            17.667510673640024,
+        ]
+        ts = [
+            0.0, 1.1060043154286543, 2.2120086308573086, 3.318012946285963,
+            4.424017261714617, 5.5300215771432715, 6.636025892571926,
+            7.74203020800058, 8.848034523429234, 9.954038838857889,
+            11.060043154286543, 12.166047469715197, 13.272051785143852,
+            14.378056100572506, 15.48406041600116, 16.590064731429813,
+            17.69606904685847, 18.802073362287125, 19.908077677715777,
+            21.01408199314443, 22.120086308573086, 23.226090624001742,
+            24.332094939430394, 25.438099254859047, 26.544103570287703,
+            27.65010788571636, 28.75611220114501, 29.862116516573664,
+            30.96812083200232, 32.074125147430976, 33.180129462859625,
+        ]
+        mod = MOD(name="random")
+        mod.add(
+            Trajectory(
+                "o0", "0",
+                [-45.77691738528714, -45.909022248578445],
+                [41.3804578449252, 40.8447884717641],
+                [0.0, 1.0],
+            )
+        )
+        mod.add(Trajectory("o1", "0", xs, ys, ts))
+        period = mod.period
+        window = Period(period.tmin, period.tmin + 0.3333333333333333 * period.duration)
+        assert window.tmax == np.nextafter(ts[10], 0.0)
+
+        sliced = MODFrame.from_mod(mod).slice_period(window)
+        direct = MODFrame.from_mod(mod.temporal_range(window))
+        assert sliced.keys == direct.keys
+        np.testing.assert_array_equal(sliced.xs, direct.xs)
+        np.testing.assert_array_equal(sliced.ys, direct.ys)
+        np.testing.assert_array_equal(sliced.ts, direct.ts)
+        assert sliced.xs[-1] == -10.884333956073853
+
     @settings(max_examples=15, deadline=None)
     @given(
         random_mod(min_trajs=2, max_trajs=6),

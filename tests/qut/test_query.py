@@ -7,6 +7,7 @@ from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
 from repro.qut.retratree import ReTraTree
 from tests.conftest import restriction_signature
+from tests.qut.oracles import restrict_members_loop
 from tests.qut.test_retratree import flow_mod
 
 
@@ -124,7 +125,7 @@ class TestRestrictionEquivalence:
             groups.append(tree.load_unclustered(subchunk))
             batched = QuTClustering._restrict_member_groups(groups, window)
             for group, restricted in zip(groups, batched):
-                expected = QuTClustering._restrict_members_loop(group, window)
+                expected = restrict_members_loop(group, window)
                 assert restriction_signature(restricted) == restriction_signature(expected)
 
     def test_single_list_helper_matches_loop(self, built_tree):
@@ -134,7 +135,7 @@ class TestRestrictionEquivalence:
         members = tree.load_unclustered(subchunk)
         assert restriction_signature(
             QuTClustering._restrict_members(members, window)
-        ) == restriction_signature(QuTClustering._restrict_members_loop(members, window))
+        ) == restriction_signature(restrict_members_loop(members, window))
 
     def test_empty_groups_pass_through(self, built_tree):
         _mod, tree = built_tree

@@ -45,8 +45,10 @@ ENFORCED_MODULES = [
     "repro/datagen/profiles.py",
     "repro/docsgen.py",
     "repro/eval/quality.py",
+    "repro/hermes/distances.py",
     "repro/hermes/frame.py",
     "repro/hermes/shm.py",
+    "repro/qut/query.py",
     "repro/qut/retratree.py",
     "repro/storage/durable.py",
 ]
