@@ -26,21 +26,23 @@ docs-draft:
 bench:
 	$(PYTHON) benchmarks/e2e/run.py
 
-# The three durable workloads (QuT read path, append beside QuT, cold open),
-# three runs each, merged into one result set for `make bench-compare`
+# The durable workloads (QuT read path, append beside QuT, cold open),
+# REPEAT runs each, merged into one result set for `make bench-compare`
 # (`run.py --repeat N --out` itself only covers the all-workload run):
 #   make bench-qut OUT=change.json
+#   make bench-qut QUT_WORKLOADS=cold_recovery REPEAT=10 OUT=change.json
 QUT_WORKLOADS = qut_progressive ingest_stream cold_recovery
 OUT ?= benchmarks/e2e/out/bench-qut.json
 SEED ?= 1
+REPEAT ?= 3
 bench-qut:
-	for i in 1 2 3; do for w in $(QUT_WORKLOADS); do \
+	for i in $$(seq $(REPEAT)); do for w in $(QUT_WORKLOADS); do \
 		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seed $(SEED) || exit $$?; \
 		cp benchmarks/e2e/out/result-$$w.json benchmarks/e2e/out/bench-qut-$$w-$$i.json; \
 	done; done
-	$(PYTHON) -c 'import json, sys; out, *names = sys.argv[1:]; \
-		runs = {w: [json.load(open(f"benchmarks/e2e/out/bench-qut-{w}-{i}.json")) for i in (1, 2, 3)] for w in names}; \
-		json.dump({"trace": False, "runs": runs}, open(out, "w"), indent=1)' $(OUT) $(QUT_WORKLOADS)
+	$(PYTHON) -c 'import json, sys; out, repeat, *names = sys.argv[1:]; \
+		runs = {w: [json.load(open(f"benchmarks/e2e/out/bench-qut-{w}-{i}.json")) for i in range(1, int(repeat) + 1)] for w in names}; \
+		json.dump({"trace": False, "runs": runs}, open(out, "w"), indent=1)' $(OUT) $(REPEAT) $(QUT_WORKLOADS)
 	@echo "wrote $(OUT)"
 
 # Judge two result sets (`run.py --repeat N --out X.json`), metric by metric:

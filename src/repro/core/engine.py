@@ -71,6 +71,7 @@ from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.result import ClusteringResult
 from repro.storage.durable import DurableCatalog
+from repro.storage.errors import StorageError
 from repro.storage.faults import IOShim
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -621,10 +622,14 @@ class HermesEngine:
         ``dataset_state`` is current (an append in a process that never
         loaded the tree leaves it stale); explicit ``params`` must match
         the persisted build parameters (``None`` accepts — the tree in the
-        store *is* the index).  Any failure to reopen — damaged partitions,
-        crash windows, record-count mismatches — returns ``None`` too: a
-        rebuild is always a correct answer, so queries never fail
-        permanently.
+        store *is* the index).  What a damaged or stale store can raise
+        while reopening — ``StorageError`` (page CRCs, record counts that
+        disagree with the manifest), ``ValueError`` / ``LookupError`` /
+        ``TypeError`` (undecodable records, missing slots, missing or
+        retired keys and shapes in the tree section), ``OSError`` — returns
+        ``None`` too: a rebuild is always a correct answer, so queries never
+        fail permanently.  Anything else is a bug in the reopen path and
+        propagates instead of hiding behind a slow, correct rebuild.
         """
         if self.catalog is None:
             return None
@@ -635,7 +640,7 @@ class HermesEngine:
             return None
         try:
             return ReTraTree.from_manifest(section, storage=self.catalog.storage(name))
-        except Exception:
+        except (StorageError, ValueError, LookupError, TypeError, OSError):
             return None
 
     def verify(self, repair: bool = False) -> "FsckReport":

@@ -795,27 +795,33 @@ class ReTraTree:
             "subchunks": subchunks,
         }
 
-    def _reopen_partition(self, partition_name: str) -> tuple[int, BoxST | None]:
-        """Open an existing partition and scan it once.
+    def _reopen_partition(self, partition_name: str, role: str, recorded: int) -> int:
+        """Open an existing partition and check its record count against the manifest.
 
-        Returns the record count and the union bounding box of the scanned
-        records.  Both are taken from the heapfile — not the manifest —
-        because the heapfile is the ground truth: records inserted after
-        the last persist (and flushed by buffer-pool eviction) must be
-        counted, and records that never reached disk must not be.
+        *Read*: the slot directories and chunk headers of the partition's
+        pages (:meth:`~repro.storage.heapfile.HeapFile.count_records`) — no
+        record is decoded.  *Checked*: opening verifies every page against
+        the manifest's CRCs (``StorageManager.get_or_create``), and the
+        heapfile's record count must equal ``recorded``, the count the
+        manifest holds for this ``role`` ("member", "unclustered",
+        "representatives") partition.  The heapfile decides whether the two
+        describe the same tree state: records inserted after the last
+        persist (and flushed by buffer-pool eviction) are counted, records
+        that never reached disk are not, and either way the mismatch raises
+        :class:`~repro.storage.errors.CorruptPartitionError`.
         ``PartitionInfo.record_count`` is caller tracked, so reopening
-        restores it too.  Nothing is kept from the scan: members and the
-        pg3D-Rtree are derived on first use like on any other tree.
+        restores it.  Returns the count.
         """
         info = self.storage.get_or_create(partition_name)
-        count = 0
-        bbox: BoxST | None = None
-        for _rid, raw in info.heapfile.scan_records():
-            sub_bbox = _record_to_subtrajectory(raw).bbox
-            bbox = sub_bbox if bbox is None else bbox.union(sub_bbox)
-            count += 1
-        info.record_count = count
-        return count, bbox
+        info.record_count = info.heapfile.count_records()
+        if info.record_count != int(recorded):
+            raise CorruptPartitionError(
+                f"{role} partition {partition_name!r} holds {info.record_count} "
+                f"records but the manifest recorded {recorded}; the tree state "
+                "is torn",
+                path=_partition_path(self.storage, partition_name),
+            )
+        return info.record_count
 
     @classmethod
     def from_manifest(cls, manifest: dict, storage: StorageManager) -> "ReTraTree":
@@ -823,20 +829,31 @@ class ReTraTree:
 
         ``storage`` must be the manager over the directory the tree was
         persisted into (its heapfiles hold the member and representative
-        records).  No S2T work runs here — the cost is one scan per
-        partition to restore the record counts and bounding boxes.
+        records).  No S2T work runs here and the only records decoded are
+        the representatives, one per level-3 entry; member and unclustered
+        records are decoded by the first query that loads them, exactly as
+        on a tree that was never closed.
 
-        Bounding boxes are re-derived from the scanned heapfiles, and the
-        scanned record counts are *checked* against the counts the manifest
-        recorded at persist time: a mismatch means the heapfiles and the
-        manifest describe different tree states — typically a crash in the
-        middle of an append whose buffered member records were partially
-        flushed by buffer-pool eviction before the manifest commit — and
-        raises :class:`ValueError` so the engine degrades to a rebuild
-        instead of recovering a tree referencing phantom trajectories.
-        Every mutation path (bulk build, rebuild, :meth:`append` through
-        the ingestion pipeline) re-persists the manifest, so a committed
-        state always passes this check.
+        Every partition the section names is opened eagerly
+        (:meth:`_reopen_partition`), so page-CRC damage and a record count
+        that disagrees with the manifest surface here, as
+        :class:`~repro.storage.errors.CorruptPartitionError` — a
+        :class:`ValueError` — and the engine degrades to a rebuild instead
+        of recovering a tree referencing phantom trajectories.  The typical
+        cause of a count mismatch is a crash in the middle of an append
+        whose buffered member records were partly flushed by buffer-pool
+        eviction before the manifest commit; every mutation path (bulk
+        build, rebuild, :meth:`append` through the ingestion pipeline)
+        re-persists the manifest, so a committed state always passes.
+
+        Each entry's ``member_count`` and ``bbox``, and each sub-chunk's
+        ``unclustered_count``, are then *trusted* as the manifest states
+        them: the section sits under the manifest's ``manifest_crc``, a
+        member partition only ever grows between persists, and JSON
+        round-trips a float exactly — so an equal count means the same
+        records and therefore the same box.  What is no longer noticed here
+        is a record whose page passes its CRC yet does not decode; it fails
+        in the first query that loads it.
         """
         chunk_range = manifest.get("chunk_range")
         tree = cls(
@@ -849,18 +866,10 @@ class ReTraTree:
         tree.params = QuTParams.from_dict(manifest["params"])
         tree._next_cluster_id = int(manifest["next_cluster_id"])
         reps_name = manifest.get("reps_partition") or tree._reps_partition
-        reps = storage.get_or_create(reps_name)
         expected_reps = manifest.get("reps_count")
         if expected_reps is not None:
-            scanned = sum(1 for _ in reps.heapfile.scan_records())
-            reps.record_count = scanned
-            if scanned != int(expected_reps):
-                raise CorruptPartitionError(
-                    f"representatives partition {reps_name!r} holds {scanned} "
-                    f"records but the manifest recorded {expected_reps}; the "
-                    "tree state is torn",
-                    path=_partition_path(storage, reps_name),
-                )
+            tree._reopen_partition(reps_name, "representatives", expected_reps)
+        reps = storage.get_or_create(reps_name)
         for sc_data in manifest["subchunks"]:
             key = (int(sc_data["chunk_idx"]), int(sc_data["sub_idx"]))
             subchunk = SubChunk(
@@ -869,36 +878,21 @@ class ReTraTree:
                 period=Period(*sc_data["period"]),
                 unclustered_partition=sc_data["unclustered_partition"],
             )
-            subchunk.unclustered_count, _ = tree._reopen_partition(
-                subchunk.unclustered_partition
+            subchunk.unclustered_count = tree._reopen_partition(
+                subchunk.unclustered_partition, "unclustered", sc_data["unclustered_count"]
             )
-            if subchunk.unclustered_count != int(sc_data["unclustered_count"]):
-                raise CorruptPartitionError(
-                    f"unclustered partition {subchunk.unclustered_partition!r} holds "
-                    f"{subchunk.unclustered_count} records but the manifest recorded "
-                    f"{sc_data['unclustered_count']}; the tree state is torn",
-                    path=_partition_path(storage, subchunk.unclustered_partition),
-                )
             for entry_data in sc_data["entries"]:
                 rid = RID(*entry_data["representative_rid"])
-                representative = _record_to_subtrajectory(reps.heapfile.get(rid))
-                member_count, bbox = tree._reopen_partition(
-                    entry_data["partition"]
-                )
-                if member_count != int(entry_data["member_count"]):
-                    raise CorruptPartitionError(
-                        f"member partition {entry_data['partition']!r} holds "
-                        f"{member_count} records but the manifest recorded "
-                        f"{entry_data['member_count']}; the tree state is torn",
-                        path=_partition_path(storage, entry_data["partition"]),
-                    )
+                bbox = entry_data["bbox"]
                 subchunk.entries.append(
                     ClusterEntry(
                         cluster_id=int(entry_data["cluster_id"]),
-                        representative=representative,
+                        representative=_record_to_subtrajectory(reps.heapfile.get(rid)),
                         partition_name=entry_data["partition"],
-                        member_count=member_count,
-                        bbox=bbox,
+                        member_count=tree._reopen_partition(
+                            entry_data["partition"], "member", entry_data["member_count"]
+                        ),
+                        bbox=BoxST(*bbox) if bbox is not None else None,
                     )
                 )
             subchunk.touch_entries()

@@ -31,9 +31,11 @@ commit → sweep protocol that writes it are documented, once, in
 
 Member records stay in their partitions' heapfiles; the manifest only adds
 the structure that lived in memory.  Partition pg3D-Rtrees are not
-persisted — recovery rebuilds them with one scan per partition, checking
-the scanned record counts against the manifest's (a mismatch is the
-signature of a torn append and degrades to a rebuild).
+persisted.  Recovery opens every partition (page CRCs verified) and checks
+each heapfile's record count — read from slot directories and chunk
+headers, :meth:`~repro.storage.heapfile.HeapFile.count_records` — against
+the manifest's (a mismatch is the signature of a torn append and degrades
+to a rebuild); no member record is decoded until a query loads it.
 
 Failure model
 -------------

@@ -186,7 +186,7 @@ def _record_count(data: bytes) -> int:
     is undecodable (corrupt slots, broken continuation chains).
     """
     pool = BufferPool(_BytesPager(data), capacity=max(1, len(data) // PAGE_SIZE + 1))
-    return sum(1 for _ in HeapFile(pool).scan_records())
+    return HeapFile(pool).count_records()
 
 
 def _as_int(value) -> int | None:

@@ -44,7 +44,11 @@ def _encode_chunk(payload: bytes, next_rid: "RID | None") -> bytes:
     return header + payload
 
 
-def _decode_chunk(raw: bytes) -> tuple[bytes, "RID | None"]:
+def _next_chunk(raw: bytes) -> "RID | None":
+    """Validate a chunk's header and return the RID of its continuation, if any.
+
+    Needs only the first ``_CHUNK_HEADER`` bytes of the chunk.
+    """
     if len(raw) < _CHUNK_HEADER:
         raise ValueError(
             f"record chunk of {len(raw)} bytes is shorter than the "
@@ -55,11 +59,37 @@ def _decode_chunk(raw: bytes) -> tuple[bytes, "RID | None"]:
             f"record chunk has continuation flag {raw[0]} (expected 0 or 1); "
             "the stored record is corrupt"
         )
-    has_next = raw[0] == 1
-    next_page = int.from_bytes(raw[1:5], "little")
-    next_slot = int.from_bytes(raw[5:9], "little")
-    payload = raw[_CHUNK_HEADER:]
-    return payload, (RID(next_page, next_slot) if has_next else None)
+    if raw[0] == 0:
+        return None
+    return RID(int.from_bytes(raw[1:5], "little"), int.from_bytes(raw[5:9], "little"))
+
+
+def _decode_chunk(raw: bytes) -> tuple[bytes, "RID | None"]:
+    return raw[_CHUNK_HEADER:], _next_chunk(raw)
+
+
+def _chain(head: RID, successors: "dict[RID, RID | None]") -> list[RID]:
+    """The chunk RIDs of the record starting at ``head``, in order.
+
+    ``successors`` maps every live chunk to its continuation; a chain that
+    leaves it or never ends is corruption.
+    """
+    chain = [head]
+    cursor = successors[head]
+    while cursor is not None:
+        if cursor not in successors:
+            raise ValueError(
+                f"record at {head} has a broken continuation chain: "
+                f"chunk {cursor} does not exist; the heap file is corrupt"
+            )
+        chain.append(cursor)
+        if len(chain) > len(successors):
+            raise ValueError(
+                f"record at {head} has a cyclic continuation chain; "
+                "the heap file is corrupt"
+            )
+        cursor = successors[cursor]
+    return chain
 
 
 class HeapFile:
@@ -141,50 +171,54 @@ class HeapFile:
     # -- scan -----------------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[RID, bytes]]:
-        """Iterate over every record head in the file (full-scan access path).
+        """Iterate over every live chunk in the file, page by page.
 
-        Continuation chunks are skipped; the yielded bytes are complete
-        records.
+        Yields record heads *and* continuation chunks, each with its
+        chunk header still attached; :meth:`scan_records` is the one that
+        reassembles complete records.
         """
         for page_no in range(self._pool.num_pages()):
             page: Page = self._pool.get_page(page_no)
             for slot, raw in page.records():
-                # A chunk is a record head iff no other chunk points to it.
-                # Heads are exactly the chunks we created last in insert();
-                # continuation chunks are referenced by a predecessor.  We
-                # detect heads by reconstructing referenced RIDs per page
-                # scan, which would be O(n^2); instead we tag heads by the
-                # fact that insert() writes the head chunk *after* all its
-                # continuations, so continuations always live at RIDs that
-                # were handed out earlier.  To stay simple and correct we
-                # mark continuation chunks explicitly: flag byte 2.
                 yield RID(page_no, slot), raw
 
     def scan_records(self) -> Iterator[tuple[RID, bytes]]:
         """Iterate over complete records (head chunks reassembled)."""
-        continuation_rids = set()
-        chunks: dict[RID, tuple[bytes, RID | None]] = {}
+        payloads: dict[RID, bytes] = {}
+        successors: dict[RID, RID | None] = {}
         for rid, raw in self.scan():
-            payload, nxt = _decode_chunk(raw)
-            chunks[rid] = (payload, nxt)
-            if nxt is not None:
-                continuation_rids.add(nxt)
-        for rid, (payload, nxt) in chunks.items():
-            if rid in continuation_rids:
+            payloads[rid], successors[rid] = _decode_chunk(raw)
+        # A record head is a chunk no other chunk names as its continuation.
+        continuations = {nxt for nxt in successors.values() if nxt is not None}
+        for rid, nxt in successors.items():
+            if rid in continuations:
                 continue
-            parts = [payload]
-            cursor = nxt
-            while cursor is not None:
-                if cursor not in chunks:
-                    raise ValueError(
-                        f"record at {rid} has a broken continuation chain: "
-                        f"chunk {cursor} does not exist; the heap file is corrupt"
-                    )
-                part, cursor = chunks[cursor]
-                parts.append(part)
-                if len(parts) > len(chunks):
-                    raise ValueError(
-                        f"record at {rid} has a cyclic continuation chain; "
-                        "the heap file is corrupt"
-                    )
-            yield rid, b"".join(parts)
+            if nxt is None:
+                yield rid, payloads[rid]
+            else:
+                yield rid, b"".join([payloads[c] for c in _chain(rid, successors)])
+
+    def count_records(self) -> int:
+        """Number of records :meth:`scan_records` would yield, read from headers only.
+
+        Walks each page's slot directory and the chunk header of every live
+        chunk — one ``get_page`` per page, no payload copied or joined — and
+        follows the same chains, so the same damage raises the same
+        :class:`ValueError` as a full scan: a slot outside the page's data
+        area, a short chunk, an unknown continuation flag, a broken or a
+        cyclic chain.
+        """
+        successors: dict[RID, RID | None] = {}
+        for page_no in range(self._pool.num_pages()):
+            page: Page = self._pool.get_page(page_no)
+            for slot, header in page.record_prefixes(_CHUNK_HEADER):
+                successors[RID(page_no, slot)] = _next_chunk(header)
+        continuations = {nxt for nxt in successors.values() if nxt is not None}
+        heads = 0
+        for rid, nxt in successors.items():
+            if rid in continuations:
+                continue
+            if nxt is not None:
+                _chain(rid, successors)
+            heads += 1
+        return heads

@@ -161,6 +161,22 @@ class Page:
                 out.append((slot, bytes(self.data[offset : offset + length])))
         return out
 
+    def record_prefixes(self, size: int) -> list[tuple[int, bytes]]:
+        """The first ``size`` bytes of every live record, as ``(slot, prefix)``.
+
+        The header-only counterpart of :meth:`records` (kept apart from it:
+        that one is every scan's inner loop) — same slots, same bounds check
+        over each *whole* record, but only the prefix is copied (all of a
+        record shorter than ``size``).
+        """
+        out = []
+        for slot in range(self.num_slots):
+            offset, length = self._read_slot(slot)
+            if offset:
+                self._check_slot_bounds(slot, offset, length)
+                out.append((slot, bytes(self.data[offset : offset + min(length, size)])))
+        return out
+
     def to_bytes(self) -> bytes:
         """The raw page image."""
         return bytes(self.data)

@@ -6,6 +6,8 @@ process recovers both, answering ``qut`` bit-identically to the warm engine
 without re-running S2T — plus the drop/replace disk-reclaim satellite.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,22 @@ from repro.core.engine import HermesEngine
 from repro.core.session import ProgressiveSession
 from repro.datagen import lane_scenario
 from repro.hermes.frame import MODFrame
+from repro.hermes.mod import MOD
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import MANIFEST_FILENAME
 
 from tests.conftest import membership_signature, run_sql
+
+
+def exact_answer(result):
+    """Memberships plus every representative's key and sample bytes."""
+    return membership_signature(result), [
+        (c.representative.key, c.representative.traj.xs.tobytes(),
+         c.representative.traj.ts.tobytes())
+        for c in result.clusters
+    ]
 
 
 def query_window(mod, lo=0.2, hi=0.7):
@@ -220,13 +232,6 @@ class TestRestartRecovery:
         manifest["manifest_crc"] = manifest_checksum(manifest)
         manifest_path.write_text(json.dumps(manifest))
 
-        def answer(result):
-            return membership_signature(result), [
-                (c.representative.key, c.representative.traj.xs.tobytes(),
-                 c.representative.traj.ts.tobytes())
-                for c in result.clusters
-            ]
-
         cold = HermesEngine.on_disk(tmp_path / "engine")
         builds_before = ReTraTree.build_calls
         reopened = cold.qut("lanes", window)
@@ -234,7 +239,7 @@ class TestRestartRecovery:
         assert not cold.retratree("lanes").recovered
         fresh = HermesEngine.in_memory()
         fresh.load_mod("lanes", mod)
-        assert answer(reopened) == answer(fresh.qut("lanes", window))
+        assert exact_answer(reopened) == exact_answer(fresh.qut("lanes", window))
 
     def test_store_with_a_retired_shards_section_opens_and_rebuilds(self, warm, tmp_path):
         """What ``retratree(shards=N)`` persisted before there was one index:
@@ -310,6 +315,147 @@ class TestRestartRecovery:
         session.query(query_window(mod))
         rows = session.evolution()
         assert rows[0]["recovered"] is True
+
+
+@pytest.fixture
+def archived(tmp_path):
+    """A closed store: bulk-loaded tree + 3 appended deltas.
+
+    Yields ``(root, window, expected, rebuilt)`` — the warm engine's answer
+    over the maintained tree, which a reopened tree must repeat exactly, and
+    a callable giving what a bulk load over base + deltas answers, which is
+    what a store too damaged to reopen falls back to.
+    """
+    mod, _ = lane_scenario(n_trajectories=30, n_lanes=3, n_samples=40, seed=11)
+    trajs = mod.trajectories()
+    root = tmp_path / "archive"
+    engine = HermesEngine.on_disk(root)
+    engine.load_mod("lanes", MOD(name="lanes", trajectories=trajs[:21]))
+    engine.retratree("lanes")
+    for i in range(21, 30, 3):
+        assert engine.append("lanes", trajs[i : i + 3]).persisted
+    window = query_window(mod)
+    expected = exact_answer(engine.qut("lanes", window))
+    engine.close()
+
+    def rebuilt():
+        fresh = HermesEngine.in_memory()
+        fresh.load_mod("lanes", mod)
+        return exact_answer(fresh.qut("lanes", window))
+
+    return root, window, expected, rebuilt
+
+
+def tree_section(root):
+    return json.loads((root / "lanes" / MANIFEST_FILENAME).read_text())["tree"]
+
+
+def member_partition_files(root):
+    return [
+        root / "lanes" / f"{entry['partition']}.part"
+        for sc in tree_section(root)["subchunks"]
+        for entry in sc["entries"]
+    ]
+
+
+class TestColdOpenDecodesNothing:
+    """Reopening reads slot directories and the manifest, not member records —
+    and every guard that used to ride on the decode still bites."""
+
+    def test_reopen_decodes_one_record_per_entry(self, archived, monkeypatch):
+        import repro.qut.retratree as retratree
+
+        root, window, expected, _rebuilt = archived
+        section = tree_section(root)
+        n_entries = sum(len(sc["entries"]) for sc in section["subchunks"])
+        assert n_entries > 0
+        decoded = []
+        real_decode = retratree.decode_record
+        monkeypatch.setattr(
+            retratree, "decode_record", lambda raw: decoded.append(1) or real_decode(raw)
+        )
+
+        builds = ReTraTree.build_calls
+        cold = HermesEngine.on_disk(root)
+        tree = cold.retratree("lanes")
+        assert tree.recovered
+        assert len(decoded) == n_entries  # the representatives, nothing else
+        assert tree.stats.partitions_decoded == 0
+        # PartitionInfo.record_count is caller tracked: reopen restores it
+        # for every partition the section names.
+        storage = tree.storage
+        assert storage.get(section["reps_partition"]).record_count == n_entries
+        for sc_data, subchunk in zip(section["subchunks"], tree.subchunks()):
+            assert (
+                storage.get(subchunk.unclustered_partition).record_count
+                == subchunk.unclustered_count
+                == sc_data["unclustered_count"]
+            )
+            for entry_data, entry in zip(sc_data["entries"], subchunk.entries):
+                assert (
+                    storage.get(entry.partition_name).record_count
+                    == entry.member_count
+                    == entry_data["member_count"]
+                )
+                assert list(entry.bbox.as_tuple()) == entry_data["bbox"]
+
+        result = cold.qut("lanes", window)
+        assert result.extras["tree_recovered"]
+        assert exact_answer(result) == expected
+        assert len(decoded) > n_entries  # the query is what decodes members
+        assert ReTraTree.build_calls == builds
+        cold.close()
+
+    def test_flipped_byte_in_a_member_page_rebuilds_and_answers(self, archived):
+        root, window, _expected, rebuilt = archived
+        victim = member_partition_files(root)[0]
+        data = bytearray(victim.read_bytes())
+        data[-20] ^= 0xFF  # inside the record area of the first page
+        victim.write_bytes(bytes(data))
+
+        builds = ReTraTree.build_calls
+        cold = HermesEngine.on_disk(root)
+        result = cold.qut("lanes", window)
+        assert not result.extras["tree_recovered"]
+        assert ReTraTree.build_calls == builds + 1
+        assert exact_answer(result) == rebuilt()
+        cold.close()
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated_to_zero_pages"])
+    def test_lost_member_partition_rebuilds_and_fsck_names_it(self, archived, damage):
+        from repro.storage.fsck import fsck_store
+
+        root, window, _expected, rebuilt = archived
+        victim = member_partition_files(root)[-1]
+        if damage == "deleted":
+            victim.unlink()
+        else:
+            victim.write_bytes(b"")
+        assert any(issue.path == str(victim) for issue in fsck_store(root).errors)
+
+        builds = ReTraTree.build_calls
+        cold = HermesEngine.on_disk(root)
+        result = cold.qut("lanes", window)
+        assert not result.extras["tree_recovered"]
+        assert ReTraTree.build_calls == builds + 1
+        assert exact_answer(result) == rebuilt()
+        cold.close()
+
+    def test_a_bug_in_reopen_is_not_mistaken_for_a_damaged_store(self, archived, monkeypatch):
+        """Only what a damaged or stale store can raise degrades to a
+        rebuild; a programming error escapes ``engine.retratree``."""
+        root, _window, _expected, _rebuilt = archived
+
+        def buggy(cls, manifest, storage):
+            raise AttributeError("'NoneType' object has no attribute 'heapfile'")
+
+        monkeypatch.setattr(ReTraTree, "from_manifest", classmethod(buggy))
+        cold = HermesEngine.on_disk(root)
+        builds = ReTraTree.build_calls
+        with pytest.raises(AttributeError, match="heapfile"):
+            cold.retratree("lanes")
+        assert ReTraTree.build_calls == builds
+        cold.close()
 
 
 class TestDropReclaimsDisk:

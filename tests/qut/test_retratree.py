@@ -1,6 +1,11 @@
 """Unit tests for the ReTraTree structure and its incremental maintenance."""
 
+import json
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
@@ -257,6 +262,57 @@ class TestManifestRoundtrip:
         roundtripped = json.loads(json.dumps(tree.to_manifest()))
         reopened = ReTraTree.from_manifest(roundtripped, storage=tree.storage)
         assert reopened.num_clusters == tree.num_clusters
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_manifest_count_and_bbox_are_what_the_records_derive(self, data):
+        """What reopening now takes from the manifest equals, bit for bit,
+        what it used to re-derive by decoding every member record: the
+        record count and the union of the members' bounding boxes."""
+        slope = data.draw(st.sampled_from([0.0, 0.1, -0.3, 1.0 / 3.0]), label="slope")
+        spacing = data.draw(st.sampled_from([0.1, 0.3, 1.0 / 7.0]), label="spacing")
+        n_flows = data.draw(st.integers(1, 3), label="flows")
+        n_per_flow = data.draw(st.integers(2, 7), label="per flow")
+        mod = MOD(name="flows")
+        for f in range(n_flows):
+            for i in range(n_per_flow):
+                y = f * 50.0 + spacing * i
+                mod.add(
+                    make_linear_trajectory(
+                        f"f{f}o{i}", "0", (0, y), (10, y + slope), 0.0, 100.0, 21
+                    )
+                )
+        tree = ReTraTree.build(mod, QuTParams(tau=50.0, delta=25.0, overflow_threshold=6))
+        for batch in range(data.draw(st.integers(0, 3), label="appends")):
+            t0 = data.draw(st.sampled_from([0.0, 25.0, 40.0, 100.0]), label="t0")
+            flow = data.draw(st.integers(0, n_flows), label="near flow")
+            tree.append(
+                [
+                    make_linear_trajectory(
+                        f"late{batch}_{i}", "0",
+                        (3, flow * 50.0 + spacing * (i + 0.5)),
+                        (10, flow * 50.0 + spacing * (i + 0.5) + slope),
+                        t0, t0 + 60.0, 13,
+                    )
+                    for i in range(data.draw(st.integers(1, 3), label="batch size"))
+                ]
+            )
+
+        manifest = json.loads(json.dumps(tree.to_manifest()))
+        reopened = ReTraTree.from_manifest(manifest, storage=tree.storage)
+        entries = [entry for sc in reopened.subchunks() for entry in sc.entries]
+        assert len(entries) == tree.num_clusters > 0
+        for entry in entries:
+            members = reopened.load_members(entry)
+            derived = members[0].bbox
+            for member in members[1:]:
+                derived = derived.union(member.bbox)
+            assert entry.member_count == len(members)
+            assert struct.pack("6d", *entry.bbox.as_tuple()) == struct.pack(
+                "6d", *derived.as_tuple()
+            )
+        for sc in reopened.subchunks():
+            assert sc.unclustered_count == len(reopened.load_unclustered(sc))
 
     def test_reopen_detects_torn_state_and_accepts_repersist(self, tmp_path):
         """Records archived AFTER the manifest snapshot make the stale

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.heapfile import HeapFile, RID
+from repro.storage.heapfile import HeapFile, RID, _encode_chunk
 from repro.storage.pager import FilePager, InMemoryPager
 
 
@@ -88,3 +88,95 @@ class TestDurability:
 
     def test_rid_ordering(self):
         assert RID(0, 1) < RID(0, 2) < RID(1, 0)
+
+
+def scanned_count(heapfile):
+    return sum(1 for _ in heapfile.scan_records())
+
+
+def overwrite_chunk_header(heapfile, rid, header: bytes):
+    """Rewrite the leading bytes of the chunk at ``rid`` in its (pooled) page."""
+    page = heapfile.buffer_pool.get_page(rid.page_no)
+    offset, _length = page._read_slot(rid.slot)
+    page.data[offset : offset + len(header)] = header
+
+
+def chunk_header(next_rid: "RID | None") -> bytes:
+    return _encode_chunk(b"", next_rid)
+
+
+class TestCountRecords:
+    """``count_records`` is ``scan_records`` minus the payloads: same count,
+    same refusals, read from slot directories and chunk headers only."""
+
+    def test_empty_file(self, heapfile):
+        assert heapfile.count_records() == scanned_count(heapfile) == 0
+
+    def test_single_and_multi_page_records_and_deleted_slots(self, heapfile):
+        rids = [heapfile.insert(f"rec-{i}".encode() * (i + 1)) for i in range(40)]
+        rids.append(heapfile.insert(b"X" * 20000))  # continuation chain over 3 pages
+        rids.append(heapfile.insert(b""))
+        rids.append(heapfile.insert(b"Y" * 9000))
+        assert heapfile.count_records() == scanned_count(heapfile) == 43
+        heapfile.delete(rids[3])
+        heapfile.delete(rids[40])  # every chunk of the 20 kB record
+        assert heapfile.count_records() == scanned_count(heapfile) == 41
+
+    def test_one_page_access_per_page_and_no_payload_copy(self, heapfile, monkeypatch):
+        from repro.storage.page import Page
+
+        for _ in range(30):
+            heapfile.insert(b"p" * 1000)
+        heapfile.insert(b"Z" * 20000)
+        stats = heapfile.buffer_pool.stats
+        before = stats.logical_reads
+        monkeypatch.setattr(Page, "records", None)  # the payload-copying accessor
+        assert heapfile.count_records() == 31
+        assert stats.logical_reads - before == heapfile.num_pages()
+
+    def test_matches_scan_on_random_contents(self):
+        import random
+
+        rng = random.Random(7)
+        heap = HeapFile(BufferPool(InMemoryPager(), capacity=64))
+        live = []
+        for _ in range(200):
+            if live and rng.random() < 0.25:
+                heap.delete(live.pop(rng.randrange(len(live))))
+            else:
+                live.append(heap.insert(bytes(rng.randrange(0, 12000))))
+            assert heap.count_records() == scanned_count(heap) == len(live)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("bad_flag", "continuation flag 7"),
+            ("short_chunk", "shorter than"),
+            ("broken_chain", "broken continuation chain"),
+            ("cyclic_chain", "cyclic continuation chain"),
+            ("slot_out_of_bounds", "outside the valid data area"),
+        ],
+    )
+    def test_raises_on_what_scan_records_raises_on(self, heapfile, damage, message):
+        first = heapfile.insert(b"first")
+        second = heapfile.insert(b"second")
+        page = heapfile.buffer_pool.get_page(first.page_no)
+        if damage == "bad_flag":
+            overwrite_chunk_header(heapfile, first, bytes([7]))
+        elif damage == "short_chunk":
+            offset, _length = page._read_slot(first.slot)
+            page._write_slot(first.slot, offset, 4)
+        elif damage == "broken_chain":
+            overwrite_chunk_header(heapfile, first, chunk_header(RID(5, 5)))
+        elif damage == "cyclic_chain":
+            # head -> first -> second -> first: a cycle hanging off a head.
+            head = heapfile.insert(b"head")
+            overwrite_chunk_header(heapfile, head, chunk_header(first))
+            overwrite_chunk_header(heapfile, first, chunk_header(second))
+            overwrite_chunk_header(heapfile, second, chunk_header(first))
+        else:
+            page._write_slot(first.slot, 2, 50)  # inside the slot directory
+        with pytest.raises(ValueError, match=message):
+            list(heapfile.scan_records())
+        with pytest.raises(ValueError, match=message):
+            heapfile.count_records()
