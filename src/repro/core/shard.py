@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from repro.core.parallel import WorkerPool, scatter, shipped_task
 from repro.hermes.frame import MODFrame
 from repro.qut.params import QuTParams
-from repro.qut.retratree import ReTraTree, _record_to_subtrajectory
+from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import StorageManager
-from repro.storage.records import encode_record
+from repro.storage.records import decode_records, encode_record
 
 __all__ = [
     "ShardPlan",
@@ -132,22 +132,24 @@ def export_shard_tree(tree: ReTraTree) -> list[dict]:
 def import_shard_tree(tree: ReTraTree, payload: list[dict]) -> None:
     """Adopt one window's :func:`export_shard_tree` output into ``tree``.
 
-    Archives every record through the tree's normal archive path (heapfile
-    + pg3D-Rtree), in export order, into ``tree.storage``.  Entries open
-    under ``tree``'s own cluster-id counter, so ids stay unique across
-    windows.
+    Decodes each partition's records as one batch and archives every record
+    through the tree's normal archive path, in export order, into
+    ``tree.storage``.  Entries open under ``tree``'s own cluster-id counter,
+    so ids stay unique across windows.
     """
     for sc_data in payload:
         subchunk = tree._get_subchunk(sc_data["chunk_idx"], sc_data["sub_idx"])
-        for raw in sc_data["unclustered"]:
-            tree._archive(subchunk.unclustered_partition, _record_to_subtrajectory(raw))
+        for sub in decode_records(sc_data["unclustered"]).subtrajectories():
+            tree._archive(subchunk.unclustered_partition, sub)
             subchunk.unclustered_count += 1
-        for entry_data in sc_data["entries"]:
-            entry = tree._open_entry(
-                subchunk, _record_to_subtrajectory(entry_data["representative"])
-            )
-            for raw in entry_data["members"]:
-                tree._archive_member(entry, _record_to_subtrajectory(raw))
+        entries = sc_data["entries"]
+        representatives = decode_records(
+            [entry_data["representative"] for entry_data in entries]
+        ).subtrajectories()
+        for entry_data, representative in zip(entries, representatives):
+            entry = tree._open_entry(subchunk, representative)
+            for sub in decode_records(entry_data["members"]).subtrajectories():
+                tree._archive_member(entry, sub)
             subchunk.entries.append(entry)
         subchunk.touch_entries()
 

@@ -60,6 +60,24 @@ rebuilding their own columnar snapshots:
   per-trajectory Python loop of a full :meth:`from_mod` rebuild.  This is
   the only mutation a frame ever undergoes; rows are append-only and
   existing row indices never move.
+
+The trajectory invariant
+------------------------
+Every row of a frame is a valid trajectory: at least two samples, strictly
+increasing ``t`` and finite ``x`` / ``y`` / ``t``
+(:func:`~repro.hermes.trajectory.sample_defect`).  The frame checks it once,
+vectorised over all rows, in ``_init_columns`` — the one place every
+construction path goes through (``__init__``, ``_from_columns``,
+:meth:`~MODFrame.from_payload`, :meth:`~MODFrame.from_shm`, slicing, the
+full-recompute branch of :meth:`~MODFrame.extend`) — and raises
+:class:`ValueError` naming the first failing row.  A stored partition
+therefore loads as one checked frame (:func:`repro.storage.records.decode_records`).
+
+Because a frame's rows are known valid, :meth:`MODFrame.trajectory_of` and
+:func:`subtrajectory_from_slice` hand out :class:`Trajectory` *views* of
+validated columns without re-running the per-object check.  That unchecked
+construction is ``_trajectory_view``, private to this module; the public
+``Trajectory(...)`` constructor always validates.
 """
 
 from __future__ import annotations
@@ -69,17 +87,94 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.hermes.trajectory import Trajectory
+from repro.hermes.trajectory import SubTrajectory, Trajectory, sample_defect
 from repro.hermes.types import _EPS, BoxST, Period
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hermes.mod import MOD
 
-__all__ = ["MODFrame"]
+__all__ = ["MODFrame", "subtrajectory_from_slice"]
 
 # Cap on the number of (trajectory, instant) cells materialised per batch;
 # larger requests are transparently chunked by the callers' helpers.
 MAX_BATCH_CELLS = 1 << 21
+
+
+def _trajectory_view(
+    obj_id: str, traj_id: str, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray
+) -> Trajectory:
+    """A :class:`Trajectory` over columns already known to hold the invariant.
+
+    The one unchecked construction: callers pass slices of a checked frame
+    or the columns of an existing trajectory, never raw input.
+    """
+    traj = Trajectory.__new__(Trajectory)
+    traj.obj_id, traj.traj_id = obj_id, traj_id
+    traj.xs, traj.ys, traj.ts = xs, ys, ts
+    return traj
+
+
+def subtrajectory_from_slice(parent: Trajectory, piece: Trajectory) -> SubTrajectory:
+    """Wrap a temporally sliced piece of ``parent`` as a :class:`SubTrajectory`.
+
+    The sample bounds are the parent samples closest to the piece's first and
+    last instants (slicing interpolates new endpoints, so exact sample
+    identity is not guaranteed).  ``piece`` is a trajectory, so its columns
+    already hold the invariant; the sub-trajectory is a view of them under
+    the ``<traj_id>#<start>-<end>`` id.
+    """
+    start_idx = int(np.searchsorted(parent.ts, piece.ts[0], side="left"))
+    end_idx = int(np.searchsorted(parent.ts, piece.ts[-1], side="right")) - 1
+    start_idx = min(max(start_idx, 0), parent.num_points - 2)
+    end_idx = min(max(end_idx, start_idx + 1), parent.num_points - 1)
+    sub_traj = _trajectory_view(
+        parent.obj_id,
+        f"{parent.traj_id}#{start_idx}-{end_idx}",
+        piece.xs,
+        piece.ys,
+        piece.ts,
+    )
+    return SubTrajectory(parent.key, start_idx, end_idx, sub_traj)
+
+
+def _check_rows(
+    keys: Sequence[tuple[str, str]],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    ts: np.ndarray,
+    offsets: np.ndarray,
+) -> None:
+    """Raise :class:`ValueError` for the first row breaking the trajectory invariant.
+
+    The vectorised pass accepts a valid frame without a per-row loop: within
+    a row every ``t`` step must rise (a NaN never does; the steps across row
+    boundaries are masked out), and every ``x`` / ``y`` plus each row's first
+    and last ``t`` must be finite.  Only a frame that fails it is walked row
+    by row, so the error names the first defective row with exactly the
+    reason ``Trajectory(...)`` would give for it.
+    """
+    n = len(keys)
+    if not (len(offsets) == n + 1 and len(xs) == len(ys) == len(ts) == int(offsets[-1])):
+        raise ValueError(
+            f"frame columns do not match its offsets: {n} rows, offsets of "
+            f"length {len(offsets)}, columns of length {len(xs)} / {len(ys)} / {len(ts)}"
+        )
+    if (np.diff(offsets) >= 2).all():
+        rising = ts[1:] > ts[:-1]
+        rising[offsets[1:-1] - 1] = True
+        if (
+            rising.all()
+            and np.isfinite(xs).all()
+            and np.isfinite(ys).all()
+            and np.isfinite(ts[offsets[:-1]]).all()
+            and np.isfinite(ts[offsets[1:] - 1]).all()
+        ):
+            return
+    for row in range(n):
+        lo, hi = offsets[row], offsets[row + 1]
+        defect = sample_defect(xs[lo:hi], ys[lo:hi], ts[lo:hi])
+        if defect is not None:
+            raise ValueError(f"trajectory {keys[row]!r}: {defect}")
 
 
 class MODFrame:
@@ -154,7 +249,12 @@ class MODFrame:
         ts: np.ndarray,
         offsets: np.ndarray,
     ) -> None:
-        """Populate all slots from raw columns (derived tables recomputed)."""
+        """Check the trajectory invariant, then populate all slots from raw columns.
+
+        Derived tables are recomputed.  Raises :class:`ValueError` naming
+        the first row that is not a valid trajectory.
+        """
+        _check_rows(keys, xs, ys, ts, offsets)
         self.keys = keys
         self.xs = xs
         self.ys = ys
@@ -441,10 +541,15 @@ class MODFrame:
         return Period(float(self.tmins[row]), float(self.tmaxs[row]))
 
     def trajectory_of(self, row: int) -> Trajectory:
-        """Row ``row`` as a :class:`Trajectory` (zero-copy column views)."""
+        """Row ``row`` as a :class:`Trajectory` (zero-copy column views).
+
+        The row was checked when the frame was built, so the view is not
+        validated again.
+        """
         obj_id, traj_id = self.keys[row]
-        return Trajectory(
-            obj_id, traj_id, self.xs_of(row), self.ys_of(row), self.ts_of(row)
+        lo, hi = self.offsets[row], self.offsets[row + 1]
+        return _trajectory_view(
+            obj_id, traj_id, self.xs[lo:hi], self.ys[lo:hi], self.ts[lo:hi]
         )
 
     def to_mod(self, name: str = "frame") -> "MOD":

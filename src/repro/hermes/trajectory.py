@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.hermes.types import BoxST, Period, PointST, SegmentST
 
-__all__ = ["Trajectory", "SubTrajectory"]
+__all__ = ["Trajectory", "SubTrajectory", "sample_defect"]
 
 
 def _as_float_array(values: Sequence[float]) -> np.ndarray:
@@ -27,6 +27,33 @@ def _as_float_array(values: Sequence[float]) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("coordinate arrays must be one-dimensional")
     return arr
+
+
+def sample_defect(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> str | None:
+    """Why one trajectory's sample columns break the invariant, or ``None``.
+
+    The trajectory invariant: equal-length columns, at least two samples,
+    strictly increasing ``ts`` and finite ``xs`` / ``ys`` / ``ts``.  The
+    ``ts`` comparison is false for a NaN, and strictly increasing ``ts``
+    are finite exactly when their endpoints are.  :class:`Trajectory`
+    construction raises this reason; :class:`~repro.hermes.frame.MODFrame`
+    checks the same invariant over all rows at once and names the first
+    failing row with it.
+    """
+    if not (len(xs) == len(ys) == len(ts)):
+        return "xs, ys, ts must have equal lengths"
+    if len(ts) < 2:
+        return "a trajectory needs at least two samples"
+    if not (ts[1:] > ts[:-1]).all():
+        return "timestamps must be strictly increasing"
+    if not (
+        np.isfinite(xs).all()
+        and np.isfinite(ys).all()
+        and math.isfinite(ts[0])
+        and math.isfinite(ts[-1])
+    ):
+        return "x, y, t must be finite"
+    return None
 
 
 class Trajectory:
@@ -40,8 +67,13 @@ class Trajectory:
         Identifier of this trajectory of the object.  ``(obj_id, traj_id)``
         is unique within a MOD.
     xs, ys, ts:
-        Equal-length coordinate sequences.  ``ts`` must be strictly
-        increasing.
+        Equal-length, finite coordinate sequences of at least two samples.
+        ``ts`` must be strictly increasing.
+
+    Raises
+    ------
+    ValueError
+        Naming the trajectory and the broken rule (:func:`sample_defect`).
     """
 
     __slots__ = ("obj_id", "traj_id", "xs", "ys", "ts")
@@ -59,12 +91,9 @@ class Trajectory:
         self.xs = _as_float_array(xs)
         self.ys = _as_float_array(ys)
         self.ts = _as_float_array(ts)
-        if not (len(self.xs) == len(self.ys) == len(self.ts)):
-            raise ValueError("xs, ys, ts must have equal lengths")
-        if len(self.ts) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        if np.any(np.diff(self.ts) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
+        defect = sample_defect(self.xs, self.ys, self.ts)
+        if defect is not None:
+            raise ValueError(f"trajectory {self.key!r}: {defect}")
 
     # -- identity ----------------------------------------------------------
 

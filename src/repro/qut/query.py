@@ -27,9 +27,9 @@ pair of adjacent sub-chunks, derived on first touch and invalidated on
 mutation (the "Derived state" section of :mod:`repro.qut.retratree`).  What
 happens here per window is which sub-chunks and entries it touches, the
 partition reads (member records stay on disk and are decoded per query,
-through the buffer pool), restricting the members of the (at most two)
-partially covered sub-chunks, and the connected components of the merge
-links among the entries present.  A window that re-touches a sub-chunk pair
+through the buffer pool, one batch per partition), restricting the members
+of the (at most two) partially covered sub-chunks, and the connected
+components of the merge links among the entries present.  A window that re-touches a sub-chunk pair
 an earlier query touched since its last mutation measures no distance; the
 per-query deltas of the tree's read-path counters are reported in ``extras``
 (``partitions_decoded``, ``merge_pairs_evaluated``, ``rtrees_built``).

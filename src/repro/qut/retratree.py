@@ -38,8 +38,10 @@ time, so neither pays for state no query asks for.
 Version-keyed slots are *replaced* on mismatch, never accumulated, so the
 state is bounded by the number of cluster entries.  Level 4 stays on disk:
 member records are read through the buffer pool and decoded per query
-(:meth:`ReTraTree.load_members`), so the tree's memory does not grow with
-the archived data.  The pg3D-Rtree is lazy because QuT reads whole
+(:meth:`ReTraTree.load_members`) — each partition as one batch into one
+checked frame, the members being views of it
+(:func:`~repro.storage.records.decode_records`) — so the tree's memory does
+not grow with the archived data.  The pg3D-Rtree is lazy because QuT reads whole
 partitions — only :meth:`~ReTraTree.load_members_in` probes it — while
 maintaining it eagerly cost a pure-Python R-tree insert on every archived
 record and a full rebuild of every partition's tree on reopen.
@@ -57,7 +59,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.hermes.distances import hausdorff_distance_batch, spatiotemporal_distance_batch
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, subtrajectory_from_slice
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import BoxST, Period
@@ -68,30 +70,9 @@ from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
 from repro.storage.errors import CorruptPartitionError
 from repro.storage.heapfile import RID
-from repro.storage.records import decode_record, encode_record
+from repro.storage.records import decode_records, encode_record
 
 __all__ = ["ClusterEntry", "SubChunk", "ReTraTree", "subtrajectory_from_slice"]
-
-
-def subtrajectory_from_slice(parent: Trajectory, piece: Trajectory) -> SubTrajectory:
-    """Wrap a temporally sliced piece of ``parent`` as a :class:`SubTrajectory`.
-
-    The sample bounds are the parent samples closest to the piece's first and
-    last instants (slicing interpolates new endpoints, so exact sample
-    identity is not guaranteed).
-    """
-    start_idx = int(np.searchsorted(parent.ts, piece.ts[0], side="left"))
-    end_idx = int(np.searchsorted(parent.ts, piece.ts[-1], side="right")) - 1
-    start_idx = min(max(start_idx, 0), parent.num_points - 2)
-    end_idx = min(max(end_idx, start_idx + 1), parent.num_points - 1)
-    sub_traj = Trajectory(
-        parent.obj_id,
-        f"{parent.traj_id}#{start_idx}-{end_idx}",
-        piece.xs,
-        piece.ys,
-        piece.ts,
-    )
-    return SubTrajectory(parent.key, start_idx, end_idx, sub_traj)
 
 
 def _partition_path(storage: StorageManager, name: str):
@@ -118,15 +99,6 @@ def _bbox_faces_within(frame: MODFrame, traj: Trajectory, d: float) -> np.ndarra
         np.maximum(np.abs(frame.ymins - ymin), np.abs(frame.ymaxs - ymax)),
     )
     return gap <= d + 4.0 * np.spacing(gap + d)
-
-
-def _record_to_subtrajectory(raw: bytes) -> SubTrajectory:
-    """Rebuild a :class:`SubTrajectory` from an archived record."""
-    rec = decode_record(raw)
-    start = max(rec.parent_start, 0)
-    end = max(rec.parent_end, start + 1)
-    traj = Trajectory(rec.obj_id, f"{rec.traj_id}#{start}-{end}", rec.xs, rec.ys, rec.ts)
-    return SubTrajectory((rec.obj_id, rec.traj_id), start, end, traj)
 
 
 @dataclass
@@ -355,12 +327,18 @@ class ReTraTree:
         return sum(len(sc.entries) for sc in self._subchunks.values())
 
     def partition_rtree(self, partition_name: str) -> RTree3D[RID]:
-        """The pg3D-Rtree of a partition, built from one scan on first use."""
+        """The pg3D-Rtree of a partition, built from one scan on first use.
+
+        The partition is decoded as one batch and the boxes come from the
+        decoded frame's per-row tables.
+        """
         rtree = self._rtrees.get(partition_name)
         if rtree is None:
             rtree = RTree3D(max_entries=16)
-            for rid, raw in self.storage.get(partition_name).heapfile.scan_records():
-                rtree.insert(_record_to_subtrajectory(raw).bbox, rid)
+            scanned = list(self.storage.get(partition_name).heapfile.scan_records())
+            frame = decode_records([raw for _rid, raw in scanned]).frame
+            for row, (rid, _raw) in enumerate(scanned):
+                rtree.insert(frame.bbox_of(row), rid)
             self._rtrees[partition_name] = rtree
             self.stats.rtrees_built += 1
         return rtree
@@ -406,9 +384,11 @@ class ReTraTree:
         entry.expand_bbox(sub.bbox)
 
     def _load_partition(self, partition_name: str) -> list[SubTrajectory]:
+        """A partition's records, decoded as one batch into views of one frame."""
         info = self.storage.get(partition_name)
         self.stats.partitions_decoded += 1
-        return [_record_to_subtrajectory(raw) for _rid, raw in info.heapfile.scan_records()]
+        raws = [raw for _rid, raw in info.heapfile.scan_records()]
+        return decode_records(raws).subtrajectories()
 
     def load_members(self, entry: ClusterEntry) -> list[SubTrajectory]:
         """Load a cluster entry's archived members from its partition."""
@@ -426,7 +406,7 @@ class ReTraTree:
         """
         info = self.storage.get(entry.partition_name)
         rids = self.partition_rtree(entry.partition_name).range_search(box)
-        return [_record_to_subtrajectory(info.heapfile.get(rid)) for rid in rids]
+        return decode_records([info.heapfile.get(rid) for rid in rids]).subtrajectories()
 
     # -- insertion ----------------------------------------------------------------------
 
@@ -830,9 +810,10 @@ class ReTraTree:
         ``storage`` must be the manager over the directory the tree was
         persisted into (its heapfiles hold the member and representative
         records).  No S2T work runs here and the only records decoded are
-        the representatives, one per level-3 entry; member and unclustered
-        records are decoded by the first query that loads them, exactly as
-        on a tree that was never closed.
+        the representatives — one record per level-3 entry, in one batch
+        (:func:`~repro.storage.records.decode_records`); member and
+        unclustered records are decoded by the first query that loads them,
+        exactly as on a tree that was never closed.
 
         Every partition the section names is opened eagerly
         (:meth:`_reopen_partition`), so page-CRC damage and a record count
@@ -870,6 +851,15 @@ class ReTraTree:
         if expected_reps is not None:
             tree._reopen_partition(reps_name, "representatives", expected_reps)
         reps = storage.get_or_create(reps_name)
+        representatives = iter(
+            decode_records(
+                [
+                    reps.heapfile.get(RID(*entry_data["representative_rid"]))
+                    for sc_data in manifest["subchunks"]
+                    for entry_data in sc_data["entries"]
+                ]
+            ).subtrajectories()
+        )
         for sc_data in manifest["subchunks"]:
             key = (int(sc_data["chunk_idx"]), int(sc_data["sub_idx"]))
             subchunk = SubChunk(
@@ -882,12 +872,11 @@ class ReTraTree:
                 subchunk.unclustered_partition, "unclustered", sc_data["unclustered_count"]
             )
             for entry_data in sc_data["entries"]:
-                rid = RID(*entry_data["representative_rid"])
                 bbox = entry_data["bbox"]
                 subchunk.entries.append(
                     ClusterEntry(
                         cluster_id=int(entry_data["cluster_id"]),
-                        representative=_record_to_subtrajectory(reps.heapfile.get(rid)),
+                        representative=next(representatives),
                         partition_name=entry_data["partition"],
                         member_count=tree._reopen_partition(
                             entry_data["partition"], "member", entry_data["member_count"]

@@ -21,6 +21,7 @@ samples cannot be expressed as an append.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
@@ -251,13 +252,14 @@ class PlanExecutor:
                 )
             obj_id, traj_id, x, y, t = row
             try:
-                coerced.append(
-                    ((str(obj_id), str(traj_id)), (float(t), float(x), float(y)))
-                )
+                sample = (float(t), float(x), float(y))
             except (TypeError, ValueError) as exc:
                 raise SQLExecutionError(
                     f"INSERT x/y/t values must be numeric; bad row {row!r}"
                 ) from exc
+            if not all(map(math.isfinite, sample)):
+                raise SQLExecutionError(f"INSERT x/y/t values must be finite; bad row {row!r}")
+            coerced.append(((str(obj_id), str(traj_id)), sample))
         mod = self.engine.get_mod(name)
         if any(key in mod for key, _ in coerced):
             return self._insert_rebuild(name, coerced)

@@ -9,7 +9,8 @@ but real storage engine:
 * :mod:`repro.storage.pager`       -- file-backed and in-memory page stores,
 * :mod:`repro.storage.buffer_pool` -- LRU buffer pool with hit/miss counters,
 * :mod:`repro.storage.heapfile`    -- record files addressed by RID,
-* :mod:`repro.storage.records`     -- (sub-)trajectory record serialisation,
+* :mod:`repro.storage.records`     -- (sub-)trajectory record serialisation
+  and the one parser, a partition's records into one checked frame,
 * :mod:`repro.storage.catalog`     -- named partitions (create/open/drop),
   the atomic manifest write and directory reclamation,
 * :mod:`repro.storage.durable`     -- the durable catalog: the manifest
@@ -35,7 +36,8 @@ persisted.  Recovery opens every partition (page CRCs verified) and checks
 each heapfile's record count — read from slot directories and chunk
 headers, :meth:`~repro.storage.heapfile.HeapFile.count_records` — against
 the manifest's (a mismatch is the signature of a torn append and degrades
-to a rebuild); no member record is decoded until a query loads it.
+to a rebuild); no member record is decoded until a query loads it, and a
+query decodes each partition it loads as one batch.
 
 Failure model
 -------------
@@ -53,7 +55,7 @@ from repro.storage.page import Page, PAGE_SIZE
 from repro.storage.pager import FilePager, InMemoryPager, Pager
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats
 from repro.storage.heapfile import HeapFile, RID
-from repro.storage.records import TrajectoryRecord, decode_record, encode_record
+from repro.storage.records import RecordBatch, decode_records, encode_record
 from repro.storage.catalog import (
     StorageManager,
     PartitionInfo,
@@ -87,9 +89,9 @@ __all__ = [
     "BufferPoolStats",
     "HeapFile",
     "RID",
-    "TrajectoryRecord",
+    "RecordBatch",
     "encode_record",
-    "decode_record",
+    "decode_records",
     "StorageManager",
     "PartitionInfo",
     "DurableCatalog",

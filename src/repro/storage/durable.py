@@ -100,7 +100,7 @@ from repro.storage.catalog import (
 )
 from repro.storage.errors import CorruptManifestError, CorruptPartitionError
 from repro.storage.faults import IOShim
-from repro.storage.records import decode_record, encode_record
+from repro.storage.records import decode_records, encode_record
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -426,15 +426,14 @@ class DurableCatalog:
     def _decode(
         storage: StorageManager, name: str, partition: str, row_keys: list[list[str]]
     ) -> list[Trajectory]:
-        """One archive partition's trajectories, ordered by ``row_keys``."""
+        """One archive partition's trajectories, ordered by ``row_keys``.
+
+        The partition decodes as one batch; the trajectories are views of
+        its checked frame.
+        """
         info = storage.get_or_create(partition)
-        by_key: dict[tuple[str, ...], Trajectory] = {}
-        count = 0
         try:
-            for _rid, raw in info.heapfile.scan_records():
-                record = decode_record(raw)
-                by_key[(record.obj_id, record.traj_id)] = record.to_trajectory()
-                count += 1
+            batch = decode_records([raw for _rid, raw in info.heapfile.scan_records()])
         except CorruptPartitionError:
             raise
         except (ValueError, KeyError) as exc:
@@ -443,7 +442,10 @@ class DurableCatalog:
                 f"does not decode: {exc}",
                 path=info.path,
             ) from exc
-        info.record_count = count
+        info.record_count = len(batch)
+        by_key: dict[tuple[str, ...], Trajectory] = dict(
+            zip(batch.parent_keys, batch.trajectories())
+        )
         try:
             return [by_key[tuple(key)] for key in row_keys]
         except KeyError as exc:

@@ -369,10 +369,12 @@ class TestColdOpenDecodesNothing:
         section = tree_section(root)
         n_entries = sum(len(sc["entries"]) for sc in section["subchunks"])
         assert n_entries > 0
-        decoded = []
-        real_decode = retratree.decode_record
+        decoded = []  # one item per decoded record, whatever the batching
+        real_decode = retratree.decode_records
         monkeypatch.setattr(
-            retratree, "decode_record", lambda raw: decoded.append(1) or real_decode(raw)
+            retratree,
+            "decode_records",
+            lambda raws: decoded.extend([1] * len(raws)) or real_decode(raws),
         )
 
         builds = ReTraTree.build_calls

@@ -25,7 +25,8 @@ from repro.s2t.clustering import (
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.voting import compute_voting
-from repro.storage.records import decode_record, encode_record
+from repro.storage.records import encode_record
+from tests.storage.oracles import decode_record
 
 
 @st.composite

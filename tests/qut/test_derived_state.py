@@ -32,12 +32,12 @@ from repro.qut.retratree import (
     ReTraTree,
     SubChunk,
     _bbox_faces_within,
-    _record_to_subtrajectory,
 )
 from repro.storage.catalog import StorageManager
 from tests.conftest import make_linear_trajectory, restriction_signature
 from tests.qut.oracles import merge_across_subchunks_scalar
 from tests.qut.test_retratree import flow_mod
+from tests.storage.oracles import record_to_subtrajectory as _record_to_subtrajectory
 
 SCENARIOS = {
     "lanes": lane_scenario,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.storage.records import decode_record, encode_record
+from repro.storage.records import encode_record
 from tests.conftest import make_linear_trajectory
+from tests.storage.oracles import decode_record
 
 
 class TestTrajectoryRecords:
