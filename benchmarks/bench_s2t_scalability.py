@@ -4,8 +4,8 @@ The underlying EDBT'17 paper evaluates S2T's runtime as the MOD grows and the
 relative cost of its phases.  This benchmark sweeps the MOD cardinality and
 reports the per-phase wall-clock breakdown (voting, segmentation, sampling,
 clustering), checking the expected shape: voting dominates and grows
-super-linearly with N, while the index-pruned voting keeps the growth in
-check.
+super-linearly with N, while pruning voting pairs by kernel-support boxes
+keeps the growth in check.
 """
 
 import pytest
@@ -51,7 +51,7 @@ def test_s2t_scalability_with_mod_size(benchmark):
 
 @pytest.mark.repro("E10")
 def test_s2t_index_pruning_reduces_voting_cost(benchmark, aircraft_data):
-    """The in-DBMS index path of voting vs the dense all-pairs path."""
+    """Batched voting, pruned by kernel-support boxes, vs the dense all-pairs path."""
     mod, _ = aircraft_data
     with_index = S2TClustering().fit(mod)
     without_index = S2TClustering(S2TParams(voting_strategy="dense")).fit(mod)
@@ -60,7 +60,7 @@ def test_s2t_index_pruning_reduces_voting_cost(benchmark, aircraft_data):
         format_table(
             [
                 {
-                    "voting": "index-pruned",
+                    "voting": "box-pruned",
                     "pairs_evaluated": with_index.extras["voting_pairs_evaluated"],
                     "voting_s": round(with_index.timings["voting"], 3),
                 },
@@ -70,7 +70,7 @@ def test_s2t_index_pruning_reduces_voting_cost(benchmark, aircraft_data):
                     "voting_s": round(without_index.timings["voting"], 3),
                 },
             ],
-            title="E10 (cont.): voting with and without the trajectory R-tree",
+            title="E10 (cont.): voting with and without candidate pruning",
         )
     )
     assert (

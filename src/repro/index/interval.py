@@ -30,9 +30,7 @@ class IntervalIndex(Generic[V]):
     def bulk_load(cls, items: list[tuple[Period, V]]) -> "IntervalIndex[V]":
         """Build an index from many entries at once.
 
-        A single ``O(n log n)`` sort instead of ``n`` sorted insertions —
-        this is how the voting phase's sweep-line temporal prefilter builds
-        its per-MOD lifespan index.
+        A single ``O(n log n)`` sort instead of ``n`` sorted insertions.
         """
         index: IntervalIndex[V] = cls()
         ordered = sorted(items, key=lambda item: item[0].tmin)

@@ -9,6 +9,7 @@ TRACLUS/co-movement parameters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.hermes.mod import MOD
@@ -35,9 +36,9 @@ class S2TParams:
 
         * ``"dense"`` — all-pairs Python loop, the exact reference;
         * ``"batched"`` (default) — the columnar
-          :class:`~repro.hermes.frame.MODFrame` engine: R-tree plus
-          sweep-line temporal prefilter, one vectorised interpolation pass
-          per target; matches ``"dense"`` within ``1e-8``.
+          :class:`~repro.hermes.frame.MODFrame` engine: one sweep per voter
+          over the time-sorted sample column; matches ``"dense"`` within
+          ``1e-8``.
     segmentation_method:
         ``"dp"`` for the optimal dynamic-programming segmentation or
         ``"greedy"`` for the linear-time heuristic — ablation E12.
@@ -73,6 +74,11 @@ class S2TParams:
         whole-MOD pipeline in-process; ``> 1`` splits the dataset into
         temporal partitions, fits each on a process pool and merges the
         per-partition results.
+
+    A set ``sigma`` / ``eps`` / ``coverage_radius`` must be finite and
+    positive, ``voting_samples`` at least 1 and ``temporal_tolerance``
+    finite and non-negative; anything else raises :class:`ValueError`
+    naming the field.
     """
 
     sigma: float | None = None
@@ -91,9 +97,30 @@ class S2TParams:
     n_jobs: int = 1
 
     def resolved(self, mod: MOD) -> "S2TParams":
-        """Return a copy with all ``None`` thresholds resolved against ``mod``."""
+        """Return a copy with all ``None`` thresholds resolved against ``mod``.
+
+        Raises :class:`ValueError` when the MOD's spatial extent or diagonal
+        is not finite (coordinates near ``±float max``), whether or not
+        ``sigma`` / ``eps`` are given: distances across such a MOD overflow,
+        so S2T has no answer to give for it.  A MOD of zero extent is refused
+        too unless ``sigma`` and ``eps`` are given, since their defaults
+        would be zero.
+        """
         bbox = mod.bbox
-        diag = ((bbox.dx) ** 2 + (bbox.dy) ** 2) ** 0.5
+        try:
+            diag = ((bbox.dx) ** 2 + (bbox.dy) ** 2) ** 0.5
+        except OverflowError:
+            diag = math.inf
+        if not math.isfinite(diag):
+            raise ValueError(
+                f"MOD {mod.name!r} spans {bbox.dx!r} x {bbox.dy!r} in x/y: its "
+                "spatial diagonal is not finite, so S2T cannot measure distances in it"
+            )
+        if diag == 0 and (self.sigma is None or self.eps is None):
+            raise ValueError(
+                f"MOD {mod.name!r} has zero x/y extent: sigma and eps default to a "
+                "fraction of its spatial diagonal, so give them explicitly"
+            )
         sigma = self.sigma if self.sigma is not None else 0.03 * diag
         eps = self.eps if self.eps is not None else 0.05 * diag
         coverage = self.coverage_radius if self.coverage_radius is not None else 2.0 * eps
@@ -129,3 +156,13 @@ class S2TParams:
             raise ValueError("min_cluster_support must be at least 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
+        for name in ("sigma", "eps", "coverage_radius"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.voting_samples < 1:
+            raise ValueError(f"voting_samples must be at least 1, got {self.voting_samples!r}")
+        if not (math.isfinite(self.temporal_tolerance) and self.temporal_tolerance >= 0):
+            raise ValueError(
+                f"temporal_tolerance must be finite and non-negative, got {self.temporal_tolerance!r}"
+            )

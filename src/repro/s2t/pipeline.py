@@ -75,8 +75,10 @@ class S2TClustering:
         mod:
             The Moving Object Database to analyse.
         index:
-            Optional pre-built trajectory R-tree reused for voting (the
-            ReTraTree passes the partition-local index here).
+            Optional pre-built trajectory R-tree that defines voting's
+            candidate pairs (see :func:`~repro.s2t.voting.compute_voting`);
+            only :class:`~repro.baselines.range_then_cluster.RangeThenCluster`
+            passes one.
         frame:
             Optional prebuilt columnar snapshot of ``mod`` (the engine's
             frame catalog and the partition scheduler pass theirs here).

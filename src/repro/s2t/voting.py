@@ -17,19 +17,43 @@ Two execution strategies are provided, selected by
 * ``"dense"`` — the all-pairs reference computation: a Python loop over
   (target, voter) pairs, each pair synchronised with a fresh ``np.interp``
   call.  Exact but slow; the batched engine is validated against it.
-* ``"batched"`` (default) — the columnar engine: a
-  :class:`~repro.hermes.frame.MODFrame` is built once per MOD, candidate
-  voters are pruned by a 3D R-tree over trajectory bounding boxes (the
-  in-DBMS access path of the paper) *plus* a sweep-line temporal prefilter
-  (an :class:`~repro.index.interval.IntervalIndex` over trajectory
-  lifespans), and all surviving voters of a target are interpolated onto the
-  target's time grid in one :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`
-  pass, with the kernel reduced across voters by a single NumPy summation.
-  The pruning margin is the *kernel support radius* (``3 sigma`` exactly for
-  the triangular kernel, ``sigma * sqrt(2 ln 1e12) ≈ 7.43 sigma`` for the
-  Gaussian), so batched votes match the dense reference within ``1e-8``
-  while replacing the ``O(pairs)`` Python loop with ``O(targets)`` batched
-  kernel calls.
+* ``"batched"`` (default) — the columnar engine, a *voter-major sweep* over
+  the dataset's :class:`~repro.hermes.frame.MODFrame`:
+
+  1. Once per fit, the frame's sample column is stable-sorted by ``t``:
+     every sample of every trajectory in time order, with its owner row and
+     its ``x`` / ``y``.  A voter's lifespan is then one contiguous slab of
+     that column (two ``searchsorted`` calls).
+  2. Per voter, in ascending row order, its candidate targets are one
+     vectorised ``O(n)`` test over the frame's lifespan and bounding-box
+     tables: a lifespan overlap of positive duration, ``x`` / ``y`` boxes
+     within the *kernel support radius* (``3 sigma`` exactly for the
+     triangular kernel, ``sigma * sqrt(2 ln 1e12) ≈ 7.43 sigma`` for the
+     Gaussian) and not the voter itself.  A caller-supplied R-tree (only
+     :class:`~repro.baselines.range_then_cluster.RangeThenCluster` passes
+     one) replaces the box test: each target probes it once, and the hits
+     become the voters' candidate lists.
+  3. The voter is interpolated at every instant of its slab (the bracket
+     from one ``searchsorted`` of its knots into the sorted slab; the lerp
+     and clip of :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`,
+     same arithmetic), the kernel is
+     evaluated against the slab's own positions, cells whose owner is not a
+     candidate are multiplied by zero, the per-pair ``voting_samples``
+     sub-sampling rule thins any target with more instants than that, and
+     the values are added into one accumulator with ``acc[lo:hi] += vals``.
+  4. The accumulator is un-permuted once and each segment's vote is the
+     mean of its two endpoint votes.
+
+  **Why it is exact.**  Each target instant receives its voters' values in
+  ascending voter order — the summation order of the per-target kernel this
+  sweep replaced (``vals.sum(axis=0)`` over the sorted voter rows of one
+  target) — and a masked cell adds an exact ``0.0``.  The votes are
+  therefore bit-identical to that kernel, which is kept as the test oracle
+  in ``tests/s2t/oracles.py``, and match the dense reference within
+  ``1e-8``.  The per-target loop is gone, and so are its
+  :class:`~repro.index.interval.IntervalIndex` lifespan prefilter and the
+  R-tree it built on the fly for large MODs: the column sort does the
+  temporal pruning and the box test the spatial pruning.
 """
 
 from __future__ import annotations
@@ -40,10 +64,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hermes.frame import MAX_BATCH_CELLS, MODFrame
+from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
-from repro.index.interval import IntervalIndex
 from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
 
@@ -185,75 +208,35 @@ def _compute_voting_dense(mod: MOD, params: S2TParams, profile: VotingProfile) -
 # -- batched strategy --------------------------------------------------------------
 
 
-def _batched_point_votes(
-    frame: MODFrame,
-    target_row: int,
-    voter_rows: np.ndarray,
-    sigma: float,
-    kernel: str,
-    max_samples: int,
-) -> np.ndarray:
-    """Summed votes of ``voter_rows`` onto every sample of ``target_row``.
+def _index_targets(frame: MODFrame, index: RTree3D[tuple[str, str]]) -> list[np.ndarray]:
+    """Per voter row, the target rows whose probe of ``index`` returned it.
 
-    Numerically equivalent to accumulating :func:`_pairwise_votes` over the
-    same voters (including its per-pair sub-sampling rule), but computed as
-    one batched interpolation plus one kernel reduction.
+    Each target probes the index once with its own box; a hit counts when
+    the two lifespans overlap (closed bounds) and the hit is not the target.
     """
-    ts = frame.ts_of(target_row)
-    txs = frame.xs_of(target_row)
-    tys = frame.ys_of(target_row)
-    n_points = len(ts)
-    point_votes = np.zeros(n_points)
-    if voter_rows.size == 0:
-        return point_votes
-
-    # Positive-duration lifespan overlap (the dense path's ``common`` check).
-    lo, hi = frame.lifespan_overlap(float(ts[0]), float(ts[-1]))
-    alive = (hi - lo)[voter_rows] > 0
-    voter_rows = voter_rows[alive]
-    if voter_rows.size == 0:
-        return point_votes
-
-    inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma)
-    inv_three_sigma = 1.0 / (3.0 * sigma)
-
-    # Chunk so a single batch never materialises more than MAX_BATCH_CELLS
-    # (voter, instant) cells.
-    chunk = max(1, MAX_BATCH_CELLS // max(n_points, 1))
-    for start in range(0, voter_rows.size, chunk):
-        rows = voter_rows[start : start + chunk]
-        x_v, y_v = frame.positions_at_batch(rows, ts)
-
-        # Which target samples fall inside each voter's lifespan.
-        mask = (ts[None, :] >= frame.tmins[rows, None]) & (
-            ts[None, :] <= frame.tmaxs[rows, None]
+    n = len(frame)
+    targets, voters = [], []
+    for target in range(n):
+        hits = np.fromiter(
+            {
+                row
+                for k in index.range_search(frame.bbox_of(target))
+                if (row := frame.maybe_row_of(k)) is not None
+            },
+            dtype=np.intp,
         )
-        counts = mask.sum(axis=1)
-        # Replicate the dense path's per-pair sub-sampling: voters alive for
-        # more than ``max_samples`` target samples only vote at an evenly
-        # spaced subset.
-        for i in np.flatnonzero(counts > max_samples):
-            inside = np.flatnonzero(mask[i])
-            sel = np.linspace(0, len(inside) - 1, max_samples).astype(int)
-            row_mask = np.zeros(n_points, dtype=bool)
-            row_mask[inside[sel]] = True
-            mask[i] = row_mask
-
-        dist = np.hypot(txs[None, :] - x_v, tys[None, :] - y_v)
-        if kernel == "gaussian":
-            vals = np.exp(-(dist**2) * inv_two_sigma_sq)
-        else:  # triangular
-            vals = np.clip(1.0 - dist * inv_three_sigma, 0.0, None)
-        vals *= mask
-        point_votes += vals.sum(axis=0)
-    return point_votes
-
-
-# Below this MOD cardinality, building the (pure-Python) R-tree costs more
-# than it saves; the batched strategy then prunes with an equivalent
-# vectorised scan over the frame's bounding-box table instead.  A
-# caller-supplied index is always used.
-_RTREE_BUILD_THRESHOLD = 512
+        hits = hits[
+            (frame.tmins[hits] <= frame.tmaxs[target])
+            & (frame.tmaxs[hits] >= frame.tmins[target])
+            & (hits != target)
+        ]
+        voters.append(hits)
+        targets.append(np.full(hits.size, target, dtype=np.intp))
+    voter_of, target_of = np.concatenate(voters), np.concatenate(targets)
+    by_voter = np.argsort(voter_of, kind="stable")
+    voter_of, target_of = voter_of[by_voter], target_of[by_voter]
+    bounds = np.searchsorted(voter_of, np.arange(n + 1))
+    return [target_of[bounds[v] : bounds[v + 1]] for v in range(n)]
 
 
 def _compute_voting_batched(
@@ -263,73 +246,117 @@ def _compute_voting_batched(
     index: RTree3D[tuple[str, str]] | None,
     frame: MODFrame | None = None,
 ) -> None:
-    """The columnar engine: R-tree + sweep-line prefilter, batched kernels."""
+    """The voter-major sweep over the time-sorted sample column (module docstring)."""
     sigma = params.sigma
     assert sigma is not None
     if frame is None:
         frame = MODFrame.from_mod(mod)
     n = len(frame)
-    margin = kernel_support_radius(sigma, params.voting_kernel)
+    kernel = params.voting_kernel
+    max_samples = params.voting_samples
+    margin = kernel_support_radius(sigma, kernel)
+    inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma)
+    inv_three_sigma = 1.0 / (3.0 * sigma)
+    tmins, tmaxs = frame.tmins, frame.tmaxs
+    xmins, xmaxs, ymins, ymaxs = frame.xmins, frame.xmaxs, frame.ymins, frame.ymaxs
+    offsets = frame.offsets
+    counts = np.diff(offsets)
+    # Knot-to-knot steps of the unsorted columns (the entry across a row
+    # boundary is never read: brackets stay inside their row).
+    steps_t, steps_x, steps_y = np.diff(frame.ts), np.diff(frame.xs), np.diff(frame.ys)
 
-    if index is None and n >= _RTREE_BUILD_THRESHOLD:
-        index = build_trajectory_index(mod, spatial_margin=margin)
-    # Sweep-line temporal prefilter: one bulk-loaded interval index over the
-    # lifespan table answers "who is alive during the target's span?" without
-    # touching the R-tree's spatial margins.
-    lifespans = IntervalIndex.bulk_load(
-        [(frame.period_of(row), row) for row in range(n)]
-    )
+    # Every sample of every row in time order, with its owner row.  A
+    # voter's lifespan is the contiguous slab ``starts[v]:stops[v]``.
+    order = np.argsort(frame.ts, kind="stable")
+    ts, xs, ys = frame.ts[order], frame.xs[order], frame.ys[order]
+    owner = np.repeat(np.arange(n, dtype=np.intp), counts)[order]
+    starts = np.searchsorted(ts, tmins, side="left")
+    stops = np.searchsorted(ts, tmaxs, side="right")
+    acc = np.zeros(ts.size)
 
-    total_pairs = 0
+    targets_of = _index_targets(frame, index) if index is not None else None
     evaluated = 0
-    for target_row in range(n):
-        key = frame.keys[target_row]
-        total_pairs += n - 1
-
-        # Stage 1 — sweep-line temporal prefilter: rows alive during the
-        # target's lifespan (closed bounds, like the R-tree's t-dimension).
-        alive = np.fromiter(
-            (row for _p, row in lifespans.overlapping(frame.period_of(target_row))),
-            dtype=np.intp,
-        )
-        # Stage 2 — spatial pruning of the temporal survivors.
-        if index is not None:
-            spatial = {
-                row
-                for k in index.range_search(frame.bbox_of(target_row))
-                if (row := frame.maybe_row_of(k)) is not None
-            }
-            candidates = alive[np.fromiter(
-                (row in spatial for row in alive), dtype=bool, count=alive.size
-            )]
-        else:
-            # Columnar equivalent of probing the R-tree: every surviving row
-            # whose margin-expanded box intersects the target's box in x/y
-            # (closed bounds, the R-tree's consistency predicate; time was
-            # already handled by the prefilter).
-            hit = (
-                (frame.xmins[alive] - margin <= frame.xmaxs[target_row])
-                & (frame.xmaxs[alive] + margin >= frame.xmins[target_row])
-                & (frame.ymins[alive] - margin <= frame.ymaxs[target_row])
-                & (frame.ymaxs[alive] + margin >= frame.ymins[target_row])
+    for v in range(n):
+        # Targets of voter v: the pairs the per-target probe would pick.
+        if targets_of is None:
+            cand = (
+                (tmins[v] <= tmaxs)
+                & (tmaxs[v] >= tmins)
+                & (xmins[v] - margin <= xmaxs)
+                & (xmaxs[v] + margin >= xmins)
+                & (ymins[v] - margin <= ymaxs)
+                & (ymaxs[v] + margin >= ymins)
             )
-            candidates = alive[hit]
-        # Deterministic (row-order) summation, target excluded.
-        voter_rows = np.sort(candidates[candidates != target_row])
-        evaluated += voter_rows.size
+            cand[v] = False
+        else:
+            cand = np.zeros(n, dtype=bool)
+            cand[targets_of[v]] = True
+        evaluated += int(np.count_nonzero(cand))
+        # Only a positive-duration overlap votes (the dense path's check).
+        cand &= np.minimum(tmaxs, tmaxs[v]) - np.maximum(tmins, tmins[v]) > 0
+        if not cand.any():
+            continue
 
-        point_votes = _batched_point_votes(
-            frame,
-            target_row,
-            voter_rows,
-            sigma,
-            params.voting_kernel,
-            params.voting_samples,
-        )
-        profile.votes[key] = (point_votes[:-1] + point_votes[1:]) / 2.0
+        lo, hi = starts[v], stops[v]
+        slab_owner = owner[lo:hi]
+        keep = cand[slab_owner]
+        if (counts[cand] > max_samples).any():
+            # The per-pair sub-sampling rule: a target with more than
+            # ``max_samples`` instants inside this lifespan is voted on at an
+            # evenly spaced subset of them.  ``heavy`` lists those instants
+            # grouped by target (ascending), each group in time order; column
+            # g of ``sel`` holds the ranks ``np.linspace(0, c_g - 1,
+            # max_samples).astype(int)`` that group keeps.
+            inside = np.bincount(slab_owner[keep], minlength=n)
+            heavy = np.flatnonzero(keep & (inside[slab_owner] > max_samples))
+            heavy = heavy[np.argsort(slab_owner[heavy], kind="stable")]
+            c = inside[inside > max_samples]
+            sel = np.linspace(0, c - 1, max_samples).astype(int)
+            keep[heavy] = False
+            keep[heavy[np.cumsum(c) - c + sel]] = True
+
+        # Interpolate the voter at the slab's instants with positions_at_batch's
+        # bracket, clip and lerp ``x_lo + w * (x_hi - x_lo)``.  The slab is
+        # sorted, so one searchsorted of the voter's knots into it splits it
+        # into one run per voter segment: instant j falls in segment k iff
+        # ``t_k <= q_j`` and k is the last such segment, the bracket
+        # ``searchsorted(knots, q_j, "right") - 1`` clipped to the segments.
+        q = ts[lo:hi]
+        segs = slice(offsets[v], offsets[v + 1] - 1)
+        runs = np.diff(np.searchsorted(q, frame.ts[segs], side="left"), append=q.size)
+        w = q - np.repeat(frame.ts[segs], runs)
+        w /= np.repeat(steps_t[segs], runs)
+        np.clip(w, 0.0, 1.0, out=w)
+        dx = np.repeat(steps_x[segs], runs)
+        dx *= w
+        dx += np.repeat(frame.xs[segs], runs)
+        np.subtract(xs[lo:hi], dx, out=dx)
+        dy = np.repeat(steps_y[segs], runs)
+        dy *= w
+        dy += np.repeat(frame.ys[segs], runs)
+        np.subtract(ys[lo:hi], dy, out=dy)
+
+        vals = np.hypot(dx, dy, out=dx)
+        if kernel == "gaussian":
+            # exp(-(d**2) * c): negating c instead of d**2 is the same product.
+            np.square(vals, out=vals)
+            vals *= -inv_two_sigma_sq
+            np.exp(vals, out=vals)
+        else:  # triangular: clip(1 - d * c, 0)
+            vals *= inv_three_sigma
+            np.subtract(1.0, vals, out=vals)
+            np.clip(vals, 0.0, None, out=vals)
+        vals *= keep
+        acc[lo:hi] += vals
+
+    point_votes = np.empty_like(acc)
+    point_votes[order] = acc
+    seg_votes = (point_votes[:-1] + point_votes[1:]) / 2.0
+    for row, key in enumerate(frame.keys):
+        profile.votes[key] = seg_votes[offsets[row] : offsets[row + 1] - 1]
 
     profile.pairs_evaluated = evaluated
-    profile.pairs_pruned = total_pairs - evaluated
+    profile.pairs_pruned = n * (n - 1) - evaluated
 
 
 # -- public entry point --------------------------------------------------------------
@@ -352,10 +379,11 @@ def compute_voting(
         execution strategy is ``params.voting_strategy`` (``"dense"`` or
         ``"batched"``).
     index:
-        Optional pre-built trajectory R-tree for the batched strategy; when
-        none is given, large MODs build one on the fly with the kernel
-        support radius as margin.  A caller-supplied index keeps its own
-        margin, which then governs the pruning accuracy.
+        Optional pre-built trajectory R-tree for the batched strategy.  When
+        given, it defines the candidate pairs (each target probes it once
+        with its own box); when omitted, the box test at the kernel support
+        radius does.  A caller-supplied index keeps its own margin, which
+        then governs the pruning accuracy.
     frame:
         Optional prebuilt columnar snapshot of ``mod`` (the engine's frame
         catalog passes its cached frame here); the batched strategy then

@@ -149,11 +149,13 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     except ValueError as exc:
         raise SQLExecutionError(str(exc)) from exc
     shards = _opt_float(args, 6)
-    return _cluster_rows(
-        engine.s2t(
+    try:
+        result = engine.s2t(
             dataset, params, n_partitions=None if shards is None else int(shards)
         )
-    )
+    except ValueError as exc:
+        raise SQLExecutionError(str(exc)) from exc
+    return _cluster_rows(result)
 
 
 def _fn_traclus(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
