@@ -14,6 +14,7 @@ gamma)``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -30,6 +31,10 @@ class QuTParams:
     ``None`` values are data driven: ``tau`` defaults to a quarter of the
     MOD's lifespan, ``delta`` to ``tau / 4`` and ``d`` to 5 % of the spatial
     diagonal.
+
+    A set ``tau`` / ``delta`` / ``distance_threshold`` must be finite and
+    positive and ``temporal_tolerance`` finite and non-negative; anything
+    else raises :class:`ValueError` naming the field.
     """
 
     tau: float | None = None
@@ -41,10 +46,31 @@ class QuTParams:
     s2t: S2TParams = S2TParams()
 
     def resolved(self, mod: MOD) -> "QuTParams":
-        """Return a copy with data-driven defaults resolved against ``mod``."""
+        """Return a copy with data-driven defaults resolved against ``mod``.
+
+        Raises :class:`ValueError` when the MOD's spatial extent or diagonal
+        is not finite (coordinates near ``±float max``), whether or not
+        ``distance_threshold`` is given: distances across such a MOD
+        overflow, so neither the tree nor its overflow S2T runs can place a
+        piece in it.  A MOD of zero extent is refused too unless
+        ``distance_threshold`` is given, since its default would be zero.
+        """
         period = mod.period
         bbox = mod.bbox
-        diag = (bbox.dx**2 + bbox.dy**2) ** 0.5
+        try:
+            diag = (bbox.dx**2 + bbox.dy**2) ** 0.5
+        except OverflowError:
+            diag = math.inf
+        if not math.isfinite(diag):
+            raise ValueError(
+                f"MOD {mod.name!r} spans {bbox.dx!r} x {bbox.dy!r} in x/y: its "
+                "spatial diagonal is not finite, so QuT cannot measure distances in it"
+            )
+        if diag == 0 and self.distance_threshold is None:
+            raise ValueError(
+                f"MOD {mod.name!r} has zero x/y extent: distance_threshold defaults "
+                "to a fraction of its spatial diagonal, so give it explicitly"
+            )
         tau = self.tau if self.tau is not None else max(period.duration / 4.0, 1e-9)
         delta = self.delta if self.delta is not None else tau / 4.0
         d = self.distance_threshold if self.distance_threshold is not None else 0.05 * diag
@@ -74,13 +100,15 @@ class QuTParams:
         return cls(s2t=S2TParams.from_dict(s2t) if s2t is not None else S2TParams(), **data)
 
     def __post_init__(self) -> None:
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
+        for name in ("tau", "delta", "distance_threshold"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.gamma < 1:
             raise ValueError("gamma must be at least 1")
         if self.overflow_threshold < 2:
             raise ValueError("overflow_threshold must be at least 2")
-        if self.temporal_tolerance < 0:
-            raise ValueError("temporal_tolerance must be non-negative")
+        if not (math.isfinite(self.temporal_tolerance) and self.temporal_tolerance >= 0):
+            raise ValueError(
+                f"temporal_tolerance must be finite and non-negative, got {self.temporal_tolerance!r}"
+            )

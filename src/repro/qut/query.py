@@ -27,8 +27,9 @@ pair of adjacent sub-chunks, derived on first touch and invalidated on
 mutation (the "Derived state" section of :mod:`repro.qut.retratree`).  What
 happens here per window is which sub-chunks and entries it touches, the
 partition reads (member records stay on disk and are decoded per query,
-through the buffer pool, one batch per partition), restricting the members
-of the (at most two) partially covered sub-chunks, and the connected
+through the buffer pool, one batch per sub-chunk: its entries' partitions
+and its unclustered one into one frame), restricting the (at most two)
+partially covered sub-chunks by slicing that frame, and the connected
 components of the merge links among the entries present.  A window that re-touches a sub-chunk pair
 an earlier query touched since its last mutation measures no distance; the
 per-query deltas of the tree's read-path counters are reported in ``extras``
@@ -152,63 +153,46 @@ class QuTClustering:
         Returns ``(rows, outliers)``: one ``(sub-chunk, entry position,
         members)`` row per entry with at least one member in the window, in
         sub-chunk then entry order, and the unclustered sub-trajectories.
+        Each sub-chunk is read as one decoded batch
+        (:meth:`~repro.qut.retratree.ReTraTree.load_subchunk`); a partially
+        covered one is restricted by slicing that batch's frame once.
         """
         rows: list[tuple[SubChunk, int, list[SubTrajectory]]] = []
         outliers: list[SubTrajectory] = []
         for subchunk in subchunks:
-            groups = [self.tree.load_members(entry) for entry in subchunk.entries]
-            pending = self.tree.load_unclustered(subchunk)
-            if not window.contains_period(subchunk.period):
-                # One batched frame restriction for the whole sub-chunk —
-                # every entry's members plus the unclustered set.
-                restricted = self._restrict_member_groups([*groups, pending], window)
-                groups, pending = restricted[:-1], restricted[-1]
-            for position, members in enumerate(groups):
-                if members:
-                    rows.append((subchunk, position, members))
-            outliers.extend(pending)
+            batch, bounds = self.tree.load_subchunk(subchunk)
+            if window.contains_period(subchunk.period):
+                members = batch.subtrajectories()
+            else:
+                members, bounds = self._restrict_batch(batch.frame, bounds, window)
+            groups = [members[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+            for position, group in enumerate(groups[:-1]):
+                if group:
+                    rows.append((subchunk, position, group))
+            outliers.extend(groups[-1])
         return rows, outliers
 
     @staticmethod
-    def _restrict_member_groups(
-        groups: list[list[SubTrajectory]], window: Period
-    ) -> list[list[SubTrajectory]]:
-        """Restrict several member lists to the query window in one pass.
+    def _restrict_batch(
+        frame: MODFrame, bounds: np.ndarray, window: Period
+    ) -> tuple[list[SubTrajectory], np.ndarray]:
+        """Restrict a sub-chunk's decoded frame to the query window in one pass.
 
-        All groups' trajectories are snapshot into a single
-        :class:`~repro.hermes.frame.MODFrame` and restricted with one
-        batched :meth:`~repro.hermes.frame.MODFrame.slice_period_rows` call
-        (one boundary-interpolation pass for the whole sub-chunk) instead of
-        a per-member Python ``slice_period`` loop; the surviving rows are
-        attributed back to their groups through the returned row indices.
-        The frame slicing is row-for-row identical to
-        :meth:`Trajectory.slice_period
-        <repro.hermes.trajectory.Trajectory.slice_period>`, so each output
-        list matches the per-member loop on its input exactly (the oracle
-        lives in ``tests/qut/oracles.py``).
+        ``bounds`` are the frame's per-partition row bounds.  One batched
+        :meth:`~repro.hermes.frame.MODFrame.slice_period_rows` call does the
+        boundary interpolation for the whole sub-chunk; each surviving row
+        becomes a sub-trajectory of the member it was cut from.  Returns the
+        survivors, in row order, and their per-partition bounds.  The
+        slicing is row-for-row identical to :meth:`Trajectory.slice_period
+        <repro.hermes.trajectory.Trajectory.slice_period>` (the per-member
+        oracle lives in ``tests/qut/oracles.py``).
         """
-        flat = [member for group in groups for member in group]
-        out: list[list[SubTrajectory]] = [[] for _ in groups]
-        if not flat:
-            return out
-        frame = MODFrame.from_trajectories(member.traj for member in flat)
-        sliced, rows = frame.slice_period_rows(window)
-        group_of: list[int] = []
-        for g, group in enumerate(groups):
-            group_of.extend([g] * len(group))
-        for k, row in enumerate(rows):
-            row = int(row)
-            out[group_of[row]].append(
-                subtrajectory_from_slice(flat[row].traj, sliced.trajectory_of(k))
-            )
-        return out
-
-    @classmethod
-    def _restrict_members(
-        cls, members: list[SubTrajectory], window: Period
-    ) -> list[SubTrajectory]:
-        """Restrict one member list to the query window (frame-native)."""
-        return cls._restrict_member_groups([members], window)[0]
+        sliced, kept = frame.slice_period_rows(window)
+        members = [
+            subtrajectory_from_slice(frame.trajectory_of(row), sliced.trajectory_of(k))
+            for k, row in enumerate(kept.tolist())
+        ]
+        return members, np.searchsorted(kept, bounds)
 
     def _merge_across_subchunks(
         self,

@@ -12,7 +12,9 @@ The structure follows the paper's description (Section II.B and Fig. 2):
 * **Level 4 — storage**: members are archived in heap-file partitions
   (:mod:`repro.storage`), each with a pg3D-Rtree mapping member bounding
   boxes to record ids.  Sub-trajectories that fit no representative go to
-  the sub-chunk's *unclustered* partition.
+  the sub-chunk's *unclustered* partition.  A query reads a sub-chunk's
+  partitions together (:meth:`ReTraTree.load_subchunk`): one decode, one
+  frame.
 
 When an unclustered partition exceeds ``overflow_threshold``, S2T-Clustering
 is run on its content: newly found representatives are back-propagated into
@@ -37,11 +39,15 @@ time, so neither pays for state no query asks for.
 
 Version-keyed slots are *replaced* on mismatch, never accumulated, so the
 state is bounded by the number of cluster entries.  Level 4 stays on disk:
-member records are read through the buffer pool and decoded per query
-(:meth:`ReTraTree.load_members`) — each partition as one batch into one
-checked frame, the members being views of it
-(:func:`~repro.storage.records.decode_records`) — so the tree's memory does
-not grow with the archived data.  The pg3D-Rtree is lazy because QuT reads whole
+member records are read through the buffer pool and decoded per query —
+QuT decodes each touched sub-chunk's partitions (its entries' in entry
+order, then the unclustered one) as one batch into one checked frame
+(:meth:`ReTraTree.load_subchunk`,
+:func:`~repro.storage.records.decode_records`), the members being views
+of it, and drops the batch when the query ends — so the tree's memory does
+not grow with the archived data.  :meth:`ReTraTree.load_members` and
+:meth:`ReTraTree.load_unclustered` decode one partition the same way.
+The pg3D-Rtree is lazy because QuT reads whole
 partitions — only :meth:`~ReTraTree.load_members_in` probes it — while
 maintaining it eagerly cost a pure-Python R-tree insert on every archived
 record and a full rebuild of every partition's tree on reopen.
@@ -70,7 +76,7 @@ from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
 from repro.storage.errors import CorruptPartitionError
 from repro.storage.heapfile import RID
-from repro.storage.records import decode_records, encode_record
+from repro.storage.records import RecordBatch, decode_records, encode_record
 
 __all__ = ["ClusterEntry", "SubChunk", "ReTraTree", "subtrajectory_from_slice"]
 
@@ -383,12 +389,14 @@ class ReTraTree:
         entry.member_count += 1
         entry.expand_bbox(sub.bbox)
 
+    def _scan_partition(self, partition_name: str) -> list[bytes]:
+        """A partition's stored records, in scan order (one partition decoded)."""
+        self.stats.partitions_decoded += 1
+        return [raw for _rid, raw in self.storage.get(partition_name).heapfile.scan_records()]
+
     def _load_partition(self, partition_name: str) -> list[SubTrajectory]:
         """A partition's records, decoded as one batch into views of one frame."""
-        info = self.storage.get(partition_name)
-        self.stats.partitions_decoded += 1
-        raws = [raw for _rid, raw in info.heapfile.scan_records()]
-        return decode_records(raws).subtrajectories()
+        return decode_records(self._scan_partition(partition_name)).subtrajectories()
 
     def load_members(self, entry: ClusterEntry) -> list[SubTrajectory]:
         """Load a cluster entry's archived members from its partition."""
@@ -397,6 +405,27 @@ class ReTraTree:
     def load_unclustered(self, subchunk: SubChunk) -> list[SubTrajectory]:
         """Load a sub-chunk's unclustered sub-trajectories."""
         return self._load_partition(subchunk.unclustered_partition)
+
+    def load_subchunk(self, subchunk: SubChunk) -> tuple[RecordBatch, np.ndarray]:
+        """Every record a sub-chunk archives, decoded as one batch.
+
+        Scans the entries' member partitions in entry order, then the
+        unclustered partition, and decodes all of their records with one
+        :func:`~repro.storage.records.decode_records` call into one checked
+        frame.  Returns ``(batch, bounds)``: partition ``i``'s records are
+        rows ``bounds[i]:bounds[i + 1]`` — entry ``i``'s members for
+        ``i < len(subchunk.entries)``, the unclustered records last.  Each
+        partition scanned counts once in ``stats.partitions_decoded``, as
+        with :meth:`load_members` / :meth:`load_unclustered`.
+        """
+        names = [entry.partition_name for entry in subchunk.entries]
+        names.append(subchunk.unclustered_partition)
+        raws: list[bytes] = []
+        bounds = [0]
+        for name in names:
+            raws.extend(self._scan_partition(name))
+            bounds.append(len(raws))
+        return decode_records(raws), np.asarray(bounds, dtype=np.intp)
 
     def load_members_in(self, entry: ClusterEntry, box: BoxST) -> list[SubTrajectory]:
         """Load only the members whose bounding boxes intersect ``box``.

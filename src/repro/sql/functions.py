@@ -14,6 +14,7 @@ back to the data-driven defaults of the underlying parameter objects.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from repro.baselines.convoy import ConvoyParams
@@ -74,9 +75,13 @@ def _opt_float(args: tuple, idx: int) -> float | None:
     return float(value)
 
 
-def _opt_int(args: tuple, idx: int, default: int) -> int:
+def _opt_int(args: tuple, idx: int, default: int | None) -> int | None:
     value = _opt_float(args, idx)
-    return default if value is None else int(value)
+    if value is None:
+        return default
+    if not math.isfinite(value):
+        raise SQLExecutionError(f"argument {idx + 1} must be a finite number, got {value!r}")
+    return int(value)
 
 
 def _opt_str(args: tuple, idx: int, default: str) -> str:
@@ -104,20 +109,20 @@ def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     we = _opt_float(args, 2)
     if wi is None or we is None:
         raise SQLExecutionError("QUT requires the window bounds Wi and We")
-    params = QuTParams(
-        tau=_opt_float(args, 3),
-        delta=_opt_float(args, 4),
-        temporal_tolerance=_opt_float(args, 5) or 0.0,
-        distance_threshold=_opt_float(args, 6),
-        gamma=_opt_int(args, 7, 2),
-    )
-    shards = _opt_float(args, 8)
+    shards = _opt_int(args, 8, None)
     try:
+        params = QuTParams(
+            tau=_opt_float(args, 3),
+            delta=_opt_float(args, 4),
+            temporal_tolerance=_opt_float(args, 5) or 0.0,
+            distance_threshold=_opt_float(args, 6),
+            gamma=_opt_int(args, 7, 2),
+        )
         result = engine.qut(
             dataset,
             Period(wi, we),
             params=params,
-            shards=None if shards is None else int(shards),
+            shards=shards,
         )
     except ValueError as exc:
         raise SQLExecutionError(str(exc)) from exc

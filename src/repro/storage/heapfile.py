@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import PAGE_SIZE, Page
 
@@ -68,28 +70,64 @@ def _decode_chunk(raw: bytes) -> tuple[bytes, "RID | None"]:
     return raw[_CHUNK_HEADER:], _next_chunk(raw)
 
 
-def _chain(head: RID, successors: "dict[RID, RID | None]") -> list[RID]:
-    """The chunk RIDs of the record starting at ``head``, in order.
+@dataclass(frozen=True)
+class _PageChunks:
+    """One page's live chunks as read by ``HeapFile._chunk_directory``.
 
-    ``successors`` maps every live chunk to its continuation; a chain that
-    leaves it or never ends is corruption.
+    ``data`` is the pooled page's own buffer, not a copy; chunk ``i`` sits
+    in slot ``slots[i]`` at ``data[offsets[i] : offsets[i] + lengths[i]]``,
+    header included, and ``flags[i]`` is its continuation flag (0 or 1).
     """
-    chain = [head]
-    cursor = successors[head]
-    while cursor is not None:
-        if cursor not in successors:
-            raise ValueError(
-                f"record at {head} has a broken continuation chain: "
-                f"chunk {cursor} does not exist; the heap file is corrupt"
+
+    page_no: int
+    data: bytearray
+    slots: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    flags: np.ndarray
+
+    def entries(self) -> Iterator[tuple[int, int, int]]:
+        """``(slot, offset, length)`` of each live chunk, as Python ints."""
+        return zip(self.slots.tolist(), self.offsets.tolist(), self.lengths.tolist())
+
+
+def _successors(pages: "list[_PageChunks]") -> "dict[RID, RID | None]":
+    """Every live chunk mapped to its continuation, in scan order."""
+    successors: dict[RID, RID | None] = {}
+    for page in pages:
+        for (slot, offset, _length), flag in zip(page.entries(), page.flags.tolist()):
+            successors[RID(page.page_no, slot)] = (
+                _next_chunk(page.data[offset : offset + _CHUNK_HEADER]) if flag else None
             )
-        chain.append(cursor)
-        if len(chain) > len(successors):
-            raise ValueError(
-                f"record at {head} has a cyclic continuation chain; "
-                "the heap file is corrupt"
-            )
-        cursor = successors[cursor]
-    return chain
+    return successors
+
+
+def _record_chains(successors: "dict[RID, RID | None]") -> Iterator[list[RID]]:
+    """The one chain walk: each record's chunk RIDs, head first, in scan order.
+
+    A record head is a chunk no other chunk names as its continuation; a
+    chain that leaves ``successors`` or never ends is corruption.
+    """
+    continuations = {nxt for nxt in successors.values() if nxt is not None}
+    for head, nxt in successors.items():
+        if head in continuations:
+            continue
+        chain = [head]
+        cursor = nxt
+        while cursor is not None:
+            if cursor not in successors:
+                raise ValueError(
+                    f"record at {head} has a broken continuation chain: "
+                    f"chunk {cursor} does not exist; the heap file is corrupt"
+                )
+            chain.append(cursor)
+            if len(chain) > len(successors):
+                raise ValueError(
+                    f"record at {head} has a cyclic continuation chain; "
+                    "the heap file is corrupt"
+                )
+            cursor = successors[cursor]
+        yield chain
 
 
 class HeapFile:
@@ -170,55 +208,64 @@ class HeapFile:
 
     # -- scan -----------------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple[RID, bytes]]:
-        """Iterate over every live chunk in the file, page by page.
+    def _chunk_directory(self) -> list[_PageChunks]:
+        """Every page's live chunks, with their chunk headers checked.
 
-        Yields record heads *and* continuation chunks, each with its
-        chunk header still attached; :meth:`scan_records` is the one that
-        reassembles complete records.
+        One ``get_page`` per page, each page's slot directory read once
+        (:meth:`Page.live_slots <repro.storage.page.Page.live_slots>`) and
+        its chunks' continuation flags read as one array.  Page by page, the
+        first slot outside the data area, then the first chunk shorter than
+        its header or flagged neither 0 nor 1, raises :class:`ValueError`.
         """
+        pages = []
         for page_no in range(self._pool.num_pages()):
             page: Page = self._pool.get_page(page_no)
-            for slot, raw in page.records():
-                yield RID(page_no, slot), raw
+            slots, offsets, lengths = page.live_slots()
+            flags = np.frombuffer(page.data, dtype=np.uint8)[np.minimum(offsets, PAGE_SIZE - 1)]
+            bad = (lengths < _CHUNK_HEADER) | (flags > 1)
+            if bad.any():
+                first = int(np.argmax(bad))
+                start = int(offsets[first])
+                _next_chunk(page.data[start : start + min(int(lengths[first]), _CHUNK_HEADER)])
+            pages.append(_PageChunks(page_no, page.data, slots, offsets, lengths, flags))
+        return pages
 
     def scan_records(self) -> Iterator[tuple[RID, bytes]]:
-        """Iterate over complete records (head chunks reassembled)."""
-        payloads: dict[RID, bytes] = {}
-        successors: dict[RID, RID | None] = {}
-        for rid, raw in self.scan():
-            payloads[rid], successors[rid] = _decode_chunk(raw)
-        # A record head is a chunk no other chunk names as its continuation.
-        continuations = {nxt for nxt in successors.values() if nxt is not None}
-        for rid, nxt in successors.items():
-            if rid in continuations:
-                continue
-            if nxt is None:
-                yield rid, payloads[rid]
-            else:
-                yield rid, b"".join([payloads[c] for c in _chain(rid, successors)])
+        """Iterate over complete records, in scan order (page, then slot, of the head).
+
+        Every page is read once (:meth:`_chunk_directory`) before the first
+        record is yielded.  When no live chunk carries the continuation
+        flag — the common case: a record spans pages only past
+        ``_MAX_CHUNK`` bytes — every chunk is a whole record and its payload
+        is yielded as is.  Otherwise the chunks are reassembled along their
+        chains (:func:`_record_chains`), which raises :class:`ValueError` on
+        a broken or cyclic chain.
+        """
+        pages = self._chunk_directory()
+        chunks = [
+            (RID(page.page_no, slot), bytes(page.data[offset + _CHUNK_HEADER : offset + length]))
+            for page in pages
+            for slot, offset, length in page.entries()
+        ]
+        if not any(page.flags.any() for page in pages):
+            yield from chunks
+            return
+        payloads = dict(chunks)
+        for chain in _record_chains(_successors(pages)):
+            yield chain[0], b"".join([payloads[rid] for rid in chain])
 
     def count_records(self) -> int:
         """Number of records :meth:`scan_records` would yield, read from headers only.
 
-        Walks each page's slot directory and the chunk header of every live
-        chunk — one ``get_page`` per page, no payload copied or joined — and
-        follows the same chains, so the same damage raises the same
-        :class:`ValueError` as a full scan: a slot outside the page's data
-        area, a short chunk, an unknown continuation flag, a broken or a
-        cyclic chain.
+        The same page reads and checks as :meth:`scan_records` — one
+        ``get_page`` per page, no payload copied or joined — so the same
+        damage raises the same :class:`ValueError`: a slot outside the
+        page's data area, a short chunk, an unknown continuation flag, a
+        broken or a cyclic chain.  A file without continuation chunks (every
+        ReTraTree partition of records under ``_MAX_CHUNK`` bytes) is
+        counted from the slot directories alone.
         """
-        successors: dict[RID, RID | None] = {}
-        for page_no in range(self._pool.num_pages()):
-            page: Page = self._pool.get_page(page_no)
-            for slot, header in page.record_prefixes(_CHUNK_HEADER):
-                successors[RID(page_no, slot)] = _next_chunk(header)
-        continuations = {nxt for nxt in successors.values() if nxt is not None}
-        heads = 0
-        for rid, nxt in successors.items():
-            if rid in continuations:
-                continue
-            if nxt is not None:
-                _chain(rid, successors)
-            heads += 1
-        return heads
+        pages = self._chunk_directory()
+        if not any(page.flags.any() for page in pages):
+            return sum(len(page.slots) for page in pages)
+        return sum(1 for _chain in _record_chains(_successors(pages)))

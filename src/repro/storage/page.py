@@ -14,11 +14,18 @@ classic slotted-page design used by PostgreSQL heap pages:
 * slot entry: ``uint16 offset``, ``uint16 length``; an offset of 0 marks a
   deleted slot (0 can never be a record offset because the header occupies
   the first bytes of the page), so zero-length records remain representable.
+
+Reads go through one slot-directory reader, :meth:`Page.live_slots`: the
+directory is read as one array, deleted slots are skipped and every live
+slot is bounds-checked in one vectorised pass, so a scan pays no Python
+loop per slot before it copies a record.
 """
 
 from __future__ import annotations
 
 import struct
+
+import numpy as np
 
 from repro.storage.errors import StorageError
 
@@ -27,6 +34,8 @@ __all__ = ["Page", "PAGE_SIZE"]
 PAGE_SIZE = 8192
 _HEADER = struct.Struct("<HH")
 _SLOT = struct.Struct("<HH")
+# Slot entries that fit between the header and the page end.
+_MAX_SLOTS = (PAGE_SIZE - _HEADER.size) // _SLOT.size
 
 
 class PageFullError(StorageError):
@@ -40,7 +49,13 @@ class PageFullError(StorageError):
 
 
 class Page:
-    """A single slotted page of ``PAGE_SIZE`` bytes."""
+    """A single slotted page of ``PAGE_SIZE`` bytes.
+
+    :meth:`live_slots` is the one reader of the slot directory for scans
+    (:meth:`records`, and :class:`~repro.storage.heapfile.HeapFile`'s
+    ``scan_records`` / ``count_records``); :meth:`read` checks the one slot
+    it is asked for with the same bounds test and message.
+    """
 
     __slots__ = ("data",)
 
@@ -151,31 +166,43 @@ class Page:
             raise KeyError(f"slot {slot} out of range")
         self._write_slot(slot, 0, 0)
 
+    def live_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live slots as ``(slots, offsets, lengths)`` integer arrays, in slot order.
+
+        The one slot-directory reader.  The directory is read as one
+        ``uint16`` array over the first ``4 + 4·num_slots`` bytes, deleted
+        slots (offset 0) are skipped, and every live record is checked to lie
+        between the directory and the page end in one vectorised pass; the
+        first slot that does not raises the :class:`ValueError` :meth:`read`
+        gives for it.  A ``num_slots`` whose directory would overrun the page
+        is corruption too.
+        """
+        num_slots = self.num_slots
+        readable = min(num_slots, _MAX_SLOTS)
+        directory = np.frombuffer(self.data, dtype="<u2", count=2 + 2 * readable)
+        offsets = directory[2::2].astype(np.intp)
+        slots = np.flatnonzero(offsets)
+        offsets = offsets[slots]
+        lengths = directory[3::2][slots].astype(np.intp)
+        directory_end = _HEADER.size + num_slots * _SLOT.size
+        bad = (offsets < directory_end) | (offsets + lengths > PAGE_SIZE)
+        if bad.any():
+            first = int(np.argmax(bad))
+            self._check_slot_bounds(int(slots[first]), int(offsets[first]), int(lengths[first]))
+        if readable < num_slots:
+            raise ValueError(
+                f"page claims {num_slots} slots but a {PAGE_SIZE}-byte page holds at "
+                f"most {_MAX_SLOTS}; the slot directory is corrupt"
+            )
+        return slots, offsets, lengths
+
     def records(self) -> list[tuple[int, bytes]]:
         """All live ``(slot, record)`` pairs of the page."""
-        out = []
-        for slot in range(self.num_slots):
-            offset, length = self._read_slot(slot)
-            if offset:
-                self._check_slot_bounds(slot, offset, length)
-                out.append((slot, bytes(self.data[offset : offset + length])))
-        return out
-
-    def record_prefixes(self, size: int) -> list[tuple[int, bytes]]:
-        """The first ``size`` bytes of every live record, as ``(slot, prefix)``.
-
-        The header-only counterpart of :meth:`records` (kept apart from it:
-        that one is every scan's inner loop) — same slots, same bounds check
-        over each *whole* record, but only the prefix is copied (all of a
-        record shorter than ``size``).
-        """
-        out = []
-        for slot in range(self.num_slots):
-            offset, length = self._read_slot(slot)
-            if offset:
-                self._check_slot_bounds(slot, offset, length)
-                out.append((slot, bytes(self.data[offset : offset + min(length, size)])))
-        return out
+        slots, offsets, lengths = self.live_slots()
+        return [
+            (slot, bytes(self.data[offset : offset + length]))
+            for slot, offset, length in zip(slots.tolist(), offsets.tolist(), lengths.tolist())
+        ]
 
     def to_bytes(self) -> bytes:
         """The raw page image."""

@@ -1,18 +1,23 @@
-"""Scalar reference implementations QuT's batched paths are pinned against.
+"""Reference implementations QuT's batched paths are pinned against.
 
-Both used to live in ``repro.qut.query``; the engine now merges from the
-matrices the tree derives once (``ReTraTree.merge_adjacency``) and restricts
-members with one frame slice, and the per-pair / per-member loops survive
-here as the equivalence oracles.
+All of these used to live in ``repro.qut.query``.  The engine now merges
+from the matrices the tree derives once (``ReTraTree.merge_adjacency``),
+decodes each touched sub-chunk as one batch (``ReTraTree.load_subchunk``)
+and restricts it by slicing that batch's frame.  What it replaced survives
+here as the equivalence oracles: the per-pair merge loop, the per-member
+restriction loop, and the per-partition loader — one decode per partition,
+then one re-concatenated frame per partially covered sub-chunk.
 """
 
 from __future__ import annotations
 
 from repro.hermes.distances import hausdorff_distance, spatiotemporal_distance
+from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
-from repro.qut.retratree import SubChunk, subtrajectory_from_slice
+from repro.qut.query import QuTClustering
+from repro.qut.retratree import ReTraTree, SubChunk, subtrajectory_from_slice
 
 
 def restrict_members_loop(members: list[SubTrajectory], window: Period) -> list[SubTrajectory]:
@@ -23,6 +28,77 @@ def restrict_members_loop(members: list[SubTrajectory], window: Period) -> list[
         if piece is not None:
             out.append(subtrajectory_from_slice(member.traj, piece))
     return out
+
+
+def restrict_member_groups(
+    groups: list[list[SubTrajectory]], window: Period
+) -> list[list[SubTrajectory]]:
+    """Restrict several member lists to the query window in one pass.
+
+    All groups' trajectories are snapshot into a single
+    :class:`~repro.hermes.frame.MODFrame` and restricted with one
+    batched :meth:`~repro.hermes.frame.MODFrame.slice_period_rows` call
+    (one boundary-interpolation pass for the whole sub-chunk) instead of
+    a per-member Python ``slice_period`` loop; the surviving rows are
+    attributed back to their groups through the returned row indices.
+    The frame slicing is row-for-row identical to
+    :meth:`Trajectory.slice_period
+    <repro.hermes.trajectory.Trajectory.slice_period>`, so each output
+    list matches the per-member loop on its input exactly.
+    """
+    flat = [member for group in groups for member in group]
+    out: list[list[SubTrajectory]] = [[] for _ in groups]
+    if not flat:
+        return out
+    frame = MODFrame.from_trajectories(member.traj for member in flat)
+    sliced, rows = frame.slice_period_rows(window)
+    group_of: list[int] = []
+    for g, group in enumerate(groups):
+        group_of.extend([g] * len(group))
+    for k, row in enumerate(rows):
+        row = int(row)
+        out[group_of[row]].append(
+            subtrajectory_from_slice(flat[row].traj, sliced.trajectory_of(k))
+        )
+    return out
+
+
+def restrict_members(members: list[SubTrajectory], window: Period) -> list[SubTrajectory]:
+    """Restrict one member list to the query window (frame-native)."""
+    return restrict_member_groups([members], window)[0]
+
+
+def load_partial_clusters_per_partition(
+    tree: ReTraTree, subchunks: list[SubChunk], window: Period
+) -> tuple[list[tuple[SubChunk, int, list[SubTrajectory]]], list[SubTrajectory]]:
+    """Per sub-chunk, each entry's members inside ``window`` plus the outliers.
+
+    Returns ``(rows, outliers)``: one ``(sub-chunk, entry position,
+    members)`` row per entry with at least one member in the window, in
+    sub-chunk then entry order, and the unclustered sub-trajectories.
+    """
+    rows: list[tuple[SubChunk, int, list[SubTrajectory]]] = []
+    outliers: list[SubTrajectory] = []
+    for subchunk in subchunks:
+        groups = [tree.load_members(entry) for entry in subchunk.entries]
+        pending = tree.load_unclustered(subchunk)
+        if not window.contains_period(subchunk.period):
+            # One batched frame restriction for the whole sub-chunk —
+            # every entry's members plus the unclustered set.
+            restricted = restrict_member_groups([*groups, pending], window)
+            groups, pending = restricted[:-1], restricted[-1]
+        for position, members in enumerate(groups):
+            if members:
+                rows.append((subchunk, position, members))
+        outliers.extend(pending)
+    return rows, outliers
+
+
+class PerPartitionQuT(QuTClustering):
+    """QuT answering through :func:`load_partial_clusters_per_partition`."""
+
+    def _load_partial_clusters(self, subchunks, window):
+        return load_partial_clusters_per_partition(self.tree, subchunks, window)
 
 
 def temporal_gap(a: Period, b: Period) -> float:

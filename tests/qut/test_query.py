@@ -7,7 +7,7 @@ from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
 from repro.qut.retratree import ReTraTree
 from tests.conftest import restriction_signature
-from tests.qut.oracles import restrict_members_loop
+from tests.qut.oracles import restrict_member_groups, restrict_members, restrict_members_loop
 from tests.qut.test_retratree import flow_mod
 
 
@@ -123,7 +123,7 @@ class TestRestrictionEquivalence:
         for subchunk in tree.subchunks_overlapping(window):
             groups = [tree.load_members(entry) for entry in subchunk.entries]
             groups.append(tree.load_unclustered(subchunk))
-            batched = QuTClustering._restrict_member_groups(groups, window)
+            batched = restrict_member_groups(groups, window)
             for group, restricted in zip(groups, batched):
                 expected = restrict_members_loop(group, window)
                 assert restriction_signature(restricted) == restriction_signature(expected)
@@ -134,14 +134,14 @@ class TestRestrictionEquivalence:
         subchunk = tree.subchunks_overlapping(window)[0]
         members = tree.load_unclustered(subchunk)
         assert restriction_signature(
-            QuTClustering._restrict_members(members, window)
+            restrict_members(members, window)
         ) == restriction_signature(restrict_members_loop(members, window))
 
     def test_empty_groups_pass_through(self, built_tree):
         _mod, tree = built_tree
         window = Period(10.0, 20.0)
-        assert QuTClustering._restrict_member_groups([[], []], window) == [[], []]
-        assert QuTClustering._restrict_members([], window) == []
+        assert restrict_member_groups([[], []], window) == [[], []]
+        assert restrict_members([], window) == []
 
 
 class TestQuTAgainstFromScratch:

@@ -1,4 +1,4 @@
-"""The per-record decode path the batch decoder is pinned against.
+"""The per-record and per-slot read paths the batched ones are pinned against.
 
 ``repro.storage.records.decode_records`` parses a whole partition into one
 checked frame.  The record-at-a-time parser it replaced — one
@@ -6,6 +6,13 @@ checked frame.  The record-at-a-time parser it replaced — one
 ``SubTrajectory``) object each — survives here as the equivalence oracle:
 same bytes in, same ids, bounds and samples out, and the same
 ``ValueError`` message for every corruption.
+
+``HeapFile.scan_records`` / ``count_records`` read each page's slot
+directory as one array.  The per-slot walk they replaced — one
+``struct`` unpack and bounds check per slot, every chunk keyed by its
+``RID`` in a successor map and reassembled along its chain — survives here
+too (:func:`scan_records_per_slot`, :func:`count_records_per_slot`): same
+records in the same order, the same ``ValueError`` message for every damage.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hermes.trajectory import SubTrajectory, Trajectory
+from repro.storage.heapfile import _CHUNK_HEADER, RID, HeapFile, _decode_chunk, _next_chunk
+from repro.storage.page import Page
 
 _U16 = struct.Struct("<H")
 _I32 = struct.Struct("<i")
@@ -93,3 +102,76 @@ def record_to_subtrajectory(raw: bytes) -> SubTrajectory:
     end = max(rec.parent_end, start + 1)
     traj = Trajectory(rec.obj_id, f"{rec.traj_id}#{start}-{end}", rec.xs, rec.ys, rec.ts)
     return SubTrajectory((rec.obj_id, rec.traj_id), start, end, traj)
+
+
+def page_records_per_slot(page: Page) -> list[tuple[int, bytes]]:
+    """All live ``(slot, record)`` pairs of the page, one slot at a time."""
+    out = []
+    for slot in range(page.num_slots):
+        offset, length = page._read_slot(slot)
+        if offset:
+            page._check_slot_bounds(slot, offset, length)
+            out.append((slot, bytes(page.data[offset : offset + length])))
+    return out
+
+
+def _chain(head: RID, successors: "dict[RID, RID | None]") -> list[RID]:
+    """The chunk RIDs of the record starting at ``head``, in order.
+
+    ``successors`` maps every live chunk to its continuation; a chain that
+    leaves it or never ends is corruption.
+    """
+    chain = [head]
+    cursor = successors[head]
+    while cursor is not None:
+        if cursor not in successors:
+            raise ValueError(
+                f"record at {head} has a broken continuation chain: "
+                f"chunk {cursor} does not exist; the heap file is corrupt"
+            )
+        chain.append(cursor)
+        if len(chain) > len(successors):
+            raise ValueError(
+                f"record at {head} has a cyclic continuation chain; "
+                "the heap file is corrupt"
+            )
+        cursor = successors[cursor]
+    return chain
+
+
+def scan_records_per_slot(heapfile: HeapFile):
+    """Iterate over complete records (head chunks reassembled)."""
+    pool = heapfile.buffer_pool
+    payloads: dict[RID, bytes] = {}
+    successors: dict[RID, RID | None] = {}
+    for page_no in range(pool.num_pages()):
+        for slot, raw in page_records_per_slot(pool.get_page(page_no)):
+            rid = RID(page_no, slot)
+            payloads[rid], successors[rid] = _decode_chunk(raw)
+    # A record head is a chunk no other chunk names as its continuation.
+    continuations = {nxt for nxt in successors.values() if nxt is not None}
+    for rid, nxt in successors.items():
+        if rid in continuations:
+            continue
+        if nxt is None:
+            yield rid, payloads[rid]
+        else:
+            yield rid, b"".join([payloads[c] for c in _chain(rid, successors)])
+
+
+def count_records_per_slot(heapfile: HeapFile) -> int:
+    """Number of records :func:`scan_records_per_slot` would yield, from headers only."""
+    pool = heapfile.buffer_pool
+    successors: dict[RID, RID | None] = {}
+    for page_no in range(pool.num_pages()):
+        for slot, raw in page_records_per_slot(pool.get_page(page_no)):
+            successors[RID(page_no, slot)] = _next_chunk(raw[:_CHUNK_HEADER])
+    continuations = {nxt for nxt in successors.values() if nxt is not None}
+    heads = 0
+    for rid, nxt in successors.items():
+        if rid in continuations:
+            continue
+        if nxt is not None:
+            _chain(rid, successors)
+        heads += 1
+    return heads
