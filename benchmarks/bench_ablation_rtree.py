@@ -1,7 +1,7 @@
 """E11 (ablation): pg3D-Rtree design choices.
 
 Two decisions behind the index are measured: (a) STR bulk loading versus
-one-at-a-time insertion, and (b) the GiST node capacity.  The metric is the
+one-at-a-time insertion, and (b) the node capacity.  The metric is the
 number of tree nodes visited by a fixed batch of spatiotemporal range
 queries (the I/O surrogate) plus wall-clock query time.
 """
@@ -122,6 +122,6 @@ def test_ablation_node_capacity_sweep(benchmark, workload):
             }
         )
     print()
-    print(format_table(rows, title="E11 (cont.): GiST node capacity sweep"))
+    print(format_table(rows, title="E11 (cont.): node capacity sweep"))
     # Larger capacity -> shallower tree -> fewer nodes visited per query.
     assert nodes_by_capacity[64] < nodes_by_capacity[8]

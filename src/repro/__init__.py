@@ -10,7 +10,7 @@ clustering modules the paper demonstrates:
 * :mod:`repro.qut` -- Query-based Trajectory Clustering on top of the
   ReTraTree hierarchical index,
 
-plus the substrates they need (storage engine, GiST/3D R-tree indexing,
+plus the substrates they need (storage engine, 3D R-tree indexing,
 SQL front-end, baselines, visual-analytics data products and synthetic
 data generation).
 

@@ -9,8 +9,8 @@
   al., VLDB 2008): density-connected groups persisting over consecutive
   time snapshots.
 * :mod:`repro.baselines.range_then_cluster` -- the paper's scenario-2
-  alternative to QuT: temporal range query, fresh 3D R-tree, then
-  S2T-Clustering from scratch.
+  alternative to QuT: temporal range query, the slice's box tables in place
+  of a fresh 3D R-tree, then S2T-Clustering from scratch.
 """
 
 from repro.baselines.traclus import TraclusParams, TraclusClustering

@@ -521,7 +521,7 @@ class HermesEngine:
     def range_then_cluster(
         self, name: str, window: Period, params: S2TParams | None = None
     ) -> ClusteringResult:
-        """The paper's scenario-2 baseline: range query + fresh index + S2T."""
+        """The paper's scenario-2 baseline: range query + S2T on the slice."""
         result = RangeThenCluster(
             self.get_mod(name), params, frame=self.frame(name)
         ).query(window)

@@ -8,7 +8,7 @@ datatypes:
 * :class:`PointST`   -- a spatiotemporal point ``(x, y, t)``,
 * :class:`SegmentST` -- a 3D line segment between two spatiotemporal points,
 * :class:`BoxST`     -- a 3D axis-aligned bounding box, the key type used by
-  the pg3D-Rtree (GiST) index.
+  the pg3D-Rtree index.
 
 All types are immutable value objects so they can be used safely as index
 keys, dictionary keys and members of frozen dataclasses.
@@ -183,9 +183,9 @@ class SegmentST:
 class BoxST:
     """A 3D axis-aligned box ``[xmin, xmax] x [ymin, ymax] x [tmin, tmax]``.
 
-    This is the key type of the pg3D-Rtree index: GiST internal entries store
-    the union of their children's boxes, and search descends into children
-    whose boxes are *consistent* with the query box.
+    This is the key type of the pg3D-Rtree index: internal entries store the
+    union of their children's boxes, and search descends into children whose
+    boxes intersect the query box.
     """
 
     xmin: float
@@ -315,7 +315,7 @@ class BoxST:
         )
 
     def enlargement(self, other: "BoxST") -> float:
-        """Volume increase needed to cover ``other`` (the GiST penalty)."""
+        """Volume increase needed to cover ``other`` (the R-tree's choose-leaf penalty)."""
         return self.union(other).volume - self.volume
 
     def expand(self, dspace: float, dtime: float = 0.0) -> "BoxST":

@@ -1,13 +1,16 @@
-"""Index structures built on the GiST framework.
+"""Index structures.
 
 * :mod:`repro.index.rtree3d`  -- the pg3D-Rtree: a 3D R-tree over
-  :class:`~repro.hermes.types.BoxST` keys, implemented as a GiST key adapter
-  (quadratic split, area penalty), with STR bulk loading and kNN search.
-* :mod:`repro.index.interval` -- a 1D temporal interval index used by the
-  upper (temporal) levels of the ReTraTree.
+  :class:`~repro.hermes.types.BoxST` keys (quadratic split, volume-enlargement
+  choose-leaf) with STR bulk loading.  The ReTraTree keeps one per partition
+  for :meth:`~repro.qut.retratree.ReTraTree.load_members_in`.
+* :mod:`repro.index.interval` -- a 1D interval index over periods.  Nothing
+  in ``src/`` queries it; the e2e benchmark's tracer still times it.  The
+  ReTraTree's temporal levels are scanned
+  (:meth:`~repro.qut.retratree.ReTraTree.subchunks_overlapping`).
 """
 
-from repro.index.rtree3d import RTree3D, Box3DAdapter, str_bulk_load
+from repro.index.rtree3d import RTree3D, str_bulk_load
 from repro.index.interval import IntervalIndex
 
-__all__ = ["RTree3D", "Box3DAdapter", "str_bulk_load", "IntervalIndex"]
+__all__ = ["RTree3D", "str_bulk_load", "IntervalIndex"]

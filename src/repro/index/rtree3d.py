@@ -1,57 +1,140 @@
-"""pg3D-Rtree: a 3D R-tree over spatiotemporal boxes, built on GiST.
+"""pg3D-Rtree: a 3D R-tree over spatiotemporal boxes.
 
-The paper stresses that Hermes' R-tree is "implemented from scratch on top of
-GiST" and is independent of PostGIS.  Accordingly, the R-tree here is nothing
-more than a :class:`~repro.gist.tree.GiST` instantiated with
-:class:`Box3DAdapter`, which supplies the classic R-tree behaviours:
+Hermes' R-tree indexes :class:`~repro.hermes.types.BoxST` keys in
+``(x, y, t)`` and is independent of PostGIS.  The tree is height-balanced
+and grows from the leaves upwards, like a B-tree: an overflowing node splits
+and the split propagates towards the root.  Its behaviours are Guttman's:
 
-* ``consistent``  -- box intersection (for range queries) or containment,
-* ``union``       -- minimum bounding box of boxes,
-* ``penalty``     -- volume enlargement (Guttman's ChooseLeaf criterion),
-* ``pick_split``  -- Guttman's quadratic split.
+* choose-leaf -- descend into the entry whose box needs the least volume
+  enlargement plus ``1e-9 * volume`` (smaller boxes win near-ties); an exact
+  tie goes to the first such entry, so the tree's shape is a function of the
+  insertion sequence alone,
+* split       -- the quadratic split at minimum fill
+  ``max(2, max_entries // 3)``,
+* range search -- a stack-order walk of the entries whose boxes intersect
+  the query box (closed bounds).
 
-On top of the GiST the module adds Sort-Tile-Recursive (STR) bulk loading and
-best-first kNN search, both used by the benchmarks.
+Sort-Tile-Recursive (STR) bulk loading orders the items before inserting
+them; benchmark E11 compares it with one-at-a-time insertion.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from collections.abc import Iterable, Sequence
-from typing import Generic, TypeVar
+from collections.abc import Iterable
+from typing import Any, Generic, TypeVar
 
-from repro.gist.tree import GiST, KeyAdapter
-from repro.hermes.types import BoxST, PointST
+from repro.hermes.types import BoxST
 
-__all__ = ["Box3DAdapter", "RTree3D", "str_bulk_load"]
+__all__ = ["RTree3D", "str_bulk_load"]
 
 V = TypeVar("V")
 
 
-class Box3DAdapter(KeyAdapter[BoxST]):
-    """GiST key adapter giving R-tree semantics to :class:`BoxST` keys."""
+class _Node:
+    """A node: entry boxes plus, per entry, a child node or a leaf value."""
 
-    def __init__(self, min_fill: int = 2) -> None:
-        self.min_fill = min_fill
+    __slots__ = ("is_leaf", "boxes", "items", "parent")
 
-    def consistent(self, key: BoxST, query: BoxST) -> bool:
-        """A subtree can match when its bounding box intersects the query box."""
-        return key.intersects(query)
+    def __init__(self, is_leaf: bool, boxes: list[BoxST], items: list[Any]) -> None:
+        self.is_leaf = is_leaf
+        self.boxes = boxes
+        self.items = items
+        self.parent: _Node | None = None
 
-    def union(self, keys: Sequence[BoxST]) -> BoxST:
-        out = keys[0]
-        for key in keys[1:]:
-            out = out.union(key)
-        return out
 
-    def penalty(self, key: BoxST, new_key: BoxST) -> float:
-        """Volume enlargement, with volume as tie-breaker (Guttman)."""
-        enlargement = key.enlargement(new_key)
-        return enlargement + 1e-9 * key.volume
+def _union(boxes: list[BoxST]) -> BoxST:
+    out = boxes[0]
+    for box in boxes[1:]:
+        out = out.union(box)
+    return out
 
-    def pick_split(self, keys: Sequence[BoxST]) -> tuple[list[int], list[int]]:
+
+def _penalty(box: BoxST, new_box: BoxST) -> float:
+    """Volume enlargement, with volume as tie-breaker (Guttman)."""
+    return box.enlargement(new_box) + 1e-9 * box.volume
+
+
+class RTree3D(Generic[V]):
+    """The pg3D-Rtree.
+
+    Values of any type can be stored under a :class:`BoxST` key; the
+    ReTraTree stores :class:`~repro.storage.heapfile.RID` record identifiers.
+    A node splits when it holds more than ``max_entries`` entries.
+    """
+
+    def __init__(self, max_entries: int = 16) -> None:
+        if max_entries < 4:
+            raise ValueError("max_entries must be at least 4")
+        self.max_entries = max_entries
+        self.min_fill = max(2, max_entries // 3)
+        self._root = _Node(True, [], [])
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def height(self) -> int:
+        """Number of levels (1 for a tree that is just a leaf root)."""
+        h = 1
+        node = self._root
+        while not node.is_leaf:
+            h += 1
+            node = node.items[0]
+        return h
+
+    @property
+    def bbox(self) -> BoxST | None:
+        """Bounding box of everything stored, or ``None`` when empty."""
+        return _union(self._root.boxes) if self._root.boxes else None
+
+    # -- insertion ---------------------------------------------------------------
+
+    def insert(self, box: BoxST, value: V) -> None:
+        """Insert a value under its 3D bounding box."""
+        node = self._root
+        while not node.is_leaf:
+            penalties = [_penalty(b, box) for b in node.boxes]
+            best = penalties.index(min(penalties))
+            node.boxes[best] = node.boxes[best].union(box)
+            node = node.items[best]
+        node.boxes.append(box)
+        node.items.append(value)
+        self._size += 1
+        while len(node.boxes) > self.max_entries:
+            node = self._split(node)
+
+    def _split(self, node: _Node) -> _Node:
+        """Split an overflowing node in place; returns the node to check next.
+
+        ``node`` keeps the left group and a new sibling takes the right one.
+        When ``node`` was the root, a new root above the two ends the climb.
+        """
+        left, right = self._pick_split(node.boxes)
+        boxes, items = node.boxes, node.items
+        node.boxes, node.items = [boxes[i] for i in left], [items[i] for i in left]
+        sibling = _Node(node.is_leaf, [boxes[i] for i in right], [items[i] for i in right])
+        if not node.is_leaf:
+            for child in node.items:
+                child.parent = node
+            for child in sibling.items:
+                child.parent = sibling
+        left_box, right_box = _union(node.boxes), _union(sibling.boxes)
+
+        parent = node.parent
+        if parent is None:
+            self._root = _Node(False, [left_box, right_box], [node, sibling])
+            node.parent = sibling.parent = self._root
+            return self._root
+        parent.boxes[parent.items.index(node)] = left_box
+        parent.boxes.append(right_box)
+        parent.items.append(sibling)
+        sibling.parent = parent
+        return parent
+
+    def _pick_split(self, boxes: list[BoxST]) -> tuple[list[int], list[int]]:
         """Guttman's quadratic split.
 
         Picks the pair of entries that would waste the most volume if put in
@@ -59,19 +142,19 @@ class Box3DAdapter(KeyAdapter[BoxST]):
         whose bounding box needs the least enlargement, while respecting the
         minimum fill.
         """
-        n = len(keys)
+        n = len(boxes)
         # Seed selection: maximise dead space.
         worst_pair = (0, 1)
         worst_waste = -math.inf
         for i, j in itertools.combinations(range(n), 2):
-            waste = keys[i].union(keys[j]).volume - keys[i].volume - keys[j].volume
+            waste = boxes[i].union(boxes[j]).volume - boxes[i].volume - boxes[j].volume
             if waste > worst_waste:
                 worst_waste = waste
                 worst_pair = (i, j)
         left = [worst_pair[0]]
         right = [worst_pair[1]]
-        left_box = keys[worst_pair[0]]
-        right_box = keys[worst_pair[1]]
+        left_box = boxes[worst_pair[0]]
+        right_box = boxes[worst_pair[1]]
 
         remaining = [i for i in range(n) if i not in worst_pair]
         # Assign entries one at a time, most constrained first.
@@ -86,123 +169,69 @@ class Box3DAdapter(KeyAdapter[BoxST]):
             best_idx = None
             best_diff = -math.inf
             for idx in remaining:
-                d_left = left_box.enlargement(keys[idx])
-                d_right = right_box.enlargement(keys[idx])
-                diff = abs(d_left - d_right)
+                diff = abs(left_box.enlargement(boxes[idx]) - right_box.enlargement(boxes[idx]))
                 if diff > best_diff:
                     best_diff = diff
                     best_idx = idx
             assert best_idx is not None
-            d_left = left_box.enlargement(keys[best_idx])
-            d_right = right_box.enlargement(keys[best_idx])
+            d_left = left_box.enlargement(boxes[best_idx])
+            d_right = right_box.enlargement(boxes[best_idx])
             if d_left < d_right or (d_left == d_right and len(left) <= len(right)):
                 left.append(best_idx)
-                left_box = left_box.union(keys[best_idx])
+                left_box = left_box.union(boxes[best_idx])
             else:
                 right.append(best_idx)
-                right_box = right_box.union(keys[best_idx])
+                right_box = right_box.union(boxes[best_idx])
             remaining.remove(best_idx)
         return left, right
 
-
-class RTree3D(Generic[V]):
-    """The pg3D-Rtree public interface.
-
-    Values of any type can be stored under a :class:`BoxST` key; the
-    ReTraTree stores :class:`~repro.storage.heapfile.RID` record identifiers.
-    """
-
-    def __init__(self, max_entries: int = 16, min_entries: int | None = None) -> None:
-        min_fill = min_entries if min_entries is not None else max(2, max_entries // 3)
-        self._gist: GiST[BoxST, V] = GiST(
-            Box3DAdapter(min_fill=min_fill),
-            max_entries=max_entries,
-            min_entries=min_fill,
-        )
-
-    def __len__(self) -> int:
-        return len(self._gist)
-
-    @property
-    def height(self) -> int:
-        return self._gist.height
-
-    @property
-    def bbox(self) -> BoxST | None:
-        """Bounding box of everything stored, or ``None`` when empty."""
-        return self._gist.root_key
-
-    @property
-    def gist(self) -> GiST[BoxST, V]:
-        """The underlying GiST (exposed for invariant checks and ablations)."""
-        return self._gist
-
-    # -- updates ---------------------------------------------------------------
-
-    def insert(self, box: BoxST, value: V) -> None:
-        """Insert a value under its 3D bounding box."""
-        self._gist.insert(box, value)
-
-    def delete_value(self, value: V) -> int:
-        """Delete every entry whose stored value equals ``value``."""
-        return self._gist.delete(lambda _key, v: v == value)
-
-    # -- queries ----------------------------------------------------------------
+    # -- queries -----------------------------------------------------------------
 
     def range_search(self, box: BoxST) -> list[V]:
         """Values whose keys intersect the query box."""
-        return self._gist.search(box)
+        return self.range_search_with_stats(box)[0]
 
     def range_search_with_stats(self, box: BoxST) -> tuple[list[V], int]:
-        """Range search that also reports how many tree nodes were visited."""
-        return self._gist.search_count_nodes(box)
+        """Range search that also reports how many tree nodes were visited.
 
-    def range_entries(self, box: BoxST) -> list[tuple[BoxST, V]]:
-        """(key, value) pairs whose keys intersect the query box."""
-        return list(self._gist.search_entries(box))
-
-    def all_values(self) -> list[V]:
-        """Every stored value."""
-        return self._gist.all_values()
-
-    def knn(self, point: PointST, k: int, time_scale: float = 0.0) -> list[tuple[float, V]]:
-        """Best-first k-nearest-neighbour search from a spatiotemporal point.
-
-        Distance is planar by default; a positive ``time_scale`` adds a
-        weighted temporal component, making the search spatiotemporal.
-        Returns ``(distance, value)`` pairs sorted by distance.
+        The node count is the index-efficiency measure of benchmark E11 and
+        of the e2e tracer's ``index.rtree_nodes_per_probe``.
         """
-        if k <= 0:
-            return []
-
-        def box_distance(box: BoxST) -> float:
-            d_space = box.min_distance_2d(point)
-            if time_scale <= 0:
-                return d_space
-            dt = max(box.tmin - point.t, 0.0, point.t - box.tmax)
-            return math.hypot(d_space, dt * time_scale)
-
-        counter = itertools.count()
-        root = self._gist._root
-        heap: list[tuple[float, int, object, bool]] = [(0.0, next(counter), root, False)]
-        results: list[tuple[float, V]] = []
-        while heap and len(results) < k:
-            dist, _, item, is_entry = heapq.heappop(heap)
-            if is_entry:
-                results.append((dist, item))  # type: ignore[arg-type]
-                continue
-            node = item
-            for entry in node.entries:  # type: ignore[attr-defined]
-                d = box_distance(entry.key)
-                if node.is_leaf:  # type: ignore[attr-defined]
-                    heapq.heappush(heap, (d, next(counter), entry.value, True))
-                else:
-                    heapq.heappush(heap, (d, next(counter), entry.child, False))
-        return results
+        results: list[V] = []
+        visited = 0
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            visited += 1
+            hits = [item for key, item in zip(node.boxes, node.items) if key.intersects(box)]
+            if node.is_leaf:
+                results.extend(hits)
+            else:
+                stack.extend(hits)
+        return results, visited
 
     def check_invariants(self) -> None:
-        """Structural validation (delegates to the GiST)."""
-        self._gist.check_invariants()
+        """Verify structural invariants; raises :class:`AssertionError` on violation.
+
+        * every parent box covers its child's boxes, and the child points back,
+        * all leaves are at the same depth,
+        * no node exceeds ``max_entries``.
+        """
+        leaf_depths: set[int] = set()
+
+        def visit(node: _Node, depth: int) -> None:
+            assert len(node.boxes) <= self.max_entries, "node overflow"
+            if node.is_leaf:
+                leaf_depths.add(depth)
+                return
+            for box, child in zip(node.boxes, node.items):
+                assert child.parent is node, "child does not point to its parent"
+                assert box.union(_union(child.boxes)) == box, "parent box does not cover child boxes"
+                visit(child, depth + 1)
+
+        if self._root.boxes:
+            visit(self._root, 0)
+            assert len(leaf_depths) == 1, "leaves at different depths"
 
 
 def str_bulk_load(

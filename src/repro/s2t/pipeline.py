@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
-from repro.index.rtree3d import RTree3D
 from repro.s2t.clustering import greedy_clustering
 from repro.s2t.params import S2TParams
 from repro.s2t.result import ClusteringResult
@@ -62,23 +61,13 @@ class S2TClustering:
         self.params = params or S2TParams()
         self.last_voting_profile: VotingProfile | None = None
 
-    def fit(
-        self,
-        mod: MOD,
-        index: RTree3D[tuple[str, str]] | None = None,
-        frame: MODFrame | None = None,
-    ) -> ClusteringResult:
+    def fit(self, mod: MOD, frame: MODFrame | None = None) -> ClusteringResult:
         """Cluster the MOD's sub-trajectories.
 
         Parameters
         ----------
         mod:
             The Moving Object Database to analyse.
-        index:
-            Optional pre-built trajectory R-tree that defines voting's
-            candidate pairs (see :func:`~repro.s2t.voting.compute_voting`);
-            only :class:`~repro.baselines.range_then_cluster.RangeThenCluster`
-            passes one.
         frame:
             Optional prebuilt columnar snapshot of ``mod`` (the engine's
             frame catalog and the partition scheduler pass theirs here).
@@ -91,7 +80,7 @@ class S2TClustering:
         if frame is None:
             frame = MODFrame.from_mod(mod)
 
-        profile = compute_voting(mod, params, index=index, frame=frame)
+        profile = compute_voting(mod, params, frame=frame)
         self.last_voting_profile = profile
 
         subtrajectories, voting_mass, seg_elapsed = segment_mod(

@@ -29,10 +29,9 @@ Two execution strategies are provided, selected by
      tables: a lifespan overlap of positive duration, ``x`` / ``y`` boxes
      within the *kernel support radius* (``3 sigma`` exactly for the
      triangular kernel, ``sigma * sqrt(2 ln 1e12) ≈ 7.43 sigma`` for the
-     Gaussian) and not the voter itself.  A caller-supplied R-tree (only
-     :class:`~repro.baselines.range_then_cluster.RangeThenCluster` passes
-     one) replaces the box test: each target probes it once, and the hits
-     become the voters' candidate lists.
+     Gaussian) and not the voter itself.  This box test is the one candidate
+     test: it selects exactly the pairs an R-tree over the margin-expanded
+     trajectory boxes would return, without building one.
   3. The voter is interpolated at every instant of its slab (the bracket
      from one ``searchsorted`` of its knots into the sorted slab; the lerp
      and clip of :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`,
@@ -67,15 +66,9 @@ import numpy as np
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
-from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
 
-__all__ = [
-    "VotingProfile",
-    "compute_voting",
-    "build_trajectory_index",
-    "kernel_support_radius",
-]
+__all__ = ["VotingProfile", "compute_voting", "kernel_support_radius"]
 
 # Per-voter vote magnitude below which a Gaussian contribution is treated as
 # zero by the batched pruning margin; the summed error over any realistic
@@ -124,19 +117,6 @@ def kernel_support_radius(sigma: float, kernel: str) -> float:
     if kernel == "triangular":
         return 3.0 * sigma
     return sigma * math.sqrt(2.0 * math.log(1.0 / _GAUSSIAN_SUPPORT_TOL))
-
-
-def build_trajectory_index(mod: MOD, spatial_margin: float) -> RTree3D[tuple[str, str]]:
-    """Build a 3D R-tree over trajectory bounding boxes.
-
-    Boxes are expanded by ``spatial_margin`` so that a range probe with a
-    trajectory's own (unexpanded) box finds every trajectory that could cast
-    a non-negligible vote.
-    """
-    tree: RTree3D[tuple[str, str]] = RTree3D(max_entries=16)
-    for traj in mod:
-        tree.insert(traj.bbox.expand(spatial_margin, 0.0), traj.key)
-    return tree
 
 
 def _pairwise_votes(
@@ -208,42 +188,10 @@ def _compute_voting_dense(mod: MOD, params: S2TParams, profile: VotingProfile) -
 # -- batched strategy --------------------------------------------------------------
 
 
-def _index_targets(frame: MODFrame, index: RTree3D[tuple[str, str]]) -> list[np.ndarray]:
-    """Per voter row, the target rows whose probe of ``index`` returned it.
-
-    Each target probes the index once with its own box; a hit counts when
-    the two lifespans overlap (closed bounds) and the hit is not the target.
-    """
-    n = len(frame)
-    targets, voters = [], []
-    for target in range(n):
-        hits = np.fromiter(
-            {
-                row
-                for k in index.range_search(frame.bbox_of(target))
-                if (row := frame.maybe_row_of(k)) is not None
-            },
-            dtype=np.intp,
-        )
-        hits = hits[
-            (frame.tmins[hits] <= frame.tmaxs[target])
-            & (frame.tmaxs[hits] >= frame.tmins[target])
-            & (hits != target)
-        ]
-        voters.append(hits)
-        targets.append(np.full(hits.size, target, dtype=np.intp))
-    voter_of, target_of = np.concatenate(voters), np.concatenate(targets)
-    by_voter = np.argsort(voter_of, kind="stable")
-    voter_of, target_of = voter_of[by_voter], target_of[by_voter]
-    bounds = np.searchsorted(voter_of, np.arange(n + 1))
-    return [target_of[bounds[v] : bounds[v + 1]] for v in range(n)]
-
-
 def _compute_voting_batched(
     mod: MOD,
     params: S2TParams,
     profile: VotingProfile,
-    index: RTree3D[tuple[str, str]] | None,
     frame: MODFrame | None = None,
 ) -> None:
     """The voter-major sweep over the time-sorted sample column (module docstring)."""
@@ -274,23 +222,18 @@ def _compute_voting_batched(
     stops = np.searchsorted(ts, tmaxs, side="right")
     acc = np.zeros(ts.size)
 
-    targets_of = _index_targets(frame, index) if index is not None else None
     evaluated = 0
     for v in range(n):
         # Targets of voter v: the pairs the per-target probe would pick.
-        if targets_of is None:
-            cand = (
-                (tmins[v] <= tmaxs)
-                & (tmaxs[v] >= tmins)
-                & (xmins[v] - margin <= xmaxs)
-                & (xmaxs[v] + margin >= xmins)
-                & (ymins[v] - margin <= ymaxs)
-                & (ymaxs[v] + margin >= ymins)
-            )
-            cand[v] = False
-        else:
-            cand = np.zeros(n, dtype=bool)
-            cand[targets_of[v]] = True
+        cand = (
+            (tmins[v] <= tmaxs)
+            & (tmaxs[v] >= tmins)
+            & (xmins[v] - margin <= xmaxs)
+            & (xmaxs[v] + margin >= xmins)
+            & (ymins[v] - margin <= ymaxs)
+            & (ymaxs[v] + margin >= ymins)
+        )
+        cand[v] = False
         evaluated += int(np.count_nonzero(cand))
         # Only a positive-duration overlap votes (the dense path's check).
         cand &= np.minimum(tmaxs, tmaxs[v]) - np.maximum(tmins, tmins[v]) > 0
@@ -365,7 +308,6 @@ def _compute_voting_batched(
 def compute_voting(
     mod: MOD,
     params: S2TParams,
-    index: RTree3D[tuple[str, str]] | None = None,
     frame: MODFrame | None = None,
 ) -> VotingProfile:
     """Run the voting phase over the whole MOD.
@@ -378,12 +320,6 @@ def compute_voting(
         Resolved S2T parameters (``sigma`` must not be ``None``).  The
         execution strategy is ``params.voting_strategy`` (``"dense"`` or
         ``"batched"``).
-    index:
-        Optional pre-built trajectory R-tree for the batched strategy.  When
-        given, it defines the candidate pairs (each target probes it once
-        with its own box); when omitted, the box test at the kernel support
-        radius does.  A caller-supplied index keeps its own margin, which
-        then governs the pruning accuracy.
     frame:
         Optional prebuilt columnar snapshot of ``mod`` (the engine's frame
         catalog passes its cached frame here); the batched strategy then
@@ -394,7 +330,7 @@ def compute_voting(
     profile = VotingProfile(strategy=params.voting_strategy)
 
     if params.voting_strategy == "batched":
-        _compute_voting_batched(mod, params, profile, index, frame=frame)
+        _compute_voting_batched(mod, params, profile, frame=frame)
     else:  # dense
         _compute_voting_dense(mod, params, profile)
 

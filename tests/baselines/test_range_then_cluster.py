@@ -1,9 +1,15 @@
 """Unit tests for the range-query + fresh-index + S2T alternative."""
 
+import numpy as np
 
+import repro.s2t.pipeline as pipeline
 from repro.baselines.range_then_cluster import RangeThenCluster
+from repro.hermes.frame import MODFrame
 from repro.hermes.types import Period
 from repro.s2t.params import S2TParams
+from repro.s2t.pipeline import S2TClustering
+from repro.s2t.voting import compute_voting
+from tests.conftest import membership_signature
 
 
 class TestRangeThenCluster:
@@ -19,7 +25,9 @@ class TestRangeThenCluster:
         result = RangeThenCluster(mod).query(mod.period)
         assert result.method == "range+s2t"
         assert result.num_clusters > 0
-        assert {"range_query", "index_build", "voting", "clustering"} <= set(result.timings)
+        assert list(result.timings) == [
+            "range_query", "voting", "segmentation", "sampling", "clustering"
+        ]
 
     def test_results_restricted_to_window(self, lanes_small):
         mod, _ = lanes_small
@@ -38,6 +46,32 @@ class TestRangeThenCluster:
             Period(period.tmin, period.tmin + 0.2 * period.duration)
         )
         assert narrow.extras["num_subtrajectories"] <= full.extras["num_subtrajectories"]
+
+    def test_supplied_frame_and_own_frame_agree(self, lanes_small, monkeypatch):
+        """With or without the engine's frame: same memberships, same votes."""
+        mod, _ = lanes_small
+        profiles = []
+
+        def recording(mod, params, frame=None):
+            profiles.append(compute_voting(mod, params, frame=frame))
+            return profiles[-1]
+
+        monkeypatch.setattr(pipeline, "compute_voting", recording)
+        own = RangeThenCluster(mod)
+        supplied = RangeThenCluster(mod, frame=MODFrame.from_mod(mod))
+        period = mod.period
+        for lo, hi in [(0.0, 1.0), (0.2, 0.5), (0.6, 0.95)]:
+            window = Period(period.tmin + lo * period.duration, period.tmin + hi * period.duration)
+            a, b = own.query(window), supplied.query(window)
+            assert membership_signature(a) == membership_signature(b)
+            assert a.num_clusters > 0
+            votes_a, votes_b = profiles[-2].votes, profiles[-1].votes
+            assert list(votes_a) == list(votes_b)
+            assert all(np.array_equal(votes_a[key], votes_b[key]) for key in votes_a)
+            # The slice is row-for-row MOD.temporal_range.
+            legacy = S2TClustering(S2TParams()).fit(mod.temporal_range(window))
+            assert membership_signature(a) == membership_signature(legacy)
+        assert len(profiles) == 9
 
     def test_custom_s2t_params_used(self, lanes_small):
         mod, _ = lanes_small

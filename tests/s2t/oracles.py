@@ -2,12 +2,12 @@
 
 This is the batched strategy of :mod:`repro.s2t.voting` as it ran before the
 voter-major sweep replaced it, moved here verbatim: per target, an
-``IntervalIndex`` sweep-line prefilter plus an R-tree (a caller's, or one
-built on the fly from ``_RTREE_BUILD_THRESHOLD`` trajectories) or a columnar
-bounding-box scan pick the voters, and one
-:meth:`~repro.hermes.frame.MODFrame.positions_at_batch` call interpolates them
-all onto the target's samples.  The sweep must reproduce its votes bit for
-bit and its pair counts exactly (``tests/s2t/test_voting_sweep.py``).
+``IntervalIndex`` sweep-line prefilter plus an R-tree (built on the fly from
+``_RTREE_BUILD_THRESHOLD`` trajectories) or a columnar bounding-box scan pick
+the voters, and one :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`
+call interpolates them all onto the target's samples.  The sweep must
+reproduce its votes bit for bit and its pair counts exactly
+(``tests/s2t/test_voting_sweep.py``).
 """
 
 from __future__ import annotations
@@ -21,9 +21,22 @@ from repro.hermes.mod import MOD
 from repro.index.interval import IntervalIndex
 from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
-from repro.s2t.voting import VotingProfile, build_trajectory_index, kernel_support_radius
+from repro.s2t.voting import VotingProfile, kernel_support_radius
 
-__all__ = ["oracle_voting"]
+__all__ = ["oracle_voting", "build_trajectory_index"]
+
+
+def build_trajectory_index(mod: MOD, spatial_margin: float) -> RTree3D[tuple[str, str]]:
+    """Build a 3D R-tree over trajectory bounding boxes.
+
+    Boxes are expanded by ``spatial_margin`` so that a range probe with a
+    trajectory's own (unexpanded) box finds every trajectory that could cast
+    a non-negligible vote.
+    """
+    tree: RTree3D[tuple[str, str]] = RTree3D(max_entries=16)
+    for traj in mod:
+        tree.insert(traj.bbox.expand(spatial_margin, 0.0), traj.key)
+    return tree
 
 
 def _batched_point_votes(
@@ -92,8 +105,7 @@ def _batched_point_votes(
 
 # Below this MOD cardinality, building the (pure-Python) R-tree costs more
 # than it saves; the batched strategy then prunes with an equivalent
-# vectorised scan over the frame's bounding-box table instead.  A
-# caller-supplied index is always used.
+# vectorised scan over the frame's bounding-box table instead.
 _RTREE_BUILD_THRESHOLD = 512
 
 
@@ -101,7 +113,6 @@ def _compute_voting_batched(
     mod: MOD,
     params: S2TParams,
     profile: VotingProfile,
-    index: RTree3D[tuple[str, str]] | None,
     frame: MODFrame | None = None,
 ) -> None:
     """The columnar engine: R-tree + sweep-line prefilter, batched kernels."""
@@ -112,7 +123,8 @@ def _compute_voting_batched(
     n = len(frame)
     margin = kernel_support_radius(sigma, params.voting_kernel)
 
-    if index is None and n >= _RTREE_BUILD_THRESHOLD:
+    index = None
+    if n >= _RTREE_BUILD_THRESHOLD:
         index = build_trajectory_index(mod, spatial_margin=margin)
     # Sweep-line temporal prefilter: one bulk-loaded interval index over the
     # lifespan table answers "who is alive during the target's span?" without
@@ -174,16 +186,13 @@ def _compute_voting_batched(
 
 
 def oracle_voting(
-    mod: MOD,
-    params: S2TParams,
-    index: RTree3D[tuple[str, str]] | None = None,
-    frame: MODFrame | None = None,
+    mod: MOD, params: S2TParams, frame: MODFrame | None = None
 ) -> VotingProfile:
     """``compute_voting`` with the per-target kernel (batched strategy only)."""
     start = time.perf_counter()
     params = params.resolved(mod)
     assert params.voting_strategy == "batched"
     profile = VotingProfile(strategy=params.voting_strategy)
-    _compute_voting_batched(mod, params, profile, index, frame=frame)
+    _compute_voting_batched(mod, params, profile, frame=frame)
     profile.elapsed_s = time.perf_counter() - start
     return profile

@@ -6,11 +6,7 @@ import pytest
 from repro.datagen import aircraft_scenario, lane_scenario, urban_scenario
 from repro.hermes.mod import MOD
 from repro.s2t.params import S2TParams
-from repro.s2t.voting import (
-    build_trajectory_index,
-    compute_voting,
-    kernel_support_radius,
-)
+from repro.s2t.voting import compute_voting, kernel_support_radius
 from tests.conftest import make_linear_trajectory
 
 
@@ -86,12 +82,6 @@ class TestVotingStrategies:
         assert profile.strategy == "dense"
         assert profile.pairs_pruned == 0
         assert profile.pairs_evaluated == len(mod) * (len(mod) - 1)
-
-    def test_prebuilt_index_reused(self, small_mod):
-        params = S2TParams(sigma=1.0).resolved(small_mod)
-        index = build_trajectory_index(small_mod, spatial_margin=3.0)
-        profile = compute_voting(small_mod, params, index=index)
-        assert profile.segment_votes(("a", "0")).mean() > 0.5
 
     def test_batched_prunes_and_reports_strategy(self, lanes_small):
         mod, _ = lanes_small

@@ -5,13 +5,14 @@ sweep must give the same votes *bit for bit* (``np.array_equal``, not a
 tolerance) and the same ``pairs_evaluated`` / ``pairs_pruned``, on generated
 MODs that force the edge cases (shared and tied timestamps across
 trajectories, lifespans that only touch or are disjoint, one- and
-two-trajectory MODs, per-pair sub-sampling), through the box test and
-through a caller-supplied R-tree, and end to end on the ``s2t_batch`` data.
+two-trajectory MODs, per-pair sub-sampling), through ``RangeThenCluster``'s
+windows, and end to end on the ``s2t_batch`` data.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,9 @@ from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
 from repro.hermes.types import Period
-from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
-from repro.s2t.voting import build_trajectory_index, compute_voting, kernel_support_radius
+from repro.s2t.voting import compute_voting
 from tests.conftest import membership_signature
 from tests.s2t.oracles import oracle_voting
 
@@ -87,51 +87,40 @@ class TestSweepEqualsOracle:
             compute_voting(mod, params, frame=frame), oracle_voting(mod, params, frame=frame)
         )
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        mod=voting_mods(),
-        params=voting_params,
-        margin_scale=st.sampled_from([0.0, 0.3, 1.0]),
-        time_slack=st.sampled_from([0.0, 0.0, 2.0]),
-    )
-    def test_caller_index_defines_the_same_pairs(self, mod, params, margin_scale, time_slack):
-        """A caller's R-tree picks the pairs, lifespans still gate them.
-
-        ``time_slack`` widens the indexed boxes in time, so the index returns
-        rows whose lifespans miss the target's and the lifespan test must
-        drop them, as the per-target prefilter did.
-        """
-        resolved = params.resolved(mod)
-        margin = margin_scale * kernel_support_radius(resolved.sigma, resolved.voting_kernel)
-        if time_slack:
-            index = RTree3D(max_entries=16)
-            for traj in mod:
-                index.insert(traj.bbox.expand(margin, time_slack), traj.key)
-        else:
-            index = build_trajectory_index(mod, spatial_margin=margin)
-        assert_same_voting(
-            compute_voting(mod, resolved, index=index), oracle_voting(mod, resolved, index=index)
-        )
+    @pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
+    def test_same_pairs_as_the_oracles_r_tree(self, kernel):
+        """From 512 trajectories the oracle picks voters with an R-tree over
+        the margin-expanded boxes; the box test must pick the same pairs."""
+        mod, _truth = aircraft_scenario(n_trajectories=520, n_samples=8, seed=3)
+        params = S2TParams(voting_kernel=kernel)
+        assert_same_voting(compute_voting(mod, params), oracle_voting(mod, params))
 
     def test_range_then_cluster_votes_equal_the_oracle(self, monkeypatch):
-        """The one caller that passes an index: every fit's voting == oracle."""
+        """Every window's voting == oracle, and its memberships == S2T on the slice."""
         mod, _truth = lane_scenario(n_trajectories=40, n_samples=40, seed=5)
-        calls = []
+        frame = MODFrame.from_mod(mod)
+        params = S2TParams()
+        fits = []
 
-        def checked(mod, params, index=None, frame=None):
-            sweep = compute_voting(mod, params, index=index, frame=frame)
-            assert_same_voting(sweep, oracle_voting(mod, params, index=index, frame=frame))
-            calls.append(index is not None)
+        def checked(mod, params, frame=None):
+            sweep = compute_voting(mod, params, frame=frame)
+            assert_same_voting(sweep, oracle_voting(mod, params, frame=frame))
+            fits.append(len(mod))
             return sweep
 
-        monkeypatch.setattr(pipeline, "compute_voting", checked)
         period = mod.period
         for lo, hi in [(0.0, 1.0), (0.1, 0.4), (0.5, 0.9)]:
             window = Period(
                 period.tmin + lo * period.duration, period.tmin + hi * period.duration
             )
-            RangeThenCluster(mod, S2TParams(), frame=MODFrame.from_mod(mod)).query(window)
-        assert calls == [True, True, True]
+            with monkeypatch.context() as patched:
+                patched.setattr(pipeline, "compute_voting", checked)
+                got = RangeThenCluster(mod, params, frame=frame).query(window)
+            sliced = frame.slice_period(window)
+            direct = S2TClustering(params).fit(sliced.to_mod(), frame=sliced)
+            assert membership_signature(got) == membership_signature(direct)
+            assert got.num_clusters > 0
+        assert len(fits) == 3
 
 
 def test_s2t_batch_memberships_equal_the_oracle_pipeline(monkeypatch):
