@@ -1,7 +1,7 @@
 """Cross-scenario quality matrix (the accuracy-regression tentpole).
 
-The full run sweeps every scenario x degradation profile x voting strategy
-x shard count x warm/cold engine cell, writes ``BENCH_scenarios.json`` at
+The full run sweeps every scenario x degradation profile x S2T partition
+count x warm/cold engine cell (150 cells), writes ``BENCH_scenarios.json`` at
 the repository root and asserts the checked-in ``quality_floor.json``: the
 minimum ARI of every ``(scenario, profile)`` pair must stay at or above its
 floor, so a future optimisation that trades accuracy for speed on *any*
@@ -9,7 +9,7 @@ workload fails here.  Both variants also prove the gate is non-vacuous by
 re-checking against an artificially raised floor and requiring it to fire.
 
 The smoke variant (the CI ``quality-smoke`` gate) runs the reduced
-2-scenarios x 2-profiles matrix over the same full strategy/shards/engine
+2-scenarios x 2-profiles matrix over the same full partitions/engine
 axes — scenario sizes are identical to the full run (they are part of the
 floor contract), only the pair count shrinks — and writes
 ``BENCH_scenarios_smoke.json``.
@@ -22,9 +22,8 @@ import pytest
 from repro.eval.harness import format_table
 from repro.eval.quality import (
     DEFAULT_ENGINE_MODES,
+    DEFAULT_PARTITION_COUNTS,
     DEFAULT_PROFILES,
-    DEFAULT_SHARD_COUNTS,
-    DEFAULT_STRATEGIES,
     SCENARIOS,
     check_floor,
     load_floor,
@@ -57,12 +56,7 @@ def _print_summary(report: dict, title: str) -> None:
 
 def _assert_matrix_contract(report: dict, n_pairs: int) -> None:
     """Structure every matrix run must satisfy, full or smoke."""
-    expected = (
-        n_pairs
-        * len(DEFAULT_STRATEGIES)
-        * len(DEFAULT_SHARD_COUNTS)
-        * len(DEFAULT_ENGINE_MODES)
-    )
+    expected = n_pairs * len(DEFAULT_PARTITION_COUNTS) * len(DEFAULT_ENGINE_MODES)
     assert len(report["cells"]) == expected, (len(report["cells"]), expected)
     for cell in report["cells"].values():
         assert isinstance(cell["seed"], int)

@@ -108,10 +108,6 @@ class CFG:
         """The block with id ``block_id``."""
         return self.blocks[block_id]
 
-    def predecessors(self, block_id: int) -> list[int]:
-        """Ids of blocks with an edge into ``block_id``."""
-        return [b.id for b in self.blocks if block_id in b.succs]
-
     def reachable(self) -> set[int]:
         """Ids of blocks reachable from the entry block."""
         seen: set[int] = set()

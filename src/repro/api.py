@@ -564,7 +564,6 @@ class Dataset:
         sigma: object = None,
         eps: object = None,
         gamma: object = 2,
-        strategy: object = "batched",
         jobs: object = 1,
         shards: object = None,
     ) -> "Query":
@@ -580,7 +579,6 @@ class Dataset:
                 sigma=sigma,
                 eps=eps,
                 gamma=gamma,
-                strategy=strategy,
                 jobs=jobs,
                 shards=shards,
             ),

@@ -9,7 +9,7 @@
   degraded through a profile spec) as a points CSV plus ground-truth
   labels JSON.
 * ``repro-bench-scenarios`` — run the cross-scenario quality matrix
-  (scenarios x profiles x strategies x shards x warm/cold engines), write
+  (scenarios x profiles x S2T partition counts x warm/cold engines), write
   ``BENCH_scenarios.json`` and exit nonzero when any cell falls below the
   ``quality_floor.json`` regression floor.
 * ``repro-docs`` — build the documentation site from ``docs/`` (strict: any
@@ -364,17 +364,16 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
     """Run the cross-scenario quality matrix and assert the ARI floors."""
     from repro.eval.quality import (
         DEFAULT_ENGINE_MODES,
+        DEFAULT_PARTITION_COUNTS,
         DEFAULT_PROFILES,
-        DEFAULT_SHARD_COUNTS,
-        DEFAULT_STRATEGIES,
         SCENARIOS,
     )
 
     parser = argparse.ArgumentParser(
         prog="repro-bench-scenarios",
         description=(
-            "Sweep scenarios x degradation profiles x voting strategies x "
-            "shard counts x warm/cold engines, computing ARI/NMI against "
+            "Sweep scenarios x degradation profiles x S2T partition counts x "
+            "warm/cold engines, computing ARI/NMI against "
             "ground truth per cell; writes the BENCH_scenarios.json matrix "
             "(a pure function of its seeds) and exits nonzero when any "
             "(scenario, profile) cell falls below quality_floor.json."
@@ -385,11 +384,7 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--profiles", nargs="+", default=list(DEFAULT_PROFILES))
     parser.add_argument(
-        "--strategies", nargs="+", default=list(DEFAULT_STRATEGIES),
-        choices=DEFAULT_STRATEGIES,
-    )
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=list(DEFAULT_SHARD_COUNTS)
+        "--partitions", type=int, nargs="+", default=list(DEFAULT_PARTITION_COUNTS)
     )
     parser.add_argument(
         "--engines", nargs="+", default=list(DEFAULT_ENGINE_MODES),
@@ -415,8 +410,7 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
     report = run_quality_matrix(
         scenarios=tuple(args.scenarios),
         profiles=tuple(args.profiles),
-        strategies=tuple(args.strategies),
-        shard_counts=tuple(args.shards),
+        partition_counts=tuple(args.partitions),
         engine_modes=tuple(args.engines),
         base_seed=args.seed,
     )

@@ -264,8 +264,6 @@ def merge_partition_results(
         timings=dict(timings),
     )
     result.extras = dict(extras_sums)
-    # Uniform across partitions (all fits share the resolved params).
-    result.extras["voting_strategy"] = params.voting_strategy
     return result
 
 

@@ -54,15 +54,12 @@ __all__ = [
 class ShardPlan:
     """Contiguous windows over the ReTraTree's level-1 chunk axis.
 
-    ``count`` is the *requested* fan-out; ``ranges`` holds the effective
-    windows — at most ``count``, fewer when the dataset spans fewer chunks
-    than requested.  Windows are half-open ``[lo, hi)`` with the first
-    ``lo`` and last ``hi`` left open (``None``), so together they cover the
-    whole axis.
+    ``ranges`` holds the windows: as many as the requested fan-out, fewer
+    when the dataset spans fewer chunks than requested.  Windows are
+    half-open ``[lo, hi)`` with the first ``lo`` and last ``hi`` left open
+    (``None``), so together they cover the whole axis.
     """
 
-    count: int
-    n_chunks: int
     ranges: tuple[tuple[int | None, int | None], ...]
 
     @classmethod
@@ -90,7 +87,7 @@ class ShardPlan:
         ranges[0] = (None, first_hi)
         last_lo, _ = ranges[-1]
         ranges[-1] = (last_lo if len(ranges) > 1 else None, None)
-        return cls(count=count, n_chunks=n_chunks, ranges=tuple(ranges))
+        return cls(ranges=tuple(ranges))
 
 
 # -- worker protocol -----------------------------------------------------------

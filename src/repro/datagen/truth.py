@@ -36,11 +36,3 @@ class GroundTruth:
         for arr in self.labels.values():
             out.update(lbl for lbl in arr if lbl is not None)
         return sorted(out)
-
-    def point_labels(self) -> list[tuple[tuple[str, str], int, object]]:
-        """Flatten to ``(traj_key, sample_index, label)`` triples."""
-        flat = []
-        for key, arr in self.labels.items():
-            for i, lbl in enumerate(arr):
-                flat.append((key, i, lbl))
-        return flat

@@ -2,9 +2,9 @@
 
 Nine perf PRs pinned *bit-identity* per feature; this module pins
 *accuracy*: it sweeps every synthetic scenario under every degradation
-profile, across the voting strategies, the partitioned-operator shard
-counts and warm-vs-cold-recovered engines, and records ARI/NMI against the
-planted ground truth for every cell.  A future optimisation that trades
+profile, across the partition counts of the S2T operator and
+warm-vs-cold-recovered engines, and records ARI/NMI against the planted
+ground truth for every cell.  A future optimisation that trades
 clustering accuracy for speed on *any* workload turns a cell red against the
 checked-in ``quality_floor.json``.
 
@@ -14,7 +14,7 @@ Three layers, smallest first:
   recorded seed alone (``tests/eval/test_quality.py`` pins a re-run to
   return an equal record),
 * :func:`run_quality_matrix` — the sweep; derives one deterministic seed
-  per ``(scenario, profile)`` pair (so the strategy/shards/engine axes
+  per ``(scenario, profile)`` pair (so the partitions/engine axes
   compare operators on the *same* degraded dataset) and records it in
   every cell,
 * :func:`check_floor` — the regression gate; the ``repro-bench-scenarios``
@@ -48,13 +48,12 @@ from repro.datagen import (
 )
 from repro.eval.metrics import clustering_quality
 from repro.hermes.mod import MOD
-from repro.s2t.params import VOTING_STRATEGIES, S2TParams
+from repro.s2t.params import S2TParams
 
 __all__ = [
     "SCENARIOS",
     "DEFAULT_PROFILES",
-    "DEFAULT_STRATEGIES",
-    "DEFAULT_SHARD_COUNTS",
+    "DEFAULT_PARTITION_COUNTS",
     "DEFAULT_ENGINE_MODES",
     "cell_key",
     "cell_seed",
@@ -78,20 +77,19 @@ SCENARIOS: dict[str, tuple[Any, dict[str, Any]]] = {
 }
 
 DEFAULT_PROFILES: tuple[str, ...] = ("clean", "gps_noise", "dropout", "rush_hour", "jitter")
-DEFAULT_STRATEGIES: tuple[str, ...] = VOTING_STRATEGIES
-DEFAULT_SHARD_COUNTS: tuple[int, ...] = (1, 2, 4)
+DEFAULT_PARTITION_COUNTS: tuple[int, ...] = (1, 2, 4)
 DEFAULT_ENGINE_MODES: tuple[str, ...] = ("warm", "cold")
 
 
-def cell_key(scenario: str, profile: str, strategy: str, shards: int, engine_mode: str) -> str:
+def cell_key(scenario: str, profile: str, partitions: int, engine_mode: str) -> str:
     """The canonical ``|``-joined identifier of one matrix cell."""
-    return f"{scenario}|{profile}|{strategy}|{shards}|{engine_mode}"
+    return f"{scenario}|{profile}|{partitions}|{engine_mode}"
 
 
 def cell_seed(base_seed: int, scenario: str, profile: str) -> int:
     """Deterministic per-``(scenario, profile)`` seed.
 
-    Strategy/shards/engine cells of one pair share the seed on purpose:
+    Partitions/engine cells of one pair share the seed on purpose:
     those axes must compare operators on the *same* degraded dataset, so
     an accuracy difference between two cells of a pair is attributable to
     the operator, never to dataset luck.  The CRC folds the pair name into
@@ -113,23 +111,21 @@ def generate_cell_data(scenario: str, profile: str, seed: int) -> tuple[MOD, Gro
     return parse_profile(profile).apply(mod, truth, seed=seed + 1)
 
 
-def _fit(engine: HermesEngine, name: str, strategy: str, shards: int):
+def _fit(engine: HermesEngine, name: str, partitions: int):
     """Run the cell's S2T call — the exact call the SQL path makes.
 
-    ``shards`` maps to the partitioned operator's partition count (the SQL
-    ``SHARDS`` knob): ``1`` is the classic whole-MOD fit, ``> 1`` the
+    ``partitions`` is the S2T operator's ``n_partitions`` (the SQL
+    ``SHARDS`` argument): ``1`` is the classic whole-MOD fit, ``> 1`` the
     partitioned operator executed serially (worker counts do not change
     memberships, so the matrix stays meaningful on a single-CPU host).
     """
-    params = S2TParams(voting_strategy=strategy)
-    return engine.s2t(name, params, n_partitions=shards if shards > 1 else None)
+    return engine.s2t(name, S2TParams(), n_partitions=partitions if partitions > 1 else None)
 
 
 def run_cell(
     scenario: str,
     profile: str,
-    strategy: str,
-    shards: int,
+    partitions: int,
     engine_mode: str,
     seed: int,
     work_dir: str | Path | None = None,
@@ -154,7 +150,7 @@ def run_cell(
 
     if engine_mode == "cold":
         root = Path(work_dir) if work_dir is not None else Path(mkdtemp(prefix="quality_"))
-        store = root / f"{scenario}_{profile}_{strategy}_{shards}"
+        store = root / f"{scenario}_{profile}_{partitions}"
         warm = HermesEngine.on_disk(store)
         warm.load_mod(dataset, mod)
         warm.close()
@@ -163,15 +159,14 @@ def run_cell(
         engine = HermesEngine.in_memory()
         engine.load_mod(dataset, mod)
 
-    result = _fit(engine, dataset, strategy, shards)
+    result = _fit(engine, dataset, partitions)
     quality = clustering_quality(result, truth)
     engine.close()
 
     return {
         "scenario": scenario,
         "profile": profile,
-        "strategy": strategy,
-        "shards": shards,
+        "partitions": partitions,
         "engine": engine_mode,
         "seed": seed,
         "ari": quality.ari,
@@ -186,8 +181,7 @@ def run_cell(
 def run_quality_matrix(
     scenarios: tuple[str, ...] | None = None,
     profiles: tuple[str, ...] | None = None,
-    strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
-    shard_counts: tuple[int, ...] = DEFAULT_SHARD_COUNTS,
+    partition_counts: tuple[int, ...] = DEFAULT_PARTITION_COUNTS,
     engine_modes: tuple[str, ...] = DEFAULT_ENGINE_MODES,
     base_seed: int = 20_18,
     work_dir: str | Path | None = None,
@@ -197,7 +191,7 @@ def run_quality_matrix(
     Every cell records its own seed (derived via :func:`cell_seed`), so any
     single cell reproduces without re-running the sweep.  The report also
     cross-checks the warm/cold axis: when both modes of a
-    ``(scenario, profile, strategy, shards)`` combination ran, their ARIs
+    ``(scenario, profile, partitions)`` combination ran, their ARIs
     must agree bit-for-bit (``warm_cold_identical``) — recovery is not
     allowed to change answers.
     """
@@ -213,14 +207,13 @@ def run_quality_matrix(
     for scenario in scenarios:
         for profile in profiles:
             seed = cell_seed(base_seed, scenario, profile)
-            for strategy in strategies:
-                for shards in shard_counts:
-                    for engine_mode in engine_modes:
-                        cell = run_cell(
-                            scenario, profile, strategy, shards, engine_mode,
-                            seed=seed, work_dir=work_dir,
-                        )
-                        cells[cell_key(scenario, profile, strategy, shards, engine_mode)] = cell
+            for partitions in partition_counts:
+                for engine_mode in engine_modes:
+                    cell = run_cell(
+                        scenario, profile, partitions, engine_mode,
+                        seed=seed, work_dir=work_dir,
+                    )
+                    cells[cell_key(scenario, profile, partitions, engine_mode)] = cell
 
     warm_cold_identical = True
     if "warm" in engine_modes and "cold" in engine_modes:
@@ -235,8 +228,7 @@ def run_quality_matrix(
         "axes": {
             "scenarios": list(scenarios),
             "profiles": list(profiles),
-            "strategies": list(strategies),
-            "shard_counts": list(shard_counts),
+            "partition_counts": list(partition_counts),
             "engine_modes": list(engine_modes),
         },
         "base_seed": base_seed,
@@ -258,7 +250,7 @@ def check_floor(report: dict[str, Any], floors: dict[str, float]) -> list[str]:
     """Violations of the floor file against a matrix report.
 
     For every ``(scenario, profile)`` pair present in the report, the
-    *minimum* ARI across that pair's strategy/shards/engine cells must meet
+    *minimum* ARI across that pair's partitions/engine cells must meet
     the pair's floor.  Pairs without a floor entry are skipped (a reduced
     smoke matrix checks only the pairs it ran) — adding a scenario or
     profile without extending the floor file is caught by the full-matrix

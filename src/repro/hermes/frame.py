@@ -19,9 +19,10 @@ stay sorted, and the bands are ordered by row, so the concatenated shifted
 array is globally sorted and a single binary search locates the bracketing
 samples of every (trajectory, instant) pair at once.
 
-This is the engine behind ``voting_strategy="batched"``
-(:mod:`repro.s2t.voting`) and
-:func:`repro.hermes.distances.spatiotemporal_distance_batch`.
+This is the engine behind
+:func:`repro.hermes.distances.spatiotemporal_distance_batch`; the voting
+sweep (:mod:`repro.s2t.voting`) uses the same bracket, clip and lerp
+arithmetic on its time-sorted sample column.
 
 Frame lifecycle
 ---------------
@@ -519,22 +520,6 @@ class MODFrame:
     def maybe_row_of(self, key: tuple[str, str]) -> int | None:
         """Row index of trajectory ``key``, or ``None`` if absent."""
         return self._key_to_row.get(key)
-
-    def num_points_of(self, row: int) -> int:
-        """Sample count of row ``row``."""
-        return int(self.offsets[row + 1] - self.offsets[row])
-
-    def ts_of(self, row: int) -> np.ndarray:
-        """Timestamps of row ``row`` (a view into the column)."""
-        return self.ts[self.offsets[row] : self.offsets[row + 1]]
-
-    def xs_of(self, row: int) -> np.ndarray:
-        """X coordinates of row ``row`` (a view into the column)."""
-        return self.xs[self.offsets[row] : self.offsets[row + 1]]
-
-    def ys_of(self, row: int) -> np.ndarray:
-        """Y coordinates of row ``row`` (a view into the column)."""
-        return self.ys[self.offsets[row] : self.offsets[row + 1]]
 
     def period_of(self, row: int) -> Period:
         """Lifespan of row ``row``."""

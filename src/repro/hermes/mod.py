@@ -2,14 +2,14 @@
 
 A :class:`MOD` is the in-memory collection of trajectories an analysis runs
 against — the Python analogue of a Hermes@PostgreSQL dataset.  It offers the
-query operands the clustering modules need (temporal range restriction,
-spatiotemporal range filtering) and is the unit loaded into the storage
+query operand the clustering modules need (temporal range restriction)
+and is the unit loaded into the storage
 engine and the ReTraTree.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.hermes.trajectory import Trajectory
 from repro.hermes.types import BoxST, Period
@@ -51,11 +51,6 @@ class MOD:
         if traj.key in self._trajs:
             raise ValueError(f"duplicate trajectory key {traj.key!r} in MOD {self.name!r}")
         self._trajs[traj.key] = traj
-
-    def add_all(self, trajs: Iterable[Trajectory]) -> None:
-        """Insert many trajectories."""
-        for traj in trajs:
-            self.add(traj)
 
     def remove(self, key: tuple[str, str]) -> Trajectory:
         """Remove and return the trajectory with the given key."""
@@ -121,21 +116,3 @@ class MOD:
                 out.add(restricted)
         return out
 
-    def spatiotemporal_range(self, box: BoxST) -> list[Trajectory]:
-        """Trajectories whose bounding box intersects the query box."""
-        return [t for t in self if t.bbox.intersects(box)]
-
-    def filter(self, predicate: Callable[[Trajectory], bool]) -> "MOD":
-        """New MOD with the trajectories satisfying ``predicate``."""
-        out = MOD(name=f"{self.name}/filtered")
-        for traj in self:
-            if predicate(traj):
-                out.add(traj)
-        return out
-
-    def subset(self, keys: Iterable[tuple[str, str]]) -> "MOD":
-        """New MOD restricted to the given trajectory keys."""
-        out = MOD(name=f"{self.name}/subset")
-        for key in keys:
-            out.add(self._trajs[key])
-        return out

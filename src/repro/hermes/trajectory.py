@@ -158,13 +158,6 @@ class Trajectory:
         """Total planar travelled distance."""
         return float(np.sum(np.hypot(np.diff(self.xs), np.diff(self.ys))))
 
-    @property
-    def average_speed(self) -> float:
-        """Mean planar speed (length / duration)."""
-        if self.duration <= 0:
-            return 0.0
-        return self.length / self.duration
-
     def point(self, i: int) -> PointST:
         """The ``i``-th sample as a :class:`PointST`."""
         return PointST(float(self.xs[i]), float(self.ys[i]), float(self.ts[i]))
@@ -241,13 +234,6 @@ class Trajectory:
         ts = np.linspace(self.ts[0], self.ts[-1], n_samples)
         xy = self.positions_at(ts)
         return Trajectory(self.obj_id, self.traj_id, xy[:, 0], xy[:, 1], ts)
-
-    def resample_step(self, dt: float) -> "Trajectory":
-        """Return a copy resampled every ``dt`` time units."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        n = max(2, int(math.ceil(self.duration / dt)) + 1)
-        return self.resample(n)
 
     # -- sub-trajectory extraction ------------------------------------------
 

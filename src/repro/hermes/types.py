@@ -16,7 +16,6 @@ keys, dictionary keys and members of frozen dataclasses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["Period", "PointST", "SegmentST", "BoxST"]
@@ -29,14 +28,15 @@ class Period:
     """A closed time interval ``[tmin, tmax]``.
 
     ``tmin`` may equal ``tmax`` (an instant).  Construction with
-    ``tmin > tmax`` raises :class:`ValueError`.
+    ``tmin > tmax`` or a NaN bound raises :class:`ValueError`; infinite
+    bounds are allowed (``(-inf, inf)`` is all of time).
     """
 
     tmin: float
     tmax: float
 
     def __post_init__(self) -> None:
-        if self.tmin > self.tmax:
+        if not (self.tmin <= self.tmax):
             raise ValueError(
                 f"Period requires tmin <= tmax, got [{self.tmin}, {self.tmax}]"
             )
@@ -99,17 +99,6 @@ class PointST:
     y: float
     t: float
 
-    def distance_2d(self, other: "PointST") -> float:
-        """Planar Euclidean distance, ignoring time."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def distance_3d(self, other: "PointST", time_scale: float = 1.0) -> float:
-        """Euclidean distance in (x, y, time_scale * t) space."""
-        dt = (self.t - other.t) * time_scale
-        return math.sqrt(
-            (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + dt * dt
-        )
-
     def as_tuple(self) -> tuple[float, float, float]:
         """Return ``(x, y, t)``."""
         return (self.x, self.y, self.t)
@@ -142,11 +131,6 @@ class SegmentST:
         return self.end.t - self.start.t
 
     @property
-    def length_2d(self) -> float:
-        """Planar length of the segment."""
-        return self.start.distance_2d(self.end)
-
-    @property
     def bbox(self) -> "BoxST":
         """3D minimum bounding box of the segment."""
         return BoxST(
@@ -174,10 +158,6 @@ class SegmentST:
             t,
         )
 
-    def midpoint(self) -> PointST:
-        """Point halfway along the segment (in time)."""
-        return self.point_at(self.start.t + self.duration / 2.0)
-
 
 @dataclass(frozen=True, slots=True)
 class BoxST:
@@ -198,29 +178,6 @@ class BoxST:
     def __post_init__(self) -> None:
         if self.xmin > self.xmax or self.ymin > self.ymax or self.tmin > self.tmax:
             raise ValueError(f"degenerate BoxST bounds: {self}")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_point(p: PointST) -> "BoxST":
-        """Degenerate box covering a single spatiotemporal point."""
-        return BoxST(p.x, p.y, p.t, p.x, p.y, p.t)
-
-    @staticmethod
-    def from_points(points: list[PointST]) -> "BoxST":
-        """Minimum bounding box of a non-empty list of points."""
-        if not points:
-            raise ValueError("from_points requires at least one point")
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        ts = [p.t for p in points]
-        return BoxST(min(xs), min(ys), min(ts), max(xs), max(ys), max(ts))
-
-    @staticmethod
-    def universe() -> "BoxST":
-        """A box covering the whole space (useful as a query default)."""
-        inf = math.inf
-        return BoxST(-inf, -inf, -inf, inf, inf, inf)
 
     # -- geometry ----------------------------------------------------------
 
@@ -247,11 +204,6 @@ class BoxST:
         return self.dx * self.dy * self.dt
 
     @property
-    def margin(self) -> float:
-        """Sum of the three extents, the R*-tree margin surrogate."""
-        return self.dx + self.dy + self.dt
-
-    @property
     def center(self) -> PointST:
         """Center of the box."""
         return PointST(
@@ -269,25 +221,6 @@ class BoxST:
             and other.ymin <= self.ymax
             and self.tmin <= other.tmax
             and other.tmin <= self.tmax
-        )
-
-    def contains_box(self, other: "BoxST") -> bool:
-        """Return ``True`` if ``other`` lies entirely inside this box."""
-        return (
-            self.xmin <= other.xmin
-            and other.xmax <= self.xmax
-            and self.ymin <= other.ymin
-            and other.ymax <= self.ymax
-            and self.tmin <= other.tmin
-            and other.tmax <= self.tmax
-        )
-
-    def contains_point(self, p: PointST) -> bool:
-        """Return ``True`` if point ``p`` lies inside the box."""
-        return (
-            self.xmin <= p.x <= self.xmax
-            and self.ymin <= p.y <= self.ymax
-            and self.tmin <= p.t <= self.tmax
         )
 
     def union(self, other: "BoxST") -> "BoxST":
@@ -328,12 +261,6 @@ class BoxST:
             self.ymax + dspace,
             self.tmax + dtime,
         )
-
-    def min_distance_2d(self, p: PointST) -> float:
-        """Planar distance from point ``p`` to the box (0 if inside)."""
-        dx = max(self.xmin - p.x, 0.0, p.x - self.xmax)
-        dy = max(self.ymin - p.y, 0.0, p.y - self.ymax)
-        return math.hypot(dx, dy)
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         """Return ``(xmin, ymin, tmin, xmax, ymax, tmax)``."""

@@ -14,10 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from repro.hermes.mod import MOD
 
-__all__ = ["S2TParams", "VOTING_STRATEGIES"]
-
-#: The reference pair loop and the engine that is pinned against it.
-VOTING_STRATEGIES: tuple[str, ...] = ("dense", "batched")
+__all__ = ["S2TParams"]
 
 
 @dataclass(frozen=True)
@@ -32,13 +29,11 @@ class S2TParams:
     voting_kernel:
         ``"gaussian"`` (default) or ``"triangular"`` — ablation E12.
     voting_strategy:
-        How the voting phase executes (see :mod:`repro.s2t.voting`):
-
-        * ``"dense"`` — all-pairs Python loop, the exact reference;
-        * ``"batched"`` (default) — the columnar
-          :class:`~repro.hermes.frame.MODFrame` engine: one sweep per voter
-          over the time-sorted sample column; matches ``"dense"`` within
-          ``1e-8``.
+        Accepts ``"batched"`` only: voting has one engine, the sweep of
+        :mod:`repro.s2t.voting`, and any other value is a
+        :class:`ValueError`.  The field stays only because the e2e
+        benchmark's tracer (``benchmarks/e2e/tracing.py``) still passes it;
+        it goes with that tracer's rewrite.
     segmentation_method:
         ``"dp"`` for the optimal dynamic-programming segmentation or
         ``"greedy"`` for the linear-time heuristic — ablation E12.
@@ -141,10 +136,11 @@ class S2TParams:
     def __post_init__(self) -> None:
         if self.voting_kernel not in ("gaussian", "triangular"):
             raise ValueError(f"unknown voting kernel {self.voting_kernel!r}")
-        if self.voting_strategy not in VOTING_STRATEGIES:
+        if self.voting_strategy != "batched":
             raise ValueError(
-                f"unknown voting strategy {self.voting_strategy!r}; "
-                f"available: {', '.join(VOTING_STRATEGIES)}"
+                f"unknown voting strategy {self.voting_strategy!r}; voting has one "
+                "engine, 'batched' (dense voting is now the test oracle in "
+                "tests/s2t/oracles.py)"
             )
         if self.segmentation_method not in ("dp", "greedy"):
             raise ValueError(f"unknown segmentation method {self.segmentation_method!r}")

@@ -10,10 +10,8 @@
 and returns a :class:`~repro.s2t.result.ClusteringResult` whose ``timings``
 dictionary holds the per-phase wall-clock breakdown used by benchmark E10.
 
-The voting phase honours ``S2TParams.voting_strategy`` (``"dense"`` or
-``"batched"``, default batched — see :mod:`repro.s2t.voting`), reported in
-``result.extras["voting_strategy"]``.  Sampling and greedy clustering always
-run on the batched columnar path (:mod:`repro.hermes.frame`).
+Voting is the voter-major sweep of :mod:`repro.s2t.voting`; sampling and
+greedy clustering run on the batched columnar path (:mod:`repro.hermes.frame`).
 
 The pipeline is frame-native end to end: the MOD's columnar
 :class:`MODFrame` is built **once per fit** (or taken prebuilt from the
@@ -107,7 +105,6 @@ class S2TClustering:
         result.extras = {
             "num_subtrajectories": len(subtrajectories),
             "num_representatives": len(representatives),
-            "voting_strategy": profile.strategy,
             "voting_pairs_evaluated": profile.pairs_evaluated,
             "voting_pairs_pruned": profile.pairs_pruned,
         }

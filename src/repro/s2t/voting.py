@@ -11,48 +11,40 @@ The total vote of a segment is the sum over the other trajectories and lies
 in ``[0, N-1]``; its physical meaning is "how many objects co-move with this
 segment", exactly as the paper describes.
 
-Two execution strategies are provided, selected by
-``S2TParams.voting_strategy``:
+The phase runs as a *voter-major sweep* over the dataset's
+:class:`~repro.hermes.frame.MODFrame`:
 
-* ``"dense"`` — the all-pairs reference computation: a Python loop over
-  (target, voter) pairs, each pair synchronised with a fresh ``np.interp``
-  call.  Exact but slow; the batched engine is validated against it.
-* ``"batched"`` (default) — the columnar engine, a *voter-major sweep* over
-  the dataset's :class:`~repro.hermes.frame.MODFrame`:
+1. Once per fit, the frame's sample column is stable-sorted by ``t``: every
+   sample of every trajectory in time order, with its owner row and its
+   ``x`` / ``y``.  A voter's lifespan is then one contiguous slab of that
+   column (two ``searchsorted`` calls).
+2. Per voter, in ascending row order, its candidate targets are one
+   vectorised ``O(n)`` test over the frame's lifespan and bounding-box
+   tables: a lifespan overlap of positive duration, ``x`` / ``y`` boxes
+   within the *kernel support radius* (``3 sigma`` exactly for the
+   triangular kernel, ``sigma * sqrt(2 ln 1e12) ≈ 7.43 sigma`` for the
+   Gaussian) and not the voter itself.  This box test is the one candidate
+   test: it selects exactly the pairs an R-tree over the margin-expanded
+   trajectory boxes would return, without building one.
+3. The voter is interpolated at every instant of its slab (the bracket from
+   one ``searchsorted`` of its knots into the sorted slab; the lerp and clip
+   of :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`, same
+   arithmetic), the kernel is evaluated against the slab's own positions,
+   cells whose owner is not a candidate are multiplied by zero, the per-pair
+   ``voting_samples`` sub-sampling rule thins any target with more instants
+   than that, and the values are added into one accumulator with
+   ``acc[lo:hi] += vals``.
+4. The accumulator is un-permuted once and each segment's vote is the mean
+   of its two endpoint votes.
 
-  1. Once per fit, the frame's sample column is stable-sorted by ``t``:
-     every sample of every trajectory in time order, with its owner row and
-     its ``x`` / ``y``.  A voter's lifespan is then one contiguous slab of
-     that column (two ``searchsorted`` calls).
-  2. Per voter, in ascending row order, its candidate targets are one
-     vectorised ``O(n)`` test over the frame's lifespan and bounding-box
-     tables: a lifespan overlap of positive duration, ``x`` / ``y`` boxes
-     within the *kernel support radius* (``3 sigma`` exactly for the
-     triangular kernel, ``sigma * sqrt(2 ln 1e12) ≈ 7.43 sigma`` for the
-     Gaussian) and not the voter itself.  This box test is the one candidate
-     test: it selects exactly the pairs an R-tree over the margin-expanded
-     trajectory boxes would return, without building one.
-  3. The voter is interpolated at every instant of its slab (the bracket
-     from one ``searchsorted`` of its knots into the sorted slab; the lerp
-     and clip of :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`,
-     same arithmetic), the kernel is
-     evaluated against the slab's own positions, cells whose owner is not a
-     candidate are multiplied by zero, the per-pair ``voting_samples``
-     sub-sampling rule thins any target with more instants than that, and
-     the values are added into one accumulator with ``acc[lo:hi] += vals``.
-  4. The accumulator is un-permuted once and each segment's vote is the
-     mean of its two endpoint votes.
-
-  **Why it is exact.**  Each target instant receives its voters' values in
-  ascending voter order — the summation order of the per-target kernel this
-  sweep replaced (``vals.sum(axis=0)`` over the sorted voter rows of one
-  target) — and a masked cell adds an exact ``0.0``.  The votes are
-  therefore bit-identical to that kernel, which is kept as the test oracle
-  in ``tests/s2t/oracles.py``, and match the dense reference within
-  ``1e-8``.  The per-target loop is gone, and so are its
-  :class:`~repro.index.interval.IntervalIndex` lifespan prefilter and the
-  R-tree it built on the fly for large MODs: the column sort does the
-  temporal pruning and the box test the spatial pruning.
+**Why it is exact.**  Each target instant receives its voters' values in
+ascending voter order — the summation order of the per-target kernel this
+sweep replaced (``vals.sum(axis=0)`` over the sorted voter rows of one
+target) — and a masked cell adds an exact ``0.0``.  The votes are therefore
+bit-identical to that kernel, which is kept as the test oracle in
+``tests/s2t/oracles.py``.  They also match the all-pairs reference kept
+there (``dense_voting``: one ``np.interp`` per (target, voter) pair) within
+``1e-8``.
 """
 
 from __future__ import annotations
@@ -65,13 +57,12 @@ import numpy as np
 
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
-from repro.hermes.trajectory import Trajectory
 from repro.s2t.params import S2TParams
 
 __all__ = ["VotingProfile", "compute_voting", "kernel_support_radius"]
 
 # Per-voter vote magnitude below which a Gaussian contribution is treated as
-# zero by the batched pruning margin; the summed error over any realistic
+# zero by the sweep's pruning margin; the summed error over any realistic
 # number of pruned voters stays well below the 1e-8 equivalence budget.
 _GAUSSIAN_SUPPORT_TOL = 1e-12
 
@@ -84,26 +75,10 @@ class VotingProfile:
     pairs_evaluated: int = 0
     pairs_pruned: int = 0
     elapsed_s: float = 0.0
-    strategy: str = "dense"
 
     def segment_votes(self, key: tuple[str, str]) -> np.ndarray:
         """Votes of trajectory ``key``; one value per consecutive-sample segment."""
         return self.votes[key]
-
-    def point_votes(self, key: tuple[str, str]) -> np.ndarray:
-        """Votes mapped back to samples (segment votes averaged at interior samples)."""
-        seg = self.votes[key]
-        n = len(seg) + 1
-        out = np.empty(n)
-        out[0] = seg[0]
-        out[-1] = seg[-1]
-        if n > 2:
-            out[1:-1] = (seg[:-1] + seg[1:]) / 2.0
-        return out
-
-    def total_votes(self, key: tuple[str, str]) -> float:
-        """Total voting mass of a trajectory."""
-        return float(np.sum(self.votes[key]))
 
 
 def kernel_support_radius(sigma: float, kernel: str) -> float:
@@ -111,84 +86,15 @@ def kernel_support_radius(sigma: float, kernel: str) -> float:
 
     The triangular kernel is exactly zero beyond ``3 sigma``.  The Gaussian
     never reaches zero, so its support radius is where the vote drops below
-    ``_GAUSSIAN_SUPPORT_TOL`` — pruning at this margin keeps the batched
-    strategy within the 1e-8 dense-equivalence budget.
+    ``_GAUSSIAN_SUPPORT_TOL`` — pruning at this margin keeps the sweep
+    within the 1e-8 budget against the all-pairs reference.
     """
     if kernel == "triangular":
         return 3.0 * sigma
     return sigma * math.sqrt(2.0 * math.log(1.0 / _GAUSSIAN_SUPPORT_TOL))
 
 
-def _pairwise_votes(
-    voter: Trajectory,
-    target: Trajectory,
-    sigma: float,
-    kernel: str,
-    max_samples: int,
-) -> np.ndarray | None:
-    """Votes cast by ``voter`` onto the samples of ``target``.
-
-    Returns an array aligned with ``target``'s samples (zero outside the
-    common lifespan), or ``None`` when the lifespans do not overlap.
-    """
-    common = target.period.intersection(voter.period)
-    if common is None or common.duration <= 0:
-        return None
-    mask = (target.ts >= common.tmin) & (target.ts <= common.tmax)
-    if not np.any(mask):
-        return None
-    ts = target.ts[mask]
-    if len(ts) > max_samples:
-        sel = np.linspace(0, len(ts) - 1, max_samples).astype(int)
-        mask_idx = np.flatnonzero(mask)[sel]
-    else:
-        mask_idx = np.flatnonzero(mask)
-    ts = target.ts[mask_idx]
-    voter_pos = voter.positions_at(ts)
-    dx = target.xs[mask_idx] - voter_pos[:, 0]
-    dy = target.ys[mask_idx] - voter_pos[:, 1]
-    dist = np.hypot(dx, dy)
-    if kernel == "gaussian":
-        vals = np.exp(-(dist**2) / (2.0 * sigma * sigma))
-    else:  # triangular
-        vals = np.clip(1.0 - dist / (3.0 * sigma), 0.0, None)
-    out = np.zeros(target.num_points)
-    out[mask_idx] = vals
-    return out
-
-
-# -- dense strategy (the reference) ------------------------------------------------
-
-
-def _compute_voting_dense(mod: MOD, params: S2TParams, profile: VotingProfile) -> None:
-    """The all-pairs loop every equivalence pin compares against."""
-    sigma = params.sigma
-    assert sigma is not None
-    trajectories = mod.trajectories()
-
-    evaluated = 0
-    for target in trajectories:
-        point_votes = np.zeros(target.num_points)
-        for voter in trajectories:
-            if voter.key == target.key:
-                continue
-            votes = _pairwise_votes(
-                voter, target, sigma, params.voting_kernel, params.voting_samples
-            )
-            evaluated += 1
-            if votes is not None:
-                point_votes += votes
-        # Segment votes: mean of the two endpoint sample votes.
-        seg_votes = (point_votes[:-1] + point_votes[1:]) / 2.0
-        profile.votes[target.key] = seg_votes
-
-    profile.pairs_evaluated = evaluated
-
-
-# -- batched strategy --------------------------------------------------------------
-
-
-def _compute_voting_batched(
+def _sweep(
     mod: MOD,
     params: S2TParams,
     profile: VotingProfile,
@@ -235,7 +141,7 @@ def _compute_voting_batched(
         )
         cand[v] = False
         evaluated += int(np.count_nonzero(cand))
-        # Only a positive-duration overlap votes (the dense path's check).
+        # Only a positive-duration overlap votes.
         cand &= np.minimum(tmaxs, tmaxs[v]) - np.maximum(tmins, tmins[v]) > 0
         if not cand.any():
             continue
@@ -302,9 +208,6 @@ def _compute_voting_batched(
     profile.pairs_pruned = n * (n - 1) - evaluated
 
 
-# -- public entry point --------------------------------------------------------------
-
-
 def compute_voting(
     mod: MOD,
     params: S2TParams,
@@ -317,22 +220,14 @@ def compute_voting(
     mod:
         The MOD to vote over.
     params:
-        Resolved S2T parameters (``sigma`` must not be ``None``).  The
-        execution strategy is ``params.voting_strategy`` (``"dense"`` or
-        ``"batched"``).
+        S2T parameters; ``None`` thresholds are resolved against ``mod``.
     frame:
         Optional prebuilt columnar snapshot of ``mod`` (the engine's frame
-        catalog passes its cached frame here); the batched strategy then
-        skips rebuilding it.
+        catalog passes its cached frame here); the sweep then skips
+        rebuilding it.
     """
     start = time.perf_counter()
-    params = params.resolved(mod)
-    profile = VotingProfile(strategy=params.voting_strategy)
-
-    if params.voting_strategy == "batched":
-        _compute_voting_batched(mod, params, profile, frame=frame)
-    else:  # dense
-        _compute_voting_dense(mod, params, profile)
-
+    profile = VotingProfile()
+    _sweep(mod, params.resolved(mod), profile, frame=frame)
     profile.elapsed_s = time.perf_counter() - start
     return profile

@@ -132,8 +132,8 @@ def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
 def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``S2T(D [, sigma, eps, gamma, strategy, jobs, shards])``
 
-    ``strategy`` selects the voting execution path: ``'dense'`` or
-    ``'batched'`` (default) — see :mod:`repro.s2t.voting`.
+    ``strategy`` accepts only ``NULL`` or ``'batched'``: voting has one
+    engine (:mod:`repro.s2t.voting`), and any other value is refused.
     ``jobs > 1`` runs the partition-parallel scheduler
     (:mod:`repro.core.parallel`) with that many worker processes; note that
     partitioned S2T is a coarser operator than the whole-MOD fit (clusters

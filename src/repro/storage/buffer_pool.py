@@ -32,11 +32,6 @@ class BufferPoolStats:
     def logical_reads(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_ratio(self) -> float:
-        total = self.logical_reads
-        return self.hits / total if total else 0.0
-
     def reset(self) -> None:
         self.hits = self.misses = 0
         self.pages_read = self.pages_written = self.evictions = 0

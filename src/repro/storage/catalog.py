@@ -191,9 +191,10 @@ class StorageManager:
         """Register the manifest's per-partition page checksums for recovery.
 
         ``checksums`` maps partition name to a list of per-page CRC32s (the
-        ``checksums`` key of a format-3 manifest).  Each entry is verified
-        lazily on the partition's first open and then dropped; partitions
-        without an entry (format-2 stores) open unverified.
+        manifest's ``checksums`` key, which lists every partition the
+        manifest references).  Each entry is verified lazily on the
+        partition's first open and then dropped; a partition without an entry
+        (one the manifest does not reference) opens unverified.
         """
         self._expected_checksums = {
             name: [int(c) for c in crcs]
@@ -426,14 +427,6 @@ class StorageManager:
         return sums
 
     # -- aggregate statistics -------------------------------------------------------
-
-    def total_pages(self) -> int:
-        """Total allocated pages across partitions."""
-        return sum(info.heapfile.num_pages() for info in self._partitions.values())
-
-    def total_records(self) -> int:
-        """Total record count as tracked by callers (see ``record_count``)."""
-        return sum(info.record_count for info in self._partitions.values())
 
     def io_stats(self) -> dict[str, int]:
         """Aggregate physical/logical I/O counters across partitions.

@@ -32,9 +32,6 @@ class TimeHistogram:
     def num_bins(self) -> int:
         return len(self.bin_edges) - 1
 
-    def bin_period(self, bin_idx: int) -> Period:
-        return Period(float(self.bin_edges[bin_idx]), float(self.bin_edges[bin_idx + 1]))
-
     def total_per_bin(self) -> np.ndarray:
         """Total cluster members alive per bin (the bar heights)."""
         return self.counts.sum(axis=0)

@@ -67,8 +67,8 @@ class TestSchedulerMechanics:
         # Two co-moving bursts separated by a long gap: with the default
         # four temporal partitions, the middle two are empty.
         mod = MOD(name="gappy")
-        mod.add_all(burst("early", 0.0, 100.0))
-        mod.add_all(burst("late", 900.0, 1000.0))
+        for traj in burst("early", 0.0, 100.0) + burst("late", 900.0, 1000.0):
+            mod.add(traj)
 
         serial = partitioned_s2t(mod, n_jobs=1)
         assert serial.extras["partitions_empty"] == 2
@@ -218,6 +218,6 @@ class TestEngineIntegration:
     def test_merged_extras_keep_voting_metadata(self, lanes_small):
         mod, _ = lanes_small
         result = partitioned_s2t(mod, n_jobs=1)
-        assert result.extras["voting_strategy"] == "batched"
+        assert "voting_strategy" not in result.extras
         assert result.extras["voting_pairs_evaluated"] > 0
         assert result.extras["voting_pairs_pruned"] >= 0

@@ -218,6 +218,16 @@ class TestRestartRecovery:
         """Stores written before ``S2TParams.use_index`` was removed carry it
         in the tree's params; such a tree is not reopened, and the rebuild
         answers exactly like a fresh build."""
+        self._assert_rebuilt_with_tree_s2t(warm, tmp_path, "use_index", True)
+
+    def test_tree_params_with_dense_voting_degrade_to_rebuild(self, warm, tmp_path):
+        """A tree stored with ``voting_strategy: "dense"`` (a value
+        ``S2TParams`` no longer accepts) is not reopened either: the reopen
+        failure degrades to a rebuild that answers like a fresh build."""
+        self._assert_rebuilt_with_tree_s2t(warm, tmp_path, "voting_strategy", "dense")
+
+    @staticmethod
+    def _assert_rebuilt_with_tree_s2t(warm, tmp_path, key, value):
         import json
 
         from repro.storage.catalog import manifest_checksum
@@ -228,7 +238,7 @@ class TestRestartRecovery:
         manifest_path = tmp_path / "engine" / "lanes" / MANIFEST_FILENAME
         manifest = json.loads(manifest_path.read_text())
         for section in ("params", "raw_params"):
-            manifest["tree"][section]["s2t"]["use_index"] = True
+            manifest["tree"][section]["s2t"][key] = value
         manifest["manifest_crc"] = manifest_checksum(manifest)
         manifest_path.write_text(json.dumps(manifest))
 

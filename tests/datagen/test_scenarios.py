@@ -237,9 +237,10 @@ class TestFrameRoundTrip:
 
 
 class TestGroundTruth:
-    def test_point_labels_flattening(self):
+    def test_flow_ids_skip_noise_and_repeats(self):
         truth = GroundTruth()
-        truth.set_labels(("a", "0"), np.array(["x", None], dtype=object))
-        flat = truth.point_labels()
-        assert (("a", "0"), 0, "x") in flat
-        assert (("a", "0"), 1, None) in flat
+        truth.set_labels(("a", "0"), np.array(["x", None, "x"], dtype=object))
+        truth.set_labels(("b", "0"), [None, "w"])
+        assert truth.flow_ids() == ["w", "x"]
+        assert truth.labels_for(("b", "0")).dtype == object
+        assert truth.labels_for(("b", "0"))[0] is None

@@ -5,9 +5,9 @@ Pins the three properties the BENCH_scenarios matrix is trusted for:
 * every cell reproduces exactly from its recorded seed (equal dicts),
 * the floor gate actually fires — an artificially raised floor turns into
   violations and a nonzero ``repro-bench-scenarios`` exit code,
-* the SQL surface computes the *same* cells: ``SELECT S2T(..., strategy,
-  jobs, shards)`` on the same degraded dataset matches the Python harness
-  bit for bit.
+* the SQL surface computes the *same* cells: ``SELECT S2T(..., jobs,
+  shards)`` on the same degraded dataset matches the Python harness bit for
+  bit.
 """
 
 import json
@@ -19,9 +19,8 @@ from repro.core.engine import HermesEngine
 from repro.eval.metrics import clustering_quality
 from repro.eval.quality import (
     DEFAULT_ENGINE_MODES,
+    DEFAULT_PARTITION_COUNTS,
     DEFAULT_PROFILES,
-    DEFAULT_SHARD_COUNTS,
-    DEFAULT_STRATEGIES,
     SCENARIOS,
     cell_key,
     cell_seed,
@@ -38,7 +37,7 @@ from tests.conftest import run_sql
 
 @pytest.fixture(scope="module")
 def small_matrix(tmp_path_factory):
-    """One scenario x two profiles over the full strategy/shards/engine axes."""
+    """One scenario x two profiles over the full partitions/engine axes."""
     work = tmp_path_factory.mktemp("quality")
     return run_quality_matrix(
         scenarios=("lanes",), profiles=("clean", "dropout"), work_dir=work
@@ -65,19 +64,19 @@ class TestCellSeeds:
 
 class TestMatrixReport:
     def test_full_cross_product_with_seeds(self, small_matrix):
-        expected = (
-            2 * len(DEFAULT_STRATEGIES) * len(DEFAULT_SHARD_COUNTS) * len(DEFAULT_ENGINE_MODES)
-        )
+        expected = 2 * len(DEFAULT_PARTITION_COUNTS) * len(DEFAULT_ENGINE_MODES)
         assert len(small_matrix["cells"]) == expected
+        assert small_matrix["axes"]["partition_counts"] == list(DEFAULT_PARTITION_COUNTS)
         for profile in ("clean", "dropout"):
-            for strategy in DEFAULT_STRATEGIES:
-                for shards in DEFAULT_SHARD_COUNTS:
-                    for mode in DEFAULT_ENGINE_MODES:
-                        key = cell_key("lanes", profile, strategy, shards, mode)
-                        cell = small_matrix["cells"][key]
-                        assert cell["seed"] == cell_seed(
-                            small_matrix["base_seed"], "lanes", profile
-                        )
+            for partitions in DEFAULT_PARTITION_COUNTS:
+                for mode in DEFAULT_ENGINE_MODES:
+                    key = cell_key("lanes", profile, partitions, mode)
+                    assert key == f"lanes|{profile}|{partitions}|{mode}"
+                    cell = small_matrix["cells"][key]
+                    assert cell["partitions"] == partitions
+                    assert cell["seed"] == cell_seed(
+                        small_matrix["base_seed"], "lanes", profile
+                    )
 
     def test_warm_cold_identical(self, small_matrix):
         assert small_matrix["warm_cold_identical"] is True
@@ -97,8 +96,7 @@ class TestMatrixReport:
             rerun = run_cell(
                 cell["scenario"],
                 cell["profile"],
-                cell["strategy"],
-                cell["shards"],
+                cell["partitions"],
                 cell["engine"],
                 seed=cell["seed"],
                 work_dir=tmp_path,
@@ -144,7 +142,7 @@ class TestBenchScenariosCLI:
         rc = main_bench_scenarios(
             [
                 "--scenarios", "lanes", "--profiles", "clean",
-                "--strategies", "batched", "--shards", "1", "--engines", "warm",
+                "--partitions", "1", "--engines", "warm",
                 "--out", str(tmp_path / "out.json"), "--no-floor",
             ]
         )
@@ -158,7 +156,7 @@ class TestBenchScenariosCLI:
         rc = main_bench_scenarios(
             [
                 "--scenarios", "lanes", "--profiles", "clean",
-                "--strategies", "batched", "--shards", "1", "--engines", "warm",
+                "--partitions", "1", "--engines", "warm",
                 "--out", str(tmp_path / "out.json"), "--floor", str(floor_path),
             ]
         )
@@ -167,27 +165,27 @@ class TestBenchScenariosCLI:
         assert "FLOOR VIOLATION" in captured.out + captured.err
 
 
-    def test_retired_strategy_is_an_argparse_error(self, capsys):
+    @pytest.mark.parametrize("retired", [["--strategies", "batched"], ["--shards", "1"]])
+    def test_retired_axis_flags_are_argparse_errors(self, capsys, retired):
         with pytest.raises(SystemExit) as exc:
-            main_bench_scenarios(["--strategies", "indexed"])
+            main_bench_scenarios(retired)
         assert exc.value.code == 2
-        assert "invalid choice: 'indexed'" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
 
 
 class TestSQLPathParity:
     """`SELECT S2T(...)` computes the same matrix cells as the harness."""
 
-    @pytest.mark.parametrize("strategy", DEFAULT_STRATEGIES)
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_sql_cells_match_harness_bit_for_bit(self, strategy, shards):
+    def test_sql_cells_match_harness_bit_for_bit(self, shards):
         seed = cell_seed(20_18, "lanes", "dropout")
-        expected = run_cell("lanes", "dropout", strategy, shards, "warm", seed=seed)
+        expected = run_cell("lanes", "dropout", shards, "warm", seed=seed)
 
         mod, truth = generate_cell_data("lanes", "dropout", seed=seed)
         engine = HermesEngine.in_memory()
         engine.load_mod("d", mod)
         shards_sql = "NULL" if shards == 1 else str(shards)
-        run_sql(engine, f"SELECT S2T(d, NULL, NULL, NULL, '{strategy}', 1, {shards_sql})")
+        run_sql(engine, f"SELECT S2T(d, NULL, NULL, NULL, NULL, 1, {shards_sql})")
         quality = clustering_quality(engine.last_result("d"), truth)
         engine.close()
 

@@ -10,6 +10,12 @@ from repro.hermes.types import Period
 from tests.conftest import make_linear_trajectory
 
 
+def _block(frame: MODFrame, row: int) -> slice:
+    """The slice of row ``row``'s samples in the frame's columns."""
+    return slice(frame.offsets[row], frame.offsets[row + 1])
+
+
+
 def _random_trajs(n, seed=0):
     rng = np.random.default_rng(seed)
     out = []
@@ -31,9 +37,9 @@ class TestConstruction:
         for i, traj in enumerate(trajs):
             assert frame.keys[i] == traj.key
             assert frame.row_of(traj.key) == i
-            np.testing.assert_array_equal(frame.xs_of(i), traj.xs)
-            np.testing.assert_array_equal(frame.ys_of(i), traj.ys)
-            np.testing.assert_array_equal(frame.ts_of(i), traj.ts)
+            np.testing.assert_array_equal(frame.xs[_block(frame, i)], traj.xs)
+            np.testing.assert_array_equal(frame.ys[_block(frame, i)], traj.ys)
+            np.testing.assert_array_equal(frame.ts[_block(frame, i)], traj.ts)
 
     def test_lifespan_and_bbox_tables(self):
         trajs = _random_trajs(6, seed=3)
@@ -41,7 +47,7 @@ class TestConstruction:
         for i, traj in enumerate(trajs):
             assert frame.period_of(i) == traj.period
             assert frame.bbox_of(i) == traj.bbox
-            assert frame.num_points_of(i) == traj.num_points
+            assert frame.offsets[i + 1] - frame.offsets[i] == traj.num_points
 
     def test_from_mod_uses_insertion_order(self, small_mod):
         frame = MODFrame.from_mod(small_mod)
@@ -157,8 +163,9 @@ class TestSelectRows:
         sub = frame.select_rows([4, 1, 3])
         assert sub.keys == [trajs[4].key, trajs[1].key, trajs[3].key]
         for new_row, old in enumerate([4, 1, 3]):
-            np.testing.assert_array_equal(sub.xs_of(new_row), frame.xs_of(old))
-            np.testing.assert_array_equal(sub.ts_of(new_row), frame.ts_of(old))
+            new, orig = _block(sub, new_row), _block(frame, old)
+            np.testing.assert_array_equal(sub.xs[new], frame.xs[orig])
+            np.testing.assert_array_equal(sub.ts[new], frame.ts[orig])
 
     def test_contiguous_selection_is_zero_copy(self):
         frame = MODFrame.from_trajectories(_random_trajs(6, seed=6))
@@ -239,7 +246,7 @@ class TestSlicePeriod:
         )
         sliced, rows = frame.slice_period_rows(window)
         assert list(rows) == [0, 1]
-        assert np.array_equal(sliced.xs_of(0) + 1.0, sliced.xs_of(1))
+        assert np.array_equal(sliced.xs[_block(sliced, 0)] + 1.0, sliced.xs[_block(sliced, 1)])
 
 
 class TestSerialization:
@@ -335,7 +342,7 @@ class TestExtend:
         snapshot: old arrays are replaced wholesale, never mutated."""
         trajs = _random_trajs(4, seed=28)
         frame = MODFrame.from_trajectories(trajs[:2])
-        xs_view = frame.xs_of(0)
+        xs_view = frame.xs[_block(frame, 0)]
         snapshot = xs_view.copy()
         frame.extend(trajs[2:])
         np.testing.assert_array_equal(xs_view, snapshot)

@@ -186,7 +186,10 @@ class TestVectorisedCheckEqualsConstructor:
         frame = MODFrame._from_columns(*raw_frame(rows))
         for r in range(len(frame)):
             view = frame.trajectory_of(r)
-            validated = Trajectory(*frame.keys[r], frame.xs_of(r), frame.ys_of(r), frame.ts_of(r))
+            block = slice(frame.offsets[r], frame.offsets[r + 1])
+            validated = Trajectory(
+                *frame.keys[r], frame.xs[block], frame.ys[block], frame.ts[block]
+            )
             assert type(view) is Trajectory
             assert view == validated
             assert view.bbox == validated.bbox == frame.bbox_of(r)

@@ -22,11 +22,6 @@ class TestModMutation:
         assert len(small_mod) == 3
         assert ("z", "0") not in small_mod
 
-    def test_add_all(self):
-        mod = MOD()
-        mod.add_all([make_linear_trajectory("a", "0"), make_linear_trajectory("b", "0")])
-        assert len(mod) == 2
-
 
 class TestModAccess:
     def test_get_and_contains(self, small_mod):
@@ -47,7 +42,7 @@ class TestModAccess:
 class TestModAggregates:
     def test_period_and_bbox(self, small_mod):
         assert small_mod.period == Period(0.0, 100.0)
-        assert small_mod.bbox.contains_box(BoxST(0, 0, 0, 10, 80, 100))
+        assert small_mod.bbox.union(BoxST(0, 0, 0, 10, 80, 100)) == small_mod.bbox
 
     def test_empty_mod_aggregates_raise(self):
         empty = MOD()
@@ -68,15 +63,3 @@ class TestModQueries:
 
     def test_temporal_range_outside_lifespan_is_empty(self, small_mod):
         assert len(small_mod.temporal_range(Period(500.0, 600.0))) == 0
-
-    def test_spatiotemporal_range(self, small_mod):
-        hits = small_mod.spatiotemporal_range(BoxST(0, 0, 0, 10, 2, 100))
-        assert {t.obj_id for t in hits} == {"a", "b", "c"}
-
-    def test_filter(self, small_mod):
-        flows = small_mod.filter(lambda t: t.obj_id != "z")
-        assert len(flows) == 3
-
-    def test_subset(self, small_mod):
-        sub = small_mod.subset([("a", "0"), ("z", "0")])
-        assert {t.obj_id for t in sub} == {"a", "z"}

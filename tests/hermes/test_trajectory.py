@@ -44,7 +44,6 @@ class TestTrajectoryGeometry:
         assert traj.num_segments == 10
         assert traj.duration == 100.0
         assert traj.length == pytest.approx(10.0)
-        assert traj.average_speed == pytest.approx(0.1)
         assert traj.period == Period(0.0, 100.0)
 
     def test_bbox(self, linear_trajectory):
@@ -59,10 +58,9 @@ class TestTrajectoryGeometry:
         assert segments[0].start == points[0]
         assert segments[-1].end == points[-1]
 
-    def test_zero_duration_speed(self):
+    def test_stationary_trajectory_has_zero_length(self):
         traj = Trajectory("a", "0", [0, 0], [0, 0], [0, 1])
         assert traj.length == 0.0
-        assert traj.average_speed == 0.0
 
 
 class TestTemporalOperations:
@@ -113,12 +111,6 @@ class TestTemporalOperations:
     def test_resample_rejects_too_few(self, linear_trajectory):
         with pytest.raises(ValueError):
             linear_trajectory.resample(1)
-
-    def test_resample_step(self, linear_trajectory):
-        resampled = linear_trajectory.resample_step(10.0)
-        assert resampled.num_points >= 11
-        with pytest.raises(ValueError):
-            linear_trajectory.resample_step(0.0)
 
 
 class TestSubTrajectory:

@@ -1,5 +1,6 @@
 """Unit tests for the spatiotemporal primitive types."""
 
+import math
 
 import pytest
 
@@ -16,6 +17,14 @@ class TestPeriod:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             Period(5.0, 2.0)
+
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match="Period requires tmin <= tmax"):
+            Period(*bounds)
+
+    def test_infinite_bounds_allowed(self):
+        assert Period(-math.inf, math.inf).contains(1e300)
 
     def test_contains_instant(self):
         p = Period(0.0, 10.0)
@@ -67,14 +76,6 @@ class TestPeriod:
 
 
 class TestPointST:
-    def test_distance_2d(self):
-        assert PointST(0, 0, 0).distance_2d(PointST(3, 4, 99)) == 5.0
-
-    def test_distance_3d_with_time_scale(self):
-        a, b = PointST(0, 0, 0), PointST(0, 0, 2)
-        assert a.distance_3d(b) == pytest.approx(2.0)
-        assert a.distance_3d(b, time_scale=0.5) == pytest.approx(1.0)
-
     def test_as_tuple(self):
         assert PointST(1, 2, 3).as_tuple() == (1, 2, 3)
 
@@ -105,15 +106,7 @@ class TestSegmentST:
 
     def test_bbox_covers_endpoints(self):
         seg = SegmentST(PointST(5, -1, 0), PointST(-2, 7, 4))
-        box = seg.bbox
-        assert box.contains_point(seg.start)
-        assert box.contains_point(seg.end)
-
-    def test_length_and_midpoint(self):
-        seg = SegmentST(PointST(0, 0, 0), PointST(3, 4, 10))
-        assert seg.length_2d == 5.0
-        mid = seg.midpoint()
-        assert mid.t == pytest.approx(5.0)
+        assert seg.bbox == BoxST(-2, -1, 0, 5, 7, 4)
 
 
 class TestBoxST:
@@ -121,37 +114,24 @@ class TestBoxST:
         with pytest.raises(ValueError):
             BoxST(1, 0, 0, 0, 1, 1)
 
-    def test_from_point_and_points(self):
-        p = PointST(1, 2, 3)
-        assert BoxST.from_point(p).contains_point(p)
-        box = BoxST.from_points([PointST(0, 0, 0), PointST(2, 3, 4)])
-        assert box.as_tuple() == (0, 0, 0, 2, 3, 4)
-
-    def test_from_points_empty_rejected(self):
-        with pytest.raises(ValueError):
-            BoxST.from_points([])
-
-    def test_volume_margin_center(self):
+    def test_volume_and_center(self):
         box = BoxST(0, 0, 0, 2, 3, 4)
         assert box.volume == 24.0
-        assert box.margin == 9.0
         assert box.center == PointST(1.0, 1.5, 2.0)
 
-    def test_intersects_and_contains(self):
+    def test_intersects(self):
         a = BoxST(0, 0, 0, 10, 10, 10)
         b = BoxST(5, 5, 5, 15, 15, 15)
         c = BoxST(11, 11, 11, 12, 12, 12)
         assert a.intersects(b) and b.intersects(a)
         assert not a.intersects(c)
-        assert a.contains_box(BoxST(1, 1, 1, 2, 2, 2))
-        assert not a.contains_box(b)
 
     def test_union_is_commutative_and_covering(self):
         a = BoxST(0, 0, 0, 1, 1, 1)
         b = BoxST(5, 5, 5, 6, 6, 6)
         u = a.union(b)
         assert u == b.union(a)
-        assert u.contains_box(a) and u.contains_box(b)
+        assert u == BoxST(0, 0, 0, 6, 6, 6)
 
     def test_intersection(self):
         a = BoxST(0, 0, 0, 10, 10, 10)
@@ -168,16 +148,6 @@ class TestBoxST:
     def test_expand(self):
         box = BoxST(0, 0, 0, 1, 1, 1).expand(1.0, 2.0)
         assert box.as_tuple() == (-1, -1, -2, 2, 2, 3)
-
-    def test_min_distance_2d(self):
-        box = BoxST(0, 0, 0, 10, 10, 10)
-        assert box.min_distance_2d(PointST(5, 5, 0)) == 0.0
-        assert box.min_distance_2d(PointST(13, 14, 0)) == 5.0
-
-    def test_universe_contains_everything(self):
-        u = BoxST.universe()
-        assert u.contains_point(PointST(1e12, -1e12, 0))
-        assert u.intersects(BoxST(0, 0, 0, 1, 1, 1))
 
     def test_period_accessor(self):
         assert BoxST(0, 0, 2, 1, 1, 7).period == Period(2, 7)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from repro.datagen import aircraft_scenario
 from repro.hermes.types import BoxST
 from repro.index.rtree3d import RTree3D, _penalty, _union, str_bulk_load
+
+EVERYWHERE = BoxST(-math.inf, -math.inf, -math.inf, math.inf, math.inf, math.inf)
 
 
 def random_boxes(n: int, seed: int = 0, extent: float = 100.0) -> list[BoxST]:
@@ -74,7 +77,7 @@ class TestKeyHelpers:
     def test_union_covers_all(self):
         boxes = random_boxes(10, seed=1)
         union = _union(boxes)
-        assert all(union.contains_box(box) for box in boxes)
+        assert all(union.union(box) == union for box in boxes)
         assert union.xmin == min(box.xmin for box in boxes)
         assert union.ymax == max(box.ymax for box in boxes)
 
@@ -114,8 +117,8 @@ class TestRTreeInsertSearch:
 
     def test_empty_tree_queries(self):
         tree: RTree3D[int] = RTree3D()
-        assert tree.range_search(BoxST.universe()) == []
-        assert tree.range_search_with_stats(BoxST.universe()) == ([], 1)
+        assert tree.range_search(EVERYWHERE) == []
+        assert tree.range_search_with_stats(EVERYWHERE) == ([], 1)
         assert tree.bbox is None
         assert tree.height == 1
 
@@ -125,7 +128,7 @@ class TestRTreeInsertSearch:
         for i, box in enumerate(boxes):
             tree.insert(box, i)
         bbox = tree.bbox
-        assert all(bbox.contains_box(box) for box in boxes)
+        assert all(bbox.union(box) == bbox for box in boxes)
         assert bbox.xmin == min(box.xmin for box in boxes)
         assert bbox.tmax == max(box.tmax for box in boxes)
 
@@ -134,7 +137,7 @@ class TestRTreeInsertSearch:
         for i, box in enumerate(random_boxes(500, seed=5)):
             tree.insert(box, i)
         _, nodes_narrow = tree.range_search_with_stats(BoxST(0, 0, 0, 5, 5, 5))
-        _, nodes_all = tree.range_search_with_stats(BoxST.universe())
+        _, nodes_all = tree.range_search_with_stats(EVERYWHERE)
         assert nodes_narrow < nodes_all
 
     def test_range_search_returns_exact_matches(self):
@@ -167,7 +170,7 @@ class TestRTreeInsertSearch:
         for i in range(200):
             tree.insert(BoxST(i % 17, 0, i % 17, i % 17 + 1, 1, i % 17 + 1), i)
         tree.check_invariants()
-        assert sorted(tree.range_search(BoxST.universe())) == list(range(200))
+        assert sorted(tree.range_search(EVERYWHERE)) == list(range(200))
         hits = tree.range_search(BoxST(3.5, 0.5, 3.5, 3.5, 0.5, 3.5))
         assert sorted(hits) == [i for i in range(200) if i % 17 == 3]
 
@@ -248,7 +251,7 @@ class TestChooseLeafTies:
         reference = self.build(sequence, None)
         assert reference.height >= 3
         reference.check_invariants()
-        queries = [BoxST.universe(), dup, *distinct[:6]]
+        queries = [EVERYWHERE, dup, *distinct[:6]]
         expected = [reference.range_search_with_stats(q) for q in queries]
         for churn_seed in range(6):
             tree = self.build(sequence, churn_seed)
@@ -367,8 +370,8 @@ class TestPropertyBased:
         tree.check_invariants()
         for i, box in enumerate(boxes):
             assert i in tree.range_search(box)
-        # A universe query returns everything exactly once.
-        assert sorted(tree.range_search(BoxST.universe())) == list(range(len(boxes)))
+        # A query over all of space returns everything exactly once.
+        assert sorted(tree.range_search(EVERYWHERE)) == list(range(len(boxes)))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

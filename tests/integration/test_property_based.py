@@ -26,6 +26,7 @@ from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.voting import compute_voting
 from repro.storage.records import encode_record
+from tests.s2t.oracles import dense_voting
 from tests.storage.oracles import decode_record
 
 
@@ -89,7 +90,7 @@ class TestClusteringInvariants:
     @given(random_mod())
     def test_s2t_partitions_subtrajectories(self, mod):
         """Every sub-trajectory is either clustered or an outlier, never both."""
-        result = S2TClustering(S2TParams(voting_strategy="dense")).fit(mod)
+        result = S2TClustering().fit(mod)
         clustered_keys = [m.key for c in result.clusters for m in c.members]
         outlier_keys = [o.key for o in result.outliers]
         assert len(set(clustered_keys)) == len(clustered_keys)
@@ -102,7 +103,7 @@ class TestClusteringInvariants:
     @settings(max_examples=10, deadline=None)
     @given(random_mod())
     def test_s2t_covers_every_parent_sample(self, mod):
-        result = S2TClustering(S2TParams(voting_strategy="dense")).fit(mod)
+        result = S2TClustering().fit(mod)
         assignments = result.point_assignments()
         for traj in mod:
             assert set(assignments[traj.key].keys()) == set(range(traj.num_points))
@@ -160,8 +161,9 @@ class TestBatchKernelEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(random_mod(min_trajs=2, max_trajs=7))
     def test_batched_voting_matches_dense(self, mod):
-        dense = compute_voting(mod, S2TParams(sigma=2.0, voting_strategy="dense"))
-        batched = compute_voting(mod, S2TParams(sigma=2.0, voting_strategy="batched"))
+        dense = dense_voting(mod, S2TParams(sigma=2.0))
+        batched = compute_voting(mod, S2TParams(sigma=2.0))
+        assert list(batched.votes) == list(dense.votes)
         for key, votes in dense.votes.items():
             np.testing.assert_allclose(
                 batched.votes[key], votes, atol=1e-8, err_msg=f"votes differ for {key}"

@@ -11,7 +11,10 @@ The QuT half of two hostile-input contract entries:
   the caller never passed;
 * a MOD whose x/y extent or diagonal is not finite is refused by
   ``QuTParams.resolved`` whether or not ``d`` is given — it used to raise a
-  bare ``OverflowError``.
+  bare ``OverflowError``;
+* a NaN window bound is refused by ``Period`` — it used to be answered with
+  one empty ``outliers`` row — while ``(-inf, inf)`` still means the whole
+  lifespan.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import repro
 from repro.datagen import lane_scenario
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
+from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.retratree import ReTraTree
 from repro.sql.errors import SQLExecutionError
@@ -155,3 +159,34 @@ class TestExtremeMagnitudes:
         resolved = QuTParams().resolved(lanes)
         assert (resolved.tau, resolved.delta, resolved.distance_threshold) == (tau, tau / 4.0, d)
         assert (resolved.s2t.sigma, resolved.s2t.eps) == (d / 2.0, d)
+
+
+class TestWindowBounds:
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 0.6), (0.2, math.nan), (math.nan, math.nan)], ids=["wi", "we", "both"]
+    )
+    def test_nan_bound_refused_on_every_route(self, lanes, bounds):
+        period = lanes.period
+        wi, we = (period.tmin + f * period.duration for f in bounds)
+        conn = connect(lanes)
+        refused = "Period requires tmin <= tmax"
+        with pytest.raises(SQLExecutionError, match=refused):
+            conn.execute("SELECT QUT(f, :a, :b)", {"a": wi, "b": we}).fetchall()
+        prepared = conn.prepare("SELECT QUT(f, :a, :b)")
+        with pytest.raises(SQLExecutionError, match=refused):
+            prepared.execute({"a": wi, "b": we}).fetchall()
+        with pytest.raises(SQLExecutionError, match=refused):
+            conn.dataset("f").qut(wi, we).run()
+        with pytest.raises(ValueError, match=refused):
+            conn.engine.qut("f", Period(wi, we))
+        with pytest.raises(KeyError, match="no clustering has been run"):
+            conn.engine.last_result("f")
+
+    def test_infinite_bounds_mean_the_whole_lifespan(self, lanes):
+        conn = connect(lanes)
+        period = lanes.period
+        whole = conn.dataset("f").qut(period.tmin, period.tmax).run()
+        assert whole and whole[-1]["cluster_id"] == "outliers"
+        assert conn.dataset("f").qut(-math.inf, math.inf).run() == whole
+        rows = conn.execute("SELECT QUT(f, :a, :b)", {"a": -math.inf, "b": math.inf}).fetchall()
+        assert rows == whole

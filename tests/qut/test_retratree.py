@@ -164,7 +164,7 @@ class TestRepFrameCache:
         frame_after = tree._rep_frame(subchunk)
         assert frame_after is not frame_before
         row = frame_after.row_of(replacement.traj.key)
-        assert frame_after.xs_of(row)[0] == replacement.traj.xs[0]
+        assert frame_after.xs[frame_after.offsets[row]] == replacement.traj.xs[0]
 
     def test_appending_entry_invalidates_cache(self):
         tree, subchunk = self._built_tree_with_entries()

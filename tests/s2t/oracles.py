@@ -1,13 +1,17 @@
-"""The per-target batched voting kernel, kept as the oracle of the sweep.
+"""The two references the voting sweep of :mod:`repro.s2t.voting` is pinned to.
 
-This is the batched strategy of :mod:`repro.s2t.voting` as it ran before the
-voter-major sweep replaced it, moved here verbatim: per target, an
-``IntervalIndex`` sweep-line prefilter plus an R-tree (built on the fly from
-``_RTREE_BUILD_THRESHOLD`` trajectories) or a columnar bounding-box scan pick
-the voters, and one :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`
-call interpolates them all onto the target's samples.  The sweep must
-reproduce its votes bit for bit and its pair counts exactly
-(``tests/s2t/test_voting_sweep.py``).
+* :func:`dense_voting` — the all-pairs loop: per (target, voter) pair, one
+  ``np.interp`` synchronisation and one kernel evaluation.  It shares no
+  code with the sweep (no frame, no pruning margin), so it is the
+  independent reference: the sweep must match it within ``1e-8``
+  (``tests/s2t/test_voting.py``, ``tests/integration/test_property_based.py``).
+* :func:`oracle_voting` — the per-target batched kernel the sweep replaced:
+  per target, an ``IntervalIndex`` sweep-line prefilter plus an R-tree
+  (built on the fly from ``_RTREE_BUILD_THRESHOLD`` trajectories) or a
+  columnar bounding-box scan pick the voters, and one
+  :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` call interpolates
+  them all onto the target's samples.  The sweep must reproduce its votes
+  bit for bit and its pair counts exactly (``tests/s2t/test_voting_sweep.py``).
 """
 
 from __future__ import annotations
@@ -18,12 +22,85 @@ import numpy as np
 
 from repro.hermes.frame import MAX_BATCH_CELLS, MODFrame
 from repro.hermes.mod import MOD
+from repro.hermes.trajectory import Trajectory
 from repro.index.interval import IntervalIndex
 from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
 from repro.s2t.voting import VotingProfile, kernel_support_radius
 
-__all__ = ["oracle_voting", "build_trajectory_index"]
+__all__ = ["dense_voting", "oracle_voting", "build_trajectory_index"]
+
+
+def _pairwise_votes(
+    voter: Trajectory,
+    target: Trajectory,
+    sigma: float,
+    kernel: str,
+    max_samples: int,
+) -> np.ndarray | None:
+    """Votes cast by ``voter`` onto the samples of ``target``.
+
+    Returns an array aligned with ``target``'s samples (zero outside the
+    common lifespan), or ``None`` when the lifespans do not overlap.
+    """
+    common = target.period.intersection(voter.period)
+    if common is None or common.duration <= 0:
+        return None
+    mask = (target.ts >= common.tmin) & (target.ts <= common.tmax)
+    if not np.any(mask):
+        return None
+    ts = target.ts[mask]
+    if len(ts) > max_samples:
+        sel = np.linspace(0, len(ts) - 1, max_samples).astype(int)
+        mask_idx = np.flatnonzero(mask)[sel]
+    else:
+        mask_idx = np.flatnonzero(mask)
+    ts = target.ts[mask_idx]
+    voter_pos = voter.positions_at(ts)
+    dx = target.xs[mask_idx] - voter_pos[:, 0]
+    dy = target.ys[mask_idx] - voter_pos[:, 1]
+    dist = np.hypot(dx, dy)
+    if kernel == "gaussian":
+        vals = np.exp(-(dist**2) / (2.0 * sigma * sigma))
+    else:  # triangular
+        vals = np.clip(1.0 - dist / (3.0 * sigma), 0.0, None)
+    out = np.zeros(target.num_points)
+    out[mask_idx] = vals
+    return out
+
+
+def _compute_voting_dense(mod: MOD, params: S2TParams, profile: VotingProfile) -> None:
+    """The all-pairs loop every equivalence pin compares against."""
+    sigma = params.sigma
+    assert sigma is not None
+    trajectories = mod.trajectories()
+
+    evaluated = 0
+    for target in trajectories:
+        point_votes = np.zeros(target.num_points)
+        for voter in trajectories:
+            if voter.key == target.key:
+                continue
+            votes = _pairwise_votes(
+                voter, target, sigma, params.voting_kernel, params.voting_samples
+            )
+            evaluated += 1
+            if votes is not None:
+                point_votes += votes
+        # Segment votes: mean of the two endpoint sample votes.
+        seg_votes = (point_votes[:-1] + point_votes[1:]) / 2.0
+        profile.votes[target.key] = seg_votes
+
+    profile.pairs_evaluated = evaluated
+
+
+def dense_voting(mod: MOD, params: S2TParams) -> VotingProfile:
+    """``compute_voting`` as the all-pairs loop (nothing pruned)."""
+    start = time.perf_counter()
+    profile = VotingProfile()
+    _compute_voting_dense(mod, params.resolved(mod), profile)
+    profile.elapsed_s = time.perf_counter() - start
+    return profile
 
 
 def build_trajectory_index(mod: MOD, spatial_margin: float) -> RTree3D[tuple[str, str]]:
@@ -53,9 +130,8 @@ def _batched_point_votes(
     same voters (including its per-pair sub-sampling rule), but computed as
     one batched interpolation plus one kernel reduction.
     """
-    ts = frame.ts_of(target_row)
-    txs = frame.xs_of(target_row)
-    tys = frame.ys_of(target_row)
+    block = slice(frame.offsets[target_row], frame.offsets[target_row + 1])
+    ts, txs, tys = frame.ts[block], frame.xs[block], frame.ys[block]
     n_points = len(ts)
     point_votes = np.zeros(n_points)
     if voter_rows.size == 0:
@@ -104,7 +180,7 @@ def _batched_point_votes(
 
 
 # Below this MOD cardinality, building the (pure-Python) R-tree costs more
-# than it saves; the batched strategy then prunes with an equivalent
+# than it saves; the kernel then prunes with an equivalent
 # vectorised scan over the frame's bounding-box table instead.
 _RTREE_BUILD_THRESHOLD = 512
 
@@ -188,11 +264,10 @@ def _compute_voting_batched(
 def oracle_voting(
     mod: MOD, params: S2TParams, frame: MODFrame | None = None
 ) -> VotingProfile:
-    """``compute_voting`` with the per-target kernel (batched strategy only)."""
+    """``compute_voting`` with the per-target kernel."""
     start = time.perf_counter()
     params = params.resolved(mod)
-    assert params.voting_strategy == "batched"
-    profile = VotingProfile(strategy=params.voting_strategy)
+    profile = VotingProfile()
     _compute_voting_batched(mod, params, profile, frame=frame)
     profile.elapsed_s = time.perf_counter() - start
     return profile

@@ -45,6 +45,12 @@ class TestS2TParams:
         with pytest.raises(ValueError, match="use_index"):
             S2TParams.from_dict({**data, "use_index": True})
 
+    def test_from_dict_refuses_dense_voting(self):
+        data = S2TParams().to_dict()
+        assert data["voting_strategy"] == "batched"
+        with pytest.raises(ValueError, match="'dense'.*tests/s2t/oracles.py"):
+            S2TParams.from_dict({**data, "voting_strategy": "dense"})
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             S2TParams().sigma = 3.0  # type: ignore[misc]

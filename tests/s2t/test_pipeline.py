@@ -39,7 +39,6 @@ class TestPipelineOnToyData:
         assert list(result.extras) == [
             "num_subtrajectories",
             "num_representatives",
-            "voting_strategy",
             "voting_pairs_evaluated",
             "voting_pairs_pruned",
         ]

@@ -37,7 +37,6 @@ def assert_same_voting(sweep, oracle) -> None:
         assert np.array_equal(sweep.votes[key], votes), key
     assert sweep.pairs_evaluated == oracle.pairs_evaluated
     assert sweep.pairs_pruned == oracle.pairs_pruned
-    assert sweep.strategy == oracle.strategy == "batched"
 
 
 @st.composite

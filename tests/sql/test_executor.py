@@ -208,9 +208,19 @@ class TestClusteringFunctions:
         with pytest.raises(SQLExecutionError):
             execute("SELECT S2T(42)")
 
-    def test_s2t_retired_strategy_names_the_available_ones(self, execute):
-        with pytest.raises(SQLExecutionError, match="'indexed'.*dense, batched"):
-            execute("SELECT S2T(lanes, NULL, NULL, 2, 'indexed')")
+    @pytest.mark.parametrize("value", ["dense", "indexed", "Batched", ""])
+    def test_s2t_strategy_other_than_batched_is_refused(self, execute, value):
+        with pytest.raises(SQLExecutionError, match=rf"'{value}'.*tests/s2t/oracles.py"):
+            execute(f"SELECT S2T(lanes, NULL, NULL, 2, '{value}')")
+
+    def test_s2t_strategy_null_and_batched_are_the_same_call(self, execute):
+        rows = execute("SELECT S2T(lanes, NULL, NULL, 2, NULL)")
+        assert execute("SELECT S2T(lanes, NULL, NULL, 2, 'batched')") == rows
+        assert execute("SELECT S2T(lanes)") == rows
+
+    def test_s2t_strategy_must_be_a_string(self, execute):
+        with pytest.raises(SQLExecutionError, match="argument 5 must be a string"):
+            execute("SELECT S2T(lanes, NULL, NULL, 2, 1)")
 
 
 class TestParallelS2TFunction:

@@ -54,8 +54,8 @@ class TestLowering:
 
     def test_s2t_defaults_fill_null_and_missing(self):
         assert plan_sql("SELECT S2T(d)") == S2TPlan(dataset="d")
-        assert plan_sql("SELECT S2T(d, NULL, NULL, 3, 'dense', 2)") == S2TPlan(
-            dataset="d", gamma=3, strategy="dense", jobs=2
+        assert plan_sql("SELECT S2T(d, NULL, NULL, 3, 'batched', 2)") == S2TPlan(
+            dataset="d", gamma=3, jobs=2
         )
 
     def test_qut_defaults(self):
@@ -97,6 +97,10 @@ class TestFrontEndIdentity:
         fluent = conn.dataset("lanes").s2t(sigma=2.5, jobs=4).plan
         assert fluent == plan_sql("SELECT S2T(lanes, 2.5, NULL, NULL, NULL, 4)")
         assert conn.dataset("lanes").s2t().plan == plan_sql("SELECT S2T(lanes)")
+
+    def test_fluent_s2t_has_no_strategy_keyword(self, conn):
+        with pytest.raises(TypeError):
+            conn.dataset("lanes").s2t(strategy="batched")
 
     def test_qut_identity(self, conn):
         fluent = conn.dataset("lanes").qut(0.0, 900.0, gamma=3).plan

@@ -83,13 +83,14 @@ class TestEvictionAndWriteBack:
 
 
 class TestStats:
-    def test_hit_ratio(self):
+    def test_reads_of_a_resident_page_are_hits(self):
         pool = BufferPool(InMemoryPager(), capacity=8)
         page_no = pool.allocate_page()
         pool.flush_all()
         for _ in range(9):
             pool.get_page(page_no)
-        assert pool.stats.hit_ratio > 0.8
+        assert (pool.stats.hits, pool.stats.misses) == (9, 0)
+        assert pool.stats.logical_reads == 9
 
     def test_reset(self):
         pool = BufferPool(InMemoryPager(), capacity=8)

@@ -56,15 +56,6 @@ class TestPartitionUsage:
         info = manager.create_partition("data")
         rid = info.heapfile.insert(b"record")
         assert info.heapfile.get(rid) == b"record"
-        info.record_count += 1
-        assert manager.total_records() == 1
-
-    def test_total_pages_aggregates(self, manager):
-        a = manager.create_partition("a")
-        b = manager.create_partition("b")
-        a.heapfile.insert(b"x" * 100)
-        b.heapfile.insert(b"y" * 100)
-        assert manager.total_pages() >= 2
 
     def test_io_stats_aggregate(self, manager):
         info = manager.create_partition("io")
@@ -72,6 +63,16 @@ class TestPartitionUsage:
         info.heapfile.get(rid)
         stats = manager.io_stats()
         assert stats["hits"] + stats["misses"] > 0
+
+    def test_io_stats_sum_over_partitions(self, manager):
+        infos = [manager.create_partition(name) for name in ("a", "b")]
+        for info in infos:
+            info.heapfile.get(info.heapfile.insert(b"x" * 100))
+        stats = manager.io_stats()
+        pools = [info.heapfile.buffer_pool.stats for info in infos]
+        assert stats["hits"] == sum(p.hits for p in pools)
+        assert stats["misses"] == sum(p.misses for p in pools)
+        assert stats["hits"] + stats["misses"] >= len(infos)
 
     def test_close_flushes_disk_partitions(self, tmp_path):
         manager = StorageManager(tmp_path / "flush")
