@@ -325,15 +325,23 @@ class HermesEngine:
             return self._frames[name]
 
     def dataset_summary(self, name: str) -> dict[str, object]:
-        """Descriptive statistics of a dataset (used by ``SELECT SUMMARY``)."""
+        """Descriptive statistics of a dataset (used by ``SELECT SUMMARY``).
+
+        An empty dataset (just created, or holding only buffered INSERT
+        points) has zero counts and ``None`` bounds.
+        """
         mod = self.get_mod(name)
-        period = mod.period
-        bbox = mod.bbox
-        return {
+        summary: dict[str, object] = {
             "dataset": name,
             "trajectories": len(mod),
             "objects": len(mod.object_ids()),
             "points": mod.total_points,
+        }
+        if len(mod) == 0:
+            return summary | dict.fromkeys(("tmin", "tmax", "xmin", "xmax", "ymin", "ymax"))
+        period = mod.period
+        bbox = mod.bbox
+        return summary | {
             "tmin": period.tmin,
             "tmax": period.tmax,
             "xmin": bbox.xmin,

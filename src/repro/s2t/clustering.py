@@ -7,15 +7,15 @@ end up with fewer than ``min_cluster_support`` members are dissolved and
 their members become outliers, matching the role of the ``γ`` parameter in
 the QuT SQL signature.
 
-The sub-trajectories are snapshotted once into a columnar
-:class:`~repro.hermes.frame.MODFrame` (row ``i`` = sub-trajectory ``i``,
-addressed by position; :meth:`S2TClustering.fit
-<repro.s2t.pipeline.S2TClustering.fit>` shares the frame it built for
-sampling).  :func:`greedy_clustering` then issues one
-:func:`spatiotemporal_distance_batch` call **per representative** against
-that frame and keeps a running ``(best representative, best distance)`` per
-sub-trajectory, so memory stays O(sub-trajectories) — no representatives x
-sub-trajectories distance matrix is materialised.
+The sub-trajectories are one columnar :class:`~repro.hermes.frame.MODFrame`
+(row ``i`` = sub-trajectory ``i``, addressed by position).  :func:`cluster`
+reads one distance row per representative against that frame — in a fit,
+the rows :func:`~repro.s2t.sampling.sample` already computed — and keeps a
+running ``(best representative, best distance)`` per sub-trajectory, so no
+representatives x sub-trajectories distance matrix is materialised.
+:func:`greedy_clustering` is the same assignment for callers that hold no
+rows: it computes each representative's row with one
+:func:`spatiotemporal_distance_batch` call, one at a time.
 :func:`assign_to_representatives_batch` is the one-sub-trajectory-at-a-time
 counterpart against a *representative* frame, used by the ReTraTree's
 insertion path.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from repro.s2t.params import S2TParams
 from repro.s2t.result import Cluster, ClusteringResult
 
 __all__ = [
+    "cluster",
     "greedy_clustering",
     "assign_to_representatives",
     "assign_to_representatives_batch",
@@ -110,16 +112,38 @@ def greedy_clustering(
 
     ``frame`` is the optional prebuilt columnar snapshot of
     ``subtrajectories`` (row ``i`` = ``subtrajectories[i].traj``); when
-    omitted it is built here.
+    omitted it is built here.  This is :func:`cluster` with each
+    representative's distance row computed here, one at a time.
 
     Returns ``(result, elapsed_seconds)``.  The returned result's ``method``
     is ``"s2t"``; the pipeline overwrites timings with the per-phase view.
     """
     start = time.perf_counter()
-    eps = params.eps
-    assert eps is not None, "params must be resolved before clustering"
     if frame is None:
         frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
+    rows = (
+        spatiotemporal_distance_batch(frame, rep.traj, max_samples=32)
+        for rep in representatives
+    )
+    result = cluster(subtrajectories, representatives, rows, params, frame)
+    return result, time.perf_counter() - start
+
+
+def cluster(
+    subtrajectories: list[SubTrajectory],
+    representatives: list[SubTrajectory],
+    rows: Iterable[np.ndarray],
+    params: S2TParams,
+    frame: MODFrame,
+) -> ClusteringResult:
+    """Assign every sub-trajectory to its closest representative (module docstring).
+
+    ``rows`` yields, per representative in order, its distance to every row
+    of ``frame`` (row ``i`` = ``subtrajectories[i]``) — the rows
+    :func:`~repro.s2t.sampling.sample` computed while selecting them.
+    """
+    eps = params.eps
+    assert eps is not None, "params must be resolved before clustering"
 
     clusters = [
         Cluster(cluster_id=i, representative=rep, members=[rep])
@@ -128,14 +152,13 @@ def greedy_clustering(
     rep_keys = {rep.key for rep in representatives}
     outliers: list[SubTrajectory] = []
 
-    # Running minimum over the representatives, one batch row per
+    # Running minimum over the representatives, one distance row per
     # representative.  Strict ``<`` keeps the first-selected representative
     # on ties, as a per-sub-trajectory argmin over the representatives would.
     best_dist = np.full(len(subtrajectories), math.inf)
     best_rep = np.full(len(subtrajectories), -1, dtype=np.intp)
     tol = params.temporal_tolerance
-    for idx, rep in enumerate(representatives):
-        dists = spatiotemporal_distance_batch(frame, rep.traj, max_samples=32)
+    for idx, (rep, dists) in enumerate(zip(representatives, rows)):
         closer = dists < best_dist
         if tol > 0:
             closer &= frame.overlaps_period(rep.period, tol)
@@ -153,16 +176,15 @@ def greedy_clustering(
 
     # Dissolve clusters below the support threshold.
     surviving: list[Cluster] = []
-    for cluster in clusters:
-        if cluster.size >= params.min_cluster_support:
-            surviving.append(cluster)
+    for c in clusters:
+        if c.size >= params.min_cluster_support:
+            surviving.append(c)
         else:
-            outliers.extend(cluster.members)
+            outliers.extend(c.members)
     # Re-number surviving clusters densely.
-    for new_id, cluster in enumerate(surviving):
-        cluster.cluster_id = new_id
+    for new_id, c in enumerate(surviving):
+        c.cluster_id = new_id
 
-    result = ClusteringResult(
+    return ClusteringResult(
         method="s2t", clusters=surviving, outliers=outliers, params=params
     )
-    return result, time.perf_counter() - start

@@ -16,23 +16,27 @@ greedy clustering run on the batched columnar path (:mod:`repro.hermes.frame`).
 The pipeline is frame-native end to end: the MOD's columnar
 :class:`MODFrame` is built **once per fit** (or taken prebuilt from the
 engine's frame catalog / a partition scheduler) and shared by the voting and
-segmentation phases; after segmentation one frame of the *sub-trajectories*
-is built, scoped to the fit, and shared by the two SaCO phases (sampling and
-greedy clustering), each of which issues one batched distance call per
-representative against it.
+segmentation phases.  Segmentation gathers one frame of the
+*sub-trajectories* (:func:`~repro.s2t.segmentation.segment_frame`), scoped to
+the fit; the two SaCO phases share it, and sampling hands the distance row
+it computed for each representative to greedy clustering, so a fit issues
+one batched distance call per representative.  The ``segmentation`` timing
+includes the sub-frame's gather and check.
 For partition-parallel execution across a process pool see
 :func:`repro.core.parallel.partitioned_s2t`.
 """
 
 from __future__ import annotations
 
+import time
+
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
-from repro.s2t.clustering import greedy_clustering
+from repro.s2t.clustering import cluster
 from repro.s2t.params import S2TParams
 from repro.s2t.result import ClusteringResult
-from repro.s2t.sampling import select_representatives
-from repro.s2t.segmentation import segment_mod
+from repro.s2t.sampling import sample
+from repro.s2t.segmentation import segment_frame
 from repro.s2t.voting import VotingProfile, compute_voting
 
 __all__ = ["S2TClustering"]
@@ -81,19 +85,16 @@ class S2TClustering:
         profile = compute_voting(mod, params, frame=frame)
         self.last_voting_profile = profile
 
-        subtrajectories, voting_mass, seg_elapsed = segment_mod(
-            mod, profile, params, frame=frame
-        )
-        # SaCO runs on one frame of the sub-trajectories (row i = candidate
-        # i).  Like the dataset frame above, its build (a few ms) is outside
-        # the four phase timings.
-        sub_frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
-        representatives, sampling_elapsed = select_representatives(
-            subtrajectories, voting_mass, params, frame=sub_frame
-        )
-        result, clustering_elapsed = greedy_clustering(
-            subtrajectories, representatives, params, frame=sub_frame
-        )
+        start = time.perf_counter()
+        sub_frame, subtrajectories, masses = segment_frame(frame, profile, params)
+        seg_elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        picked, rows = sample(sub_frame, masses, params)
+        representatives = [subtrajectories[i] for i in picked]
+        sampling_elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        result = cluster(subtrajectories, representatives, rows, params, sub_frame)
+        clustering_elapsed = time.perf_counter() - start
 
         result.params = params
         result.timings = {

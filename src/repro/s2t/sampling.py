@@ -12,14 +12,16 @@ representative under the time-aware trajectory distance.  Selection stops
 when the relative gain drops below ``params.gain_threshold`` or the optional
 ``max_representatives`` budget is exhausted.
 
-The candidates are snapshotted once into a columnar
-:class:`~repro.hermes.frame.MODFrame` (row ``i`` = candidate ``i``; rows are
-addressed by position because sub-trajectories of one parent share an
-``(obj, traj)`` key).  Every newly selected representative then discounts
-*all* candidates in one :func:`spatiotemporal_distance_batch` call and one
-vectorised gain update.  :meth:`S2TClustering.fit
-<repro.s2t.pipeline.S2TClustering.fit>` builds that frame once and shares it
-with :func:`~repro.s2t.clustering.greedy_clustering`.
+The candidates are one columnar :class:`~repro.hermes.frame.MODFrame` (row
+``i`` = candidate ``i``; rows are addressed by position).  Every newly
+selected representative then discounts *all* candidates in one
+:func:`spatiotemporal_distance_batch` call and one vectorised gain update.
+:func:`sample` keeps each representative's distance row;
+:meth:`S2TClustering.fit <repro.s2t.pipeline.S2TClustering.fit>` passes the
+sub-trajectory frame segmentation gathered and hands the rows on to
+:func:`~repro.s2t.clustering.cluster`, so a fit computes each row once.
+:func:`select_representatives` is the same selection for a list of
+sub-trajectories and a mass map, building the frame when none is given.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory
 from repro.s2t.params import S2TParams
 
-__all__ = ["select_representatives"]
+__all__ = ["sample", "select_representatives"]
 
 
 def select_representatives(
@@ -48,32 +50,47 @@ def select_representatives(
 
     ``frame`` is the optional prebuilt columnar snapshot of
     ``subtrajectories`` (row ``i`` = ``subtrajectories[i].traj``); when
-    omitted it is built here.
+    omitted it is built here.  This is :func:`sample` with the masses looked
+    up by sub-trajectory key.
 
     Returns ``(representatives, elapsed_seconds)``.
     """
     start = time.perf_counter()
     if not subtrajectories:
         return [], time.perf_counter() - start
-
-    radius = params.coverage_radius
-    assert radius is not None, "params must be resolved before sampling"
     if frame is None:
         frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
-
     masses = np.array(
         [voting_mass.get(sub.key, 0.0) for sub in subtrajectories], dtype=float
     )
+    picked, _rows = sample(frame, masses, params)
+    return [subtrajectories[i] for i in picked], time.perf_counter() - start
+
+
+def sample(
+    frame: MODFrame, masses: np.ndarray, params: S2TParams
+) -> tuple[list[int], list[np.ndarray]]:
+    """Greedy max-gain selection over the candidate frame (module docstring).
+
+    ``masses[i]`` is the voting mass of candidate ``i`` = row ``i`` of
+    ``frame``.  Returns the selected rows in selection order and, for each,
+    its distance row to every candidate — the rows
+    :func:`~repro.s2t.clustering.cluster` assigns with.
+    """
+    radius = params.coverage_radius
+    assert radius is not None, "params must be resolved before sampling"
+
     # Remaining gain of each candidate; updated as representatives are chosen.
     # Selected candidates drop to -inf and stay there (minimum keeps -inf).
     gains = masses.copy()
-    selected: list[SubTrajectory] = []
+    picked: list[int] = []
+    rows: list[np.ndarray] = []
 
-    max_reps = params.max_representatives or len(subtrajectories)
+    max_reps = params.max_representatives or len(masses)
     first_gain: float | None = None
     two_r_sq = 2.0 * radius * radius
 
-    while len(selected) < max_reps:
+    while len(picked) < max_reps:
         best_idx = int(np.argmax(gains))
         best_gain = float(gains[best_idx])
         if best_gain <= 0:
@@ -82,14 +99,16 @@ def select_representatives(
             first_gain = best_gain
         elif best_gain < params.gain_threshold * first_gain:
             break
-        rep = subtrajectories[best_idx]
-        selected.append(rep)
+        picked.append(best_idx)
         gains[best_idx] = -math.inf
         # Discount the gain of every candidate covered by the new
         # representative: coverage is 1 on top of it, 0 far away (exp(-inf)
         # for candidates sharing no lifespan with it).
-        dists = spatiotemporal_distance_batch(frame, rep.traj, max_samples=32)
+        dists = spatiotemporal_distance_batch(
+            frame, frame.trajectory_of(best_idx), max_samples=32
+        )
+        rows.append(dists)
         coverage = np.exp(-(dists * dists) / two_r_sq)
         np.minimum(gains, masses * (1.0 - coverage), out=gains)
 
-    return selected, time.perf_counter() - start
+    return picked, rows

@@ -60,10 +60,20 @@ def _cluster_rows(result: ClusteringResult) -> list[dict[str, object]]:
     return rows
 
 
-def _require_dataset(args: tuple, function: str) -> str:
+def _require_dataset(engine: HermesEngine, args: tuple, function: str) -> str:
+    """The dataset named by the first argument; refused if it is not registered.
+
+    An unknown name gets the executor's ``unknown dataset`` error; a dataset
+    withheld at recovery as damaged keeps its own diagnostic.
+    """
     if not args or not isinstance(args[0], str):
         raise SQLExecutionError(f"{function} requires a dataset name as its first argument")
-    return args[0]
+    dataset = args[0]
+    if dataset not in engine.datasets():
+        if engine.catalog is not None:
+            engine.catalog.raise_if_damaged(dataset)
+        raise SQLExecutionError(f"unknown dataset {dataset!r}")
+    return dataset
 
 
 def _opt_float(args: tuple, idx: int) -> float | None:
@@ -104,7 +114,7 @@ def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     so the answer — is the same for every value, and a cached or persisted
     tree is reused whatever ``shards`` says.
     """
-    dataset = _require_dataset(args, "QUT")
+    dataset = _require_dataset(engine, args, "QUT")
     wi = _opt_float(args, 1)
     we = _opt_float(args, 2)
     if wi is None or we is None:
@@ -141,7 +151,7 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     ``jobs = 1``.  ``shards`` overrides the scheduler's temporal partition
     count (each shard is one partition; omitted/NULL keeps the default).
     """
-    dataset = _require_dataset(args, "S2T")
+    dataset = _require_dataset(engine, args, "S2T")
     strategy = _opt_str(args, 4, "batched")
     try:
         params = S2TParams(
@@ -165,21 +175,21 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
 
 def _fn_traclus(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``TRACLUS(D [, eps, min_lns])``"""
-    dataset = _require_dataset(args, "TRACLUS")
+    dataset = _require_dataset(engine, args, "TRACLUS")
     params = TraclusParams(eps=_opt_float(args, 1), min_lns=_opt_int(args, 2, 3))
     return _cluster_rows(engine.traclus(dataset, params))
 
 
 def _fn_toptics(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``TOPTICS(D [, eps_cut, min_pts])``"""
-    dataset = _require_dataset(args, "TOPTICS")
+    dataset = _require_dataset(engine, args, "TOPTICS")
     params = TOpticsParams(eps_cut=_opt_float(args, 1), min_pts=_opt_int(args, 2, 3))
     return _cluster_rows(engine.toptics(dataset, params))
 
 
 def _fn_convoy(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``CONVOY(D [, eps, m, k])``"""
-    dataset = _require_dataset(args, "CONVOY")
+    dataset = _require_dataset(engine, args, "CONVOY")
     params = ConvoyParams(
         eps=_opt_float(args, 1),
         min_objects=_opt_int(args, 2, 3),
@@ -190,13 +200,13 @@ def _fn_convoy(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
 
 def _fn_summary(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``SUMMARY(D)``"""
-    dataset = _require_dataset(args, "SUMMARY")
+    dataset = _require_dataset(engine, args, "SUMMARY")
     return [engine.dataset_summary(dataset)]
 
 
 def _fn_cluster_histogram(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``CLUSTER_HISTOGRAM(D [, n_bins])`` — over the dataset's last clustering result."""
-    dataset = _require_dataset(args, "CLUSTER_HISTOGRAM")
+    dataset = _require_dataset(engine, args, "CLUSTER_HISTOGRAM")
     n_bins = _opt_int(args, 1, 60)
     try:
         result = engine.last_result(dataset)
@@ -207,7 +217,7 @@ def _fn_cluster_histogram(engine: HermesEngine, args: tuple) -> list[dict[str, o
 
 def _fn_holding_patterns(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``HOLDING_PATTERNS(D [, min_turns])`` — loop detection over the raw dataset."""
-    dataset = _require_dataset(args, "HOLDING_PATTERNS")
+    dataset = _require_dataset(engine, args, "HOLDING_PATTERNS")
     min_turns = _opt_float(args, 1) or 0.9
     patterns = detect_holding_patterns(engine.get_mod(dataset), min_turns=min_turns)
     return [

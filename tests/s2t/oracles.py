@@ -1,4 +1,6 @@
-"""The two references the voting sweep of :mod:`repro.s2t.voting` is pinned to.
+"""The references the S2T phases of :mod:`repro.s2t` are pinned to.
+
+Voting (:mod:`repro.s2t.voting`) is pinned to two of them:
 
 * :func:`dense_voting` — the all-pairs loop: per (target, voter) pair, one
   ``np.interp`` synchronisation and one kernel evaluation.  It shares no
@@ -12,23 +14,40 @@
   :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` call interpolates
   them all onto the target's samples.  The sweep must reproduce its votes
   bit for bit and its pair counts exactly (``tests/s2t/test_voting_sweep.py``).
+
+Segmentation (:mod:`repro.s2t.segmentation`) is pinned to the per-trajectory
+path it replaced, kept verbatim: :func:`oracle_dp_segmentation` (one DP loop
+per voting signal) and :func:`oracle_segment_mod` (one
+:meth:`~repro.hermes.trajectory.Trajectory.split_at_indices` per trajectory,
+one validated ``SubTrajectory`` per piece).  The batched DP and the gathered
+sub-trajectory frame must give the same cuts, bit-equal masses and
+byte-equal columns (``tests/s2t/test_segmentation_batch.py``).
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.hermes.frame import MAX_BATCH_CELLS, MODFrame
 from repro.hermes.mod import MOD
-from repro.hermes.trajectory import Trajectory
+from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.index.interval import IntervalIndex
 from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
+from repro.s2t.segmentation import greedy_segmentation
 from repro.s2t.voting import VotingProfile, kernel_support_radius
 
-__all__ = ["dense_voting", "oracle_voting", "build_trajectory_index"]
+__all__ = [
+    "dense_voting",
+    "oracle_voting",
+    "build_trajectory_index",
+    "oracle_dp_segmentation",
+    "oracle_segment_mod",
+    "oracle_segment_frame",
+]
 
 
 def _pairwise_votes(
@@ -271,3 +290,132 @@ def oracle_voting(
     _compute_voting_batched(mod, params, profile, frame=frame)
     profile.elapsed_s = time.perf_counter() - start
     return profile
+
+
+def oracle_dp_segmentation(
+    votes: np.ndarray, penalty: float, min_len: int
+) -> list[int]:
+    """Optimal 1D segmentation of the voting signal.
+
+    Minimises ``sum_over_segments(within-segment sum of squared deviation)
+    + penalty_cost * number_of_segments`` with segments at least ``min_len``
+    votes long.  ``penalty`` is expressed as a fraction of the signal's total
+    variance so that it is scale-free.
+
+    Returns the cut points as indices into the *sample* axis (a cut at ``i``
+    means a new sub-trajectory starts at sample ``i``).
+    """
+    n = len(votes)
+    if n <= min_len:
+        return []
+    # A (numerically) constant signal carries no segmentation information:
+    # without this guard the variance-proportional penalty collapses to ~0
+    # and the DP would place cuts based on floating-point dust.
+    dynamic_range = float(votes.max() - votes.min())
+    if dynamic_range <= 1e-9 * (float(np.abs(votes).max()) + 1.0):
+        return []
+    total_ss = float(np.sum((votes - votes.mean()) ** 2))
+    penalty_cost = penalty * total_ss if total_ss > 0 else penalty
+
+    # Prefix sums for O(1) within-segment cost.
+    prefix = np.concatenate([[0.0], np.cumsum(votes)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(votes**2)])
+    i_index = np.arange(n + 1, dtype=float)
+
+    best = np.full(n + 1, np.inf)
+    best[0] = 0.0
+    back = np.zeros(n + 1, dtype=int)
+    for j in range(min_len, n + 1):
+        # All candidate segment starts i in [0, j - min_len] at once: the
+        # within-segment cost of votes[i:j] is prefix_sq[j] - prefix_sq[i]
+        # minus (prefix[j] - prefix[i])^2 / (j - i), one broadcast over the
+        # prefix-sum arrays.  Unreachable starts (best[i] = inf) stay inf
+        # and can never win the argmin (i = 0 is always reachable).
+        i_hi = j - min_len + 1
+        s = prefix[j] - prefix[:i_hi]
+        sq = prefix_sq[j] - prefix_sq[:i_hi]
+        costs = best[:i_hi] + (sq - s * s / (j - i_index[:i_hi])) + penalty_cost
+        i = int(np.argmin(costs))
+        if costs[i] < best[j]:
+            best[j] = costs[i]
+            back[j] = i
+    # Recover the cut points.
+    cuts = []
+    j = n
+    while j > 0:
+        i = int(back[j])
+        if i > 0:
+            cuts.append(i)
+        j = i
+    cuts.reverse()
+    return cuts
+
+
+def oracle_segment_by_voting(
+    traj: Trajectory, votes: np.ndarray, params: S2TParams
+) -> list[SubTrajectory]:
+    """Split one trajectory into sub-trajectories using its voting signal."""
+    if params.segmentation_method == "dp":
+        cuts = oracle_dp_segmentation(
+            votes, penalty=params.segmentation_penalty, min_len=params.min_segment_samples
+        )
+    else:
+        # The greedy threshold reuses the DP penalty fraction as "drift" size:
+        # larger penalty -> fewer segments in both methods.
+        cuts = greedy_segmentation(
+            votes,
+            threshold_fraction=max(params.segmentation_penalty * 4.0, 0.1),
+            min_len=params.min_segment_samples,
+        )
+    return traj.split_at_indices(cuts)
+
+
+def oracle_segment_mod(
+    mod: MOD,
+    profile: VotingProfile,
+    params: S2TParams,
+    frame: MODFrame | None = None,
+) -> tuple[list[SubTrajectory], dict[tuple[str, str, int, int], float], float]:
+    """Segment every trajectory of a MOD.
+
+    Returns ``(subtrajectories, voting_mass, elapsed_seconds)`` where
+    ``voting_mass`` maps each sub-trajectory key to the mean vote of its
+    segments — the representativeness score consumed by the sampling phase.
+
+    When ``frame`` (a columnar snapshot of ``mod``) is given, trajectories
+    are read straight off the frame's columns (zero-copy views) in row
+    order — the frame-native path the pipeline uses so the per-``fit`` frame
+    is built once and shared across phases.
+    """
+    start = time.perf_counter()
+    subtrajectories: list[SubTrajectory] = []
+    voting_mass: dict[tuple[str, str, int, int], float] = {}
+    trajectories: Iterable[Trajectory]
+    if frame is not None:
+        trajectories = (frame.trajectory_of(row) for row in range(len(frame)))
+    else:
+        trajectories = mod
+    for traj in trajectories:
+        votes = profile.segment_votes(traj.key)
+        subs = oracle_segment_by_voting(traj, votes, params)
+        for sub in subs:
+            seg_slice = votes[sub.start_idx : sub.end_idx]
+            mass = float(np.mean(seg_slice)) if len(seg_slice) else 0.0
+            voting_mass[sub.key] = mass
+            subtrajectories.append(sub)
+    return subtrajectories, voting_mass, time.perf_counter() - start
+
+
+def oracle_segment_frame(
+    frame: MODFrame, profile: VotingProfile, params: S2TParams
+) -> tuple[MODFrame, list[SubTrajectory], np.ndarray]:
+    """:func:`~repro.s2t.segmentation.segment_frame`'s contract, the old way.
+
+    :func:`oracle_segment_mod` on the frame, then the sub-trajectory frame
+    re-concatenated from the pieces (``MODFrame.from_trajectories``) and the
+    masses read back in piece order — what ``S2TClustering.fit`` did before
+    segmentation gathered the frame itself.
+    """
+    subs, mass, _elapsed = oracle_segment_mod(frame.to_mod(), profile, params, frame=frame)
+    sub_frame = MODFrame.from_trajectories(sub.traj for sub in subs)
+    return sub_frame, subs, np.array([mass[sub.key] for sub in subs], dtype=float)

@@ -1,12 +1,19 @@
 """Integration-level tests of the full S2T pipeline."""
 
 
+import repro.s2t.clustering as clustering_mod
 import repro.s2t.pipeline as pipeline_mod
+import repro.s2t.sampling as sampling_mod
 from repro.eval.metrics import clustering_quality
+from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
+from repro.s2t.clustering import greedy_clustering
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.result import ClusteringResult
+from repro.s2t.sampling import select_representatives
+from repro.s2t.segmentation import segment_mod
+from repro.s2t.voting import compute_voting
 from tests.conftest import make_linear_trajectory
 
 
@@ -52,7 +59,7 @@ class TestPipelineOnToyData:
 
 
 class TestSharedSubTrajectoryFrame:
-    """SaCO runs on one sub-trajectory frame; sharing it changes nothing."""
+    """Segmentation gathers one sub-trajectory frame; SaCO reuses it and its rows."""
 
     @staticmethod
     def _signature(result: ClusteringResult):
@@ -65,45 +72,68 @@ class TestSharedSubTrajectoryFrame:
 
     def test_fit_hands_one_frame_to_both_phases(self, segmented_scenario, monkeypatch):
         mod, subs, _masses, _params = segmented_scenario
-        seen = []
+        built, seen, distance_calls = [], [], []
 
-        def spy(real):
-            def wrapper(*args, frame=None, **kwargs):
-                seen.append(frame)
-                return real(*args, frame=frame, **kwargs)
+        def spy_segment(real):
+            def wrapper(*args):
+                built.append(real(*args))
+                return built[-1]
             return wrapper
 
-        monkeypatch.setattr(
-            pipeline_mod, "select_representatives", spy(pipeline_mod.select_representatives)
-        )
-        monkeypatch.setattr(
-            pipeline_mod, "greedy_clustering", spy(pipeline_mod.greedy_clustering)
-        )
-        S2TClustering().fit(mod)
-        sampling_frame, clustering_frame = seen
-        assert sampling_frame is not None and sampling_frame is clustering_frame
+        def spy_phase(real):
+            def wrapper(*args):
+                seen.append((real.__name__, *(a for a in args if isinstance(a, MODFrame))))
+                return real(*args)
+            return wrapper
+
+        def counted(real):
+            def wrapper(frame, traj, **kwargs):
+                distance_calls.append(traj.key)
+                return real(frame, traj, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline_mod, "segment_frame", spy_segment(pipeline_mod.segment_frame))
+        monkeypatch.setattr(pipeline_mod, "sample", spy_phase(pipeline_mod.sample))
+        monkeypatch.setattr(pipeline_mod, "cluster", spy_phase(pipeline_mod.cluster))
+        for module in (sampling_mod, clustering_mod):
+            monkeypatch.setattr(
+                module,
+                "spatiotemporal_distance_batch",
+                counted(module.spatiotemporal_distance_batch),
+            )
+        built_before = MODFrame.from_mod_calls
+        result = S2TClustering().fit(mod)
+
+        # Segmentation builds the one sub-frame (no dataset frame rebuilt,
+        # no frame re-concatenated from the pieces) ...
+        [(sub_frame, pieces, masses)] = built
+        assert MODFrame.from_mod_calls == built_before + 1
+        assert len(sub_frame) == len(pieces) == len(masses) == len(subs)
         # Row i is sub-trajectory i (addressed by position, keys repeat).
-        assert len(sampling_frame) == len(subs)
-        assert sampling_frame.keys == [sub.traj.key for sub in subs]
+        assert sub_frame.keys == [sub.traj.key for sub in subs]
+        assert [p.key for p in pieces] == [sub.key for sub in subs]
+        # ... and both SaCO phases run on exactly that frame.
+        assert seen == [("sample", sub_frame), ("cluster", sub_frame)]
+        # One distance row per representative per fit, each computed by
+        # sampling and reused by clustering.
+        reps = result.extras["num_representatives"]
+        assert reps > 1
+        assert len(distance_calls) == reps
+        assert len(set(distance_calls)) == reps
 
-    def test_shared_frame_equals_phase_built_frames(self, segmented_scenario, monkeypatch):
+    def test_shared_frame_equals_phase_built_frames(self, segmented_scenario):
+        """``fit`` ≡ segment_mod → select_representatives → greedy_clustering,
+        each building its own frame and distance rows (the tracer's calls)."""
         mod, _subs, _masses, _params = segmented_scenario
-        shared = S2TClustering().fit(mod)
-
-        def without_frame(real):
-            return lambda *args, frame=None, **kwargs: real(*args, **kwargs)
-
-        monkeypatch.setattr(
-            pipeline_mod,
-            "select_representatives",
-            without_frame(pipeline_mod.select_representatives),
-        )
-        monkeypatch.setattr(
-            pipeline_mod, "greedy_clustering", without_frame(pipeline_mod.greedy_clustering)
-        )
-        own = S2TClustering().fit(mod)
-        assert self._signature(own) == self._signature(shared)
-        assert own.extras == shared.extras
+        fitted = S2TClustering().fit(mod)
+        params = S2TParams().resolved(mod)
+        profile = compute_voting(mod, params)
+        subs, mass, _ = segment_mod(mod, profile, params)
+        reps, _ = select_representatives(subs, mass, params)
+        standalone, _ = greedy_clustering(subs, reps, params)
+        assert self._signature(standalone) == self._signature(fitted)
+        assert len(subs) == fitted.extras["num_subtrajectories"]
+        assert len(reps) == fitted.extras["num_representatives"]
 
 
 class TestPipelineOnScenarios:

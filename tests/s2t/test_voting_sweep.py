@@ -6,7 +6,8 @@ tolerance) and the same ``pairs_evaluated`` / ``pairs_pruned``, on generated
 MODs that force the edge cases (shared and tied timestamps across
 trajectories, lifespans that only touch or are disjoint, one- and
 two-trajectory MODs, per-pair sub-sampling), through ``RangeThenCluster``'s
-windows, and end to end on the ``s2t_batch`` data.
+windows, and end to end on the ``s2t_batch`` data (there together with the
+per-trajectory segmentation oracle).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.voting import compute_voting
 from tests.conftest import membership_signature
-from tests.s2t.oracles import oracle_voting
+from tests.s2t.oracles import oracle_segment_frame, oracle_voting
 
 
 def assert_same_voting(sweep, oracle) -> None:
@@ -123,12 +124,14 @@ class TestSweepEqualsOracle:
 
 
 def test_s2t_batch_memberships_equal_the_oracle_pipeline(monkeypatch):
-    """Aircraft 400 x 50 at seed 1100 (the ``s2t_batch`` data): same answer."""
+    """Aircraft 400 x 50 at seed 1100 (the ``s2t_batch`` data): same answer
+    from the per-target voting kernel and the per-trajectory segmentation."""
     mod, _truth = aircraft_scenario(n_trajectories=400, n_samples=50, seed=1100, name="f")
     frame = MODFrame.from_mod(mod)
     params = S2TParams(min_cluster_support=2)
     sweep = S2TClustering(params).fit(mod, frame=frame)
     monkeypatch.setattr(pipeline, "compute_voting", oracle_voting)
+    monkeypatch.setattr(pipeline, "segment_frame", oracle_segment_frame)
     oracle = S2TClustering(params).fit(mod, frame=frame)
     assert membership_signature(sweep) == membership_signature(oracle)
     assert [c.representative.key for c in sweep.clusters] == [
