@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint docs docs-strict bench bench-qut bench-compare clean-docs
+.PHONY: test lint docs docs-draft bench bench-qut bench-compare clean-docs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -16,11 +16,11 @@ lint:
 
 # Build the documentation site (strict: warnings are errors).
 docs:
-	$(PYTHON) docs/build_docs.py
+	PYTHONPATH=src $(PYTHON) -m repro.docsgen
 
 # Lenient variant for drafting.
 docs-draft:
-	$(PYTHON) docs/build_docs.py --no-strict
+	PYTHONPATH=src $(PYTHON) -m repro.docsgen --no-strict
 
 # The repository's benchmark (BENCHMARK.json): all five workloads, seed 1.
 bench:

@@ -118,17 +118,6 @@ class Finding:
             f"    hint: {self.hint}"
         )
 
-    def to_dict(self) -> dict[str, object]:
-        """The finding as a JSON-serialisable dict (``--format=json``)."""
-        return {
-            "rule": self.rule,
-            "slug": self.slug,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
 
 class SourceModule:
     """A parsed source file plus the comment map the checkers need.

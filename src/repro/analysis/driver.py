@@ -11,35 +11,24 @@ Usage::
     repro-lint                      # lint src/repro (the default root)
     repro-lint path/to/tree ...     # lint explicit files or directories
     repro-lint --select io-discipline,REPRO104
-    repro-lint --ignore determinism --format=json
-    repro-lint --baseline lint-baseline.json              # report new only
-    repro-lint --baseline lint-baseline.json --write-baseline
+    repro-lint --ignore determinism
     repro-lint --list-rules
 
 The per-module rules run file by file; the flow-sensitive project rules
 (REPRO110–112 and friends, any :class:`~repro.analysis.base.ProjectChecker`)
 run once over a shared :class:`~repro.analysis.flow.summaries.ProjectIndex`
-built from every file that parsed.
+built from every file that parsed.  The one per-site escape is a
+``# repro-lint: allow[RULE]`` comment (see :mod:`repro.analysis.base`).
 
-A **baseline** turns the linter incremental: ``--write-baseline`` records
-the current findings to the ``--baseline`` file, and later runs with
-``--baseline`` report (and fail on) only findings *not* in it.  Matching
-is by ``(rule, path, message)`` with multiset semantics and ignores line
-numbers, so unrelated edits above a baselined finding do not churn it —
-but a *second* identical finding in the same file is new.
-
-Exit status is ``0`` when the tree is clean (or no non-baselined finding
-remains), ``1`` when any new finding is reported (including files that
-fail to parse, reported as ``REPRO100 parse-error``), and ``2`` on usage
-errors.
+Exit status is ``0`` when the tree is clean, ``1`` when any finding is
+reported (including files that fail to parse, reported as ``REPRO100
+parse-error``), and ``2`` on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from repro.analysis.base import Checker, Finding, ProjectChecker, SourceModule
@@ -49,24 +38,15 @@ from repro.analysis.exception_contracts import ExceptionContractChecker
 from repro.analysis.flow.summaries import ProjectIndex
 from repro.analysis.generation import GenerationChecker
 from repro.analysis.io_discipline import IoDisciplineChecker
-from repro.analysis.lock_discipline import LockDisciplineChecker
 from repro.analysis.plan_purity import PlanPurityChecker
 from repro.analysis.race import RaceChecker
 from repro.analysis.shm_hygiene import ShmHygieneChecker
 
-__all__ = [
-    "ALL_CHECKERS",
-    "apply_baseline",
-    "lint_paths",
-    "load_baseline",
-    "main",
-    "select_checkers",
-]
+__all__ = ["ALL_CHECKERS", "lint_paths", "main", "select_checkers"]
 
 #: Every registered rule, in rule-id order.
 ALL_CHECKERS: tuple[Checker, ...] = (
     IoDisciplineChecker(),
-    LockDisciplineChecker(),
     PlanPurityChecker(),
     GenerationChecker(),
     DeterminismChecker(),
@@ -168,58 +148,6 @@ def lint_paths(
     return findings, len(files)
 
 
-def _baseline_key(finding: Finding) -> tuple[str, str, str]:
-    """The line-insensitive identity a baseline matches findings by."""
-    return (finding.rule, finding.path, finding.message)
-
-
-def load_baseline(path: Path) -> Counter[tuple[str, str, str]]:
-    """Parse a baseline file into a multiset of finding keys.
-
-    Raises ``ValueError`` on malformed content — a corrupt baseline must
-    not silently accept every finding.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"baseline {path} is not valid JSON: {exc}") from exc
-    entries = payload.get("findings") if isinstance(payload, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path} has no 'findings' list")
-    keys: Counter[tuple[str, str, str]] = Counter()
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ValueError(f"baseline {path} has a non-object finding entry")
-        try:
-            keys[(str(entry["rule"]), str(entry["path"]), str(entry["message"]))] += 1
-        except KeyError as exc:
-            raise ValueError(f"baseline {path} entry is missing {exc}") from exc
-    return keys
-
-
-def apply_baseline(
-    findings: list[Finding], baseline: Counter[tuple[str, str, str]]
-) -> list[Finding]:
-    """The findings *not* accounted for by ``baseline`` (multiset match)."""
-    budget = Counter(baseline)
-    new: list[Finding] = []
-    for finding in findings:
-        key = _baseline_key(finding)
-        if budget[key] > 0:
-            budget[key] -= 1
-        else:
-            new.append(finding)
-    return new
-
-
-def _write_baseline(path: Path, findings: list[Finding]) -> None:
-    payload = {
-        "version": 1,
-        "findings": [f.to_dict() for f in findings],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _default_root() -> Path | None:
     """The implicit scan root: ``src/repro`` relative to the cwd."""
     root = Path("src") / "repro"
@@ -250,24 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule ids/slugs to skip",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="JSON baseline: report only findings not recorded in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings to the --baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -308,62 +218,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline FILE")
-
     findings, files_checked = lint_paths(paths, checkers)
-
-    if args.write_baseline:
-        assert args.baseline is not None
-        _write_baseline(args.baseline, findings)
-        print(
-            f"repro-lint: baseline written to {args.baseline} "
-            f"({len(findings)} findings)"
-        )
-        return 0
-
-    baselined = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        total = len(findings)
-        findings = apply_baseline(findings, baseline)
-        baselined = total - len(findings)
-
-    if args.format == "json":
-        summary = {c.rule: 0 for c in checkers}
-        summary["REPRO100"] = 0
-        for finding in findings:
-            summary[finding.rule] = summary.get(finding.rule, 0) + 1
-        print(
-            json.dumps(
-                {
-                    "files_checked": files_checked,
-                    "rules": [c.rule for c in checkers],
-                    "baselined": baselined,
-                    "summary": summary,
-                    "findings": [f.to_dict() for f in findings],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for finding in findings:
-            print(finding.format())
-        suffix = f" ({baselined} baselined)" if baselined else ""
+    for finding in findings:
+        print(finding.format())
+    if findings:
         noun = "finding" if len(findings) == 1 else "findings"
-        if findings:
-            print(
-                f"repro-lint: {len(findings)} {noun} in {files_checked} "
-                f"files{suffix}"
-            )
-        else:
-            print(
-                f"repro-lint: clean ({files_checked} files, "
-                f"{len(checkers)} rules){suffix}"
-            )
+        print(f"repro-lint: {len(findings)} {noun} in {files_checked} files")
+    else:
+        print(f"repro-lint: clean ({files_checked} files, {len(checkers)} rules)")
     return 1 if findings else 0
 
 

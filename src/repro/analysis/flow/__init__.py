@@ -1,10 +1,10 @@
 """Flow-sensitive analysis core for the ``repro-lint`` checker suite.
 
-PR 8's checkers are syntactic and per-function: they can see that a
-statement mutates a guarded attribute, but not that the mutation sits on
-a path where the lock is provably held, nor that a helper's caller holds
-it.  This package adds the three pieces that make *flow-sensitive* and
-*interprocedural* rules possible while staying stdlib-only:
+A syntactic, per-function checker can see that a statement touches a
+guarded attribute, but not that the access sits on a path where the lock
+is provably held, nor that a helper's caller holds it.  This package adds
+the pieces that make *flow-sensitive* and *interprocedural* rules
+possible while staying stdlib-only:
 
 * :mod:`repro.analysis.flow.cfg` — a per-function control-flow graph
   built from :mod:`ast`, with synthetic enter/exit markers for ``with``

@@ -14,8 +14,7 @@ expression (``with self._catalog_lock:`` → ``"_catalog_lock"``); any
 other context manager (files, arenas, ``contextlib`` helpers) acquires
 nothing and is ignored.  Non-``with`` acquisition (``lock.acquire()`` /
 ``lock.release()``) is deliberately out of scope: the codebase's locking
-convention is ``with``-only, and REPRO102/REPRO110 both exist to keep it
-that way.
+convention is ``with``-only, and REPRO110 exists to keep it that way.
 """
 
 from __future__ import annotations
@@ -24,27 +23,27 @@ import ast
 
 from repro.analysis.flow.cfg import CFG, Step, WithEnter, WithExit, solve_forward
 
-__all__ = ["lock_name", "locks_at_steps"]
+__all__ = ["locks_at_steps", "self_attr"]
 
 
-def lock_name(context_expr: ast.expr) -> str | None:
-    """``with self.<attr>:`` → ``"<attr>"``; anything else → ``None``."""
-    if (
-        isinstance(context_expr, ast.Attribute)
-        and isinstance(context_expr.value, ast.Name)
-        and context_expr.value.id == "self"
-    ):
-        return context_expr.attr
+def self_attr(node: ast.AST) -> str | None:
+    """``self.<attr>`` → ``"<attr>"``; anything else → ``None``.
+
+    Names the lock a ``with`` acquires, and the attribute a ``# guarded-by:``
+    declaration or an access refers to.
+    """
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+        return node.attr
     return None
 
 
 def _transfer(step: Step, held: frozenset[str]) -> frozenset[str]:
     if isinstance(step, WithEnter):
-        name = lock_name(step.context_expr)
+        name = self_attr(step.context_expr)
         if name is not None:
             return held | {name}
     elif isinstance(step, WithExit):
-        name = lock_name(step.context_expr)
+        name = self_attr(step.context_expr)
         if name is not None:
             return held - {name}
     return held

@@ -10,7 +10,9 @@ both computed as bounded fixpoints over the
   — the lock is not in the must-held set at the access.  Obligations
   propagate caller-ward: a call site that holds the required lock
   *discharges* the callee's obligation; one that does not re-exports it.
-  Whatever reaches a public entry point unprotected is a race finding.
+  Whatever reaches an entry point unprotected is a race finding.  The
+  declaration vocabulary (``# guarded-by:``, ``# holds:``) is parsed here
+  too, by :func:`guarded_attributes` and :func:`declared_holds`.
 
 * **Escaping raises** (REPRO111).  The set of exception types a
   function can let escape: its own ``raise`` sites minus the types its
@@ -34,14 +36,22 @@ from __future__ import annotations
 
 import ast
 import builtins
+import re
 from dataclasses import dataclass, field
 
 from repro.analysis.base import SourceModule
 from repro.analysis.flow.callgraph import TOP, CallGraph, FunctionInfo
 from repro.analysis.flow.cfg import Step, WithEnter, WithExit, build_cfg, walk_expressions
-from repro.analysis.flow.lockset import locks_at_steps
+from repro.analysis.flow.lockset import locks_at_steps, self_attr
 
-__all__ = ["FIXPOINT_BOUND", "EscapingRaise", "LockObligation", "ProjectIndex"]
+__all__ = [
+    "FIXPOINT_BOUND",
+    "EscapingRaise",
+    "LockObligation",
+    "ProjectIndex",
+    "declared_holds",
+    "guarded_attributes",
+]
 
 #: Maximum fixpoint rounds for either summary domain.  Real call chains
 #: in this codebase are 3-4 frames deep; the bound only exists so a
@@ -87,23 +97,71 @@ class _FunctionFacts:
     calls: list[tuple[tuple[str, ...], frozenset[str]]] = field(default_factory=list)
 
 
+_GUARDED_RE = re.compile(r"guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
+_HOLDS_RE = re.compile(r"holds:\s*([A-Za-z_][A-Za-z0-9_, ]*)")
+
+#: Method names that mutate their receiver in place.
+_MUTATING_METHODS = frozenset(
+    {
+        "pop",
+        "popitem",
+        "clear",
+        "update",
+        "setdefault",
+        "append",
+        "extend",
+        "insert",
+        "remove",
+        "discard",
+        "add",
+        "sort",
+    }
+)
+
+
+def guarded_attributes(module: SourceModule, cls: ast.ClassDef) -> dict[str, str]:
+    """Attribute → lock name, from ``# guarded-by:`` comments in ``__init__``.
+
+    The declaration is a trailing comment on the attribute's assignment::
+
+        self._frames: dict[str, MODFrame] = {}  # guarded-by: _catalog_lock
+    """
+    guarded: dict[str, str] = {}
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == "__init__":
+            for child in ast.walk(stmt):
+                if isinstance(child, (ast.Assign, ast.AnnAssign)):
+                    match = _GUARDED_RE.search(module.comment(child.lineno) or "")
+                    if not match:
+                        continue
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    for target in targets:
+                        attr = self_attr(target)
+                        if attr is not None:
+                            guarded[attr] = match.group(1)
+    return guarded
+
+
+def declared_holds(module: SourceModule, func: ast.AST) -> frozenset[str]:
+    """Locks a ``# holds:`` annotation on/above the ``def`` line grants."""
+    held: set[str] = set()
+    line = getattr(func, "lineno", 0)
+    for candidate in (line, line - 1):
+        match = _HOLDS_RE.search(module.comment(candidate) or "")
+        if match:
+            held.update(name.strip() for name in match.group(1).split(",") if name.strip())
+    return frozenset(held)
+
+
 def _guarded_self_attr(node: ast.AST, guarded: dict[str, str]) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and node.attr in guarded
-    ):
-        return node.attr
-    return None
+    attr = self_attr(node)
+    return attr if attr in guarded else None
 
 
 def _self_attr_reads_writes(
     step_node: ast.AST, guarded: dict[str, str]
 ) -> list[tuple[str, str, int, str]]:
     """``(attr, lock, line, kind)`` for guarded ``self.<attr>`` touches."""
-    from repro.analysis.lock_discipline import _MUTATING_METHODS
-
     # Sites that observably *write*: plain store/del contexts, subscript
     # stores, and receivers of in-place mutating method calls.  The
     # distinction is purely for diagnostic wording — both kinds race.
@@ -157,14 +215,10 @@ class ProjectIndex:
         """Guarded attribute → lock for the class owning ``info`` (if any)."""
         if info.class_node is None:
             return {}
-        from repro.analysis.lock_discipline import guarded_attributes
-
         return guarded_attributes(info.module, info.class_node)
 
     def declared_holds(self, info: FunctionInfo) -> frozenset[str]:
         """The ``# holds:`` contract on ``info``'s ``def`` line, if any."""
-        from repro.analysis.lock_discipline import declared_holds
-
         return declared_holds(info.module, info.node)
 
     # -- intraprocedural facts ---------------------------------------------------
@@ -210,6 +264,15 @@ class ProjectIndex:
         return facts
 
     # -- lock-obligation summaries ----------------------------------------------
+
+    def called_functions(self) -> frozenset[str]:
+        """Qualnames that at least one resolved project call reaches."""
+        return frozenset(
+            target
+            for facts in self._function_facts().values()
+            for targets, _ in facts.calls
+            for target in targets
+        )
 
     def lock_obligations(self) -> dict[str, frozenset[LockObligation]]:
         """Function qualname → obligations escaping it (bounded fixpoint)."""

@@ -462,8 +462,8 @@ class PreparedStatement:
         self.sql = sql
         self._plan = plan_sql(sql)
         # Memo cache shared by every cursor this statement hands out; its
-        # mutations are lock-checked (repro-lint REPRO102) ahead of the
-        # multi-client server mode sharing prepared statements.
+        # reads and writes are lock-checked (repro-lint REPRO110) ahead of
+        # the multi-client server mode sharing prepared statements.
         self._memo_lock = threading.Lock()
         self._cache: dict[object, _MemoEntry] = {}  # guarded-by: _memo_lock
 

@@ -79,6 +79,8 @@ class ConvoyDiscovery:
         self.params = params or ConvoyParams()
 
     def fit(self, mod: MOD) -> ClusteringResult:
+        if len(mod) == 0:
+            return ClusteringResult(method="convoy", clusters=[], outliers=[], params=self.params)
         start_all = time.perf_counter()
         params = self.params.resolved(mod)
         assert params.eps is not None and params.snapshot_interval is not None

@@ -58,6 +58,8 @@ class TOpticsClustering:
         self.params = params or TOpticsParams()
 
     def fit(self, mod: MOD) -> ClusteringResult:
+        if len(mod) == 0:
+            return ClusteringResult(method="t-optics", clusters=[], outliers=[], params=self.params)
         start_all = time.perf_counter()
         params = self.params.resolved(mod)
         assert params.max_eps is not None and params.eps_cut is not None

@@ -280,6 +280,8 @@ class TraclusClustering:
 
     def fit(self, mod: MOD) -> ClusteringResult:
         """Run TRACLUS over the MOD and map the output to the shared result model."""
+        if len(mod) == 0:
+            return ClusteringResult(method="traclus", clusters=[], outliers=[], params=self.params)
         start_all = time.perf_counter()
         params = self.params.resolved(mod)
         assert params.eps is not None

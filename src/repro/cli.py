@@ -12,13 +12,14 @@
   (scenarios x profiles x S2T partition counts x warm/cold engines), write
   ``BENCH_scenarios.json`` and exit nonzero when any cell falls below the
   ``quality_floor.json`` regression floor.
-* ``repro-docs`` — build the documentation site from ``docs/`` (strict: any
-  warning — missing docstring, undocumented SQL statement, broken link —
-  fails the build).
 * ``repro-fsck`` — verify (and with ``--repair`` recover) a durable engine's
   storage directory: manifest CRCs, per-page partition checksums, record
   counts, orphaned crash debris.  Exits nonzero while unrepaired errors
   remain.
+
+The other two scripts point straight at their modules: ``repro-docs`` at
+:func:`repro.docsgen.main` and ``repro-lint`` at
+:func:`repro.analysis.driver.main`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "main_fsck",
     "main_datagen",
     "main_bench_scenarios",
-    "main_docs",
 ]
 
 
@@ -446,13 +446,6 @@ def main_bench_scenarios(argv: list[str] | None = None) -> int:
     for violation in violations:
         print(f"FLOOR VIOLATION: {violation}", file=sys.stderr)
     return 1 if violations else 0
-
-
-def main_docs(argv: list[str] | None = None) -> int:
-    """Build the documentation site (see :mod:`repro.docsgen`)."""
-    from repro.docsgen import main as docsgen_main
-
-    return docsgen_main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - direct execution helper

@@ -109,9 +109,9 @@ class HermesEngine:
         self.catalog: DurableCatalog | None = None
         self._datasets: dict[str, MOD] = {}
         # The frame catalog is the first cache the multi-client server mode
-        # (ROADMAP) will share across threads; its mutations are lock-checked
-        # today (repro-lint REPRO102) so that refactor starts from a verified
-        # baseline.  RLock: frame() materialises recovered datasets, which
+        # (ROADMAP) will share across threads; its reads and writes are
+        # lock-checked today (repro-lint REPRO110) so that refactor starts
+        # from a verified baseline.  RLock: frame() materialises recovered datasets, which
         # seeds the catalog while the caller may already hold the lock.
         self._catalog_lock = threading.RLock()
         self._frames: dict[str, MODFrame] = {}  # guarded-by: _catalog_lock

@@ -98,7 +98,7 @@ class WorkerPool:
     def __init__(self) -> None:
         # RLock, not Lock: executor() shuts down an undersized executor
         # while already inside the critical section.  Lock-checked by
-        # repro-lint REPRO102 ahead of the multi-client server mode.
+        # repro-lint REPRO110 ahead of the multi-client server mode.
         self._lock = threading.RLock()
         self._executor: ProcessPoolExecutor | None = None  # guarded-by: _lock
         self._max_workers = 0  # guarded-by: _lock

@@ -18,9 +18,12 @@ The build is *strict by default* — warnings are errors — and checks:
 
 Usage::
 
-    repro-docs                    # build docs/_site from docs/
-    repro-docs --out /tmp/site    # build elsewhere
-    make docs                     # same build via the Makefile
+    python -m repro.docsgen               # build docs/_site from docs/
+    python -m repro.docsgen --out site    # build elsewhere
+    python -m repro.docsgen --no-strict   # report warnings, exit 0
+    make docs                             # the strict build (docs-draft: lenient)
+
+Installed, the same entry point is the ``repro-docs`` console script.
 """
 
 from __future__ import annotations

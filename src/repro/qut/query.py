@@ -58,8 +58,6 @@ class QuTClustering:
     """Time-aware cluster retrieval over a :class:`~repro.qut.retratree.ReTraTree`."""
 
     def __init__(self, tree: ReTraTree) -> None:
-        if tree.params is None:
-            raise ValueError("the ReTraTree is empty; build it before querying")
         self.tree = tree
 
     # -- public API -------------------------------------------------------------
@@ -69,20 +67,19 @@ class QuTClustering:
 
         Degenerate windows — a zero-length instant (``tmin == tmax``, whose
         member restrictions all collapse to single points) or a window that
-        misses every materialised sub-chunk — short-circuit to an empty
-        result before the load/merge sweep, so edge queries at and beyond
-        the dataset's lifespan stay cheap and never trip over empty
-        partition batches.
+        misses every materialised sub-chunk (every window does, on the tree
+        of an empty dataset) — short-circuit to an empty result before the
+        load/merge sweep, so edge queries at and beyond the dataset's
+        lifespan stay cheap and never trip over empty partition batches.
         """
-        params = self.tree.params
-        assert params is not None and params.distance_threshold is not None
         timings: dict[str, float] = {}
-
         t0 = time.perf_counter()
         subchunks = self.tree.subchunks_overlapping(window) if window.duration > 0 else []
         timings["lookup"] = time.perf_counter() - t0
         if not subchunks:
             return self._empty_result(window, timings)
+        params = self.tree.params
+        assert params is not None and params.distance_threshold is not None
 
         stats = self.tree.stats
         before = [getattr(stats, name) for name in _READ_COUNTERS]

@@ -212,6 +212,8 @@ def _fn_cluster_histogram(engine: HermesEngine, args: tuple) -> list[dict[str, o
         result = engine.last_result(dataset)
     except KeyError as exc:
         raise SQLExecutionError(str(exc)) from exc
+    if not result.all_subtrajectories():
+        return []  # an empty clustering (of an empty dataset) spans no time to bin
     return cluster_time_histogram(result, n_bins=n_bins).to_rows()
 
 

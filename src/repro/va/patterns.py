@@ -107,6 +107,8 @@ def detect_holding_patterns(
     patterns: list[HoldingPattern] = []
 
     if isinstance(source, MOD):
+        if len(source) == 0:
+            return []
         bbox = source.bbox
         extent = (bbox.dx**2 + bbox.dy**2) ** 0.5
         items: list[tuple[Trajectory, tuple[str, str], int | None]] = [

@@ -1,16 +1,18 @@
 """Meta-test: the shipped ``src/repro`` tree is repro-lint clean.
 
-This is the suite's keystone: the six invariants are not aspirations but
+This is the suite's keystone: the eight invariants are not aspirations but
 facts about the tree as committed, and any PR that breaks one fails here
 (and in the CI ``static-analysis`` job) before the functional suites run.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analysis import ALL_CHECKERS, lint_paths
 from repro.analysis.base import SourceModule
+from repro.analysis.flow.summaries import guarded_attributes
 
 SRC_REPRO = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 
@@ -37,10 +39,6 @@ def test_every_rule_covers_part_of_the_real_tree():
 
 
 def test_seeded_lock_annotations_are_visible():
-    from repro.analysis.lock_discipline import LockDisciplineChecker
-    import ast
-
-    checker = LockDisciplineChecker()
     expected = {
         "core/engine.py": {"_frames": "_catalog_lock"},
         "core/parallel.py": {"_executor": "_lock", "_max_workers": "_lock"},
@@ -51,5 +49,5 @@ def test_seeded_lock_annotations_are_visible():
         declared: dict[str, str] = {}
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
-                declared.update(checker._guarded_attrs(module, node))
+                declared.update(guarded_attributes(module, node))
         assert attrs.items() <= declared.items(), (relative, declared)

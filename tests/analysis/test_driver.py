@@ -1,8 +1,7 @@
-"""The ``repro-lint`` driver: CLI surface, exit codes, output formats."""
+"""The ``repro-lint`` driver: CLI surface, exit codes, text output."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
@@ -77,20 +76,6 @@ def test_missing_path_is_a_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
-def test_json_format(tmp_path, capsys):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    assert main([str(tree), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["files_checked"] == 1
-    assert report["rules"] == [checker.rule for checker in ALL_CHECKERS]
-    (finding,) = report["findings"]
-    assert finding["rule"] == "REPRO101"
-    assert finding["slug"] == "io-discipline"
-    assert finding["line"] == 2
-    assert finding["path"].endswith("bad.py")
-    assert "IOShim" in finding["hint"]
-
-
 def test_parse_error_is_a_finding(tmp_path, capsys):
     tree = _tree(tmp_path, {"storage/broken.py": "def broken(:\n"})
     assert main([str(tree)]) == 1
@@ -118,8 +103,8 @@ def test_explicit_file_argument(tmp_path):
 def test_registry_ids_are_unique_and_ordered():
     rules = [checker.rule for checker in ALL_CHECKERS]
     slugs = [checker.slug for checker in ALL_CHECKERS]
-    assert len(set(rules)) == len(rules) == 9
-    assert len(set(slugs)) == len(slugs) == 9
+    assert len(set(rules)) == len(rules) == 8
+    assert len(set(slugs)) == len(slugs) == 8
     assert rules == sorted(rules)
 
 
@@ -130,88 +115,6 @@ def test_select_checkers_roundtrip():
     assert [checker.slug for checker in by_slug] == ["shm-hygiene"]
     with pytest.raises(ValueError):
         select_checkers(["REPRO999"])
-
-
-def test_json_format_has_per_rule_summary_block(tmp_path, capsys):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    assert main([str(tree), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["summary"]["REPRO101"] == 1
-    # Every active rule appears, zero-count included, plus the parser rule.
-    for checker in ALL_CHECKERS:
-        assert checker.rule in report["summary"]
-    assert report["summary"]["REPRO100"] == 0
-    assert report["baselined"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-
-def test_write_baseline_then_lint_reports_only_new_findings(tmp_path, capsys):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    baseline = tmp_path / "lint-baseline.json"
-
-    assert main([str(tree), "--baseline", str(baseline), "--write-baseline"]) == 0
-    out = capsys.readouterr().out
-    assert "baseline written" in out
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1
-    assert len(payload["findings"]) == 1
-
-    # The recorded finding no longer fails the run...
-    assert main([str(tree), "--baseline", str(baseline)]) == 0
-    assert "(1 baselined)" in capsys.readouterr().out
-
-    # ...but a new finding does, and is the only one reported.
-    (tree / "storage" / "worse.py").write_text(BAD_STORAGE)
-    assert main([str(tree), "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "worse.py" in out and "bad.py" not in out
-
-
-def test_baseline_matching_ignores_line_numbers(tmp_path):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    baseline = tmp_path / "lint-baseline.json"
-    assert main([str(tree), "--baseline", str(baseline), "--write-baseline"]) == 0
-    # Shift the finding down two lines: same rule/path/message, new line.
-    (tree / "storage" / "bad.py").write_text("x = 1\ny = 2\n" + BAD_STORAGE)
-    assert main([str(tree), "--baseline", str(baseline)]) == 0
-
-
-def test_baseline_is_a_multiset_second_identical_finding_is_new(tmp_path, capsys):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    baseline = tmp_path / "lint-baseline.json"
-    assert main([str(tree), "--baseline", str(baseline), "--write-baseline"]) == 0
-    # Duplicate the offending function: two identical findings, one budget.
-    source = BAD_STORAGE + "\n\n" + BAD_STORAGE.replace("commit", "commit2")
-    (tree / "storage" / "bad.py").write_text(source)
-    assert main([str(tree), "--baseline", str(baseline)]) == 1
-    report_line = [
-        line for line in capsys.readouterr().out.splitlines() if "repro-lint:" in line
-    ][-1]
-    assert "1 finding" in report_line and "(1 baselined)" in report_line
-
-
-def test_corrupt_baseline_is_a_usage_error(tmp_path):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    baseline = tmp_path / "lint-baseline.json"
-    baseline.write_text("{not json")
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(tree), "--baseline", str(baseline)])
-    assert excinfo.value.code == 2
-    baseline.write_text('{"findings": "nope"}')
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(tree), "--baseline", str(baseline)])
-    assert excinfo.value.code == 2
-
-
-def test_write_baseline_requires_baseline_path(tmp_path):
-    tree = _tree(tmp_path, {"storage/bad.py": BAD_STORAGE})
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(tree), "--write-baseline"])
-    assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ on the compliant twin, honours suppressions — and, for REPRO110, turns the
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
+
+import pytest
 
 from tests.analysis.test_rules import line_of
 
@@ -108,8 +109,9 @@ def test_race_suppression_on_the_access_line(lint_tree):
 
 
 def test_race_private_only_cycles_stay_quiet(lint_tree):
-    # Obligations that never surface in a public entry point are not
-    # reported (nothing outside the class can reach them).
+    # Obligations that circulate only among private helpers that project
+    # code calls are not reported: no entry point reaches them.  (A helper
+    # that nothing calls is an entry itself; see the thread-target case.)
     source = """\
         import threading
 
@@ -119,10 +121,144 @@ def test_race_private_only_cycles_stay_quiet(lint_tree):
                 self._lock = threading.Lock()
                 self._cache = {}  # guarded-by: _lock
 
-            def _only_private(self, key):
+            def _ping(self, key):
+                self._pong(key)
+
+            def _pong(self, key):
                 self._cache.pop(key, None)
+                self._ping(key)
     """
     assert lint_tree({"core/pool.py": source}, select=["race-detection"]) == []
+
+
+# The cases of the former per-method lock rule (REPRO102), carried over:
+# REPRO110 flags each of its positives at the same line.
+
+LOCK_POSITIVE = """\
+    import threading
+
+
+    class Pool:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._cache = {}  # guarded-by: _lock
+
+        def unlocked_write(self, key, value):
+            self._cache[key] = value  # MARK-assign
+
+        def unlocked_pop(self, key):
+            if key:
+                return self._cache.pop(key, None)  # MARK-pop
+            return None
+"""
+
+LOCK_NEGATIVE = """\
+    import threading
+
+
+    class Pool:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._cache = {}  # guarded-by: _lock
+            self._cache["warm"] = True  # __init__ is exempt
+
+        def locked_write(self, key, value):
+            with self._lock:
+                self._cache[key] = value
+
+        def locked_read(self, key):
+            with self._lock:
+                return self._cache.get(key)
+
+        def unguarded_other(self):
+            self.stats = {}  # not a guarded attribute
+"""
+
+LOCK_NESTED_WITH = """\
+    class Pool:
+        def __init__(self):
+            self._lock = object()
+            self._cache = {}  # guarded-by: _lock
+
+        def nested(self, key):
+            with self._lock:
+                if key:
+                    del self._cache[key]
+"""
+
+LOCK_TUPLE_UNPACK = """\
+    class Pool:
+        def __init__(self):
+            self._lock = object()
+            self._state = None  # guarded-by: _lock
+
+        def swap(self):
+            old, self._state = self._state, None  # MARK-unpack
+            return old
+"""
+
+LOCK_SUPPRESSED = """\
+    class Pool:
+        def __init__(self):
+            self._lock = object()
+            self._cache = {}  # guarded-by: _lock
+
+        def blessed(self, key):
+            # repro-lint: allow[REPRO110]
+            self._cache.pop(key, None)
+"""
+
+LOCK_THREAD_TARGET = """\
+    import threading
+
+
+    class Pump:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._queue = []  # guarded-by: _lock
+            self._thread = threading.Thread(target=self._worker)
+
+        def _worker(self):
+            self._queue.clear()  # MARK-worker
+"""
+
+LOCK_UNCALLED_HOLDS_HELPER = """\
+    import threading
+
+
+    class Pump:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._queue = []  # guarded-by: _lock
+
+        # holds: _lock
+        def _drain(self):
+            return self._queue.pop()
+"""
+
+LOCK_CASES = {
+    "positive": (LOCK_POSITIVE, ["MARK-assign", "MARK-pop"]),
+    "negative": (LOCK_NEGATIVE, []),
+    "nested_with": (LOCK_NESTED_WITH, []),
+    "tuple_unpack": (LOCK_TUPLE_UNPACK, ["MARK-unpack"]),
+    "suppression": (LOCK_SUPPRESSED, []),
+    "uncalled_thread_target": (LOCK_THREAD_TARGET, ["MARK-worker"]),
+    "uncalled_holds_helper": (LOCK_UNCALLED_HOLDS_HELPER, []),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCK_CASES))
+def test_former_lock_discipline_cases(lint_tree, case):
+    source, marks = LOCK_CASES[case]
+    findings = lint_tree({"core/pool.py": source}, select=["race-detection"])
+    assert sorted(f.line for f in findings) == sorted(line_of(source, m) for m in marks)
+    assert all(f.rule == "REPRO110" and "`_lock`" in f.message for f in findings)
+
+
+def test_uncalled_helper_is_named_as_its_own_entry(lint_tree):
+    (finding,) = lint_tree({"core/pump.py": LOCK_THREAD_TARGET}, select=["race-detection"])
+    assert "entry `Pump._worker`" in finding.message
+    assert "locally" in finding.message
 
 
 # The three PR 8 lock-seeded sites, verified interprocedurally on the real

@@ -82,112 +82,6 @@ def test_io_discipline_suppression(lint_tree):
 
 
 # ---------------------------------------------------------------------------
-# REPRO102 lock-discipline
-# ---------------------------------------------------------------------------
-
-LOCK_POSITIVE = """\
-    import threading
-
-
-    class Pool:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._cache = {}  # guarded-by: _lock
-
-        def unlocked_write(self, key, value):
-            self._cache[key] = value  # MARK-assign
-
-        def unlocked_pop(self, key):
-            if key:
-                return self._cache.pop(key, None)  # MARK-pop
-            return None
-"""
-
-LOCK_NEGATIVE = """\
-    import threading
-
-
-    class Pool:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._cache = {}  # guarded-by: _lock
-            self._cache["warm"] = True  # __init__ is exempt
-
-        def locked_write(self, key, value):
-            with self._lock:
-                self._cache[key] = value
-
-        # holds: _lock
-        def helper_pop(self, key):
-            return self._cache.pop(key, None)
-
-        def read_only(self, key):
-            return self._cache.get(key)
-
-        def unguarded_other(self):
-            self.stats = {}  # not a guarded attribute
-"""
-
-
-def test_lock_discipline_positive(lint_tree):
-    findings = lint_tree({"core/pool.py": LOCK_POSITIVE}, select=["lock-discipline"])
-    assert [f.rule for f in findings] == ["REPRO102"] * 2
-    assert {f.line for f in findings} == {
-        line_of(LOCK_POSITIVE, "MARK-assign"),
-        line_of(LOCK_POSITIVE, "MARK-pop"),
-    }
-    assert all("_lock" in f.message for f in findings)
-
-
-def test_lock_discipline_negative(lint_tree):
-    assert lint_tree({"core/pool.py": LOCK_NEGATIVE}, select=["lock-discipline"]) == []
-
-
-def test_lock_discipline_nested_with(lint_tree):
-    source = """\
-        class Pool:
-            def __init__(self):
-                self._lock = object()
-                self._cache = {}  # guarded-by: _lock
-
-            def nested(self, key):
-                with self._lock:
-                    if key:
-                        del self._cache[key]
-    """
-    assert lint_tree({"core/nested.py": source}, select=["lock-discipline"]) == []
-
-
-def test_lock_discipline_tuple_unpack_target(lint_tree):
-    source = """\
-        class Pool:
-            def __init__(self):
-                self._lock = object()
-                self._state = None  # guarded-by: _lock
-
-            def swap(self):
-                old, self._state = self._state, None  # MARK-unpack
-                return old
-    """
-    findings = lint_tree({"core/unpack.py": source}, select=["lock-discipline"])
-    assert [f.line for f in findings] == [line_of(source, "MARK-unpack")]
-
-
-def test_lock_discipline_suppression(lint_tree):
-    source = """\
-        class Pool:
-            def __init__(self):
-                self._lock = object()
-                self._cache = {}  # guarded-by: _lock
-
-            def blessed(self, key):
-                # repro-lint: allow[REPRO102]
-                self._cache.pop(key, None)
-    """
-    assert lint_tree({"core/allowed.py": source}, select=["lock-discipline"]) == []
-
-
-# ---------------------------------------------------------------------------
 # REPRO103 plan-purity
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Unit and integration tests for the QuT-Clustering query algorithm."""
 
+import math
+
 import pytest
 
 from repro.hermes.types import Period
@@ -19,9 +21,14 @@ def built_tree():
 
 
 class TestQuTQuery:
-    def test_empty_tree_rejected(self):
-        with pytest.raises(ValueError):
-            QuTClustering(ReTraTree())
+    @pytest.mark.parametrize("bounds", [(0.0, 10.0), (-math.inf, math.inf)])
+    def test_empty_tree_answers_every_window_empty(self, bounds):
+        """The tree of an empty dataset holds no sub-chunk, so every window
+        is answered like one that misses the data."""
+        result = QuTClustering(ReTraTree()).query(Period(*bounds))
+        assert result.method == "qut"
+        assert (result.num_clusters, result.num_outliers) == (0, 0)
+        assert result.extras["subchunks_touched"] == 0
 
     def test_full_window_returns_flow_clusters(self, built_tree):
         mod, tree = built_tree

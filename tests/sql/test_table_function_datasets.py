@@ -6,7 +6,9 @@ table function refuses it with :class:`SQLExecutionError` — the executor's
 arrives as SQL, as a prepared statement or through the fluent
 ``Dataset.call``.  An empty dataset (just created, or holding only buffered
 ``INSERT`` points) is answered: ``SUMMARY`` with zero counts and ``None``
-bounds, ``S2T`` with one empty ``outliers`` row.
+bounds; ``S2T``, ``QUT`` (any window) and the three baselines with one empty
+``outliers`` row; ``HOLDING_PATTERNS`` and ``CLUSTER_HISTOGRAM`` (over the
+empty dataset's clustering) with no rows.
 """
 
 from __future__ import annotations
@@ -86,3 +88,53 @@ class TestEmptyDataset:
             conn.execute(statement)
         assert conn.execute("SELECT S2T(z)").fetchall() == EMPTY_S2T
         assert conn.dataset("z").call("S2T").run() == EMPTY_S2T
+
+
+# (function, args, answer) on an empty dataset.  CLUSTER_HISTOGRAM reads the
+# dataset's last clustering, so its case runs ``S2T`` first.
+EMPTY_ANSWERS = [
+    ("QUT", (0, 10), EMPTY_S2T),
+    ("TRACLUS", (), EMPTY_S2T),
+    ("TOPTICS", (), EMPTY_S2T),
+    ("CONVOY", (), EMPTY_S2T),
+    ("HOLDING_PATTERNS", (), []),
+    ("CLUSTER_HISTOGRAM", (), []),
+]
+
+
+def _empty_connection(inserts: list[str], function: str):
+    conn = connect()
+    conn.execute("CREATE DATASET z")
+    for statement in inserts:
+        conn.execute(statement)
+    if function == "CLUSTER_HISTOGRAM":
+        conn.execute("SELECT S2T(z)")
+    return conn
+
+
+@pytest.mark.parametrize(
+    "inserts", [[], ["INSERT INTO z VALUES ('a', '0', 0, 0, 0)"]], ids=["created", "one_point"]
+)
+@pytest.mark.parametrize(
+    ("function", "args", "answer"), EMPTY_ANSWERS, ids=[name for name, _, _ in EMPTY_ANSWERS]
+)
+class TestEmptyDatasetAnswers:
+    def test_sql(self, inserts, function, args, answer):
+        conn = _empty_connection(inserts, function)
+        assert conn.execute(_sql(function, args, "z")).fetchall() == answer
+
+    def test_prepared(self, inserts, function, args, answer):
+        conn = _empty_connection(inserts, function)
+        stmt = conn.prepare(_sql(function, args, ":d"))
+        assert stmt.execute({"d": "z"}).fetchall() == answer
+
+    def test_fluent(self, inserts, function, args, answer):
+        conn = _empty_connection(inserts, function)
+        assert conn.dataset("z").call(function, *args).run() == answer
+
+
+def test_cluster_histogram_before_any_clustering_is_a_typed_error():
+    conn = connect()
+    conn.execute("CREATE DATASET z")
+    with pytest.raises(SQLExecutionError, match="no clustering has been run on dataset 'z'"):
+        conn.execute("SELECT CLUSTER_HISTOGRAM(z)")

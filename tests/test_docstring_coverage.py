@@ -32,7 +32,6 @@ ENFORCED_MODULES = [
     "repro/analysis/flow/summaries.py",
     "repro/analysis/generation.py",
     "repro/analysis/io_discipline.py",
-    "repro/analysis/lock_discipline.py",
     "repro/analysis/plan_purity.py",
     "repro/analysis/race.py",
     "repro/analysis/shm_hygiene.py",
