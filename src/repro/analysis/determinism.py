@@ -1,8 +1,8 @@
 """REPRO105 ``determinism`` — no wall clocks or unseeded RNG on answer paths.
 
 The project's strongest regression pin is *bit-identity*: recovery,
-sharding, parallel scheduling and the batched kernels all assert their
-answers match a serial reference exactly.  That only holds if the
+parallel scheduling, the shared-memory transport and the batched kernels all
+assert their answers match a serial reference exactly.  That only holds if the
 answer-producing packages — ``hermes/``, ``qut/``, ``sql/`` — never
 consult a wall clock or an unseeded random stream.
 

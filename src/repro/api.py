@@ -565,12 +565,13 @@ class Dataset:
         eps: object = None,
         gamma: object = 2,
         jobs: object = 1,
-        shards: object = None,
+        partitions: object = None,
     ) -> "Query":
         """S2T sub-trajectory clustering (``SELECT S2T(D, ...)``).
 
-        ``shards`` overrides the partitioned operator's temporal partition
-        count (the SQL ``SHARDS`` argument); ``None`` keeps the default.
+        ``partitions`` overrides the partitioned operator's temporal
+        partition count (the SQL ``partitions`` argument); ``None`` keeps
+        the default.
         """
         return Query(
             self.connection,
@@ -580,7 +581,7 @@ class Dataset:
                 eps=eps,
                 gamma=gamma,
                 jobs=jobs,
-                shards=shards,
+                partitions=partitions,
             ),
         )
 
@@ -594,14 +595,8 @@ class Dataset:
         tolerance: object = 0.0,
         distance: object = None,
         gamma: object = 2,
-        shards: object = None,
     ) -> "Query":
-        """QuT window clustering (``SELECT QUT(D, Wi, We, ...)``).
-
-        ``shards`` fans a *needed* ReTraTree bulk load out over ``N`` chunk
-        windows on the worker pool; an existing tree is reused whatever its
-        value, and every value returns bit-identical clusters.
-        """
+        """QuT window clustering (``SELECT QUT(D, Wi, We, ...)``)."""
         return Query(
             self.connection,
             QuTPlan(
@@ -613,7 +608,6 @@ class Dataset:
                 tolerance=tolerance,
                 distance=distance,
                 gamma=gamma,
-                shards=shards,
             ),
         )
 

@@ -59,7 +59,6 @@ from repro.baselines.range_then_cluster import RangeThenCluster
 from repro.baselines.toptics import TOpticsClustering, TOpticsParams
 from repro.baselines.traclus import TraclusClustering, TraclusParams
 from repro.core.parallel import WorkerPool, partitioned_s2t
-from repro.core.shard import ShardPlan, build_sharded_tree
 from repro.hermes.frame import MODFrame
 from repro.hermes.io import read_csv, write_csv
 from repro.hermes.mod import MOD
@@ -128,8 +127,8 @@ class HermesEngine:
         self._replacements: dict[str, int] = {}
         self._plan_executor = None
         # Engine-owned persistent worker pool (lazily started by pool());
-        # shared by every partition-parallel S2T run and fanned-out tree
-        # load so consecutive jobs reuse warm worker processes.
+        # shared by every partition-parallel S2T run so consecutive jobs
+        # reuse warm worker processes.
         self._worker_pool: WorkerPool | None = None
         self._pool_finalizer = None
         if self.storage_directory is not None:
@@ -356,13 +355,13 @@ class HermesEngine:
         """The engine-owned persistent worker pool, starting it lazily.
 
         One :class:`~repro.core.parallel.WorkerPool` per engine: every
-        partition-parallel S2T run and fanned-out ReTraTree bulk load submits
-        to the same pool, so consecutive parallel calls reuse warm worker
-        processes instead of forking a fresh ``ProcessPoolExecutor`` per
-        call.  The pool itself defers process creation to the first job.
-        It is shut down by :meth:`close` and — as a backstop — by a
-        ``weakref`` finalizer when the engine is garbage-collected, so
-        dropping an engine never leaks worker processes.
+        partition-parallel S2T run submits to the same pool, so consecutive
+        parallel calls reuse warm worker processes instead of forking a
+        fresh ``ProcessPoolExecutor`` per call.  The pool itself defers
+        process creation to the first job.  It is shut down by :meth:`close`
+        and — as a backstop — by a ``weakref`` finalizer when the engine is
+        garbage-collected, so dropping an engine never leaks worker
+        processes.
         """
         if self._worker_pool is None:
             self._worker_pool = WorkerPool()
@@ -425,7 +424,6 @@ class HermesEngine:
         name: str,
         params: QuTParams | None = None,
         rebuild: bool = False,
-        shards: int | None = None,
     ) -> ReTraTree:
         """The (cached) ReTraTree of a dataset, building it on first use.
 
@@ -439,18 +437,7 @@ class HermesEngine:
         differ from the cached tree's build parameters trigger a rebuild,
         while ``params=None`` always accepts the existing tree — so warm
         and cold processes answer identical calls identically.
-
-        ``shards`` (SQL surfaces it as the ``SHARDS`` knob) only says how a
-        *needed* bulk load runs: ``N >= 2`` fans it out over ``N`` chunk
-        windows on the engine's persistent worker pool
-        (:func:`~repro.core.shard.build_sharded_tree`); ``1`` or ``None``
-        loads in process.  The result is the same plain
-        :class:`~repro.qut.retratree.ReTraTree` either way — bit-identical
-        sub-chunks — so a cached or persisted tree is accepted whatever
-        fan-out built it.
         """
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be at least 1")
         if rebuild:
             self._forget_tree(name)
         cached = self._retratrees.get(name)
@@ -464,7 +451,13 @@ class HermesEngine:
             tree = self._reopen_tree(name, params)
             if tree is None:
                 self._forget_tree(name)
-                tree = self._build_tree(name, params, shards)
+                tree = ReTraTree.build(
+                    self.get_mod(name),
+                    params=params,
+                    storage=self.catalog.storage(name) if self.catalog is not None else None,
+                    name=name,
+                    frame=self.frame(name),
+                )
                 if self.catalog is not None and tree.params is not None:
                     # An empty tree (no resolved params) has nothing to
                     # persist; a cold successor rebuilds it for free.
@@ -472,56 +465,19 @@ class HermesEngine:
             self._retratrees[name] = tree
         return self._retratrees[name]
 
-    def _build_tree(self, name: str, params: QuTParams | None, shards: int | None) -> ReTraTree:
-        """Bulk-load a dataset's index, fanned out over ``shards`` chunk windows.
-
-        ``shards >= 2`` resolves the grid **once over the whole MOD**
-        (origin and parameters shared by every window — the invariant the
-        bit-identity guarantee rests on), plans the chunk-axis split and
-        loads the windows on the engine's worker pool; anything else
-        (including an empty dataset, which has no grid to split) is the
-        plain in-process bulk load.
-        """
-        mod = self.get_mod(name)
-        storage = self.catalog.storage(name) if self.catalog is not None else None
-        if shards is not None and shards > 1 and len(mod) > 0:
-            raw = params or QuTParams()
-            resolved = raw.resolved(mod)
-            plan = ShardPlan.for_layout(mod.period.duration, resolved.tau, shards)
-            return build_sharded_tree(
-                self.frame(name),
-                raw,
-                resolved,
-                mod.period.tmin,
-                plan,
-                storage=storage,
-                name=name,
-                pool=self.pool(),
-            )
-        return ReTraTree.build(
-            mod,
-            params=params,
-            storage=storage,
-            name=name,
-            frame=self.frame(name),
-        )
-
     def qut(
         self,
         name: str,
         window: Period,
         params: QuTParams | None = None,
-        shards: int | None = None,
     ) -> ClusteringResult:
         """QuT-Clustering: clusters/outliers intersecting ``window``.
 
         The first call builds (and caches) the dataset's ReTraTree; later
         calls only pay the query cost — that is the progressive behaviour the
-        paper demonstrates.  ``shards`` is forwarded to :meth:`retratree`;
-        any value returns bit-identical clusters, it only changes how a
-        needed bulk load runs.
+        paper demonstrates.
         """
-        tree = self.retratree(name, params=params, shards=shards)
+        tree = self.retratree(name, params=params)
         result = QuTClustering(tree).query(window)
         self._last_results[name] = result
         return result

@@ -40,11 +40,10 @@ scaling across cores.
 
 Entry points: :func:`partitioned_s2t` (library),
 ``HermesEngine.s2t(name, n_jobs=...)`` (engine) and
-``SELECT S2T(D, sigma, eps, gamma, strategy, jobs, shards)`` (SQL).
+``SELECT S2T(D, sigma, eps, gamma, strategy, jobs, partitions)`` (SQL).
 
-:func:`scatter` is the one pooled fan-out — publish, ship, retry by value,
-degrade, drain — shared with the ReTraTree's parallel bulk load
-(:mod:`repro.core.shard`).
+:func:`scatter` is the pooled fan-out — publish, ship, retry by value,
+degrade, drain.
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import Counter, OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TypeVar
 
 import numpy as np
 
@@ -73,10 +71,7 @@ __all__ = [
     "partitioned_s2t",
     "merge_partition_results",
     "scatter",
-    "shipped_task",
 ]
-
-_R = TypeVar("_R")
 
 # Default temporal fan-out: the ReTraTree's data-driven default chunk length
 # is tau = lifespan / 4, i.e. four level-1 chunks per dataset.
@@ -145,8 +140,8 @@ def _fit_partition(task: tuple[MODFrame, S2TParams]) -> ClusteringResult:
 # One arena + small caches per worker process: the first task touching a
 # shipped segment attaches it (and rebuilds derived state once); subsequent
 # tasks over the same dataset reuse the mapping.  The job's constant context
-# (frame metadata + e.g. the resolved params) travels once per job in its own
-# tiny control segment, so each task ships only segment names plus its item —
+# (frame metadata + the resolved params) travels once per job in its own tiny
+# control segment, so each task ships only segment names plus its period —
 # a couple hundred bytes regardless of params size.  Evicted segments are
 # closed through the arena.  Fork-start workers inherit the parent's
 # (empty) caches.
@@ -175,7 +170,7 @@ def attached_frame(segment: str, meta: dict) -> MODFrame:
 
 
 def _job_context(control: str, nbytes: int) -> tuple:
-    """The job's shared ``(frame meta, context)`` block, attached and cached."""
+    """The job's shared ``(frame meta, params)`` block, attached and cached."""
     ctx = _JOB_CONTEXTS.get(control)
     if ctx is None:
         shm = _WORKER_ARENA.attach(control)
@@ -197,31 +192,21 @@ def _publish_context(arena: ShmArena, payload: tuple) -> tuple[str, int]:
     return shm.name, len(blob)
 
 
-def shipped_task(task: tuple) -> tuple[MODFrame, object, object]:
-    """Worker side of :func:`scatter`'s shm route: ``(frame, context, item)``.
-
-    Attaches the shipped dataset frame and the job's control block (both
-    cached per worker process) named by a
-    ``("shm", segment, control, nbytes, item)`` task.
-    """
-    _, segment, control, nbytes, item = task
-    meta, context = _job_context(control, nbytes)
-    return attached_frame(segment, meta), context, item
-
-
 def _fit_partition_task(task: tuple) -> ClusteringResult:
     """Worker entry point: fit one partition from a tagged transport task.
 
-    An ``"shm"`` task names the shipped dataset frame plus the job's control
-    block (the resolved params) and carries the partition's period; the
-    partition is sliced locally — the identical
+    ``("shm", segment, control, nbytes, period)`` names the shipped dataset
+    frame plus the job's control block (frame metadata and the resolved
+    params), both attached and cached per worker process, and carries the
+    partition's period; the partition is sliced locally — the identical
     ``frame.slice_period(period)`` the serial path performs, so transports
     never change results.  ``("pickle", piece_frame, params)`` carries the
     pre-sliced partition by value.
     """
     if task[0] == "shm":
-        frame, params, period = shipped_task(task)
-        return _fit_partition((frame.slice_period(period), params))
+        _, segment, control, nbytes, period = task
+        meta, params = _job_context(control, nbytes)
+        return _fit_partition((attached_frame(segment, meta).slice_period(period), params))
     _, piece, params = task
     return _fit_partition((piece, params))
 
@@ -348,13 +333,7 @@ def partitioned_s2t(
     transport_info: dict = {}
     if n_jobs > 1 and len(fitted) > 1:
         parts, transport_info = scatter(
-            _fit_partition_task,
-            frame,
-            params,
-            fitted,
-            lambda period: ("pickle", frame.slice_period(period), params),
-            workers=min(n_jobs, len(fitted)),
-            pool=pool,
+            frame, params, fitted, workers=min(n_jobs, len(fitted)), pool=pool
         )
     if parts is None:
         parts = [_fit_partition((frame.slice_period(p), params)) for p in fitted]
@@ -367,31 +346,27 @@ def partitioned_s2t(
 
 
 def scatter(
-    entry: Callable[[tuple], _R],
     frame: MODFrame,
-    context: object,
-    items: Sequence[object],
-    by_value: Callable[[object], tuple],
+    params: S2TParams,
+    periods: Sequence[Period],
     *,
     workers: int,
     pool: WorkerPool | None,
-) -> tuple[list[_R] | None, dict]:
-    """Run ``entry`` once per item on a process pool, the frame shipped zero-copy.
+) -> tuple[list[ClusteringResult] | None, dict]:
+    """Fit one partition per period on a process pool, the frame shipped zero-copy.
 
-    The one pooled fan-out (partition fits here, chunk-window bulk loads in
-    :mod:`repro.core.shard`).  ``frame`` is published into a per-call
-    :class:`~repro.hermes.shm.ShmArena`, the job-constant ``context`` into
-    a control segment beside it, and each task is
-    ``("shm", segment, control, nbytes, item)`` — ``entry`` resolves it with
-    :func:`shipped_task`.  When the publish is refused, or a worker cannot
-    attach, the whole job runs over ``by_value(item)`` tasks instead (the
-    caller's ``("pickle", …)`` wire shape, the frame travelling by value).
+    ``frame`` is published into a per-call
+    :class:`~repro.hermes.shm.ShmArena`, the job-constant ``params`` into a
+    control segment beside it, and each task is
+    ``("shm", segment, control, nbytes, period)``.  When the publish is
+    refused, or a worker cannot attach, the whole job runs by value instead:
+    ``("pickle", frame.slice_period(period), params)`` tasks.
 
-    Returns ``(results, info)`` in item order.  Only the *pool* failing
+    Returns ``(results, info)`` in period order.  Only the *pool* failing
     degrades: a :class:`~concurrent.futures.process.BrokenProcessPool`
     (worker killed mid-job, or a platform that refuses to start one) resets
     the pool and returns ``(None, info)`` with ``info["pool_error"]`` set,
-    for the caller to run in-process.  An exception raised by ``entry``
+    for the caller to run in-process.  An exception raised by a fit
     propagates.  ``info`` records ``transport``, ``bytes_shipped_per_task``,
     ``transport_setup_bytes`` (shm) and ``shm_error`` (after a fallback).
     The arena is drained on every way out, so no ``/dev/shm`` segment
@@ -402,15 +377,15 @@ def scatter(
     owned_pool = pool is None
     run_pool = pool if pool is not None else WorkerPool()
 
-    def run(transport: str, tasks: list[tuple]) -> list[_R]:
+    def run(transport: str, tasks: list[tuple]) -> list[ClusteringResult]:
         info["transport"] = transport
         info["bytes_shipped_per_task"] = _mean_task_bytes(tasks)
         try:
-            results = run_pool.executor(workers).map(entry, tasks)
+            results = run_pool.executor(workers).map(_fit_partition_task, tasks)
         except OSError as exc:
             # Refused while *starting* the pool (sandboxes that forbid
             # semaphores or fork fail in the executor's constructor or at
-            # submit): no pool here.  An OSError raised by ``entry`` arrives
+            # submit): no pool here.  An OSError raised by a fit arrives
             # with the results below and propagates like any worker error.
             raise BrokenProcessPool(repr(exc)) from exc
         return list(results)
@@ -419,15 +394,17 @@ def scatter(
         try:
             try:
                 segment, meta = frame.to_shm(arena)
-                control, nbytes = _publish_context(arena, (meta, context))
+                control, nbytes = _publish_context(arena, (meta, params))
                 info["transport_setup_bytes"] = nbytes
-                return run("shm", [("shm", segment, control, nbytes, i) for i in items]), info
+                tasks = [("shm", segment, control, nbytes, p) for p in periods]
+                return run("shm", tasks), info
             except ShmTransportError as exc:
                 # The publish was refused, or a worker could not attach the
                 # published segment (fault injection, exotic platforms):
                 # run the whole job by value on the same pool.
                 info["shm_error"] = repr(exc)
-                return run("pickle", [by_value(i) for i in items]), info
+                tasks = [("pickle", frame.slice_period(p), params) for p in periods]
+                return run("pickle", tasks), info
         except BrokenProcessPool as exc:
             run_pool.reset()
             info["pool_error"] = repr(exc)

@@ -46,7 +46,6 @@ API_TARGETS: tuple[tuple[str, tuple[str, ...] | None], ...] = (
     ("repro.core.ingest", None),
     ("repro.core.parallel", ("WorkerPool", "partitioned_s2t")),
     ("repro.core.session", ("ProgressiveSession", "SessionStep")),
-    ("repro.core.shard", ("ShardPlan", "build_sharded_tree")),
     ("repro.hermes.distances", ("spatiotemporal_distance_batch", "hausdorff_distance_batch")),
     ("repro.hermes.frame", ("MODFrame",)),
     ("repro.hermes.mod", ("MOD",)),

@@ -115,7 +115,7 @@ def _fit(engine: HermesEngine, name: str, partitions: int):
     """Run the cell's S2T call — the exact call the SQL path makes.
 
     ``partitions`` is the S2T operator's ``n_partitions`` (the SQL
-    ``SHARDS`` argument): ``1`` is the classic whole-MOD fit, ``> 1`` the
+    ``partitions`` argument): ``1`` is the classic whole-MOD fit, ``> 1`` the
     partitioned operator executed serially (worker counts do not change
     memberships, so the matrix stays meaningful on a single-CPU host).
     """

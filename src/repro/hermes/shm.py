@@ -1,8 +1,7 @@
 """Shared-memory segment bookkeeping for the zero-copy frame transport.
 
-The partition-parallel scheduler (:mod:`repro.core.parallel`) and the
-fanned-out ReTraTree bulk load (:mod:`repro.core.shard`) ship a dataset's
-:class:`~repro.hermes.frame.MODFrame` to worker processes.  The pickle wire
+The partition-parallel scheduler (:mod:`repro.core.parallel`) ships a
+dataset's :class:`~repro.hermes.frame.MODFrame` to worker processes.  The pickle wire
 format copies every column per task; the shared-memory transport instead
 publishes the columns **once** into a ``multiprocessing.shared_memory``
 segment (:meth:`~repro.hermes.frame.MODFrame.to_shm`) and ships only the

@@ -208,10 +208,9 @@ class ReTraTreeStats:
 class ReTraTree:
     """Incrementally maintained index for time-aware sub-trajectory clustering."""
 
-    # Class-level counter of bulk loads (:meth:`build` / :meth:`bulk_load`;
-    # a fanned-out load counts once in the parent).  The restart recovery
-    # tests assert through it (together with a fresh tree's zeroed ``stats``)
-    # that reopening a persisted tree never re-runs the bulk load.
+    # Class-level counter of bulk loads (:meth:`build`).  The restart
+    # recovery tests assert through it (together with a fresh tree's zeroed
+    # ``stats``) that reopening a persisted tree never re-runs the bulk load.
     build_calls: int = 0
 
     def __init__(
@@ -220,20 +219,12 @@ class ReTraTree:
         storage: StorageManager | None = None,
         origin: float = 0.0,
         name: str = "retratree",
-        chunk_range: tuple[int | None, int | None] | None = None,
     ) -> None:
         self.name = name
         self._raw_params = params or QuTParams()
         self.params: QuTParams | None = None  # resolved lazily on first insert
         self.storage = storage or StorageManager()
         self.origin = origin
-        # Half-open level-1 chunk ownership window ``[lo, hi)`` (``None``
-        # bounds are open).  A fanned-out bulk load (:mod:`repro.core.shard`)
-        # gives each worker's tree a disjoint window over a *shared* grid:
-        # the sub-chunk walk skips what lies outside the window, so a worker
-        # inserts exactly the pieces the whole load would place in its
-        # chunks.  ``None`` (the default) owns every chunk.
-        self.chunk_range = chunk_range
         self._subchunks: dict[tuple[int, int], SubChunk] = {}
         # Columnar snapshot of each sub-chunk's representatives, keyed by the
         # sub-chunk's entries_version at build time: any entry mutation
@@ -285,17 +276,6 @@ class ReTraTree:
         within = offset - chunk_idx * tau
         sub_idx = min(int(math.floor(within / delta)), max(int(round(tau / delta)) - 1, 0))
         return chunk_idx, sub_idx
-
-    def _owns_chunk(self, chunk_idx: int) -> bool:
-        """Whether this tree's :attr:`chunk_range` covers level-1 ``chunk_idx``."""
-        if self.chunk_range is None:
-            return True
-        lo, hi = self.chunk_range
-        if lo is not None and chunk_idx < lo:
-            return False
-        if hi is not None and chunk_idx >= hi:
-            return False
-        return True
 
     def _subchunk_period(self, chunk_idx: int, sub_idx: int) -> Period:
         assert self.params is not None
@@ -439,13 +419,12 @@ class ReTraTree:
 
     # -- insertion ----------------------------------------------------------------------
 
-    def _owned_subchunks(self, traj: Trajectory) -> Iterator[tuple[int, int]]:
-        """Keys of the owned sub-chunks ``traj``'s lifespan crosses, in time order.
+    def _crossed_subchunks(self, traj: Trajectory) -> Iterator[tuple[int, int]]:
+        """Keys of the sub-chunks ``traj``'s lifespan crosses, in time order.
 
         The one sub-chunk cursor walk: from the sub-chunk holding the
         trajectory's first instant, hop just past each sub-chunk's end until
-        the one holding its last instant.  Sub-chunks outside this tree's
-        :attr:`chunk_range` are skipped.
+        the one holding its last instant.
         """
         params = self._ensure_params(traj)
         assert params.delta is not None
@@ -456,8 +435,7 @@ class ReTraTree:
             key = self._locate(cursor)
             if key not in seen:
                 seen.add(key)
-                if self._owns_chunk(key[0]):
-                    yield key
+                yield key
             if key == end_chunk or cursor >= traj.period.tmax:
                 break
             cursor = self._subchunk_period(*key).tmax + params.delta * 1e-9
@@ -469,7 +447,7 @@ class ReTraTree:
         """
         self.stats.trajectories_inserted += 1
         touched: set[tuple[int, int]] = set()
-        for key in self._owned_subchunks(traj):
+        for key in self._crossed_subchunks(traj):
             piece = traj.slice_period(self._subchunk_period(*key))
             if piece is not None:
                 touched.add(
@@ -798,7 +776,6 @@ class ReTraTree:
             "next_cluster_id": self._next_cluster_id,
             "params": self.params.to_dict(),
             "raw_params": self._raw_params.to_dict(),
-            "chunk_range": list(self.chunk_range) if self.chunk_range else None,
             "reps_partition": reps_partition,
             "reps_count": reps.record_count,
             "subchunks": subchunks,
@@ -865,13 +842,11 @@ class ReTraTree:
         is a record whose page passes its CRC yet does not decode; it fails
         in the first query that loads it.
         """
-        chunk_range = manifest.get("chunk_range")
         tree = cls(
             params=QuTParams.from_dict(manifest["raw_params"]),
             storage=storage,
             origin=float(manifest["origin"]),
             name=manifest["name"],
-            chunk_range=tuple(chunk_range) if chunk_range else None,
         )
         tree.params = QuTParams.from_dict(manifest["params"])
         tree._next_cluster_id = int(manifest["next_cluster_id"])
@@ -939,7 +914,7 @@ class ReTraTree:
         """
         self.stats.trajectories_inserted += 1
         touched: set[tuple[int, int]] = set()
-        for key in self._owned_subchunks(traj):
+        for key in self._crossed_subchunks(traj):
             partition = partition_frames.get(key)
             if partition is None:
                 partition = parent_frame.slice_period(self._subchunk_period(*key))
@@ -961,56 +936,23 @@ class ReTraTree:
         name: str = "retratree",
         frame: MODFrame | None = None,
     ) -> "ReTraTree":
-        """Build a ReTraTree over an existing MOD (bulk load + finalize).
+        """Build a ReTraTree over an existing MOD: the one bulk load.
 
-        Resolves the grid — origin and parameters — over the whole MOD and
-        runs :meth:`bulk_load` with no ``chunk_range``.  ``frame`` is the
-        MOD's columnar snapshot (the engine passes its cached catalog
-        entry); built here otherwise.
-        """
-        if len(mod) == 0:
-            ReTraTree.build_calls += 1
-            return cls(params=params, storage=storage, name=name)
-        if frame is None:
-            frame = MODFrame.from_mod(mod)
-        raw = params or QuTParams()
-        return cls.bulk_load(
-            frame, raw, raw.resolved(mod), mod.period.tmin, storage=storage, name=name
-        )
-
-    @classmethod
-    def bulk_load(
-        cls,
-        frame: MODFrame,
-        params: QuTParams,
-        resolved: QuTParams,
-        origin: float,
-        chunk_range: tuple[int | None, int | None] | None = None,
-        storage: StorageManager | None = None,
-        name: str = "retratree",
-    ) -> "ReTraTree":
-        """The one bulk load: walk a dataset frame's rows into a fresh tree.
-
-        The grid — ``origin`` and ``resolved`` — comes from the *whole*
-        dataset, never from ``chunk_range``'s slice of it.  Rows are walked
-        in dataset order and each sub-chunk's pieces derive from *partition
-        frames* sliced off ``frame`` (one batched pass per sub-chunk rather
-        than a concatenation per piece).  ``chunk_range`` keeps only the
-        pieces falling in that window of level-1 chunks: a fanned-out load
-        (:mod:`repro.core.shard`) runs one of these per disjoint window, and
-        because grid, parameters, partition frames and walk order are those
-        of the unrestricted load, each window's sub-chunks are bit-identical
-        to the corresponding sub-chunks of a whole load.
+        The grid — origin and parameters — is resolved over the whole MOD.
+        Rows of ``frame`` (the MOD's columnar snapshot; the engine passes
+        its cached catalog entry, built here otherwise) are walked in dataset
+        order, and each sub-chunk's pieces derive from *partition frames*
+        sliced off ``frame`` (one batched pass per sub-chunk rather than a
+        concatenation per piece).
         """
         ReTraTree.build_calls += 1
-        tree = cls(
-            params=params,
-            storage=storage,
-            origin=origin,
-            name=name,
-            chunk_range=chunk_range,
-        )
-        tree.params = resolved
+        tree = cls(params=params, storage=storage, name=name)
+        if len(mod) == 0:
+            return tree
+        if frame is None:
+            frame = MODFrame.from_mod(mod)
+        tree.origin = mod.period.tmin
+        tree.params = tree.raw_params.resolved(mod)
         partition_frames: dict[tuple[int, int], MODFrame] = {}
         for row in range(len(frame)):
             tree._bulk_insert_from_frame(frame.trajectory_of(row), partition_frames, frame)

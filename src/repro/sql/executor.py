@@ -156,7 +156,7 @@ class PlanExecutor:
                 plan.gamma,
                 plan.strategy,
                 plan.jobs,
-                plan.shards,
+                plan.partitions,
             )
             return ResultSet(call_function(self.engine, "S2T", args))
         if isinstance(plan, QuTPlan):
@@ -169,7 +169,6 @@ class PlanExecutor:
                 plan.tolerance,
                 plan.distance,
                 plan.gamma,
-                plan.shards,
             )
             return ResultSet(call_function(self.engine, "QUT", args))
         if isinstance(plan, FunctionPlan):

@@ -29,7 +29,7 @@ from repro.sql.errors import SQLExecutionError
 from repro.va.histogram import cluster_time_histogram
 from repro.va.patterns import detect_holding_patterns
 
-__all__ = ["FUNCTIONS", "call_function"]
+__all__ = ["FUNCTIONS", "SIGNATURES", "call_function"]
 
 
 def _cluster_rows(result: ClusteringResult) -> list[dict[str, object]]:
@@ -107,19 +107,12 @@ def _opt_str(args: tuple, idx: int, default: str) -> str:
 
 
 def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
-    """``QUT(D, Wi, We [, tau, delta, t, d, gamma, shards])``
-
-    ``shards`` only says how a *needed* ReTraTree bulk load runs: ``N >= 2``
-    fans it out over ``N`` chunk windows on the worker pool.  The tree — and
-    so the answer — is the same for every value, and a cached or persisted
-    tree is reused whatever ``shards`` says.
-    """
+    """``QUT(D, Wi, We [, tau, delta, t, d, gamma])``"""
     dataset = _require_dataset(engine, args, "QUT")
     wi = _opt_float(args, 1)
     we = _opt_float(args, 2)
     if wi is None or we is None:
         raise SQLExecutionError("QUT requires the window bounds Wi and We")
-    shards = _opt_int(args, 8, None)
     try:
         params = QuTParams(
             tau=_opt_float(args, 3),
@@ -128,19 +121,14 @@ def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
             distance_threshold=_opt_float(args, 6),
             gamma=_opt_int(args, 7, 2),
         )
-        result = engine.qut(
-            dataset,
-            Period(wi, we),
-            params=params,
-            shards=shards,
-        )
+        result = engine.qut(dataset, Period(wi, we), params=params)
     except ValueError as exc:
         raise SQLExecutionError(str(exc)) from exc
     return _cluster_rows(result)
 
 
 def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
-    """``S2T(D [, sigma, eps, gamma, strategy, jobs, shards])``
+    """``S2T(D [, sigma, eps, gamma, strategy, jobs, partitions])``
 
     ``strategy`` accepts only ``NULL`` or ``'batched'``: voting has one
     engine (:mod:`repro.s2t.voting`), and any other value is refused.
@@ -148,8 +136,8 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     (:mod:`repro.core.parallel`) with that many worker processes; note that
     partitioned S2T is a coarser operator than the whole-MOD fit (clusters
     cannot span partition boundaries), so its memberships differ from
-    ``jobs = 1``.  ``shards`` overrides the scheduler's temporal partition
-    count (each shard is one partition; omitted/NULL keeps the default).
+    ``jobs = 1``.  ``partitions`` overrides the scheduler's temporal
+    partition count (omitted/NULL keeps the default).
     """
     dataset = _require_dataset(engine, args, "S2T")
     strategy = _opt_str(args, 4, "batched")
@@ -163,10 +151,10 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
         )
     except ValueError as exc:
         raise SQLExecutionError(str(exc)) from exc
-    shards = _opt_float(args, 6)
+    partitions = _opt_float(args, 6)
     try:
         result = engine.s2t(
-            dataset, params, n_partitions=None if shards is None else int(shards)
+            dataset, params, n_partitions=None if partitions is None else int(partitions)
         )
     except ValueError as exc:
         raise SQLExecutionError(str(exc)) from exc
@@ -245,6 +233,21 @@ FUNCTIONS: dict[str, Callable[[HermesEngine, tuple], list[dict[str, object]]]] =
     "SUMMARY": _fn_summary,
     "CLUSTER_HISTOGRAM": _fn_cluster_histogram,
     "HOLDING_PATTERNS": _fn_holding_patterns,
+}
+
+
+# Each table function's positional parameters, in call order.  The planner
+# refuses a call passing more: the functions read their arguments by
+# position, so a surplus one would otherwise be ignored without a word.
+SIGNATURES: dict[str, tuple[str, ...]] = {
+    "QUT": ("D", "Wi", "We", "tau", "delta", "t", "d", "gamma"),
+    "S2T": ("D", "sigma", "eps", "gamma", "strategy", "jobs", "partitions"),
+    "TRACLUS": ("D", "eps", "min_lns"),
+    "TOPTICS": ("D", "eps_cut", "min_pts"),
+    "CONVOY": ("D", "eps", "m", "k"),
+    "SUMMARY": ("D",),
+    "CLUSTER_HISTOGRAM": ("D", "n_bins"),
+    "HOLDING_PATTERNS": ("D", "min_turns"),
 }
 
 

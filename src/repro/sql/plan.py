@@ -246,11 +246,12 @@ class CountPlan(LogicalPlan):
 @dataclass(frozen=True)
 class S2TPlan(LogicalPlan):
     """S2T sub-trajectory clustering (``SELECT S2T(D, sigma, eps, gamma,
-    strategy, jobs, shards)`` / ``conn.dataset(D).s2t(...)``).
+    strategy, jobs, partitions)`` / ``conn.dataset(D).s2t(...)``).
 
-    ``shards`` overrides the temporal partition count of the partitioned
+    ``partitions`` overrides the temporal partition count of the partitioned
     operator (``None`` keeps the scheduler default); with ``jobs > 1`` each
-    shard fits in a worker process over the shared-memory frame broadcast.
+    partition fits in a worker process over the shared-memory frame
+    broadcast.
     """
 
     dataset: str
@@ -259,18 +260,13 @@ class S2TPlan(LogicalPlan):
     gamma: object = 2
     strategy: object = "batched"
     jobs: object = 1
-    shards: object = None
+    partitions: object = None
 
 
 @dataclass(frozen=True)
 class QuTPlan(LogicalPlan):
     """QuT query-window clustering (``SELECT QUT(D, Wi, We, tau, delta, t, d,
-    gamma, shards)`` / ``conn.dataset(D).qut(wi, we, ...)``).
-
-    ``shards`` fans a *needed* ReTraTree bulk load out over ``N`` chunk
-    windows; an existing tree is reused whatever its value — any value
-    returns bit-identical clusters.
-    """
+    gamma)`` / ``conn.dataset(D).qut(wi, we, ...)``)."""
 
     dataset: str
     wi: object = None
@@ -280,7 +276,6 @@ class QuTPlan(LogicalPlan):
     tolerance: object = 0.0
     distance: object = None
     gamma: object = 2
-    shards: object = None
 
 
 @dataclass(frozen=True)

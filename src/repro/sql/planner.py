@@ -4,7 +4,9 @@ The planner is deliberately thin: the AST is already statement-shaped, so
 lowering mostly maps positional table-function arguments onto the typed
 fields of the corresponding plan node (``S2TPlan``, ``QuTPlan``), applying
 the same defaults the fluent Python API uses — which is what makes the two
-front-ends produce identical plan objects.
+front-ends produce identical plan objects.  A table-function call passing
+more arguments than its signature (:data:`repro.sql.functions.SIGNATURES`)
+is refused here, before anything runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.sql.ast import (
     Statement,
 )
 from repro.sql.errors import SQLExecutionError
+from repro.sql.functions import SIGNATURES
 from repro.sql.parser import parse, parse_script
 from repro.sql.plan import (
     CountPlan,
@@ -46,6 +49,16 @@ def _arg(args: tuple, idx: int, default: object = None) -> object:
     if len(args) <= idx or args[idx] is None:
         return default
     return args[idx]
+
+
+def _check_arity(function: str, args: tuple) -> None:
+    """Refuse a call to a known table function with surplus arguments."""
+    params = SIGNATURES.get(function)
+    if params is not None and len(args) > len(params):
+        raise SQLExecutionError(
+            f"{function} takes at most {len(params)} arguments, got {len(args)}: "
+            f"{function}({', '.join(params)})"
+        )
 
 
 def plan_statement(statement: Statement) -> LogicalPlan:
@@ -75,6 +88,7 @@ def plan_statement(statement: Statement) -> LogicalPlan:
         )
     if isinstance(statement, SelectFunction):
         args = statement.args
+        _check_arity(statement.function, args)
         if statement.function == "S2T":
             return S2TPlan(
                 dataset=_arg(args, 0),
@@ -83,7 +97,7 @@ def plan_statement(statement: Statement) -> LogicalPlan:
                 gamma=_arg(args, 3, 2),
                 strategy=_arg(args, 4, "batched"),
                 jobs=_arg(args, 5, 1),
-                shards=_arg(args, 6),
+                partitions=_arg(args, 6),
             )
         if statement.function == "QUT":
             return QuTPlan(
@@ -95,7 +109,6 @@ def plan_statement(statement: Statement) -> LogicalPlan:
                 tolerance=_arg(args, 5, 0.0),
                 distance=_arg(args, 6),
                 gamma=_arg(args, 7, 2),
-                shards=_arg(args, 8),
             )
         return FunctionPlan(statement.function, args)
     raise SQLExecutionError(f"unsupported statement {statement!r}")

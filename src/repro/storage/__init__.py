@@ -25,9 +25,9 @@ Manifest format
 ---------------
 Each dataset directory owns one ``manifest.json``, the durable root the
 engine recovers from.  Its layout (``format_version`` 4, the only one read
-or written — dataset archive, append deltas, the ``tree`` *or* ``shards``
-index section, integrity stamps) and the stage → checkpoint → stamp →
-commit → sweep protocol that writes it are documented, once, in
+or written — dataset archive, append deltas, the ``tree`` index section,
+integrity stamps) and the stage → checkpoint → stamp → commit → sweep
+protocol that writes it are documented, once, in
 :mod:`repro.storage.durable`, the module that owns both.
 
 Member records stay in their partitions' heapfiles; the manifest only adds

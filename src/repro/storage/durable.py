@@ -42,7 +42,6 @@ Manifest schema (``format_version`` 4 — the only format read or written)
       "tree": null | {                     # the dataset's index:
         "name", "origin", "next_cluster_id",   # ReTraTree.to_manifest() …
         "params": {…}, "raw_params": {…},  # QuTParams.to_dict()
-        "chunk_range": null | [lo, hi],
         "reps_partition":                  # staged fresh per commit, never
           "<name>__reps_g<K>",             #   rewritten under a committed
         "reps_count": int,                 #   manifest

@@ -62,7 +62,7 @@ def test_io_discipline_negative(lint_tree):
 def test_io_discipline_scoped_to_storage_and_engine(lint_tree):
     # The same raw calls outside storage/ and core/engine|ingest are legal.
     findings = lint_tree(
-        {"hermes/elsewhere.py": IO_POSITIVE, "core/shard.py": IO_POSITIVE},
+        {"hermes/elsewhere.py": IO_POSITIVE, "core/parallel.py": IO_POSITIVE},
         select=["io-discipline"],
     )
     assert findings == []

@@ -306,6 +306,31 @@ class TestRestartRecovery:
         assert not list(directory.glob("lanes_s0_*"))
         assert fsck_store(tmp_path / "engine").issues == []
 
+    def test_tree_section_with_a_leftover_chunk_range_key_reopens(self, warm, tmp_path):
+        """Stores written before the key was retired carry ``"chunk_range":
+        null`` in their tree section: it is ignored, and the tree reopens
+        without a bulk load and answers with the same rows."""
+        from repro.storage.catalog import manifest_checksum
+
+        engine, mod = warm
+        window = query_window(mod)
+        sql = f"SELECT QUT(lanes, {window.tmin}, {window.tmax})"
+        expected = run_sql(engine, sql)
+        engine.close()
+        path = tmp_path / "engine" / "lanes" / MANIFEST_FILENAME
+        manifest = json.loads(path.read_text())
+        assert "chunk_range" not in manifest["tree"]
+        manifest["tree"]["chunk_range"] = None
+        manifest["manifest_crc"] = manifest_checksum(manifest)
+        path.write_text(json.dumps(manifest))
+
+        cold = HermesEngine.on_disk(tmp_path / "engine")
+        builds_before = ReTraTree.build_calls
+        assert run_sql(cold, sql) == expected
+        assert ReTraTree.build_calls == builds_before
+        assert cold.retratree("lanes").recovered
+        cold.close()
+
     def test_corrupt_manifest_skips_only_that_dataset(self, warm, tmp_path, flights_small):
         """Unparseable JSON in one manifest must not brick construction or
         hide the healthy datasets."""
@@ -522,6 +547,40 @@ class TestDropReclaimsDisk:
         assert tree.recovered
         assert tree.num_clusters == second.num_clusters
 
+    def test_failed_build_is_never_built_upon(self, tmp_path, lanes_small):
+        """A bulk load that fails surfaces its error, and the rebuild holds
+        every member and unclustered record exactly once."""
+        from repro.storage.faults import FaultInjector
+        from repro.storage.fsck import fsck_store
+
+        def records(tree):
+            return sorted(
+                [m.key for sc in tree.subchunks() for e in sc.entries for m in tree.load_members(e)]
+                + [s.key for sc in tree.subchunks() for s in tree.load_unclustered(sc)]
+            )
+
+        mod, _ = lanes_small
+        reference = HermesEngine.in_memory()
+        reference.load_mod("lanes", mod)
+        expected = records(reference.retratree("lanes"))
+        reference.close()
+
+        injector = FaultInjector()
+        engine = HermesEngine.on_disk(tmp_path / "engine", io=injector)
+        engine.load_mod("lanes", mod)
+        # Outlast the storage layer's bounded retries: a hard error.
+        injector.fail_next("write", count=100)
+        with pytest.raises(OSError, match="injected transient write"):
+            engine.retratree("lanes")
+        # The failed load left tree partitions behind.
+        assert len(engine.catalog.storage("lanes").partitions()) > 1
+        injector.fail_next("write", count=0)
+
+        tree = engine.retratree("lanes", rebuild=True)
+        assert records(tree) == expected
+        engine.close()
+        assert fsck_store(tmp_path / "engine").clean
+
     def test_sql_drop_reclaims_disk(self, warm, tmp_path):
         engine, _ = warm
         run_sql(engine, "DROP DATASET lanes")
@@ -554,8 +613,8 @@ class TestManifestHygiene:
         engine.append("lanes", [type(some)("late", "0", some.xs, some.ys, some.ts)])
         path = tmp_path / "engine" / "lanes" / MANIFEST_FILENAME
         single = json.loads(path.read_text())
-        engine.retratree("lanes", shards=2, rebuild=True)
-        fanned = json.loads(path.read_text())
+        engine.retratree("lanes", rebuild=True)
+        rebuilt = json.loads(path.read_text())
         engine.close()
 
         root_keys = {
@@ -563,16 +622,14 @@ class TestManifestHygiene:
             "tree", "checksums", "manifest_crc",
         }
         tree_keys = {
-            "name", "origin", "next_cluster_id", "params", "raw_params", "chunk_range",
+            "name", "origin", "next_cluster_id", "params", "raw_params",
             "reps_partition", "reps_count", "subchunks",
         }
-        assert set(single) == root_keys and set(fanned) == root_keys
+        assert set(single) == root_keys and set(rebuilt) == root_keys
         assert single["format_version"] == 4
         assert set(single["deltas"][0]) == {"partition", "row_keys"}
-        # One index section, whatever fan-out built the tree.
-        for manifest in (single, fanned):
+        for manifest in (single, rebuilt):
             assert set(manifest["tree"]) == tree_keys | {"dataset_state"}
-            assert manifest["tree"]["chunk_range"] is None
         subchunk = next(sc for sc in single["tree"]["subchunks"] if sc["entries"])
         assert set(subchunk) == {
             "chunk_idx", "sub_idx", "period",
@@ -585,7 +642,7 @@ class TestManifestHygiene:
         assert re.fullmatch(r"lanes__dataset_g\d+", single["frame_partition"])
         assert re.fullmatch(r"lanes__dataset_g\d+", single["deltas"][0]["partition"])
         assert re.fullmatch(r"lanes__reps_g\d+", single["tree"]["reps_partition"])
-        assert re.fullmatch(r"lanes__reps_g\d+", fanned["tree"]["reps_partition"])
+        assert re.fullmatch(r"lanes__reps_g\d+", rebuilt["tree"]["reps_partition"])
         assert single["tree"]["dataset_state"] == [
             single["frame_partition"], single["deltas"][0]["partition"],
         ]

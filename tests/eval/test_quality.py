@@ -6,8 +6,8 @@ Pins the three properties the BENCH_scenarios matrix is trusted for:
 * the floor gate actually fires — an artificially raised floor turns into
   violations and a nonzero ``repro-bench-scenarios`` exit code,
 * the SQL surface computes the *same* cells: ``SELECT S2T(..., jobs,
-  shards)`` on the same degraded dataset matches the Python harness bit for
-  bit.
+  partitions)`` on the same degraded dataset matches the Python harness bit
+  for bit.
 """
 
 import json
@@ -176,16 +176,16 @@ class TestBenchScenariosCLI:
 class TestSQLPathParity:
     """`SELECT S2T(...)` computes the same matrix cells as the harness."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_sql_cells_match_harness_bit_for_bit(self, shards):
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_sql_cells_match_harness_bit_for_bit(self, partitions):
         seed = cell_seed(20_18, "lanes", "dropout")
-        expected = run_cell("lanes", "dropout", shards, "warm", seed=seed)
+        expected = run_cell("lanes", "dropout", partitions, "warm", seed=seed)
 
         mod, truth = generate_cell_data("lanes", "dropout", seed=seed)
         engine = HermesEngine.in_memory()
         engine.load_mod("d", mod)
-        shards_sql = "NULL" if shards == 1 else str(shards)
-        run_sql(engine, f"SELECT S2T(d, NULL, NULL, NULL, NULL, 1, {shards_sql})")
+        partitions_sql = "NULL" if partitions == 1 else str(partitions)
+        run_sql(engine, f"SELECT S2T(d, NULL, NULL, NULL, NULL, 1, {partitions_sql})")
         quality = clustering_quality(engine.last_result("d"), truth)
         engine.close()
 

@@ -15,15 +15,11 @@ import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_mod
-import repro.core.shard as shard_mod
 from repro.core.parallel import WorkerPool, partitioned_s2t
-from repro.core.shard import ShardPlan, build_sharded_tree
 from repro.datagen import aircraft_scenario
 from repro.hermes.frame import MODFrame
 from repro.hermes.shm import ShmArena, ShmTransportError, default_arena
-from repro.qut.params import QuTParams
 from tests.conftest import membership_signature
-from tests.core.test_shard import tree_signature
 
 SHM_DIR = Path("/dev/shm")
 
@@ -48,6 +44,10 @@ def _segment_file_exists(name: str) -> bool:
 
 def _crash_task(task):  # pragma: no cover - runs (briefly) inside a worker
     os._exit(17)
+
+
+def _raise_in_worker(task):  # pragma: no cover - runs inside a worker
+    raise RuntimeError("injected worker bug")
 
 
 def _refuse_attach(segment, meta):  # pragma: no cover - runs inside a worker
@@ -125,46 +125,18 @@ class TestFrameRoundTrip:
         assert arena.live_segments() == []
 
 
-# -- the two callers of the one scatter --------------------------------------------------
-#
-# Each is ``(module, worker entry point's name, job)``: ``job(mod, pool)`` runs
-# the caller's pooled operation (``pool=None`` = its in-process reference) and
-# returns a comparable answer.
+# -- the pooled S2T fit, the one scatter's caller ------------------------------------
 
 
 def _s2t_job(mod, pool):
+    """The partitioned fit on ``pool`` (``None``: its in-process reference)."""
     result = partitioned_s2t(mod, n_jobs=2 if pool is not None else 1, pool=pool)
     return membership_signature(result)
 
 
-def _shard_build_job(mod, pool):
-    raw = QuTParams()
-    resolved = raw.resolved(mod)
-    count = 3 if pool is not None else 1
-    plan = ShardPlan.for_layout(mod.period.duration, resolved.tau, count)
-    assert len(plan.ranges) == count
-    tree = build_sharded_tree(
-        MODFrame.from_mod(mod), raw, resolved, mod.period.tmin, plan,
-        storage=None, name="t", pool=pool,
-    )
-    return tree_signature(tree)
-
-
-CALLERS = [
-    pytest.param((parallel_mod, "_fit_partition_task", _s2t_job), id="s2t"),
-    pytest.param((shard_mod, "_build_shard_task", _shard_build_job), id="shard_build"),
-]
-
-
-@pytest.fixture(params=CALLERS)
-def caller(request):
-    """One of the two callers; a test asking for it runs once per caller."""
-    return request.param
-
-
 @pytest.fixture
 def scatter_infos(monkeypatch):
-    """The ``info`` dict of every :func:`scatter` call either caller makes."""
+    """The ``info`` dict of every :func:`scatter` call the fit makes."""
     infos = []
     real = parallel_mod.scatter
 
@@ -174,22 +146,18 @@ def scatter_infos(monkeypatch):
         return results, info
 
     monkeypatch.setattr(parallel_mod, "scatter", spy)
-    monkeypatch.setattr(shard_mod, "scatter", spy)
     return infos
 
 
 class TestSchedulerHygiene:
-    """No segment outlives a scatter — in success or in failure, for either caller."""
+    """No segment outlives a scatter — in success or in failure."""
 
-    def test_normal_parallel_run_leaves_dev_shm_clean(
-        self, caller, scatter_infos, lanes_small
-    ):
-        _module, _entry, job = caller
+    def test_normal_parallel_run_leaves_dev_shm_clean(self, scatter_infos, lanes_small):
         mod, _ = lanes_small
         before = _segment_listing()
         pool = WorkerPool()
         try:
-            assert job(mod, pool) == job(mod, None)
+            assert _s2t_job(mod, pool) == _s2t_job(mod, None)
         finally:
             pool.shutdown()
         assert [info["transport"] for info in scatter_infos] == ["shm"]
@@ -197,18 +165,17 @@ class TestSchedulerHygiene:
         assert default_arena().live_segments() == []
 
     def test_worker_crash_falls_back_serial_and_leaks_nothing(
-        self, caller, scatter_infos, monkeypatch, lanes_small
+        self, scatter_infos, monkeypatch, lanes_small
     ):
-        module, entry, job = caller
         mod, _ = lanes_small
-        expected = job(mod, None)
+        expected = _s2t_job(mod, None)
         before = _segment_listing()
         # The patched entry point kills the worker outright; the in-process
         # fallback never goes through it.
-        monkeypatch.setattr(module, entry, _crash_task)
+        monkeypatch.setattr(parallel_mod, "_fit_partition_task", _crash_task)
         pool = WorkerPool()
         try:
-            assert job(mod, pool) == expected
+            assert _s2t_job(mod, pool) == expected
             assert pool._executor is None  # the broken executor was discarded
         finally:
             pool.shutdown()
@@ -216,8 +183,20 @@ class TestSchedulerHygiene:
         assert _segment_listing() - before == set()
         assert default_arena().live_segments() == []
 
-    def test_keyboard_interrupt_drains_published_segments(self, caller, lanes_small):
-        _module, _entry, job = caller
+    def test_worker_error_propagates_instead_of_degrading(self, monkeypatch, lanes_small):
+        mod, _ = lanes_small
+        before = _segment_listing()
+        monkeypatch.setattr(parallel_mod, "_fit_partition_task", _raise_in_worker)
+        pool = WorkerPool()
+        try:
+            with pytest.raises(RuntimeError, match="injected worker bug"):
+                _s2t_job(mod, pool)
+        finally:
+            pool.shutdown()
+        assert _segment_listing() - before == set()
+        assert default_arena().live_segments() == []
+
+    def test_keyboard_interrupt_drains_published_segments(self, lanes_small):
         mod, _ = lanes_small
 
         class InterruptingPool:
@@ -228,25 +207,24 @@ class TestSchedulerHygiene:
 
         before = _segment_listing()
         with pytest.raises(KeyboardInterrupt):
-            job(mod, InterruptingPool())
+            _s2t_job(mod, InterruptingPool())
         # The frame segment WAS published before the interrupt; the arena's
         # context manager must have unlinked it on the way out.
         assert _segment_listing() - before == set()
         assert default_arena().live_segments() == []
 
     def test_worker_attach_failure_routes_to_pickle_fallback(
-        self, caller, scatter_infos, monkeypatch, lanes_small
+        self, scatter_infos, monkeypatch, lanes_small
     ):
-        _module, _entry, job = caller
         mod, _ = lanes_small
-        expected = job(mod, None)
+        expected = _s2t_job(mod, None)
         before = _segment_listing()
         # Workers fork after the patch, so every attach attempt fails in the
         # worker; the scatter must retry the whole job over pickle.
         monkeypatch.setattr(parallel_mod, "attached_frame", _refuse_attach)
         pool = WorkerPool()
         try:
-            assert job(mod, pool) == expected
+            assert _s2t_job(mod, pool) == expected
         finally:
             pool.shutdown()
         assert scatter_infos[-1]["transport"] == "pickle"
@@ -255,15 +233,14 @@ class TestSchedulerHygiene:
         assert default_arena().live_segments() == []
 
     def test_publish_failure_routes_to_pickle_fallback(
-        self, caller, scatter_infos, monkeypatch, lanes_small
+        self, scatter_infos, monkeypatch, lanes_small
     ):
-        _module, _entry, job = caller
         mod, _ = lanes_small
-        expected = job(mod, None)
+        expected = _s2t_job(mod, None)
         monkeypatch.setattr(MODFrame, "to_shm", _refuse_publish)
         pool = WorkerPool()
         try:
-            assert job(mod, pool) == expected
+            assert _s2t_job(mod, pool) == expected
         finally:
             pool.shutdown()
         assert scatter_infos[-1]["transport"] == "pickle"

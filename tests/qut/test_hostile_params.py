@@ -90,7 +90,7 @@ class TestParamsRefused:
         with pytest.raises(KeyError, match="no clustering has been run"):
             conn.engine.last_result("f")
 
-    @pytest.mark.parametrize("args", ["NULL, NULL, NULL, NULL, 1e400", "NULL, NULL, NULL, NULL, 2, 1e400"])
+    @pytest.mark.parametrize("args", ["NULL, NULL, NULL, NULL, 1e400"])
     def test_sql_integer_arguments_must_be_finite(self, lanes, args):
         conn = connect(lanes)
         with pytest.raises(SQLExecutionError, match="must be a finite number, got inf"):

@@ -1,11 +1,14 @@
 """Integration tests for SQL execution against a live engine, through ``repro.api``."""
 
+import re
+
 import pytest
 
 from repro.api import Connection
 from repro.core.engine import HermesEngine
 from repro.hermes.io import write_csv
 from repro.sql.errors import SQLExecutionError
+from repro.sql.functions import FUNCTIONS, SIGNATURES
 
 
 @pytest.fixture
@@ -239,32 +242,69 @@ class TestParallelS2TFunction:
             execute("SELECT S2T(lanes, NULL, NULL, 2, 'batched', 0)")
 
 
-class TestShardsKnob:
-    """The SHARDS argument on QUT (index layout) and S2T (partition count)."""
+class TestPartitionsArgument:
+    """S2T's seventh argument: the partitioned operator's partition count."""
 
-    def test_qut_shards_fans_out_the_build_only(self, execute, engine, lanes_small):
-        mod, _ = lanes_small
-        wi, we = mod.period.tmin, mod.period.tmax
-        baseline = execute(f"SELECT QUT(lanes, {wi}, {we})")
-        rows = execute(
-            f"SELECT QUT(lanes, {wi}, {we}, NULL, NULL, NULL, NULL, NULL, 2)"
-        )
-        # The cached tree is the index whatever fan-out a query names.
-        assert rows == baseline
-        engine.retratree("lanes", rebuild=True, shards=2)
-        assert execute(f"SELECT QUT(lanes, {wi}, {we})") == baseline
-
-    def test_s2t_shards_overrides_partition_count(self, execute, engine):
+    def test_s2t_partitions_overrides_partition_count(self, execute, engine):
         execute("SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 3)")
         result = engine.last_result("lanes")
         assert result.extras["execution"] == "partitioned"
         assert result.extras["n_partitions"] == 3
 
-    def test_invalid_shards_rejected(self, execute):
-        with pytest.raises(SQLExecutionError, match="shards"):
-            execute(
-                "SELECT QUT(lanes, 0, 100, NULL, NULL, NULL, NULL, NULL, 0)"
-            )
+    def test_invalid_partitions_rejected(self, execute):
+        with pytest.raises(SQLExecutionError, match="n_partitions"):
+            execute("SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 0)")
+
+
+def _surplus_call(conn, route, function, sql_args):
+    """Call ``function`` on ``lanes`` with ``sql_args`` through one front end."""
+    if route == "sql":
+        return conn.execute(f"SELECT {function}(lanes, {', '.join(sql_args)})").fetchall()
+    if route == "prepared":
+        return conn.prepare(f"SELECT {function}(lanes, {', '.join('?' for _ in sql_args)})")
+    values = [None if arg == "NULL" else float(arg) for arg in sql_args]
+    return conn.dataset("lanes").call(function, *values).run()
+
+
+class TestSurplusArguments:
+    """A table function called with more arguments than its signature is
+    refused at lowering, naming the signature, whatever the front end."""
+
+    def test_every_function_has_a_signature(self):
+        assert set(SIGNATURES) == set(FUNCTIONS)
+
+    @pytest.mark.parametrize("route", ["sql", "prepared", "call"])
+    @pytest.mark.parametrize("function", sorted(SIGNATURES))
+    def test_one_argument_too_many_is_refused(self, conn, route, function):
+        params = SIGNATURES[function]
+        signature = f"{function}({', '.join(params)})"
+        with pytest.raises(SQLExecutionError, match=re.escape(signature)):
+            _surplus_call(conn, route, function, ["NULL"] * len(params))
+
+    @pytest.mark.parametrize("route", ["sql", "prepared", "call"])
+    def test_qut_with_the_retired_ninth_argument_is_refused(self, conn, route):
+        with pytest.raises(SQLExecutionError, match=r"QUT takes at most 8 arguments, got 9"):
+            _surplus_call(conn, route, "QUT", ["0", "100", "NULL", "NULL", "0", "NULL", "2", "2"])
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT TRACLUS(lanes, NULL, 3, 99)",
+            "SELECT SUMMARY(lanes, 1, 2, 3)",
+            "SELECT QUT(lanes, 0, 1e5, NULL, NULL, 0, NULL, 2, NULL, 5)",
+            "EXPLAIN SELECT S2T(lanes, NULL, NULL, 2, 'batched', 1, 4, 9)",
+        ],
+    )
+    def test_calls_that_used_to_run_are_refused(self, execute, sql):
+        with pytest.raises(SQLExecutionError, match="takes at most"):
+            execute(sql)
+
+    def test_full_arity_still_runs(self, execute, lanes_small):
+        mod, _ = lanes_small
+        wi, we = mod.period.tmin, mod.period.tmax
+        full = execute(f"SELECT QUT(lanes, {wi}, {we}, NULL, NULL, 0, NULL, 2)")
+        assert full == execute(f"SELECT QUT(lanes, {wi}, {we})")
+        assert execute("SELECT SUMMARY(lanes)")[0]["trajectories"] == len(mod)
 
 
 class TestBufferInvalidation:

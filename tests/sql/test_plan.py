@@ -61,13 +61,15 @@ class TestLowering:
     def test_qut_defaults(self):
         assert plan_sql("SELECT QUT(d, 0, 100)") == QuTPlan(dataset="d", wi=0, we=100)
 
-    def test_shards_knob_lowered(self):
+    def test_partitions_argument_lowered(self):
         assert plan_sql("SELECT S2T(d, NULL, NULL, NULL, NULL, 1, 3)") == S2TPlan(
-            dataset="d", jobs=1, shards=3
+            dataset="d", jobs=1, partitions=3
         )
-        assert plan_sql(
-            "SELECT QUT(d, 0, 100, NULL, NULL, NULL, NULL, NULL, 2)"
-        ) == QuTPlan(dataset="d", wi=0, we=100, shards=2)
+
+    def test_qut_takes_the_papers_eight_arguments(self):
+        assert plan_sql("SELECT QUT(d, 0, 100, 5, 1, 0, 2.5, 3)") == QuTPlan(
+            dataset="d", wi=0, we=100, tau=5, delta=1, tolerance=0, distance=2.5, gamma=3
+        )
 
     def test_other_functions_stay_generic(self):
         assert plan_sql("SELECT TRACLUS(d, 4.0, 3)") == FunctionPlan(
@@ -106,13 +108,16 @@ class TestFrontEndIdentity:
         fluent = conn.dataset("lanes").qut(0.0, 900.0, gamma=3).plan
         assert fluent == plan_sql("SELECT QUT(lanes, 0.0, 900.0, NULL, NULL, NULL, NULL, 3)")
 
-    def test_shards_identity(self, conn):
-        assert conn.dataset("lanes").qut(0.0, 900.0, shards=2).plan == plan_sql(
-            "SELECT QUT(lanes, 0.0, 900.0, NULL, NULL, NULL, NULL, NULL, 2)"
-        )
-        assert conn.dataset("lanes").s2t(shards=3).plan == plan_sql(
+    def test_partitions_identity(self, conn):
+        assert conn.dataset("lanes").s2t(partitions=3).plan == plan_sql(
             "SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 3)"
         )
+
+    def test_fluent_builders_have_no_shards_keyword(self, conn):
+        with pytest.raises(TypeError):
+            conn.dataset("lanes").s2t(shards=3)
+        with pytest.raises(TypeError):
+            conn.dataset("lanes").qut(0.0, 900.0, shards=2)
 
     def test_scan_identity(self, conn):
         fluent = conn.dataset("lanes").points(

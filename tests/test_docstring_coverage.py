@@ -40,7 +40,6 @@ ENFORCED_MODULES = [
     "repro/core/ingest.py",
     "repro/core/parallel.py",
     "repro/core/session.py",
-    "repro/core/shard.py",
     "repro/datagen/profiles.py",
     "repro/docsgen.py",
     "repro/eval/quality.py",
