@@ -319,14 +319,15 @@ def partitioned_s2t(
         raise ValueError("n_jobs must be at least 1")
     if n_partitions is not None and n_partitions < 1:
         raise ValueError("n_partitions must be at least 1")
-    params = (params or S2TParams()).resolved(mod) if len(mod) else (params or S2TParams())
+    params = params or S2TParams()
     if len(mod) == 0:
         return ClusteringResult(method="s2t", clusters=[], outliers=[], params=params)
     if frame is None:
         frame = MODFrame.from_mod(mod)
+    params = params.resolved(mod, frame)
     n_partitions = n_partitions or DEFAULT_PARTITIONS
 
-    periods = mod.period.split(n_partitions)
+    periods = frame.bbox.period.split(n_partitions)
     fitted = _nonempty_periods(frame, periods)
 
     parts: list[ClusteringResult] | None = None

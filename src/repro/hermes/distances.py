@@ -4,11 +4,12 @@ Hermes exposes a family of trajectory distance operands; the subset
 implemented here is what the clustering modules and the baselines need:
 
 * :func:`spatiotemporal_distance` -- time-synchronised average Euclidean
-  distance over the common lifespan (used by S2T voting, greedy clustering
-  and T-OPTICS),
+  distance over the common lifespan (the scalar reference of S2T sampling
+  and greedy clustering; used by T-OPTICS),
 * :func:`spatiotemporal_distance_batch` -- the same distance from one
   trajectory to *every* row of a :class:`~repro.hermes.frame.MODFrame` in a
-  single vectorised pass (the batched greedy-clustering hot path),
+  single vectorised pass (SaCO's distance rows, the ReTraTree's entry
+  assignment and QuT's co-movement test),
 * :func:`closest_approach_distance` -- minimum synchronous distance,
 * :func:`hausdorff_distance` -- spatial Hausdorff distance (time-agnostic,
   used by TRACLUS-style comparisons),
@@ -18,10 +19,16 @@ implemented here is what the clustering modules and the baselines need:
 * :func:`dtw_distance` -- dynamic time warping on the spatial footprint,
 * :func:`lcss_similarity` -- longest common subsequence similarity,
 * :func:`segment_trajectory_distance` -- distance between one 3D segment and
-  a trajectory during the segment's time span (the voting kernel input).
+  a trajectory during the segment's time span.
 
 All functions return ``math.inf`` when the inputs share no common time span
 and the distance is inherently time-aware.
+
+The two batched kernels and :func:`hausdorff_distance` work on squared
+distances ``dx*dx + dy*dy`` and take a square root only where a distance is
+returned; the other scalar functions use ``hypot``.  The S2T voting kernel,
+``exp(-(dx^2 + dy^2) / (2 sigma^2))`` in :mod:`repro.s2t.voting`, takes no
+square root at all.
 """
 
 from __future__ import annotations
@@ -81,6 +88,13 @@ def spatiotemporal_distance_batch(
     row, but each pair's ``max_samples``-point common time grid is built
     vectorised and all rows are interpolated in one
     :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` pass.
+
+    Each synchronous distance is ``sqrt(dx*dx + dy*dy)`` (no ``hypot``), so
+    it can differ from the scalar function's in the last bit.  A squared
+    distance that overflows (offsets beyond ``~1.3e154``) reads ``inf``, as
+    does the row's mean; within one MOD that
+    :meth:`~repro.s2t.params.S2TParams.resolved` accepts, no offset is that
+    large.
     """
     if max_samples < 1:
         raise ValueError("max_samples must be at least 1")
@@ -107,10 +121,14 @@ def spatiotemporal_distance_batch(
             grids = lo[rows, None] + steps[None, :] * step[:, None]
             grids[:, -1] = hi[rows]
 
-        fx, fy = frame.positions_at_batch(rows, grids)
-        tx = np.interp(grids.ravel(), traj.ts, traj.xs).reshape(grids.shape)
-        ty = np.interp(grids.ravel(), traj.ts, traj.ys).reshape(grids.shape)
-        out[rows] = np.hypot(fx - tx, fy - ty).mean(axis=1)
+        # mean(sqrt(dx*dx + dy*dy)), in place on the interpolated positions.
+        dx, dy = frame.positions_at_batch(rows, grids)
+        dx -= np.interp(grids.ravel(), traj.ts, traj.xs).reshape(grids.shape)
+        dy -= np.interp(grids.ravel(), traj.ts, traj.ys).reshape(grids.shape)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        out[rows] = np.sqrt(dx, out=dx).mean(axis=1)
     return out
 
 
@@ -135,26 +153,30 @@ def hausdorff_distance(a: Trajectory, b: Trajectory) -> float:
     effectively optimise, and serves as a contrast to the time-aware
     distances above.
     """
-    pa = np.column_stack([a.xs, a.ys])
-    pb = np.column_stack([b.xs, b.ys])
-    d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    dx = a.xs[:, None] - b.xs[None, :]
+    dy = a.ys[:, None] - b.ys[None, :]
+    # Min/max over squared distances, one sqrt at the end: sqrt is monotone
+    # and correctly rounded, so this is the min/max of the square roots.
+    d_sq = dx * dx + dy * dy
+    return math.sqrt(max(d_sq.min(axis=1).max(), d_sq.min(axis=0).max()))
 
 
 def hausdorff_distance_batch(frame: MODFrame, traj: Trajectory) -> npt.NDArray[np.float64]:
     """:func:`hausdorff_distance` from every row of ``frame`` to ``traj``.
 
-    Returns a ``(len(frame),)`` array of finite distances, equal to
-    ``hausdorff_distance(frame row, traj)`` per row: the point-to-point
-    distances are the same ``hypot`` terms, only reduced per row with
-    ``reduceat`` over the frame's sample column instead of one matrix per
-    pair.
+    Returns a ``(len(frame),)`` array equal to ``hausdorff_distance(frame
+    row, traj)`` per row: the same squared point-to-point distances
+    ``dx*dx + dy*dy``, only reduced per row with ``reduceat`` over the
+    frame's sample column instead of one matrix per pair, then one ``sqrt``
+    per row.  A squared distance that overflows reads ``inf``.
 
     A caller thresholding the result at ``d`` can skip the call when no row
     can pass: ``H(A, B) <= d`` puts every point of each set within ``d`` of
     the other set, hence each bounding box inside the other's
     ``d``-expansion — every bounding-box face of ``A`` lies within ``d`` of
-    the matching face of ``B``.
+    the matching face of ``B``.  Measure each face gap ``g`` as
+    ``sqrt(g*g)``, this kernel's arithmetic, and the test stays implied by
+    the computed distance even where a square underflows to 0.
     """
     out = np.empty(len(frame))
     if len(frame) == 0:
@@ -166,14 +188,15 @@ def hausdorff_distance_batch(frame: MODFrame, traj: Trajectory) -> npt.NDArray[n
     for start in range(0, len(frame), chunk):
         stop = min(start + chunk, len(frame))
         lo, hi = frame.offsets[start], frame.offsets[stop]
-        d = np.hypot(
-            frame.xs[lo:hi, None] - traj.xs[None, :],
-            frame.ys[lo:hi, None] - traj.ys[None, :],
-        )
+        d_sq = frame.xs[lo:hi, None] - traj.xs[None, :]
+        dy = frame.ys[lo:hi, None] - traj.ys[None, :]
+        d_sq *= d_sq
+        dy *= dy
+        d_sq += dy
         starts = frame.offsets[start:stop] - lo
-        forward = np.maximum.reduceat(d.min(axis=1), starts)
-        backward = np.minimum.reduceat(d, starts, axis=0).max(axis=1)
-        out[start:stop] = np.maximum(forward, backward)
+        forward = np.maximum.reduceat(d_sq.min(axis=1), starts)
+        backward = np.minimum.reduceat(d_sq, starts, axis=0).max(axis=1)
+        out[start:stop] = np.sqrt(np.maximum(forward, backward))
     return out
 
 
@@ -260,9 +283,8 @@ def segment_trajectory_distance(
 
     The segment's time span is sampled at ``n_samples`` instants; at each
     instant the segment position and the other trajectory's position are
-    compared.  The mean of those distances is returned — this is the ``d``
-    fed to the S2T voting kernel.  Returns ``inf`` when the other trajectory
-    is not alive during the segment's span.
+    compared.  The mean of those distances is returned.  Returns ``inf``
+    when the other trajectory is not alive during the segment's span.
     """
     period = seg.period.intersection(other.period)
     if period is None or (seg.duration > 0 and period.duration <= 0):

@@ -660,6 +660,25 @@ class MODFrame:
         )
         return sliced, cand
 
+    @property
+    def bbox(self) -> BoxST:
+        """3D bounding box of every row, from the lifespan and bbox tables.
+
+        Equal to :attr:`repro.hermes.mod.MOD.bbox` of the same trajectories
+        (a min / max of the same per-row values), without visiting a
+        :class:`~repro.hermes.trajectory.Trajectory`.
+        """
+        if not len(self):
+            raise ValueError("empty frame has no bounding box")
+        return BoxST(
+            float(self.xmins.min()),
+            float(self.ymins.min()),
+            float(self.tmins.min()),
+            float(self.xmaxs.max()),
+            float(self.ymaxs.max()),
+            float(self.tmaxs.max()),
+        )
+
     def bbox_of(self, row: int) -> BoxST:
         """3D bounding box of row ``row``."""
         return BoxST(

@@ -97,6 +97,11 @@ def _bbox_faces_within(frame: MODFrame, traj: Trajectory, d: float) -> np.ndarra
     that are rejected without computing the distance.  The bound carries a
     few ulps of slack so coordinate rounding can only let a row through,
     never reject one the exact test would accept.
+
+    Each gap ``g`` is measured as the kernel measures distances,
+    ``sqrt(g*g)``: where ``g*g`` underflows to 0 the kernel's squared
+    distances do too, so a row whose computed distance is within ``d`` is
+    never rejected, however small its coordinates.
     """
     xmin, xmax = float(traj.xs.min()), float(traj.xs.max())
     ymin, ymax = float(traj.ys.min()), float(traj.ys.max())
@@ -104,6 +109,7 @@ def _bbox_faces_within(frame: MODFrame, traj: Trajectory, d: float) -> np.ndarra
         np.maximum(np.abs(frame.xmins - xmin), np.abs(frame.xmaxs - xmax)),
         np.maximum(np.abs(frame.ymins - ymin), np.abs(frame.ymaxs - ymax)),
     )
+    gap = np.sqrt(gap * gap)
     return gap <= d + 4.0 * np.spacing(gap + d)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
+from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 
 __all__ = ["S2TParams"]
@@ -91,8 +92,13 @@ class S2TParams:
     voting_samples: int = 64
     n_jobs: int = 1
 
-    def resolved(self, mod: MOD) -> "S2TParams":
+    def resolved(self, mod: MOD, frame: MODFrame | None = None) -> "S2TParams":
         """Return a copy with all ``None`` thresholds resolved against ``mod``.
+
+        The spatial extent is read from ``frame``'s bounding-box tables when
+        a columnar snapshot of ``mod`` is given (what a fit does: one
+        vectorised min / max per column), else from ``mod.bbox`` (one visit
+        per trajectory).  Both give the same box, so the same thresholds.
 
         Raises :class:`ValueError` when the MOD's spatial extent or diagonal
         is not finite (coordinates near ``±float max``), whether or not
@@ -101,7 +107,7 @@ class S2TParams:
         too unless ``sigma`` and ``eps`` are given, since their defaults
         would be zero.
         """
-        bbox = mod.bbox
+        bbox = mod.bbox if frame is None else frame.bbox
         try:
             diag = ((bbox.dx) ** 2 + (bbox.dy) ** 2) ** 0.5
         except OverflowError:

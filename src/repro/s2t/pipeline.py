@@ -78,9 +78,9 @@ class S2TClustering:
         """
         if len(mod) == 0:
             return ClusteringResult(method="s2t", clusters=[], outliers=[], params=self.params)
-        params = self.params.resolved(mod)
         if frame is None:
             frame = MODFrame.from_mod(mod)
+        params = self.params.resolved(mod, frame)
 
         profile = compute_voting(mod, params, frame=frame)
         self.last_voting_profile = profile

@@ -4,8 +4,12 @@ Every segment of every trajectory receives a vote from each other trajectory
 that is alive during the segment's time span.  The vote decays with the
 synchronous distance ``d`` between the two objects:
 
-* Gaussian kernel:    ``exp(-d^2 / (2 sigma^2))``
-* triangular kernel:  ``max(0, 1 - d / (3 sigma))``
+* Gaussian kernel:    ``exp(-(dx^2 + dy^2) / (2 sigma^2))``
+* triangular kernel:  ``max(0, 1 - sqrt(dx^2 + dy^2) / (3 sigma))``
+
+where ``(dx, dy)`` is the offset between the two objects at one instant.
+Both kernels read the squared distance ``dx*dx + dy*dy``; only the
+triangular one takes its square root, and no ``hypot`` is evaluated.
 
 The total vote of a segment is the sum over the other trajectories and lies
 in ``[0, N-1]``; its physical meaning is "how many objects co-move with this
@@ -27,9 +31,10 @@ The phase runs as a *voter-major sweep* over the dataset's
    test: it selects exactly the pairs an R-tree over the margin-expanded
    trajectory boxes would return, without building one.
 3. The voter is interpolated at every instant of its slab (the bracket from
-   one ``searchsorted`` of its knots into the sorted slab; the lerp and clip
-   of :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`, same
-   arithmetic), the kernel is evaluated against the slab's own positions,
+   one ``searchsorted`` of its knots into the sorted slab; the lerp of
+   :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`, same
+   arithmetic — its clip of the weight to ``[0, 1]`` never fires on a
+   bracketed instant), the kernel is evaluated against the slab's own positions,
    cells whose owner is not a candidate are multiplied by zero, the per-pair
    ``voting_samples`` sub-sampling rule thins any target with more instants
    than that, and the values are added into one accumulator with
@@ -94,17 +99,10 @@ def kernel_support_radius(sigma: float, kernel: str) -> float:
     return sigma * math.sqrt(2.0 * math.log(1.0 / _GAUSSIAN_SUPPORT_TOL))
 
 
-def _sweep(
-    mod: MOD,
-    params: S2TParams,
-    profile: VotingProfile,
-    frame: MODFrame | None = None,
-) -> None:
+def _sweep(frame: MODFrame, params: S2TParams, profile: VotingProfile) -> None:
     """The voter-major sweep over the time-sorted sample column (module docstring)."""
     sigma = params.sigma
     assert sigma is not None
-    if frame is None:
-        frame = MODFrame.from_mod(mod)
     n = len(frame)
     kernel = params.voting_kernel
     max_samples = params.voting_samples
@@ -165,7 +163,7 @@ def _sweep(
             keep[heavy[np.cumsum(c) - c + sel]] = True
 
         # Interpolate the voter at the slab's instants with positions_at_batch's
-        # bracket, clip and lerp ``x_lo + w * (x_hi - x_lo)``.  The slab is
+        # bracket and lerp ``x_lo + w * (x_hi - x_lo)``.  The slab is
         # sorted, so one searchsorted of the voter's knots into it splits it
         # into one run per voter segment: instant j falls in segment k iff
         # ``t_k <= q_j`` and k is the last such segment, the bracket
@@ -175,7 +173,9 @@ def _sweep(
         runs = np.diff(np.searchsorted(q, frame.ts[segs], side="left"), append=q.size)
         w = q - np.repeat(frame.ts[segs], runs)
         w /= np.repeat(steps_t[segs], runs)
-        np.clip(w, 0.0, 1.0, out=w)
+        # No clip to [0, 1]: run k holds only instants with t_k <= q <= t_{k+1}
+        # and rounding is monotone, so 0 <= q - t_k <= t_{k+1} - t_k and w is
+        # already in [0, 1].
         dx = np.repeat(steps_x[segs], runs)
         dx *= w
         dx += np.repeat(frame.xs[segs], runs)
@@ -185,13 +185,16 @@ def _sweep(
         dy += np.repeat(frame.ys[segs], runs)
         np.subtract(ys[lo:hi], dy, out=dy)
 
-        vals = np.hypot(dx, dy, out=dx)
+        # The kernels read the squared distance dx*dx + dy*dy, in place.
+        vals = np.multiply(dx, dx, out=dx)
+        dy *= dy
+        vals += dy
         if kernel == "gaussian":
             # exp(-(d**2) * c): negating c instead of d**2 is the same product.
-            np.square(vals, out=vals)
             vals *= -inv_two_sigma_sq
             np.exp(vals, out=vals)
         else:  # triangular: clip(1 - d * c, 0)
+            np.sqrt(vals, out=vals)
             vals *= inv_three_sigma
             np.subtract(1.0, vals, out=vals)
             np.clip(vals, 0.0, None, out=vals)
@@ -220,14 +223,17 @@ def compute_voting(
     mod:
         The MOD to vote over.
     params:
-        S2T parameters; ``None`` thresholds are resolved against ``mod``.
+        S2T parameters; ``None`` thresholds are resolved against ``mod``'s
+        extent, read from the frame's bounding-box tables.
     frame:
-        Optional prebuilt columnar snapshot of ``mod`` (the engine's frame
-        catalog passes its cached frame here); the sweep then skips
+        Optional prebuilt columnar snapshot of ``mod`` (a fit passes the
+        frame it resolved its parameters from); the sweep then skips
         rebuilding it.
     """
     start = time.perf_counter()
+    if frame is None:
+        frame = MODFrame.from_mod(mod)
     profile = VotingProfile()
-    _sweep(mod, params.resolved(mod), profile, frame=frame)
+    _sweep(frame, params.resolved(mod, frame), profile)
     profile.elapsed_s = time.perf_counter() - start
     return profile

@@ -20,7 +20,7 @@ from repro.datagen import (
     orbit_scenario,
     urban_scenario,
 )
-from repro.hermes.distances import hausdorff_distance
+from repro.hermes.distances import hausdorff_distance, hausdorff_distance_batch
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import Period
@@ -173,6 +173,16 @@ class TestBoundingBoxPreReject:
         assert _bbox_faces_within(frame, b, 3.0).tolist() == [True]
         assert _bbox_faces_within(frame, b, np.nextafter(3.0, 0.0)).tolist() == [True]
         assert _bbox_faces_within(frame, b, 2.999).tolist() == [False]
+
+    def test_an_underflowing_gap_is_kept_like_the_kernel_reads_it(self):
+        """A 1.7e-262 offset squares to 0, so the kernel reads H == 0; the
+        pre-reject must measure that gap the same way and keep the row."""
+        row = Trajectory("r", "0", [0.0, 0.0], [0.0, 0.0], [0.0, 1.0])
+        probe = Trajectory("p", "0", [0.0, 0.0], [0.0, 1.6866863872727535e-262], [0.0, 1.0])
+        frame = MODFrame.from_trajectories([row])
+        assert hausdorff_distance(row, probe) == 0.0
+        assert hausdorff_distance_batch(frame, probe).tolist() == [0.0]
+        assert _bbox_faces_within(frame, probe, 0.0).tolist() == [True]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -4,7 +4,8 @@ Voting (:mod:`repro.s2t.voting`) is pinned to two of them:
 
 * :func:`dense_voting` — the all-pairs loop: per (target, voter) pair, one
   ``np.interp`` synchronisation and one kernel evaluation.  It shares no
-  code with the sweep (no frame, no pruning margin), so it is the
+  code with the sweep (no frame, no pruning margin, and its distance is
+  ``np.hypot`` where the sweep reads ``dx*dx + dy*dy``), so it is the
   independent reference: the sweep must match it within ``1e-8``
   (``tests/s2t/test_voting.py``, ``tests/integration/test_property_based.py``).
 * :func:`oracle_voting` — the per-target batched kernel the sweep replaced:
@@ -12,7 +13,8 @@ Voting (:mod:`repro.s2t.voting`) is pinned to two of them:
   (built on the fly from ``_RTREE_BUILD_THRESHOLD`` trajectories) or a
   columnar bounding-box scan pick the voters, and one
   :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` call interpolates
-  them all onto the target's samples.  The sweep must reproduce its votes
+  them all onto the target's samples.  Its kernel reads the squared distance
+  ``dx*dx + dy*dy``, the sweep's expression.  The sweep must reproduce its votes
   bit for bit and its pair counts exactly (``tests/s2t/test_voting_sweep.py``).
 
 Segmentation (:mod:`repro.s2t.segmentation`) is pinned to the per-trajectory
@@ -188,11 +190,13 @@ def _batched_point_votes(
             row_mask[inside[sel]] = True
             mask[i] = row_mask
 
-        dist = np.hypot(txs[None, :] - x_v, tys[None, :] - y_v)
+        dx = txs[None, :] - x_v
+        dy = tys[None, :] - y_v
+        dist_sq = dx * dx + dy * dy
         if kernel == "gaussian":
-            vals = np.exp(-(dist**2) * inv_two_sigma_sq)
+            vals = np.exp(-dist_sq * inv_two_sigma_sq)
         else:  # triangular
-            vals = np.clip(1.0 - dist * inv_three_sigma, 0.0, None)
+            vals = np.clip(1.0 - np.sqrt(dist_sq) * inv_three_sigma, 0.0, None)
         vals *= mask
         point_votes += vals.sum(axis=0)
     return point_votes

@@ -24,11 +24,13 @@ import pytest
 
 import repro
 from repro.datagen import lane_scenario
+from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.sql.errors import SQLExecutionError
+from tests.conftest import membership_signature
 
 NOT_FINITE_AND_POSITIVE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
@@ -112,8 +114,11 @@ class TestExtremeMagnitudes:
         mod = with_far_trajectory(lanes, magnitude)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="spatial diagonal is not finite"):
+            with pytest.raises(ValueError, match="spatial diagonal is not finite") as walked:
                 S2TParams(**given).resolved(mod)
+            with pytest.raises(ValueError) as framed:
+                S2TParams(**given).resolved(mod, MODFrame.from_mod(mod))
+            assert str(framed.value) == str(walked.value)
             with pytest.raises(ValueError, match="spatial diagonal is not finite"):
                 S2TClustering(S2TParams(**given)).fit(mod)
 
@@ -150,6 +155,28 @@ class TestExtremeMagnitudes:
         diag = ((bbox.dx) ** 2 + (bbox.dy) ** 2) ** 0.5
         assert resolved.sigma == 0.03 * diag
         assert resolved.eps == 0.05 * diag
+
+    def test_a_large_finite_magnitude_fits_like_its_power_of_two_scaling(self, lanes):
+        """At 1e150 every squared offset is still finite, so every vote is.
+        Scaling by 2**-400 is exact and sends no squared difference
+        subnormal, so the answer must not move."""
+        mod = with_far_trajectory(lanes, 1e150)
+        scale = 2.0**-400
+        scaled = MOD(
+            name="g",
+            trajectories=[
+                Trajectory(t.obj_id, t.traj_id, t.xs * scale, t.ys * scale, t.ts) for t in mod
+            ],
+        )
+        fit = S2TClustering(S2TParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit.fit(mod)
+            reference = S2TClustering(S2TParams()).fit(scaled)
+        assert fit.last_voting_profile is not None
+        assert all(np.isfinite(v).all() for v in fit.last_voting_profile.votes.values())
+        assert membership_signature(result) == membership_signature(reference)
+        assert result.num_clusters > 0
 
     def test_resolved_values_unchanged_on_ordinary_data(self, lanes):
         bbox = lanes.bbox

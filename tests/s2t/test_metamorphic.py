@@ -1,0 +1,116 @@
+"""Metamorphic relations of S2T: maps of space and time that keep the answer.
+
+Hypothesis draws one of the five ``repro.datagen`` scenarios (60
+trajectories, seed 3) and a map of it:
+
+* **Exact maps of space** — a quarter turn ``(x, y) -> (-y, x)``, an axis
+  reflection and a scaling by a power of two, composed.  Every vote stays
+  ``np.array_equal`` and the memberships stay identical, because the
+  arithmetic is exact under these maps: negation and power-of-two scaling
+  round nothing, ``a + b == b + a`` makes the squared distance
+  ``dx*dx + dy*dy`` blind to which axis is which, and sigma / eps (resolved
+  from the spatial diagonal) scale exactly with the data.
+* **Rounding maps** — a translation of space, and a time offset from 1e9 s
+  (epoch seconds, where ``MODFrame``'s banded search key carries the
+  fewest low bits).  Every coordinate is rounded, so votes may move in the
+  last bits; the memberships and representatives must still be identical.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import datagen
+from repro.hermes.mod import MOD
+from repro.hermes.trajectory import Trajectory
+from repro.s2t.params import S2TParams
+from repro.s2t.pipeline import S2TClustering
+from repro.s2t.voting import compute_voting
+from tests.conftest import membership_signature
+
+SCENARIOS = ("lane", "aircraft", "orbit", "urban", "maritime")
+
+scenarios = st.sampled_from(SCENARIOS)
+
+
+@lru_cache(maxsize=len(SCENARIOS))
+def scenario_mod(name: str) -> MOD:
+    generate = getattr(datagen, f"{name}_scenario")
+    return generate(n_trajectories=60, seed=3)[0]
+
+
+def mapped(mod: MOD, space=None, time=None) -> MOD:
+    """``mod`` with every sample moved by ``space(xs, ys)`` / ``time(ts)``."""
+    trajectories = []
+    for traj in mod:
+        xs, ys = space(traj.xs, traj.ys) if space is not None else (traj.xs, traj.ys)
+        ts = time(traj.ts) if time is not None else traj.ts
+        trajectories.append(Trajectory(traj.obj_id, traj.traj_id, xs, ys, ts))
+    return MOD(name=mod.name, trajectories=trajectories)
+
+
+def answer(mod: MOD) -> tuple:
+    """Memberships plus the representatives' keys, in cluster order."""
+    result = S2TClustering(S2TParams()).fit(mod)
+    return membership_signature(result), [c.representative.key for c in result.clusters]
+
+
+@lru_cache(maxsize=len(SCENARIOS))
+def scenario_answer(name: str) -> tuple:
+    return answer(scenario_mod(name))
+
+
+@lru_cache(maxsize=len(SCENARIOS))
+def scenario_votes(name: str) -> dict:
+    return compute_voting(scenario_mod(name), S2TParams()).votes
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=scenarios,
+    quarter_turns=st.integers(min_value=0, max_value=3),
+    reflect=st.booleans(),
+    exponent=st.integers(min_value=-40, max_value=40),
+)
+def test_rotation_reflection_and_power_of_two_scaling_keep_every_vote(
+    name, quarter_turns, reflect, exponent
+):
+    scale = 2.0**exponent
+
+    def space(xs, ys):
+        for _ in range(quarter_turns):
+            xs, ys = -ys, xs
+        if reflect:
+            xs = -xs
+        return xs * scale, ys * scale
+
+    moved = mapped(scenario_mod(name), space=space)
+    votes = compute_voting(moved, S2TParams()).votes
+    expected = scenario_votes(name)
+    assert list(votes) == list(expected)
+    for key, signal in expected.items():
+        assert np.array_equal(votes[key], signal), key
+    assert answer(moved) == scenario_answer(name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    name=scenarios,
+    dx=st.floats(min_value=-1e6, max_value=1e6),
+    dy=st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_translation_keeps_memberships(name, dx, dy):
+    moved = mapped(scenario_mod(name), space=lambda xs, ys: (xs + dx, ys + dy))
+    assert answer(moved) == scenario_answer(name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=scenarios, offset=st.floats(min_value=1e9, max_value=2e9))
+@example(name="aircraft", offset=1e9)
+def test_epoch_time_offset_keeps_memberships(name, offset):
+    moved = mapped(scenario_mod(name), time=lambda ts: ts + offset)
+    assert answer(moved) == scenario_answer(name)

@@ -4,6 +4,7 @@
 import repro.s2t.clustering as clustering_mod
 import repro.s2t.pipeline as pipeline_mod
 import repro.s2t.sampling as sampling_mod
+from repro.core.parallel import partitioned_s2t
 from repro.eval.metrics import clustering_quality
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
@@ -14,7 +15,7 @@ from repro.s2t.result import ClusteringResult
 from repro.s2t.sampling import select_representatives
 from repro.s2t.segmentation import segment_mod
 from repro.s2t.voting import compute_voting
-from tests.conftest import make_linear_trajectory
+from tests.conftest import make_linear_trajectory, membership_signature
 
 
 class TestPipelineOnToyData:
@@ -175,3 +176,28 @@ class TestPipelineOnScenarios:
         for key, per_sample in assignments.items():
             parent = mod.get(key)
             assert all(0 <= idx < parent.num_points for idx in per_sample)
+
+
+class TestResolvedFromTheFrame:
+    """Fits read the MOD's extent from the frame's tables, not ``MOD.bbox``."""
+
+    def test_frame_extent_resolves_bit_equal_to_the_mod_walk(self, lanes_small):
+        mod, _ = lanes_small
+        frame = MODFrame.from_mod(mod)
+        assert frame.bbox == mod.bbox
+        for params in (S2TParams(), S2TParams(sigma=1.5), S2TParams(eps=2.0, coverage_radius=3.0)):
+            assert params.resolved(mod, frame) == params.resolved(mod)
+
+    def test_fits_never_walk_the_mod(self, lanes_small, monkeypatch):
+        mod, _ = lanes_small
+        frame = MODFrame.from_mod(mod)
+        whole = membership_signature(S2TClustering().fit(mod, frame=frame))
+        parts = membership_signature(partitioned_s2t(mod, frame=frame, n_partitions=3))
+
+        def walked(_mod):
+            raise AssertionError("the fit walked the MOD's trajectories")
+
+        monkeypatch.setattr(MOD, "bbox", property(walked))
+        monkeypatch.setattr(MOD, "period", property(walked))
+        assert membership_signature(S2TClustering().fit(mod, frame=frame)) == whole
+        assert membership_signature(partitioned_s2t(mod, frame=frame, n_partitions=3)) == parts
