@@ -2,8 +2,8 @@
 
 A stdlib-:mod:`ast` static-analysis subsystem enforcing the conventions
 the durable, parallel engine depends on but no generic linter knows
-about.  Eight rules, each with a rule id, a slug and a remediation hint.
-The first five are per-module syntactic visitors; REPRO110–112 are
+about.  Seven rules, each with a rule id, a slug and a remediation hint.
+The first four are per-module syntactic visitors; REPRO110–112 are
 flow-sensitive, built on the per-function CFGs, lock-set dataflow and
 call-graph summaries in :mod:`repro.analysis.flow`:
 
@@ -14,8 +14,6 @@ REPRO101   ``io-discipline``         mutating I/O in the storage layer and inges
                                      routes through the fault-injectable ``IOShim``
 REPRO103   ``plan-purity``           logical-plan dataclasses are frozen; streaming
                                      executor methods never write engine state
-REPRO104   ``generation-discipline`` dataset mutations in ``core/`` bump a generation
-                                     token in the same function
 REPRO105   ``determinism``           no wall clocks / unseeded RNG in ``hermes``,
                                      ``qut``, ``sql`` (the bit-identity paths) or
                                      ``eval/quality.py`` (seed-pinned re-runs)

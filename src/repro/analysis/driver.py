@@ -10,7 +10,7 @@ Usage::
 
     repro-lint                      # lint src/repro (the default root)
     repro-lint path/to/tree ...     # lint explicit files or directories
-    repro-lint --select io-discipline,REPRO104
+    repro-lint --select io-discipline,REPRO105
     repro-lint --ignore determinism
     repro-lint --list-rules
 
@@ -36,7 +36,6 @@ from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.durability import DurabilityChecker
 from repro.analysis.exception_contracts import ExceptionContractChecker
 from repro.analysis.flow.summaries import ProjectIndex
-from repro.analysis.generation import GenerationChecker
 from repro.analysis.io_discipline import IoDisciplineChecker
 from repro.analysis.plan_purity import PlanPurityChecker
 from repro.analysis.race import RaceChecker
@@ -48,7 +47,6 @@ __all__ = ["ALL_CHECKERS", "lint_paths", "main", "select_checkers"]
 ALL_CHECKERS: tuple[Checker, ...] = (
     IoDisciplineChecker(),
     PlanPurityChecker(),
-    GenerationChecker(),
     DeterminismChecker(),
     ShmHygieneChecker(),
     RaceChecker(),

@@ -541,7 +541,7 @@ class HermesEngine:
         # The generation token was assigned when the catalog was opened;
         # materialisation only decodes what that generation committed, so no
         # bump happens (or is needed) here.
-        self._datasets[name] = MOD(name=name, trajectories=ordered)  # repro-lint: allow[generation-discipline]
+        self._datasets[name] = MOD(name=name, trajectories=ordered)
         with self._catalog_lock:
             self._frames[name] = MODFrame.from_trajectories(ordered)
 

@@ -11,8 +11,9 @@ the fluent ``conn.dataset(name).append(...)`` and SQL ``INSERT``-as-append:
   unit) per ``(obj_id, traj_id)`` key and assembles them into complete
   :class:`~repro.hermes.trajectory.Trajectory` objects once a key has at
   least two temporally distinct samples — the same sort/dedup rules the
-  historical full-rebuild materialisation applied, so the two paths produce
-  identical trajectories from identical inserts.
+  full-rebuild materialisation applies, so the two paths produce identical
+  trajectories from identical inserts.  A key given two different positions
+  at one instant is refused, never resolved silently.
 * :class:`IngestPipeline` applies a batch of complete trajectories to a
   dataset *in place*: the registered MOD is replaced by an extended snapshot
   (open cursors streaming the old one keep their pre-append view), the
@@ -127,11 +128,12 @@ class AppendBuffer:
 
     The SQL front-end inserts *points* (``obj_id, traj_id, x, y, t``), but
     the ingestion unit is a whole trajectory: a key's samples are sorted by
-    time, duplicate instants are dropped (first sample at an instant wins,
-    matching the historical rebuild materialisation), and the key graduates
-    once at least two distinct instants remain.  Incomplete keys stay
-    buffered across statements until they graduate or the buffer is
-    discarded (dataset drop/replace).
+    time, an exact duplicate (same instant, same position) is dropped, and
+    the key graduates once at least two distinct instants remain.  Two
+    *different* positions at one instant are a conflict the buffer cannot
+    resolve: :meth:`extend` refuses them, and so does :meth:`_assemble`.
+    Incomplete keys stay buffered across statements until they graduate or
+    the buffer is discarded (dataset drop/replace).
     """
 
     #: Pending samples per ``(obj_id, traj_id)``, as ``(t, x, y)`` triples.
@@ -139,11 +141,24 @@ class AppendBuffer:
         default_factory=dict
     )
 
-    def add_point(self, obj_id: str, traj_id: str, x: float, y: float, t: float) -> None:
-        """Buffer one point record for key ``(obj_id, traj_id)``."""
-        self.pending.setdefault((obj_id, traj_id), []).append(
-            (float(t), float(x), float(y))
-        )
+    def extend(
+        self, points: Iterable[tuple[tuple[str, str], tuple[float, float, float]]]
+    ) -> None:
+        """Buffer a statement's ``(key, (t, x, y))`` points: all of them or none.
+
+        Raises :class:`ValueError` naming the key and the instant when a
+        point gives a key a second, different position at one instant
+        (against the statement's other points or those already buffered);
+        the buffer is then unchanged.
+        """
+        staged: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
+        for key, (t, x, y) in points:
+            staged.setdefault(key, list(self.pending.get(key, ()))).append(
+                (float(t), float(x), float(y))
+            )
+        for key, samples in staged.items():
+            self._assemble(key, samples)
+        self.pending.update(staged)
 
     def __len__(self) -> int:
         return sum(len(samples) for samples in self.pending.values())
@@ -154,22 +169,25 @@ class AppendBuffer:
     ) -> Trajectory | None:
         """A trajectory from a key's samples, or ``None`` while incomplete.
 
-        The sort is *stable and by time only*, so when two samples share an
-        instant the first-arriving one wins — the rule the class docstring
-        promises (a plain tuple sort would instead pick the smallest
-        coordinates at a tied instant).
+        Samples are sorted by time; a sample repeating an instant with the
+        same position is dropped.  Raises :class:`ValueError` naming the key
+        and the instant when two samples put the key at different positions
+        at one instant.
         """
         ts: list[float] = []
         xs: list[float] = []
         ys: list[float] = []
-        last_t: float | None = None
         for t, x, y in sorted(samples, key=lambda sample: sample[0]):
-            if last_t is not None and t <= last_t:
+            if ts and t == ts[-1]:
+                if (x, y) != (xs[-1], ys[-1]):
+                    raise ValueError(
+                        f"trajectory {key!r} has two positions at t={t!r}: "
+                        f"({xs[-1]!r}, {ys[-1]!r}) and ({x!r}, {y!r})"
+                    )
                 continue
             ts.append(t)
             xs.append(x)
             ys.append(y)
-            last_t = t
         if len(ts) < 2:
             return None
         return Trajectory(key[0], key[1], xs, ys, ts)
@@ -179,14 +197,17 @@ class AppendBuffer:
 
         Keys with fewer than two distinct instants stay buffered; the
         returned trajectories are ordered by first arrival (dict insertion
-        order), which is also the row order the append will create.
+        order), which is also the row order the append will create.  When a
+        key holds conflicting positions (:meth:`_assemble` raises) nothing
+        is removed.
         """
         out: list[Trajectory] = []
-        for key in list(self.pending):
-            traj = self._assemble(key, self.pending[key])
+        for key, samples in self.pending.items():
+            traj = self._assemble(key, samples)
             if traj is not None:
-                del self.pending[key]
                 out.append(traj)
+        for traj in out:
+            del self.pending[traj.key]
         return out
 
     def clear(self) -> None:

@@ -215,8 +215,9 @@ def out_of_order_jitter(jitter_fraction: float = 0.6) -> DegradationProfile:
     the samples are re-sorted by the jittered time — exactly what the
     ingest path does to a late-arriving fix.  Positions and labels travel
     with their sample.  The rare exact tie after jittering keeps the
-    first-arriving sample, matching the
-    :class:`~repro.core.ingest.AppendBuffer` contract.
+    first-arriving sample.  The ingest path would refuse such a pair
+    instead (:class:`~repro.core.ingest.AppendBuffer` rejects two positions
+    at one instant), so the profile resolves the tie itself.
     """
 
     def step(

@@ -46,7 +46,9 @@ API_TARGETS: tuple[tuple[str, tuple[str, ...] | None], ...] = (
     ("repro.core.ingest", None),
     ("repro.core.parallel", ("WorkerPool", "partitioned_s2t")),
     ("repro.core.session", ("ProgressiveSession", "SessionStep")),
-    ("repro.hermes.distances", ("spatiotemporal_distance_batch", "hausdorff_distance_batch")),
+    ("repro.hermes.distances", (
+        "spatiotemporal_distance_matrix", "spatiotemporal_distance_batch", "hausdorff_distance_batch",
+    )),
     ("repro.hermes.frame", ("MODFrame",)),
     ("repro.hermes.mod", ("MOD",)),
     ("repro.hermes.shm", None),

@@ -6,10 +6,12 @@ implemented here is what the clustering modules and the baselines need:
 * :func:`spatiotemporal_distance` -- time-synchronised average Euclidean
   distance over the common lifespan (the scalar reference of S2T sampling
   and greedy clustering; used by T-OPTICS),
-* :func:`spatiotemporal_distance_batch` -- the same distance from one
-  trajectory to *every* row of a :class:`~repro.hermes.frame.MODFrame` in a
-  single vectorised pass (SaCO's distance rows, the ReTraTree's entry
-  assignment and QuT's co-movement test),
+* :func:`spatiotemporal_distance_matrix` -- the same distance from each of
+  many trajectories to *every* row of a
+  :class:`~repro.hermes.frame.MODFrame` in a single vectorised pass (the
+  ReTraTree's entry assignment, one pass per sub-chunk), and
+  :func:`spatiotemporal_distance_batch`, its one-trajectory case (SaCO's
+  distance rows and QuT's co-movement test),
 * :func:`closest_approach_distance` -- minimum synchronous distance,
 * :func:`hausdorff_distance` -- spatial Hausdorff distance (time-agnostic,
   used by TRACLUS-style comparisons),
@@ -24,7 +26,7 @@ implemented here is what the clustering modules and the baselines need:
 All functions return ``math.inf`` when the inputs share no common time span
 and the distance is inherently time-aware.
 
-The two batched kernels and :func:`hausdorff_distance` work on squared
+The batched kernels and :func:`hausdorff_distance` work on squared
 distances ``dx*dx + dy*dy`` and take a square root only where a distance is
 returned; the other scalar functions use ``hypot``.  The S2T voting kernel,
 ``exp(-(dx^2 + dy^2) / (2 sigma^2))`` in :mod:`repro.s2t.voting`, takes no
@@ -34,6 +36,7 @@ square root at all.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -46,6 +49,7 @@ from repro.hermes.types import PointST, SegmentST
 __all__ = [
     "spatiotemporal_distance",
     "spatiotemporal_distance_batch",
+    "spatiotemporal_distance_matrix",
     "closest_approach_distance",
     "hausdorff_distance",
     "hausdorff_distance_batch",
@@ -75,6 +79,88 @@ def spatiotemporal_distance(
     return float(np.mean(np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])))
 
 
+def spatiotemporal_distance_matrix(
+    frame: MODFrame,
+    trajs: Sequence[Trajectory],
+    max_samples: int = 128,
+    candidates: npt.NDArray[np.bool_] | None = None,
+) -> npt.NDArray[np.float64]:
+    """:func:`spatiotemporal_distance` from each of ``trajs`` to every row of ``frame``.
+
+    Returns a ``(len(trajs), len(frame))`` array.  A pair whose lifespans do
+    not overlap with positive duration gets ``inf``, and so does a pair
+    ``candidates`` (an optional boolean array of the same shape) leaves out:
+    a caller that can bound a pair's distance from below skips it here.
+    Equivalent to ``spatiotemporal_distance(frame row, traj,
+    max_samples=max_samples)`` per pair, but each pair's
+    ``max_samples``-point common time grid is built vectorised, every
+    frame row is interpolated in one
+    :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` pass, and each
+    trajectory's positions come from one ``np.interp`` call per axis.  Every
+    cell's arithmetic depends on its pair only, so a pair's distance does not
+    depend on which other pairs share the call.
+
+    Each synchronous distance is ``sqrt(dx*dx + dy*dy)`` (no ``hypot``), so
+    it can differ from the scalar function's in the last bit.  A squared
+    distance that overflows (offsets beyond ``~1.3e154``) reads ``inf``, as
+    does the pair's mean; within one MOD that
+    :meth:`~repro.s2t.params.S2TParams.resolved` accepts, no offset is that
+    large.
+    """
+    if max_samples < 1:
+        raise ValueError("max_samples must be at least 1")
+    out = np.full((len(trajs), len(frame)), math.inf)
+    if len(frame) == 0 or len(trajs) == 0:
+        return out
+    starts = np.array([traj.ts[0] for traj in trajs], dtype=float)
+    ends = np.array([traj.ts[-1] for traj in trajs], dtype=float)
+    lo = np.maximum(frame.tmins[None, :], starts[:, None])
+    hi = np.minimum(frame.tmaxs[None, :], ends[:, None])
+    live = hi - lo > 0
+    if candidates is not None:
+        live &= candidates
+    # Pairs in row-major order, so each trajectory's pairs are contiguous:
+    # trajectory k owns pairs first[k]:first[k + 1].
+    pairs = np.flatnonzero(live)
+    if pairs.size == 0:
+        return out
+    owners, rows = np.divmod(pairs, len(frame))
+    first = np.searchsorted(owners, np.arange(len(trajs) + 1)).tolist()
+    lo, hi = lo.ravel()[pairs], hi.ravel()[pairs]
+
+    n = max_samples
+    steps = np.arange(n, dtype=float)
+    dists = np.empty(pairs.size)
+    # Chunk so one batch never materialises more than MAX_BATCH_CELLS cells.
+    chunk = max(1, MAX_BATCH_CELLS // n)
+    for start in range(0, pairs.size, chunk):
+        stop = min(start + chunk, pairs.size)
+        if n == 1:
+            # np.linspace(lo, hi, 1) == [lo]
+            grids = lo[start:stop, None]
+        else:
+            # Per-pair np.linspace(lo, hi, n): start + i * step, endpoint forced.
+            step = (hi[start:stop] - lo[start:stop]) / (n - 1)
+            grids = lo[start:stop, None] + steps[None, :] * step[:, None]
+            grids[:, -1] = hi[start:stop]
+
+        # mean(sqrt(dx*dx + dy*dy)), in place on the interpolated positions.
+        dx, dy = frame.positions_at_batch(rows[start:stop], grids)
+        for k in range(int(owners[start]), int(owners[stop - 1]) + 1):
+            a, b = max(first[k], start) - start, min(first[k + 1], stop) - start
+            if a < b:
+                traj = trajs[k]
+                cells = grids[a:b].ravel()
+                dx[a:b] -= np.interp(cells, traj.ts, traj.xs).reshape(b - a, -1)
+                dy[a:b] -= np.interp(cells, traj.ts, traj.ys).reshape(b - a, -1)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dists[start:stop] = np.sqrt(dx, out=dx).mean(axis=1)
+    out.ravel()[pairs] = dists
+    return out
+
+
 def spatiotemporal_distance_batch(
     frame: MODFrame,
     traj: Trajectory,
@@ -83,53 +169,10 @@ def spatiotemporal_distance_batch(
     """:func:`spatiotemporal_distance` from ``traj`` to every row of ``frame``.
 
     Returns a ``(len(frame),)`` array; rows whose lifespan does not overlap
-    ``traj``'s with positive duration get ``inf``.  Equivalent to calling
-    ``spatiotemporal_distance(frame row, traj, max_samples=max_samples)`` per
-    row, but each pair's ``max_samples``-point common time grid is built
-    vectorised and all rows are interpolated in one
-    :meth:`~repro.hermes.frame.MODFrame.positions_at_batch` pass.
-
-    Each synchronous distance is ``sqrt(dx*dx + dy*dy)`` (no ``hypot``), so
-    it can differ from the scalar function's in the last bit.  A squared
-    distance that overflows (offsets beyond ``~1.3e154``) reads ``inf``, as
-    does the row's mean; within one MOD that
-    :meth:`~repro.s2t.params.S2TParams.resolved` accepts, no offset is that
-    large.
+    ``traj``'s with positive duration get ``inf``.  This is the one-row case
+    of :func:`spatiotemporal_distance_matrix`.
     """
-    if max_samples < 1:
-        raise ValueError("max_samples must be at least 1")
-    out = np.full(len(frame), math.inf)
-    if len(frame) == 0:
-        return out
-    lo, hi = frame.lifespan_overlap(float(traj.ts[0]), float(traj.ts[-1]))
-    valid = np.flatnonzero(hi - lo > 0)
-    if valid.size == 0:
-        return out
-
-    n = max_samples
-    steps = np.arange(n, dtype=float)
-    # Chunk so one batch never materialises more than MAX_BATCH_CELLS cells.
-    chunk = max(1, MAX_BATCH_CELLS // n)
-    for start in range(0, valid.size, chunk):
-        rows = valid[start : start + chunk]
-        if n == 1:
-            # np.linspace(lo, hi, 1) == [lo]
-            grids = lo[rows, None]
-        else:
-            # Per-row np.linspace(lo, hi, n): start + i * step, endpoint forced.
-            step = (hi[rows] - lo[rows]) / (n - 1)
-            grids = lo[rows, None] + steps[None, :] * step[:, None]
-            grids[:, -1] = hi[rows]
-
-        # mean(sqrt(dx*dx + dy*dy)), in place on the interpolated positions.
-        dx, dy = frame.positions_at_batch(rows, grids)
-        dx -= np.interp(grids.ravel(), traj.ts, traj.xs).reshape(grids.shape)
-        dy -= np.interp(grids.ravel(), traj.ts, traj.ys).reshape(grids.shape)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        out[rows] = np.sqrt(dx, out=dx).mean(axis=1)
-    return out
+    return spatiotemporal_distance_matrix(frame, [traj], max_samples)[0]
 
 
 def closest_approach_distance(

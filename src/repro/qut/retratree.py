@@ -22,6 +22,27 @@ the in-memory level-3 entry list, their members are archived into fresh
 partitions, and the remaining outliers are re-inserted (they may be absorbed
 by the new representatives) — exactly the dataflow of the paper's Figure 2.
 
+Insertion
+---------
+The bulk load, an append and a flush's outlier re-insertion each cut their
+whole batch first and insert the pieces through one loop
+(:meth:`ReTraTree._insert_pieces`), absorbing them one by one in batch
+order.  A piece belongs to the sub-chunk holding its temporal midpoint.
+
+* *Lookahead*: on a sub-chunk's first piece, every piece still queued for
+  it is decided in one pass against the sub-chunk's representative frame
+  (:meth:`ReTraTree._decide`).
+* *Version rule*: a decision holds while the sub-chunk's
+  ``entries_version`` does.  Absorbing a piece changes no representative;
+  an overflow flush adds entries and bumps the version, so the remaining
+  pieces are decided again.
+* *Prune*: a (piece, representative) pair is computed only when their
+  bounding boxes lie within the distance threshold ``d``.  The mean of the
+  synchronous distances is at least the gap between the two boxes, and a
+  pair beyond ``d`` is refused anyway; the test carries ulps of slack so it
+  can only keep a pair, never drop one the unpruned pass would choose
+  (:func:`_nearest_within`).
+
 Derived state
 -------------
 What a query needs from the *index* (levels 1–3) that does not depend on its
@@ -64,14 +85,17 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.hermes.distances import hausdorff_distance_batch, spatiotemporal_distance_batch
+from repro.hermes.distances import (
+    hausdorff_distance_batch,
+    spatiotemporal_distance_batch,
+    spatiotemporal_distance_matrix,
+)
 from repro.hermes.frame import MODFrame, subtrajectory_from_slice
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import BoxST, Period
 from repro.index.rtree3d import RTree3D
 from repro.qut.params import QuTParams
-from repro.s2t.clustering import assign_to_representatives_batch
 from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
 from repro.storage.errors import CorruptPartitionError
@@ -113,6 +137,46 @@ def _bbox_faces_within(frame: MODFrame, traj: Trajectory, d: float) -> np.ndarra
     return gap <= d + 4.0 * np.spacing(gap + d)
 
 
+def _nearest_within(frame: MODFrame, trajs: Sequence[Trajectory], d: float) -> list[int]:
+    """Per trajectory: the first frame row nearest to it within ``d``, or ``-1``.
+
+    Distances are :func:`~repro.hermes.distances.spatiotemporal_distance`
+    over 32 common instants, all from one
+    :func:`~repro.hermes.distances.spatiotemporal_distance_matrix` call that
+    skips every pair whose bounding boxes lie more than ``d`` apart (module
+    docstring).  The prune only ever keeps too many pairs: each box is
+    widened by 8 ulps of its coordinates (an interpolated position can
+    overshoot its samples' box by an ulp), the gap is measured as the kernel
+    measures a distance (``sqrt(gx*gx + gy*gy)``, so where a square
+    underflows both read 0), and the bound carries 16 ulps of ``d`` for the
+    rounding of the mean.  The answer is exactly the unpruned argmin's.
+
+    The QuT temporal tolerance ``t`` needs no test here: it widens a
+    lifespan-overlap gate, and every pair the distance is finite for already
+    shares a lifespan, so ``t`` never refuses a pair.
+    """
+    firsts = np.cumsum([0, *(t.num_points for t in trajs[:-1])])
+
+    def gap(coords: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> np.ndarray:
+        # (trajectory, row) gap along one axis, each box widened by its pad.
+        lo_a, hi_a = np.minimum.reduceat(coords, firsts), np.maximum.reduceat(coords, firsts)
+        pad_a = 8.0 * np.spacing(np.maximum(np.abs(lo_a), np.abs(hi_a)))
+        pad_b = 8.0 * np.spacing(np.maximum(np.abs(lo_b), np.abs(hi_b)))
+        below = (lo_b - pad_b)[None, :] - (hi_a + pad_a)[:, None]
+        above = (lo_a - pad_a)[:, None] - (hi_b + pad_b)[None, :]
+        return np.maximum(np.maximum(below, above), 0.0)
+
+    gx = gap(np.concatenate([t.xs for t in trajs]), frame.xmins, frame.xmaxs)
+    gy = gap(np.concatenate([t.ys for t in trajs]), frame.ymins, frame.ymaxs)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    candidates = np.sqrt(gx, out=gx) <= d + 16.0 * np.spacing(d)
+    dists = spatiotemporal_distance_matrix(frame, trajs, 32, candidates)
+    best = dists.argmin(axis=1)
+    return np.where(dists[np.arange(len(trajs)), best] <= d, best, -1).tolist()
+
+
 @dataclass
 class ClusterEntry:
     """Level-3 entry: a representative and the partition archiving its members."""
@@ -152,15 +216,15 @@ class SubChunk:
         """Record an entry mutation (invalidates the representative frame)."""
         self.entries_version += 1
 
-    def absorb(self, sub: SubTrajectory, tree: "ReTraTree") -> bool:
+    def absorb(self, sub: SubTrajectory, entry: ClusterEntry | None, tree: "ReTraTree") -> bool:
         """Absorb one sub-trajectory piece into this sub-chunk.
 
-        The piece is voted against the sub-chunk's level-3 representatives
-        (one batched :func:`~repro.s2t.clustering.assign_to_representatives_batch`
-        call over the cached representative frame): within the distance
-        threshold it joins the closest entry's member partition; otherwise
-        it lands in the *unclustered* (outlier) buffer, and an overflowing
-        buffer triggers a localised re-clustering of this sub-chunk only
+        ``entry`` is the level-3 entry whose representative is closest to
+        the piece within the distance threshold, or ``None`` — decided
+        against the current entries by :meth:`ReTraTree._decide`.  The piece
+        joins that entry's member partition; otherwise it lands in the
+        *unclustered* (outlier) buffer, and an overflowing buffer triggers a
+        localised re-clustering of this sub-chunk only
         (:meth:`ReTraTree.flush_unclustered`).  This is the single
         absorption step shared by the bulk load and the incremental append
         path (:meth:`ReTraTree.append`).
@@ -169,8 +233,10 @@ class SubChunk:
         ----------
         sub:
             The piece, already cut to (mostly) this sub-chunk's period.
+        entry:
+            The entry the piece joins, or ``None`` to buffer it.
         tree:
-            The owning tree — provides storage, kernels and stats.
+            The owning tree — provides storage and stats.
 
         Returns
         -------
@@ -179,7 +245,6 @@ class SubChunk:
         """
         params = tree.params
         assert params is not None and params.overflow_threshold is not None
-        entry = tree._best_entry(self, sub)
         if entry is not None:
             tree._archive_member(entry, sub)
             tree.stats.pieces_assigned += 1
@@ -452,29 +517,44 @@ class ReTraTree:
         Returns the keys of the sub-chunks that received a piece.
         """
         self.stats.trajectories_inserted += 1
-        touched: set[tuple[int, int]] = set()
+        pieces = []
         for key in self._crossed_subchunks(traj):
             piece = traj.slice_period(self._subchunk_period(*key))
             if piece is not None:
-                touched.add(
-                    self.insert_subtrajectory(subtrajectory_from_slice(traj, piece))
-                )
-        return touched
+                pieces.append(subtrajectory_from_slice(traj, piece))
+        return self._insert_pieces(pieces)
 
-    def insert_subtrajectory(self, sub: SubTrajectory) -> tuple[int, int]:
-        """Insert one sub-trajectory piece lying (mostly) within one sub-chunk.
+    def _insert_pieces(self, pieces: Sequence[SubTrajectory]) -> set[tuple[int, int]]:
+        """Insert pieces in order, deciding each sub-chunk's queue in one pass.
 
-        Locates the owning sub-chunk by the piece's temporal midpoint and
-        delegates the assign-or-buffer step to :meth:`SubChunk.absorb`.
-        Returns the sub-chunk's key, so batch callers (:meth:`append`) can
-        track which sub-chunks a batch touched.
+        Each piece belongs to the sub-chunk holding its temporal midpoint.
+        The pieces are absorbed one by one in the given order
+        (:meth:`SubChunk.absorb`), but the entry each one joins is decided
+        ahead: on a sub-chunk's first piece, every piece still queued for it
+        is decided in one :meth:`_decide` pass.  A decision holds while the
+        sub-chunk's ``entries_version`` does — absorbing a piece changes no
+        representative — and an overflow flush that adds entries bumps the
+        version, so the sub-chunk's remaining pieces are decided again.
+        Returns the keys of the sub-chunks that received a piece.
         """
-        self._ensure_params(sub.traj)
-        t_mid = (sub.period.tmin + sub.period.tmax) / 2.0
-        subchunk = self._get_subchunk(*self._locate(t_mid))
-        self.stats.pieces_inserted += 1
-        subchunk.absorb(sub, self)
-        return subchunk.key
+        keys = [self._locate((p.period.tmin + p.period.tmax) / 2.0) for p in pieces]
+        queues: dict[tuple[int, int], list[SubTrajectory]] = {}
+        for piece, key in zip(pieces, keys):
+            queues.setdefault(key, []).append(piece)
+        absorbed = dict.fromkeys(queues, 0)
+        # Per sub-chunk: (entries_version, queue position of choices[0], choices).
+        decided: dict[tuple[int, int], tuple[int, int, list[ClusterEntry | None]]] = {}
+        for piece, key in zip(pieces, keys):
+            subchunk = self._get_subchunk(*key)
+            self.stats.pieces_inserted += 1
+            position = absorbed[key]
+            absorbed[key] = position + 1
+            version, first, choices = decided.get(key, (-1, 0, []))
+            if version != subchunk.entries_version:
+                first, choices = position, self._decide(subchunk, queues[key][position:])
+                decided[key] = (subchunk.entries_version, first, choices)
+            subchunk.absorb(piece, choices[position - first], self)
+        return set(keys)
 
     def _rep_frame(self, subchunk: SubChunk) -> MODFrame:
         """Columnar snapshot of the sub-chunk's representatives (cached).
@@ -504,25 +584,23 @@ class ReTraTree:
         subchunk.entries[entry_index].representative = representative
         subchunk.touch_entries()
 
-    def _best_entry(self, subchunk: SubChunk, sub: SubTrajectory) -> ClusterEntry | None:
-        """The closest representative within the distance threshold, or ``None``.
+    def _decide(
+        self, subchunk: SubChunk, pieces: Sequence[SubTrajectory]
+    ) -> list[ClusterEntry | None]:
+        """Per piece: the entry whose representative is closest within the threshold.
 
-        Distances to every representative are computed in one
-        :func:`~repro.s2t.clustering.assign_to_representatives_batch` call
-        over the sub-chunk's cached representative frame.
+        ``None`` where no representative is within the distance threshold.
+        One pruned pass over the sub-chunk's cached representative frame
+        decides every piece (:func:`_nearest_within`).
         """
         params = self.params
         assert params is not None and params.distance_threshold is not None
-        if not subchunk.entries:
-            return None
-        idx, _dist = assign_to_representatives_batch(
-            sub,
-            self._rep_frame(subchunk),
-            eps=params.distance_threshold,
-            temporal_tolerance=params.temporal_tolerance,
-            max_samples=32,
+        if not subchunk.entries or not pieces:
+            return [None] * len(pieces)
+        rows = _nearest_within(
+            self._rep_frame(subchunk), [piece.traj for piece in pieces], params.distance_threshold
         )
-        return None if idx is None else subchunk.entries[idx]
+        return [None if row < 0 else subchunk.entries[row] for row in rows]
 
     def merge_adjacency(self, earlier: SubChunk, later: SubChunk) -> np.ndarray:
         """Which cluster entries of two sub-chunks continue each other (cached).
@@ -605,13 +683,16 @@ class ReTraTree:
                 self._drop_partition(entry.partition_name)
 
         # Re-insert the outliers: they may now fit one of the new representatives.
-        leftovers: list[SubTrajectory] = []
+        # Archiving a member changes no representative, so one pass decides all.
+        reinserted: list[SubTrajectory] = []
         for outlier in result.outliers:
             original = key_map.get(outlier.parent_key)
             if original is None or original.traj.key in archived:
                 continue
             archived.add(original.traj.key)
-            entry = self._best_entry(subchunk, original)
+            reinserted.append(original)
+        leftovers: list[SubTrajectory] = []
+        for original, entry in zip(reinserted, self._decide(subchunk, reinserted)):
             if entry is not None:
                 self._archive_member(entry, original)
                 self.stats.outliers_reinserted += 1
@@ -649,7 +730,7 @@ class ReTraTree:
         This is the paper's incremental-maintenance claim made concrete:
         each trajectory is cut at the existing temporal grid, every piece is
         voted against the touched sub-chunk's representatives
-        (:meth:`SubChunk.absorb`, reusing the batched S2T kernels), pieces
+        (:meth:`_insert_pieces`, one pruned pass per sub-chunk), pieces
         in time ranges the tree has never seen open fresh sub-chunks (which
         extends the grid in either direction — leading chunks get negative
         chunk indices), and after the batch only the *touched* sub-chunks
@@ -700,9 +781,9 @@ class ReTraTree:
         if frame is None:
             frame = MODFrame.from_trajectories(trajs)
         partition_frames: dict[tuple[int, int], MODFrame] = {}
-        touched: set[tuple[int, int]] = set()
-        for traj in trajs:
-            touched |= self._bulk_insert_from_frame(traj, partition_frames, frame)
+        touched = self._insert_pieces(
+            [piece for traj in trajs for piece in self._cut(traj, partition_frames, frame)]
+        )
         # Localised finalize: only sub-chunks this batch touched are
         # candidates for an S2T re-clustering of their outlier buffers.
         for key in sorted(touched):
@@ -901,25 +982,25 @@ class ReTraTree:
 
     # -- bulk construction -----------------------------------------------------------------------
 
-    def _bulk_insert_from_frame(
+    def _cut(
         self,
         traj: Trajectory,
         partition_frames: dict[tuple[int, int], MODFrame],
         parent_frame: MODFrame,
-    ) -> set[tuple[int, int]]:
-        """Frame-native :meth:`insert_trajectory` used by the bulk load and append.
+    ) -> list[SubTrajectory]:
+        """Frame-native cut of :meth:`insert_trajectory`, used by the bulk load and append.
 
         Walks the same sub-chunk cursor as :meth:`insert_trajectory`, but the
         per-sub-chunk piece comes from the sub-chunk's *partition frame* —
         ``parent_frame.slice_period(subchunk period)``, computed once for
         **all** trajectories in one batched pass — instead of a fresh
         ``traj.slice_period`` concatenation per (trajectory, sub-chunk) pair.
-        The slicing algorithms are row-for-row identical, so the inserted
-        pieces (and therefore the resulting tree) match the incremental path
-        exactly.  Returns the keys of the sub-chunks that received a piece.
+        The slicing algorithms are row-for-row identical, so the pieces (and
+        therefore the resulting tree) match the incremental path exactly.
+        Returns the pieces in time order.
         """
         self.stats.trajectories_inserted += 1
-        touched: set[tuple[int, int]] = set()
+        pieces = []
         for key in self._crossed_subchunks(traj):
             partition = partition_frames.get(key)
             if partition is None:
@@ -927,11 +1008,8 @@ class ReTraTree:
                 partition_frames[key] = partition
             row = partition.maybe_row_of(traj.key)
             if row is not None:
-                piece = partition.trajectory_of(row)
-                touched.add(
-                    self.insert_subtrajectory(subtrajectory_from_slice(traj, piece))
-                )
-        return touched
+                pieces.append(subtrajectory_from_slice(traj, partition.trajectory_of(row)))
+        return pieces
 
     @classmethod
     def build(
@@ -960,7 +1038,12 @@ class ReTraTree:
         tree.origin = mod.period.tmin
         tree.params = tree.raw_params.resolved(mod)
         partition_frames: dict[tuple[int, int], MODFrame] = {}
-        for row in range(len(frame)):
-            tree._bulk_insert_from_frame(frame.trajectory_of(row), partition_frames, frame)
+        tree._insert_pieces(
+            [
+                piece
+                for row in range(len(frame))
+                for piece in tree._cut(frame.trajectory_of(row), partition_frames, frame)
+            ]
+        )
         tree.finalize()
         return tree

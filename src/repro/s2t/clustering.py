@@ -16,9 +16,6 @@ representatives x sub-trajectories distance matrix is materialised.
 :func:`greedy_clustering` is the same assignment for callers that hold no
 rows: it computes each representative's row with one
 :func:`spatiotemporal_distance_batch` call, one at a time.
-:func:`assign_to_representatives_batch` is the one-sub-trajectory-at-a-time
-counterpart against a *representative* frame, used by the ReTraTree's
-insertion path.
 """
 
 from __future__ import annotations
@@ -29,76 +26,13 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.hermes.distances import spatiotemporal_distance, spatiotemporal_distance_batch
+from repro.hermes.distances import spatiotemporal_distance_batch
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory
 from repro.s2t.params import S2TParams
 from repro.s2t.result import Cluster, ClusteringResult
 
-__all__ = [
-    "cluster",
-    "greedy_clustering",
-    "assign_to_representatives",
-    "assign_to_representatives_batch",
-]
-
-
-def assign_to_representatives(
-    sub: SubTrajectory,
-    representatives: list[SubTrajectory],
-    eps: float,
-    temporal_tolerance: float = 0.0,
-) -> tuple[int | None, float]:
-    """Index of the closest representative within ``eps``, and the distance.
-
-    Returns ``(None, inf)`` when no representative is reachable.  The
-    temporal tolerance expands each representative's lifespan before checking
-    temporal overlap, implementing the ``t`` parameter of the paper's QUT
-    signature.
-
-    This is the scalar reference; :func:`assign_to_representatives_batch`
-    computes the same answer against a pre-built representative frame.
-    """
-    best_idx: int | None = None
-    best_dist = math.inf
-    for idx, rep in enumerate(representatives):
-        if temporal_tolerance > 0:
-            rep_period = rep.period.expand(temporal_tolerance)
-            if not rep_period.overlaps(sub.period):
-                continue
-        dist = spatiotemporal_distance(rep.traj, sub.traj, max_samples=32)
-        if dist < best_dist:
-            best_dist = dist
-            best_idx = idx
-    if best_dist > eps:
-        return None, best_dist
-    return best_idx, best_dist
-
-
-def assign_to_representatives_batch(
-    sub: SubTrajectory,
-    rep_frame: MODFrame,
-    eps: float,
-    temporal_tolerance: float = 0.0,
-    max_samples: int = 32,
-) -> tuple[int | None, float]:
-    """Batched :func:`assign_to_representatives` against a representative frame.
-
-    ``rep_frame`` holds the representatives' precomputed sample grids (row
-    ``i`` = representative ``i``); distances to all of them are computed in
-    one :func:`spatiotemporal_distance_batch` call.
-    """
-    if len(rep_frame) == 0:
-        return None, math.inf
-    dists = spatiotemporal_distance_batch(rep_frame, sub.traj, max_samples=max_samples)
-    if temporal_tolerance > 0:
-        overlaps = rep_frame.overlaps_period(sub.period, temporal_tolerance)
-        dists = np.where(overlaps, dists, math.inf)
-    idx = int(np.argmin(dists))
-    best_dist = float(dists[idx])
-    if best_dist > eps:
-        return None, best_dist
-    return idx, best_dist
+__all__ = ["cluster", "greedy_clustering"]
 
 
 def greedy_clustering(

@@ -263,8 +263,10 @@ class PlanExecutor:
         if any(key in mod for key, _ in coerced):
             return self._insert_rebuild(name, coerced)
         buffer = self._buffer_for(name)
-        for (obj_id, traj_id), (t, x, y) in coerced:
-            buffer.add_point(obj_id, traj_id, x, y, t)
+        try:
+            buffer.extend(coerced)
+        except ValueError as exc:
+            raise SQLExecutionError(f"INSERT refused: {exc}") from exc
         completed = buffer.drain_complete()
         if completed:
             # Appends do not move the replacement generation the buffer is
@@ -299,7 +301,10 @@ class PlanExecutor:
         mod = MOD(name=name)
         leftovers: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
         for key, samples in merged.items():
-            traj = AppendBuffer._assemble(key, samples)
+            try:
+                traj = AppendBuffer._assemble(key, samples)
+            except ValueError as exc:
+                raise SQLExecutionError(f"INSERT refused: {exc}") from exc
             if traj is None:
                 leftovers[key] = samples
             else:

@@ -57,6 +57,11 @@ class BufferPool:
     # -- page access -----------------------------------------------------------
 
     @property
+    def pager(self) -> Pager:
+        """The page store under the pool."""
+        return self._pager
+
+    @property
     def io_retries(self) -> int:
         """Transient I/O failures the underlying pager absorbed via retries.
 

@@ -287,6 +287,8 @@ class StorageManager:
         Called at the engine's persistence points (dataset archival, tree
         serialisation) *before* the manifest commit, so the manifest never
         references records that could be lost to a process or system crash.
+        Only partitions written since their last fsync are fsynced
+        (:meth:`~repro.storage.pager.FilePager.sync`).
         """
         for info in self._partitions.values():
             info.heapfile.buffer_pool.sync()
@@ -407,24 +409,51 @@ class StorageManager:
             return True
         return stored == manifest_checksum(manifest)
 
-    def partition_checksums(self, names: Iterable[str]) -> dict[str, list[int]]:
-        """Per-page CRC32s of the named partitions' files, freshly computed.
+    def partition_checksums(
+        self, names: Iterable[str], committed: Manifest | None = None
+    ) -> dict[str, list[int]]:
+        """Per-page CRC32s of the named partitions' files.
 
         Call after :meth:`checkpoint` — the checksums describe what is on
         disk, and the manifest that records them must never be committed
         over unflushed pages.  Names without an on-disk file (in-memory
         managers, never-created partitions) are skipped.
+
+        ``committed`` is the last committed manifest's ``checksums`` map.
+        Without it every page is read and checksummed.  With it a commit
+        costs what it wrote: a partition open here re-reads only the pages
+        it wrote since that commit
+        (:meth:`~repro.storage.pager.FilePager.page_checksums`), and one
+        that is not open keeps its recorded list unread.
         """
         sums: dict[str, list[int]] = {}
         if self.directory is None:
             return sums
+        committed = committed or {}
         for name in names:
+            info = self._partitions.get(name)
+            if info is not None:
+                pager = info.heapfile.buffer_pool.pager
+                assert isinstance(pager, FilePager)
+                sums[name] = pager.page_checksums(committed.get(name, []))
+                continue
+            if name in committed:
+                sums[name] = list(committed[name])
+                continue
             path = self.directory / f"{name}.part"
             if not path.exists():
                 continue
             data = self._retry(lambda p=path: self.io.read_bytes(p))
             sums[name] = page_checksums(data)
         return sums
+
+    def mark_committed(self) -> None:
+        """Every open partition's pages now match the manifest just committed."""
+        for info in self._partitions.values():
+            if info.on_disk:
+                pager = info.heapfile.buffer_pool.pager
+                assert isinstance(pager, FilePager)
+                pager.mark_committed()
 
     # -- aggregate statistics -------------------------------------------------------
 

@@ -260,36 +260,33 @@ def sweep(storage: StorageManager, manifest: Manifest) -> None:
         storage.unlink_path(path)
 
 
-def commit_manifest(storage: StorageManager, manifest: Manifest, fresh: set[str]) -> None:
+def commit_manifest(storage: StorageManager, manifest: Manifest) -> None:
     """Commit ``manifest`` as the dataset directory's new root.
 
-    ``fresh`` names the partitions this commit staged or mutated.  They are
-    checkpointed first — the manifest must never reference records that have
-    not reached disk (a commit that stages nothing, such as un-registering a
-    tree, has nothing to flush) — and their page checksums are recomputed
-    from the flushed files; checksums of untouched partitions carry over, so
-    a commit costs what it changed.  Then the stamped manifest is written
-    (the atomic rename is the commit point) and the directory is swept.
+    ``manifest`` is the committed root, edited: it still carries the last
+    commit's ``checksums`` map.  The storage is checkpointed first — the
+    manifest must never reference records that have not reached disk — and
+    only partitions written since their last fsync are fsynced.  Page
+    checksums are recomputed only for the pages written since the last
+    commit; every other page's CRC carries over (a partition staged fresh is
+    written in full), so a commit costs what it changed, and a page damaged
+    on disk but never rewritten keeps failing its recorded CRC.  Then the
+    stamped manifest is written (the atomic rename is the commit point), the
+    open partitions are marked committed and the directory is swept.
     """
-    if fresh:
-        storage.checkpoint()
+    storage.checkpoint()
     # The retired sharded-layout section of a store written before there was
     # one index: its trees are unreferenced (swept), so the index rebuilds.
     manifest.pop("shards", None)
     manifest["format_version"] = MANIFEST_FORMAT
     referenced = [name for name, _, _ in manifest_partitions(manifest)]
     old = manifest.get("checksums")
-    old = old if isinstance(old, dict) else {}
-    computed = storage.partition_checksums(
-        [name for name in referenced if name in fresh or name not in old]
+    manifest["checksums"] = storage.partition_checksums(
+        referenced, old if isinstance(old, dict) else {}
     )
-    manifest["checksums"] = {
-        name: computed[name] if name in computed else old[name]
-        for name in referenced
-        if name in computed or name in old
-    }
     manifest["manifest_crc"] = manifest_checksum(manifest)
     storage.write_manifest(manifest)
+    storage.mark_committed()
     sweep(storage, manifest)
 
 
@@ -519,21 +516,20 @@ class DurableCatalog:
         seed: int,
         manifest: Manifest,
         tree: _TreeStructure,
-    ) -> set[str]:
-        """Serialise the index into ``manifest``; return its partitions.
+    ) -> None:
+        """Serialise the index into ``manifest``.
 
         The tree writes its representatives into a *fresh* partition
         (``<name>__reps_g<N>``), so the records a committed manifest's RIDs
-        resolve against are never rewritten under it.
+        resolve against are never rewritten under it.  Member and
+        unclustered partitions were written in place by the tree; the
+        commit checksums exactly the pages that changed.
         """
         reps = self._fresh_partition(storage, f"{name}__reps_g", seed, manifest)
         manifest["tree"] = {
             **tree.to_manifest(reps_partition=reps),
             "dataset_state": dataset_state(manifest),
         }
-        # Incremental maintenance mutates member/unclustered heapfiles in
-        # place, so every tree partition counts as touched by this commit.
-        return {part for part, _, role in manifest_partitions(manifest) if role == "tree"}
 
     def commit_dataset(self, name: str, trajectories: Iterable[Trajectory], seed: int) -> None:
         """Archive a dataset (replacing any predecessor) and commit its root.
@@ -555,7 +551,7 @@ class DurableCatalog:
             "deltas": [],
             "tree": None,
         }
-        commit_manifest(storage, manifest, {partition})
+        commit_manifest(storage, manifest)
         self._pending.pop(name, None)
         self._damaged.pop(name, None)
 
@@ -585,10 +581,9 @@ class DurableCatalog:
             *_items(manifest.get("deltas")),
             {"partition": partition, "row_keys": row_keys},
         ]
-        fresh = {partition}
         if tree is not None:
-            fresh |= self._stage_tree(storage, name, seed, manifest, tree)
-        commit_manifest(storage, manifest, fresh)
+            self._stage_tree(storage, name, seed, manifest, tree)
+        commit_manifest(storage, manifest)
         return True
 
     def commit_tree(self, name: str, seed: int, tree: _TreeStructure) -> None:
@@ -601,8 +596,8 @@ class DurableCatalog:
         storage = self.storage(name)
         manifest = self._committed(storage)
         if manifest is not None:
-            fresh = self._stage_tree(storage, name, seed, manifest, tree)
-            commit_manifest(storage, manifest, fresh)
+            self._stage_tree(storage, name, seed, manifest, tree)
+            commit_manifest(storage, manifest)
 
     def forget_tree(self, name: str) -> None:
         """Un-register the persisted index and reclaim every tree partition.
@@ -619,7 +614,7 @@ class DurableCatalog:
             sweep(storage, manifest)  # partitions of a build that never committed
             return
         manifest["tree"] = None
-        commit_manifest(storage, manifest, set())
+        commit_manifest(storage, manifest)
 
     def drop(self, name: str) -> None:
         """Delete dataset ``name``'s partition files, manifest and directory."""

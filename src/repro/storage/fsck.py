@@ -502,7 +502,7 @@ def _check_dataset(
     storage = StorageManager(directory, io=io)
     try:
         if manifest_dirty or stamp_issue is not None:
-            commit_manifest(storage, manifest, set())
+            commit_manifest(storage, manifest)
         else:
             sweep(storage, manifest)
     finally:

@@ -15,12 +15,19 @@ read, write and fsync in a bounded retry with backoff so *transient* I/O
 errors — the kind a loaded NFS mount or a USB hiccup produces — do not
 fail a query or a checkpoint that a second attempt would have served.
 Retries performed are counted in :attr:`FilePager.io_retries`.
+
+A :class:`FilePager` also remembers what it wrote, so durability costs what
+changed: :meth:`FilePager.sync` skips the fsync when nothing was written
+since the last one, and :meth:`FilePager.page_checksums` re-reads only the
+pages written since the last commit (:meth:`FilePager.mark_committed`).
 """
 
 from __future__ import annotations
 
 import os
+import zlib
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from pathlib import Path as FsPath
 
 from repro.storage.errors import CorruptPartitionError
@@ -111,6 +118,10 @@ class FilePager(Pager):
                 offset=size - (size % PAGE_SIZE),
             )
         self._num_pages = size // PAGE_SIZE
+        # Pages written since mark_committed(), and whether anything was
+        # written since the last fsync.
+        self._written: set[int] = set()
+        self._unsynced = False
 
     def _retry(self, fn):
         """Run one physical I/O op with bounded retry, counting retries."""
@@ -131,10 +142,16 @@ class FilePager(Pager):
             self._io.write(self._file, Page().to_bytes())
 
         self._retry(write_fresh)
+        self._note_write(page_no)
         self._num_pages += 1
         return page_no
 
-    def read_page(self, page_no: int) -> Page:
+    def _note_write(self, page_no: int) -> None:
+        self._written.add(page_no)
+        self._unsynced = True
+
+    def _read_bytes(self, page_no: int) -> bytes:
+        """One page's bytes as stored in the file."""
         if not (0 <= page_no < self._num_pages):
             raise IndexError(f"page {page_no} not allocated in {self.path}")
 
@@ -150,7 +167,10 @@ class FilePager(Pager):
                 path=self.path,
                 offset=page_no * PAGE_SIZE,
             )
-        return Page(data)
+        return data
+
+    def read_page(self, page_no: int) -> Page:
+        return Page(self._read_bytes(page_no))
 
     def write_page(self, page_no: int, page: Page) -> None:
         if not (0 <= page_no < self._num_pages):
@@ -161,6 +181,29 @@ class FilePager(Pager):
             self._io.write(self._file, page.to_bytes())
 
         self._retry(write)
+        self._note_write(page_no)
+
+    def page_checksums(self, committed: Sequence[int]) -> list[int]:
+        """Per-page CRC32s of the file, re-reading only what this pager wrote.
+
+        ``committed`` is the list the last committed manifest recorded for
+        this file.  A page written since :meth:`mark_committed` — or beyond
+        that list — is read back and checksummed; every other page keeps its
+        recorded CRC, so a byte damaged on disk in a page this process never
+        wrote is never recorded as valid.  A file dropped and recreated
+        under the same name is a new pager that wrote every page it has, so
+        none of the old file's CRCs carry over.  Call after :meth:`sync`.
+        """
+        return [
+            int(committed[page_no])
+            if page_no < len(committed) and page_no not in self._written
+            else zlib.crc32(self._read_bytes(page_no))
+            for page_no in range(self._num_pages)
+        ]
+
+    def mark_committed(self) -> None:
+        """The file's pages now match the manifest just committed."""
+        self._written.clear()
 
     def flush(self) -> None:
         """Flush Python-level buffers so other handles see the pages.
@@ -172,10 +215,15 @@ class FilePager(Pager):
             self._file.flush()
 
     def sync(self) -> None:
-        """Flush and fsync the underlying file (with transient-error retry)."""
-        if not self._file.closed:
+        """Flush and fsync the underlying file (with transient-error retry).
+
+        A pager that has written nothing since its last fsync has nothing
+        to force to disk and skips the call.
+        """
+        if not self._file.closed and self._unsynced:
             self._file.flush()
             self._retry(lambda: self._io.fsync(self._file))
+            self._unsynced = False
 
     def close(self) -> None:
         if not self._file.closed:

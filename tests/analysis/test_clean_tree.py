@@ -1,6 +1,6 @@
 """Meta-test: the shipped ``src/repro`` tree is repro-lint clean.
 
-This is the suite's keystone: the eight invariants are not aspirations but
+This is the suite's keystone: the seven invariants are not aspirations but
 facts about the tree as committed, and any PR that breaks one fails here
 (and in the CI ``static-analysis`` job) before the functional suites run.
 """

@@ -152,65 +152,6 @@ def test_plan_purity_suppression(lint_tree):
 
 
 # ---------------------------------------------------------------------------
-# REPRO104 generation-discipline
-# ---------------------------------------------------------------------------
-
-GEN_POSITIVE = """\
-    def absorb(engine, name, frame, delta_frame, tree, trajs):
-        frame.extend(delta_frame)  # MARK-extend
-        tree.append(trajs)  # MARK-append
-        engine._datasets[name] = trajs  # MARK-assign
-"""
-
-GEN_NEGATIVE = """\
-    def absorb(engine, name, frame, delta_frame, tree, trajs):
-        try:
-            frame.extend(delta_frame)
-            tree.append(trajs)
-            engine._datasets[name] = trajs
-        finally:
-            engine._note_append(name)
-
-
-    def replace(engine, name, mod):
-        engine._datasets[name] = mod
-        engine._invalidate(name)
-
-
-    def harmless(trees, manifests):
-        # Plain list locals: receiver-name heuristic must not fire.
-        trees.append(manifests)
-        manifests.extend(trees)
-"""
-
-
-def test_generation_positive(lint_tree):
-    findings = lint_tree({"core/mutate.py": GEN_POSITIVE}, select=["generation-discipline"])
-    assert [f.rule for f in findings] == ["REPRO104"] * 3
-    assert {f.line for f in findings} == {
-        line_of(GEN_POSITIVE, "MARK-extend"),
-        line_of(GEN_POSITIVE, "MARK-append"),
-        line_of(GEN_POSITIVE, "MARK-assign"),
-    }
-
-
-def test_generation_negative(lint_tree):
-    assert lint_tree({"core/mutate.py": GEN_NEGATIVE}, select=["generation-discipline"]) == []
-
-
-def test_generation_scoped_to_core(lint_tree):
-    assert lint_tree({"hermes/mutate.py": GEN_POSITIVE}, select=["generation-discipline"]) == []
-
-
-def test_generation_suppression(lint_tree):
-    source = """\
-        def recover(engine, name, trajs):
-            engine._datasets[name] = trajs  # repro-lint: allow[generation-discipline]
-    """
-    assert lint_tree({"core/recover.py": source}, select=["generation-discipline"]) == []
-
-
-# ---------------------------------------------------------------------------
 # REPRO105 determinism
 # ---------------------------------------------------------------------------
 

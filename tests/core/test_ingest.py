@@ -59,29 +59,37 @@ def qut_similarity(result_a, result_b) -> float:
 class TestAppendBuffer:
     def test_points_graduate_at_two_distinct_instants(self):
         buf = AppendBuffer()
-        buf.add_point("a", "0", 0.0, 0.0, 0.0)
+        buf.extend([(("a", "0"), (0.0, 0.0, 0.0))])
         assert buf.drain_complete() == []
-        buf.add_point("a", "0", 1.0, 1.0, 10.0)
+        buf.extend([(("a", "0"), (10.0, 1.0, 1.0))])
         [traj] = buf.drain_complete()
         assert traj.key == ("a", "0") and traj.num_points == 2
         assert len(buf) == 0
 
-    def test_duplicate_instants_first_sample_wins(self):
+    def test_exact_duplicate_instant_is_dropped(self):
         buf = AppendBuffer()
-        # First-arriving sample at t=10 has the LARGER coordinates, so a
-        # plain (t, x, y) tuple sort would wrongly prefer the later one.
-        buf.add_point("a", "0", 9.0, 9.0, 10.0)
-        buf.add_point("a", "0", 5.0, 5.0, 10.0)  # same instant, dropped
-        buf.add_point("a", "0", 0.0, 0.0, 0.0)
+        buf.extend([(("a", "0"), (10.0, 9.0, 9.0))])
+        buf.extend([(("a", "0"), (10.0, 9.0, 9.0))])  # same instant, same place
+        buf.extend([(("a", "0"), (0.0, 0.0, 0.0))])
         [traj] = buf.drain_complete()
         assert traj.num_points == 2
         assert float(traj.xs[-1]) == 9.0
 
+    def test_two_positions_at_one_instant_are_refused(self):
+        buf = AppendBuffer()
+        buf.extend([(("a", "0"), (10.0, 9.0, 9.0)), (("a", "0"), (0.0, 0.0, 0.0))])
+        before = {key: list(samples) for key, samples in buf.pending.items()}
+        with pytest.raises(ValueError, match=r"\('a', '0'\).*t=10\.0"):
+            buf.extend([(("b", "0"), (0.0, 1.0, 1.0)), (("a", "0"), (10.0, 5.0, 5.0))])
+        assert buf.pending == before  # all of the statement or none of it
+        with pytest.raises(ValueError, match="two positions"):
+            AppendBuffer._assemble(("c", "0"), [(1.0, 0.0, 0.0), (1.0, 0.0, 1.0)])
+
     def test_incomplete_keys_stay_buffered(self):
         buf = AppendBuffer()
-        buf.add_point("a", "0", 0.0, 0.0, 0.0)
-        buf.add_point("b", "0", 0.0, 0.0, 0.0)
-        buf.add_point("b", "0", 1.0, 1.0, 1.0)
+        buf.extend([(("a", "0"), (0.0, 0.0, 0.0))])
+        buf.extend([(("b", "0"), (0.0, 0.0, 0.0))])
+        buf.extend([(("b", "0"), (1.0, 1.0, 1.0))])
         assert [t.key for t in buf.drain_complete()] == [("b", "0")]
         assert ("a", "0") in buf.pending
 

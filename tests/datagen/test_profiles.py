@@ -192,8 +192,10 @@ class TestPointStreamIngest:
         back the original trajectories byte for byte."""
         mod, _ = small_scenario()
         buf = AppendBuffer()
-        for obj_id, traj_id, x, y, t in point_stream(mod, seed=seed):
-            buf.add_point(obj_id, traj_id, x, y, t)
+        buf.extend(
+            ((obj_id, traj_id), (t, x, y))
+            for obj_id, traj_id, x, y, t in point_stream(mod, seed=seed)
+        )
         rebuilt = {traj.key: traj for traj in buf.drain_complete()}
         assert set(rebuilt) == set(mod.keys())
         for key in mod.keys():

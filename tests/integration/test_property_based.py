@@ -18,14 +18,11 @@ from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
 from repro.qut.retratree import ReTraTree
-from repro.s2t.clustering import (
-    assign_to_representatives,
-    assign_to_representatives_batch,
-)
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
 from repro.s2t.voting import compute_voting
 from repro.storage.records import encode_record
+from tests.qut.oracles import assign_to_representatives, assign_to_representatives_batch
 from tests.s2t.oracles import dense_voting
 from tests.storage.oracles import decode_record
 

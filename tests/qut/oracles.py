@@ -7,17 +7,31 @@ and restricts it by slicing that batch's frame.  What it replaced survives
 here as the equivalence oracles: the per-pair merge loop, the per-member
 restriction loop, and the per-partition loader — one decode per partition,
 then one re-concatenated frame per partially covered sub-chunk.
+
+The insertion path decides every queued piece of a sub-chunk in one pruned
+pass (``ReTraTree._insert_pieces`` / ``ReTraTree._decide``).  What it
+replaced survives here too: the per-piece assignment against the
+representatives (scalar and batched) and the insert loop that decides each
+piece only when it is absorbed.
 """
 
 from __future__ import annotations
 
-from repro.hermes.distances import hausdorff_distance, spatiotemporal_distance
+import math
+
+import numpy as np
+
+from repro.hermes.distances import (
+    hausdorff_distance,
+    spatiotemporal_distance,
+    spatiotemporal_distance_batch,
+)
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
-from repro.qut.retratree import ReTraTree, SubChunk, subtrajectory_from_slice
+from repro.qut.retratree import ClusterEntry, ReTraTree, SubChunk, subtrajectory_from_slice
 
 
 def restrict_members_loop(members: list[SubTrajectory], window: Period) -> list[SubTrajectory]:
@@ -163,3 +177,97 @@ def merge_across_subchunks_scalar(
             members.extend(partial[idx][2])
         merged.append((representative(best), members))
     return merged
+
+
+def assign_to_representatives(
+    sub: SubTrajectory,
+    representatives: list[SubTrajectory],
+    eps: float,
+    temporal_tolerance: float = 0.0,
+) -> tuple[int | None, float]:
+    """Index of the closest representative within ``eps``, and the distance.
+
+    Returns ``(None, inf)`` when no representative is reachable.  The
+    temporal tolerance expands each representative's lifespan before checking
+    temporal overlap, implementing the ``t`` parameter of the paper's QUT
+    signature.
+
+    This is the scalar reference; :func:`assign_to_representatives_batch`
+    computes the same answer against a pre-built representative frame.
+    """
+    best_idx: int | None = None
+    best_dist = math.inf
+    for idx, rep in enumerate(representatives):
+        if temporal_tolerance > 0:
+            rep_period = rep.period.expand(temporal_tolerance)
+            if not rep_period.overlaps(sub.period):
+                continue
+        dist = spatiotemporal_distance(rep.traj, sub.traj, max_samples=32)
+        if dist < best_dist:
+            best_dist = dist
+            best_idx = idx
+    if best_dist > eps:
+        return None, best_dist
+    return best_idx, best_dist
+
+
+def assign_to_representatives_batch(
+    sub: SubTrajectory,
+    rep_frame: MODFrame,
+    eps: float,
+    temporal_tolerance: float = 0.0,
+    max_samples: int = 32,
+) -> tuple[int | None, float]:
+    """Batched :func:`assign_to_representatives` against a representative frame.
+
+    ``rep_frame`` holds the representatives' precomputed sample grids (row
+    ``i`` = representative ``i``); distances to all of them are computed in
+    one :func:`spatiotemporal_distance_batch` call.
+    """
+    if len(rep_frame) == 0:
+        return None, math.inf
+    dists = spatiotemporal_distance_batch(rep_frame, sub.traj, max_samples=max_samples)
+    if temporal_tolerance > 0:
+        overlaps = rep_frame.overlaps_period(sub.period, temporal_tolerance)
+        dists = np.where(overlaps, dists, math.inf)
+    idx = int(np.argmin(dists))
+    best_dist = float(dists[idx])
+    if best_dist > eps:
+        return None, best_dist
+    return idx, best_dist
+
+
+def decide_per_piece(
+    tree: ReTraTree, subchunk: SubChunk, pieces: list[SubTrajectory]
+) -> list[ClusterEntry | None]:
+    """``ReTraTree._decide`` as one :func:`assign_to_representatives_batch` call per piece."""
+    params = tree.params
+    assert params is not None and params.distance_threshold is not None
+    if not subchunk.entries:
+        return [None] * len(pieces)
+    out: list[ClusterEntry | None] = []
+    for piece in pieces:
+        idx, _dist = assign_to_representatives_batch(
+            piece,
+            tree._rep_frame(subchunk),
+            eps=params.distance_threshold,
+            temporal_tolerance=params.temporal_tolerance,
+            max_samples=32,
+        )
+        out.append(None if idx is None else subchunk.entries[idx])
+    return out
+
+
+def insert_pieces_one_by_one(
+    tree: ReTraTree, pieces: list[SubTrajectory]
+) -> set[tuple[int, int]]:
+    """``ReTraTree._insert_pieces`` with no lookahead: each piece decided as it is absorbed."""
+    touched: set[tuple[int, int]] = set()
+    for piece in pieces:
+        key = tree._locate((piece.period.tmin + piece.period.tmax) / 2.0)
+        subchunk = tree._get_subchunk(*key)
+        tree.stats.pieces_inserted += 1
+        [entry] = decide_per_piece(tree, subchunk, [piece])
+        subchunk.absorb(piece, entry, tree)
+        touched.add(key)
+    return touched

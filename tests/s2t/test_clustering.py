@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hermes.frame import MODFrame
-from repro.s2t.clustering import assign_to_representatives, greedy_clustering
+from repro.s2t.clustering import greedy_clustering
 from repro.s2t.params import S2TParams
 from repro.s2t.sampling import select_representatives
 from tests.conftest import make_linear_trajectory
+from tests.qut.oracles import assign_to_representatives
 from tests.s2t.conftest import saco_candidates
 
 

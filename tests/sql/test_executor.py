@@ -79,6 +79,33 @@ class TestInsertAndPointQueries:
         with pytest.raises(SQLExecutionError, match="obj_id, traj_id, x, y, t"):
             execute("INSERT INTO probes VALUES ('bus', 0, 0)")
 
+    def test_two_positions_at_one_instant_are_refused(self, execute, conn, engine):
+        execute("CREATE DATASET probes")
+        execute("INSERT INTO probes VALUES ('bus', '0', 0, 0, 0), ('bus', '0', 1, 1, 10)")
+        execute("INSERT INTO probes VALUES ('car', '0', 0, 0, 0)")
+        buffer = dict(conn.engine.plan_executor()._buffers["probes"].pending)
+        summary = execute("SELECT SUMMARY(probes)")
+        refusals = [
+            # within one statement, a key new to the dataset
+            "INSERT INTO probes VALUES ('van', '0', 0, 0, 5), ('van', '0', 3, 3, 5)",
+            # against a point buffered by an earlier statement
+            "INSERT INTO probes VALUES ('car', '0', 7, 7, 0), ('car', '0', 1, 1, 10)",
+            # against a sample of a stored trajectory (the rebuild path)
+            "INSERT INTO probes VALUES ('bus', '0', 5, 5, 10)",
+        ]
+        for sql in refusals:
+            with pytest.raises(SQLExecutionError, match=r"INSERT refused.*two positions at t="):
+                execute(sql)
+            assert execute("SELECT SUMMARY(probes)") == summary
+            assert conn.engine.plan_executor()._buffers["probes"].pending == buffer
+        assert engine.get_mod("probes").get(("bus", "0")).num_points == 2
+
+    def test_exact_duplicate_point_is_an_idempotent_drop(self, execute, engine):
+        execute("CREATE DATASET probes")
+        execute("INSERT INTO probes VALUES ('bus', '0', 0, 0, 0), ('bus', '0', 0, 0, 0), ('bus', '0', 1, 1, 10)")
+        execute("INSERT INTO probes VALUES ('bus', '0', 1, 1, 10)")
+        assert engine.get_mod("probes").get(("bus", "0")).num_points == 2
+
     def test_insert_into_unknown_dataset(self, execute):
         with pytest.raises(SQLExecutionError):
             execute("INSERT INTO ghost VALUES ('a', '0', 0, 0, 0)")

@@ -30,7 +30,6 @@ ENFORCED_MODULES = [
     "repro/analysis/flow/cfg.py",
     "repro/analysis/flow/lockset.py",
     "repro/analysis/flow/summaries.py",
-    "repro/analysis/generation.py",
     "repro/analysis/io_discipline.py",
     "repro/analysis/plan_purity.py",
     "repro/analysis/race.py",
