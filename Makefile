@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint docs docs-draft bench bench-qut bench-compare clean-docs
+.PHONY: test lint bench bench-qut bench-compare
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -13,14 +13,6 @@ lint:
 	else echo "lint: ruff not installed, skipped (CI runs it pinned)"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
 	else echo "lint: mypy not installed, skipped (CI runs it pinned)"; fi
-
-# Build the documentation site (strict: warnings are errors).
-docs:
-	PYTHONPATH=src $(PYTHON) -m repro.docsgen
-
-# Lenient variant for drafting.
-docs-draft:
-	PYTHONPATH=src $(PYTHON) -m repro.docsgen --no-strict
 
 # The repository's benchmark (BENCHMARK.json): all five workloads, seed 1.
 bench:
@@ -49,6 +41,3 @@ bench-qut:
 #   make bench-compare A=parent.json B=change.json
 bench-compare:
 	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
-
-clean-docs:
-	rm -rf docs/_site

@@ -8,7 +8,7 @@ floor, so a future optimisation that trades accuracy for speed on *any*
 workload fails here.  Both variants also prove the gate is non-vacuous by
 re-checking against an artificially raised floor and requiring it to fire.
 
-The smoke variant (the CI ``quality-smoke`` gate) runs the reduced
+The smoke variant runs the reduced
 2-scenarios x 2-profiles matrix over the same full partitions/engine
 axes — scenario sizes are identical to the full run (they are part of the
 floor contract), only the pair count shrinks — and writes
@@ -96,7 +96,7 @@ def test_scenarios_quality_matrix_full():
 
 @pytest.mark.repro("E13")
 def test_scenarios_quality_smoke_small():
-    """Reduced 2x2 matrix (the CI gate): same sizes, fewer pairs."""
+    """Reduced 2x2 matrix: same sizes, fewer pairs."""
     report = run_quality_matrix(
         scenarios=("lanes", "urban"), profiles=("clean", "gps_noise")
     )

@@ -13,6 +13,7 @@ motivation for S2T's parameter-light design.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -42,6 +43,16 @@ class ConvoyParams:
     min_objects: int = 3
     min_duration_snapshots: int = 3
     snapshot_interval: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("eps", "snapshot_interval"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("min_objects", "min_duration_snapshots"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
     def resolved(self, mod: MOD) -> "ConvoyParams":
         bbox = mod.bbox

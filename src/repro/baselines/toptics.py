@@ -41,6 +41,15 @@ class TOpticsParams:
     min_pts: int = 3
     eps_cut: float | None = None
 
+    def __post_init__(self) -> None:
+        # ``max_eps`` may be infinite: that is the unbounded search.
+        if self.max_eps is not None and not self.max_eps > 0:
+            raise ValueError(f"max_eps must be positive, got {self.max_eps!r}")
+        if self.eps_cut is not None and not (math.isfinite(self.eps_cut) and self.eps_cut > 0):
+            raise ValueError(f"eps_cut must be finite and positive, got {self.eps_cut!r}")
+        if self.min_pts < 1:
+            raise ValueError(f"min_pts must be at least 1, got {self.min_pts!r}")
+
     def resolved(self, mod: MOD) -> "TOpticsParams":
         bbox = mod.bbox
         diag = (bbox.dx**2 + bbox.dy**2) ** 0.5

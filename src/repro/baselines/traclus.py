@@ -51,6 +51,12 @@ class TraclusParams:
     w_angular: float = 1.0
     mdl_cost_advantage: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
+        if self.min_lns < 1:
+            raise ValueError(f"min_lns must be at least 1, got {self.min_lns!r}")
+
     def resolved(self, mod: MOD) -> "TraclusParams":
         if self.eps is not None:
             return self

@@ -17,8 +17,7 @@
   counts, orphaned crash debris.  Exits nonzero while unrepaired errors
   remain.
 
-The other two scripts point straight at their modules: ``repro-docs`` at
-:func:`repro.docsgen.main` and ``repro-lint`` at
+The other script, ``repro-lint``, points straight at
 :func:`repro.analysis.driver.main`.
 """
 

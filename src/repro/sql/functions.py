@@ -26,6 +26,7 @@ from repro.qut.params import QuTParams
 from repro.s2t.params import S2TParams
 from repro.s2t.result import ClusteringResult
 from repro.sql.errors import SQLExecutionError
+from repro.storage.errors import StorageError
 from repro.va.histogram import cluster_time_histogram
 from repro.va.patterns import detect_holding_patterns
 
@@ -82,7 +83,10 @@ def _opt_float(args: tuple, idx: int) -> float | None:
     value = args[idx]
     if not isinstance(value, (int, float)):
         raise SQLExecutionError(f"argument {idx + 1} must be numeric, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SQLExecutionError(f"argument {idx + 1} is out of range, got {value!r}") from None
 
 
 def _opt_int(args: tuple, idx: int, default: int | None) -> int | None:
@@ -91,6 +95,8 @@ def _opt_int(args: tuple, idx: int, default: int | None) -> int | None:
         return default
     if not math.isfinite(value):
         raise SQLExecutionError(f"argument {idx + 1} must be a finite number, got {value!r}")
+    if not value.is_integer():
+        raise SQLExecutionError(f"argument {idx + 1} must be an integer, got {args[idx]!r}")
     return int(value)
 
 
@@ -113,18 +119,14 @@ def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     we = _opt_float(args, 2)
     if wi is None or we is None:
         raise SQLExecutionError("QUT requires the window bounds Wi and We")
-    try:
-        params = QuTParams(
-            tau=_opt_float(args, 3),
-            delta=_opt_float(args, 4),
-            temporal_tolerance=_opt_float(args, 5) or 0.0,
-            distance_threshold=_opt_float(args, 6),
-            gamma=_opt_int(args, 7, 2),
-        )
-        result = engine.qut(dataset, Period(wi, we), params=params)
-    except ValueError as exc:
-        raise SQLExecutionError(str(exc)) from exc
-    return _cluster_rows(result)
+    params = QuTParams(
+        tau=_opt_float(args, 3),
+        delta=_opt_float(args, 4),
+        temporal_tolerance=_opt_float(args, 5) or 0.0,
+        distance_threshold=_opt_float(args, 6),
+        gamma=_opt_int(args, 7, 2),
+    )
+    return _cluster_rows(engine.qut(dataset, Period(wi, we), params=params))
 
 
 def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
@@ -140,25 +142,14 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     partition count (omitted/NULL keeps the default).
     """
     dataset = _require_dataset(engine, args, "S2T")
-    strategy = _opt_str(args, 4, "batched")
-    try:
-        params = S2TParams(
-            sigma=_opt_float(args, 1),
-            eps=_opt_float(args, 2),
-            min_cluster_support=_opt_int(args, 3, 2),
-            voting_strategy=strategy,
-            n_jobs=_opt_int(args, 5, 1),
-        )
-    except ValueError as exc:
-        raise SQLExecutionError(str(exc)) from exc
-    partitions = _opt_float(args, 6)
-    try:
-        result = engine.s2t(
-            dataset, params, n_partitions=None if partitions is None else int(partitions)
-        )
-    except ValueError as exc:
-        raise SQLExecutionError(str(exc)) from exc
-    return _cluster_rows(result)
+    params = S2TParams(
+        sigma=_opt_float(args, 1),
+        eps=_opt_float(args, 2),
+        min_cluster_support=_opt_int(args, 3, 2),
+        voting_strategy=_opt_str(args, 4, "batched"),
+        n_jobs=_opt_int(args, 5, 1),
+    )
+    return _cluster_rows(engine.s2t(dataset, params, n_partitions=_opt_int(args, 6, None)))
 
 
 def _fn_traclus(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
@@ -208,7 +199,9 @@ def _fn_cluster_histogram(engine: HermesEngine, args: tuple) -> list[dict[str, o
 def _fn_holding_patterns(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``HOLDING_PATTERNS(D [, min_turns])`` — loop detection over the raw dataset."""
     dataset = _require_dataset(engine, args, "HOLDING_PATTERNS")
-    min_turns = _opt_float(args, 1) or 0.9
+    min_turns = _opt_float(args, 1)
+    if min_turns is None:
+        min_turns = 0.9
     patterns = detect_holding_patterns(engine.get_mod(dataset), min_turns=min_turns)
     return [
         {
@@ -252,11 +245,21 @@ SIGNATURES: dict[str, tuple[str, ...]] = {
 
 
 def call_function(engine: HermesEngine, name: str, args: tuple) -> list[dict[str, object]]:
-    """Dispatch a ``SELECT FUNC(...)`` call to its implementation."""
+    """Dispatch a ``SELECT FUNC(...)`` call to its implementation.
+
+    A ``ValueError`` from the function (an argument its parameter object,
+    the engine or the operator refuses) becomes a ``SQLExecutionError``;
+    a damaged store's ``StorageError`` keeps its type and its fsck hint.
+    """
     try:
         fn = FUNCTIONS[name]
     except KeyError as exc:
         raise SQLExecutionError(
             f"unknown function {name}; available: {sorted(FUNCTIONS)}"
         ) from exc
-    return fn(engine, args)
+    try:
+        return fn(engine, args)
+    except StorageError:
+        raise
+    except ValueError as exc:
+        raise SQLExecutionError(str(exc)) from exc

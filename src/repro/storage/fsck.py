@@ -166,16 +166,20 @@ class _BytesPager(Pager):
         self._data = data
 
     def num_pages(self) -> int:
+        """Number of whole pages in the image (a torn tail page is not one)."""
         return len(self._data) // PAGE_SIZE
 
     def allocate_page(self) -> int:  # pragma: no cover - fsck is read-only
+        """Refused: fsck never grows a file."""
         raise StorageError("fsck pagers are read-only")
 
     def read_page(self, page_no: int) -> Page:
+        """The page at ``page_no``, sliced from the image."""
         start = page_no * PAGE_SIZE
         return Page(self._data[start : start + PAGE_SIZE])
 
     def write_page(self, page_no: int, page: Page) -> None:  # pragma: no cover
+        """Refused: fsck never writes a page."""
         raise StorageError("fsck pagers are read-only")
 
 

@@ -10,6 +10,7 @@ behind the paper's Figure 4 view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,11 @@ def detect_holding_patterns(
         Maximum loop radius as a fraction of the data's spatial diagonal.
     window:
         Sliding-window length in samples.
+
+    Raises :class:`ValueError` unless ``min_turns`` is finite and positive.
     """
+    if not (math.isfinite(min_turns) and min_turns > 0):
+        raise ValueError(f"min_turns must be finite and positive, got {min_turns!r}")
     patterns: list[HoldingPattern] = []
 
     if isinstance(source, MOD):

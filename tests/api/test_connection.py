@@ -82,10 +82,12 @@ class TestCursorFetch:
     def test_streaming_buffer_is_bounded(self, conn, lanes_small):
         mod, _ = lanes_small
         cur = conn.execute("SELECT obj_id, t FROM lanes")
-        total = 0
+        pages, total = 0, 0
         while page := cur.fetchmany(50):
+            pages += 1
             total += len(page)
         assert total == mod.total_points
+        assert pages == -(-total // 50)  # every page but the last is full
         assert cur.max_buffered <= 50  # never the whole relation
 
     def test_iteration_protocol(self, conn):

@@ -15,13 +15,9 @@ the commit, so a crash inside that window recovers the pre-op dataset with
 the (derived, rebuildable) tree degraded to a rebuild — same answers,
 different manifest bytes.  QuT signatures are what the paper's user
 observes, and those must match exactly.
-
-``CRASH_SWEEP_STRIDE`` (env) samples every N-th crash point; CI's reduced
-fault-injection job sets it above 1, the default sweeps every index.
 """
 
 import json
-import os
 import shutil
 
 import pytest
@@ -159,13 +155,12 @@ def chain(tmp_path_factory):
 @pytest.mark.parametrize("phase_idx", range(len(PHASES)), ids=[p[0] for p in PHASES])
 def test_crash_sweep(chain, tmp_path, phase_idx):
     states, snaps, counts = chain
-    stride = max(1, int(os.environ.get("CRASH_SWEEP_STRIDE", "1")))
     name, phase = PHASES[phase_idx]
     total = counts[phase_idx]
     assert total > 0, f"phase {name} performed no mutating ops — nothing to sweep"
     pre, post = snaps[phase_idx], snaps[phase_idx + 1]
 
-    for at in range(0, total, stride):
+    for at in range(total):
         work = tmp_path / f"{name}-{at}"
         shutil.copytree(states[phase_idx], work)
         injector = FaultInjector()

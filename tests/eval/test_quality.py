@@ -11,6 +11,7 @@ Pins the three properties the BENCH_scenarios matrix is trusted for:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,8 +125,6 @@ class TestFloorGate:
             load_floor(bad)
 
     def test_checked_in_floor_covers_full_matrix(self):
-        from pathlib import Path
-
         root = Path(__file__).resolve().parents[2]
         floors = load_floor(root / "quality_floor.json")
         for scenario in SCENARIOS:
@@ -135,6 +134,19 @@ class TestFloorGate:
     def test_write_report_round_trips(self, small_matrix, tmp_path):
         path = write_report(small_matrix, tmp_path / "report.json")
         assert json.loads(path.read_text())["cells"] == small_matrix["cells"]
+
+    def test_smoke_matrix_writes_the_same_bytes_twice_and_holds_the_floor(self, tmp_path):
+        """The 2 x 2 smoke matrix holds no timing: two runs write equal files."""
+        written = []
+        for run in ("first", "second"):
+            report = run_quality_matrix(
+                ("lanes", "urban"), ("clean", "gps_noise"), work_dir=tmp_path / run
+            )
+            written.append(write_report(report, tmp_path / f"{run}.json").read_bytes())
+        assert written[0] == written[1]
+        assert report["warm_cold_identical"] is True
+        root = Path(__file__).resolve().parents[2]
+        assert check_floor(report, load_floor(root / "quality_floor.json")) == []
 
 
 class TestBenchScenariosCLI:

@@ -283,6 +283,34 @@ class TestPartitionsArgument:
             execute("SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 0)")
 
 
+class TestBadArguments:
+    """A bad table-function argument is a ``SQLExecutionError`` naming it:
+    never a builtin error escaping ``execute``, never a value silently
+    truncated or replaced by its default."""
+
+    @pytest.mark.parametrize(
+        ("sql", "message"),
+        [
+            ("SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 1e400)", "argument 7 must be a finite number, got inf"),
+            ("SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 2.7)", "argument 7 must be an integer, got 2.7"),
+            ("SELECT S2T(lanes, NULL, NULL, NULL, NULL, 2.5)", "argument 6 must be an integer, got 2.5"),
+            ("SELECT S2T(lanes, NULL, NULL, 2.5)", "argument 4 must be an integer, got 2.5"),
+            ("SELECT QUT(lanes, 0, 1, NULL, NULL, 0, NULL, 2.5)", "argument 8 must be an integer, got 2.5"),
+            ("SELECT CONVOY(lanes, 5, 0)", "min_objects must be at least 1, got 0"),
+            ("SELECT CONVOY(lanes, -1)", "eps must be finite and positive, got -1.0"),
+            ("SELECT TRACLUS(lanes, -1)", "eps must be finite and positive, got -1.0"),
+            ("SELECT TOPTICS(lanes, -1)", "eps_cut must be finite and positive, got -1.0"),
+            ("SELECT CLUSTER_HISTOGRAM(lanes, 0)", "n_bins must be positive"),
+            ("SELECT HOLDING_PATTERNS(lanes, 0)", "min_turns must be finite and positive, got 0.0"),
+            ("SELECT S2T(lanes, ?)", "argument 2 is out of range"),  # bound to 10**400
+        ],
+    )
+    def test_is_refused(self, execute, sql, message):
+        execute("SELECT S2T(lanes)")  # CLUSTER_HISTOGRAM bins the last clustering
+        with pytest.raises(SQLExecutionError, match=re.escape(message)):
+            execute(sql, (10**400,) if "?" in sql else None)
+
+
 def _surplus_call(conn, route, function, sql_args):
     """Call ``function`` on ``lanes`` with ``sql_args`` through one front end."""
     if route == "sql":

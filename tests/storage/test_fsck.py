@@ -239,7 +239,7 @@ class TestRepair:
 
 
 class TestTornAppendSmoke:
-    """The CI smoke scenario: one torn append, detected and repaired."""
+    """One torn append: detected, repaired, and the loss surfaced."""
 
     def test_torn_append_detect_and_recover(self, tmp_path):
         d = build_store(tmp_path / "s", with_tree=False)
@@ -253,6 +253,7 @@ class TestTornAppendSmoke:
         assert report.clean
         cold = HermesEngine.on_disk(tmp_path / "s")
         assert len(cold.get_mod("d")) == 3  # base archive intact
+        assert cold.artifact_status("d")["degraded"] is True
         cold.close()
 
 
