@@ -2,10 +2,10 @@
 
 A stdlib-:mod:`ast` static-analysis subsystem enforcing the conventions
 the durable, parallel engine depends on but no generic linter knows
-about.  Seven rules, each with a rule id, a slug and a remediation hint.
-The first four are per-module syntactic visitors; REPRO110–112 are
-flow-sensitive, built on the per-function CFGs, lock-set dataflow and
-call-graph summaries in :mod:`repro.analysis.flow`:
+about.  Six rules, each with a rule id, a slug and a remediation hint.
+The first four are per-module syntactic visitors; REPRO111–112 are
+flow-sensitive, built on the per-function CFGs and call-graph summaries
+in :mod:`repro.analysis.flow`:
 
 ========== ========================= ==================================================
 Rule       Slug                      Invariant
@@ -19,10 +19,6 @@ REPRO105   ``determinism``           no wall clocks / unseeded RNG in ``hermes``
                                      ``eval/quality.py`` (seed-pinned re-runs)
 REPRO106   ``shm-hygiene``           every ``ShmArena`` is ``with``-scoped or the
                                      module default arena
-REPRO110   ``race-detection``        ``# guarded-by:`` attributes are read/written only
-                                     on paths where the declared lock is held, verified
-                                     through helpers from every entry point (public, or
-                                     reached by no project call)
 REPRO111   ``exception-contract``    storage/ and ``repro.api`` public functions only
                                      let their documented exception types escape
 REPRO112   ``durability-ordering``   commit paths stage, fsync, rename, then fsync the

@@ -11,9 +11,8 @@ here:
   remediation hint (mirroring the :class:`~repro.storage.errors.StorageCorruptionError`
   convention that every error tells the operator what to do next),
 * :class:`SourceModule` — a parsed source file plus its comment map
-  (comments carry the ``# repro-lint: allow[...]`` suppressions and the
-  ``# guarded-by:`` / ``# holds:`` lock annotations, which plain
-  :mod:`ast` discards),
+  (comments carry the ``# repro-lint: allow[...]`` suppressions, which
+  plain :mod:`ast` discards),
 * :class:`Checker` — the base class wiring rule metadata, per-module
   applicability and suppression filtering together.
 
@@ -136,8 +135,8 @@ class SourceModule:
     comments:
         Mapping of 1-based line number to the comment on that line
         (including the leading ``#``), built with :mod:`tokenize` so
-        trailing annotations like ``# guarded-by: _lock`` survive
-        parsing.
+        trailing suppressions like ``# repro-lint: allow[REPRO105]``
+        survive parsing.
     """
 
     def __init__(self, path: str | Path, text: str, root: Path | None = None) -> None:

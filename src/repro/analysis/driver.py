@@ -15,7 +15,7 @@ Usage::
     repro-lint --list-rules
 
 The per-module rules run file by file; the flow-sensitive project rules
-(REPRO110–112 and friends, any :class:`~repro.analysis.base.ProjectChecker`)
+(REPRO111–112 and friends, any :class:`~repro.analysis.base.ProjectChecker`)
 run once over a shared :class:`~repro.analysis.flow.summaries.ProjectIndex`
 built from every file that parsed.  The one per-site escape is a
 ``# repro-lint: allow[RULE]`` comment (see :mod:`repro.analysis.base`).
@@ -38,7 +38,6 @@ from repro.analysis.exception_contracts import ExceptionContractChecker
 from repro.analysis.flow.summaries import ProjectIndex
 from repro.analysis.io_discipline import IoDisciplineChecker
 from repro.analysis.plan_purity import PlanPurityChecker
-from repro.analysis.race import RaceChecker
 from repro.analysis.shm_hygiene import ShmHygieneChecker
 
 __all__ = ["ALL_CHECKERS", "lint_paths", "main", "select_checkers"]
@@ -49,7 +48,6 @@ ALL_CHECKERS: tuple[Checker, ...] = (
     PlanPurityChecker(),
     DeterminismChecker(),
     ShmHygieneChecker(),
-    RaceChecker(),
     ExceptionContractChecker(),
     DurabilityChecker(),
 )

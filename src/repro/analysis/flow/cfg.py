@@ -8,8 +8,8 @@ of *steps* connected by directed edges.  A step is one of
 * an :class:`ast.expr` — the test of an ``if``/``while`` or the iterable
   of a ``for``, evaluated before the branch,
 * a synthetic :class:`WithEnter` / :class:`WithExit` marker for each
-  ``with`` item, so lock acquisition and release become explicit events
-  on the path.
+  ``with`` item, so entering and leaving a context manager become
+  explicit events on the path.
 
 Construction handles ``if``/``for``/``while`` (with ``else`` arms),
 ``try``/``except``/``else``/``finally``, ``with``, ``break``/``continue``
@@ -19,8 +19,8 @@ collects normal completion (fall-through and ``return``),
 only constrain normal completion (durability ordering) can tell the two
 apart.  When control leaves one or more ``with`` blocks early (``return``
 / ``raise`` / ``break`` / ``continue``), the matching :class:`WithExit`
-markers are emitted on the edge, so a lock never appears held on a path
-that escaped its ``with``.
+markers are emitted on the edge, so a context never appears entered on a
+path that escaped its ``with``.
 
 Deliberate approximations, documented for rule authors: implicit
 exceptions (any call can raise) are not modelled as edges — only

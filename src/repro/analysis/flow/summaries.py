@@ -1,25 +1,14 @@
-"""Bounded interprocedural summaries: lock obligations and escaping raises.
+"""Bounded interprocedural summaries: the exception types that escape.
 
 A *summary* condenses what a function does to a fact its callers can
-consume without re-analysing the body.  Two summary domains live here,
-both computed as bounded fixpoints over the
-:class:`~repro.analysis.flow.callgraph.CallGraph`:
+consume without re-analysing the body.  The summary here (REPRO111) is
+the set of exception types a function can let escape: its own ``raise``
+sites minus the types its enclosing ``try`` blocks catch, plus its
+callees' escaping sets filtered the same way at each call site.  It is
+computed as a bounded fixpoint over the
+:class:`~repro.analysis.flow.callgraph.CallGraph`.
 
-* **Lock obligations** (REPRO110).  An obligation is one access to a
-  ``# guarded-by:`` attribute that the function does not protect itself
-  — the lock is not in the must-held set at the access.  Obligations
-  propagate caller-ward: a call site that holds the required lock
-  *discharges* the callee's obligation; one that does not re-exports it.
-  Whatever reaches an entry point unprotected is a race finding.  The
-  declaration vocabulary (``# guarded-by:``, ``# holds:``) is parsed here
-  too, by :func:`guarded_attributes` and :func:`declared_holds`.
-
-* **Escaping raises** (REPRO111).  The set of exception types a
-  function can let escape: its own ``raise`` sites minus the types its
-  enclosing ``try`` blocks catch, plus its callees' escaping sets
-  filtered the same way at each call site.
-
-Both fixpoints are *bounded* (:data:`FIXPOINT_BOUND` rounds): facts
+The fixpoint is *bounded* (:data:`FIXPOINT_BOUND` rounds): facts
 propagate at most that many call-graph edges deep per round and the sets
 only grow, so the iteration terminates early on real code and degrades
 to an under-approximation — never a spurious finding — on pathological
@@ -27,53 +16,31 @@ call cycles.  Unknown callees
 (:data:`~repro.analysis.flow.callgraph.TOP`) contribute no facts, by the
 same no-false-positives principle.
 
-:class:`ProjectIndex` is the façade the checkers share: one instance per
-lint run indexes the modules, builds the call graph, caches per-function
-CFG/lock-set results and serves both summary tables.
+:class:`ProjectIndex` is the façade the project checkers share: one
+instance per lint run indexes the modules, builds the call graph and
+serves the summary table.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.base import SourceModule
 from repro.analysis.flow.callgraph import TOP, CallGraph, FunctionInfo
-from repro.analysis.flow.cfg import Step, WithEnter, WithExit, build_cfg, walk_expressions
-from repro.analysis.flow.lockset import locks_at_steps, self_attr
+from repro.analysis.flow.cfg import walk_expressions
 
 __all__ = [
     "FIXPOINT_BOUND",
     "EscapingRaise",
-    "LockObligation",
     "ProjectIndex",
-    "declared_holds",
-    "guarded_attributes",
 ]
 
-#: Maximum fixpoint rounds for either summary domain.  Real call chains
-#: in this codebase are 3-4 frames deep; the bound only exists so a
-#: pathological cycle cannot stall the linter.
+#: Maximum fixpoint rounds.  Real call chains in this codebase are 3-4
+#: frames deep; the bound only exists so a pathological cycle cannot
+#: stall the linter.
 FIXPOINT_BOUND = 12
-
-
-@dataclass(frozen=True)
-class LockObligation:
-    """One unprotected access to a guarded attribute.
-
-    ``path``/``line`` anchor the access site; ``via`` names the function
-    the access lives in (where the fix usually belongs); ``kind`` is
-    ``"write"`` or ``"read"`` for the diagnostic text.
-    """
-
-    attr: str
-    lock: str
-    path: str
-    line: int
-    via: str
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -87,217 +54,15 @@ class EscapingRaise:
     origin: str
 
 
-@dataclass
-class _FunctionFacts:
-    """Intraprocedural facts of one function, cached by :class:`ProjectIndex`."""
-
-    #: Unprotected guarded-attribute accesses (the function's own).
-    unprotected: list[LockObligation] = field(default_factory=list)
-    #: ``(resolved targets, locks held at the call)`` per project call.
-    calls: list[tuple[tuple[str, ...], frozenset[str]]] = field(default_factory=list)
-
-
-_GUARDED_RE = re.compile(r"guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
-_HOLDS_RE = re.compile(r"holds:\s*([A-Za-z_][A-Za-z0-9_, ]*)")
-
-#: Method names that mutate their receiver in place.
-_MUTATING_METHODS = frozenset(
-    {
-        "pop",
-        "popitem",
-        "clear",
-        "update",
-        "setdefault",
-        "append",
-        "extend",
-        "insert",
-        "remove",
-        "discard",
-        "add",
-        "sort",
-    }
-)
-
-
-def guarded_attributes(module: SourceModule, cls: ast.ClassDef) -> dict[str, str]:
-    """Attribute → lock name, from ``# guarded-by:`` comments in ``__init__``.
-
-    The declaration is a trailing comment on the attribute's assignment::
-
-        self._frames: dict[str, MODFrame] = {}  # guarded-by: _catalog_lock
-    """
-    guarded: dict[str, str] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == "__init__":
-            for child in ast.walk(stmt):
-                if isinstance(child, (ast.Assign, ast.AnnAssign)):
-                    match = _GUARDED_RE.search(module.comment(child.lineno) or "")
-                    if not match:
-                        continue
-                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
-                    for target in targets:
-                        attr = self_attr(target)
-                        if attr is not None:
-                            guarded[attr] = match.group(1)
-    return guarded
-
-
-def declared_holds(module: SourceModule, func: ast.AST) -> frozenset[str]:
-    """Locks a ``# holds:`` annotation on/above the ``def`` line grants."""
-    held: set[str] = set()
-    line = getattr(func, "lineno", 0)
-    for candidate in (line, line - 1):
-        match = _HOLDS_RE.search(module.comment(candidate) or "")
-        if match:
-            held.update(name.strip() for name in match.group(1).split(",") if name.strip())
-    return frozenset(held)
-
-
-def _guarded_self_attr(node: ast.AST, guarded: dict[str, str]) -> str | None:
-    attr = self_attr(node)
-    return attr if attr in guarded else None
-
-
-def _self_attr_reads_writes(
-    step_node: ast.AST, guarded: dict[str, str]
-) -> list[tuple[str, str, int, str]]:
-    """``(attr, lock, line, kind)`` for guarded ``self.<attr>`` touches."""
-    # Sites that observably *write*: plain store/del contexts, subscript
-    # stores, and receivers of in-place mutating method calls.  The
-    # distinction is purely for diagnostic wording — both kinds race.
-    writes: set[tuple[str, int]] = set()
-    for node in walk_expressions(step_node):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            attr = _guarded_self_attr(node.value, guarded)
-            if attr is not None:
-                writes.add((attr, node.value.lineno))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS:
-                attr = _guarded_self_attr(node.func.value, guarded)
-                if attr is not None:
-                    writes.add((attr, node.func.value.lineno))
-    touches: list[tuple[str, str, int, str]] = []
-    for node in walk_expressions(step_node):
-        attr = _guarded_self_attr(node, guarded)
-        if attr is not None:
-            if isinstance(node.ctx, (ast.Store, ast.Del)) or (attr, node.lineno) in writes:  # type: ignore[attr-defined]
-                kind = "write"
-            else:
-                kind = "read"
-            touches.append((attr, guarded[attr], node.lineno, kind))
-    return touches
-
-
-def _step_ast_nodes(step: Step) -> list[ast.AST]:
-    """The AST payload of a step (empty for ``WithExit`` markers)."""
-    if isinstance(step, WithEnter):
-        return [step.context_expr]
-    if isinstance(step, WithExit):
-        return []
-    return [step]
-
-
 class ProjectIndex:
-    """Shared per-run index: modules, call graph, facts and summaries."""
+    """Shared per-run index: modules, call graph and summaries."""
 
     def __init__(self, modules: list[SourceModule]) -> None:
         self.modules = modules
         self.graph = CallGraph.build(modules)
-        self._facts: dict[str, _FunctionFacts] | None = None
-        self._lock_summaries: dict[str, frozenset[LockObligation]] | None = None
         self._raise_summaries: dict[str, frozenset[EscapingRaise]] | None = None
         #: Exception-class ancestry: type id → ids of all (transitive) bases.
         self._ancestors: dict[str, frozenset[str]] = {}
-
-    # -- guarded declarations ---------------------------------------------------
-
-    def guarded_attrs(self, info: FunctionInfo) -> dict[str, str]:
-        """Guarded attribute → lock for the class owning ``info`` (if any)."""
-        if info.class_node is None:
-            return {}
-        return guarded_attributes(info.module, info.class_node)
-
-    def declared_holds(self, info: FunctionInfo) -> frozenset[str]:
-        """The ``# holds:`` contract on ``info``'s ``def`` line, if any."""
-        return declared_holds(info.module, info.node)
-
-    # -- intraprocedural facts ---------------------------------------------------
-
-    def _function_facts(self) -> dict[str, _FunctionFacts]:
-        if self._facts is not None:
-            return self._facts
-        facts: dict[str, _FunctionFacts] = {}
-        for qualname, info in self.graph.functions.items():
-            facts[qualname] = self._compute_facts(qualname, info)
-        self._facts = facts
-        return facts
-
-    def _compute_facts(self, qualname: str, info: FunctionInfo) -> _FunctionFacts:
-        facts = _FunctionFacts()
-        guarded = self.guarded_attrs(info)
-        if info.name == "__init__":
-            # No concurrent access before construction completes; __init__
-            # still propagates its callees' obligations via `calls`.
-            guarded = {}
-        cfg = build_cfg(info.node)
-        for step, held in locks_at_steps(cfg):
-            for node in _step_ast_nodes(step):
-                if guarded:
-                    for attr, lock, line, kind in _self_attr_reads_writes(node, guarded):
-                        if lock not in held:
-                            facts.unprotected.append(
-                                LockObligation(
-                                    attr=attr,
-                                    lock=lock,
-                                    path=str(info.module.path),
-                                    line=line,
-                                    via=qualname,
-                                    kind=kind,
-                                )
-                            )
-                for child in walk_expressions(node):
-                    if isinstance(child, ast.Call):
-                        targets = self.graph.resolve_call(info, child)
-                        if targets is TOP or not targets:
-                            continue
-                        facts.calls.append((tuple(targets), held))  # type: ignore[arg-type]
-        return facts
-
-    # -- lock-obligation summaries ----------------------------------------------
-
-    def called_functions(self) -> frozenset[str]:
-        """Qualnames that at least one resolved project call reaches."""
-        return frozenset(
-            target
-            for facts in self._function_facts().values()
-            for targets, _ in facts.calls
-            for target in targets
-        )
-
-    def lock_obligations(self) -> dict[str, frozenset[LockObligation]]:
-        """Function qualname → obligations escaping it (bounded fixpoint)."""
-        if self._lock_summaries is not None:
-            return self._lock_summaries
-        facts = self._function_facts()
-        summaries: dict[str, set[LockObligation]] = {
-            qualname: set(f.unprotected) for qualname, f in facts.items()
-        }
-        for _ in range(FIXPOINT_BOUND):
-            changed = False
-            for qualname, f in facts.items():
-                inherited: set[LockObligation] = set()
-                for targets, held in f.calls:
-                    for target in targets:
-                        for obligation in summaries.get(target, ()):
-                            if obligation.lock not in held:
-                                inherited.add(obligation)
-                if not inherited <= summaries[qualname]:
-                    summaries[qualname] |= inherited
-                    changed = True
-            if not changed:
-                break
-        self._lock_summaries = {q: frozenset(s) for q, s in summaries.items()}
-        return self._lock_summaries
 
     # -- exception-type resolution ----------------------------------------------
 

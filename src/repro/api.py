@@ -37,7 +37,11 @@ Design notes
   recompute, never a stale answer.  Clustering statements always re-execute
   (running them updates ``engine.last_result``, which downstream functions
   read), and scans always stream.
-* Connections and cursors are not thread-safe; use one per thread.
+* The engine holds no locks.  Every connection, cursor, prepared
+  statement and dataset over an engine belongs to the thread that created
+  the engine, as in :mod:`sqlite3` with ``check_same_thread``: a call from
+  any other thread raises :class:`InterfaceError`.  Open one connection
+  per thread with :func:`connect`.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ _PREPARED_CACHE_SIZE = 32
 
 
 class InterfaceError(SQLError):
-    """Misuse of the connection/cursor lifecycle (e.g. use after close)."""
+    """Misuse of the connection/cursor lifecycle: use after close, or a
+    call from a thread other than the one that created the engine."""
 
 
 def connect(path: str | Path | None = ":memory:") -> "Connection":
@@ -160,6 +165,12 @@ class Connection:
     def _check_open(self) -> None:
         if self._closed:
             raise InterfaceError("connection is closed")
+        if threading.get_ident() != self._engine.thread_id:
+            raise InterfaceError(
+                f"connection used from thread {threading.get_ident()}, but its "
+                f"engine was created in thread {self._engine.thread_id}; "
+                "open one connection per thread"
+            )
 
     # -- statement execution --------------------------------------------------------
 
@@ -461,11 +472,8 @@ class PreparedStatement:
         self.connection = connection
         self.sql = sql
         self._plan = plan_sql(sql)
-        # Memo cache shared by every cursor this statement hands out; its
-        # reads and writes are lock-checked (repro-lint REPRO110) ahead of
-        # the multi-client server mode sharing prepared statements.
-        self._memo_lock = threading.Lock()
-        self._cache: dict[object, _MemoEntry] = {}  # guarded-by: _memo_lock
+        # Memo cache shared by every cursor this statement hands out.
+        self._cache: dict[object, _MemoEntry] = {}
 
     @property
     def plan(self) -> LogicalPlan:
@@ -520,23 +528,22 @@ class PreparedStatement:
         key = self._bind_key(params)
         generations = self._generations(bound)
         if key is not None:
-            with self._memo_lock:
-                cached = self._cache.get(key)
+            cached = self._cache.get(key)
             if cached is not None and cached[0] == generations:
                 # Serve row copies: a caller mutating a fetched dict must
                 # never corrupt the memoised result.
                 return _preloaded_cursor(cursor, [dict(row) for row in cached[1]])
         rows = list(self.connection._executor.execute(bound))
         if key is not None:
-            with self._memo_lock:
-                while len(self._cache) >= _PREPARED_CACHE_SIZE:
-                    self._cache.pop(next(iter(self._cache)))  # FIFO eviction
-                self._cache[key] = (generations, rows)
+            while len(self._cache) >= _PREPARED_CACHE_SIZE:
+                self._cache.pop(next(iter(self._cache)))  # FIFO eviction
+            self._cache[key] = (generations, rows)
             return _preloaded_cursor(cursor, [dict(row) for row in rows])
         return _preloaded_cursor(cursor, rows)
 
     def explain(self) -> str:
         """The plan tree plus cached-artifact info (placeholders allowed)."""
+        self.connection._check_open()
         return "\n".join(plan_lines(self._plan, engine=self.connection.engine))
 
 
@@ -718,4 +725,5 @@ class Query:
 
     def explain(self) -> str:
         """The plan tree plus cached-artifact info, without executing."""
+        self.connection._check_open()
         return "\n".join(plan_lines(self.plan, engine=self.connection.engine))

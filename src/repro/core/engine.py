@@ -100,6 +100,9 @@ class HermesEngine:
         io: IOShim | None = None,
     ) -> None:
         self.storage_directory = Path(storage_directory) if storage_directory else None
+        #: The thread that created the engine.  The engine holds no locks:
+        #: :mod:`repro.api` refuses a call from any other thread.
+        self.thread_id = threading.get_ident()
         # Optional OS-call shim threaded through every storage manager the
         # catalog opens; fault-injection tests pass a FaultInjector here.
         self.io = io
@@ -107,13 +110,7 @@ class HermesEngine:
         #: per-dataset storage managers, commits and recovery.
         self.catalog: DurableCatalog | None = None
         self._datasets: dict[str, MOD] = {}
-        # The frame catalog is the first cache the multi-client server mode
-        # (ROADMAP) will share across threads; its reads and writes are
-        # lock-checked today (repro-lint REPRO110) so that refactor starts
-        # from a verified baseline.  RLock: frame() materialises recovered datasets, which
-        # seeds the catalog while the caller may already hold the lock.
-        self._catalog_lock = threading.RLock()
-        self._frames: dict[str, MODFrame] = {}  # guarded-by: _catalog_lock
+        self._frames: dict[str, MODFrame] = {}
         self._retratrees: dict[str, ReTraTree] = {}
         self._last_results: dict[str, ClusteringResult] = {}
         self._generations: dict[str, int] = {}
@@ -181,8 +178,7 @@ class HermesEngine:
         (``load_mod``) can stage the successor before the predecessor's
         files go away; :meth:`drop` reclaims the disk explicitly.
         """
-        with self._catalog_lock:
-            self._frames.pop(name, None)
+        self._frames.pop(name, None)
         tree = self._retratrees.pop(name, None)
         if tree is not None and self.catalog is None:
             # A private (in-memory) manager dies with the tree; the
@@ -318,10 +314,9 @@ class HermesEngine:
         registration.  ``load_mod``/``drop`` evict the entry.
         """
         self._materialise(name)  # seeds the frame entry too
-        with self._catalog_lock:
-            if name not in self._frames:
-                self._frames[name] = MODFrame.from_mod(self.get_mod(name))
-            return self._frames[name]
+        if name not in self._frames:
+            self._frames[name] = MODFrame.from_mod(self.get_mod(name))
+        return self._frames[name]
 
     def dataset_summary(self, name: str) -> dict[str, object]:
         """Descriptive statistics of a dataset (used by ``SELECT SUMMARY``).
@@ -542,8 +537,7 @@ class HermesEngine:
         # materialisation only decodes what that generation committed, so no
         # bump happens (or is needed) here.
         self._datasets[name] = MOD(name=name, trajectories=ordered)
-        with self._catalog_lock:
-            self._frames[name] = MODFrame.from_trajectories(ordered)
+        self._frames[name] = MODFrame.from_trajectories(ordered)
 
     def is_persisted(self, name: str) -> bool:
         """Whether dataset ``name`` has a durable manifest on disk."""
@@ -636,15 +630,14 @@ class HermesEngine:
         # deltas or reset trees, and the caches must not outlive the state
         # they were derived from.  The generation counter keeps running so
         # generation-keyed consumers notice the world changed.
-        with self._catalog_lock:
-            for cache in (
-                self._datasets,
-                self._frames,
-                self._retratrees,
-                self._last_results,
-                self._append_batches,
-            ):
-                cache.clear()
+        for cache in (
+            self._datasets,
+            self._frames,
+            self._retratrees,
+            self._last_results,
+            self._append_batches,
+        ):
+            cache.clear()
         self._open_catalog()
         return report
 
@@ -695,13 +688,11 @@ class HermesEngine:
         """
         cached_tree = self._retratrees.get(name)
         pending = self.catalog.pending() if self.catalog is not None else []
-        with self._catalog_lock:
-            frame_cached = name in self._frames
         status: dict[str, object] = {
             "dataset": name,
             "loaded": name in self._datasets or name in pending,
             "generation": self.dataset_generation(name),
-            "frame_cached": frame_cached,
+            "frame_cached": name in self._frames,
             "tree_cached": cached_tree is not None,
             "tree_persisted": False,
             "tree_stale": False,

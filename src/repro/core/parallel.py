@@ -49,7 +49,6 @@ degrade, drain.
 from __future__ import annotations
 
 import pickle
-import threading
 from collections import Counter, OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -91,35 +90,28 @@ class WorkerPool:
     """
 
     def __init__(self) -> None:
-        # RLock, not Lock: executor() shuts down an undersized executor
-        # while already inside the critical section.  Lock-checked by
-        # repro-lint REPRO110 ahead of the multi-client server mode.
-        self._lock = threading.RLock()
-        self._executor: ProcessPoolExecutor | None = None  # guarded-by: _lock
-        self._max_workers = 0  # guarded-by: _lock
+        self._executor: ProcessPoolExecutor | None = None
+        self._max_workers = 0
         self.created = 0
 
     def executor(self, n_jobs: int) -> ProcessPoolExecutor:
         """The shared executor, (re)created to hold at least ``n_jobs`` workers."""
-        with self._lock:
-            if self._executor is None or n_jobs > self._max_workers:
-                self.shutdown()
-                self._executor = ProcessPoolExecutor(max_workers=n_jobs)
-                self._max_workers = n_jobs
-                self.created += 1
-            return self._executor
+        if self._executor is None or n_jobs > self._max_workers:
+            self.shutdown()
+            self._executor = ProcessPoolExecutor(max_workers=n_jobs)
+            self._max_workers = n_jobs
+            self.created += 1
+        return self._executor
 
     def reset(self) -> None:
         """Discard a (possibly broken) executor; the next use starts fresh."""
-        with self._lock:
-            executor, self._executor, self._max_workers = self._executor, None, 0
+        executor, self._executor, self._max_workers = self._executor, None, 0
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
         """Shut the executor down explicitly (idempotent)."""
-        with self._lock:
-            executor, self._executor, self._max_workers = self._executor, None, 0
+        executor, self._executor, self._max_workers = self._executor, None, 0
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
 

@@ -61,9 +61,6 @@ class S2TParams:
     temporal_tolerance:
         Extra temporal slack (the paper's ``t``) when matching sub-trajectories
         whose lifespans only partially overlap a representative's.
-    voting_samples:
-        Number of time samples per trajectory pair when computing synchronous
-        distances for voting.
     n_jobs:
         Number of worker processes for partition-parallel S2T execution
         (:mod:`repro.core.parallel`).  ``1`` (default) runs the classic
@@ -72,9 +69,8 @@ class S2TParams:
         per-partition results.
 
     A set ``sigma`` / ``eps`` / ``coverage_radius`` must be finite and
-    positive, ``voting_samples`` at least 1 and ``temporal_tolerance``
-    finite and non-negative; anything else raises :class:`ValueError`
-    naming the field.
+    positive and ``temporal_tolerance`` finite and non-negative; anything
+    else raises :class:`ValueError` naming the field.
     """
 
     sigma: float | None = None
@@ -89,7 +85,6 @@ class S2TParams:
     eps: float | None = None
     min_cluster_support: int = 2
     temporal_tolerance: float = 0.0
-    voting_samples: int = 64
     n_jobs: int = 1
 
     def resolved(self, mod: MOD, frame: MODFrame | None = None) -> "S2TParams":
@@ -162,8 +157,6 @@ class S2TParams:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.voting_samples < 1:
-            raise ValueError(f"voting_samples must be at least 1, got {self.voting_samples!r}")
         if not (math.isfinite(self.temporal_tolerance) and self.temporal_tolerance >= 0):
             raise ValueError(
                 f"temporal_tolerance must be finite and non-negative, got {self.temporal_tolerance!r}"

@@ -35,10 +35,10 @@ The phase runs as a *voter-major sweep* over the dataset's
    :meth:`~repro.hermes.frame.MODFrame.positions_at_batch`, same
    arithmetic — its clip of the weight to ``[0, 1]`` never fires on a
    bracketed instant), the kernel is evaluated against the slab's own positions,
-   cells whose owner is not a candidate are multiplied by zero, the per-pair
-   ``voting_samples`` sub-sampling rule thins any target with more instants
-   than that, and the values are added into one accumulator with
-   ``acc[lo:hi] += vals``.
+   cells whose owner is not a candidate are multiplied by zero, and the
+   values are added into one accumulator with ``acc[lo:hi] += vals``.  A
+   target is voted on at every one of its instants inside the voter's
+   lifespan.
 4. The accumulator is un-permuted once and each segment's vote is the mean
    of its two endpoint votes.
 
@@ -105,7 +105,6 @@ def _sweep(frame: MODFrame, params: S2TParams, profile: VotingProfile) -> None:
     assert sigma is not None
     n = len(frame)
     kernel = params.voting_kernel
-    max_samples = params.voting_samples
     margin = kernel_support_radius(sigma, kernel)
     inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma)
     inv_three_sigma = 1.0 / (3.0 * sigma)
@@ -145,22 +144,7 @@ def _sweep(frame: MODFrame, params: S2TParams, profile: VotingProfile) -> None:
             continue
 
         lo, hi = starts[v], stops[v]
-        slab_owner = owner[lo:hi]
-        keep = cand[slab_owner]
-        if (counts[cand] > max_samples).any():
-            # The per-pair sub-sampling rule: a target with more than
-            # ``max_samples`` instants inside this lifespan is voted on at an
-            # evenly spaced subset of them.  ``heavy`` lists those instants
-            # grouped by target (ascending), each group in time order; column
-            # g of ``sel`` holds the ranks ``np.linspace(0, c_g - 1,
-            # max_samples).astype(int)`` that group keeps.
-            inside = np.bincount(slab_owner[keep], minlength=n)
-            heavy = np.flatnonzero(keep & (inside[slab_owner] > max_samples))
-            heavy = heavy[np.argsort(slab_owner[heavy], kind="stable")]
-            c = inside[inside > max_samples]
-            sel = np.linspace(0, c - 1, max_samples).astype(int)
-            keep[heavy] = False
-            keep[heavy[np.cumsum(c) - c + sel]] = True
+        keep = cand[owner[lo:hi]]
 
         # Interpolate the voter at the slab's instants with positions_at_batch's
         # bracket and lerp ``x_lo + w * (x_hi - x_lo)``.  The slab is

@@ -103,8 +103,8 @@ def test_explicit_file_argument(tmp_path):
 def test_registry_ids_are_unique_and_ordered():
     rules = [checker.rule for checker in ALL_CHECKERS]
     slugs = [checker.slug for checker in ALL_CHECKERS]
-    assert len(set(rules)) == len(rules) == 7
-    assert len(set(slugs)) == len(slugs) == 7
+    assert len(set(rules)) == len(rules) == 6
+    assert len(set(slugs)) == len(slugs) == 6
     assert rules == sorted(rules)
 
 

@@ -1,4 +1,4 @@
-"""The flow-analysis core: CFG shape, lock-set dataflow, call-graph resolution."""
+"""The flow-analysis core: CFG shape and call-graph resolution."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import textwrap
 
 from repro.analysis.base import SourceModule
 from repro.analysis.flow.callgraph import TOP, CallGraph
-from repro.analysis.flow.cfg import WithEnter, WithExit, build_cfg
-from repro.analysis.flow.lockset import locks_at_steps
+from repro.analysis.flow.cfg import CFG, Step, WithExit, build_cfg
 
 
 def _module(relative: str, source: str) -> SourceModule:
@@ -22,22 +21,9 @@ def _function(module: SourceModule, name: str) -> ast.FunctionDef:
     raise AssertionError(f"no function {name!r} in fixture")
 
 
-def _locks_by_line(module: SourceModule, name: str) -> dict[int, frozenset[str]]:
-    """Line → locks must-held before the first step on that line."""
-    cfg = build_cfg(_function(module, name))
-    by_line: dict[int, frozenset[str]] = {}
-    for step, held in locks_at_steps(cfg):
-        line = getattr(step, "lineno", None) or getattr(step, "line", None)
-        if line is not None and line not in by_line:
-            by_line[line] = held
-    return by_line
-
-
-def _line(module: SourceModule, needle: str) -> int:
-    for number, text in enumerate(module.text.splitlines(), 1):
-        if needle in text:
-            return number
-    raise AssertionError(f"marker {needle!r} not found")
+def _reachable_steps(cfg: CFG) -> list[Step]:
+    """Every step of every block reachable from the entry, in block order."""
+    return [step for block_id in sorted(cfg.reachable()) for step in cfg.block(block_id).steps]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +94,7 @@ def test_cfg_early_return_makes_tail_unreachable():
         """,
     )
     cfg = build_cfg(_function(module, "f"))
-    steps = [step for step, _ in locks_at_steps(cfg)]
+    steps = _reachable_steps(cfg)
     assert not any(isinstance(s, ast.Assign) for s in steps)  # dead code skipped
     assert cfg.exit_id in cfg.reachable()
 
@@ -147,7 +133,7 @@ def test_cfg_try_body_edges_into_handler():
     # The handler body and the finally body both execute on some path.
     names = {
         node.id
-        for step, _ in locks_at_steps(cfg)
+        for step in _reachable_steps(cfg)
         if isinstance(step, ast.stmt)
         for node in ast.walk(step)
         if isinstance(node, ast.Name)
@@ -160,130 +146,31 @@ def test_cfg_with_emits_enter_and_exit_markers():
         "core/shape.py",
         """\
         def f(self):
-            with self._lock:
+            with self._ctx:
                 x = 1
         """,
     )
     cfg = build_cfg(_function(module, "f"))
-    steps = [step for step, _ in locks_at_steps(cfg)]
+    steps = _reachable_steps(cfg)
     kinds = [type(s).__name__ for s in steps]
     assert kinds.index("WithEnter") < kinds.index("Assign") < kinds.index("WithExit")
 
 
-# ---------------------------------------------------------------------------
-# Lock-set dataflow
-# ---------------------------------------------------------------------------
-
-
-def test_lockset_held_inside_with_released_after():
+def test_cfg_early_return_leaves_the_with_on_its_edge():
     module = _module(
-        "core/locks.py",
-        """\
-        def f(self):
-            with self._lock:
-                inside = 1  # MARK-inside
-            outside = 2  # MARK-outside
-        """,
-    )
-    by_line = _locks_by_line(module, "f")
-    assert by_line[_line(module, "MARK-inside")] == frozenset({"_lock"})
-    assert by_line[_line(module, "MARK-outside")] == frozenset()
-
-
-def test_lockset_meet_is_intersection_at_joins():
-    module = _module(
-        "core/locks.py",
+        "core/shape.py",
         """\
         def f(self, c):
-            if c:
-                with self._lock:
-                    branch = 1
-            after = 2  # MARK-after
-        """,
-    )
-    by_line = _locks_by_line(module, "f")
-    # One arm held the lock, the fall-through arm did not: must-held is empty.
-    assert by_line[_line(module, "MARK-after")] == frozenset()
-
-
-def test_lockset_early_return_releases_with_locks():
-    module = _module(
-        "core/locks.py",
-        """\
-        def f(self, c):
-            with self._lock:
+            with self._ctx:
                 if c:
                     return 1
-                kept = 2  # MARK-kept
-            done = 3  # MARK-done
+                kept = 2
+            done = 3
         """,
     )
-    by_line = _locks_by_line(module, "f")
-    assert by_line[_line(module, "MARK-kept")] == frozenset({"_lock"})
-    assert by_line[_line(module, "MARK-done")] == frozenset()
-    # The WithExit marker is emitted on the return edge too: the exit
-    # block is reached with no lock still recorded as held.
     cfg = build_cfg(_function(module, "f"))
-    exits = [s for s, _ in locks_at_steps(cfg) if isinstance(s, WithExit)]
+    exits = [s for s in _reachable_steps(cfg) if isinstance(s, WithExit)]
     assert len(exits) >= 2  # one on the return edge, one at block end
-
-
-def test_lockset_nested_withs_accumulate():
-    module = _module(
-        "core/locks.py",
-        """\
-        def f(self):
-            with self._outer:
-                with self._inner:
-                    both = 1  # MARK-both
-                one = 2  # MARK-one
-        """,
-    )
-    by_line = _locks_by_line(module, "f")
-    assert by_line[_line(module, "MARK-both")] == frozenset({"_outer", "_inner"})
-    assert by_line[_line(module, "MARK-one")] == frozenset({"_outer"})
-
-
-def test_lockset_non_self_context_managers_acquire_nothing():
-    module = _module(
-        "core/locks.py",
-        """\
-        def f(self, path):
-            with open(path) as fh:
-                data = fh.read()  # MARK-read
-        """,
-    )
-    by_line = _locks_by_line(module, "f")
-    assert by_line[_line(module, "MARK-read")] == frozenset()
-
-
-def test_lockset_entry_locks_seed_the_analysis():
-    module = _module(
-        "core/locks.py",
-        """\
-        def f(self):
-            seeded = 1  # MARK-seeded
-        """,
-    )
-    cfg = build_cfg(_function(module, "f"))
-    steps = locks_at_steps(cfg, entry_locks=frozenset({"_lock"}))
-    held = [h for s, h in steps if getattr(s, "lineno", 0) == _line(module, "MARK-seeded")]
-    assert held and held[0] == frozenset({"_lock"})
-
-
-def test_lockset_with_enter_step_sees_pre_acquisition_state():
-    module = _module(
-        "core/locks.py",
-        """\
-        def f(self):
-            with self._lock:
-                pass
-        """,
-    )
-    cfg = build_cfg(_function(module, "f"))
-    for step, held in locks_at_steps(cfg):
-        if isinstance(step, WithEnter):
-            assert held == frozenset()  # the lock is not held *before* entry
 
 
 # ---------------------------------------------------------------------------

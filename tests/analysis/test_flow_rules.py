@@ -1,300 +1,13 @@
-"""REPRO110/111/112 fixtures: each flow rule fires where expected, stays quiet
-on the compliant twin, honours suppressions — and, for REPRO110, turns the
-*real* tree red when a seeded lock acquisition is deleted."""
+"""REPRO111/112 fixtures: each flow rule fires where expected, stays quiet
+on the compliant twin and honours suppressions."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from tests.analysis.test_rules import line_of
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-
-# ---------------------------------------------------------------------------
-# REPRO110 race-detection
-# ---------------------------------------------------------------------------
-
-RACE_POSITIVE = """\
-    import threading
-
-
-    class Pool:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._cache = {}  # guarded-by: _lock
-
-        def _evict(self, key):
-            self._cache.pop(key, None)  # MARK-helper-mutation
-
-        def flush(self, key):
-            self._evict(key)
-
-        def peek(self, key):
-            return self._cache.get(key)  # MARK-unlocked-read
-
-        def racy_branch(self, key, value):
-            if key:
-                with self._lock:
-                    self._cache[key] = value
-            else:
-                self._cache[key] = value  # MARK-unlocked-arm
-
-        def after_with(self, key):
-            with self._lock:
-                value = self._cache.get(key)
-            return value or self._cache.get(key)  # MARK-after-with
-"""
-
-RACE_NEGATIVE = """\
-    import threading
-
-
-    class Pool:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._cache = {}  # guarded-by: _lock
-            self._cache["warm"] = True  # __init__ is exempt
-
-        def _evict(self, key):
-            self._cache.pop(key, None)
-
-        def _chain(self, key):
-            self._evict(key)
-
-        def flush(self, key):
-            with self._lock:
-                self._chain(key)  # discharged here, two hops above the access
-
-        def read(self, key):
-            with self._lock:
-                return self._cache.get(key)
-
-        # holds: _lock
-        def served(self, key):
-            return self._cache.get(key)  # public root: explicit caller contract
-"""
-
-
-def test_race_positive_interprocedural_and_flow_sensitive(lint_tree):
-    findings = lint_tree({"core/pool.py": RACE_POSITIVE}, select=["race-detection"])
-    assert {f.rule for f in findings} == {"REPRO110"}
-    assert {f.line for f in findings} == {
-        line_of(RACE_POSITIVE, "MARK-helper-mutation"),
-        line_of(RACE_POSITIVE, "MARK-unlocked-read"),
-        line_of(RACE_POSITIVE, "MARK-unlocked-arm"),
-        line_of(RACE_POSITIVE, "MARK-after-with"),
-    }
-    assert all(f.path.endswith("core/pool.py") for f in findings)
-    assert all("with self.<lockname>:" in f.hint for f in findings)
-    # The helper's finding names the public entry point it leaks from.
-    helper = next(
-        f for f in findings if f.line == line_of(RACE_POSITIVE, "MARK-helper-mutation")
-    )
-    assert "`Pool.flush`" in helper.message and "`Pool._evict`" in helper.message
-
-
-def test_race_negative_discharge_holds_and_locked_paths(lint_tree):
-    assert lint_tree({"core/pool.py": RACE_NEGATIVE}, select=["race-detection"]) == []
-
-
-def test_race_suppression_on_the_access_line(lint_tree):
-    source = RACE_POSITIVE.replace(
-        "# MARK-helper-mutation", "# repro-lint: allow[race-detection]"
-    )
-    findings = lint_tree({"core/pool.py": source}, select=["race-detection"])
-    assert line_of(RACE_POSITIVE, "MARK-helper-mutation") not in {f.line for f in findings}
-
-
-def test_race_private_only_cycles_stay_quiet(lint_tree):
-    # Obligations that circulate only among private helpers that project
-    # code calls are not reported: no entry point reaches them.  (A helper
-    # that nothing calls is an entry itself; see the thread-target case.)
-    source = """\
-        import threading
-
-
-        class Pool:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._cache = {}  # guarded-by: _lock
-
-            def _ping(self, key):
-                self._pong(key)
-
-            def _pong(self, key):
-                self._cache.pop(key, None)
-                self._ping(key)
-    """
-    assert lint_tree({"core/pool.py": source}, select=["race-detection"]) == []
-
-
-# The cases of the former per-method lock rule (REPRO102), carried over:
-# REPRO110 flags each of its positives at the same line.
-
-LOCK_POSITIVE = """\
-    import threading
-
-
-    class Pool:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._cache = {}  # guarded-by: _lock
-
-        def unlocked_write(self, key, value):
-            self._cache[key] = value  # MARK-assign
-
-        def unlocked_pop(self, key):
-            if key:
-                return self._cache.pop(key, None)  # MARK-pop
-            return None
-"""
-
-LOCK_NEGATIVE = """\
-    import threading
-
-
-    class Pool:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._cache = {}  # guarded-by: _lock
-            self._cache["warm"] = True  # __init__ is exempt
-
-        def locked_write(self, key, value):
-            with self._lock:
-                self._cache[key] = value
-
-        def locked_read(self, key):
-            with self._lock:
-                return self._cache.get(key)
-
-        def unguarded_other(self):
-            self.stats = {}  # not a guarded attribute
-"""
-
-LOCK_NESTED_WITH = """\
-    class Pool:
-        def __init__(self):
-            self._lock = object()
-            self._cache = {}  # guarded-by: _lock
-
-        def nested(self, key):
-            with self._lock:
-                if key:
-                    del self._cache[key]
-"""
-
-LOCK_TUPLE_UNPACK = """\
-    class Pool:
-        def __init__(self):
-            self._lock = object()
-            self._state = None  # guarded-by: _lock
-
-        def swap(self):
-            old, self._state = self._state, None  # MARK-unpack
-            return old
-"""
-
-LOCK_SUPPRESSED = """\
-    class Pool:
-        def __init__(self):
-            self._lock = object()
-            self._cache = {}  # guarded-by: _lock
-
-        def blessed(self, key):
-            # repro-lint: allow[REPRO110]
-            self._cache.pop(key, None)
-"""
-
-LOCK_THREAD_TARGET = """\
-    import threading
-
-
-    class Pump:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._queue = []  # guarded-by: _lock
-            self._thread = threading.Thread(target=self._worker)
-
-        def _worker(self):
-            self._queue.clear()  # MARK-worker
-"""
-
-LOCK_UNCALLED_HOLDS_HELPER = """\
-    import threading
-
-
-    class Pump:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._queue = []  # guarded-by: _lock
-
-        # holds: _lock
-        def _drain(self):
-            return self._queue.pop()
-"""
-
-LOCK_CASES = {
-    "positive": (LOCK_POSITIVE, ["MARK-assign", "MARK-pop"]),
-    "negative": (LOCK_NEGATIVE, []),
-    "nested_with": (LOCK_NESTED_WITH, []),
-    "tuple_unpack": (LOCK_TUPLE_UNPACK, ["MARK-unpack"]),
-    "suppression": (LOCK_SUPPRESSED, []),
-    "uncalled_thread_target": (LOCK_THREAD_TARGET, ["MARK-worker"]),
-    "uncalled_holds_helper": (LOCK_UNCALLED_HOLDS_HELPER, []),
-}
-
-
-@pytest.mark.parametrize("case", list(LOCK_CASES))
-def test_former_lock_discipline_cases(lint_tree, case):
-    source, marks = LOCK_CASES[case]
-    findings = lint_tree({"core/pool.py": source}, select=["race-detection"])
-    assert sorted(f.line for f in findings) == sorted(line_of(source, m) for m in marks)
-    assert all(f.rule == "REPRO110" and "`_lock`" in f.message for f in findings)
-
-
-def test_uncalled_helper_is_named_as_its_own_entry(lint_tree):
-    (finding,) = lint_tree({"core/pump.py": LOCK_THREAD_TARGET}, select=["race-detection"])
-    assert "entry `Pump._worker`" in finding.message
-    assert "locally" in finding.message
-
-
-# The three PR 8 lock-seeded sites, verified interprocedurally on the real
-# tree: deleting any one `with self.<lock>:` turns the tree red.
-
-_SEEDED_SITES = [
-    # (module, method owning the acquisition, with-statement text, guarded attr)
-    ("core/engine.py", "def _invalidate", "with self._catalog_lock:", "_frames"),
-    ("core/parallel.py", "def executor", "with self._lock:", "_executor"),
-    ("api.py", "def execute", "with self._memo_lock:", "_cache"),
-]
-
-
-def _without_lock(text: str, method: str, with_text: str) -> str:
-    start = text.index(method)
-    site = text.index(with_text, start)
-    return text[:site] + "if True:" + text[site + len(with_text) :]
-
-
-def test_deleting_any_seeded_lock_turns_the_real_tree_red(lint_tree):
-    for relative, method, with_text, attr in _SEEDED_SITES:
-        original = (REPO_SRC / relative).read_text()
-        assert with_text in original[original.index(method) :], (relative, method)
-        broken = _without_lock(original, method, with_text)
-        findings = lint_tree({relative: broken}, select=["race-detection"])
-        assert any(
-            f.rule == "REPRO110" and f"`self.{attr}`" in f.message for f in findings
-        ), f"deleting {with_text!r} in {relative}:{method} was not detected"
-
-
-def test_real_tree_seeded_sites_are_clean_as_shipped(lint_tree):
-    for relative, _, _, _ in _SEEDED_SITES:
-        findings = lint_tree(
-            {relative: (REPO_SRC / relative).read_text()}, select=["race-detection"]
-        )
-        assert findings == [], f"shipped {relative} should satisfy REPRO110"
 
 
 # ---------------------------------------------------------------------------

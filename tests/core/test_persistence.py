@@ -226,6 +226,12 @@ class TestRestartRecovery:
         failure degrades to a rebuild that answers like a fresh build."""
         self._assert_rebuilt_with_tree_s2t(warm, tmp_path, "voting_strategy", "dense")
 
+    def test_tree_params_with_voting_samples_degrade_to_rebuild(self, warm, tmp_path):
+        """Every tree stored before ``S2TParams.voting_samples`` was removed
+        carries ``voting_samples: 64`` in its params; reopening it falls back
+        to a one-time rebuild that answers like a fresh build."""
+        self._assert_rebuilt_with_tree_s2t(warm, tmp_path, "voting_samples", 64)
+
     @staticmethod
     def _assert_rebuilt_with_tree_s2t(warm, tmp_path, key, value):
         import json

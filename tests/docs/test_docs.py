@@ -48,11 +48,9 @@ DOCUMENTED = [
     "repro/analysis/flow/__init__.py",
     "repro/analysis/flow/callgraph.py",
     "repro/analysis/flow/cfg.py",
-    "repro/analysis/flow/lockset.py",
     "repro/analysis/flow/summaries.py",
     "repro/analysis/io_discipline.py",
     "repro/analysis/plan_purity.py",
-    "repro/analysis/race.py",
     "repro/analysis/shm_hygiene.py",
     "repro/api.py",
     "repro/core/engine.py",

@@ -57,7 +57,6 @@ def _pairwise_votes(
     target: Trajectory,
     sigma: float,
     kernel: str,
-    max_samples: int,
 ) -> np.ndarray | None:
     """Votes cast by ``voter`` onto the samples of ``target``.
 
@@ -70,12 +69,7 @@ def _pairwise_votes(
     mask = (target.ts >= common.tmin) & (target.ts <= common.tmax)
     if not np.any(mask):
         return None
-    ts = target.ts[mask]
-    if len(ts) > max_samples:
-        sel = np.linspace(0, len(ts) - 1, max_samples).astype(int)
-        mask_idx = np.flatnonzero(mask)[sel]
-    else:
-        mask_idx = np.flatnonzero(mask)
+    mask_idx = np.flatnonzero(mask)
     ts = target.ts[mask_idx]
     voter_pos = voter.positions_at(ts)
     dx = target.xs[mask_idx] - voter_pos[:, 0]
@@ -102,9 +96,7 @@ def _compute_voting_dense(mod: MOD, params: S2TParams, profile: VotingProfile) -
         for voter in trajectories:
             if voter.key == target.key:
                 continue
-            votes = _pairwise_votes(
-                voter, target, sigma, params.voting_kernel, params.voting_samples
-            )
+            votes = _pairwise_votes(voter, target, sigma, params.voting_kernel)
             evaluated += 1
             if votes is not None:
                 point_votes += votes
@@ -143,13 +135,12 @@ def _batched_point_votes(
     voter_rows: np.ndarray,
     sigma: float,
     kernel: str,
-    max_samples: int,
 ) -> np.ndarray:
     """Summed votes of ``voter_rows`` onto every sample of ``target_row``.
 
     Numerically equivalent to accumulating :func:`_pairwise_votes` over the
-    same voters (including its per-pair sub-sampling rule), but computed as
-    one batched interpolation plus one kernel reduction.
+    same voters, but computed as one batched interpolation plus one kernel
+    reduction.
     """
     block = slice(frame.offsets[target_row], frame.offsets[target_row + 1])
     ts, txs, tys = frame.ts[block], frame.xs[block], frame.ys[block]
@@ -179,16 +170,6 @@ def _batched_point_votes(
         mask = (ts[None, :] >= frame.tmins[rows, None]) & (
             ts[None, :] <= frame.tmaxs[rows, None]
         )
-        counts = mask.sum(axis=1)
-        # Replicate the dense path's per-pair sub-sampling: voters alive for
-        # more than ``max_samples`` target samples only vote at an evenly
-        # spaced subset.
-        for i in np.flatnonzero(counts > max_samples):
-            inside = np.flatnonzero(mask[i])
-            sel = np.linspace(0, len(inside) - 1, max_samples).astype(int)
-            row_mask = np.zeros(n_points, dtype=bool)
-            row_mask[inside[sel]] = True
-            mask[i] = row_mask
 
         dx = txs[None, :] - x_v
         dy = tys[None, :] - y_v
@@ -276,7 +257,6 @@ def _compute_voting_batched(
             voter_rows,
             sigma,
             params.voting_kernel,
-            params.voting_samples,
         )
         profile.votes[key] = (point_votes[:-1] + point_votes[1:]) / 2.0
 

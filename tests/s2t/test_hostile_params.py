@@ -3,8 +3,7 @@
 Two entries of the hostile-input contract:
 
 * a set ``sigma`` / ``eps`` / ``coverage_radius`` that is not finite and
-  positive, ``voting_samples < 1`` and a negative or non-finite
-  ``temporal_tolerance`` are refused by ``S2TParams`` (so by SQL ``S2T(...)``
+  positive and a negative or non-finite ``temporal_tolerance`` are refused by ``S2TParams`` (so by SQL ``S2T(...)``
   and the fluent ``Dataset.s2t`` too, as ``SQLExecutionError``) — they used
   to leak a ``ZeroDivisionError``, run with ``sigma = inf`` or silently
   return all-outliers;
@@ -65,21 +64,14 @@ class TestParamsRefused:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             S2TParams(**{field: value})
 
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_voting_samples_at_least_one(self, value):
-        with pytest.raises(ValueError, match="voting_samples must be at least 1"):
-            S2TParams(voting_samples=value)
-
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
     def test_temporal_tolerance_finite_and_non_negative(self, value):
         with pytest.raises(ValueError, match="temporal_tolerance must be finite and non-negative"):
             S2TParams(temporal_tolerance=value)
 
     def test_boundary_values_accepted(self):
-        params = S2TParams(
-            sigma=1e-300, eps=1e300, coverage_radius=5.0, voting_samples=1, temporal_tolerance=0.0
-        )
-        assert params.voting_samples == 1
+        params = S2TParams(sigma=1e-300, eps=1e300, coverage_radius=5.0, temporal_tolerance=0.0)
+        assert (params.sigma, params.eps) == (1e-300, 1e300)
 
     @pytest.mark.parametrize(
         "sql, field",

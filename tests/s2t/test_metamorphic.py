@@ -14,6 +14,11 @@ trajectories, seed 3) and a map of it:
   (epoch seconds, where ``MODFrame``'s banded search key carries the
   fewest low bits).  Every coordinate is rounded, so votes may move in the
   last bits; the memberships and representatives must still be identical.
+* **Relabelling maps** — a permutation of the MOD's trajectory order, and a
+  renaming of its object ids.  Neither moves a sample, so the partition
+  into clusters and outliers must be the same up to the relabelling.  A
+  permutation is not exact for the votes: a target sums its voters in row
+  order, so every vote may move in its last bits.
 """
 
 from __future__ import annotations
@@ -114,3 +119,51 @@ def test_translation_keeps_memberships(name, dx, dy):
 def test_epoch_time_offset_keeps_memberships(name, offset):
     moved = mapped(scenario_mod(name), time=lambda ts: ts + offset)
     assert answer(moved) == scenario_answer(name)
+
+
+def partition(mod: MOD, original: dict | None = None) -> tuple:
+    """Clusters as a set of member sets, plus the outliers, under ``original``.
+
+    ``original`` maps a renamed object id back to its id in the scenario;
+    cluster order is dropped, so two answers compare equal when they split
+    the same sub-trajectories the same way.
+    """
+    result = S2TClustering(S2TParams()).fit(mod)
+    back = original or {}
+
+    def key(member) -> tuple:
+        obj, *rest = member.key
+        return (back.get(obj, obj), *rest)
+
+    clusters = frozenset(frozenset(key(m) for m in c.members) for c in result.clusters)
+    return clusters, frozenset(key(o) for o in result.outliers)
+
+
+@lru_cache(maxsize=len(SCENARIOS))
+def scenario_partition(name: str) -> tuple:
+    return partition(scenario_mod(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=scenarios, data=st.data())
+def test_permuting_trajectory_order_keeps_the_partition(name, data):
+    mod = scenario_mod(name)
+    order = data.draw(st.permutations(list(mod)))
+    assert partition(MOD(name=mod.name, trajectories=order)) == scenario_partition(name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=scenarios, data=st.data())
+def test_renaming_object_ids_keeps_the_partition(name, data):
+    mod = scenario_mod(name)
+    ids = sorted({traj.obj_id for traj in mod})
+    new_ids = data.draw(st.permutations([f"r{i}" for i in range(len(ids))]))
+    renamed = dict(zip(ids, new_ids))
+    moved = MOD(
+        name=mod.name,
+        trajectories=[
+            Trajectory(renamed[t.obj_id], t.traj_id, t.xs, t.ys, t.ts) for t in mod
+        ],
+    )
+    original = {new: old for old, new in renamed.items()}
+    assert partition(moved, original) == scenario_partition(name)

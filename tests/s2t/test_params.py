@@ -51,6 +51,15 @@ class TestS2TParams:
         with pytest.raises(ValueError, match="'dense'.*tests/s2t/oracles.py"):
             S2TParams.from_dict({**data, "voting_strategy": "dense"})
 
+    def test_retired_voting_samples_is_refused_by_name(self):
+        # Trees stored before the field went carry it; their reopen relies
+        # on this refusal to fall back to a rebuild.
+        data = S2TParams().to_dict()
+        with pytest.raises(ValueError, match="unknown S2T parameter.*voting_samples"):
+            S2TParams.from_dict({**data, "voting_samples": 64})
+        with pytest.raises(TypeError, match="voting_samples"):
+            S2TParams(voting_samples=64)  # type: ignore[call-arg]
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             S2TParams().sigma = 3.0  # type: ignore[misc]

@@ -91,8 +91,9 @@ class TestOneVotingEngine:
             lambda: lane_scenario(n_trajectories=18, n_lanes=3, n_samples=30, seed=11),
             lambda: aircraft_scenario(n_trajectories=20, n_samples=30, seed=5),
             lambda: urban_scenario(n_trajectories=16, n_samples=25, seed=3),
+            lambda: aircraft_scenario(n_trajectories=20, n_samples=96, seed=5),
         ],
-        ids=["lanes", "aircraft", "urban"],
+        ids=["lanes", "aircraft", "urban", "aircraft_long"],
     )
     @pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
     def test_sweep_matches_dense_oracle_on_datagen_scenarios(self, scenario, kernel):

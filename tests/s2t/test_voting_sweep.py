@@ -5,9 +5,9 @@ sweep must give the same votes *bit for bit* (``np.array_equal``, not a
 tolerance) and the same ``pairs_evaluated`` / ``pairs_pruned``, on generated
 MODs that force the edge cases (shared and tied timestamps across
 trajectories, lifespans that only touch or are disjoint, one- and
-two-trajectory MODs, per-pair sub-sampling), through ``RangeThenCluster``'s
-windows, and end to end on the ``s2t_batch`` data (there together with the
-per-trajectory segmentation oracle).
+two-trajectory MODs), on long trajectories (every instant votes), through
+``RangeThenCluster``'s windows, and end to end on the ``s2t_batch`` data
+(there together with the per-trajectory segmentation oracle).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ voting_params = st.builds(
     sigma=st.sampled_from([0.25, 1.0, 4.0, 40.0]),
     eps=st.just(1.0),
     voting_kernel=st.sampled_from(["gaussian", "triangular"]),
-    voting_samples=st.sampled_from([1, 2, 3, 5, 8, 64]),
 )
 
 
@@ -92,6 +91,14 @@ class TestSweepEqualsOracle:
         """From 512 trajectories the oracle picks voters with an R-tree over
         the margin-expanded boxes; the box test must pick the same pairs."""
         mod, _truth = aircraft_scenario(n_trajectories=520, n_samples=8, seed=3)
+        params = S2TParams(voting_kernel=kernel)
+        assert_same_voting(compute_voting(mod, params), oracle_voting(mod, params))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
+    def test_long_trajectories_vote_at_every_instant(self, kernel):
+        """96 samples per flight: a voter votes on every instant of each
+        target inside its lifespan, with no per-pair thinning."""
+        mod, _truth = aircraft_scenario(n_trajectories=60, n_samples=96, seed=3)
         params = S2TParams(voting_kernel=kernel)
         assert_same_voting(compute_voting(mod, params), oracle_voting(mod, params))
 
