@@ -56,22 +56,20 @@ from repro.core.engine import HermesEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ingest import AppendReport
-from repro.sql.ast import Comparison
 from repro.sql.errors import SQLError
 from repro.sql.executor import iter_script
+from repro.sql.parser import plan_sql
 from repro.sql.plan import (
+    Comparison,
     CountPlan,
     FunctionPlan,
     InsertPlan,
     LoadPlan,
     LogicalPlan,
-    QuTPlan,
-    S2TPlan,
     ScanPlan,
     bind_for_execution,
     plan_lines,
 )
-from repro.sql.planner import plan_sql
 
 __all__ = [
     "connect",
@@ -140,7 +138,14 @@ class Connection:
 
     @property
     def engine(self) -> HermesEngine:
-        """The underlying engine (escape hatch for `load_mod` etc.)."""
+        """The underlying engine (escape hatch for `load_mod` etc.).
+
+        Refused from another thread like every other entry, since the
+        engine's own methods do not check; still handed out after
+        :meth:`close`, so ``conn.close(); conn.engine.close()`` releases an
+        engine the connection does not own.
+        """
+        self._check_thread()
         return self._engine
 
     @property
@@ -165,6 +170,9 @@ class Connection:
     def _check_open(self) -> None:
         if self._closed:
             raise InterfaceError("connection is closed")
+        self._check_thread()
+
+    def _check_thread(self) -> None:
         if threading.get_ident() != self._engine.thread_id:
             raise InterfaceError(
                 f"connection used from thread {threading.get_ident()}, but its "
@@ -570,27 +578,18 @@ class Dataset:
         *,
         sigma: object = None,
         eps: object = None,
-        gamma: object = 2,
-        jobs: object = 1,
+        gamma: object = None,
+        jobs: object = None,
         partitions: object = None,
     ) -> "Query":
-        """S2T sub-trajectory clustering (``SELECT S2T(D, ...)``).
+        """S2T sub-trajectory clustering (``SELECT S2T(D, sigma, eps, gamma,
+        NULL, jobs, partitions)``).
 
+        ``None`` takes the SQL default (:data:`repro.sql.plan.SIGNATURES`);
         ``partitions`` overrides the partitioned operator's temporal
-        partition count (the SQL ``partitions`` argument); ``None`` keeps
-        the default.
+        partition count.
         """
-        return Query(
-            self.connection,
-            S2TPlan(
-                dataset=self.name,
-                sigma=sigma,
-                eps=eps,
-                gamma=gamma,
-                jobs=jobs,
-                partitions=partitions,
-            ),
-        )
+        return self.call("S2T", sigma, eps, gamma, None, jobs, partitions)
 
     def qut(
         self,
@@ -599,24 +598,13 @@ class Dataset:
         *,
         tau: object = None,
         delta: object = None,
-        tolerance: object = 0.0,
+        tolerance: object = None,
         distance: object = None,
-        gamma: object = 2,
+        gamma: object = None,
     ) -> "Query":
-        """QuT window clustering (``SELECT QUT(D, Wi, We, ...)``)."""
-        return Query(
-            self.connection,
-            QuTPlan(
-                dataset=self.name,
-                wi=wi,
-                we=we,
-                tau=tau,
-                delta=delta,
-                tolerance=tolerance,
-                distance=distance,
-                gamma=gamma,
-            ),
-        )
+        """QuT window clustering (``SELECT QUT(D, Wi, We, tau, delta, t, d,
+        gamma)``); ``None`` takes the SQL default."""
+        return self.call("QUT", wi, we, tau, delta, tolerance, distance, gamma)
 
     def count(self, where: Iterable[tuple[str, str, object]] = ()) -> "Query":
         """``SELECT COUNT(*) FROM D [WHERE ...]``; ``where`` holds
@@ -651,16 +639,11 @@ class Dataset:
         """Any table function: ``call("TRACLUS", 4.0, 3)`` ==
         ``SELECT TRACLUS(D, 4.0, 3)``.
 
-        Routed through the planner's lowering, so ``call("S2T")`` /
-        ``call("QUT", ...)`` produce the same typed plan nodes (with the
-        same defaults) as the SQL strings and the dedicated
-        :meth:`s2t`/:meth:`qut` builders.
+        Builds the same :class:`~repro.sql.plan.FunctionPlan` as the SQL
+        string, so surplus arguments are refused and defaults filled
+        exactly as there.
         """
-        from repro.sql.ast import SelectFunction
-        from repro.sql.planner import plan_statement
-
-        statement = SelectFunction(function.upper(), (self.name, *args))
-        return Query(self.connection, plan_statement(statement))
+        return Query(self.connection, FunctionPlan(function.upper(), (self.name, *args)))
 
     def summary(self) -> "Query":
         """``SELECT SUMMARY(D)``."""

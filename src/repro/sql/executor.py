@@ -29,10 +29,11 @@ from collections.abc import Iterable, Iterator
 from repro.core.engine import HermesEngine
 from repro.core.ingest import AppendBuffer
 from repro.hermes.mod import MOD
-from repro.sql.ast import Comparison
 from repro.sql.errors import SQLBindError, SQLExecutionError
 from repro.sql.functions import call_function
+from repro.sql.parser import plan_sql_script
 from repro.sql.plan import (
+    Comparison,
     CountPlan,
     CreatePlan,
     DropPlan,
@@ -41,13 +42,10 @@ from repro.sql.plan import (
     InsertPlan,
     LoadPlan,
     LogicalPlan,
-    QuTPlan,
-    S2TPlan,
     ScanPlan,
     ShowPlan,
     plan_lines,
 )
-from repro.sql.planner import plan_sql_script
 
 __all__ = ["ResultSet", "PlanExecutor", "iter_script"]
 
@@ -148,29 +146,6 @@ class PlanExecutor:
             return ResultSet(self._count(plan))
         if isinstance(plan, ScanPlan):
             return self._scan(plan)
-        if isinstance(plan, S2TPlan):
-            args = (
-                plan.dataset,
-                plan.sigma,
-                plan.eps,
-                plan.gamma,
-                plan.strategy,
-                plan.jobs,
-                plan.partitions,
-            )
-            return ResultSet(call_function(self.engine, "S2T", args))
-        if isinstance(plan, QuTPlan):
-            args = (
-                plan.dataset,
-                plan.wi,
-                plan.we,
-                plan.tau,
-                plan.delta,
-                plan.tolerance,
-                plan.distance,
-                plan.gamma,
-            )
-            return ResultSet(call_function(self.engine, "QUT", args))
         if isinstance(plan, FunctionPlan):
             return ResultSet(call_function(self.engine, plan.function, plan.args))
         raise SQLExecutionError(f"unsupported plan {plan!r}")

@@ -1,15 +1,19 @@
 """Table functions exposed through the SQL front-end.
 
 These are the Python counterparts of the stored procedures the paper's
-Hermes@PostgreSQL API offers; each takes the positional arguments of its SQL
-call and returns a list of dict rows.
+Hermes@PostgreSQL API offers; each takes the arguments of a
+:class:`~repro.sql.plan.FunctionPlan` and returns a list of dict rows.
 
 The flagship is the paper's own signature::
 
     SELECT QUT(D, Wi, We, tau, delta, t, d, gamma);
 
-All numeric arguments after the dataset name are optional; omitted ones fall
-back to the data-driven defaults of the underlying parameter objects.
+Each function's argument names, order and defaults live in one table,
+:data:`repro.sql.plan.SIGNATURES`; the plan node has already refused
+surplus arguments and filled NULL or omitted ones from it, so ``args``
+always holds the full signature.  An argument still ``None`` after that is
+left to the underlying parameter object's data-driven default.  The
+functions here check types and ranges only.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.storage.errors import StorageError
 from repro.va.histogram import cluster_time_histogram
 from repro.va.patterns import detect_holding_patterns
 
-__all__ = ["FUNCTIONS", "SIGNATURES", "call_function"]
+__all__ = ["FUNCTIONS", "call_function"]
 
 
 def _cluster_rows(result: ClusteringResult) -> list[dict[str, object]]:
@@ -67,7 +71,7 @@ def _require_dataset(engine: HermesEngine, args: tuple, function: str) -> str:
     An unknown name gets the executor's ``unknown dataset`` error; a dataset
     withheld at recovery as damaged keeps its own diagnostic.
     """
-    if not args or not isinstance(args[0], str):
+    if not isinstance(args[0], str):
         raise SQLExecutionError(f"{function} requires a dataset name as its first argument")
     dataset = args[0]
     if dataset not in engine.datasets():
@@ -78,9 +82,9 @@ def _require_dataset(engine: HermesEngine, args: tuple, function: str) -> str:
 
 
 def _opt_float(args: tuple, idx: int) -> float | None:
-    if len(args) <= idx or args[idx] is None:
-        return None
     value = args[idx]
+    if value is None:
+        return None
     if not isinstance(value, (int, float)):
         raise SQLExecutionError(f"argument {idx + 1} must be numeric, got {value!r}")
     try:
@@ -89,10 +93,10 @@ def _opt_float(args: tuple, idx: int) -> float | None:
         raise SQLExecutionError(f"argument {idx + 1} is out of range, got {value!r}") from None
 
 
-def _opt_int(args: tuple, idx: int, default: int | None) -> int | None:
+def _opt_int(args: tuple, idx: int) -> int | None:
     value = _opt_float(args, idx)
     if value is None:
-        return default
+        return None
     if not math.isfinite(value):
         raise SQLExecutionError(f"argument {idx + 1} must be a finite number, got {value!r}")
     if not value.is_integer():
@@ -100,9 +104,7 @@ def _opt_int(args: tuple, idx: int, default: int | None) -> int | None:
     return int(value)
 
 
-def _opt_str(args: tuple, idx: int, default: str) -> str:
-    if len(args) <= idx or args[idx] is None:
-        return default
+def _str(args: tuple, idx: int) -> str:
     value = args[idx]
     if not isinstance(value, str):
         raise SQLExecutionError(f"argument {idx + 1} must be a string, got {value!r}")
@@ -122,9 +124,9 @@ def _fn_qut(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     params = QuTParams(
         tau=_opt_float(args, 3),
         delta=_opt_float(args, 4),
-        temporal_tolerance=_opt_float(args, 5) or 0.0,
+        temporal_tolerance=_opt_float(args, 5),
         distance_threshold=_opt_float(args, 6),
-        gamma=_opt_int(args, 7, 2),
+        gamma=_opt_int(args, 7),
     )
     return _cluster_rows(engine.qut(dataset, Period(wi, we), params=params))
 
@@ -145,24 +147,24 @@ def _fn_s2t(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     params = S2TParams(
         sigma=_opt_float(args, 1),
         eps=_opt_float(args, 2),
-        min_cluster_support=_opt_int(args, 3, 2),
-        voting_strategy=_opt_str(args, 4, "batched"),
-        n_jobs=_opt_int(args, 5, 1),
+        min_cluster_support=_opt_int(args, 3),
+        voting_strategy=_str(args, 4),
+        n_jobs=_opt_int(args, 5),
     )
-    return _cluster_rows(engine.s2t(dataset, params, n_partitions=_opt_int(args, 6, None)))
+    return _cluster_rows(engine.s2t(dataset, params, n_partitions=_opt_int(args, 6)))
 
 
 def _fn_traclus(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``TRACLUS(D [, eps, min_lns])``"""
     dataset = _require_dataset(engine, args, "TRACLUS")
-    params = TraclusParams(eps=_opt_float(args, 1), min_lns=_opt_int(args, 2, 3))
+    params = TraclusParams(eps=_opt_float(args, 1), min_lns=_opt_int(args, 2))
     return _cluster_rows(engine.traclus(dataset, params))
 
 
 def _fn_toptics(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``TOPTICS(D [, eps_cut, min_pts])``"""
     dataset = _require_dataset(engine, args, "TOPTICS")
-    params = TOpticsParams(eps_cut=_opt_float(args, 1), min_pts=_opt_int(args, 2, 3))
+    params = TOpticsParams(eps_cut=_opt_float(args, 1), min_pts=_opt_int(args, 2))
     return _cluster_rows(engine.toptics(dataset, params))
 
 
@@ -171,8 +173,8 @@ def _fn_convoy(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     dataset = _require_dataset(engine, args, "CONVOY")
     params = ConvoyParams(
         eps=_opt_float(args, 1),
-        min_objects=_opt_int(args, 2, 3),
-        min_duration_snapshots=_opt_int(args, 3, 3),
+        min_objects=_opt_int(args, 2),
+        min_duration_snapshots=_opt_int(args, 3),
     )
     return _cluster_rows(engine.convoy(dataset, params))
 
@@ -186,7 +188,7 @@ def _fn_summary(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
 def _fn_cluster_histogram(engine: HermesEngine, args: tuple) -> list[dict[str, object]]:
     """``CLUSTER_HISTOGRAM(D [, n_bins])`` — over the dataset's last clustering result."""
     dataset = _require_dataset(engine, args, "CLUSTER_HISTOGRAM")
-    n_bins = _opt_int(args, 1, 60)
+    n_bins = _opt_int(args, 1)
     try:
         result = engine.last_result(dataset)
     except KeyError as exc:
@@ -200,8 +202,6 @@ def _fn_holding_patterns(engine: HermesEngine, args: tuple) -> list[dict[str, ob
     """``HOLDING_PATTERNS(D [, min_turns])`` — loop detection over the raw dataset."""
     dataset = _require_dataset(engine, args, "HOLDING_PATTERNS")
     min_turns = _opt_float(args, 1)
-    if min_turns is None:
-        min_turns = 0.9
     patterns = detect_holding_patterns(engine.get_mod(dataset), min_turns=min_turns)
     return [
         {
@@ -226,21 +226,6 @@ FUNCTIONS: dict[str, Callable[[HermesEngine, tuple], list[dict[str, object]]]] =
     "SUMMARY": _fn_summary,
     "CLUSTER_HISTOGRAM": _fn_cluster_histogram,
     "HOLDING_PATTERNS": _fn_holding_patterns,
-}
-
-
-# Each table function's positional parameters, in call order.  The planner
-# refuses a call passing more: the functions read their arguments by
-# position, so a surplus one would otherwise be ignored without a word.
-SIGNATURES: dict[str, tuple[str, ...]] = {
-    "QUT": ("D", "Wi", "We", "tau", "delta", "t", "d", "gamma"),
-    "S2T": ("D", "sigma", "eps", "gamma", "strategy", "jobs", "partitions"),
-    "TRACLUS": ("D", "eps", "min_lns"),
-    "TOPTICS": ("D", "eps_cut", "min_pts"),
-    "CONVOY": ("D", "eps", "m", "k"),
-    "SUMMARY": ("D",),
-    "CLUSTER_HISTOGRAM": ("D", "n_bins"),
-    "HOLDING_PATTERNS": ("D", "min_turns"),
 }
 
 

@@ -16,9 +16,14 @@ Supported statement forms::
     SELECT SUMMARY(flights);
     EXPLAIN SELECT S2T(flights, :sigma);
 
+Each statement parses straight into its logical plan
+(:mod:`repro.sql.plan`).  A table function call becomes a
+:class:`~repro.sql.plan.FunctionPlan`, which checks the arguments against
+the function's signature as it is built.
+
 Every literal position also accepts a parameter placeholder — positional
 ``?`` or named ``:name`` — which parses into a
-:class:`~repro.sql.ast.Parameter` and is bound later (cursor ``execute``
+:class:`~repro.sql.plan.Parameter` and is bound later (cursor ``execute``
 params, :meth:`~repro.sql.plan.LogicalPlan.bind`).
 
 Parse failures raise :class:`~repro.sql.errors.SQLParseError` carrying the
@@ -28,24 +33,24 @@ statement source and offset, so the message pins the failure with a
 
 from __future__ import annotations
 
-from repro.sql.ast import (
-    Comparison,
-    CreateDataset,
-    DropDataset,
-    Explain,
-    InsertPoints,
-    LoadDataset,
-    Parameter,
-    SelectCount,
-    SelectFunction,
-    SelectPoints,
-    ShowDatasets,
-    Statement,
-)
 from repro.sql.errors import SQLParseError
 from repro.sql.lexer import Token, tokenize
+from repro.sql.plan import (
+    Comparison,
+    CountPlan,
+    CreatePlan,
+    DropPlan,
+    ExplainPlan,
+    FunctionPlan,
+    InsertPlan,
+    LoadPlan,
+    LogicalPlan,
+    Parameter,
+    ScanPlan,
+    ShowPlan,
+)
 
-__all__ = ["parse", "parse_script"]
+__all__ = ["plan_sql", "plan_sql_script"]
 
 _POINT_COLUMNS = {"obj_id", "traj_id", "x", "y", "t"}
 
@@ -93,16 +98,16 @@ class _Parser:
 
     # -- entry point ------------------------------------------------------------
 
-    def parse_statement(self) -> Statement:
+    def parse_statement(self) -> LogicalPlan:
         statement = self._parse_one()
         if self._peek().type == "SEMI":
             self._advance()
         self._expect("EOF")
         return statement
 
-    def parse_script(self) -> list[Statement]:
+    def parse_script(self) -> list[LogicalPlan]:
         """Parse a ``;``-separated sequence of statements."""
-        statements: list[Statement] = []
+        statements: list[LogicalPlan] = []
         while True:
             while self._peek().type == "SEMI":
                 self._advance()
@@ -121,7 +126,7 @@ class _Parser:
                     token.position,
                 )
 
-    def _parse_one(self) -> Statement:
+    def _parse_one(self) -> LogicalPlan:
         token = self._peek()
         if token.type != "KEYWORD":
             raise self._error(
@@ -131,7 +136,7 @@ class _Parser:
         word = token.value.upper()
         if word == "EXPLAIN":
             self._advance()
-            return Explain(self._parse_one())
+            return ExplainPlan(self._parse_one())
         if word == "CREATE":
             return self._parse_create()
         if word == "DROP":
@@ -148,24 +153,24 @@ class _Parser:
 
     # -- statements -----------------------------------------------------------------
 
-    def _parse_create(self) -> Statement:
+    def _parse_create(self) -> LogicalPlan:
         self._expect_keyword("CREATE")
         self._expect_keyword("DATASET")
         name = self._expect("IDENT").value
-        return CreateDataset(name)
+        return CreatePlan(name)
 
-    def _parse_drop(self) -> Statement:
+    def _parse_drop(self) -> LogicalPlan:
         self._expect_keyword("DROP")
         self._expect_keyword("DATASET")
         name = self._expect("IDENT").value
-        return DropDataset(name)
+        return DropPlan(name)
 
-    def _parse_show(self) -> Statement:
+    def _parse_show(self) -> LogicalPlan:
         self._expect_keyword("SHOW")
         self._expect_keyword("DATASETS")
-        return ShowDatasets()
+        return ShowPlan()
 
-    def _parse_load(self) -> Statement:
+    def _parse_load(self) -> LogicalPlan:
         self._expect_keyword("LOAD")
         self._expect_keyword("DATASET")
         name = self._expect("IDENT").value
@@ -175,9 +180,9 @@ class _Parser:
             path = self._parse_literal()
         else:
             path = self._expect("STRING").value
-        return LoadDataset(name, path)
+        return LoadPlan(name, path)
 
-    def _parse_insert(self) -> Statement:
+    def _parse_insert(self) -> LogicalPlan:
         self._expect_keyword("INSERT")
         self._expect_keyword("INTO")
         dataset = self._expect("IDENT").value
@@ -186,7 +191,7 @@ class _Parser:
         while self._peek().type == "COMMA":
             self._advance()
             rows.append(self._parse_value_tuple())
-        return InsertPoints(dataset=dataset, rows=tuple(rows))
+        return InsertPlan(dataset, tuple(rows))
 
     def _parse_value_tuple(self) -> tuple[object, ...]:
         self._expect("LPAREN")
@@ -224,7 +229,7 @@ class _Parser:
 
     # -- SELECT ------------------------------------------------------------------------
 
-    def _parse_select(self) -> Statement:
+    def _parse_select(self) -> LogicalPlan:
         self._expect_keyword("SELECT")
         token = self._peek()
 
@@ -237,7 +242,7 @@ class _Parser:
             self._expect_keyword("FROM")
             dataset = self._expect("IDENT").value
             predicates = self._parse_where()
-            return SelectCount(dataset=dataset, predicates=predicates)
+            return CountPlan(dataset, predicates)
 
         # SELECT FUNC(args...)  -- table-function call.
         if token.type == "IDENT" and self._tokens[self._pos + 1].type == "LPAREN":
@@ -250,7 +255,7 @@ class _Parser:
                     self._advance()
                     args.append(self._parse_literal())
             self._expect("RPAREN")
-            return SelectFunction(function=function, args=tuple(args))
+            return FunctionPlan(function, tuple(args))
 
         # SELECT col[, col...] | * FROM dataset ...
         columns: list[str] = []
@@ -280,7 +285,7 @@ class _Parser:
                 limit = self._parse_literal()
             else:
                 limit = int(_number(self._expect("NUMBER").value))
-        return SelectPoints(
+        return ScanPlan(
             dataset=dataset,
             columns=tuple(columns),
             predicates=predicates,
@@ -325,13 +330,13 @@ def _number(text: str) -> float | int:
     return int(value) if value.is_integer() and "." not in text and "e" not in text.lower() else value
 
 
-def parse(sql: str) -> Statement:
-    """Parse one SQL statement into its AST."""
+def plan_sql(sql: str) -> LogicalPlan:
+    """Parse one SQL statement into its logical plan."""
     return _Parser(tokenize(sql), sql).parse_statement()
 
 
-def parse_script(sql: str) -> list[Statement]:
-    """Parse a ``;``-separated script into its statement ASTs.
+def plan_sql_script(sql: str) -> list[LogicalPlan]:
+    """Parse a ``;``-separated script into one logical plan per statement.
 
     Splitting is token-aware: a ``;`` inside a string literal does not end a
     statement (the old string-``split`` behaviour did break on those).

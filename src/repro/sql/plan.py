@@ -1,15 +1,19 @@
-"""The logical-plan layer shared by the SQL and fluent-Python front-ends.
+"""The logical-plan layer: one representation of every statement.
 
-Both front-ends compile to the same frozen plan dataclasses: the SQL path
-parses a statement and lowers the AST (:mod:`repro.sql.planner`), the fluent
-path (``conn.dataset("lanes").s2t(sigma=...)``) constructs the node
-directly — so ``EXPLAIN`` output, parameter binding and execution behave
-identically no matter how a query was written.
+The parser (:mod:`repro.sql.parser`) builds these frozen dataclasses
+directly from SQL text, and the fluent path
+(``conn.dataset("lanes").s2t(sigma=...)``) constructs the same nodes — so
+``EXPLAIN`` output, parameter binding and execution behave identically no
+matter how a query was written.
 
-A plan may contain :class:`~repro.sql.ast.Parameter` placeholders (``?`` /
-``:name``).  :meth:`LogicalPlan.bind` substitutes them and returns a new,
-fully-literal plan; :class:`~repro.sql.executor.PlanExecutor` refuses to run
-a plan that still has unbound placeholders.
+Every table function call is one :class:`FunctionPlan`, checked against its
+row of :data:`SIGNATURES`: the one place that knows each function's argument
+names, order and defaults.
+
+A plan may contain :class:`Parameter` placeholders (``?`` / ``:name``).
+:meth:`LogicalPlan.bind` substitutes them and returns a new, fully-literal
+plan; :class:`~repro.sql.executor.PlanExecutor` refuses to run a plan that
+still has unbound placeholders.
 
 Plans are immutable and comparable — preparing a statement once and
 re-binding it per execution is cheap, and tests can assert that two paths
@@ -22,10 +26,12 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any
 
-from repro.sql.ast import Comparison, Parameter
-from repro.sql.errors import SQLBindError
+from repro.sql.errors import SQLBindError, SQLExecutionError
 
 __all__ = [
+    "Parameter",
+    "Comparison",
+    "SIGNATURES",
     "LogicalPlan",
     "ShowPlan",
     "CreatePlan",
@@ -34,13 +40,61 @@ __all__ = [
     "InsertPlan",
     "ScanPlan",
     "CountPlan",
-    "S2TPlan",
-    "QuTPlan",
     "FunctionPlan",
     "ExplainPlan",
     "bind_for_execution",
     "plan_lines",
 ]
+
+# Each table function's positional parameters, in call order, with the value
+# a NULL or omitted argument takes.  ``None`` leaves the argument to the
+# function: a required one (``D``, QUT's ``Wi`` and ``We``) is refused
+# there, an optional one falls back to its parameter object's data-driven
+# default.
+SIGNATURES: dict[str, dict[str, object]] = {
+    "QUT": {
+        "D": None, "Wi": None, "We": None, "tau": None,
+        "delta": None, "t": 0.0, "d": None, "gamma": 2,
+    },
+    "S2T": {
+        "D": None, "sigma": None, "eps": None, "gamma": 2,
+        "strategy": "batched", "jobs": 1, "partitions": None,
+    },
+    "TRACLUS": {"D": None, "eps": None, "min_lns": 3},
+    "TOPTICS": {"D": None, "eps_cut": None, "min_pts": 3},
+    "CONVOY": {"D": None, "eps": None, "m": 3, "k": 3},
+    "SUMMARY": {"D": None},
+    "CLUSTER_HISTOGRAM": {"D": None, "n_bins": 60},
+    "HOLDING_PATTERNS": {"D": None, "min_turns": 0.9},
+}
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """A statement parameter placeholder: positional ``?`` or named ``:name``.
+
+    Placeholders survive parsing; they are substituted by
+    :meth:`LogicalPlan.bind` before execution.
+    """
+
+    index: int | None = None
+    name: str | None = None
+
+    @property
+    def label(self) -> str:
+        """How the placeholder is written in SQL (``:sigma`` / ``?1``)."""
+        if self.name is not None:
+            return f":{self.name}"
+        return f"?{(self.index or 0) + 1}"
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A ``column <op> literal`` predicate (or BETWEEN, expressed as two of these)."""
+
+    column: str
+    op: str
+    value: object
 
 
 def _walk_parameters(value: object) -> Iterator[Parameter]:
@@ -244,51 +298,50 @@ class CountPlan(LogicalPlan):
 
 
 @dataclass(frozen=True)
-class S2TPlan(LogicalPlan):
-    """S2T sub-trajectory clustering (``SELECT S2T(D, sigma, eps, gamma,
-    strategy, jobs, partitions)`` / ``conn.dataset(D).s2t(...)``).
-
-    ``partitions`` overrides the temporal partition count of the partitioned
-    operator (``None`` keeps the scheduler default); with ``jobs > 1`` each
-    partition fits in a worker process over the shared-memory frame
-    broadcast.
-    """
-
-    dataset: str
-    sigma: object = None
-    eps: object = None
-    gamma: object = 2
-    strategy: object = "batched"
-    jobs: object = 1
-    partitions: object = None
-
-
-@dataclass(frozen=True)
-class QuTPlan(LogicalPlan):
-    """QuT query-window clustering (``SELECT QUT(D, Wi, We, tau, delta, t, d,
-    gamma)`` / ``conn.dataset(D).qut(wi, we, ...)``)."""
-
-    dataset: str
-    wi: object = None
-    we: object = None
-    tau: object = None
-    delta: object = None
-    tolerance: object = 0.0
-    distance: object = None
-    gamma: object = 2
-
-
-@dataclass(frozen=True)
 class FunctionPlan(LogicalPlan):
-    """Any other table function (TRACLUS, TOPTICS, CONVOY, SUMMARY, ...)."""
+    """``SELECT F(D, ...)`` — one table function call (QUT, S2T, TRACLUS, ...).
+
+    Constructing the node checks ``args`` against the function's row of
+    :data:`SIGNATURES`: surplus arguments are refused, and NULL or omitted
+    ones take the table's default.  So ``S2T(d)``, ``S2T(d, NULL)``,
+    ``call("S2T")`` and ``s2t()`` are one equal plan, and since binding
+    rebuilds the node, a placeholder bound to NULL takes the default too.
+    A function the table does not name keeps its arguments as written and
+    is refused when executed.
+    """
 
     function: str
     args: tuple[object, ...] = ()
+
+    def __post_init__(self) -> None:
+        signature = SIGNATURES.get(self.function)
+        if signature is None:
+            return
+        if len(self.args) > len(signature):
+            raise SQLExecutionError(
+                f"{self.function} takes at most {len(signature)} arguments, "
+                f"got {len(self.args)}: {self.function}({', '.join(signature)})"
+            )
+        padded = self.args + (None,) * (len(signature) - len(self.args))
+        args = tuple(
+            default if value is None else value
+            for value, default in zip(padded, signature.values())
+        )
+        object.__setattr__(self, "args", args)
 
     def datasets(self) -> tuple[str, ...]:
         if self.args and isinstance(self.args[0], str):
             return (self.args[0],)
         return ()
+
+    def describe(self) -> str:
+        """``S2T(D='flights', sigma=:sigma, eps=NULL, ...)``: each argument
+        named from :data:`SIGNATURES`."""
+        values = ["NULL" if value is None else _format_value(value) for value in self.args]
+        names = SIGNATURES.get(self.function)
+        if names is not None:
+            values = [f"{name}={value}" for name, value in zip(names, values)]
+        return f"{self.function}({', '.join(values)})"
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ class TestCursorFetch:
         rows = conn.execute(
             "EXPLAIN SELECT QUT(lanes, :wi, :we)", {"wi": 0.0, "we": 9.0}
         ).fetchall()
-        assert "wi=0.0" in rows[0]["plan"]
+        assert "Wi=0.0, We=9.0" in rows[0]["plan"]
 
 
 class TestConcurrentCursors:

@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.api import connect
 from repro.hermes.mod import MOD
-from repro.sql.plan import QuTPlan, S2TPlan
+from repro.sql.plan import FunctionPlan, Parameter
 
 
 @pytest.fixture
@@ -19,7 +19,9 @@ def conn(lanes_small):
 class TestPrepare:
     def test_plan_built_once_and_parameterised(self, conn):
         stmt = conn.prepare("SELECT QUT(lanes, :wi, :we)")
-        assert isinstance(stmt.plan, QuTPlan)
+        assert stmt.plan == FunctionPlan(
+            "QUT", ("lanes", Parameter(name="wi"), Parameter(name="we"))
+        )
         assert stmt.parameters() == (":wi", ":we")
 
     def test_rebind_produces_fresh_results(self, conn, lanes_small):
@@ -173,7 +175,7 @@ class TestGenerationInvalidation:
     def test_s2t_prepared_recomputes_after_replacement(self, conn, lanes_small):
         mod, _ = lanes_small
         stmt = conn.prepare("SELECT S2T(lanes, NULL, NULL, :gamma)")
-        assert isinstance(stmt.plan, S2TPlan)
+        assert stmt.plan == FunctionPlan("S2T", ("lanes", None, None, Parameter(name="gamma")))
         before = stmt.execute({"gamma": 2}).fetchall()
         assert before[-1]["cluster_id"] == "outliers"
         half = MOD(name="lanes", trajectories=mod.trajectories()[: len(mod) // 3])

@@ -3,6 +3,8 @@
 The engine holds no locks.  Every entry of ``repro.api`` goes through
 ``Connection._check_open``, which compares the calling thread with the one
 that created the engine, as ``sqlite3`` does with ``check_same_thread``.
+``Connection.engine`` makes the same comparison, since the engine's own
+methods do not.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import threading
 import pytest
 
 from repro.api import Connection, InterfaceError, connect
+from repro.core.engine import HermesEngine
+from repro.hermes.mod import MOD
 
 
 @pytest.fixture
@@ -110,3 +114,18 @@ def test_explain_refuses_a_closed_connection(conn):
     for explain in (statement.explain, query.explain):
         with pytest.raises(InterfaceError, match="closed"):
             explain()
+
+
+def test_the_engine_escape_hatch_refuses_another_thread(conn):
+    exc = raised_in_thread(lambda: conn.engine.load_mod("other", MOD(name="other")))
+    assert isinstance(exc, InterfaceError), exc
+    assert "thread" in str(exc)
+    assert conn.engine.datasets() == ["lanes"]
+
+
+def test_a_closed_connection_still_hands_out_its_engine():
+    engine = HermesEngine.in_memory()
+    conn = Connection(engine=engine)
+    conn.close()
+    assert conn.engine is engine
+    conn.engine.close()

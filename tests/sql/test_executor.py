@@ -8,7 +8,8 @@ from repro.api import Connection
 from repro.core.engine import HermesEngine
 from repro.hermes.io import write_csv
 from repro.sql.errors import SQLExecutionError
-from repro.sql.functions import FUNCTIONS, SIGNATURES
+from repro.sql.functions import FUNCTIONS
+from repro.sql.plan import SIGNATURES
 
 
 @pytest.fixture
@@ -186,7 +187,7 @@ class TestInsertAndPointQueries:
 
     def test_explain_statement_returns_plan_rows(self, execute):
         rows = execute("EXPLAIN SELECT S2T(lanes)")
-        assert rows[0]["plan"].startswith("S2TPlan(")
+        assert rows[0]["plan"].startswith("S2T(D='lanes', sigma=NULL,")
         assert any(line["plan"].startswith("artifacts[lanes]") for line in rows)
 
 
@@ -323,7 +324,7 @@ def _surplus_call(conn, route, function, sql_args):
 
 class TestSurplusArguments:
     """A table function called with more arguments than its signature is
-    refused at lowering, naming the signature, whatever the front end."""
+    refused when planned, naming the signature, whatever the front end."""
 
     def test_every_function_has_a_signature(self):
         assert set(SIGNATURES) == set(FUNCTIONS)

@@ -1,11 +1,15 @@
-"""The logical-plan layer: lowering, binding, rendering, front-end identity."""
+"""The logical-plan layer: parsing, binding, rendering, front-end identity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import connect
 from repro.core.engine import HermesEngine
-from repro.sql.ast import Comparison, Parameter
-from repro.sql.errors import SQLBindError
+from repro.sql.errors import SQLBindError, SQLExecutionError
 from repro.sql.plan import (
+    SIGNATURES,
+    Comparison,
     CountPlan,
     CreatePlan,
     DropPlan,
@@ -13,8 +17,7 @@ from repro.sql.plan import (
     FunctionPlan,
     InsertPlan,
     LoadPlan,
-    QuTPlan,
-    S2TPlan,
+    Parameter,
     ScanPlan,
     ShowPlan,
     plan_lines,
@@ -22,7 +25,7 @@ from repro.sql.plan import (
 from repro.sql.planner import plan_sql, plan_sql_script
 
 
-class TestLowering:
+class TestParsing:
     def test_show(self):
         assert plan_sql("SHOW DATASETS") == ShowPlan()
 
@@ -53,65 +56,138 @@ class TestLowering:
         )
 
     def test_s2t_defaults_fill_null_and_missing(self):
-        assert plan_sql("SELECT S2T(d)") == S2TPlan(dataset="d")
-        assert plan_sql("SELECT S2T(d, NULL, NULL, 3, 'batched', 2)") == S2TPlan(
-            dataset="d", gamma=3, jobs=2
+        assert plan_sql("SELECT S2T(d)").args == ("d", None, None, 2, "batched", 1, None)
+        assert plan_sql("SELECT S2T(d, NULL, NULL, 3, 'batched', 2)").args == (
+            "d", None, None, 3, "batched", 2, None
         )
 
     def test_qut_defaults(self):
-        assert plan_sql("SELECT QUT(d, 0, 100)") == QuTPlan(dataset="d", wi=0, we=100)
+        assert plan_sql("SELECT QUT(d, 0, 100)").args == ("d", 0, 100, None, None, 0.0, None, 2)
 
-    def test_partitions_argument_lowered(self):
-        assert plan_sql("SELECT S2T(d, NULL, NULL, NULL, NULL, 1, 3)") == S2TPlan(
-            dataset="d", jobs=1, partitions=3
-        )
+    def test_every_spelling_of_a_call_is_one_plan(self):
+        conn = connect()
+        s2t = plan_sql("SELECT S2T(d)")
+        assert s2t == plan_sql("SELECT S2T(d, NULL, NULL, NULL)")
+        assert s2t == conn.dataset("d").call("S2T").plan == conn.dataset("d").s2t().plan
+        qut = plan_sql("SELECT QUT(d, 0, 100)")
+        assert qut == conn.dataset("d").call("QUT", 0, 100).plan == conn.dataset("d").qut(0, 100).plan
+
+    def test_partitions_argument(self):
+        assert plan_sql("SELECT S2T(d, NULL, NULL, NULL, NULL, 1, 3)").args[5:] == (1, 3)
 
     def test_qut_takes_the_papers_eight_arguments(self):
-        assert plan_sql("SELECT QUT(d, 0, 100, 5, 1, 0, 2.5, 3)") == QuTPlan(
-            dataset="d", wi=0, we=100, tau=5, delta=1, tolerance=0, distance=2.5, gamma=3
+        assert plan_sql("SELECT QUT(d, 0, 100, 5, 1, 0, 2.5, 3)") == FunctionPlan(
+            "QUT", ("d", 0, 100, 5, 1, 0, 2.5, 3)
         )
 
-    def test_other_functions_stay_generic(self):
-        assert plan_sql("SELECT TRACLUS(d, 4.0, 3)") == FunctionPlan(
-            "TRACLUS", ("d", 4.0, 3)
-        )
+    def test_other_functions_take_their_defaults_too(self):
+        assert plan_sql("SELECT TRACLUS(d, 4.0)") == FunctionPlan("TRACLUS", ("d", 4.0, 3))
+
+    def test_unknown_function_keeps_its_arguments(self):
+        assert plan_sql("SELECT VERSION(1, NULL)").args == (1, None)
 
     def test_explain_wraps_child(self):
         plan = plan_sql("EXPLAIN SELECT S2T(d)")
-        assert plan == ExplainPlan(S2TPlan(dataset="d"))
+        assert plan == ExplainPlan(FunctionPlan("S2T", ("d",)))
         assert plan.datasets() == ("d",)
 
-    def test_script_lowering(self):
+    def test_script_parses_one_plan_per_statement(self):
         plans = plan_sql_script("SHOW DATASETS; SELECT S2T(d);")
-        assert plans == [ShowPlan(), S2TPlan(dataset="d")]
+        assert plans == [ShowPlan(), FunctionPlan("S2T", ("d",))]
+
+
+# -- generated table-function calls ---------------------------------------------
+
+# A literal and the value it parses to: ints stay ints and floats keep a '.'
+# or an exponent, so EXPLAIN renders both routes' values alike.
+_LITERAL = st.one_of(
+    st.integers(-(10**6), 10**6).map(lambda v: (str(v), v)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (repr(v), v)),
+    st.text("abxyz_", min_size=1, max_size=6).map(lambda v: (f"'{v}'", v)),
+)
+# Numbered by position once a call is drawn, as the parser numbers '?'.
+_NEXT_POSITIONAL = Parameter(index=-1)
+_ARGUMENT = st.one_of(
+    st.just(("NULL", None)),
+    _LITERAL,
+    st.sampled_from(["a", "sigma", "w_1"]).map(lambda n: (f":{n}", Parameter(name=n))),
+    st.just(("?", _NEXT_POSITIONAL)),
+)
+# Keyword of each argument after D in the s2t()/qut() builders; s2t() has
+# no ``strategy`` keyword.
+_KEYWORDS = {
+    "S2T": ("sigma", "eps", "gamma", None, "jobs", "partitions"),
+    "QUT": ("wi", "we", "tau", "delta", "tolerance", "distance", "gamma"),
+}
+
+
+@st.composite
+def _calls(draw, surplus=False):
+    """``(function, sql, args after D)`` for a call on ``lanes``."""
+    function = draw(st.sampled_from(sorted(SIGNATURES)))
+    arity = len(SIGNATURES[function])
+    count = draw(st.integers(arity + 1, arity + 3) if surplus else st.integers(1, arity))
+    texts, rest = [], []
+    for text, value in draw(st.lists(_ARGUMENT, min_size=count - 1, max_size=count - 1)):
+        if value == _NEXT_POSITIONAL:
+            value = Parameter(index=sum(isinstance(v, Parameter) and v.name is None for v in rest))
+        texts.append(text)
+        rest.append(value)
+    sql = f"SELECT {function}({', '.join(['lanes', *texts])})"
+    return function, sql, tuple(rest)
+
+
+def _refusal(build):
+    with pytest.raises(SQLExecutionError) as excinfo:
+        build()
+    return str(excinfo.value)
 
 
 class TestFrontEndIdentity:
     """SQL strings and the fluent Python API compile to identical plans."""
 
+    @settings(max_examples=300, deadline=None)
+    @given(call=_calls())
+    def test_generated_calls_plan_alike_on_every_route(self, call):
+        function, sql, rest = call
+        conn = connect()
+        plan = plan_sql(sql)
+        fluent = conn.dataset("lanes").call(function, *rest).plan
+        assert plan == fluent
+        assert plan_lines(plan) == plan_lines(fluent)
+        assert conn.prepare(sql).plan == plan
+        keywords = _KEYWORDS.get(function)
+        if keywords is not None:
+            named = dict(zip(keywords, rest))
+            if named.pop(None, None) is None:  # s2t() cannot name a strategy
+                built = getattr(conn.dataset("lanes"), function.lower())(**named).plan
+                assert built == plan
+                assert plan_lines(built) == plan_lines(plan)
+        if function == "SUMMARY":
+            assert conn.dataset("lanes").summary().plan == plan
+
+    @settings(max_examples=100, deadline=None)
+    @given(call=_calls(surplus=True))
+    def test_generated_surplus_arguments_are_refused_alike(self, call):
+        function, sql, rest = call
+        conn = connect()
+        arity = len(SIGNATURES[function])
+        message = _refusal(lambda: plan_sql(sql))
+        assert message == (
+            f"{function} takes at most {arity} arguments, got {len(rest) + 1}: "
+            f"{function}({', '.join(SIGNATURES[function])})"
+        )
+        assert _refusal(lambda: conn.prepare(sql)) == message
+        assert _refusal(lambda: conn.execute(sql)) == message
+        assert _refusal(lambda: conn.dataset("lanes").call(function, *rest)) == message
+
     @pytest.fixture
     def conn(self):
-        from repro.api import Connection
-
-        return Connection(engine=HermesEngine.in_memory())
-
-    def test_s2t_identity(self, conn):
-        fluent = conn.dataset("lanes").s2t(sigma=2.5, jobs=4).plan
-        assert fluent == plan_sql("SELECT S2T(lanes, 2.5, NULL, NULL, NULL, 4)")
-        assert conn.dataset("lanes").s2t().plan == plan_sql("SELECT S2T(lanes)")
+        return connect()
 
     def test_fluent_s2t_has_no_strategy_keyword(self, conn):
         with pytest.raises(TypeError):
             conn.dataset("lanes").s2t(strategy="batched")
-
-    def test_qut_identity(self, conn):
-        fluent = conn.dataset("lanes").qut(0.0, 900.0, gamma=3).plan
-        assert fluent == plan_sql("SELECT QUT(lanes, 0.0, 900.0, NULL, NULL, NULL, NULL, 3)")
-
-    def test_partitions_identity(self, conn):
-        assert conn.dataset("lanes").s2t(partitions=3).plan == plan_sql(
-            "SELECT S2T(lanes, NULL, NULL, NULL, NULL, NULL, 3)"
-        )
 
     def test_fluent_builders_have_no_shards_keyword(self, conn):
         with pytest.raises(TypeError):
@@ -131,20 +207,6 @@ class TestFrontEndIdentity:
         assert conn.dataset("lanes").count().plan == plan_sql(
             "SELECT COUNT(*) FROM lanes"
         )
-
-    def test_function_identity(self, conn):
-        assert conn.dataset("lanes").call("TRACLUS", 4.0, 3).plan == plan_sql(
-            "SELECT TRACLUS(lanes, 4.0, 3)"
-        )
-        assert conn.dataset("lanes").summary().plan == plan_sql("SELECT SUMMARY(lanes)")
-
-    def test_call_routes_s2t_and_qut_through_typed_plans(self, conn):
-        """call("S2T") must lower exactly like the SQL string and .s2t()."""
-        assert conn.dataset("lanes").call("S2T").plan == plan_sql("SELECT S2T(lanes)")
-        assert conn.dataset("lanes").call("QUT", 0, 9).plan == plan_sql(
-            "SELECT QUT(lanes, 0, 9)"
-        )
-        assert conn.dataset("lanes").call("s2t").plan == conn.dataset("lanes").s2t().plan
 
     def test_load_identity(self, conn):
         assert conn.dataset("d").load("/x.csv").plan == plan_sql(
@@ -205,6 +267,11 @@ class TestBinding:
         with pytest.raises(SQLBindError, match="bare string"):
             plan_sql("SELECT COUNT(*) FROM d WHERE t >= ?").bind("5")
 
+    def test_placeholder_bound_to_null_takes_the_default(self):
+        plan = plan_sql("SELECT S2T(d, NULL, NULL, ?)")
+        assert plan.args[3] == Parameter(index=0)
+        assert plan.bind([None]) == plan_sql("SELECT S2T(d)")
+
     def test_params_on_parameterless_statement_rejected(self):
         with pytest.raises(SQLBindError, match="takes no parameters"):
             plan_sql("SELECT S2T(d)").bind({"sigma": 1.0})
@@ -246,7 +313,16 @@ class TestExplainRendering:
         assert rows, sql
         assert all(set(row) == {"plan"} for row in rows)
         # The first line is always the plan node itself.
-        assert "Plan(" in rows[0]["plan"] or rows[0]["plan"] == "ShowPlan()"
+        assert rows[0]["plan"] == plan_sql(sql).describe()
+
+    def test_function_arguments_are_named_from_the_signature(self):
+        assert plan_sql("SELECT S2T(flights, :sigma)").describe() == (
+            "S2T(D='flights', sigma=:sigma, eps=NULL, gamma=2, strategy='batched', "
+            "jobs=1, partitions=NULL)"
+        )
+        assert plan_sql("SELECT CONVOY(f, 2.5, ?)").describe() == (
+            "CONVOY(D='f', eps=2.5, m=?1, k=3)"
+        )
 
     def test_placeholders_render_unbound(self, engine):
         lines = plan_lines(plan_sql("SELECT S2T(lanes, :sigma, ?)"))
