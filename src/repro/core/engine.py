@@ -118,10 +118,6 @@ class HermesEngine:
         # Append batches applied per dataset since its last (re)load; purely
         # observability (EXPLAIN's artifact lines), reset on replacement.
         self._append_batches: dict[str, int] = {}
-        # Generation at the last *replacement* (load_mod/drop) per dataset;
-        # appends bump _generations but not this (see
-        # dataset_replacement_generation).
-        self._replacements: dict[str, int] = {}
         self._plan_executor = None
         # Engine-owned persistent worker pool (lazily started by pool());
         # shared by every partition-parallel S2T run so consecutive jobs
@@ -174,7 +170,9 @@ class HermesEngine:
     def _invalidate(self, name: str) -> None:
         """Evict every cache derived from dataset ``name`` and bump its generation.
 
-        Purely in-memory: on-disk state is left alone so that replacement
+        The SQL executor's buffered ``INSERT`` points for ``name`` go too:
+        they belong to the registration being replaced or dropped.  Purely
+        in-memory: on-disk state is left alone so that replacement
         (``load_mod``) can stage the successor before the predecessor's
         files go away; :meth:`drop` reclaims the disk explicitly.
         """
@@ -188,17 +186,8 @@ class HermesEngine:
         self._append_batches.pop(name, None)
         self._generation_counter += 1
         self._generations[name] = self._generation_counter
-        self._replacements[name] = self._generation_counter
-
-    def dataset_replacement_generation(self, name: str) -> int:
-        """Token bumped only when dataset ``name`` is *replaced* or dropped.
-
-        Appends do not move it: consumers whose buffered state survives an
-        append but not a replacement (the SQL executor's incomplete-point
-        buffers) key on this instead of :meth:`dataset_generation`, which
-        moves on every mutation including appends.
-        """
-        return self._replacements.get(name, 0)
+        if self._plan_executor is not None:
+            self._plan_executor.forget(name)
 
     def _note_append(self, name: str) -> None:
         """Record an append: bump the generation *without* evicting caches.
@@ -293,8 +282,6 @@ class HermesEngine:
         self._invalidate(name)
         if self.catalog is not None:
             self.catalog.drop(name)
-        if self._plan_executor is not None:
-            self._plan_executor.forget(name)
 
     def dataset_generation(self, name: str) -> int:
         """Monotonic token bumped on every mutation of dataset ``name``.

@@ -26,7 +26,7 @@ specs (``"gps_noise:sigma_fraction=0.02+dropout"``) via
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "rush_hour",
     "out_of_order_jitter",
     "parse_profile",
-    "point_stream",
 ]
 
 #: One degradation step: ``(mod, truth, rng) -> (mod, truth)``.
@@ -297,24 +296,3 @@ def _coerce(text: str) -> object:
             continue
     return text
 
-
-def point_stream(
-    mod: MOD, seed: int
-) -> Iterator[tuple[str, str, float, float, float]]:
-    """The MOD's samples as a globally shuffled arrival stream.
-
-    Yields ``(obj_id, traj_id, x, y, t)`` records in a seeded random order
-    across *all* trajectories — the worst-case arrival order for the ingest
-    path.  Feeding the stream through
-    :class:`~repro.core.ingest.AppendBuffer` must reassemble the original
-    trajectories exactly (pinned by the profile test suite).
-    """
-    records: list[tuple[str, str, float, float, float]] = []
-    for traj in mod:
-        for i in range(traj.num_points):
-            records.append(
-                (traj.obj_id, traj.traj_id, float(traj.xs[i]), float(traj.ys[i]), float(traj.ts[i]))
-            )
-    rng = np.random.default_rng(seed)
-    for idx in rng.permutation(len(records)):
-        yield records[int(idx)]

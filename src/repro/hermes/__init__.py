@@ -1,12 +1,15 @@
 """Hermes MOD engine substrate.
 
-This package plays the role of the Hermes@PostgreSQL datatypes and operands:
-spatiotemporal primitives (:mod:`repro.hermes.types`), the trajectory model
-(:mod:`repro.hermes.trajectory`), temporal interpolation and resampling
-(:mod:`repro.hermes.interpolation`), spatiotemporal distance functions
+This package plays the role of the Hermes@PostgreSQL datatypes and the
+operands S2T and QuT use: spatiotemporal primitives
+(:mod:`repro.hermes.types`), the trajectory model
+(:mod:`repro.hermes.trajectory`), temporal synchronisation
+(:mod:`repro.hermes.interpolation`), the time-aware and Hausdorff distances
 (:mod:`repro.hermes.distances`), the in-memory Moving Object Database
-container (:mod:`repro.hermes.mod`) and CSV import/export
-(:mod:`repro.hermes.io`).
+container (:mod:`repro.hermes.mod`), its columnar form
+(:mod:`repro.hermes.frame`) and CSV import/export (:mod:`repro.hermes.io`).
+Hermes's wider trajectory algebra (speed, heading, stops, simplification,
+DTW, LCSS, ...) is not reproduced: neither operator calls it.
 """
 
 from repro.hermes.types import Period, PointST, SegmentST, BoxST
@@ -14,12 +17,6 @@ from repro.hermes.trajectory import Trajectory, SubTrajectory
 from repro.hermes.mod import MOD
 from repro.hermes.frame import MODFrame
 from repro.hermes.io import read_csv, write_csv
-from repro.hermes.algebra import (
-    detect_stops,
-    douglas_peucker,
-    heading_series,
-    speed_series,
-)
 
 __all__ = [
     "Period",
@@ -32,8 +29,4 @@ __all__ = [
     "MODFrame",
     "read_csv",
     "write_csv",
-    "speed_series",
-    "heading_series",
-    "detect_stops",
-    "douglas_peucker",
 ]

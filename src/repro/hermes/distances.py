@@ -12,23 +12,18 @@ implemented here is what the clustering modules and the baselines need:
   ReTraTree's entry assignment, one pass per sub-chunk), and
   :func:`spatiotemporal_distance_batch`, its one-trajectory case (SaCO's
   distance rows and QuT's co-movement test),
-* :func:`closest_approach_distance` -- minimum synchronous distance,
 * :func:`hausdorff_distance` -- spatial Hausdorff distance (time-agnostic,
   used by TRACLUS-style comparisons),
 * :func:`hausdorff_distance_batch` -- the same distance from one trajectory
   to every row of a frame (QuT's "same spatial path" merge test over a
-  sub-chunk's representative frame),
-* :func:`dtw_distance` -- dynamic time warping on the spatial footprint,
-* :func:`lcss_similarity` -- longest common subsequence similarity,
-* :func:`segment_trajectory_distance` -- distance between one 3D segment and
-  a trajectory during the segment's time span.
+  sub-chunk's representative frame).
 
 All functions return ``math.inf`` when the inputs share no common time span
 and the distance is inherently time-aware.
 
 The batched kernels and :func:`hausdorff_distance` work on squared
 distances ``dx*dx + dy*dy`` and take a square root only where a distance is
-returned; the other scalar functions use ``hypot``.  The S2T voting kernel,
+returned; :func:`spatiotemporal_distance` uses ``hypot``.  The S2T voting kernel,
 ``exp(-(dx^2 + dy^2) / (2 sigma^2))`` in :mod:`repro.s2t.voting`, takes no
 square root at all.
 """
@@ -42,21 +37,15 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.hermes.frame import MAX_BATCH_CELLS, MODFrame
-from repro.hermes.interpolation import common_time_grid, synchronize
+from repro.hermes.interpolation import synchronize
 from repro.hermes.trajectory import Trajectory
-from repro.hermes.types import PointST, SegmentST
 
 __all__ = [
     "spatiotemporal_distance",
     "spatiotemporal_distance_batch",
     "spatiotemporal_distance_matrix",
-    "closest_approach_distance",
     "hausdorff_distance",
     "hausdorff_distance_batch",
-    "dtw_distance",
-    "lcss_similarity",
-    "segment_trajectory_distance",
-    "point_to_segment_distance_2d",
 ]
 
 
@@ -175,20 +164,6 @@ def spatiotemporal_distance_batch(
     return spatiotemporal_distance_matrix(frame, [traj], max_samples)[0]
 
 
-def closest_approach_distance(
-    a: Trajectory,
-    b: Trajectory,
-    resolution: float | None = None,
-    max_samples: int = 128,
-) -> float:
-    """Minimum synchronous Euclidean distance over the common lifespan."""
-    sync = synchronize(a, b, resolution=resolution, max_samples=max_samples)
-    if sync is None:
-        return math.inf
-    _, pa, pb = sync
-    return float(np.min(np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])))
-
-
 def hausdorff_distance(a: Trajectory, b: Trajectory) -> float:
     """Symmetric spatial Hausdorff distance between the two point sets.
 
@@ -241,106 +216,3 @@ def hausdorff_distance_batch(frame: MODFrame, traj: Trajectory) -> npt.NDArray[n
         backward = np.minimum.reduceat(d_sq, starts, axis=0).max(axis=1)
         out[start:stop] = np.sqrt(np.maximum(forward, backward))
     return out
-
-
-def dtw_distance(a: Trajectory, b: Trajectory, window: int | None = None) -> float:
-    """Dynamic time warping distance on the planar footprints.
-
-    Parameters
-    ----------
-    window:
-        Optional Sakoe-Chiba band half-width (in samples); ``None`` means an
-        unconstrained alignment.
-    """
-    pa = np.column_stack([a.xs, a.ys])
-    pb = np.column_stack([b.xs, b.ys])
-    n, m = len(pa), len(pb)
-    if window is None:
-        window = max(n, m)
-    window = max(window, abs(n - m))
-    inf = math.inf
-    prev = np.full(m + 1, inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, inf)
-        lo = max(1, i - window)
-        hi = min(m, i + window)
-        for j in range(lo, hi + 1):
-            cost = math.hypot(pa[i - 1, 0] - pb[j - 1, 0], pa[i - 1, 1] - pb[j - 1, 1])
-            cur[j] = cost + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    return float(prev[m])
-
-
-def lcss_similarity(
-    a: Trajectory, b: Trajectory, eps: float, delta: float | None = None
-) -> float:
-    """Longest-common-subsequence similarity in ``[0, 1]``.
-
-    Two samples match when their planar distance is below ``eps`` and, if
-    ``delta`` is given, their timestamps differ by less than ``delta``.
-    """
-    n, m = a.num_points, b.num_points
-    # Vectorised match matrix: samples match when they are close in space
-    # (and, optionally, in time).
-    match = (
-        np.hypot(a.xs[:, None] - b.xs[None, :], a.ys[:, None] - b.ys[None, :]) < eps
-    )
-    if delta is not None:
-        match &= np.abs(a.ts[:, None] - b.ts[None, :]) < delta
-
-    # Row-sweep DP.  Adjacent LCSS cells differ by at most 1, so the usual
-    # recurrence dp[i,j] = max(dp[i-1,j], dp[i,j-1], dp[i-1,j-1] + m_ij)
-    # collapses to a running maximum along the row: a matched cell's
-    # candidate dp[i-1,j-1] + 1 dominates its left/top neighbours, and the
-    # dp[i,j-1] term is exactly the prefix maximum.
-    prev = np.zeros(m + 1, dtype=np.int64)
-    cur = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        cand = np.where(match[i], prev[:-1] + 1, 0)
-        np.maximum.accumulate(np.maximum(prev[1:], cand), out=cur[1:])
-        prev, cur = cur, prev
-    return float(prev[m]) / float(min(n, m))
-
-
-def point_to_segment_distance_2d(p: PointST, seg: SegmentST) -> float:
-    """Planar distance from a point to a 2D segment."""
-    ax, ay = seg.start.x, seg.start.y
-    bx, by = seg.end.x, seg.end.y
-    px, py = p.x, p.y
-    dx, dy = bx - ax, by - ay
-    denom = dx * dx + dy * dy
-    if denom <= 0:
-        return math.hypot(px - ax, py - ay)
-    u = ((px - ax) * dx + (py - ay) * dy) / denom
-    u = min(max(u, 0.0), 1.0)
-    return math.hypot(px - (ax + u * dx), py - (ay + u * dy))
-
-
-def segment_trajectory_distance(
-    seg: SegmentST,
-    other: Trajectory,
-    n_samples: int = 8,
-) -> float:
-    """Synchronous distance between a 3D segment and another trajectory.
-
-    The segment's time span is sampled at ``n_samples`` instants; at each
-    instant the segment position and the other trajectory's position are
-    compared.  The mean of those distances is returned.  Returns ``inf``
-    when the other trajectory is not alive during the segment's span.
-    """
-    period = seg.period.intersection(other.period)
-    if period is None or (seg.duration > 0 and period.duration <= 0):
-        return math.inf
-    ts = common_time_grid(period, resolution=None, max_samples=n_samples)
-    other_pos = other.positions_at(ts)
-    # Vectorised segment interpolation (SegmentST.point_at for the whole
-    # grid at once); ts lies inside the segment's period, so no clamping.
-    if seg.duration <= 1e-12:  # SegmentST.point_at's degenerate-segment guard
-        sx = np.full(len(ts), seg.start.x)
-        sy = np.full(len(ts), seg.start.y)
-    else:
-        frac = (ts - seg.start.t) / seg.duration
-        sx = seg.start.x + frac * (seg.end.x - seg.start.x)
-        sy = seg.start.y + frac * (seg.end.y - seg.start.y)
-    return float(np.mean(np.hypot(sx - other_pos[:, 0], sy - other_pos[:, 1])))

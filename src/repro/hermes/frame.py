@@ -43,10 +43,8 @@ rebuilding their own columnar snapshots:
 * **Invalidation** — the catalog entry is dropped whenever the dataset
   changes: ``engine.load_mod`` (which SQL ``INSERT`` re-materialisation goes
   through) and ``engine.drop`` both evict it; the next consumer rebuilds.
-* **Slicing** — :meth:`MODFrame.select_rows` restricts a frame to a
-  trajectory subset (zero-copy column views for contiguous row ranges) and
-  :meth:`MODFrame.slice_period` restricts it to a time period with
-  interpolated boundary samples, mirroring
+* **Slicing** — :meth:`MODFrame.slice_period` restricts a frame to a
+  time period with interpolated boundary samples, mirroring
   :meth:`~repro.hermes.trajectory.Trajectory.slice_period` exactly.  The
   partition-parallel scheduler (:mod:`repro.core.parallel`) and the
   ReTraTree bulk load derive their per-partition frames this way instead of
@@ -548,30 +546,6 @@ class MODFrame:
         return MOD(name=name, trajectories=(self.trajectory_of(r) for r in range(len(self))))
 
     # -- slicing ---------------------------------------------------------------
-
-    def select_rows(self, rows: np.ndarray | Sequence[int]) -> "MODFrame":
-        """Frame restricted to ``rows`` (in the given order).
-
-        A contiguous ascending row range keeps zero-copy views into the
-        parent's columns; any other selection gathers the row blocks into
-        fresh arrays.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        keys = [self.keys[r] for r in rows]
-        lengths = self.offsets[rows + 1] - self.offsets[rows]
-        offsets = np.zeros(rows.size + 1, dtype=np.intp)
-        np.cumsum(lengths, out=offsets[1:])
-        if rows.size and np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
-            lo, hi = self.offsets[rows[0]], self.offsets[rows[-1] + 1]
-            return MODFrame._from_columns(
-                keys, self.xs[lo:hi], self.ys[lo:hi], self.ts[lo:hi], offsets
-            )
-        sample_idx = np.concatenate(
-            [np.arange(self.offsets[r], self.offsets[r + 1]) for r in rows]
-        ) if rows.size else np.empty(0, dtype=np.intp)
-        return MODFrame._from_columns(
-            keys, self.xs[sample_idx], self.ys[sample_idx], self.ts[sample_idx], offsets
-        )
 
     def slice_period(self, period: Period) -> "MODFrame":
         """Frame restricted to ``period`` (Hermes ``atPeriod``, batched).

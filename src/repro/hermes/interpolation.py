@@ -1,8 +1,7 @@
 """Temporal alignment utilities.
 
-The voting phase of S2T-Clustering and several distance functions need two
-trajectories expressed on a *common* time grid.  This module provides the
-synchronisation helpers used throughout the package.
+The time-aware distance needs two trajectories expressed on a *common* time
+grid.  This module provides that synchronisation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ __all__ = [
     "common_period",
     "common_time_grid",
     "synchronize",
-    "synchronized_positions",
 ]
 
 
@@ -68,18 +66,3 @@ def synchronize(
     ts = common_time_grid(period, resolution, max_samples)
     return ts, a.positions_at(ts), b.positions_at(ts)
 
-
-def synchronized_positions(
-    trajectories: list[Trajectory],
-    ts: np.ndarray,
-) -> np.ndarray:
-    """Positions of many trajectories at the instants ``ts``.
-
-    Returns an array of shape ``(len(trajectories), len(ts), 2)``.  Instants
-    outside a trajectory's lifespan are clamped to its endpoints; callers that
-    need strict temporal validity should mask by the lifespans themselves.
-    """
-    out = np.empty((len(trajectories), len(ts), 2), dtype=float)
-    for i, traj in enumerate(trajectories):
-        out[i] = traj.positions_at(ts)
-    return out

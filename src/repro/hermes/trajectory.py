@@ -227,14 +227,6 @@ class Trajectory:
             return None
         return Trajectory(self.obj_id, self.traj_id, xs, ys, ts)
 
-    def resample(self, n_samples: int) -> "Trajectory":
-        """Return a copy resampled at ``n_samples`` equi-spaced instants."""
-        if n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
-        ts = np.linspace(self.ts[0], self.ts[-1], n_samples)
-        xy = self.positions_at(ts)
-        return Trajectory(self.obj_id, self.traj_id, xy[:, 0], xy[:, 1], ts)
-
     # -- sub-trajectory extraction ------------------------------------------
 
     def subtrajectory(self, start_idx: int, end_idx: int) -> "SubTrajectory":

@@ -251,17 +251,6 @@ class BoxST:
         """Volume increase needed to cover ``other`` (the R-tree's choose-leaf penalty)."""
         return self.union(other).volume - self.volume
 
-    def expand(self, dspace: float, dtime: float = 0.0) -> "BoxST":
-        """Return a box grown by ``dspace`` in x/y and ``dtime`` in t."""
-        return BoxST(
-            self.xmin - dspace,
-            self.ymin - dspace,
-            self.tmin - dtime,
-            self.xmax + dspace,
-            self.ymax + dspace,
-            self.tmax + dtime,
-        )
-
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         """Return ``(xmin, ymin, tmin, xmax, ymax, tmax)``."""
         return (self.xmin, self.ymin, self.tmin, self.xmax, self.ymax, self.tmax)

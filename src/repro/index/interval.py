@@ -63,10 +63,6 @@ class IntervalIndex(Generic[V]):
             if period.tmax >= query.tmin
         ]
 
-    def covering(self, instant: float) -> list[tuple[Period, V]]:
-        """All entries whose period contains ``instant``."""
-        return self.overlapping(Period(instant, instant))
-
     def values(self) -> list[V]:
         """Every stored value in start order."""
         return [value for _period, value in self._items]

@@ -7,8 +7,9 @@ sub-trajectory clustering purposes.  Its four levels (paper Section II.B):
 2. temporal sub-chunks of length ``delta`` inside each chunk,
 3. cluster entries — a representative sub-trajectory plus the disk partition
    that archives its members — maintained incrementally per sub-chunk,
-4. the disk partitions themselves (heap files with a pg3D-Rtree each) plus a
-   per-sub-chunk partition of not-yet-clustered/outlier sub-trajectories.
+4. the disk partitions themselves (heap files, read whole — the paper's
+   per-partition pg3D-Rtree is not built) plus a per-sub-chunk partition of
+   not-yet-clustered/outlier sub-trajectories.
 
 Given a temporal window ``W``, :class:`~repro.qut.query.QuTClustering`
 retrieves and assembles the clusters and outliers that temporally intersect

@@ -28,12 +28,13 @@ mutation (the "Derived state" section of :mod:`repro.qut.retratree`).  What
 happens here per window is which sub-chunks and entries it touches, the
 partition reads (member records stay on disk and are decoded per query,
 through the buffer pool, one batch per sub-chunk: its entries' partitions
-and its unclustered one into one frame), restricting the (at most two)
-partially covered sub-chunks by slicing that frame, and the connected
-components of the merge links among the entries present.  A window that re-touches a sub-chunk pair
-an earlier query touched since its last mutation measures no distance; the
-per-query deltas of the tree's read-path counters are reported in ``extras``
-(``partitions_decoded``, ``merge_pairs_evaluated``, ``rtrees_built``).
+and its unclustered one, each read whole, into one frame), restricting
+the (at most two) partially covered sub-chunks by slicing that frame, and
+the connected components of the merge links among the entries present.  A
+window that re-touches a sub-chunk pair an earlier query touched since its
+last mutation measures no distance; the per-query deltas of the tree's
+read-path counters are reported in ``extras`` (``partitions_decoded``,
+``merge_pairs_evaluated``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.s2t.result import Cluster, ClusteringResult
 __all__ = ["QuTClustering"]
 
 # ReTraTreeStats read-path counters whose per-query deltas go into ``extras``.
-_READ_COUNTERS = ("partitions_decoded", "merge_pairs_evaluated", "rtrees_built")
+_READ_COUNTERS = ("partitions_decoded", "merge_pairs_evaluated")
 
 
 class QuTClustering:

@@ -10,11 +10,11 @@ The structure follows the paper's description (Section II.B and Fig. 2):
   representative sub-trajectory, the name of the disk partition archiving the
   members, a member count and the members' bounding box.
 * **Level 4 — storage**: members are archived in heap-file partitions
-  (:mod:`repro.storage`), each with a pg3D-Rtree mapping member bounding
-  boxes to record ids.  Sub-trajectories that fit no representative go to
-  the sub-chunk's *unclustered* partition.  A query reads a sub-chunk's
-  partitions together (:meth:`ReTraTree.load_subchunk`): one decode, one
-  frame.
+  (:mod:`repro.storage`).  Sub-trajectories that fit no representative go
+  to the sub-chunk's *unclustered* partition.  A query reads a sub-chunk's
+  partitions whole and together (:meth:`ReTraTree.load_subchunk`): one
+  decode, one frame — so, unlike the paper, no partition has a pg3D-Rtree
+  (``docs/architecture.md``, "The ReTraTree").
 
 When an unclustered partition exceeds ``overflow_threshold``, S2T-Clustering
 is run on its content: newly found representatives are back-propagated into
@@ -53,10 +53,7 @@ time, so neither pays for state no query asks for.
 * *representative frame* per sub-chunk (``_rep_frame``) — keyed on the
   sub-chunk's ``entries_version``;
 * *merge adjacency* per pair of sub-chunks (:meth:`ReTraTree.merge_adjacency`)
-  — keyed on both ``entries_version`` values;
-* *pg3D-Rtree* per partition (:meth:`ReTraTree.partition_rtree`) — dropped
-  by ``_archive`` into, or a drop of, that partition name (which covers the
-  drop-and-recreate in :meth:`ReTraTree.flush_unclustered`).
+  — keyed on both ``entries_version`` values.
 
 Version-keyed slots are *replaced* on mismatch, never accumulated, so the
 state is bounded by the number of cluster entries.  Level 4 stays on disk:
@@ -68,12 +65,8 @@ order, then the unclustered one) as one batch into one checked frame
 of it, and drops the batch when the query ends — so the tree's memory does
 not grow with the archived data.  :meth:`ReTraTree.load_members` and
 :meth:`ReTraTree.load_unclustered` decode one partition the same way.
-The pg3D-Rtree is lazy because QuT reads whole
-partitions — only :meth:`~ReTraTree.load_members_in` probes it — while
-maintaining it eagerly cost a pure-Python R-tree insert on every archived
-record and a full rebuild of every partition's tree on reopen.
 :class:`ReTraTreeStats` counts the read-path work (``partitions_decoded``,
-``merge_pairs_evaluated``, ``rtrees_built``).
+``merge_pairs_evaluated``).
 """
 
 from __future__ import annotations
@@ -94,7 +87,6 @@ from repro.hermes.frame import MODFrame, subtrajectory_from_slice
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import BoxST, Period
-from repro.index.rtree3d import RTree3D
 from repro.qut.params import QuTParams
 from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
@@ -269,11 +261,10 @@ class ReTraTreeStats:
     outliers_reinserted: int = 0
     maintenance_seconds: float = 0.0
     # Read-path work (see the module docstring's "Derived state"): partition
-    # scans that decoded every record, and fills of the two lazy structures —
-    # a query that re-touches a sub-chunk pair moves only the first.
+    # scans that decoded every record, and fills of the merge adjacency — a
+    # query that re-touches a sub-chunk pair moves only the first.
     partitions_decoded: int = 0
     merge_pairs_evaluated: int = 0
-    rtrees_built: int = 0
 
 
 class ReTraTree:
@@ -307,9 +298,6 @@ class ReTraTree:
         self._merge_edges: dict[
             tuple[tuple[int, int], tuple[int, int]], tuple[tuple[int, int], np.ndarray]
         ] = {}
-        # Per partition name: the pg3D-Rtree over its records, built on first
-        # use and dropped by _touch_partition.
-        self._rtrees: dict[str, RTree3D[RID]] = {}
         self._next_cluster_id = 0
         self.stats = ReTraTreeStats()
         # True when this instance was reopened from a manifest instead of
@@ -383,35 +371,9 @@ class ReTraTree:
         """Total level-3 cluster entries across sub-chunks."""
         return sum(len(sc.entries) for sc in self._subchunks.values())
 
-    def partition_rtree(self, partition_name: str) -> RTree3D[RID]:
-        """The pg3D-Rtree of a partition, built from one scan on first use.
-
-        The partition is decoded as one batch and the boxes come from the
-        decoded frame's per-row tables.
-        """
-        rtree = self._rtrees.get(partition_name)
-        if rtree is None:
-            rtree = RTree3D(max_entries=16)
-            scanned = list(self.storage.get(partition_name).heapfile.scan_records())
-            frame = decode_records([raw for _rid, raw in scanned]).frame
-            for row, (rid, _raw) in enumerate(scanned):
-                rtree.insert(frame.bbox_of(row), rid)
-            self._rtrees[partition_name] = rtree
-            self.stats.rtrees_built += 1
-        return rtree
-
     # -- record archival -----------------------------------------------------------------
 
-    def _touch_partition(self, partition_name: str) -> None:
-        """Forget what was derived from a partition whose records are about to change."""
-        self._rtrees.pop(partition_name, None)
-
-    def _drop_partition(self, partition_name: str) -> None:
-        self._touch_partition(partition_name)
-        self.storage.drop_partition(partition_name)
-
     def _archive(self, partition_name: str, sub: SubTrajectory) -> RID:
-        self._touch_partition(partition_name)
         info = self.storage.get_or_create(partition_name)
         rid = info.heapfile.insert(encode_record(sub))
         info.record_count += 1
@@ -477,16 +439,6 @@ class ReTraTree:
             raws.extend(self._scan_partition(name))
             bounds.append(len(raws))
         return decode_records(raws), np.asarray(bounds, dtype=np.intp)
-
-    def load_members_in(self, entry: ClusterEntry, box: BoxST) -> list[SubTrajectory]:
-        """Load only the members whose bounding boxes intersect ``box``.
-
-        Uses the partition's pg3D-Rtree, so only the qualifying records are
-        fetched from the heap file — the index-based access path of the paper.
-        """
-        info = self.storage.get(entry.partition_name)
-        rids = self.partition_rtree(entry.partition_name).range_search(box)
-        return decode_records([info.heapfile.get(rid) for rid in rids]).subtrajectories()
 
     # -- insertion ----------------------------------------------------------------------
 
@@ -571,18 +523,6 @@ class ReTraTree:
         )
         self._entry_frames[subchunk.key] = (subchunk.entries_version, frame)
         return frame
-
-    def replace_representative(
-        self, subchunk: SubChunk, entry_index: int, representative: SubTrajectory
-    ) -> None:
-        """Swap the representative of a level-3 entry.
-
-        Goes through here (rather than mutating the entry directly) so the
-        sub-chunk's entries version — and with it the cached representative
-        frame — is invalidated.
-        """
-        subchunk.entries[entry_index].representative = representative
-        subchunk.touch_entries()
 
     def _decide(
         self, subchunk: SubChunk, pieces: Sequence[SubTrajectory]
@@ -680,7 +620,7 @@ class ReTraTree:
                 subchunk.entries.append(entry)
                 subchunk.touch_entries()
             else:
-                self._drop_partition(entry.partition_name)
+                self.storage.drop_partition(entry.partition_name)
 
         # Re-insert the outliers: they may now fit one of the new representatives.
         # Archiving a member changes no representative, so one pass decides all.
@@ -701,7 +641,7 @@ class ReTraTree:
 
         # Rebuild the unclustered partition with only the leftovers.
         old_partition = subchunk.unclustered_partition
-        self._drop_partition(old_partition)
+        self.storage.drop_partition(old_partition)
         self.storage.get_or_create(old_partition)
         for sub in leftovers:
             self._archive(old_partition, sub)

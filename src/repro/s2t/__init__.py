@@ -24,7 +24,7 @@ per-phase timings (benchmark E10).
 from repro.s2t.params import S2TParams
 from repro.s2t.result import Cluster, ClusteringResult
 from repro.s2t.voting import VotingProfile, compute_voting, kernel_support_radius
-from repro.s2t.segmentation import segment_by_voting, segment_mod
+from repro.s2t.segmentation import segment_mod
 from repro.s2t.sampling import select_representatives
 from repro.s2t.clustering import greedy_clustering
 from repro.s2t.pipeline import S2TClustering
@@ -36,7 +36,6 @@ __all__ = [
     "VotingProfile",
     "compute_voting",
     "kernel_support_radius",
-    "segment_by_voting",
     "segment_mod",
     "select_representatives",
     "greedy_clustering",

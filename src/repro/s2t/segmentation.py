@@ -49,14 +49,13 @@ import numpy as np
 
 from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
-from repro.hermes.trajectory import SubTrajectory, Trajectory
+from repro.hermes.trajectory import SubTrajectory
 from repro.s2t.params import S2TParams
 from repro.s2t.voting import VotingProfile
 
 __all__ = [
     "dp_segmentation",
     "greedy_segmentation",
-    "segment_by_voting",
     "segment_frame",
     "segment_mod",
 ]
@@ -190,13 +189,6 @@ def _cuts(signals: Sequence[np.ndarray], params: S2TParams) -> list[list[int]]:
         greedy_segmentation(votes, threshold, params.min_segment_samples)
         for votes in signals
     ]
-
-
-def segment_by_voting(
-    traj: Trajectory, votes: np.ndarray, params: S2TParams
-) -> list[SubTrajectory]:
-    """Split one trajectory into sub-trajectories using its voting signal."""
-    return traj.split_at_indices(_cuts([votes], params)[0])
 
 
 def segment_frame(

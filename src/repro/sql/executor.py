@@ -103,20 +103,15 @@ class PlanExecutor:
     def __init__(self, engine: HermesEngine) -> None:
         self.engine = engine
         # Not-yet-complete point records per dataset (keys with fewer than
-        # two distinct instants, waiting for more INSERTs).
+        # two distinct instants, waiting for more INSERTs).  Appends leave
+        # them alone; a replacement or drop of the dataset discards them.
         self._buffers: dict[str, AppendBuffer] = {}
-        # Engine *replacement* generation each buffer was last synchronised
-        # at; a mismatch means the dataset was replaced (engine.load_mod /
-        # drop+reload) and the buffered points belong to the previous
-        # incarnation.  Appends — this executor's own or external ones —
-        # do not move the replacement generation, so buffered points
-        # survive them.
-        self._buffer_generation: dict[str, int] = {}
 
     def forget(self, name: str) -> None:
-        """Discard buffered state for a dataset (called by ``engine.drop``)."""
+        """Discard buffered state for a dataset (the engine calls this on
+        every ``load_mod`` and ``drop``: the points belong to the
+        registration being replaced)."""
         self._buffers.pop(name, None)
-        self._buffer_generation.pop(name, None)
 
     # -- dispatch --------------------------------------------------------------------
 
@@ -170,34 +165,18 @@ class PlanExecutor:
         if plan.dataset in self.engine.datasets():
             raise SQLExecutionError(f"dataset {plan.dataset!r} already exists")
         self.engine.load_mod(plan.dataset, MOD(name=plan.dataset))
-        self._buffers[plan.dataset] = AppendBuffer()
-        self._buffer_generation[plan.dataset] = self.engine.dataset_replacement_generation(
-            plan.dataset
-        )
         return [{"created": plan.dataset}]
 
     def _drop(self, plan: DropPlan) -> list[dict[str, object]]:
         if plan.dataset not in self.engine.datasets():
             raise SQLExecutionError(f"unknown dataset {plan.dataset!r}")
         self.engine.drop(plan.dataset)
-        self.forget(plan.dataset)
         return [{"dropped": plan.dataset}]
 
     def _buffer_for(self, name: str) -> AppendBuffer:
-        """The dataset's point buffer, discarding it when the dataset was replaced.
-
-        A *replacement*-generation mismatch means the dataset was swapped
-        out underneath this executor (``engine.load_mod``, drop +
-        recreate); whatever points were buffered belong to the previous
-        incarnation and are dropped, exactly as the historical re-seeding
-        path dropped them.  Appends deliberately do not trip this check —
-        they only add state, so points buffered before an interleaved
-        append are still valid and must survive to complete later.
-        """
-        generation = self.engine.dataset_replacement_generation(name)
-        if name not in self._buffers or self._buffer_generation.get(name) != generation:
+        """The dataset's point buffer, empty after a replacement or drop (:meth:`forget`)."""
+        if name not in self._buffers:
             self._buffers[name] = AppendBuffer()
-            self._buffer_generation[name] = generation
         return self._buffers[name]
 
     def _insert(self, plan: InsertPlan) -> list[dict[str, object]]:
@@ -244,8 +223,8 @@ class PlanExecutor:
             raise SQLExecutionError(f"INSERT refused: {exc}") from exc
         completed = buffer.drain_complete()
         if completed:
-            # Appends do not move the replacement generation the buffer is
-            # keyed on, so the remaining incomplete points survive as-is.
+            # An append does not forget the buffer, so the remaining
+            # incomplete points survive it as-is.
             self.engine.append(name, completed)
         return [{"inserted": len(coerced)}]
 
@@ -285,10 +264,8 @@ class PlanExecutor:
             else:
                 mod.add(traj)
         self.engine.load_mod(name, mod)
-        buffer.pending = leftovers
-        # Our own replacement: re-key the buffer at the new replacement
-        # generation so the leftovers survive it.
-        self._buffer_generation[name] = self.engine.dataset_replacement_generation(name)
+        # Our own replacement forgot the buffer: re-attach the leftovers.
+        self._buffer_for(name).pending = leftovers
         return [{"inserted": len(coerced)}]
 
     # -- queries over point records ------------------------------------------------------------
@@ -360,14 +337,14 @@ class PlanExecutor:
         if plan.order_by is not None and plan.order_by not in _POINT_COLUMNS:
             raise SQLExecutionError(f"unknown ORDER BY column {plan.order_by!r}")
         self._check_predicates(plan.predicates)
-        if plan.limit is None:
-            limit = None
-        elif isinstance(plan.limit, (int, float)):
-            limit = int(plan.limit)
-            if limit < 0:  # only reachable via a bound :n placeholder
-                raise SQLExecutionError(f"LIMIT must be non-negative, got {limit}")
-        else:  # a bound :n placeholder may carry anything
-            raise SQLExecutionError(f"LIMIT must be numeric, got {plan.limit!r}")
+        # A bound placeholder or the fluent ``points(limit=...)`` may carry
+        # anything; only a non-negative integral number is a row count.
+        limit = plan.limit
+        if limit is not None:
+            integral = isinstance(limit, int) or (isinstance(limit, float) and limit.is_integer())
+            if isinstance(limit, bool) or not integral or limit < 0:
+                raise SQLExecutionError(f"LIMIT must be a non-negative integer, got {limit!r}")
+            limit = int(limit)
         # Capture the MOD now: a concurrently dropped/replaced dataset does
         # not invalidate rows already flowing through an open cursor.
         mod = self.engine.get_mod(plan.dataset)

@@ -284,7 +284,7 @@ class _Parser:
             if self._peek().type in ("PARAM", "NAMED_PARAM"):
                 limit = self._parse_literal()
             else:
-                limit = int(_number(self._expect("NUMBER").value))
+                limit = _number(self._expect("NUMBER").value)
         return ScanPlan(
             dataset=dataset,
             columns=tuple(columns),

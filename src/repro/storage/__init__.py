@@ -31,8 +31,7 @@ protocol that writes it are documented, once, in
 :mod:`repro.storage.durable`, the module that owns both.
 
 Member records stay in their partitions' heapfiles; the manifest only adds
-the structure that lived in memory.  Partition pg3D-Rtrees are not
-persisted.  Recovery opens every partition (page CRCs verified) and checks
+the structure that lived in memory.  Recovery opens every partition (page CRCs verified) and checks
 each heapfile's record count — read from slot directories and chunk
 headers, :meth:`~repro.storage.heapfile.HeapFile.count_records` — against
 the manifest's (a mismatch is the signature of a torn append and degrades

@@ -3,8 +3,7 @@
 A heap file is the physical form of a ReTraTree partition.  Records are
 placed in the first page with enough free space (a simple free-space map is
 kept in memory); each record is addressed by its :class:`RID`
-(page number, slot number), which is what the pg3D-Rtree index stores as its
-leaf payload.
+(page number, slot number).
 
 Records larger than a page are split into continuation chunks transparently.
 """

@@ -4,6 +4,11 @@ A NaN or infinite ``x`` / ``y`` / ``t`` used to build a trajectory silently
 and flow on into S2T.  Every entry point now fails loudly before anything
 moves: the dataset, its generation and the SQL point buffer stay as they
 were, and the next valid statement behaves as if the bad one never ran.
+
+A ``LIMIT`` row count is refused alike, with ``SQLExecutionError``, unless
+it is a non-negative integral number: ``nan`` and ``inf`` used to escape as
+a bare ``ValueError`` / ``OverflowError``, ``2.7`` to cut to 2 rows and
+``True`` to mean 1.
 """
 
 import math
@@ -86,3 +91,34 @@ def test_csv_with_a_nan_sample_does_not_load(conn, tmp_path):
     with pytest.raises(ValueError, match="must be finite"):
         conn.dataset("d").load(path).run()
     assert state(conn) == before
+
+
+HOSTILE_LIMITS = [math.nan, math.inf, -math.inf, 2.7, True, -1, "2"]
+
+# The three ways a row count reaches the executor's LIMIT; each returns the rows.
+LIMITED = {
+    "execute": lambda conn, n: conn.execute("SELECT * FROM d LIMIT ?", [n]).fetchall(),
+    "prepared": lambda conn, n: conn.prepare("SELECT * FROM d LIMIT :n").execute({"n": n}).fetchall(),
+    "points": lambda conn, n: conn.dataset("d").points(limit=n).run(),
+}
+
+
+@pytest.mark.parametrize("entry", LIMITED)
+@pytest.mark.parametrize("bad", HOSTILE_LIMITS)
+def test_limit_refuses_anything_but_a_non_negative_integer(conn, bad, entry):
+    with pytest.raises(SQLExecutionError, match="LIMIT must be a non-negative integer"):
+        LIMITED[entry](conn, bad)
+
+
+@pytest.mark.parametrize("entry", LIMITED)
+def test_integral_limits_still_count_rows(conn, entry):
+    total = conn.engine.get_mod("d").total_points
+    assert len(LIMITED[entry](conn, 2.0)) == 2
+    assert len(LIMITED[entry](conn, 0)) == 0
+    assert len(LIMITED[entry](conn, total + 5)) == total
+
+
+def test_a_literal_limit_is_checked_alike(conn):
+    assert len(conn.execute("SELECT * FROM d LIMIT 2").fetchall()) == 2
+    with pytest.raises(SQLExecutionError, match="LIMIT must be a non-negative integer"):
+        conn.execute("SELECT * FROM d LIMIT 2.5")

@@ -21,13 +21,28 @@ from repro.datagen.profiles import (
     dropout,
     gps_noise,
     out_of_order_jitter,
-    point_stream,
     rush_hour,
 )
 from repro.hermes.mod import MOD
 from tests.core.test_ingest import explicit_params, full_window, qut_similarity
 
 seeds = st.integers(min_value=0, max_value=2**31 - 2)
+
+
+def point_stream(mod, seed):
+    """The MOD's samples as ``(obj_id, traj_id, x, y, t)`` in a seeded global shuffle.
+
+    The worst-case arrival order for the ingest path: every trajectory's
+    samples interleaved with every other's.
+    """
+    records = [
+        (traj.obj_id, traj.traj_id, float(traj.xs[i]), float(traj.ys[i]), float(traj.ts[i]))
+        for traj in mod
+        for i in range(traj.num_points)
+    ]
+    rng = np.random.default_rng(seed)
+    for idx in rng.permutation(len(records)):
+        yield records[int(idx)]
 
 
 def small_scenario(seed=3):

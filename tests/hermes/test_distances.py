@@ -8,19 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hermes.distances import (
-    closest_approach_distance,
-    dtw_distance,
     hausdorff_distance,
     hausdorff_distance_batch,
-    lcss_similarity,
-    point_to_segment_distance_2d,
-    segment_trajectory_distance,
     spatiotemporal_distance,
     spatiotemporal_distance_batch,
 )
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import Trajectory
-from repro.hermes.types import PointST, SegmentST
 from tests.conftest import make_linear_trajectory
 
 
@@ -75,24 +69,6 @@ class TestSpatiotemporalDistanceBatch:
         ):
             with pytest.raises(ValueError, match="max_samples"):
                 spatiotemporal_distance_batch(frame, a, max_samples=max_samples)
-
-
-class TestClosestApproach:
-    def test_crossing_trajectories_touch(self):
-        a = make_linear_trajectory("a", "0", (0, -5), (0, 5))
-        b = make_linear_trajectory("b", "0", (-5, 0), (5, 0))
-        # The synchronisation grid need not hit the exact meeting instant, so
-        # allow a tolerance of one grid step's worth of movement.
-        assert closest_approach_distance(a, b) < 0.2
-
-    def test_not_less_than_min_offset(self, parallel_pair):
-        a, b = parallel_pair
-        assert closest_approach_distance(a, b) == pytest.approx(1.0, rel=1e-6)
-
-    def test_disjoint_lifespans(self):
-        a = make_linear_trajectory("a", "0", t0=0, t1=10)
-        b = make_linear_trajectory("b", "0", t0=20, t1=30)
-        assert math.isinf(closest_approach_distance(a, b))
 
 
 class TestHausdorff:
@@ -161,58 +137,3 @@ class TestHausdorffBatch:
         batch = hausdorff_distance_batch(MODFrame.from_trajectories(rows), probe)
         scalar = np.array([hausdorff_distance(row, probe) for row in rows])
         np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-12)
-
-
-class TestDTW:
-    def test_identical_is_zero(self, linear_trajectory):
-        assert dtw_distance(linear_trajectory, linear_trajectory) == pytest.approx(0.0)
-
-    def test_offset_accumulates(self, parallel_pair):
-        a, b = parallel_pair
-        # Each of the 11 aligned samples contributes ~1.
-        assert dtw_distance(a, b) == pytest.approx(11.0, rel=0.05)
-
-    def test_window_constrains_alignment(self, parallel_pair):
-        a, b = parallel_pair
-        unconstrained = dtw_distance(a, b)
-        constrained = dtw_distance(a, b, window=1)
-        assert constrained >= unconstrained - 1e-9
-
-
-class TestLCSS:
-    def test_identical_full_similarity(self, linear_trajectory):
-        assert lcss_similarity(linear_trajectory, linear_trajectory, eps=0.1) == 1.0
-
-    def test_far_apart_zero_similarity(self):
-        a = make_linear_trajectory("a", "0", (0, 0), (10, 0))
-        b = make_linear_trajectory("b", "0", (0, 100), (10, 100))
-        assert lcss_similarity(a, b, eps=1.0) == 0.0
-
-    def test_temporal_constraint_reduces_similarity(self):
-        a = make_linear_trajectory("a", "0", (0, 0), (10, 0), t0=0, t1=100)
-        b = make_linear_trajectory("b", "0", (0, 0), (10, 0), t0=500, t1=600)
-        loose = lcss_similarity(a, b, eps=0.5)
-        strict = lcss_similarity(a, b, eps=0.5, delta=10.0)
-        assert loose == 1.0
-        assert strict == 0.0
-
-
-class TestSegmentDistances:
-    def test_point_to_segment_projection(self):
-        seg = SegmentST(PointST(0, 0, 0), PointST(10, 0, 10))
-        assert point_to_segment_distance_2d(PointST(5, 3, 5), seg) == pytest.approx(3.0)
-        assert point_to_segment_distance_2d(PointST(-4, 3, 0), seg) == pytest.approx(5.0)
-
-    def test_point_to_degenerate_segment(self):
-        seg = SegmentST(PointST(1, 1, 0), PointST(1, 1, 5))
-        assert point_to_segment_distance_2d(PointST(4, 5, 2), seg) == pytest.approx(5.0)
-
-    def test_segment_trajectory_distance_co_moving(self, parallel_pair):
-        a, b = parallel_pair
-        seg = a.segment(3)
-        assert segment_trajectory_distance(seg, b) == pytest.approx(1.0, rel=1e-3)
-
-    def test_segment_trajectory_distance_disjoint_time(self):
-        a = make_linear_trajectory("a", "0", t0=0, t1=10)
-        b = make_linear_trajectory("b", "0", t0=100, t1=200)
-        assert math.isinf(segment_trajectory_distance(a.segment(0), b))

@@ -156,36 +156,6 @@ class TestRowMaterialisation:
         assert mod.trajectories() == trajs
 
 
-class TestSelectRows:
-    def test_subset_keeps_order_and_columns(self):
-        trajs = _random_trajs(6, seed=5)
-        frame = MODFrame.from_trajectories(trajs)
-        sub = frame.select_rows([4, 1, 3])
-        assert sub.keys == [trajs[4].key, trajs[1].key, trajs[3].key]
-        for new_row, old in enumerate([4, 1, 3]):
-            new, orig = _block(sub, new_row), _block(frame, old)
-            np.testing.assert_array_equal(sub.xs[new], frame.xs[orig])
-            np.testing.assert_array_equal(sub.ts[new], frame.ts[orig])
-
-    def test_contiguous_selection_is_zero_copy(self):
-        frame = MODFrame.from_trajectories(_random_trajs(6, seed=6))
-        sub = frame.select_rows([2, 3, 4])
-        assert sub.xs.base is frame.xs
-
-    def test_empty_selection(self):
-        frame = MODFrame.from_trajectories(_random_trajs(3, seed=7))
-        sub = frame.select_rows([])
-        assert len(sub) == 0
-        assert sub.total_points == 0
-
-    def test_select_then_build_equals_build_then_select(self):
-        trajs = _random_trajs(8, seed=8)
-        frame = MODFrame.from_trajectories(trajs)
-        rows = [6, 0, 5, 2]
-        direct = MODFrame.from_trajectories([trajs[r] for r in rows])
-        assert _frames_equal(frame.select_rows(rows), direct)
-
-
 class TestSlicePeriod:
     def test_matches_per_trajectory_slicing(self):
         trajs = _random_trajs(10, seed=10)

@@ -1,13 +1,11 @@
 """Unit tests for temporal synchronisation helpers."""
 
 import numpy as np
-import pytest
 
 from repro.hermes.interpolation import (
     common_period,
     common_time_grid,
     synchronize,
-    synchronized_positions,
 )
 from repro.hermes.types import Period
 from tests.conftest import make_linear_trajectory
@@ -60,15 +58,3 @@ class TestSynchronize:
         b = make_linear_trajectory("b", "0", t0=100, t1=110)
         assert synchronize(a, b) is None
 
-
-class TestSynchronizedPositions:
-    def test_shape_and_values(self):
-        trajs = [
-            make_linear_trajectory("a", "0", (0, 0), (10, 0)),
-            make_linear_trajectory("b", "0", (0, 5), (10, 5)),
-        ]
-        ts = np.array([0.0, 50.0, 100.0])
-        positions = synchronized_positions(trajs, ts)
-        assert positions.shape == (2, 3, 2)
-        assert positions[0, 1, 0] == pytest.approx(5.0)
-        assert positions[1, 2, 1] == pytest.approx(5.0)

@@ -101,16 +101,6 @@ class TestTemporalOperations:
         assert piece is not None
         assert piece.num_points == linear_trajectory.num_points
 
-    def test_resample_preserves_endpoints(self, linear_trajectory):
-        resampled = linear_trajectory.resample(23)
-        assert resampled.num_points == 23
-        assert resampled.xs[0] == pytest.approx(linear_trajectory.xs[0])
-        assert resampled.xs[-1] == pytest.approx(linear_trajectory.xs[-1])
-        assert resampled.period == linear_trajectory.period
-
-    def test_resample_rejects_too_few(self, linear_trajectory):
-        with pytest.raises(ValueError):
-            linear_trajectory.resample(1)
 
 
 class TestSubTrajectory:

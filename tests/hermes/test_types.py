@@ -145,9 +145,5 @@ class TestBoxST:
         assert a.enlargement(BoxST(0, 0, 0, 1, 1, 1)) == 0.0
         assert a.enlargement(BoxST(0, 0, 0, 2, 1, 1)) == pytest.approx(1.0)
 
-    def test_expand(self):
-        box = BoxST(0, 0, 0, 1, 1, 1).expand(1.0, 2.0)
-        assert box.as_tuple() == (-1, -1, -2, 2, 2, 3)
-
     def test_period_accessor(self):
         assert BoxST(0, 0, 2, 1, 1, 7).period == Period(2, 7)

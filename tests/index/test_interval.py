@@ -31,8 +31,8 @@ class TestIntervalIndex:
         index: IntervalIndex[str] = IntervalIndex()
         index.insert(Period(0, 10), "a")
         index.insert(Period(5, 15), "b")
-        assert {v for _p, v in index.covering(7.0)} == {"a", "b"}
-        assert {v for _p, v in index.covering(12.0)} == {"b"}
+        assert {v for _p, v in index.overlapping(Period(7.0, 7.0))} == {"a", "b"}
+        assert {v for _p, v in index.overlapping(Period(12.0, 12.0))} == {"b"}
 
     def test_values_sorted_by_start(self):
         index: IntervalIndex[int] = IntervalIndex()

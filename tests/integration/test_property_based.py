@@ -72,15 +72,6 @@ class TestTrajectoryInvariants:
             assert piece.period.tmin >= traj.period.tmin - 1e-6
             assert piece.length <= traj.length + 1e-6
 
-    @settings(max_examples=40, deadline=None)
-    @given(random_trajectory(), st.integers(min_value=2, max_value=50))
-    def test_resampling_preserves_extent(self, traj, n):
-        resampled = traj.resample(n)
-        assert resampled.num_points == n
-        assert resampled.period == traj.period
-        assert resampled.bbox.xmin >= traj.bbox.xmin - 1e-9
-        assert resampled.bbox.xmax <= traj.bbox.xmax + 1e-9
-
 
 class TestClusteringInvariants:
     @settings(max_examples=10, deadline=None)
@@ -193,27 +184,6 @@ class TestReTraTreeInvariants:
 
 class TestFrameSlicingInvariants:
     """Slice-then-build == build-then-slice (the frame-catalog contract)."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_mod(min_trajs=2, max_trajs=8), st.data())
-    def test_select_rows_commutes_with_build(self, mod, data):
-        frame = MODFrame.from_mod(mod)
-        trajs = mod.trajectories()
-        rows = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=len(trajs) - 1),
-                min_size=0,
-                max_size=len(trajs),
-                unique=True,
-            )
-        )
-        selected = frame.select_rows(rows)
-        direct = MODFrame.from_trajectories([trajs[r] for r in rows])
-        assert selected.keys == direct.keys
-        np.testing.assert_array_equal(selected.offsets, direct.offsets)
-        np.testing.assert_array_equal(selected.xs, direct.xs)
-        np.testing.assert_array_equal(selected.ys, direct.ys)
-        np.testing.assert_array_equal(selected.ts, direct.ts)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,11 +1,11 @@
 """The window-independent state a ReTraTree derives once and keeps.
 
-Merge adjacency matrices and the lazy pg3D-Rtrees: each is pinned against
-its scalar / from-scratch oracle, and every mutation that changes one must
-invalidate it.  Member records are *not* kept — every query decodes the
-partitions it touches — and the tests pin that too.  They read the tree's
-own counters (``ReTraTreeStats.partitions_decoded`` /
-``merge_pairs_evaluated`` / ``rtrees_built``), never a clock.
+Merge adjacency matrices are pinned against their scalar oracle, and every
+mutation that changes one must invalidate it.  Member records are *not*
+kept — every query decodes the partitions it touches — and the tests pin
+that too.  They read the tree's own counters
+(``ReTraTreeStats.partitions_decoded`` / ``merge_pairs_evaluated``), never a
+clock.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.hermes.distances import hausdorff_distance, hausdorff_distance_batch
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import Period
-from repro.index.rtree3d import RTree3D
 from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
 from repro.qut.retratree import (
@@ -237,7 +236,6 @@ class TestReadPathCounters:
         second = qut.query(window)
         assert second.extras["partitions_decoded"] == first.extras["partitions_decoded"]
         assert second.extras["merge_pairs_evaluated"] == 0
-        assert second.extras["rtrees_built"] == 0
         assert result_signature(second) == result_signature(first)
 
     def test_append_reevaluates_only_the_pairs_whose_entries_it_changed(self, flow_tree):
@@ -275,24 +273,6 @@ class TestReadPathCounters:
         assert qut.query(mod.period).extras["merge_pairs_evaluated"] == stale
         assert qut.query(mod.period).extras["merge_pairs_evaluated"] == 0
 
-    def test_cold_open_running_only_qut_builds_no_rtree(self, tmp_path):
-        mod = flow_mod(n_per_flow=6, n_flows=2, duration=100.0)
-        storage = StorageManager(tmp_path / "tree")
-        tree = ReTraTree.build(mod, FLOW_PARAMS, storage=storage, name="flows")
-        assert tree.stats.rtrees_built == 0  # nor does a bulk load
-        manifest = tree.to_manifest()
-        storage.close()
-
-        reopened = ReTraTree.from_manifest(manifest, storage=StorageManager(tmp_path / "tree"))
-        result = QuTClustering(reopened).query(Period(10.0, 90.0))
-        assert result.extras["rtrees_built"] == 0
-        assert reopened.stats.rtrees_built == 0
-        entry = next(e for sc in reopened.subchunks() for e in sc.entries)
-        reopened.load_members_in(entry, entry.bbox)
-        assert reopened.stats.rtrees_built == 1
-        reopened.load_members_in(entry, entry.bbox)
-        assert reopened.stats.rtrees_built == 1
-
 
 # -- (ii)-(iv) invalidation ------------------------------------------------------------
 
@@ -328,9 +308,8 @@ class TestInvalidation:
         stray = make_linear_trajectory(
             "stray", "0", (900, 900), (910, 900), subchunk.period.tmin, subchunk.period.tmax, 5
         )
-        tree.replace_representative(
-            subchunk, 0, SubTrajectory(stray.key, 0, stray.num_points - 1, stray)
-        )
+        subchunk.entries[0].representative = SubTrajectory(stray.key, 0, stray.num_points - 1, stray)
+        subchunk.touch_entries()
         after = qut.query(mod.period)
         assert after.extras["merge_pairs_evaluated"] > 0
         rows, _ = qut._load_partial_clusters(tree.subchunks(), mod.period)
@@ -351,10 +330,8 @@ class TestInvalidation:
             )
         (subchunk,) = tree.subchunks()
         assert len(tree.load_unclustered(subchunk)) == 4
-        stale = tree.partition_rtree(subchunk.unclustered_partition)
 
         tree.flush_unclustered(subchunk)
-        assert tree.partition_rtree(subchunk.unclustered_partition) is not stale
         reloaded = tree.load_unclustered(subchunk)
         assert len(reloaded) == subchunk.unclustered_count
         assert restriction_signature(reloaded) == restriction_signature(
@@ -403,47 +380,3 @@ class TestInvalidation:
                 tree.load_members(entry).clear()
             tree.load_unclustered(subchunk).append(None)
         assert result_signature(qut.query(window)) == expected
-
-
-# -- (v) the lazy pg3D-Rtrees -------------------------------------------------------------
-
-
-class TestLazyPartitionRtrees:
-    @staticmethod
-    def assert_rtree_matches_a_fresh_one(tree: ReTraTree, entry: ClusterEntry, box) -> None:
-        heapfile = tree.storage.get(entry.partition_name).heapfile
-        fresh: RTree3D = RTree3D(max_entries=16)
-        for rid, raw in heapfile.scan_records():
-            fresh.insert(_record_to_subtrajectory(raw).bbox, rid)
-        expected = [_record_to_subtrajectory(heapfile.get(rid)) for rid in fresh.range_search(box)]
-        got = tree.load_members_in(entry, box)
-        assert sorted(restriction_signature(got)) == sorted(restriction_signature(expected))
-        brute = [sub for sub in scan_partition(tree, entry.partition_name) if sub.bbox.intersects(box)]
-        assert sorted(restriction_signature(got)) == sorted(restriction_signature(brute))
-
-    def test_after_reopen_and_after_further_archives(self, tmp_path):
-        mod = flow_mod(n_per_flow=6, n_flows=2, duration=100.0)
-        storage = StorageManager(tmp_path / "tree")
-        tree = ReTraTree.build(mod, FLOW_PARAMS, storage=storage, name="flows")
-        manifest = tree.to_manifest()
-        storage.close()
-        reopened = ReTraTree.from_manifest(manifest, storage=StorageManager(tmp_path / "tree"))
-
-        entries = [entry for sc in reopened.subchunks() for entry in sc.entries]
-        assert entries
-        for entry in entries:
-            self.assert_rtree_matches_a_fresh_one(reopened, entry, entry.bbox)
-            half = entry.bbox.as_tuple()
-            narrow = type(entry.bbox)(*half[:3], (half[0] + half[3]) / 2, half[4], half[5])
-            self.assert_rtree_matches_a_fresh_one(reopened, entry, narrow)
-        built = reopened.stats.rtrees_built
-        assert built == len(entries)
-
-        counts = {entry.partition_name: entry.member_count for entry in entries}
-        reopened.append(late_batch())
-        grown = [entry for entry in entries if entry.member_count > counts[entry.partition_name]]
-        assert grown  # the R-trees built above are stale for these
-        for entry in entries:
-            self.assert_rtree_matches_a_fresh_one(reopened, entry, entry.bbox)
-            assert len(reopened.load_members_in(entry, entry.bbox)) == entry.member_count
-        assert reopened.stats.rtrees_built == built + len(grown)

@@ -36,6 +36,7 @@ import numpy as np
 from repro.hermes.frame import MAX_BATCH_CELLS, MODFrame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
+from repro.hermes.types import BoxST
 from repro.index.interval import IntervalIndex
 from repro.index.rtree3d import RTree3D
 from repro.s2t.params import S2TParams
@@ -125,7 +126,16 @@ def build_trajectory_index(mod: MOD, spatial_margin: float) -> RTree3D[tuple[str
     """
     tree: RTree3D[tuple[str, str]] = RTree3D(max_entries=16)
     for traj in mod:
-        tree.insert(traj.bbox.expand(spatial_margin, 0.0), traj.key)
+        box = traj.bbox
+        grown = BoxST(
+            box.xmin - spatial_margin,
+            box.ymin - spatial_margin,
+            box.tmin,
+            box.xmax + spatial_margin,
+            box.ymax + spatial_margin,
+            box.tmax,
+        )
+        tree.insert(grown, traj.key)
     return tree
 
 

@@ -19,6 +19,11 @@ trajectories, seed 3) and a map of it:
   into clusters and outliers must be the same up to the relabelling.  A
   permutation is not exact for the votes: a target sums its voters in row
   order, so every vote may move in its last bits.
+* **Duplication in time** — the MOD plus a copy of it shifted past its own
+  lifespan, with sigma / eps given explicitly so that the wider time range
+  resolves nothing differently.  No sample of one copy co-exists with a
+  sample of the other, so the partition is the original one twice, and no
+  cluster holds members of both copies.
 """
 
 from __future__ import annotations
@@ -167,3 +172,29 @@ def test_renaming_object_ids_keeps_the_partition(name, data):
     )
     original = {new: old for old, new in renamed.items()}
     assert partition(moved, original) == scenario_partition(name)
+
+
+@settings(max_examples=5, deadline=None)
+@given(name=scenarios, stretch=st.floats(min_value=1.0, max_value=8.0, exclude_min=True))
+def test_a_copy_in_a_later_disjoint_time_range_duplicates_the_partition(name, stretch):
+    mod = scenario_mod(name)
+    resolved = S2TParams().resolved(mod)
+    params = S2TParams(sigma=resolved.sigma, eps=resolved.eps)
+    shift = stretch * mod.period.duration
+    copy = [Trajectory(f"{t.obj_id}+", t.traj_id, t.xs, t.ys, t.ts + shift) for t in mod]
+    result = S2TClustering(params).fit(MOD(name=mod.name, trajectories=[*mod, *copy]))
+
+    def halves(keys) -> tuple[frozenset, frozenset]:
+        """The original copy's keys, and the later copy's mapped back to the original ids."""
+        later = {(obj[:-1], *rest) for obj, *rest in keys if obj.endswith("+")}
+        return frozenset(k for k in keys if not k[0].endswith("+")), frozenset(later)
+
+    originals, copies = set(), set()
+    for cluster in result.clusters:
+        first, later = halves([m.key for m in cluster.members])
+        assert not (first and later), "a cluster mixes the two copies"
+        (originals if first else copies).add(first or later)
+    outliers = halves([o.key for o in result.outliers])
+    expected_clusters, expected_outliers = scenario_partition(name)
+    assert originals == copies == expected_clusters
+    assert outliers == (expected_outliers, expected_outliers)

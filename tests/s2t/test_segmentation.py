@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hermes.frame import MODFrame
 from repro.s2t.params import S2TParams
 from repro.s2t.segmentation import (
     dp_segmentation,
     greedy_segmentation,
-    segment_by_voting,
+    segment_frame,
     segment_mod,
 )
-from repro.s2t.voting import compute_voting
+from repro.s2t.voting import VotingProfile, compute_voting
 from tests.conftest import make_linear_trajectory
 
 
@@ -76,11 +77,17 @@ class TestGreedySegmentation:
         assert all(b - a >= 4 for a, b in zip(bounds[:-1], bounds[1:]))
 
 
-class TestSegmentByVoting:
+def segment_one(traj, votes, params):
+    """The pieces :func:`segment_frame` cuts ``traj`` into under the voting signal ``votes``."""
+    profile = VotingProfile(votes={traj.key: votes})
+    return segment_frame(MODFrame.from_trajectories([traj]), profile, params)[1]
+
+
+class TestSegmentOneTrajectory:
     def test_produces_subtrajectories_covering_parent(self):
         traj = make_linear_trajectory("a", "0", n=31)
         votes = step_signal([0.0, 8.0, 0.0])  # 30 segments
-        subs = segment_by_voting(traj, votes, S2TParams(segmentation_method="dp"))
+        subs = segment_one(traj, votes, S2TParams(segmentation_method="dp"))
         assert len(subs) == 3
         covered = set()
         for sub in subs:
@@ -90,7 +97,7 @@ class TestSegmentByVoting:
     def test_greedy_method_also_runs(self):
         traj = make_linear_trajectory("a", "0", n=31)
         votes = step_signal([0.0, 8.0, 0.0])
-        subs = segment_by_voting(traj, votes, S2TParams(segmentation_method="greedy"))
+        subs = segment_one(traj, votes, S2TParams(segmentation_method="greedy"))
         assert len(subs) >= 2
 
 
@@ -132,13 +139,13 @@ class TestSegmentMod:
         st.lists(st.floats(min_value=0, max_value=10), min_size=2, max_size=40),
         st.sampled_from(["dp", "greedy"]),
     )
-    def test_segment_by_voting_never_emits_a_single_sample(self, values, method):
+    def test_one_trajectory_never_yields_a_single_sample_piece(self, values, method):
         votes = np.asarray(values)
         traj = make_linear_trajectory("a", "0", n=len(votes) + 1)
         params = S2TParams(
             segmentation_method=method, min_segment_samples=2, segmentation_penalty=1e-4
         )
-        subs = segment_by_voting(traj, votes, params)
+        subs = segment_one(traj, votes, params)
         assert subs and all(sub.num_points >= 2 for sub in subs)
         assert subs[0].start_idx == 0 and subs[-1].end_idx == traj.num_points - 1
 

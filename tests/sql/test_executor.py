@@ -391,3 +391,48 @@ class TestBufferInvalidation:
         # ...but it must still be buffered for the next INSERT to extend.
         execute("INSERT INTO grow VALUES ('a', '0', 1.0, 1.0, 10.0)")
         assert execute("SELECT COUNT(*) FROM grow")[0]["count"] == 2
+
+    def test_a_replacement_discards_the_points_buffered_before_it(self, execute, engine):
+        from repro.hermes.mod import MOD
+
+        execute("CREATE DATASET grow")
+        execute("INSERT INTO grow VALUES ('a', '0', 0.0, 0.0, 0.0)")
+        engine.load_mod("grow", MOD(name="grow"))
+        # The lone point went with the replaced registration, so this one
+        # is alone again and completes nothing.
+        execute("INSERT INTO grow VALUES ('a', '0', 1.0, 1.0, 10.0)")
+        assert execute("SELECT COUNT(*) FROM grow")[0]["count"] == 0
+
+    def test_drop_then_create_starts_from_an_empty_buffer(self, execute):
+        execute("CREATE DATASET grow")
+        execute("INSERT INTO grow VALUES ('a', '0', 0.0, 0.0, 0.0)")
+        execute("DROP DATASET grow")
+        execute("CREATE DATASET grow")
+        execute("INSERT INTO grow VALUES ('a', '0', 1.0, 1.0, 10.0)")
+        assert execute("SELECT COUNT(*) FROM grow")[0]["count"] == 0
+
+    def test_replacing_one_dataset_keeps_the_others_buffer(self, execute, engine):
+        from repro.hermes.mod import MOD
+
+        execute("CREATE DATASET grow")
+        execute("INSERT INTO grow VALUES ('a', '0', 0.0, 0.0, 0.0)")
+        engine.load_mod("other", MOD(name="other"))
+        engine.drop("other")
+        execute("INSERT INTO grow VALUES ('a', '0', 1.0, 1.0, 10.0)")
+        assert execute("SELECT COUNT(*) FROM grow")[0]["count"] == 2
+
+    def test_an_insert_that_rebuilds_keeps_the_leftover_points_buffered(self, execute, engine):
+        execute("CREATE DATASET grow")
+        execute(
+            "INSERT INTO grow VALUES ('a', '0', 0.0, 0.0, 0.0), ('a', '0', 1.0, 1.0, 10.0),"
+            " ('b', '0', 5.0, 5.0, 0.0)"
+        )
+        generation = engine.dataset_generation("grow")
+        # 'a' exists, so this re-materialises the dataset through load_mod;
+        # the lone 'b' point must outlive the replacement it causes.
+        execute("INSERT INTO grow VALUES ('a', '0', 2.0, 2.0, 20.0)")
+        assert engine.dataset_generation("grow") > generation
+        assert execute("SELECT COUNT(*) FROM grow")[0]["count"] == 3
+        execute("INSERT INTO grow VALUES ('b', '0', 6.0, 6.0, 10.0)")
+        rows = execute("SELECT obj_id FROM grow")
+        assert sorted(row["obj_id"] for row in rows) == ["a", "a", "a", "b", "b"]
