@@ -62,7 +62,7 @@ from repro.hermes.shm import ShmArena, ShmTransportError
 from repro.hermes.types import Period
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
-from repro.s2t.result import ClusteringResult
+from repro.s2t.result import ClusteringResult, Members
 
 __all__ = [
     "DEFAULT_PARTITIONS",
@@ -214,7 +214,6 @@ def merge_partition_results(
     sub-trajectory/representative counts are aggregated.
     """
     clusters = []
-    outliers = []
     timings: Counter[str] = Counter()
     extras_sums: Counter[str] = Counter()
     next_id = 0
@@ -223,7 +222,6 @@ def merge_partition_results(
             cluster.cluster_id = next_id
             next_id += 1
             clusters.append(cluster)
-        outliers.extend(part.outliers)
         timings.update(part.timings)
         for key in (
             "num_subtrajectories",
@@ -236,7 +234,7 @@ def merge_partition_results(
     result = ClusteringResult(
         method="s2t",
         clusters=clusters,
-        outliers=outliers,
+        outliers=Members.concat(part.outliers for part in parts),
         params=params,
         timings=dict(timings),
     )

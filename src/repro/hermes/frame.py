@@ -72,9 +72,10 @@ full-recompute branch of :meth:`~MODFrame.extend`) — and raises
 :class:`ValueError` naming the first failing row.  A stored partition
 therefore loads as one checked frame (:func:`repro.storage.records.decode_records`).
 
-Because a frame's rows are known valid, :meth:`MODFrame.trajectory_of` and
-:func:`subtrajectory_from_slice` hand out :class:`Trajectory` *views* of
-validated columns without re-running the per-object check.  That unchecked
+Because a frame's rows are known valid, :meth:`MODFrame.trajectory_of`,
+:meth:`TrajectoryRows.subtrajectory` and :func:`subtrajectory_from_slice`
+hand out :class:`Trajectory` *views* of validated columns without
+re-running the per-object check.  That unchecked
 construction is ``_trajectory_view``, private to this module; the public
 ``Trajectory(...)`` constructor always validates.
 """
@@ -82,6 +83,7 @@ construction is ``_trajectory_view``, private to this module; the public
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,7 +94,7 @@ from repro.hermes.types import _EPS, BoxST, Period
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hermes.mod import MOD
 
-__all__ = ["MODFrame", "subtrajectory_from_slice"]
+__all__ = ["MODFrame", "TrajectoryRows", "subtrajectory_from_slice"]
 
 # Cap on the number of (trajectory, instant) cells materialised per batch;
 # larger requests are transparently chunked by the callers' helpers.
@@ -753,3 +755,126 @@ class MODFrame:
         return (self.tmins - tolerance <= period.tmax + _EPS) & (
             period.tmin <= self.tmaxs + tolerance + _EPS
         )
+
+
+@dataclass(eq=False)
+class TrajectoryRows:
+    """A frame whose rows remember what they were cut from.
+
+    Row ``i`` of ``frame`` is the sub-trajectory of ``parent_keys[i]``
+    between the parent samples ``bounds[i]`` (inclusive), or a whole
+    trajectory when ``bounds[i]`` is ``(-1, -1)``.  A stored partition
+    decodes to one (:func:`repro.storage.records.decode_records`),
+    segmentation cuts one (:func:`repro.s2t.segmentation.segment_frame`) and
+    QuT's window restriction slices one (:meth:`sliced`); the members of a
+    clustering result are row ranges of them
+    (:class:`repro.s2t.result.Members`), and a :class:`SubTrajectory` is
+    built from a row only when someone asks for it, and then kept: every
+    caller asking for a row gets the same object.  Rows pickle as their
+    columns, without the built objects.
+    """
+
+    frame: MODFrame
+    parent_keys: list[tuple[str, str]]
+    bounds: list[tuple[int, int]]
+    # Whether row i's frame key is its sub-trajectory's key.  A window
+    # restriction keeps the keys of the rows it cut, so :meth:`sliced`
+    # clears it and the ids are spelt from the parent key and bounds.
+    keyed: bool = True
+    _built: list[SubTrajectory | None] | None = field(default=None, init=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_built": None}
+
+    @classmethod
+    def of(
+        cls, subtrajectories: Sequence[SubTrajectory], frame: MODFrame | None = None
+    ) -> "TrajectoryRows":
+        """Rows holding built sub-trajectories, which are kept as row ``i``'s object.
+
+        ``frame`` is the optional prebuilt frame of their trajectories (row
+        ``i`` = ``subtrajectories[i].traj``); it is built here when omitted.
+        """
+        if frame is None:
+            frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
+        rows = cls(
+            frame,
+            [sub.parent_key for sub in subtrajectories],
+            [(sub.start_idx, sub.end_idx) for sub in subtrajectories],
+        )
+        rows._built = list(subtrajectories)
+        return rows
+
+    @classmethod
+    def sliced(cls, frame: MODFrame, period: Period) -> tuple["TrajectoryRows", np.ndarray]:
+        """The rows of ``frame`` restricted to ``period``, each cut from its row.
+
+        One :meth:`MODFrame.slice_period_rows` call restricts every row; row
+        ``k`` of the result is a sub-trajectory of ``frame`` row ``kept[k]``
+        with the sample bounds :func:`subtrajectory_from_slice` gives it —
+        the parent samples closest to the piece's first and last instants,
+        counted for all rows at once over their flattened samples.  Returns
+        ``(rows, kept)``.  The result holds the sliced columns only, not
+        ``frame``.
+        """
+        sliced, kept = frame.slice_period_rows(period)
+        starts = frame.offsets[kept]
+        counts = frame.offsets[kept + 1] - starts
+        owner = np.repeat(np.arange(kept.size, dtype=np.intp), counts)
+        flat = np.arange(int(counts.sum()), dtype=np.intp) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        ts = frame.ts[flat]
+        # On a strictly increasing row, searchsorted "left" / "right" is the
+        # count of its samples below / up to the instant.
+        below = np.bincount(owner[ts < sliced.tmins[owner]], minlength=kept.size)
+        through = np.bincount(owner[ts <= sliced.tmaxs[owner]], minlength=kept.size)
+        first = np.minimum(below, counts - 2)
+        last = np.minimum(np.maximum(through - 1, first + 1), counts - 1)
+        rows = cls(
+            sliced,
+            [frame.keys[row] for row in kept.tolist()],
+            list(zip(first.tolist(), last.tolist())),
+            keyed=False,
+        )
+        return rows, kept
+
+    def __len__(self) -> int:
+        return len(self.parent_keys)
+
+    def trajectories(self) -> list[Trajectory]:
+        """Each row as a :class:`Trajectory` view of the frame's columns."""
+        view = self.frame.trajectory_of
+        return [view(row) for row in range(len(self))]
+
+    def subtrajectory(self, row: int) -> SubTrajectory:
+        """Row ``row`` as a :class:`SubTrajectory` over a view of the frame's columns.
+
+        The view has the row's frame key, or, for rows that are not
+        :attr:`keyed`, ``(obj_id, "<traj_id>#<start>-<end>")`` — the id
+        :meth:`SubTrajectory.from_trajectory
+        <repro.hermes.trajectory.SubTrajectory.from_trajectory>` gives it.
+        Built on the first call for the row, then returned as it is.
+        """
+        if self._built is None:
+            self._built = [None] * len(self)
+        sub = self._built[row]
+        if sub is not None:
+            return sub
+        parent = self.parent_keys[row]
+        start, end = self.bounds[row]
+        frame = self.frame
+        lo, hi = frame.offsets[row], frame.offsets[row + 1]
+        traj = _trajectory_view(
+            parent[0],
+            frame.keys[row][1] if self.keyed else f"{parent[1]}#{start}-{end}",
+            frame.xs[lo:hi],
+            frame.ys[lo:hi],
+            frame.ts[lo:hi],
+        )
+        sub = self._built[row] = SubTrajectory(parent, start, end, traj)
+        return sub
+
+    def subtrajectories(self) -> list[SubTrajectory]:
+        """Every row as a :class:`SubTrajectory` (:meth:`subtrajectory`)."""
+        return [self.subtrajectory(row) for row in range(len(self))]

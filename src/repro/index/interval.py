@@ -62,15 +62,3 @@ class IntervalIndex(Generic[V]):
             for period, value in self._items[:hi]
             if period.tmax >= query.tmin
         ]
-
-    def values(self) -> list[V]:
-        """Every stored value in start order."""
-        return [value for _period, value in self._items]
-
-    def remove(self, value: V) -> int:
-        """Remove all entries with the given value; returns the removed count."""
-        keep = [(p, v) for p, v in self._items if v != value]
-        removed = len(self._items) - len(keep)
-        self._items = keep
-        self._starts = [p.tmin for p, _ in keep]
-        return removed

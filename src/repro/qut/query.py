@@ -35,6 +35,16 @@ window that re-touches a sub-chunk pair an earlier query touched since its
 last mutation measures no distance; the per-query deltas of the tree's
 read-path counters are reported in ``extras`` (``partitions_decoded``,
 ``merge_pairs_evaluated``).
+
+The answer is made of frame rows, not objects.  An entry's members are a
+row range of its sub-chunk's decoded batch, or of the batch's slice when
+the window covers the sub-chunk only in part (the slice holds its own
+columns and each row's parent key and sample bounds, computed for all rows
+at once, not the batch).  The merge and the ``gamma`` filter concatenate
+ranges, and the SQL row of a cluster reads its size, objects and period
+from the columns (:class:`~repro.s2t.result.Members`), so a window builds
+no :class:`SubTrajectory`; one is built per row when a caller iterates the
+members.
 """
 
 from __future__ import annotations
@@ -43,11 +53,11 @@ import time
 
 import numpy as np
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import TrajectoryRows
 from repro.hermes.trajectory import SubTrajectory
 from repro.hermes.types import Period
-from repro.qut.retratree import ReTraTree, SubChunk, subtrajectory_from_slice
-from repro.s2t.result import Cluster, ClusteringResult
+from repro.qut.retratree import ReTraTree, SubChunk
+from repro.s2t.result import Cluster, ClusteringResult, Members
 
 __all__ = ["QuTClustering"]
 
@@ -93,23 +103,19 @@ class QuTClustering:
         merged = self._merge_across_subchunks(partial_clusters)
         timings["merge"] = time.perf_counter() - t0
 
-        # gamma filter and final assembly.
+        # gamma filter, with dense ids: a dissolved cluster's members join the outliers.
         clusters: list[Cluster] = []
-        for cluster_id, (representative, members) in enumerate(merged):
+        dissolved: list[Members] = []
+        for representative, members in merged:
             if len(members) >= params.gamma:
-                clusters.append(
-                    Cluster(cluster_id=cluster_id, representative=representative, members=members)
-                )
+                clusters.append(Cluster(len(clusters), representative, members))
             else:
-                outliers.extend(members)
-        # Re-number densely after the filter.
-        for new_id, cluster in enumerate(clusters):
-            cluster.cluster_id = new_id
+                dissolved.append(members)
 
         result = ClusteringResult(
             method="qut",
             clusters=clusters,
-            outliers=outliers,
+            outliers=Members.concat([outliers, *dissolved]),
             params=params,
             timings=timings,
         )
@@ -145,7 +151,7 @@ class QuTClustering:
 
     def _load_partial_clusters(
         self, subchunks: list[SubChunk], window: Period
-    ) -> tuple[list[tuple[SubChunk, int, list[SubTrajectory]]], list[SubTrajectory]]:
+    ) -> tuple[list[tuple[SubChunk, int, Members]], Members]:
         """Per sub-chunk, each entry's members inside ``window`` plus the outliers.
 
         Returns ``(rows, outliers)``: one ``(sub-chunk, entry position,
@@ -153,49 +159,34 @@ class QuTClustering:
         sub-chunk then entry order, and the unclustered sub-trajectories.
         Each sub-chunk is read as one decoded batch
         (:meth:`~repro.qut.retratree.ReTraTree.load_subchunk`); a partially
-        covered one is restricted by slicing that batch's frame once.
+        covered one is restricted by slicing that batch's frame once
+        (:meth:`TrajectoryRows.sliced
+        <repro.hermes.frame.TrajectoryRows.sliced>`, row-for-row
+        :meth:`Trajectory.slice_period
+        <repro.hermes.trajectory.Trajectory.slice_period>` plus
+        :func:`~repro.qut.retratree.subtrajectory_from_slice`; the
+        per-member oracle lives in ``tests/qut/oracles.py``).  The members
+        are row ranges of the batch or of its slice; no sub-trajectory is
+        built here.
         """
-        rows: list[tuple[SubChunk, int, list[SubTrajectory]]] = []
-        outliers: list[SubTrajectory] = []
+        rows: list[tuple[SubChunk, int, Members]] = []
+        outliers: list[Members] = []
         for subchunk in subchunks:
             batch, bounds = self.tree.load_subchunk(subchunk)
-            if window.contains_period(subchunk.period):
-                members = batch.subtrajectories()
-            else:
-                members, bounds = self._restrict_batch(batch.frame, bounds, window)
-            groups = [members[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-            for position, group in enumerate(groups[:-1]):
-                if group:
-                    rows.append((subchunk, position, group))
-            outliers.extend(groups[-1])
-        return rows, outliers
-
-    @staticmethod
-    def _restrict_batch(
-        frame: MODFrame, bounds: np.ndarray, window: Period
-    ) -> tuple[list[SubTrajectory], np.ndarray]:
-        """Restrict a sub-chunk's decoded frame to the query window in one pass.
-
-        ``bounds`` are the frame's per-partition row bounds.  One batched
-        :meth:`~repro.hermes.frame.MODFrame.slice_period_rows` call does the
-        boundary interpolation for the whole sub-chunk; each surviving row
-        becomes a sub-trajectory of the member it was cut from.  Returns the
-        survivors, in row order, and their per-partition bounds.  The
-        slicing is row-for-row identical to :meth:`Trajectory.slice_period
-        <repro.hermes.trajectory.Trajectory.slice_period>` (the per-member
-        oracle lives in ``tests/qut/oracles.py``).
-        """
-        sliced, kept = frame.slice_period_rows(window)
-        members = [
-            subtrajectory_from_slice(frame.trajectory_of(row), sliced.trajectory_of(k))
-            for k, row in enumerate(kept.tolist())
-        ]
-        return members, np.searchsorted(kept, bounds)
+            if not window.contains_period(subchunk.period):
+                batch, kept = TrajectoryRows.sliced(batch.frame, window)
+                bounds = np.searchsorted(kept, bounds)
+            edges = bounds.tolist()
+            for position, (lo, hi) in enumerate(zip(edges[:-2], edges[1:-1])):
+                if hi > lo:
+                    rows.append((subchunk, position, Members.of_rows(batch, range(lo, hi))))
+            outliers.append(Members.of_rows(batch, range(edges[-2], edges[-1])))
+        return rows, Members.concat(outliers)
 
     def _merge_across_subchunks(
         self,
-        partial: list[tuple[SubChunk, int, list[SubTrajectory]]],
-    ) -> list[tuple[SubTrajectory, list[SubTrajectory]]]:
+        partial: list[tuple[SubChunk, int, Members]],
+    ) -> list[tuple[SubTrajectory, Members]]:
         """Stitch clusters whose representatives continue across sub-chunk borders.
 
         ``partial`` rows are ``(sub-chunk, entry position, members in the
@@ -244,15 +235,13 @@ class QuTClustering:
         for i in range(len(partial)):
             groups.setdefault(find(i), []).append(i)
 
-        merged: list[tuple[SubTrajectory, list[SubTrajectory]]] = []
+        merged: list[tuple[SubTrajectory, Members]] = []
         for indices in groups.values():
             # The representative of the merged cluster is the one with most members.
             subchunk, position, _members = partial[
                 max(indices, key=lambda idx: len(partial[idx][2]))
             ]
-            members: list[SubTrajectory] = []
-            for idx in indices:
-                members.extend(partial[idx][2])
+            members = Members.concat(partial[idx][2] for idx in indices)
             merged.append((subchunk.entries[position].representative, members))
         return merged
 

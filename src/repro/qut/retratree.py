@@ -61,9 +61,10 @@ member records are read through the buffer pool and decoded per query —
 QuT decodes each touched sub-chunk's partitions (its entries' in entry
 order, then the unclustered one) as one batch into one checked frame
 (:meth:`ReTraTree.load_subchunk`,
-:func:`~repro.storage.records.decode_records`), the members being views
-of it, and drops the batch when the query ends — so the tree's memory does
-not grow with the archived data.  :meth:`ReTraTree.load_members` and
+:func:`~repro.storage.records.decode_records`), the members being row
+ranges of it (:class:`~repro.s2t.result.Members`); the tree keeps no batch,
+only the query's result refers to it — so the tree's memory does not grow
+with the archived data.  :meth:`ReTraTree.load_members` and
 :meth:`ReTraTree.load_unclustered` decode one partition the same way.
 :class:`ReTraTreeStats` counts the read-path work (``partitions_decoded``,
 ``merge_pairs_evaluated``).
@@ -83,7 +84,7 @@ from repro.hermes.distances import (
     spatiotemporal_distance_batch,
     spatiotemporal_distance_matrix,
 )
-from repro.hermes.frame import MODFrame, subtrajectory_from_slice
+from repro.hermes.frame import MODFrame, TrajectoryRows, subtrajectory_from_slice
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import BoxST, Period
@@ -92,7 +93,7 @@ from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
 from repro.storage.errors import CorruptPartitionError
 from repro.storage.heapfile import RID
-from repro.storage.records import RecordBatch, decode_records, encode_record
+from repro.storage.records import decode_records, encode_record
 
 __all__ = ["ClusterEntry", "SubChunk", "ReTraTree", "subtrajectory_from_slice"]
 
@@ -419,7 +420,7 @@ class ReTraTree:
         """Load a sub-chunk's unclustered sub-trajectories."""
         return self._load_partition(subchunk.unclustered_partition)
 
-    def load_subchunk(self, subchunk: SubChunk) -> tuple[RecordBatch, np.ndarray]:
+    def load_subchunk(self, subchunk: SubChunk) -> tuple[TrajectoryRows, np.ndarray]:
         """Every record a sub-chunk archives, decoded as one batch.
 
         Scans the entries' member partitions in entry order, then the
@@ -610,8 +611,8 @@ class ReTraTree:
         for cluster in result.clusters:
             rep_parent = key_map[cluster.representative.parent_key]
             entry = self._open_entry(subchunk, rep_parent)
-            for member in cluster.members:
-                original = key_map[member.parent_key]
+            for parent_key in cluster.members.parent_keys():
+                original = key_map[parent_key]
                 if original.traj.key in archived:
                     continue
                 archived.add(original.traj.key)
@@ -625,8 +626,8 @@ class ReTraTree:
         # Re-insert the outliers: they may now fit one of the new representatives.
         # Archiving a member changes no representative, so one pass decides all.
         reinserted: list[SubTrajectory] = []
-        for outlier in result.outliers:
-            original = key_map.get(outlier.parent_key)
+        for parent_key in result.outliers.parent_keys():
+            original = key_map.get(parent_key)
             if original is None or original.traj.key in archived:
                 continue
             archived.add(original.traj.key)

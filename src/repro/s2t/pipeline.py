@@ -86,14 +86,13 @@ class S2TClustering:
         self.last_voting_profile = profile
 
         start = time.perf_counter()
-        sub_frame, subtrajectories, masses = segment_frame(frame, profile, params)
+        sub_frame, pieces, masses = segment_frame(frame, profile, params)
         seg_elapsed = time.perf_counter() - start
         start = time.perf_counter()
         picked, rows = sample(sub_frame, masses, params)
-        representatives = [subtrajectories[i] for i in picked]
         sampling_elapsed = time.perf_counter() - start
         start = time.perf_counter()
-        result = cluster(subtrajectories, representatives, rows, params, sub_frame)
+        result = cluster(pieces, picked, rows, params, sub_frame)
         clustering_elapsed = time.perf_counter() - start
 
         result.params = params
@@ -104,8 +103,8 @@ class S2TClustering:
             "clustering": clustering_elapsed,
         }
         result.extras = {
-            "num_subtrajectories": len(subtrajectories),
-            "num_representatives": len(representatives),
+            "num_subtrajectories": len(pieces),
+            "num_representatives": len(picked),
             "voting_pairs_evaluated": profile.pairs_evaluated,
             "voting_pairs_pruned": profile.pairs_pruned,
         }

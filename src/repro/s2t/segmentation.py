@@ -35,9 +35,12 @@ Each trajectory's cuts become ``(row, lo, hi)`` pieces that share the knot
 at each cut (as :meth:`~repro.hermes.trajectory.Trajectory.split_at_indices`
 does).  One gather index copies every piece's samples out of the parent
 columns into the **sub-trajectory frame** (row ``i`` = piece ``i``, key
-``(obj_id, "<traj_id>#<lo>-<hi>")``), which the frame checks once; each
-:class:`SubTrajectory` is a view of its row.  A piece's voting mass is the
-mean vote of its segments.
+``(obj_id, "<traj_id>#<lo>-<hi>")``), which the frame checks once.  The
+pieces are :class:`~repro.s2t.result.Members` over those rows with their
+parent keys and sample bounds: a :class:`SubTrajectory` (a view of its row)
+is built only when a caller iterates them, so a fit builds one per
+representative, not one per piece.  A piece's voting mass is the mean vote
+of its segments.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, TrajectoryRows
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory
 from repro.s2t.params import S2TParams
+from repro.s2t.result import Members
 from repro.s2t.voting import VotingProfile
 
 __all__ = [
@@ -193,12 +197,14 @@ def _cuts(signals: Sequence[np.ndarray], params: S2TParams) -> list[list[int]]:
 
 def segment_frame(
     frame: MODFrame, profile: VotingProfile, params: S2TParams
-) -> tuple[MODFrame, list[SubTrajectory], np.ndarray]:
+) -> tuple[MODFrame, Members, np.ndarray]:
     """Segment every row of ``frame`` (module docstring).
 
-    Returns ``(sub_frame, subtrajectories, masses)``: the checked frame of
-    the pieces (row ``i`` = ``subtrajectories[i].traj``), the pieces in row
-    order, and each piece's voting mass — the mean vote of its segments, the
+    Returns ``(sub_frame, pieces, masses)``: the checked frame of the pieces
+    (row ``i`` = ``pieces[i].traj``), the pieces in row order as
+    :class:`~repro.s2t.result.Members` over its rows (no
+    :class:`SubTrajectory` is built until a caller iterates them), and each
+    piece's voting mass — the mean vote of its segments, the
     representativeness score consumed by the sampling phase.
     """
     signals = [profile.segment_votes(key) for key in frame.keys]
@@ -232,11 +238,8 @@ def segment_frame(
     sub_frame = MODFrame._from_columns(
         keys, frame.xs[take], frame.ys[take], frame.ts[take], offsets
     )
-    subtrajectories = [
-        SubTrajectory(frame.keys[row], lo, hi, sub_frame.trajectory_of(i))
-        for i, (row, lo, hi) in enumerate(zip(rows, los, his))
-    ]
-    return sub_frame, subtrajectories, np.array(masses, dtype=float)
+    pieces = TrajectoryRows(sub_frame, [frame.keys[row] for row in rows], list(zip(los, his)))
+    return sub_frame, Members.of_rows(pieces), np.array(masses, dtype=float)
 
 
 def segment_mod(
@@ -256,6 +259,7 @@ def segment_mod(
     start = time.perf_counter()
     if frame is None:
         frame = MODFrame.from_mod(mod)
-    _sub_frame, subtrajectories, masses = segment_frame(frame, profile, params)
+    _sub_frame, pieces, masses = segment_frame(frame, profile, params)
+    subtrajectories = list(pieces)
     voting_mass = {sub.key: mass for sub, mass in zip(subtrajectories, masses.tolist())}
     return subtrajectories, voting_mass, time.perf_counter() - start

@@ -56,7 +56,7 @@ def _cluster_rows(result: ClusteringResult) -> list[dict[str, object]]:
         {
             "cluster_id": "outliers",
             "members": result.num_outliers,
-            "objects": len({o.obj_id for o in result.outliers}),
+            "objects": len(result.outliers.object_ids()),
             "tmin": "-",
             "tmax": "-",
             "representative_obj": "-",
@@ -85,7 +85,8 @@ def _opt_float(args: tuple, idx: int) -> float | None:
     value = args[idx]
     if value is None:
         return None
-    if not isinstance(value, (int, float)):
+    # bool is an int subclass, but TRUE is not a number: gamma = TRUE must not mean 1.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SQLExecutionError(f"argument {idx + 1} must be numeric, got {value!r}")
     try:
         return float(value)
@@ -193,7 +194,7 @@ def _fn_cluster_histogram(engine: HermesEngine, args: tuple) -> list[dict[str, o
         result = engine.last_result(dataset)
     except KeyError as exc:
         raise SQLExecutionError(str(exc)) from exc
-    if not result.all_subtrajectories():
+    if result.num_clustered + result.num_outliers == 0:
         return []  # an empty clustering (of an empty dataset) spans no time to bin
     return cluster_time_histogram(result, n_bins=n_bins).to_rows()
 

@@ -54,7 +54,7 @@ from repro.storage.page import Page, PAGE_SIZE
 from repro.storage.pager import FilePager, InMemoryPager, Pager
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats
 from repro.storage.heapfile import HeapFile, RID
-from repro.storage.records import RecordBatch, decode_records, encode_record
+from repro.storage.records import decode_records, encode_record
 from repro.storage.catalog import (
     StorageManager,
     PartitionInfo,
@@ -88,7 +88,6 @@ __all__ = [
     "BufferPoolStats",
     "HeapFile",
     "RID",
-    "RecordBatch",
     "encode_record",
     "decode_records",
     "StorageManager",

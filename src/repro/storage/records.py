@@ -14,22 +14,26 @@ trajectory for sub-trajectory records, or ``-1`` for whole trajectories.
 parser.  It reads a whole partition's records into one
 :class:`~repro.hermes.frame.MODFrame` — the headers one by one, the sample
 bytes joined once, each column copied once — so the trajectory invariant is
-checked once per batch by the frame, and the trajectories handed out are
-views of its columns.
+checked once per batch by the frame.  The batch is a
+:class:`~repro.hermes.frame.TrajectoryRows`: the frame plus each record's
+stored parent key and bounds.  Nothing per record is built at decode time:
+QuT's cluster members are row ranges of the batch
+(:class:`~repro.s2t.result.Members`), and a record becomes a
+:class:`~repro.hermes.trajectory.SubTrajectory` over a view of the frame's
+columns only when a caller iterates them.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, TrajectoryRows
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 
-__all__ = ["RecordBatch", "encode_record", "decode_records"]
+__all__ = ["encode_record", "decode_records"]
 
 _U16 = struct.Struct("<H")
 _I32 = struct.Struct("<i")
@@ -67,46 +71,6 @@ def encode_record(item: Trajectory | SubTrajectory) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
-class RecordBatch:
-    """The decoded form of a sequence of stored records, row ``i`` = record ``i``.
-
-    Attributes
-    ----------
-    frame:
-        The samples, checked against the trajectory invariant.  A whole
-        trajectory's row is keyed ``(obj_id, traj_id)``, a sub-trajectory's
-        ``(obj_id, "<traj_id>#<start>-<end>")`` — the id
-        :meth:`SubTrajectory.from_trajectory
-        <repro.hermes.trajectory.SubTrajectory.from_trajectory>` gives it.
-    parent_keys:
-        The stored ``(obj_id, traj_id)`` of each record.
-    bounds:
-        The stored ``(parent_start, parent_end)`` of each record; ``(-1, -1)``
-        for whole trajectories.
-    """
-
-    frame: MODFrame
-    parent_keys: list[tuple[str, str]]
-    bounds: list[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.parent_keys)
-
-    def trajectories(self) -> list[Trajectory]:
-        """Each record as a :class:`Trajectory` view of the frame's columns."""
-        view = self.frame.trajectory_of
-        return [view(row) for row in range(len(self))]
-
-    def subtrajectories(self) -> list[SubTrajectory]:
-        """Each sub-trajectory record as a :class:`SubTrajectory` over a frame view."""
-        view = self.frame.trajectory_of
-        return [
-            SubTrajectory(parent, start, end, view(row))
-            for row, (parent, (start, end)) in enumerate(zip(self.parent_keys, self.bounds))
-        ]
-
-
 def _truncated(offset: int, count: int, what: str, size: int) -> ValueError:
     return ValueError(
         f"truncated record: {what} needs bytes [{offset}, {offset + count}) "
@@ -126,12 +90,17 @@ def _read_id(raw: bytes, offset: int) -> tuple[str, int]:
     return raw[offset : offset + length].decode("utf-8"), offset + length
 
 
-def decode_records(raws: Sequence[bytes]) -> RecordBatch:
+def decode_records(raws: Sequence[bytes]) -> TrajectoryRows:
     """Deserialise records produced by :func:`encode_record`, as one batch.
 
     Each header is parsed in turn; the sample bytes of all records are
     joined once and split into the ``x`` / ``y`` / ``t`` columns of one
-    :class:`~repro.hermes.frame.MODFrame`, which checks every row.
+    :class:`~repro.hermes.frame.MODFrame`, which checks every row.  Row
+    ``i`` is record ``i``: a whole trajectory's row is keyed ``(obj_id,
+    traj_id)``, a sub-trajectory's ``(obj_id, "<traj_id>#<start>-<end>")``,
+    and the stored ``(obj_id, traj_id)`` and ``(parent_start, parent_end)``
+    (``(-1, -1)`` for a whole trajectory) are the batch's ``parent_keys``
+    and ``bounds``.
 
     Raises :class:`ValueError` with a ``truncated record`` diagnostic when a
     record's bytes end before the layout says they should — the signature
@@ -166,4 +135,4 @@ def decode_records(raws: Sequence[bytes]) -> RecordBatch:
     frame = MODFrame.from_payload(
         (keys, data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy(), offsets)
     )
-    return RecordBatch(frame, parent_keys, bounds)
+    return TrajectoryRows(frame, parent_keys, bounds)

@@ -372,9 +372,11 @@ class TestInvalidation:
         expected = result_signature(first)
         assert expected == result_signature(qut.query(window))
 
-        for cluster in first.clusters:
-            cluster.members.clear()
-        first.outliers.clear()
+        # Members and outliers are immutable: there is no list to clear.
+        for members in [*(cluster.members for cluster in first.clusters), first.outliers]:
+            assert not hasattr(members, "clear") and not hasattr(members, "append")
+            with pytest.raises(TypeError):
+                members[0] = None
         for subchunk in tree.subchunks():
             for entry in subchunk.entries:
                 tree.load_members(entry).clear()

@@ -24,6 +24,13 @@ trajectories, seed 3) and a map of it:
   resolves nothing differently.  No sample of one copy co-exists with a
   sample of the other, so the partition is the original one twice, and no
   cluster holds members of both copies.
+* **A far outlier** — the MOD plus one trajectory whose box lies farther
+  from the MOD's box than both the kernel support radius and ``eps``, within
+  the MOD's lifespan, with sigma / eps given explicitly.  It votes on no one
+  and no one votes on it, its one zero-mass piece is never sampled, and it
+  is beyond ``eps`` of every representative: the other trajectories'
+  memberships and representatives stay identical, and every piece of it is
+  an outlier.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
 from repro.s2t.params import S2TParams
 from repro.s2t.pipeline import S2TClustering
-from repro.s2t.voting import compute_voting
+from repro.s2t.voting import compute_voting, kernel_support_radius
 from tests.conftest import membership_signature
 
 SCENARIOS = ("lane", "aircraft", "orbit", "urban", "maritime")
@@ -198,3 +205,36 @@ def test_a_copy_in_a_later_disjoint_time_range_duplicates_the_partition(name, st
     expected_clusters, expected_outliers = scenario_partition(name)
     assert originals == copies == expected_clusters
     assert outliers == (expected_outliers, expected_outliers)
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    name=scenarios,
+    corner=st.sampled_from([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]),
+    gap=st.floats(min_value=1.5, max_value=50.0),
+    donor=st.integers(min_value=0, max_value=59),
+)
+def test_a_far_outlier_changes_no_other_membership(name, corner, gap, donor):
+    mod = scenario_mod(name)
+    resolved = S2TParams().resolved(mod)
+    params = S2TParams(sigma=resolved.sigma, eps=resolved.eps)
+    reach = max(kernel_support_radius(params.sigma, params.voting_kernel), params.eps)
+    # A straight run of ``reach`` per axis, starting ``gap`` reaches beyond
+    # the MOD's box at one corner, on a trajectory's own timestamps.
+    (sx, sy), box, ts = corner, mod.bbox, list(mod)[donor].ts
+    x0 = (box.xmax if sx > 0 else box.xmin) + sx * gap * reach
+    y0 = (box.ymax if sy > 0 else box.ymin) + sy * gap * reach
+    run = np.linspace(0.0, reach, len(ts))
+    far = Trajectory("far", "0", x0 + sx * run, y0 + sy * run, ts)
+    result = S2TClustering(params).fit(MOD(name=mod.name, trajectories=[*mod, far]))
+
+    clusters, outliers = membership_signature(result)
+    far_outliers = [key for key in outliers if key[0] == "far"]
+    assert far_outliers and not any(key[0] == "far" for cluster in clusters for key in cluster)
+    expected_signature, expected_representatives = scenario_answer(name)
+    others = tuple(key for key in outliers if key[0] != "far")
+    assert (clusters, others) == expected_signature
+    assert [c.representative.key for c in result.clusters] == expected_representatives
+    # Every piece the far trajectory was cut into is among the outliers.
+    baseline_pieces = S2TClustering(params).fit(mod).extras["num_subtrajectories"]
+    assert result.extras["num_subtrajectories"] == baseline_pieces + len(far_outliers)

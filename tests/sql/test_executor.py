@@ -312,6 +312,45 @@ class TestBadArguments:
             execute(sql, (10**400,) if "?" in sql else None)
 
 
+# Every numeric argument of every table function, as (function, position):
+# all of them but the dataset name and S2T's strategy string.
+NUMERIC_ARGUMENTS = [
+    (function, position)
+    for function, signature in SIGNATURES.items()
+    for position, name in enumerate(signature)
+    if name not in ("D", "strategy")
+]
+
+
+class TestBooleanIsNotANumber:
+    """``TRUE`` / ``FALSE`` bound to a numeric argument is refused, never
+    read as 1 / 0 (``bool`` is an ``int`` subclass in Python)."""
+
+    @pytest.mark.parametrize(("sql", "value", "message"), [
+        ("SELECT S2T(lanes, NULL, NULL, ?)", True, "argument 4 must be numeric, got True"),
+        ("SELECT QUT(lanes, ?, 100)", True, "argument 2 must be numeric, got True"),
+        ("SELECT QUT(lanes, 0, ?)", False, "argument 3 must be numeric, got False"),
+    ])
+    def test_a_bound_bool_is_refused(self, execute, sql, value, message):
+        with pytest.raises(SQLExecutionError, match=re.escape(message)):
+            execute(sql, (value,))
+
+    def test_fluent_gamma_true_is_refused(self, conn):
+        with pytest.raises(SQLExecutionError, match=re.escape("argument 4 must be numeric, got True")):
+            conn.dataset("lanes").s2t(gamma=True).run()
+
+    @pytest.mark.parametrize(("function", "position"), NUMERIC_ARGUMENTS)
+    def test_every_numeric_argument_refuses_a_bool(self, conn, function, position):
+        conn.execute("SELECT S2T(lanes)").fetchall()  # CLUSTER_HISTOGRAM bins the last clustering
+        args: list[object] = [None] * (len(SIGNATURES[function]) - 1)
+        if function == "QUT":
+            args[:2] = [0.0, 100.0]
+        args[position - 1] = True
+        message = f"argument {position + 1} must be numeric, got True"
+        with pytest.raises(SQLExecutionError, match=re.escape(message)):
+            conn.dataset("lanes").call(function, *args).run()
+
+
 def _surplus_call(conn, route, function, sql_args):
     """Call ``function`` on ``lanes`` with ``sql_args`` through one front end."""
     if route == "sql":
