@@ -4,8 +4,8 @@ The full run sweeps every scenario x degradation profile x S2T partition
 count x warm/cold engine cell (150 cells), writes ``BENCH_scenarios.json`` at
 the repository root and asserts the checked-in ``quality_floor.json``: the
 minimum ARI of every ``(scenario, profile)`` pair must stay at or above its
-floor, so a future optimisation that trades accuracy for speed on *any*
-workload fails here.  Both variants also prove the gate is non-vacuous by
+floor, and so must the minimum joint ARI of its whole-MOD cells, so a future
+optimisation that trades accuracy for speed on *any* workload fails here.  Both variants also prove the gate is non-vacuous by
 re-checking against an artificially raised floor and requiring it to fire.
 
 The smoke variant runs the reduced
@@ -47,6 +47,7 @@ def _print_summary(report: dict, title: str) -> None:
             {
                 "scenario|profile": pair,
                 "min_ari": round(min(c["ari"] for c in cells), 4),
+                "min_joint_ari": round(min(c["joint_ari"] for c in cells if c["partitions"] == 1), 4),
                 "mean_nmi": round(sum(c["nmi"] for c in cells) / len(cells), 4),
             }
         )
@@ -61,6 +62,7 @@ def _assert_matrix_contract(report: dict, n_pairs: int) -> None:
     for cell in report["cells"].values():
         assert isinstance(cell["seed"], int)
         assert -1.0 <= cell["ari"] <= 1.0 and 0.0 <= cell["nmi"] <= 1.0
+        assert -1.0 <= cell["joint_ari"] <= 1.0
     # Recovery must never change answers.
     assert report["warm_cold_identical"] is True
 
@@ -91,6 +93,7 @@ def test_scenarios_quality_matrix_full():
     for scenario in SCENARIOS:
         for profile in DEFAULT_PROFILES:
             assert f"{scenario}|{profile}" in floors, (scenario, profile)
+            assert f"{scenario}|{profile}|joint" in floors, (scenario, profile)
     _assert_gate_fires(report)
 
 

@@ -6,6 +6,10 @@ every clustering result can be projected to *per-sample* labels, all methods
 
 * **ARI**: adjusted Rand index between the cluster labels and the planted
   flow labels, over the samples that both sides label,
+* **joint ARI**: the same index over *every* flow sample, each unclustered
+  one counted as a singleton cluster of its own — so a clustering cannot
+  raise it by leaving the samples it would mislabel unclustered, as it can
+  raise the ARI (whose pairs are only the clustered samples),
 * **NMI**: normalized mutual information over the same paired samples
   (arithmetic-mean normalisation),
 * **purity**: fraction of clustered samples whose cluster's majority flow
@@ -45,6 +49,7 @@ class QualityReport:
     noise_recall: float
     labelled_samples: int
     nmi: float = 0.0
+    joint_ari: float = 0.0
 
     @property
     def noise_f1(self) -> float:
@@ -54,6 +59,7 @@ class QualityReport:
     def as_dict(self) -> dict[str, float]:
         return {
             "ari": round(self.ari, 4),
+            "joint_ari": round(self.joint_ari, 4),
             "nmi": round(self.nmi, 4),
             "purity": round(self.purity, 4),
             "coverage": round(self.coverage, 4),
@@ -148,6 +154,8 @@ def clustering_quality(result: ClusteringResult, truth: GroundTruth) -> QualityR
 
     paired_truth: list[object] = []
     paired_pred: list[object] = []
+    flow_truth: list[object] = []
+    flow_pred: list[object] = []
     flow_samples = 0
     flow_samples_clustered = 0
     noise_true = 0
@@ -166,6 +174,9 @@ def clustering_quality(result: ClusteringResult, truth: GroundTruth) -> QualityR
                 flow_samples += 1
                 if not predicted_noise:
                     flow_samples_clustered += 1
+                flow_truth.append(flow)
+                # An unclustered sample is a singleton: a label no other sample has.
+                flow_pred.append(("unclustered", traj_key, idx) if predicted_noise else pred)
             if predicted_noise:
                 noise_predicted += 1
             # ARI/purity consider only samples labelled on both sides.
@@ -174,6 +185,7 @@ def clustering_quality(result: ClusteringResult, truth: GroundTruth) -> QualityR
                 paired_pred.append(pred)
 
     ari = adjusted_rand_index(paired_truth, paired_pred) if paired_truth else 0.0
+    joint_ari = adjusted_rand_index(flow_truth, flow_pred)
     nmi = normalized_mutual_information(paired_truth, paired_pred) if paired_truth else 0.0
 
     # Purity: majority flow per predicted cluster.
@@ -189,6 +201,7 @@ def clustering_quality(result: ClusteringResult, truth: GroundTruth) -> QualityR
 
     return QualityReport(
         ari=ari,
+        joint_ari=joint_ari,
         nmi=nmi,
         purity=purity,
         coverage=coverage,

@@ -3,10 +3,10 @@
 Nine perf PRs pinned *bit-identity* per feature; this module pins
 *accuracy*: it sweeps every synthetic scenario under every degradation
 profile, across the partition counts of the S2T operator and
-warm-vs-cold-recovered engines, and records ARI/NMI against the planted
-ground truth for every cell.  A future optimisation that trades
-clustering accuracy for speed on *any* workload turns a cell red against the
-checked-in ``quality_floor.json``.
+warm-vs-cold-recovered engines, and records ARI, joint ARI and NMI
+against the planted ground truth for every cell.  A future optimisation
+that trades clustering accuracy for speed on *any* workload turns a cell
+red against the checked-in ``quality_floor.json``.
 
 Three layers, smallest first:
 
@@ -18,7 +18,8 @@ Three layers, smallest first:
   compare operators on the *same* degraded dataset) and records it in
   every cell,
 * :func:`check_floor` — the regression gate; the ``repro-bench-scenarios``
-  CLI exits nonzero while any cell's minimum ARI sits below its floor.
+  CLI exits nonzero while any pair's minimum ARI, or its whole-MOD cells'
+  minimum joint ARI, sits below its floor.
 
 Determinism contract: this module draws no randomness of its own — every
 random choice happens inside the seeded scenario generators and degradation
@@ -140,8 +141,9 @@ def run_cell(
     directory when omitted).
 
     The returned record carries everything needed to reproduce the cell
-    exactly: its axes, its ``seed`` and the quality metrics (ARI/NMI, purity,
-    coverage, cluster and outlier counts) — nothing that varies between runs.
+    exactly: its axes, its ``seed`` and the quality metrics (ARI, joint ARI,
+    NMI, purity, coverage, cluster and outlier counts) — nothing that varies
+    between runs.
     """
     if engine_mode not in DEFAULT_ENGINE_MODES:
         raise ValueError(f"unknown engine mode {engine_mode!r}")
@@ -170,6 +172,7 @@ def run_cell(
         "engine": engine_mode,
         "seed": seed,
         "ari": quality.ari,
+        "joint_ari": quality.joint_ari,
         "nmi": quality.nmi,
         "purity": quality.purity,
         "coverage": quality.coverage,
@@ -239,11 +242,19 @@ def run_quality_matrix(
 
 
 def load_floor(path: str | Path) -> dict[str, float]:
-    """Read a ``quality_floor.json`` file into ``{"scenario|profile": min_ari}``."""
+    """Read a ``quality_floor.json`` file into ``{"scenario|profile": min_ari}``.
+
+    The file's ``floors`` bound each pair's ARI; its optional
+    ``joint_floors`` bound each pair's joint ARI and are returned under
+    ``"scenario|profile|joint"`` keys.
+    """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "floors" not in data:
         raise ValueError(f"{path}: not a quality-floor file (missing 'floors')")
-    return {str(key): float(value) for key, value in data["floors"].items()}
+    floors = {str(key): float(value) for key, value in data["floors"].items()}
+    for key, value in (data.get("joint_floors") or {}).items():
+        floors[f"{key}|joint"] = float(value)
+    return floors
 
 
 def check_floor(report: dict[str, Any], floors: dict[str, float]) -> list[str]:
@@ -251,21 +262,30 @@ def check_floor(report: dict[str, Any], floors: dict[str, float]) -> list[str]:
 
     For every ``(scenario, profile)`` pair present in the report, the
     *minimum* ARI across that pair's partitions/engine cells must meet
-    the pair's floor.  Pairs without a floor entry are skipped (a reduced
-    smoke matrix checks only the pairs it ran) — adding a scenario or
-    profile without extending the floor file is caught by the full-matrix
-    test, not silently ignored forever.
+    the pair's floor, and the minimum joint ARI across its whole-MOD
+    (``partitions`` = 1) cells its ``"scenario|profile|joint"`` floor — a
+    partitioned fit loses flows the joint score counts, so its cells are
+    not held to the whole fit's floor.  Pairs without a floor entry are
+    skipped (a reduced smoke matrix checks only the pairs it ran) — adding
+    a scenario or profile without extending the floor file is caught by the
+    full-matrix test, not silently ignored forever.
     """
     worst: dict[str, float] = {}
     for cell in report["cells"].values():
         pair = f"{cell['scenario']}|{cell['profile']}"
         worst[pair] = min(worst.get(pair, float("inf")), float(cell["ari"]))
+        if cell["partitions"] == 1:
+            joint = f"{pair}|joint"
+            worst[joint] = min(worst.get(joint, float("inf")), float(cell["joint_ari"]))
     violations = []
-    for pair, observed in sorted(worst.items()):
-        floor = floors.get(pair)
+    for key, observed in sorted(worst.items()):
+        floor = floors.get(key)
         if floor is not None and observed < floor:
+            joint = key.endswith("|joint")
+            pair = key.removesuffix("|joint")
+            metric = "whole-MOD joint ARI" if joint else "ARI"
             violations.append(
-                f"{pair}: min ARI {observed:.4f} fell below the floor {floor:.4f}"
+                f"{pair}: min {metric} {observed:.4f} fell below the floor {floor:.4f}"
             )
     return violations
 

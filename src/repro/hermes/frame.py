@@ -33,8 +33,9 @@ rebuilding their own columnar snapshots:
 * **Construction** — :meth:`MODFrame.from_mod` snapshots a whole MOD (one
   ``O(total samples)`` concatenation, row order = MOD insertion order);
   :meth:`MODFrame.from_trajectories` does the same for an arbitrary
-  trajectory sequence.  Derived state (lifespan/bbox tables, the key → row
-  map and the banded timestamp column) is computed once at construction.
+  trajectory sequence.  The lifespan/bbox tables are computed once at
+  construction; the key → row map and the banded timestamp column once, on
+  the first lookup by key or interpolation (or :meth:`MODFrame.extend`).
 * **Caching** — :class:`~repro.core.engine.HermesEngine` keeps a *frame
   catalog*: ``engine.frame(name)`` builds the dataset's frame on first use
   and hands the cached instance to every consumer
@@ -70,7 +71,7 @@ construction path goes through (``__init__``, ``_from_columns``,
 :meth:`~MODFrame.from_payload`, :meth:`~MODFrame.from_shm`, slicing, the
 full-recompute branch of :meth:`~MODFrame.extend`) — and raises
 :class:`ValueError` naming the first failing row.  A stored partition
-therefore loads as one checked frame (:func:`repro.storage.records.decode_records`).
+therefore loads as one checked frame (:func:`repro.storage.records.read_partitions`).
 
 Because a frame's rows are known valid, :meth:`MODFrame.trajectory_of`,
 :meth:`TrajectoryRows.subtrajectory` and :func:`subtrajectory_from_slice`
@@ -252,8 +253,9 @@ class MODFrame:
     ) -> None:
         """Check the trajectory invariant, then populate all slots from raw columns.
 
-        Derived tables are recomputed.  Raises :class:`ValueError` naming
-        the first row that is not a valid trajectory.
+        The lifespan/bbox tables are recomputed; the key map and the time
+        bands are dropped until their next use.  Raises :class:`ValueError`
+        naming the first row that is not a valid trajectory.
         """
         _check_rows(keys, xs, ys, ts, offsets)
         self.keys = keys
@@ -275,18 +277,42 @@ class MODFrame:
             self.tmins = self.tmaxs = empty
             self.xmins = self.xmaxs = self.ymins = self.ymaxs = empty
 
-        self._key_to_row = {key: i for i, key in enumerate(self.keys)}
+        self.drop_indexes()
 
-        # Disjoint time bands for the single-searchsorted trick (see module
-        # docstring).  The band step must exceed the global time span so that
-        # row i's shifted timestamps all precede row i+1's.  The 2x headroom
-        # lets :meth:`extend` absorb forward-growing appends with an O(delta)
-        # banded-column update until the span outgrows it.
-        self._t0 = float(self.tmins.min()) if n else 0.0
-        span = float(self.tmaxs.max()) - self._t0 if n else 0.0
-        self._band_step = 2.0 * span + 1.0
-        row_of_sample = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.offsets))
-        self._banded_ts = (self.ts - self._t0) + row_of_sample * self._band_step
+    def drop_indexes(self) -> None:
+        """Free the key → row map and the time bands; their next use rebuilds them.
+
+        Both are built on first use (:meth:`row_of`, :meth:`positions_at_batch`,
+        :meth:`extend`): a decoded or sliced QuT batch is never looked up by
+        key, nor a fully covered one interpolated, and a clustering result
+        whose fit interpolated its frame drops them before it is returned.
+        """
+        self._key_to_row = None
+        self._t0 = self._band_step = self._banded_ts = None
+
+    def _rows_by_key(self) -> dict[tuple[str, str], int]:
+        """The key → row map, built on the first lookup or :meth:`extend`."""
+        if self._key_to_row is None:
+            self._key_to_row = {key: i for i, key in enumerate(self.keys)}
+        return self._key_to_row
+
+    def _bands(self) -> tuple[float, float, np.ndarray]:
+        """``(t0, band_step, banded_ts)``, built on the first interpolation or :meth:`extend`.
+
+        Disjoint time bands for the single-searchsorted trick (see module
+        docstring).  The band step must exceed the global time span so that
+        row i's shifted timestamps all precede row i+1's.  The 2x headroom
+        lets :meth:`extend` absorb forward-growing appends with an O(delta)
+        banded-column update until the span outgrows it.
+        """
+        if self._banded_ts is None:
+            n = len(self.keys)
+            self._t0 = float(self.tmins.min()) if n else 0.0
+            span = float(self.tmaxs.max()) - self._t0 if n else 0.0
+            self._band_step = 2.0 * span + 1.0
+            row_of_sample = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.offsets))
+            self._banded_ts = (self.ts - self._t0) + row_of_sample * self._band_step
+        return self._t0, self._band_step, self._banded_ts
 
     # -- construction --------------------------------------------------------
 
@@ -321,8 +347,9 @@ class MODFrame:
         """The frame's raw columns — the cheap wire format.
 
         Only ``keys`` and the four column arrays are shipped; derived state
-        (lifespan/bbox tables, key map, banded timestamps) is rebuilt on
-        :meth:`from_payload`.  This is what makes sending partition frames to
+        (lifespan/bbox tables, and on first use the key map and banded
+        timestamps) is rebuilt after :meth:`from_payload`.  This is what
+        makes sending partition frames to
         :class:`concurrent.futures.ProcessPoolExecutor` workers cheap.
         """
         return (self.keys, self.xs, self.ys, self.ts, self.offsets)
@@ -384,8 +411,9 @@ class MODFrame:
         The column arrays are ``numpy`` views directly into the shared
         segment, so the frame stays valid only while the segment is mapped —
         i.e. until the owning :class:`~repro.hermes.shm.ShmArena` releases
-        ``name``.  Derived state (lifespan/bbox tables, key map, banded
-        timestamps) is recomputed locally, same as :meth:`from_payload`.
+        ``name``.  Derived state (lifespan/bbox tables, and on first use the
+        key map and banded timestamps) is recomputed locally, same as
+        :meth:`from_payload`.
 
         Raises :class:`~repro.hermes.shm.ShmTransportError` when the segment
         cannot be attached; callers route that to the pickle fallback.
@@ -457,9 +485,11 @@ class MODFrame:
         )
         if len(delta) == 0:
             return 0
+        key_to_row = self._rows_by_key()
+        t0, band_step, banded_ts = self._bands()
         batch_seen: set[tuple[str, str]] = set()
         for key in delta.keys:
-            if key in self._key_to_row or key in batch_seen:
+            if key in key_to_row or key in batch_seen:
                 raise ValueError(f"cannot extend frame: duplicate trajectory key {key!r}")
             batch_seen.add(key)
         n_old = len(self.keys)
@@ -469,15 +499,9 @@ class MODFrame:
         ts = np.concatenate([self.ts, delta.ts])
         offsets = np.concatenate([self.offsets, delta.offsets[1:] + self.offsets[-1]])
         new_span = (
-            max(float(self.tmaxs.max()), float(delta.tmaxs.max())) - self._t0
-            if n_old
-            else 0.0
+            max(float(self.tmaxs.max()), float(delta.tmaxs.max())) - t0 if n_old else 0.0
         )
-        if (
-            n_old == 0
-            or float(delta.tmins.min()) < self._t0
-            or new_span >= self._band_step - 0.5
-        ):
+        if n_old == 0 or float(delta.tmins.min()) < t0 or new_span >= band_step - 0.5:
             # Banding invalidated (new origin, or span outgrew the band
             # headroom): one full recompute re-establishes the invariants.
             self._init_columns(keys, xs, ys, ts, offsets)
@@ -485,7 +509,7 @@ class MODFrame:
         # O(delta) path: extend the derived tables instead of recomputing
         # them over every row.
         for i, key in enumerate(delta.keys):
-            self._key_to_row[key] = n_old + i
+            key_to_row[key] = n_old + i
         self.keys = keys
         self.xs, self.ys, self.ts, self.offsets = xs, ys, ts, offsets
         self.tmins = np.concatenate([self.tmins, delta.tmins])
@@ -499,7 +523,7 @@ class MODFrame:
             np.diff(delta.offsets),
         )
         self._banded_ts = np.concatenate(
-            [self._banded_ts, (delta.ts - self._t0) + delta_rows * self._band_step]
+            [banded_ts, (delta.ts - t0) + delta_rows * band_step]
         )
         return len(delta)
 
@@ -515,11 +539,11 @@ class MODFrame:
 
     def row_of(self, key: tuple[str, str]) -> int:
         """Row index of trajectory ``key``; raises :class:`KeyError` if absent."""
-        return self._key_to_row[key]
+        return self._rows_by_key()[key]
 
     def maybe_row_of(self, key: tuple[str, str]) -> int | None:
         """Row index of trajectory ``key``, or ``None`` if absent."""
-        return self._key_to_row.get(key)
+        return self._rows_by_key().get(key)
 
     def period_of(self, row: int) -> Period:
         """Lifespan of row ``row``."""
@@ -590,9 +614,6 @@ class MODFrame:
         if cand.size == 0:
             return MODFrame([]), np.empty(0, dtype=np.intp)
         lo_c, hi_c = lo[cand], hi[cand]
-        # Interpolated boundary positions of every candidate row, batched.
-        bounds = np.stack([lo_c, hi_c], axis=1)
-        bx, by = self.positions_at_batch(cand, bounds)
 
         # Flat view of the candidate rows' samples: sample_idx[j] is a column
         # index, row_of[j] the (candidate-local) row owning it.
@@ -607,6 +628,20 @@ class MODFrame:
         )
         ts_c = self.ts[sample_idx]
         inside = (ts_c > lo_c[row_of]) & (ts_c < hi_c[row_of])
+
+        # Interpolated boundary positions of every candidate row: the
+        # bracket of each bound is its row's count of samples at or before
+        # it, less one (``searchsorted(row ts, q, "right") - 1``, the one
+        # :meth:`positions_at_batch` finds), so no time band is needed.
+        brackets = np.stack(
+            [
+                np.bincount(row_of[ts_c <= lo_c[row_of]], minlength=cand.size),
+                np.bincount(row_of[ts_c <= hi_c[row_of]], minlength=cand.size),
+            ],
+            axis=1,
+        ) + (starts - 1)[:, None]
+        np.clip(brackets, starts[:, None], (starts + counts - 2)[:, None], out=brackets)
+        bx, by = self._interpolate(brackets, np.stack([lo_c, hi_c], axis=1), self.ts[brackets])
 
         # Output layout: per row, 1 boundary + interior + 1 boundary.
         interior_counts = np.bincount(row_of[inside], minlength=cand.size)
@@ -703,8 +738,9 @@ class MODFrame:
         q = np.clip(grid, self.tmins[rows, None], self.tmaxs[rows, None])
 
         # One global binary search over the banded timestamp column.
-        banded_q = (q - self._t0) + rows[:, None] * self._band_step
-        idx = np.searchsorted(self._banded_ts, banded_q.ravel(), side="right") - 1
+        t0, band_step, banded_ts = self._bands()
+        banded_q = (q - t0) + rows[:, None] * band_step
+        idx = np.searchsorted(banded_ts, banded_q.ravel(), side="right") - 1
         idx = idx.reshape(q.shape)
 
         # Bracket indices must stay inside each row's block (every row has at
@@ -725,6 +761,12 @@ class MODFrame:
         if late.any():
             idx -= late
             t_lo = self.ts[idx]
+        return self._interpolate(idx, q, t_lo)
+
+    def _interpolate(
+        self, idx: np.ndarray, q: np.ndarray, t_lo: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions at instants ``q``, each in the segment from sample ``idx`` (at ``t_lo``)."""
         dt = self.ts[idx + 1] - t_lo
         # dt > 0 always (timestamps are strictly increasing per trajectory).
         w = np.clip((q - t_lo) / dt, 0.0, 1.0)
@@ -763,8 +805,8 @@ class TrajectoryRows:
 
     Row ``i`` of ``frame`` is the sub-trajectory of ``parent_keys[i]``
     between the parent samples ``bounds[i]`` (inclusive), or a whole
-    trajectory when ``bounds[i]`` is ``(-1, -1)``.  A stored partition
-    decodes to one (:func:`repro.storage.records.decode_records`),
+    trajectory when ``bounds[i]`` is ``(-1, -1)``.  Stored partitions
+    read to one (:func:`repro.storage.records.read_partitions`),
     segmentation cuts one (:func:`repro.s2t.segmentation.segment_frame`) and
     QuT's window restriction slices one (:meth:`sliced`); the members of a
     clustering result are row ranges of them

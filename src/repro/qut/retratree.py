@@ -13,7 +13,7 @@ The structure follows the paper's description (Section II.B and Fig. 2):
   (:mod:`repro.storage`).  Sub-trajectories that fit no representative go
   to the sub-chunk's *unclustered* partition.  A query reads a sub-chunk's
   partitions whole and together (:meth:`ReTraTree.load_subchunk`): one
-  decode, one frame — so, unlike the paper, no partition has a pg3D-Rtree
+  read, one frame — so, unlike the paper, no partition has a pg3D-Rtree
   (``docs/architecture.md``, "The ReTraTree").
 
 When an unclustered partition exceeds ``overflow_threshold``, S2T-Clustering
@@ -58,14 +58,14 @@ time, so neither pays for state no query asks for.
 Version-keyed slots are *replaced* on mismatch, never accumulated, so the
 state is bounded by the number of cluster entries.  Level 4 stays on disk:
 member records are read through the buffer pool and decoded per query —
-QuT decodes each touched sub-chunk's partitions (its entries' in entry
-order, then the unclustered one) as one batch into one checked frame
+QuT reads each touched sub-chunk's partitions (its entries' in entry
+order, then the unclustered one) in one pass into one checked frame
 (:meth:`ReTraTree.load_subchunk`,
-:func:`~repro.storage.records.decode_records`), the members being row
+:func:`~repro.storage.records.read_partitions`), the members being row
 ranges of it (:class:`~repro.s2t.result.Members`); the tree keeps no batch,
 only the query's result refers to it — so the tree's memory does not grow
 with the archived data.  :meth:`ReTraTree.load_members` and
-:meth:`ReTraTree.load_unclustered` decode one partition the same way.
+:meth:`ReTraTree.load_unclustered` read one partition the same way.
 :class:`ReTraTreeStats` counts the read-path work (``partitions_decoded``,
 ``merge_pairs_evaluated``).
 """
@@ -92,8 +92,8 @@ from repro.qut.params import QuTParams
 from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
 from repro.storage.errors import CorruptPartitionError
-from repro.storage.heapfile import RID
-from repro.storage.records import decode_records, encode_record
+from repro.storage.heapfile import RID, count_records
+from repro.storage.records import decode_records, encode_record, read_partitions
 
 __all__ = ["ClusterEntry", "SubChunk", "ReTraTree", "subtrajectory_from_slice"]
 
@@ -403,43 +403,38 @@ class ReTraTree:
         entry.member_count += 1
         entry.expand_bbox(sub.bbox)
 
-    def _scan_partition(self, partition_name: str) -> list[bytes]:
-        """A partition's stored records, in scan order (one partition decoded)."""
-        self.stats.partitions_decoded += 1
-        return [raw for _rid, raw in self.storage.get(partition_name).heapfile.scan_records()]
+    def _read(self, partition_names: list[str]) -> tuple[TrajectoryRows, np.ndarray]:
+        """The named partitions' records as one batch, and each partition's rows.
 
-    def _load_partition(self, partition_name: str) -> list[SubTrajectory]:
-        """A partition's records, decoded as one batch into views of one frame."""
-        return decode_records(self._scan_partition(partition_name)).subtrajectories()
+        One :func:`~repro.storage.records.read_partitions` call; each
+        partition read counts once in ``stats.partitions_decoded``.
+        """
+        self.stats.partitions_decoded += len(partition_names)
+        return read_partitions([self.storage.get(name).heapfile for name in partition_names])
 
     def load_members(self, entry: ClusterEntry) -> list[SubTrajectory]:
         """Load a cluster entry's archived members from its partition."""
-        return self._load_partition(entry.partition_name)
+        return self._read([entry.partition_name])[0].subtrajectories()
 
     def load_unclustered(self, subchunk: SubChunk) -> list[SubTrajectory]:
         """Load a sub-chunk's unclustered sub-trajectories."""
-        return self._load_partition(subchunk.unclustered_partition)
+        return self._read([subchunk.unclustered_partition])[0].subtrajectories()
 
     def load_subchunk(self, subchunk: SubChunk) -> tuple[TrajectoryRows, np.ndarray]:
-        """Every record a sub-chunk archives, decoded as one batch.
+        """Every record a sub-chunk archives, read as one batch.
 
-        Scans the entries' member partitions in entry order, then the
-        unclustered partition, and decodes all of their records with one
-        :func:`~repro.storage.records.decode_records` call into one checked
+        Reads the entries' member partitions in entry order, then the
+        unclustered partition, with one
+        :func:`~repro.storage.records.read_partitions` call into one checked
         frame.  Returns ``(batch, bounds)``: partition ``i``'s records are
         rows ``bounds[i]:bounds[i + 1]`` — entry ``i``'s members for
         ``i < len(subchunk.entries)``, the unclustered records last.  Each
-        partition scanned counts once in ``stats.partitions_decoded``, as
-        with :meth:`load_members` / :meth:`load_unclustered`.
+        partition read counts once in ``stats.partitions_decoded``, as with
+        :meth:`load_members` / :meth:`load_unclustered`.
         """
         names = [entry.partition_name for entry in subchunk.entries]
         names.append(subchunk.unclustered_partition)
-        raws: list[bytes] = []
-        bounds = [0]
-        for name in names:
-            raws.extend(self._scan_partition(name))
-            bounds.append(len(raws))
-        return decode_records(raws), np.asarray(bounds, dtype=np.intp)
+        return self._read(names)
 
     # -- insertion ----------------------------------------------------------------------
 
@@ -809,33 +804,36 @@ class ReTraTree:
             "subchunks": subchunks,
         }
 
-    def _reopen_partition(self, partition_name: str, role: str, recorded: int) -> int:
-        """Open an existing partition and check its record count against the manifest.
+    def _reopen_partitions(self, partitions: list[tuple[str, str, int]]) -> list[int]:
+        """Open existing partitions and check their record counts against the manifest.
 
-        *Read*: the slot directories and chunk headers of the partition's
-        pages (:meth:`~repro.storage.heapfile.HeapFile.count_records`) — no
-        record is decoded.  *Checked*: opening verifies every page against
-        the manifest's CRCs (``StorageManager.get_or_create``), and the
-        heapfile's record count must equal ``recorded``, the count the
-        manifest holds for this ``role`` ("member", "unclustered",
-        "representatives") partition.  The heapfile decides whether the two
-        describe the same tree state: records inserted after the last
-        persist (and flushed by buffer-pool eviction) are counted, records
-        that never reached disk are not, and either way the mismatch raises
+        ``partitions`` holds ``(name, role, recorded)`` triples: ``recorded``
+        is the count the manifest holds for the ``role`` ("member",
+        "unclustered", "representatives") partition ``name``.  *Read*: the
+        slot directories and chunk headers of all of their pages, in one
+        :func:`~repro.storage.heapfile.count_records` call — no record is
+        decoded.  *Checked*: opening verifies every page against the
+        manifest's CRCs (``StorageManager.get_or_create``), and each
+        heapfile's record count must equal ``recorded``.  The heapfile
+        decides whether the two describe the same tree state: records
+        inserted after the last persist (and flushed by buffer-pool
+        eviction) are counted, records that never reached disk are not, and
+        either way the first mismatch raises
         :class:`~repro.storage.errors.CorruptPartitionError`.
         ``PartitionInfo.record_count`` is caller tracked, so reopening
-        restores it.  Returns the count.
+        restores it.  Returns the counts, in order.
         """
-        info = self.storage.get_or_create(partition_name)
-        info.record_count = info.heapfile.count_records()
-        if info.record_count != int(recorded):
-            raise CorruptPartitionError(
-                f"{role} partition {partition_name!r} holds {info.record_count} "
-                f"records but the manifest recorded {recorded}; the tree state "
-                "is torn",
-                path=_partition_path(self.storage, partition_name),
-            )
-        return info.record_count
+        infos = [self.storage.get_or_create(name) for name, _role, _recorded in partitions]
+        counts = count_records([info.heapfile for info in infos])
+        for info, (name, role, recorded), count in zip(infos, partitions, counts):
+            info.record_count = count
+            if count != int(recorded):
+                raise CorruptPartitionError(
+                    f"{role} partition {name!r} holds {count} records but the "
+                    f"manifest recorded {recorded}; the tree state is torn",
+                    path=_partition_path(self.storage, name),
+                )
+        return counts
 
     @classmethod
     def from_manifest(cls, manifest: dict, storage: StorageManager) -> "ReTraTree":
@@ -849,9 +847,9 @@ class ReTraTree:
         unclustered records are decoded by the first query that loads them,
         exactly as on a tree that was never closed.
 
-        Every partition the section names is opened eagerly
-        (:meth:`_reopen_partition`), so page-CRC damage and a record count
-        that disagrees with the manifest surface here, as
+        Every partition the section names is opened eagerly, a sub-chunk's
+        partitions together (:meth:`_reopen_partitions`), so page-CRC damage
+        and a record count that disagrees with the manifest surface here, as
         :class:`~repro.storage.errors.CorruptPartitionError` — a
         :class:`ValueError` — and the engine degrades to a rebuild instead
         of recovering a tree referencing phantom trajectories.  The typical
@@ -881,7 +879,7 @@ class ReTraTree:
         reps_name = manifest.get("reps_partition") or tree._reps_partition
         expected_reps = manifest.get("reps_count")
         if expected_reps is not None:
-            tree._reopen_partition(reps_name, "representatives", expected_reps)
+            tree._reopen_partitions([(reps_name, "representatives", expected_reps)])
         reps = storage.get_or_create(reps_name)
         representatives = iter(
             decode_records(
@@ -900,19 +898,18 @@ class ReTraTree:
                 period=Period(*sc_data["period"]),
                 unclustered_partition=sc_data["unclustered_partition"],
             )
-            subchunk.unclustered_count = tree._reopen_partition(
-                subchunk.unclustered_partition, "unclustered", sc_data["unclustered_count"]
+            subchunk.unclustered_count, *member_counts = tree._reopen_partitions(
+                [(subchunk.unclustered_partition, "unclustered", sc_data["unclustered_count"])]
+                + [(e["partition"], "member", e["member_count"]) for e in sc_data["entries"]]
             )
-            for entry_data in sc_data["entries"]:
+            for entry_data, member_count in zip(sc_data["entries"], member_counts):
                 bbox = entry_data["bbox"]
                 subchunk.entries.append(
                     ClusterEntry(
                         cluster_id=int(entry_data["cluster_id"]),
                         representative=next(representatives),
                         partition_name=entry_data["partition"],
-                        member_count=tree._reopen_partition(
-                            entry_data["partition"], "member", entry_data["member_count"]
-                        ),
+                        member_count=member_count,
                         bbox=BoxST(*bbox) if bbox is not None else None,
                     )
                 )

@@ -94,6 +94,8 @@ class S2TClustering:
         start = time.perf_counter()
         result = cluster(pieces, picked, rows, params, sub_frame)
         clustering_elapsed = time.perf_counter() - start
+        # Sampling interpolated the sub-frame; the result's readers do not.
+        sub_frame.drop_indexes()
 
         result.params = params
         result.timings = {

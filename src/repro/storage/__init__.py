@@ -8,9 +8,11 @@ but real storage engine:
 * :mod:`repro.storage.page`        -- slotted 8 KiB pages,
 * :mod:`repro.storage.pager`       -- file-backed and in-memory page stores,
 * :mod:`repro.storage.buffer_pool` -- LRU buffer pool with hit/miss counters,
-* :mod:`repro.storage.heapfile`    -- record files addressed by RID,
+* :mod:`repro.storage.heapfile`    -- record files addressed by RID, and
+  the one heap reader, many files' pages as one image,
 * :mod:`repro.storage.records`     -- (sub-)trajectory record serialisation
-  and the one parser, a partition's records into one checked frame,
+  and the one partition reader, many partitions' records into one checked
+  frame,
 * :mod:`repro.storage.catalog`     -- named partitions (create/open/drop),
   the atomic manifest write and directory reclamation,
 * :mod:`repro.storage.durable`     -- the durable catalog: the manifest
@@ -33,10 +35,10 @@ protocol that writes it are documented, once, in
 Member records stay in their partitions' heapfiles; the manifest only adds
 the structure that lived in memory.  Recovery opens every partition (page CRCs verified) and checks
 each heapfile's record count — read from slot directories and chunk
-headers, :meth:`~repro.storage.heapfile.HeapFile.count_records` — against
+headers, :func:`~repro.storage.heapfile.count_records` — against
 the manifest's (a mismatch is the signature of a torn append and degrades
 to a rebuild); no member record is decoded until a query loads it, and a
-query decodes each partition it loads as one batch.
+query reads each sub-chunk it loads — all of its partitions — as one batch.
 
 Failure model
 -------------
@@ -54,7 +56,7 @@ from repro.storage.page import Page, PAGE_SIZE
 from repro.storage.pager import FilePager, InMemoryPager, Pager
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats
 from repro.storage.heapfile import HeapFile, RID
-from repro.storage.records import decode_records, encode_record
+from repro.storage.records import decode_records, encode_record, read_partitions
 from repro.storage.catalog import (
     StorageManager,
     PartitionInfo,
@@ -90,6 +92,7 @@ __all__ = [
     "RID",
     "encode_record",
     "decode_records",
+    "read_partitions",
     "StorageManager",
     "PartitionInfo",
     "DurableCatalog",

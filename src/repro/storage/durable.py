@@ -99,7 +99,7 @@ from repro.storage.catalog import (
 )
 from repro.storage.errors import CorruptManifestError, CorruptPartitionError
 from repro.storage.faults import IOShim
-from repro.storage.records import decode_records, encode_record
+from repro.storage.records import encode_record, read_partitions
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -424,12 +424,13 @@ class DurableCatalog:
     ) -> list[Trajectory]:
         """One archive partition's trajectories, ordered by ``row_keys``.
 
-        The partition decodes as one batch; the trajectories are views of
-        its checked frame.
+        The partition is read as one batch
+        (:func:`~repro.storage.records.read_partitions`); the trajectories
+        are views of its checked frame.
         """
         info = storage.get_or_create(partition)
         try:
-            batch = decode_records([raw for _rid, raw in info.heapfile.scan_records()])
+            batch, _bounds = read_partitions([info.heapfile])
         except CorruptPartitionError:
             raise
         except (ValueError, KeyError) as exc:

@@ -58,7 +58,7 @@ from repro.storage.durable import (
 )
 from repro.storage.errors import StorageError
 from repro.storage.faults import DEFAULT_IO, IOShim
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, count_records
 from repro.storage.page import PAGE_SIZE, Page
 from repro.storage.pager import Pager
 
@@ -190,7 +190,7 @@ def _record_count(data: bytes) -> int:
     is undecodable (corrupt slots, broken continuation chains).
     """
     pool = BufferPool(_BytesPager(data), capacity=max(1, len(data) // PAGE_SIZE + 1))
-    return HeapFile(pool).count_records()
+    return count_records([HeapFile(pool)])[0]
 
 
 def _as_int(value) -> int | None:

@@ -6,19 +6,26 @@ kept in memory); each record is addressed by its :class:`RID`
 (page number, slot number).
 
 Records larger than a page are split into continuation chunks transparently.
+
+Scans read many files at once: :func:`read_records` joins the pooled page
+images of every file it is given — a QuT sub-chunk's member partitions and
+its unclustered one, say — reads all of their slot directories and chunk
+flags as arrays (:func:`~repro.storage.page.slot_directories`) and returns
+every record as a span of that one image, without a copy per record.
+:func:`count_records` reads the same headers and counts each file's records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.page import PAGE_SIZE, Page
+from repro.storage.page import PAGE_SIZE, slot_directories
 
-__all__ = ["HeapFile", "RID"]
+__all__ = ["HeapFile", "HeapRecords", "RID", "count_records", "read_records"]
 
 # Leave room for the page header, one slot entry and the chunk header.
 _CHUNK_HEADER = 9  # 1 byte flag + 4 bytes next_page + 4 bytes next_slot
@@ -45,21 +52,32 @@ def _encode_chunk(payload: bytes, next_rid: "RID | None") -> bytes:
     return header + payload
 
 
+def _malformed(raw: bytes) -> ValueError | None:
+    """The refusal of a chunk whose header is damaged, or ``None``.
+
+    Needs only the first ``_CHUNK_HEADER`` bytes of the chunk.
+    """
+    if len(raw) < _CHUNK_HEADER:
+        return ValueError(
+            f"record chunk of {len(raw)} bytes is shorter than the "
+            f"{_CHUNK_HEADER}-byte chunk header; the stored record is corrupt"
+        )
+    if raw[0] not in (0, 1):
+        return ValueError(
+            f"record chunk has continuation flag {raw[0]} (expected 0 or 1); "
+            "the stored record is corrupt"
+        )
+    return None
+
+
 def _next_chunk(raw: bytes) -> "RID | None":
     """Validate a chunk's header and return the RID of its continuation, if any.
 
     Needs only the first ``_CHUNK_HEADER`` bytes of the chunk.
     """
-    if len(raw) < _CHUNK_HEADER:
-        raise ValueError(
-            f"record chunk of {len(raw)} bytes is shorter than the "
-            f"{_CHUNK_HEADER}-byte chunk header; the stored record is corrupt"
-        )
-    if raw[0] not in (0, 1):
-        raise ValueError(
-            f"record chunk has continuation flag {raw[0]} (expected 0 or 1); "
-            "the stored record is corrupt"
-        )
+    error = _malformed(raw)
+    if error is not None:
+        raise error
     if raw[0] == 0:
         return None
     return RID(int.from_bytes(raw[1:5], "little"), int.from_bytes(raw[5:9], "little"))
@@ -67,38 +85,6 @@ def _next_chunk(raw: bytes) -> "RID | None":
 
 def _decode_chunk(raw: bytes) -> tuple[bytes, "RID | None"]:
     return raw[_CHUNK_HEADER:], _next_chunk(raw)
-
-
-@dataclass(frozen=True)
-class _PageChunks:
-    """One page's live chunks as read by ``HeapFile._chunk_directory``.
-
-    ``data`` is the pooled page's own buffer, not a copy; chunk ``i`` sits
-    in slot ``slots[i]`` at ``data[offsets[i] : offsets[i] + lengths[i]]``,
-    header included, and ``flags[i]`` is its continuation flag (0 or 1).
-    """
-
-    page_no: int
-    data: bytearray
-    slots: np.ndarray
-    offsets: np.ndarray
-    lengths: np.ndarray
-    flags: np.ndarray
-
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        """``(slot, offset, length)`` of each live chunk, as Python ints."""
-        return zip(self.slots.tolist(), self.offsets.tolist(), self.lengths.tolist())
-
-
-def _successors(pages: "list[_PageChunks]") -> "dict[RID, RID | None]":
-    """Every live chunk mapped to its continuation, in scan order."""
-    successors: dict[RID, RID | None] = {}
-    for page in pages:
-        for (slot, offset, _length), flag in zip(page.entries(), page.flags.tolist()):
-            successors[RID(page.page_no, slot)] = (
-                _next_chunk(page.data[offset : offset + _CHUNK_HEADER]) if flag else None
-            )
-    return successors
 
 
 def _record_chains(successors: "dict[RID, RID | None]") -> Iterator[list[RID]]:
@@ -205,66 +191,166 @@ class HeapFile:
             self._pool.mark_dirty(cursor.page_no)
             cursor = nxt
 
-    # -- scan -----------------------------------------------------------------------
+@dataclass(frozen=True)
+class HeapRecords:
+    """Every record of a run of heap files, as spans of one byte image.
 
-    def _chunk_directory(self) -> list[_PageChunks]:
-        """Every page's live chunks, with their chunk headers checked.
+    Record ``i`` is ``image[starts[i] : starts[i] + lengths[i]]``, chunk
+    headers stripped; file ``k``'s records are ``bounds[k]:bounds[k + 1]``,
+    each file's in scan order (page, then slot, of the record's head).
+    """
 
-        One ``get_page`` per page, each page's slot directory read once
-        (:meth:`Page.live_slots <repro.storage.page.Page.live_slots>`) and
-        its chunks' continuation flags read as one array.  Page by page, the
-        first slot outside the data area, then the first chunk shorter than
-        its header or flagged neither 0 nor 1, raises :class:`ValueError`.
+    image: bytes
+    starts: np.ndarray
+    lengths: np.ndarray
+    bounds: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Chunks:
+    """Every live chunk of a run of heap files, read as arrays.
+
+    ``image`` is the files' pooled page images joined in file then page
+    order.  Chunk ``i`` is in slot ``slots[i]`` of image page ``pages[i]``
+    at ``image[starts[i] : starts[i] + lengths[i]]``, header included, and
+    ``flags[i]`` is its continuation flag; file ``k`` owns image pages
+    ``first_page[k]:first_page[k + 1]`` and chunks
+    ``file_chunks[k]:file_chunks[k + 1]``.  ``damage`` is the first damaged
+    page's refusal, ``(file, error)``, or ``None``.
+    """
+
+    image: bytes
+    pages: np.ndarray
+    slots: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    flags: np.ndarray
+    first_page: list[int]
+    file_chunks: list[int]
+    damage: tuple[int, ValueError] | None
+
+    @classmethod
+    def read(cls, heapfiles: Sequence[HeapFile]) -> "_Chunks":
+        """One ``get_page`` per page of every file, every directory and chunk flag as arrays.
+
+        The pages' slot directories are read together
+        (:func:`~repro.storage.page.slot_directories`) and the chunks'
+        continuation flags as one array.  The first damaged page — in file,
+        then page order — is kept as ``damage``: its first slot outside the
+        data area, else its directory overrunning the page, else its first
+        chunk shorter than the chunk header or flagged neither 0 nor 1, with
+        the :class:`ValueError` each of those raises.
         """
-        pages = []
-        for page_no in range(self._pool.num_pages()):
-            page: Page = self._pool.get_page(page_no)
-            slots, offsets, lengths = page.live_slots()
-            flags = np.frombuffer(page.data, dtype=np.uint8)[np.minimum(offsets, PAGE_SIZE - 1)]
-            bad = (lengths < _CHUNK_HEADER) | (flags > 1)
-            if bad.any():
-                first = int(np.argmax(bad))
-                start = int(offsets[first])
-                _next_chunk(page.data[start : start + min(int(lengths[first]), _CHUNK_HEADER)])
-            pages.append(_PageChunks(page_no, page.data, slots, offsets, lengths, flags))
-        return pages
-
-    def scan_records(self) -> Iterator[tuple[RID, bytes]]:
-        """Iterate over complete records, in scan order (page, then slot, of the head).
-
-        Every page is read once (:meth:`_chunk_directory`) before the first
-        record is yielded.  When no live chunk carries the continuation
-        flag — the common case: a record spans pages only past
-        ``_MAX_CHUNK`` bytes — every chunk is a whole record and its payload
-        is yielded as is.  Otherwise the chunks are reassembled along their
-        chains (:func:`_record_chains`), which raises :class:`ValueError` on
-        a broken or cyclic chain.
-        """
-        pages = self._chunk_directory()
-        chunks = [
-            (RID(page.page_no, slot), bytes(page.data[offset + _CHUNK_HEADER : offset + length]))
-            for page in pages
-            for slot, offset, length in page.entries()
+        datas = []
+        first_page = [0]
+        for heapfile in heapfiles:
+            pool = heapfile.buffer_pool
+            datas.extend(pool.get_page(page_no).data for page_no in range(pool.num_pages()))
+            first_page.append(len(datas))
+        image = b"".join(datas)
+        pages, slots, offsets, lengths, damage = slot_directories(image)
+        starts = pages * PAGE_SIZE + offsets
+        flags = np.frombuffer(image, dtype=np.uint8)[
+            np.minimum(starts, pages * PAGE_SIZE + PAGE_SIZE - 1)
         ]
-        if not any(page.flags.any() for page in pages):
-            yield from chunks
-            return
-        payloads = dict(chunks)
-        for chain in _record_chains(_successors(pages)):
-            yield chain[0], b"".join([payloads[rid] for rid in chain])
+        malformed = (lengths < _CHUNK_HEADER) | (flags > 1)
+        if malformed.any():
+            at = int(np.argmax(malformed))
+            if damage is None or pages[at] < damage[0]:
+                start = int(starts[at])
+                raw = image[start : start + min(int(lengths[at]), _CHUNK_HEADER)]
+                damage = (int(pages[at]), _malformed(raw))
+        file_chunks = np.searchsorted(pages, first_page).tolist()
+        if damage is not None:
+            damage = (int(np.searchsorted(first_page, damage[0], side="right")) - 1, damage[1])
+        return cls(image, pages, slots, starts, lengths, flags, first_page, file_chunks, damage)
 
-    def count_records(self) -> int:
-        """Number of records :meth:`scan_records` would yield, read from headers only.
+    def files(self) -> Iterator[tuple[int, int, "list[list[int]] | None"]]:
+        """Each file's chunk range ``(lo, hi)`` and records, in file order.
 
-        The same page reads and checks as :meth:`scan_records` — one
-        ``get_page`` per page, no payload copied or joined — so the same
-        damage raises the same :class:`ValueError`: a slot outside the
-        page's data area, a short chunk, an unknown continuation flag, a
-        broken or a cyclic chain.  A file without continuation chunks (every
-        ReTraTree partition of records under ``_MAX_CHUNK`` bytes) is
-        counted from the slot directories alone.
+        The records are ``None`` when no chunk of the file is a continuation
+        — each chunk is then one whole record — else the chunk indices of
+        each record, head first, in scan order (:func:`_record_chains`).
+        The files are walked in order and each one's damage is raised when
+        it is reached, so a broken or cyclic chain in an earlier file is
+        reported before a damaged page of a later one.
         """
-        pages = self._chunk_directory()
-        if not any(page.flags.any() for page in pages):
-            return sum(len(page.slots) for page in pages)
-        return sum(1 for _chain in _record_chains(_successors(pages)))
+        for k, (lo, hi) in enumerate(zip(self.file_chunks[:-1], self.file_chunks[1:])):
+            if self.damage is not None and self.damage[0] == k:
+                raise self.damage[1]
+            if not self.flags[lo:hi].any():
+                yield lo, hi, None
+                continue
+            base = self.first_page[k]
+            index: dict[RID, int] = {}
+            successors: dict[RID, RID | None] = {}
+            for i in range(lo, hi):
+                rid = RID(int(self.pages[i]) - base, int(self.slots[i]))
+                index[rid] = i
+                start = int(self.starts[i])
+                successors[rid] = (
+                    _next_chunk(self.image[start : start + _CHUNK_HEADER]) if self.flags[i] else None
+                )
+            yield lo, hi, [[index[rid] for rid in chain] for chain in _record_chains(successors)]
+
+
+def count_records(heapfiles: Sequence[HeapFile]) -> list[int]:
+    """Number of records :func:`read_records` finds in each of ``heapfiles``, read from headers only.
+
+    The same page reads and checks as :func:`read_records` — one
+    ``get_page`` per page, no payload copied or joined — so the same
+    damage raises the same :class:`ValueError`: a slot outside the
+    page's data area, a short chunk, an unknown continuation flag, a
+    broken or a cyclic chain.  A file without continuation chunks (every
+    ReTraTree partition of records under ``_MAX_CHUNK`` bytes) is
+    counted from the slot directories alone.
+    """
+    return [hi - lo if chains is None else len(chains) for lo, hi, chains in _Chunks.read(heapfiles).files()]
+
+
+def read_records(heapfiles: Sequence[HeapFile]) -> HeapRecords:
+    """Every record of ``heapfiles``, in file order, as spans of one image.
+
+    The one heap reader: every page is fetched from its buffer pool exactly
+    once and the pooled images are joined once; the slot directories and
+    chunk flags of all pages are read as arrays, and no record is copied.
+    When no chunk of a file is a continuation — the common case: a record
+    spans pages only past ``_MAX_CHUNK`` bytes — each of its chunks is a
+    whole record and is spanned in place, past its chunk header.  A file
+    with continuation chunks is reassembled along its chains
+    (:func:`_record_chains`) and its records are appended to the image.
+
+    Damage raises :class:`ValueError` with the text the per-slot walk gives
+    for it, for the first damage in file order; within a file, for the first
+    damaged page in page order, and only then for a broken or cyclic chain.
+    """
+    chunks = _Chunks.read(heapfiles)
+    starts = chunks.starts + _CHUNK_HEADER
+    lengths = chunks.lengths - _CHUNK_HEADER
+    file_starts = [np.empty(0, dtype=np.intp)]
+    file_lengths = [np.empty(0, dtype=np.intp)]
+    counts = [0]
+    reassembled: list[bytes] = []
+    end = len(chunks.image)
+    for lo, hi, chains in chunks.files():
+        if chains is None:
+            file_starts.append(starts[lo:hi])
+            file_lengths.append(lengths[lo:hi])
+            counts.append(hi - lo)
+            continue
+        records = [
+            b"".join([chunks.image[starts[i] : starts[i] + lengths[i]] for i in chain])
+            for chain in chains
+        ]
+        spans = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+        file_starts.append(end + np.cumsum(spans) - spans)
+        file_lengths.append(spans)
+        counts.append(len(records))
+        reassembled.extend(records)
+        end += int(spans.sum())
+    return HeapRecords(
+        b"".join([chunks.image, *reassembled]) if reassembled else chunks.image,
+        np.concatenate(file_starts),
+        np.concatenate(file_lengths),
+        np.cumsum(counts, dtype=np.intp),
+    )

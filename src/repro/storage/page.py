@@ -15,10 +15,13 @@ classic slotted-page design used by PostgreSQL heap pages:
   deleted slot (0 can never be a record offset because the header occupies
   the first bytes of the page), so zero-length records remain representable.
 
-Reads go through one slot-directory reader, :meth:`Page.live_slots`: the
-directory is read as one array, deleted slots are skipped and every live
-slot is bounds-checked in one vectorised pass, so a scan pays no Python
-loop per slot before it copies a record.
+Scans go through one slot-directory reader, :func:`slot_directories`, and it
+spans pages and files: it takes the joined images of any number of pages —
+every page of every heap file a read needs — and reads all of their
+directories as one ``uint16`` array, skips deleted slots and bounds-checks
+every live slot in one vectorised pass, so a scan pays no Python loop per
+page or per slot.  :meth:`Page.read` checks the one slot it is asked for
+with the same bounds test and message.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from repro.storage.errors import StorageError
 
-__all__ = ["Page", "PAGE_SIZE"]
+__all__ = ["Page", "PAGE_SIZE", "slot_directories"]
 
 PAGE_SIZE = 8192
 _HEADER = struct.Struct("<HH")
@@ -51,10 +54,9 @@ class PageFullError(StorageError):
 class Page:
     """A single slotted page of ``PAGE_SIZE`` bytes.
 
-    :meth:`live_slots` is the one reader of the slot directory for scans
-    (:meth:`records`, and :class:`~repro.storage.heapfile.HeapFile`'s
-    ``scan_records`` / ``count_records``); :meth:`read` checks the one slot
-    it is asked for with the same bounds test and message.
+    Scans read the slot directory through :func:`slot_directories`;
+    :meth:`read` checks the one slot it is asked for with the same bounds
+    test and message.
     """
 
     __slots__ = ("data",)
@@ -137,28 +139,15 @@ class Page:
 
         Raises :class:`KeyError` for out-of-range or deleted slots.
         """
-        if not (0 <= slot < self.num_slots):
-            raise KeyError(f"slot {slot} out of range (page has {self.num_slots} slots)")
+        num_slots = self.num_slots
+        if not (0 <= slot < num_slots):
+            raise KeyError(f"slot {slot} out of range (page has {num_slots} slots)")
         offset, length = self._read_slot(slot)
         if offset == 0:
             raise KeyError(f"slot {slot} has been deleted")
-        self._check_slot_bounds(slot, offset, length)
+        if offset < _directory_end(num_slots) or offset + length > PAGE_SIZE:
+            raise _outside_data_area(slot, offset, length, num_slots)
         return bytes(self.data[offset : offset + length])
-
-    def _check_slot_bounds(self, slot: int, offset: int, length: int) -> None:
-        """Reject slot entries describing impossible records.
-
-        A valid record lives strictly between the slot directory and the
-        page end; anything else is a corrupt (bit-flipped or torn) slot
-        entry, and silently returning the garbage bytes it points at would
-        let corruption propagate into query answers.
-        """
-        directory_end = _HEADER.size + self.num_slots * _SLOT.size
-        if offset < directory_end or offset + length > PAGE_SIZE:
-            raise ValueError(
-                f"slot {slot} is corrupt: record [{offset}, {offset + length}) "
-                f"lies outside the valid data area [{directory_end}, {PAGE_SIZE})"
-            )
 
     def delete(self, slot: int) -> None:
         """Mark the record at ``slot`` as deleted (space is not reclaimed)."""
@@ -166,44 +155,81 @@ class Page:
             raise KeyError(f"slot {slot} out of range")
         self._write_slot(slot, 0, 0)
 
-    def live_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live slots as ``(slots, offsets, lengths)`` integer arrays, in slot order.
-
-        The one slot-directory reader.  The directory is read as one
-        ``uint16`` array over the first ``4 + 4·num_slots`` bytes, deleted
-        slots (offset 0) are skipped, and every live record is checked to lie
-        between the directory and the page end in one vectorised pass; the
-        first slot that does not raises the :class:`ValueError` :meth:`read`
-        gives for it.  A ``num_slots`` whose directory would overrun the page
-        is corruption too.
-        """
-        num_slots = self.num_slots
-        readable = min(num_slots, _MAX_SLOTS)
-        directory = np.frombuffer(self.data, dtype="<u2", count=2 + 2 * readable)
-        offsets = directory[2::2].astype(np.intp)
-        slots = np.flatnonzero(offsets)
-        offsets = offsets[slots]
-        lengths = directory[3::2][slots].astype(np.intp)
-        directory_end = _HEADER.size + num_slots * _SLOT.size
-        bad = (offsets < directory_end) | (offsets + lengths > PAGE_SIZE)
-        if bad.any():
-            first = int(np.argmax(bad))
-            self._check_slot_bounds(int(slots[first]), int(offsets[first]), int(lengths[first]))
-        if readable < num_slots:
-            raise ValueError(
-                f"page claims {num_slots} slots but a {PAGE_SIZE}-byte page holds at "
-                f"most {_MAX_SLOTS}; the slot directory is corrupt"
-            )
-        return slots, offsets, lengths
-
-    def records(self) -> list[tuple[int, bytes]]:
-        """All live ``(slot, record)`` pairs of the page."""
-        slots, offsets, lengths = self.live_slots()
-        return [
-            (slot, bytes(self.data[offset : offset + length]))
-            for slot, offset, length in zip(slots.tolist(), offsets.tolist(), lengths.tolist())
-        ]
-
     def to_bytes(self) -> bytes:
         """The raw page image."""
         return bytes(self.data)
+
+
+def _directory_end(num_slots):
+    """First byte past a directory of ``num_slots`` entries (scalar or array)."""
+    return _HEADER.size + num_slots * _SLOT.size
+
+
+def _outside_data_area(slot: int, offset: int, length: int, num_slots: int) -> ValueError:
+    """The refusal of a slot entry describing an impossible record.
+
+    A valid record lives strictly between the slot directory and the page
+    end; anything else is a corrupt (bit-flipped or torn) slot entry, and
+    silently returning the garbage bytes it points at would let corruption
+    propagate into query answers.
+    """
+    return ValueError(
+        f"slot {slot} is corrupt: record [{offset}, {offset + length}) "
+        f"lies outside the valid data area [{_directory_end(num_slots)}, {PAGE_SIZE})"
+    )
+
+
+def slot_directories(
+    image: bytes,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ValueError] | None]:
+    """Every live slot of a run of page images, read as arrays.
+
+    ``image`` is any number of ``PAGE_SIZE``-byte page images joined end to
+    end.  Returns ``(pages, slots, offsets, lengths, damage)``: one entry
+    per live slot, in page then slot order — the index of its page in
+    ``image``, its slot number, and its record's offset and length within
+    that page.  Every directory is read from one ``uint16`` view of
+    ``image``, deleted slots (offset 0) are skipped, and every live record
+    is checked to lie between its page's directory and the page end in one
+    vectorised pass.
+
+    ``damage`` is ``None`` for sound directories, else ``(page, error)``
+    for the first damaged page: the :class:`ValueError` :meth:`Page.read`
+    gives for its first slot outside the data area or, when there is none,
+    for a ``num_slots`` whose directory would overrun the page.  The caller
+    decides when to raise it, so damage found in other structures of
+    earlier pages can be reported first.
+    """
+    words = np.frombuffer(image, dtype="<u2").reshape(-1, PAGE_SIZE // 2)
+    num_slots = words[:, 0].astype(np.intp)
+    readable = np.minimum(num_slots, _MAX_SLOTS)
+    # Every page's entries up to the longest directory, one (offset, length) row each.
+    width = int(readable.max()) if len(words) else 0
+    entries = words[:, 2 : 2 + 2 * width].reshape(len(words), width, 2)
+    pages, slots = np.nonzero((entries[:, :, 0] != 0) & (np.arange(width) < readable[:, None]))
+    offsets = entries[pages, slots, 0].astype(np.intp)
+    lengths = entries[pages, slots, 1].astype(np.intp)
+    outside = (offsets < _directory_end(num_slots)[pages]) | (offsets + lengths > PAGE_SIZE)
+    overrun = readable < num_slots
+    damage = None
+    if outside.any() or overrun.any():
+        overrun = np.flatnonzero(overrun)
+        at = int(np.argmax(outside)) if outside.any() else -1
+        if overrun.size and (at < 0 or overrun[0] < pages[at]):
+            page = int(overrun[0])
+            damage = (
+                page,
+                ValueError(
+                    f"page claims {int(num_slots[page])} slots but a {PAGE_SIZE}-byte page "
+                    f"holds at most {_MAX_SLOTS}; the slot directory is corrupt"
+                ),
+            )
+        else:
+            page = int(pages[at])
+            damage = (
+                page,
+                _outside_data_area(
+                    int(slots[at]), int(offsets[at]), int(lengths[at]), int(num_slots[page])
+                ),
+            )
+    return pages, slots, offsets, lengths, damage

@@ -8,6 +8,7 @@ import pytest
 from repro.datagen import aircraft_scenario, lane_scenario
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import Trajectory
+from repro.storage.heapfile import HeapFile, read_records
 
 
 def run_sql(engine, sql: str, params=None) -> list[dict]:
@@ -15,6 +16,13 @@ def run_sql(engine, sql: str, params=None) -> list[dict]:
     from repro.api import Connection
 
     return Connection(engine=engine).execute(sql, params).fetchall()
+
+
+def stored_records(*heapfiles: HeapFile) -> list[bytes]:
+    """Every record the heap reader finds in ``heapfiles``, in order, as bytes."""
+    records = read_records(heapfiles)
+    spans = zip(records.starts.tolist(), records.lengths.tolist())
+    return [records.image[start : start + length] for start, length in spans]
 
 
 def membership_signature(result) -> tuple:

@@ -417,6 +417,15 @@ class TestColdOpenDecodesNothing:
             "decode_records",
             lambda raws: decoded.extend([1] * len(raws)) or real_decode(raws),
         )
+        # Partitions are read (and their records decoded) by the heap reader.
+        real_read = retratree.read_partitions
+
+        def read_partitions(heapfiles):
+            batch, bounds = real_read(heapfiles)
+            decoded.extend([1] * len(batch))
+            return batch, bounds
+
+        monkeypatch.setattr(retratree, "read_partitions", read_partitions)
 
         builds = ReTraTree.build_calls
         cold = HermesEngine.on_disk(root)

@@ -172,12 +172,36 @@ class TestClusteringQuality:
         assert report.noise_recall == pytest.approx(1.0)
         assert report.noise_precision < 0.5
 
+    def test_joint_ari_counts_each_unclustered_sample_as_a_singleton(self):
+        result, truth = perfect_result_and_truth()
+        assert clustering_quality(result, truth).joint_ari == pytest.approx(1.0)
+        lane_b_dropped = ClusteringResult(
+            method="test",
+            clusters=result.clusters[:1],
+            outliers=[*result.clusters[1].members, *result.outliers],
+        )
+        report = clustering_quality(lane_b_dropped, truth)
+        assert report.ari == pytest.approx(1.0)  # the clustered samples agree
+        assert 0.0 < report.joint_ari < 0.6  # half the flow samples are lost
+        flows = [flow for labels in truth.labels.values() for flow in labels if flow is not None]
+        singles = [("unclustered", i) for i in range(len(flows))]
+        assert report.joint_ari == pytest.approx(
+            adjusted_rand_index(flows, ["a"] * 22 + singles[22:])
+        )
+        all_out = ClusteringResult(
+            method="test",
+            clusters=[],
+            outliers=[*result.clusters[0].members, *lane_b_dropped.outliers],
+        )
+        assert clustering_quality(all_out, truth).joint_ari == 0.0
+
     def test_report_as_dict_rounding(self):
         result, truth = perfect_result_and_truth()
         data = clustering_quality(result, truth).as_dict()
         assert data["ari"] == 1.0
         assert set(data) == {
             "ari",
+            "joint_ari",
             "nmi",
             "purity",
             "coverage",

@@ -115,6 +115,21 @@ class TestFloorGate:
         violations = check_floor(small_matrix, floors)
         assert len(violations) == 1 and violations[0].startswith("lanes|dropout")
 
+    def test_joint_floor_gates_the_whole_mod_cells_only(self, small_matrix, tmp_path):
+        cells = [c for c in small_matrix["cells"].values() if c["profile"] == "clean"]
+        whole = min(c["joint_ari"] for c in cells if c["partitions"] == 1)
+        partitioned = min(c["joint_ari"] for c in cells if c["partitions"] > 1)
+        assert partitioned < whole  # a partitioned fit loses flows the joint score counts
+        floor_path = tmp_path / "floor.json"
+        floor_path.write_text(json.dumps({"floors": {}, "joint_floors": {"lanes|clean": whole}}))
+        floors = load_floor(floor_path)
+        assert floors == {"lanes|clean|joint": whole}
+        assert check_floor(small_matrix, floors) == []
+        raised = whole + 0.001
+        assert check_floor(small_matrix, {"lanes|clean|joint": raised}) == [
+            f"lanes|clean: min whole-MOD joint ARI {whole:.4f} fell below the floor {raised:.4f}"
+        ]
+
     def test_pairs_without_floor_are_skipped(self, small_matrix):
         assert check_floor(small_matrix, {"orbit|clean": 0.99}) == []
 
@@ -130,6 +145,7 @@ class TestFloorGate:
         for scenario in SCENARIOS:
             for profile in DEFAULT_PROFILES:
                 assert f"{scenario}|{profile}" in floors
+                assert f"{scenario}|{profile}|joint" in floors
 
     def test_write_report_round_trips(self, small_matrix, tmp_path):
         path = write_report(small_matrix, tmp_path / "report.json")

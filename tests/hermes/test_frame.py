@@ -316,3 +316,58 @@ class TestExtend:
         snapshot = xs_view.copy()
         frame.extend(trajs[2:])
         np.testing.assert_array_equal(xs_view, snapshot)
+
+
+class TestLazyIndexes:
+    """The key → row map and the time bands are built on first use, not at
+    construction: a frame nobody looks up by key or interpolates holds neither."""
+
+    @staticmethod
+    def built(frame: MODFrame) -> tuple[bool, bool]:
+        return frame._key_to_row is not None, frame._banded_ts is not None
+
+    def test_each_is_built_by_its_first_use(self):
+        trajs = _random_trajs(6, seed=31)
+        frame = MODFrame.from_trajectories(trajs)
+        assert self.built(frame) == (False, False)
+        assert frame.maybe_row_of(("nobody", "0")) is None
+        assert self.built(frame) == (True, False)
+        frame.positions_at_batch([0, 3], np.array([1.0, 20.0]))
+        assert self.built(frame) == (True, True)
+        unpickled = MODFrame.from_payload(frame.to_payload())
+        assert self.built(unpickled) == (False, False)
+        assert unpickled.row_of(trajs[4].key) == 4
+
+    def test_extend_builds_both_then_updates_them(self):
+        trajs = _random_trajs(8, seed=32)
+        frame = MODFrame.from_trajectories(trajs)
+        late = Trajectory("late", "0", [0.0, 1.0], [0.0, 1.0], [60.0, 61.0])
+        frame.extend([late])  # inside the band headroom: the O(delta) update
+        assert self.built(frame) == (True, True)
+        early = Trajectory("early", "0", [0.0, 1.0], [0.0, 1.0], [-60.0, -59.0])
+        grid = np.linspace(-70.0, 70.0, 41)
+        for delta, built in [([], (True, True)), ([early], (False, False))]:
+            frame.extend(delta)  # an earlier origin: one full recompute, indexes dropped
+            assert self.built(frame) == built
+            reference = MODFrame.from_trajectories(trajs + [late] + delta)
+            assert frame.row_of(late.key) == reference.row_of(late.key) == 8
+            rows = np.arange(len(reference))
+            for got, want in zip(
+                frame.positions_at_batch(rows, grid), reference.positions_at_batch(rows, grid)
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_an_s2t_result_holds_neither_until_asked(self):
+        from repro.datagen import aircraft_scenario
+        from repro.s2t.params import S2TParams
+        from repro.s2t.pipeline import S2TClustering
+
+        mod, _truth = aircraft_scenario(n_trajectories=400, n_samples=50, seed=1100)
+        result = S2TClustering(S2TParams()).fit(mod)
+        members = [cluster.members for cluster in result.clusters] + [result.outliers]
+        frames = {id(rows.frame): rows.frame for m in members for rows, _index in m._runs}
+        assert len(frames) >= 1 and result.clusters
+        assert all(self.built(frame) == (False, False) for frame in frames.values())
+        frame = next(iter(frames.values()))
+        assert frame.row_of(frame.keys[-1]) == len(frame) - 1
+        assert self.built(frame) == (True, False)

@@ -37,6 +37,7 @@ from tests.conftest import make_linear_trajectory, restriction_signature
 from tests.qut.oracles import merge_across_subchunks_scalar
 from tests.qut.test_retratree import flow_mod
 from tests.storage.oracles import record_to_subtrajectory as _record_to_subtrajectory
+from tests.storage.oracles import scan_records_per_slot
 
 SCENARIOS = {
     "lanes": lane_scenario,
@@ -72,9 +73,9 @@ def fractions_of(period: Period, lo: float, hi: float) -> Period:
 
 
 def scan_partition(tree: ReTraTree, name: str) -> list[SubTrajectory]:
-    """A partition's records decoded straight off the heapfile, no cache."""
+    """A partition's records decoded straight off the heapfile, one slot at a time."""
     heapfile = tree.storage.get(name).heapfile
-    return [_record_to_subtrajectory(raw) for _rid, raw in heapfile.scan_records()]
+    return [_record_to_subtrajectory(raw) for _rid, raw in scan_records_per_slot(heapfile)]
 
 
 # -- (i) merge decisions: matrices == scalar oracle ---------------------------------

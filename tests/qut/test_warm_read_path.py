@@ -67,3 +67,62 @@ def test_warm_windows_construct_no_validated_trajectory(flights_store, monkeypat
     rows = [stmt.execute(binding).fetchall() for binding in bindings]
     assert all(rows)
     assert len(calls) == 0
+
+
+def test_a_warm_window_reads_each_subchunk_in_one_reader_call(flights_store, monkeypatch):
+    """One ``read_partitions`` call per touched sub-chunk, no per-record read,
+    and the per-partition scan and per-page slot reader are gone."""
+    import repro.qut.retratree as retratree
+    from repro.storage.heapfile import HeapFile
+    from repro.storage.page import Page
+
+    conn, windows, _deltas = flights_store
+    assert not hasattr(HeapFile, "scan_records")
+    assert not hasattr(Page, "live_slots") and not hasattr(Page, "records")
+    for window in windows[:3]:
+        conn.engine.qut("f", window)
+    calls = []
+    real = retratree.read_partitions
+    monkeypatch.setattr(
+        retratree, "read_partitions", lambda heapfiles: calls.append(len(heapfiles)) or real(heapfiles)
+    )
+    monkeypatch.setattr(Page, "read", None)  # the one-slot reader a record fetch goes through
+    touched = decoded = 0
+    for window in windows:
+        extras = conn.engine.qut("f", window).extras
+        touched += extras["subchunks_touched"]
+        decoded += extras["partitions_decoded"]
+    assert touched > len(windows)
+    assert len(calls) == touched
+    assert sum(calls) == decoded
+
+
+def test_warm_window_batches_build_no_frame_index(flights_store, monkeypatch):
+    """The decoded and the sliced frames of a window are never looked up by
+    key nor interpolated, so neither lazy index is ever built for them."""
+    import repro.qut.retratree as retratree
+    from repro.hermes.frame import TrajectoryRows
+
+    conn, windows, _deltas = flights_store
+    stmt = conn.prepare("SELECT QUT(f, :wi, :we)")
+    frames = []
+    real_read = retratree.read_partitions
+
+    def read_partitions(heapfiles):
+        batch, bounds = real_read(heapfiles)
+        frames.append(batch.frame)
+        return batch, bounds
+
+    real_sliced = TrajectoryRows.sliced.__func__
+
+    def sliced(cls, frame, period):
+        rows, kept = real_sliced(cls, frame, period)
+        frames.append(rows.frame)
+        return rows, kept
+
+    monkeypatch.setattr(retratree, "read_partitions", read_partitions)
+    monkeypatch.setattr(TrajectoryRows, "sliced", classmethod(sliced))
+    rows = [stmt.execute({"wi": w.tmin, "we": w.tmax}).fetchall() for w in windows]
+    assert all(rows)
+    assert len(frames) > len(windows)
+    assert all(f._key_to_row is None and f._banded_ts is None for f in frames)

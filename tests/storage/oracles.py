@@ -1,18 +1,22 @@
 """The per-record and per-slot read paths the batched ones are pinned against.
 
-``repro.storage.records.decode_records`` parses a whole partition into one
-checked frame.  The record-at-a-time parser it replaced — one
-``TrajectoryRecord`` per record, then one validated ``Trajectory`` (or
-``SubTrajectory``) object each — survives here as the equivalence oracle:
-same bytes in, same ids, bounds and samples out, and the same
-``ValueError`` message for every corruption.
+``repro.storage.records.read_partitions`` reads a whole sub-chunk — many
+heap files — into one checked frame, parsing every record header as
+arrays.  The record-at-a-time parser it replaced — one ``TrajectoryRecord``
+per record, then one validated ``Trajectory`` (or ``SubTrajectory``) object
+each — survives here as the equivalence oracle: same bytes in, same ids,
+bounds and samples out, and the same ``ValueError`` message for every
+corruption.
 
-``HeapFile.scan_records`` / ``count_records`` read each page's slot
-directory as one array.  The per-slot walk they replaced — one
-``struct`` unpack and bounds check per slot, every chunk keyed by its
-``RID`` in a successor map and reassembled along its chain — survives here
-too (:func:`scan_records_per_slot`, :func:`count_records_per_slot`): same
-records in the same order, the same ``ValueError`` message for every damage.
+``repro.storage.heapfile.read_records`` / ``HeapFile.count_records`` read
+the slot directories of every page of every file as one array.  The
+per-slot walk they replaced — one ``struct`` unpack and bounds check per
+slot, every chunk keyed by its ``RID`` in a successor map and reassembled
+along its chain — survives here too (:func:`scan_records_per_slot`,
+:func:`count_records_per_slot`): same records in the same order, the same
+``ValueError`` message for every damage.  Over a sub-chunk, the oracle
+scans its files in order, then decodes their records in order: every
+directory before any record.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.storage.heapfile import _CHUNK_HEADER, RID, HeapFile, _decode_chunk, _next_chunk
-from repro.storage.page import Page
+from repro.storage.page import PAGE_SIZE, Page
 
 _U16 = struct.Struct("<H")
 _I32 = struct.Struct("<i")
@@ -110,7 +114,12 @@ def page_records_per_slot(page: Page) -> list[tuple[int, bytes]]:
     for slot in range(page.num_slots):
         offset, length = page._read_slot(slot)
         if offset:
-            page._check_slot_bounds(slot, offset, length)
+            directory_end = 4 + 4 * page.num_slots
+            if offset < directory_end or offset + length > PAGE_SIZE:
+                raise ValueError(
+                    f"slot {slot} is corrupt: record [{offset}, {offset + length}) "
+                    f"lies outside the valid data area [{directory_end}, {PAGE_SIZE})"
+                )
             out.append((slot, bytes(page.data[offset : offset + length])))
     return out
 
@@ -175,3 +184,36 @@ def count_records_per_slot(heapfile: HeapFile) -> int:
             _chain(rid, successors)
         heads += 1
     return heads
+
+
+def read_records_per_slot(heapfiles) -> tuple[list[bytes], list[int]]:
+    """A sub-chunk's records, file by file: ``(records, bounds)``.
+
+    File ``k``'s records are ``records[bounds[k] : bounds[k + 1]]``; the
+    first damaged file raises what its per-slot walk raises.
+    """
+    records: list[bytes] = []
+    bounds = [0]
+    for heapfile in heapfiles:
+        records.extend(raw for _rid, raw in scan_records_per_slot(heapfile))
+        bounds.append(len(records))
+    return records, bounds
+
+
+def read_partitions_per_record(heapfiles) -> tuple[list[TrajectoryRecord], list[int]]:
+    """A sub-chunk's records decoded one at a time: ``(records, bounds)``.
+
+    Every file is scanned (:func:`read_records_per_slot`) before any record
+    is decoded; each record is then decoded and checked as the trajectory or
+    sub-trajectory it stores, in order.
+    """
+    raws, bounds = read_records_per_slot(heapfiles)
+    records = []
+    for raw in raws:
+        record = decode_record(raw)
+        if record.is_subtrajectory:
+            record_to_subtrajectory(raw)
+        else:
+            record.to_trajectory()
+        records.append(record)
+    return records, bounds

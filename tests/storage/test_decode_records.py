@@ -1,9 +1,12 @@
 """The batch decoder's contract, pinned against the per-record oracle.
 
-``decode_records`` must read exactly what ``encode_record`` wrote — ids,
-parent bounds and every sample bit for bit, as the record-at-a-time parser
-in ``tests/storage/oracles.py`` reads it — and must refuse each corruption
-with the oracle's exact message, wherever the record sits in the batch.
+``decode_records`` and the sub-chunk reader ``read_partitions`` must read
+exactly what ``encode_record`` wrote — ids, parent bounds and every sample
+bit for bit, as the record-at-a-time parser in ``tests/storage/oracles.py``
+reads it — and must refuse each corruption with the oracle's exact message,
+wherever the record sits in the batch.  The generated sub-chunks hold 1–6
+heap files, some empty, with dead slots punched by ``HeapFile.delete``,
+records chained past a page, and empty and multi-byte UTF-8 ids.
 """
 
 import struct
@@ -21,31 +24,49 @@ from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import StorageManager
 from repro.storage.durable import DurableCatalog
 from repro.storage.errors import CorruptPartitionError
-from repro.storage.heapfile import HeapFile
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.heapfile import _MAX_CHUNK, HeapFile
 from repro.storage.page import PAGE_SIZE
-from repro.storage.records import decode_records, encode_record
-from tests.conftest import make_linear_trajectory, restriction_signature
+from repro.storage.pager import InMemoryPager
+from repro.storage.records import decode_records, encode_record, read_partitions
+from tests.conftest import make_linear_trajectory, restriction_signature, stored_records
 from tests.qut.test_retratree import flow_mod
-from tests.storage.oracles import decode_record, record_to_subtrajectory
+from tests.storage.oracles import (
+    decode_record,
+    read_partitions_per_record,
+    read_records_per_slot,
+    record_to_subtrajectory,
+    scan_records_per_slot,
+)
 
-identifier = st.text(min_size=0, max_size=12)
+identifier = st.one_of(
+    st.just(""),
+    st.text(alphabet=st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)), min_size=1, max_size=6),
+    st.text(min_size=0, max_size=12),
+)
+# Samples past which an encoded record is chained over more than one chunk.
+CHAINED = _MAX_CHUNK // 24
 
 
 @st.composite
 def stored_item(draw):
-    """A trajectory (unicode ids, >= 2 samples) or one of its sub-trajectories."""
-    n = draw(st.integers(min_value=2, max_value=30))
-    coord = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
-    ts = draw(st.floats(min_value=-1e6, max_value=1e6)) + np.cumsum(
-        draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=n, max_size=n))
-    )
-    traj = Trajectory(
-        draw(identifier),
-        draw(identifier),
-        draw(st.lists(coord, min_size=n, max_size=n)),
-        draw(st.lists(coord, min_size=n, max_size=n)),
-        ts,
-    )
+    """A trajectory (unicode ids, >= 2 samples) or one of its sub-trajectories.
+
+    Some are long enough to be stored as a chain of chunks; their samples
+    come from a seeded generator rather than one draw each.
+    """
+    n = draw(st.one_of(st.integers(2, 30), st.integers(CHAINED, 2 * CHAINED)))
+    start = draw(st.floats(min_value=-1e6, max_value=1e6))
+    if n > 30:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        xs, ys = rng.uniform(-1e9, 1e9, (2, n))
+        steps = rng.uniform(1e-3, 1e3, n)
+    else:
+        coord = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
+        xs = draw(st.lists(coord, min_size=n, max_size=n))
+        ys = draw(st.lists(coord, min_size=n, max_size=n))
+        steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=n, max_size=n))
+    traj = Trajectory(draw(identifier), draw(identifier), xs, ys, start + np.cumsum(steps))
     if draw(st.booleans()):
         start = draw(st.integers(min_value=0, max_value=n - 2))
         end = draw(st.integers(min_value=start + 1, max_value=n - 1))
@@ -58,7 +79,11 @@ def packed(values: np.ndarray) -> bytes:
 
 
 def assert_matches_oracle(raws: list[bytes]) -> None:
-    batch = decode_records(raws)
+    assert_batch_matches(decode_records(raws), raws)
+
+
+def assert_batch_matches(batch, raws: list[bytes]) -> None:
+    """``batch`` holds what the per-record oracle reads from ``raws``."""
     records = [decode_record(raw) for raw in raws]
     assert len(batch) == len(records)
     assert batch.parent_keys == [(rec.obj_id, rec.traj_id) for rec in records]
@@ -106,7 +131,7 @@ class TestRoundTripEqualsOracle:
         for item in items:
             heapfile.insert(encode_record(item))
         assert heapfile.num_pages() >= 5
-        raws = [raw for _rid, raw in heapfile.scan_records()]
+        raws = stored_records(heapfile)
         assert sorted(len(raw) for raw in raws)[-1] > 2 * PAGE_SIZE
         assert_matches_oracle(raws)
 
@@ -139,6 +164,9 @@ CORRUPTIONS = {
     "one-sample": lambda raw: with_samples(raw, [(0.0, 0.0, 0.0)]),
     "non-increasing-t": lambda raw: with_samples(raw, [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]),
     "backwards-t": lambda raw: with_samples(raw, [(0.0, 0.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 3.0)]),
+    # The one-byte object id becomes invalid UTF-8; alone, and before a truncation.
+    "invalid-utf8-id": lambda raw: raw[:2] + b"\xff" + raw[3:],
+    "invalid-utf8-id-then-truncated": lambda raw: (raw[:2] + b"\xff" + raw[3:])[:-7],
 }
 
 
@@ -178,6 +206,55 @@ class TestCorruptionsRaiseTheOraclesMessage:
         assert f"partition 'f__base_3' does not decode: {oracle_error(bad, WHOLE)};" in message
 
 
+def build_heap(raws: list[bytes], dead: list[int]) -> HeapFile:
+    """A heap file holding ``raws``, then with the records at positions ``dead`` deleted."""
+    heap = HeapFile(BufferPool(InMemoryPager(), capacity=16))
+    rids = [heap.insert(raw) for raw in raws]
+    for position in sorted({i % len(rids) for i in dead} if rids else ()):
+        heap.delete(rids[position])
+    return heap
+
+
+# One file: its items and the positions of the records deleted after insertion.
+stored_file = st.tuples(
+    st.lists(stored_item(), max_size=5), st.lists(st.integers(0, 10), max_size=2)
+)
+
+
+class TestSubchunksEqualTheOracle:
+    """``read_partitions`` over 1–6 heap files equals the per-slot scan plus
+    the per-record decode of each file: rows, per-file bounds, refusals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=st.lists(stored_file, min_size=1, max_size=6))
+    def test_rows_and_bounds_equal_the_per_file_oracle(self, files):
+        heaps = [build_heap([encode_record(item) for item in items], dead) for items, dead in files]
+        batch, bounds = read_partitions(heaps)
+        raws, oracle_bounds = read_records_per_slot(heaps)
+        assert bounds.tolist() == oracle_bounds == read_partitions_per_record(heaps)[1]
+        assert_batch_matches(batch, raws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        files=st.lists(st.lists(stored_item(), max_size=3), min_size=1, max_size=6),
+        where=st.tuples(st.integers(0, 5), st.integers(0, 3)),
+        corruption=st.sampled_from(sorted(CORRUPTIONS)),
+        item=st.sampled_from([WHOLE, SUB]),
+    )
+    def test_a_corrupt_record_in_any_file_raises_the_oracle_text(self, files, where, corruption, item):
+        bad = CORRUPTIONS[corruption](encode_record(item))
+        raws = [[encode_record(stored) for stored in items] for items in files]
+        k, position = where[0] % len(raws), where[1]
+        raws[k].insert(min(position, len(raws[k])), bad)
+        heaps = [build_heap(file_raws, []) for file_raws in raws]
+        with pytest.raises(ValueError) as excinfo:
+            read_partitions(heaps)
+        assert str(excinfo.value) == oracle_error(bad, item)
+        with pytest.raises(ValueError) as oracle:
+            read_partitions_per_record(heaps)
+        assert str(oracle.value) == str(excinfo.value)
+
+
 class TestUndecodableMemberFailsInTheQuery:
     """A record whose page is intact but whose samples are not a trajectory
     is not noticed by the reopen, which decodes no member; the first query
@@ -190,7 +267,7 @@ class TestUndecodableMemberFailsInTheQuery:
         manifest = tree.to_manifest()
         entry = next(e for sc in tree.subchunks() for e in sc.entries)
         heapfile = storage.get(entry.partition_name).heapfile
-        rid, raw = next(iter(heapfile.scan_records()))
+        rid, raw = next(iter(scan_records_per_slot(heapfile)))
         page = heapfile.buffer_pool.get_page(rid.page_no)
         at = page.data.find(raw)
         ts_at = at + header_end(raw) + 16  # t of the first sample

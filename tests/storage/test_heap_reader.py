@@ -1,13 +1,14 @@
 """The heap reader equals the per-slot walk it replaced, damage included.
 
-``HeapFile.scan_records`` / ``count_records`` read each page once, its slot
-directory as one array (``Page.live_slots``), and skip the successor map
-entirely when no chunk is a continuation.  ``tests/storage/oracles.py``
-keeps the per-slot walk; over generated insert/delete sequences — chained
-records over a page, files mixing chained and unchained records, random
-slot-entry and chunk-header damage — both must yield the same records in
-the same order, or raise a ``ValueError`` with the same text, and every
-page is fetched exactly once.
+``read_records`` takes a run of heap files — a QuT sub-chunk's partitions —
+joins their pooled pages once and reads every slot directory and chunk flag
+as arrays (``slot_directories``); ``count_records`` reads the same
+headers and counts.  ``tests/storage/oracles.py`` keeps the per-slot walk;
+over generated sub-chunks of 1–6 files — empty files, dead slots punched with
+``HeapFile.delete``, records chained over pages, random slot-entry and
+chunk-header damage in any file — the reader must yield each file's records
+in the same order, or raise a ``ValueError`` with the text the walk gives for
+the first damage in sub-chunk order, and every page is fetched exactly once.
 """
 
 import numpy as np
@@ -17,14 +18,20 @@ from hypothesis import strategies as st
 
 from repro.hermes.trajectory import Trajectory
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.heapfile import RID, HeapFile, _encode_chunk
-from repro.storage.page import PAGE_SIZE, Page
+from repro.storage.heapfile import _MAX_CHUNK, RID, HeapFile, _encode_chunk, count_records, read_records
+from repro.storage.page import PAGE_SIZE, Page, slot_directories
 from repro.storage.pager import InMemoryPager
 from repro.storage.records import decode_records, encode_record
-from tests.storage.oracles import count_records_per_slot, scan_records_per_slot
+from tests.conftest import stored_records
+from tests.storage.oracles import (
+    count_records_per_slot,
+    page_records_per_slot,
+    read_records_per_slot,
+    scan_records_per_slot,
+)
 
 # Small records, page-sized ones, and records chained over two or three pages.
-SIZES = st.one_of(st.integers(0, 300), st.integers(900, 4000), st.integers(8100, 20000))
+SIZES = st.one_of(st.integers(0, 300), st.integers(900, 4000), st.integers(_MAX_CHUNK, 20000))
 OPS = st.lists(
     st.one_of(
         SIZES.map(lambda size: ("insert", size)),
@@ -32,26 +39,34 @@ OPS = st.lists(
     ),
     max_size=30,
 )
+# A sub-chunk: one to six files, any of them empty.
+SUBCHUNK = st.lists(st.one_of(st.just([]), OPS), min_size=1, max_size=6)
 
 
 def payload(i: int, size: int) -> bytes:
     return bytes((i * 31 + k) % 251 for k in range(size))
 
 
-def build_heap(ops, capacity: int = 64) -> tuple[HeapFile, list[RID]]:
+def build_heap(ops, capacity: int = 64, salt: int = 0) -> tuple[HeapFile, list[RID]]:
     heap = HeapFile(BufferPool(InMemoryPager(), capacity=capacity))
     live: list[RID] = []
     for i, (op, arg) in enumerate(ops):
         if op == "insert":
-            live.append(heap.insert(payload(i, arg)))
+            live.append(heap.insert(payload(i + salt, arg)))
         elif live:
             heap.delete(live.pop(arg % len(live)))
     return heap, live
 
 
+def build_subchunk(files, capacity: int = 64) -> list[HeapFile]:
+    return [build_heap(ops, capacity, salt=100 * k)[0] for k, ops in enumerate(files)]
+
+
 def live_chunks(heap: HeapFile) -> list[RID]:
     pool = heap.buffer_pool
-    return [RID(p, slot) for p in range(heap.num_pages()) for slot, _ in pool.get_page(p).records()]
+    return [
+        RID(p, slot) for p in range(heap.num_pages()) for slot, _ in page_records_per_slot(pool.get_page(p))
+    ]
 
 
 def outcome(read):
@@ -62,30 +77,35 @@ def outcome(read):
         return ("ValueError", str(exc))
 
 
-def page_reads(heap: HeapFile, read) -> int:
-    stats = heap.buffer_pool.stats
-    before = stats.logical_reads
+def page_reads(heaps: list[HeapFile], read) -> int:
+    before = sum(heap.buffer_pool.stats.logical_reads for heap in heaps)
     read()
-    return stats.logical_reads - before
+    return sum(heap.buffer_pool.stats.logical_reads for heap in heaps) - before
+
+
+def read_with_bounds(heaps: list[HeapFile]) -> tuple[list[bytes], list[int]]:
+    return stored_records(*heaps), read_records(heaps).bounds.tolist()
 
 
 class TestEqualsThePerSlotOracle:
     @settings(max_examples=60, deadline=None)
-    @given(ops=OPS, capacity=st.sampled_from([2, 64]))
-    def test_same_records_in_the_same_order(self, ops, capacity):
-        heap, live = build_heap(ops, capacity)
-        expected = list(scan_records_per_slot(heap))
-        assert list(heap.scan_records()) == expected
-        assert heap.count_records() == count_records_per_slot(heap) == len(expected)
-        assert sorted(rid for rid, _raw in expected) == sorted(live)
+    @given(files=SUBCHUNK, capacity=st.sampled_from([2, 64]))
+    def test_same_records_in_the_same_order(self, files, capacity):
+        heaps = build_subchunk(files, capacity)
+        expected, bounds = read_records_per_slot(heaps)
+        assert read_with_bounds(heaps) == (expected, bounds)
+        assert count_records(heaps) == [bounds[k + 1] - bounds[k] for k in range(len(heaps))]
+        for k, heap in enumerate(heaps):
+            assert count_records_per_slot(heap) == bounds[k + 1] - bounds[k]
+            assert bounds[k + 1] - bounds[k] == len(build_heap(files[k])[1])
 
     @settings(max_examples=40, deadline=None)
-    @given(ops=OPS)
-    def test_every_page_is_fetched_exactly_once(self, ops):
-        heap, _live = build_heap(ops)
-        pages = heap.num_pages()
-        assert page_reads(heap, lambda: list(heap.scan_records())) == pages
-        assert page_reads(heap, heap.count_records) == pages
+    @given(files=SUBCHUNK)
+    def test_every_page_is_fetched_exactly_once(self, files):
+        heaps = build_subchunk(files)
+        pages = sum(heap.num_pages() for heap in heaps)
+        assert page_reads(heaps, lambda: read_records(heaps)) == pages
+        assert page_reads(heaps, lambda: count_records(heaps)) == pages
 
     def test_trajectory_records_chained_over_a_page(self):
         """Past ~340 samples an encoded trajectory spans pages; mixed with short ones."""
@@ -97,15 +117,15 @@ class TestEqualsThePerSlotOracle:
             heap.insert(encode_record(traj))
             trajs.append(traj)
         assert heap.num_pages() > len(trajs) // 2
-        scanned = list(heap.scan_records())
-        assert scanned == list(scan_records_per_slot(heap))
-        assert any(len(raw) > PAGE_SIZE for _rid, raw in scanned)
-        decoded = decode_records([raw for _rid, raw in scanned]).trajectories()
+        scanned = stored_records(heap)
+        assert scanned == [raw for _rid, raw in scan_records_per_slot(heap)]
+        assert any(len(raw) > PAGE_SIZE for raw in scanned)
+        decoded = decode_records(scanned).trajectories()
         by_key = {traj.key: traj for traj in decoded}
         for traj in trajs:
             assert by_key[traj.key].ts.tobytes() == traj.ts.tobytes()
             assert by_key[traj.key].xs.tobytes() == traj.xs.tobytes()
-        assert page_reads(heap, lambda: list(heap.scan_records())) == heap.num_pages()
+        assert page_reads([heap], lambda: read_records([heap])) == heap.num_pages()
 
 
 class TestDamage:
@@ -133,10 +153,11 @@ class TestDamage:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        ops=OPS.filter(lambda ops: any(op == "insert" for op, _ in ops)),
+        files=SUBCHUNK.filter(lambda files: any(op == "insert" for ops in files for op, _ in ops)),
         damages=st.lists(
             st.tuples(
                 st.sampled_from(["slot_entry", "short_chunk", "bad_flag", "broken_chain", "relink"]),
+                st.integers(0, 5),
                 st.integers(0, 10**6),
                 st.integers(0, 10**6),
             ),
@@ -144,19 +165,22 @@ class TestDamage:
             max_size=3,
         ),
     )
-    def test_scan_and_count_fail_alike(self, ops, damages):
-        heap, _live = build_heap(ops)
-        for kind, where, value in damages:
+    def test_scan_and_count_fail_alike(self, files, damages):
+        heaps = build_subchunk(files)
+        for kind, which, where, value in damages:
+            heap = heaps[which % len(heaps)]
             try:
                 chunks = live_chunks(heap)
             except ValueError:
-                break  # an earlier damage already corrupts a slot directory
-            if not chunks:
-                break
-            self.damage(heap, chunks[where % len(chunks)], kind, value)
-        expected = outcome(lambda: list(scan_records_per_slot(heap)))
-        assert outcome(lambda: list(heap.scan_records())) == expected
-        assert outcome(heap.count_records) == outcome(lambda: count_records_per_slot(heap))
+                continue  # an earlier damage already corrupts a slot directory here
+            if chunks:
+                self.damage(heap, chunks[where % len(chunks)], kind, value)
+        assert outcome(lambda: read_with_bounds(heaps)) == outcome(
+            lambda: read_records_per_slot(heaps)
+        )
+        assert outcome(lambda: count_records(heaps)) == outcome(
+            lambda: [count_records_per_slot(heap) for heap in heaps]
+        )
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -167,13 +191,28 @@ class TestDamage:
             ("broken_chain", "broken continuation chain"),
         ],
     )
-    def test_each_kind_is_refused_with_the_oracle_text(self, kind, message):
-        heap, live = build_heap([("insert", 40), ("insert", 12000), ("insert", 70)])
-        self.damage(heap, live[0], kind, 3)
-        expected = outcome(lambda: list(scan_records_per_slot(heap)))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_kind_is_refused_with_the_oracle_text(self, kind, message, k):
+        ops = [("insert", 40), ("insert", 12000), ("insert", 70)]
+        heaps = [build_heap(ops)[0], build_heap([])[0], build_heap(ops)[0], build_heap(ops[:1])[0]]
+        damaged = [heap for heap in heaps if heap.num_pages()][k]
+        self.damage(damaged, live_chunks(damaged)[0], kind, 3)
+        expected = outcome(lambda: read_records_per_slot(heaps))
         assert expected[0] == "ValueError" and message in expected[1]
-        assert outcome(lambda: list(heap.scan_records())) == expected
-        assert outcome(heap.count_records) == expected
+        assert outcome(lambda: read_with_bounds(heaps)) == expected
+        assert outcome(lambda: count_records(heaps)) == expected
+
+    def test_a_chain_in_an_earlier_file_is_reported_before_a_later_files_page(self):
+        first, second = build_heap([("insert", 9000)])[0], build_heap([("insert", 5)])[0]
+        head = live_chunks(first)
+        page = first.buffer_pool.get_page(head[0].page_no)
+        offset, _length = page._read_slot(head[0].slot)
+        page.data[offset : offset + 9] = _encode_chunk(b"", RID(9, 9))
+        self.damage(second, live_chunks(second)[0], "slot_entry", 3)
+        expected = outcome(lambda: read_records_per_slot([first, second]))
+        assert "broken continuation chain" in expected[1]
+        assert outcome(lambda: read_with_bounds([first, second])) == expected
+        assert "outside the valid data area" in outcome(lambda: read_with_bounds([second, first]))[1]
 
     def test_a_cyclic_chain_is_refused_with_the_oracle_text(self):
         heap, (first, second, head) = build_heap([("insert", 5), ("insert", 6), ("insert", 4)])
@@ -184,8 +223,12 @@ class TestDamage:
             page.data[offset : offset + 9] = _encode_chunk(b"", target)
         expected = outcome(lambda: list(scan_records_per_slot(heap)))
         assert expected[0] == "ValueError" and "cyclic continuation chain" in expected[1]
-        assert outcome(lambda: list(heap.scan_records())) == expected
-        assert outcome(heap.count_records) == expected
+        assert outcome(lambda: stored_records(heap)) == expected
+        assert outcome(lambda: count_records([heap])) == expected
+
+
+def pages_image(*pages: Page) -> bytes:
+    return b"".join(page.to_bytes() for page in pages)
 
 
 class TestSlotDirectory:
@@ -195,7 +238,9 @@ class TestSlotDirectory:
             page.insert(bytes([i]) * (i + 1))
         page.delete(1)
         page.delete(4)
-        slots, offsets, lengths = page.live_slots()
+        pages, slots, offsets, lengths, damage = slot_directories(pages_image(Page(), page))
+        assert damage is None
+        assert pages.tolist() == [1, 1, 1]
         assert slots.tolist() == [0, 2, 3]
         assert lengths.tolist() == [1, 3, 4]
         assert [bytes(page.data[o : o + n]) for o, n in zip(offsets, lengths)] == [
@@ -204,20 +249,29 @@ class TestSlotDirectory:
             b"\x03" * 4,
         ]
 
-    def test_first_bad_slot_is_named(self):
-        page = Page()
+    def test_first_bad_slot_of_the_first_bad_page_is_named(self):
+        sound, page = Page(), Page()
         for _ in range(4):
             page.insert(b"abc")
+            sound.insert(b"abc")
         page._write_slot(3, 2, 10)  # inside the directory
         page._write_slot(1, PAGE_SIZE - 2, 10)  # past the page end
+        later = Page(page.to_bytes())
+        later._write_slot(0, 1, 1)
+        damage = slot_directories(pages_image(sound, page, later))[4]
+        assert damage[0] == 1
+        assert str(damage[1]).startswith("slot 1 is corrupt: record [8190, 8200)")
         with pytest.raises(ValueError, match=r"^slot 1 is corrupt: record \[8190, 8200\)"):
-            page.live_slots()
+            page.read(1)
 
     def test_a_directory_overrunning_the_page_is_corrupt(self):
         page = Page()
         page._write_header(5000, PAGE_SIZE)  # 5000 slots cannot fit, none live
-        with pytest.raises(ValueError, match="slot directory is corrupt"):
-            page.live_slots()
+        assert "slot directory is corrupt" in str(slot_directories(pages_image(page))[4][1])
         page.data[40:44] = (100).to_bytes(2, "little") + (4).to_bytes(2, "little")
-        with pytest.raises(ValueError, match="slot 9 is corrupt"):
-            page.records()
+        assert "slot 9 is corrupt" in str(slot_directories(pages_image(page))[4][1])
+
+    def test_no_pages(self):
+        pages, slots, offsets, lengths, damage = slot_directories(b"")
+        assert pages.size == slots.size == offsets.size == lengths.size == 0
+        assert damage is None

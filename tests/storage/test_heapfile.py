@@ -3,8 +3,9 @@
 import pytest
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.heapfile import HeapFile, RID, _encode_chunk
+from repro.storage.heapfile import HeapFile, RID, _encode_chunk, count_records, read_records
 from repro.storage.pager import FilePager, InMemoryPager
+from tests.conftest import stored_records
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -49,7 +50,7 @@ class TestDelete:
         keep = heapfile.insert(b"keep")
         victim = heapfile.insert(b"remove")
         heapfile.delete(victim)
-        contents = [rec for _rid, rec in heapfile.scan_records()]
+        contents = stored_records(heapfile)
         assert b"keep" in contents
         assert b"remove" not in contents
         assert heapfile.get(keep) == b"keep"
@@ -58,21 +59,19 @@ class TestDelete:
         big = b"B" * 30000
         rid = heapfile.insert(big)
         heapfile.delete(rid)
-        assert [rec for _r, rec in heapfile.scan_records()] == []
+        assert stored_records(heapfile) == []
 
 
 class TestScan:
-    def test_scan_records_returns_complete_records(self, heapfile):
-        small = heapfile.insert(b"small")
+    def test_reader_returns_complete_records(self, heapfile):
+        heapfile.insert(b"small")
         big_payload = b"X" * 20000
-        big = heapfile.insert(big_payload)
-        records = dict(heapfile.scan_records())
-        assert records[small] == b"small"
-        assert records[big] == big_payload
-        assert len(records) == 2
+        heapfile.insert(big_payload)
+        assert sorted(stored_records(heapfile)) == [big_payload, b"small"]
 
     def test_scan_empty_file(self, heapfile):
-        assert list(heapfile.scan_records()) == []
+        assert stored_records(heapfile) == []
+        assert read_records([]).bounds.tolist() == [0]
 
 
 class TestDurability:
@@ -91,7 +90,7 @@ class TestDurability:
 
 
 def scanned_count(heapfile):
-    return sum(1 for _ in heapfile.scan_records())
+    return len(stored_records(heapfile))
 
 
 def overwrite_chunk_header(heapfile, rid, header: bytes):
@@ -106,32 +105,32 @@ def chunk_header(next_rid: "RID | None") -> bytes:
 
 
 class TestCountRecords:
-    """``count_records`` is ``scan_records`` minus the payloads: same count,
+    """``count_records`` is the heap reader minus the payloads: same count,
     same refusals, read from slot directories and chunk headers only."""
 
     def test_empty_file(self, heapfile):
-        assert heapfile.count_records() == scanned_count(heapfile) == 0
+        assert count_records([heapfile])[0] == scanned_count(heapfile) == 0
 
     def test_single_and_multi_page_records_and_deleted_slots(self, heapfile):
         rids = [heapfile.insert(f"rec-{i}".encode() * (i + 1)) for i in range(40)]
         rids.append(heapfile.insert(b"X" * 20000))  # continuation chain over 3 pages
         rids.append(heapfile.insert(b""))
         rids.append(heapfile.insert(b"Y" * 9000))
-        assert heapfile.count_records() == scanned_count(heapfile) == 43
+        assert count_records([heapfile])[0] == scanned_count(heapfile) == 43
         heapfile.delete(rids[3])
         heapfile.delete(rids[40])  # every chunk of the 20 kB record
-        assert heapfile.count_records() == scanned_count(heapfile) == 41
+        assert count_records([heapfile])[0] == scanned_count(heapfile) == 41
 
     def test_one_page_access_per_page_and_no_payload_copy(self, heapfile, monkeypatch):
-        from repro.storage.page import Page
+        import repro.storage.heapfile as heapfile_module
 
         for _ in range(30):
             heapfile.insert(b"p" * 1000)
         heapfile.insert(b"Z" * 20000)
         stats = heapfile.buffer_pool.stats
         before = stats.logical_reads
-        monkeypatch.setattr(Page, "records", None)  # the payload-copying accessor
-        assert heapfile.count_records() == 31
+        monkeypatch.setattr(heapfile_module, "read_records", None)  # the payload reader
+        assert count_records([heapfile])[0] == 31
         assert stats.logical_reads - before == heapfile.num_pages()
 
     def test_matches_scan_on_random_contents(self):
@@ -145,7 +144,7 @@ class TestCountRecords:
                 heap.delete(live.pop(rng.randrange(len(live))))
             else:
                 live.append(heap.insert(bytes(rng.randrange(0, 12000))))
-            assert heap.count_records() == scanned_count(heap) == len(live)
+            assert count_records([heap])[0] == scanned_count(heap) == len(live)
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -157,7 +156,7 @@ class TestCountRecords:
             ("slot_out_of_bounds", "outside the valid data area"),
         ],
     )
-    def test_raises_on_what_scan_records_raises_on(self, heapfile, damage, message):
+    def test_raises_on_what_the_reader_raises_on(self, heapfile, damage, message):
         first = heapfile.insert(b"first")
         second = heapfile.insert(b"second")
         page = heapfile.buffer_pool.get_page(first.page_no)
@@ -177,6 +176,6 @@ class TestCountRecords:
         else:
             page._write_slot(first.slot, 2, 50)  # inside the slot directory
         with pytest.raises(ValueError, match=message):
-            list(heapfile.scan_records())
+            stored_records(heapfile)
         with pytest.raises(ValueError, match=message):
-            heapfile.count_records()
+            count_records([heapfile])[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.page import PAGE_SIZE, Page, PageFullError
+from repro.storage.page import PAGE_SIZE, Page, PageFullError, slot_directories
 
 
 class TestPageBasics:
@@ -10,7 +10,7 @@ class TestPageBasics:
         page = Page()
         assert page.num_slots == 0
         assert page.free_space > 0
-        assert page.records() == []
+        assert slot_directories(page.to_bytes())[1].tolist() == []
 
     def test_insert_and_read(self):
         page = Page()
@@ -86,7 +86,7 @@ class TestPageDeletion:
         page.delete(s1)
         assert page.read(s0) == b"keep-0"
         assert page.read(s2) == b"keep-2"
-        assert [slot for slot, _ in page.records()] == [s0, s2]
+        assert slot_directories(page.to_bytes())[1].tolist() == [s0, s2]
 
     def test_delete_invalid_slot_raises(self):
         with pytest.raises(KeyError):
