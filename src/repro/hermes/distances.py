@@ -9,14 +9,15 @@ implemented here is what the clustering modules and the baselines need:
 * :func:`spatiotemporal_distance_matrix` -- the same distance from each of
   many trajectories to *every* row of a
   :class:`~repro.hermes.frame.MODFrame` in a single vectorised pass (the
-  ReTraTree's entry assignment, one pass per sub-chunk), and
+  ReTraTree's entry assignment, one pass per sub-chunk, and QuT's
+  co-movement test, one pass per pair of sub-chunks), and
   :func:`spatiotemporal_distance_batch`, its one-trajectory case (SaCO's
-  distance rows and QuT's co-movement test),
+  distance rows),
 * :func:`hausdorff_distance` -- spatial Hausdorff distance (time-agnostic,
   used by TRACLUS-style comparisons),
-* :func:`hausdorff_distance_batch` -- the same distance from one trajectory
-  to every row of a frame (QuT's "same spatial path" merge test over a
-  sub-chunk's representative frame).
+* :func:`hausdorff_distance_pairs` -- the same distance for chosen pairs of
+  rows of two frames (QuT's "same spatial path" merge test between two
+  sub-chunks' representative frames).
 
 All functions return ``math.inf`` when the inputs share no common time span
 and the distance is inherently time-aware.
@@ -45,7 +46,7 @@ __all__ = [
     "spatiotemporal_distance_batch",
     "spatiotemporal_distance_matrix",
     "hausdorff_distance",
-    "hausdorff_distance_batch",
+    "hausdorff_distance_pairs",
 ]
 
 
@@ -179,40 +180,51 @@ def hausdorff_distance(a: Trajectory, b: Trajectory) -> float:
     return math.sqrt(max(d_sq.min(axis=1).max(), d_sq.min(axis=0).max()))
 
 
-def hausdorff_distance_batch(frame: MODFrame, traj: Trajectory) -> npt.NDArray[np.float64]:
-    """:func:`hausdorff_distance` from every row of ``frame`` to ``traj``.
+def hausdorff_distance_pairs(
+    a: MODFrame,
+    b: MODFrame,
+    rows_a: npt.NDArray[np.intp],
+    rows_b: npt.NDArray[np.intp],
+) -> npt.NDArray[np.float64]:
+    """:func:`hausdorff_distance` of each pair ``(a row rows_a[k], b row rows_b[k])``.
 
-    Returns a ``(len(frame),)`` array equal to ``hausdorff_distance(frame
-    row, traj)`` per row: the same squared point-to-point distances
-    ``dx*dx + dy*dy``, only reduced per row with ``reduceat`` over the
-    frame's sample column instead of one matrix per pair, then one ``sqrt``
-    per row.  A squared distance that overflows reads ``inf``.
+    Returns a ``(len(rows_a),)`` array equal to ``hausdorff_distance`` per
+    pair, bit for bit: the same squared point-to-point distances
+    ``dx*dx + dy*dy``, for a chunk of pairs at once as one (pair, ``a``
+    point, ``b`` point) array in which a shorter row repeats its last point
+    — a repeated point moves neither a minimum nor a maximum — reduced to
+    the minimum over ``b``'s points then the maximum over ``a``'s, and the
+    same the other way round, then one ``sqrt`` per pair.  Min and max are
+    exact, so the reduction order cannot move a bit.  A squared distance
+    that overflows reads ``inf``.  Every row must hold at least one sample.
 
-    A caller thresholding the result at ``d`` can skip the call when no row
-    can pass: ``H(A, B) <= d`` puts every point of each set within ``d`` of
+    A caller thresholding the result at ``d`` can skip a pair that cannot
+    pass: ``H(A, B) <= d`` puts every point of each set within ``d`` of
     the other set, hence each bounding box inside the other's
     ``d``-expansion — every bounding-box face of ``A`` lies within ``d`` of
     the matching face of ``B``.  Measure each face gap ``g`` as
     ``sqrt(g*g)``, this kernel's arithmetic, and the test stays implied by
     the computed distance even where a square underflows to 0.
     """
-    out = np.empty(len(frame))
-    if len(frame) == 0:
+    out = np.empty(len(rows_a))
+    if len(rows_a) == 0:
         return out
-    # Chunk whole rows so one batch never materialises more than
-    # MAX_BATCH_CELLS (sample, point) cells.
-    longest = int(np.diff(frame.offsets).max())
-    chunk = max(1, MAX_BATCH_CELLS // (longest * traj.num_points))
-    for start in range(0, len(frame), chunk):
-        stop = min(start + chunk, len(frame))
-        lo, hi = frame.offsets[start], frame.offsets[stop]
-        d_sq = frame.xs[lo:hi, None] - traj.xs[None, :]
-        dy = frame.ys[lo:hi, None] - traj.ys[None, :]
+    firsts_a, firsts_b = a.offsets[rows_a], b.offsets[rows_b]
+    lasts_a, lasts_b = a.offsets[rows_a + 1] - 1, b.offsets[rows_b + 1] - 1
+    width_a = int((lasts_a - firsts_a).max()) + 1
+    width_b = int((lasts_b - firsts_b).max()) + 1
+    # Chunk so one batch never materialises more than MAX_BATCH_CELLS cells.
+    chunk = max(1, MAX_BATCH_CELLS // (width_a * width_b))
+    for start in range(0, len(rows_a), chunk):
+        stop = min(start + chunk, len(rows_a))
+        ia = np.minimum(firsts_a[start:stop, None] + np.arange(width_a), lasts_a[start:stop, None])
+        ib = np.minimum(firsts_b[start:stop, None] + np.arange(width_b), lasts_b[start:stop, None])
+        d_sq = a.xs[ia][:, :, None] - b.xs[ib][:, None, :]
+        dy = a.ys[ia][:, :, None] - b.ys[ib][:, None, :]
         d_sq *= d_sq
         dy *= dy
         d_sq += dy
-        starts = frame.offsets[start:stop] - lo
-        forward = np.maximum.reduceat(d_sq.min(axis=1), starts)
-        backward = np.minimum.reduceat(d_sq, starts, axis=0).max(axis=1)
+        forward = d_sq.min(axis=2).max(axis=1)
+        backward = d_sq.min(axis=1).max(axis=1)
         out[start:stop] = np.sqrt(np.maximum(forward, backward))
     return out

@@ -41,7 +41,8 @@ order.  A piece belongs to the sub-chunk holding its temporal midpoint.
   synchronous distances is at least the gap between the two boxes, and a
   pair beyond ``d`` is refused anyway; the test carries ulps of slack so it
   can only keep a pair, never drop one the unpruned pass would choose
-  (:func:`_nearest_within`).
+  (:func:`_boxes_within`).  :meth:`ReTraTree.merge_adjacency` skips far
+  pairs of representatives with the same test.
 
 Derived state
 -------------
@@ -79,11 +80,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.hermes.distances import (
-    hausdorff_distance_batch,
-    spatiotemporal_distance_batch,
-    spatiotemporal_distance_matrix,
-)
+from repro.hermes.distances import hausdorff_distance_pairs, spatiotemporal_distance_matrix
 from repro.hermes.frame import MODFrame, TrajectoryRows, subtrajectory_from_slice
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
@@ -105,29 +102,65 @@ def _partition_path(storage: StorageManager, name: str):
     return storage.directory / f"{name}.part"
 
 
-def _bbox_faces_within(frame: MODFrame, traj: Trajectory, d: float) -> np.ndarray:
-    """Per frame row: can its Hausdorff distance to ``traj`` be within ``d`` at all?
+def _bbox_faces_within(a: MODFrame, b: MODFrame, d: float) -> np.ndarray:
+    """Per row pair ``(i, j)`` of ``a`` and ``b``: can their Hausdorff distance be within ``d`` at all?
 
     ``H(A, B) <= d`` needs every face of ``A``'s bounding box within ``d`` of
     the matching face of ``B``'s (see
-    :func:`~repro.hermes.distances.hausdorff_distance_batch`); rows failing
+    :func:`~repro.hermes.distances.hausdorff_distance_pairs`); pairs failing
     that are rejected without computing the distance.  The bound carries a
-    few ulps of slack so coordinate rounding can only let a row through,
+    few ulps of slack so coordinate rounding can only let a pair through,
     never reject one the exact test would accept.
 
     Each gap ``g`` is measured as the kernel measures distances,
     ``sqrt(g*g)``: where ``g*g`` underflows to 0 the kernel's squared
-    distances do too, so a row whose computed distance is within ``d`` is
-    never rejected, however small its coordinates.
+    distances do too, so a pair whose computed distance is within ``d`` is
+    never rejected, however small its coordinates.  Returns a
+    ``(len(a), len(b))`` boolean array.
     """
-    xmin, xmax = float(traj.xs.min()), float(traj.xs.max())
-    ymin, ymax = float(traj.ys.min()), float(traj.ys.max())
+
+    def face(lo_a: np.ndarray, lo_b: np.ndarray) -> np.ndarray:
+        return np.abs(lo_a[:, None] - lo_b[None, :])
+
     gap = np.maximum(
-        np.maximum(np.abs(frame.xmins - xmin), np.abs(frame.xmaxs - xmax)),
-        np.maximum(np.abs(frame.ymins - ymin), np.abs(frame.ymaxs - ymax)),
+        np.maximum(face(a.xmins, b.xmins), face(a.xmaxs, b.xmaxs)),
+        np.maximum(face(a.ymins, b.ymins), face(a.ymaxs, b.ymaxs)),
     )
     gap = np.sqrt(gap * gap)
     return gap <= d + 4.0 * np.spacing(gap + d)
+
+
+def _boxes_within(
+    xlo: np.ndarray, xhi: np.ndarray, ylo: np.ndarray, yhi: np.ndarray, frame: MODFrame, d: float
+) -> np.ndarray:
+    """Per (box, frame row): can their co-movement distance be within ``d`` at all?
+
+    The mean of the synchronous distances is at least the gap between the
+    two bounding boxes, so a pair whose boxes lie more than ``d`` apart is
+    refused (module docstring).  The test only ever keeps too many pairs:
+    each box is widened by 8 ulps of its coordinates (an interpolated
+    position can overshoot its samples' box by an ulp), the gap is measured
+    as the kernel measures a distance (``sqrt(gx*gx + gy*gy)``, so where a
+    square underflows both read 0), and the bound carries 16 ulps of ``d``
+    for the rounding of the mean.  Returns a ``(len(xlo), len(frame))``
+    boolean array, the ``candidates`` of
+    :func:`~repro.hermes.distances.spatiotemporal_distance_matrix`.
+    """
+
+    def gap(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> np.ndarray:
+        # (box, row) gap along one axis, each box widened by its pad.
+        pad_a = 8.0 * np.spacing(np.maximum(np.abs(lo_a), np.abs(hi_a)))
+        pad_b = 8.0 * np.spacing(np.maximum(np.abs(lo_b), np.abs(hi_b)))
+        below = (lo_b - pad_b)[None, :] - (hi_a + pad_a)[:, None]
+        above = (lo_a - pad_a)[:, None] - (hi_b + pad_b)[None, :]
+        return np.maximum(np.maximum(below, above), 0.0)
+
+    gx = gap(xlo, xhi, frame.xmins, frame.xmaxs)
+    gy = gap(ylo, yhi, frame.ymins, frame.ymaxs)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx, out=gx) <= d + 16.0 * np.spacing(d)
 
 
 def _nearest_within(frame: MODFrame, trajs: Sequence[Trajectory], d: float) -> list[int]:
@@ -136,35 +169,25 @@ def _nearest_within(frame: MODFrame, trajs: Sequence[Trajectory], d: float) -> l
     Distances are :func:`~repro.hermes.distances.spatiotemporal_distance`
     over 32 common instants, all from one
     :func:`~repro.hermes.distances.spatiotemporal_distance_matrix` call that
-    skips every pair whose bounding boxes lie more than ``d`` apart (module
-    docstring).  The prune only ever keeps too many pairs: each box is
-    widened by 8 ulps of its coordinates (an interpolated position can
-    overshoot its samples' box by an ulp), the gap is measured as the kernel
-    measures a distance (``sqrt(gx*gx + gy*gy)``, so where a square
-    underflows both read 0), and the bound carries 16 ulps of ``d`` for the
-    rounding of the mean.  The answer is exactly the unpruned argmin's.
+    skips every pair whose bounding boxes lie more than ``d`` apart
+    (:func:`_boxes_within`).  The prune only ever keeps too many pairs, so
+    the answer is exactly the unpruned argmin's.
 
     The QuT temporal tolerance ``t`` needs no test here: it widens a
     lifespan-overlap gate, and every pair the distance is finite for already
     shares a lifespan, so ``t`` never refuses a pair.
     """
     firsts = np.cumsum([0, *(t.num_points for t in trajs[:-1])])
-
-    def gap(coords: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> np.ndarray:
-        # (trajectory, row) gap along one axis, each box widened by its pad.
-        lo_a, hi_a = np.minimum.reduceat(coords, firsts), np.maximum.reduceat(coords, firsts)
-        pad_a = 8.0 * np.spacing(np.maximum(np.abs(lo_a), np.abs(hi_a)))
-        pad_b = 8.0 * np.spacing(np.maximum(np.abs(lo_b), np.abs(hi_b)))
-        below = (lo_b - pad_b)[None, :] - (hi_a + pad_a)[:, None]
-        above = (lo_a - pad_a)[:, None] - (hi_b + pad_b)[None, :]
-        return np.maximum(np.maximum(below, above), 0.0)
-
-    gx = gap(np.concatenate([t.xs for t in trajs]), frame.xmins, frame.xmaxs)
-    gy = gap(np.concatenate([t.ys for t in trajs]), frame.ymins, frame.ymaxs)
-    gx *= gx
-    gy *= gy
-    gx += gy
-    candidates = np.sqrt(gx, out=gx) <= d + 16.0 * np.spacing(d)
+    xs = np.concatenate([t.xs for t in trajs])
+    ys = np.concatenate([t.ys for t in trajs])
+    candidates = _boxes_within(
+        np.minimum.reduceat(xs, firsts),
+        np.maximum.reduceat(xs, firsts),
+        np.minimum.reduceat(ys, firsts),
+        np.maximum.reduceat(ys, firsts),
+        frame,
+        d,
+    )
     dists = spatiotemporal_distance_matrix(frame, trajs, 32, candidates)
     best = dists.argmin(axis=1)
     return np.where(dists[np.arange(len(trajs)), best] <= d, best, -1).tolist()
@@ -547,8 +570,20 @@ class ReTraTree:
         distance threshold) *or* trace the same spatial path (Hausdorff
         distance within it).  That depends on the stored representatives
         only — never on a query window — so it is computed once per pair
-        with the batched kernels over :meth:`_rep_frame` and kept until
-        either sub-chunk's ``entries_version`` moves.
+        and kept until either sub-chunk's ``entries_version`` moves.
+
+        One pass over the two :meth:`_rep_frame` snapshots: the whole
+        co-movement matrix from one
+        :func:`~repro.hermes.distances.spatiotemporal_distance_matrix` call
+        (each cell depends on its own pair only) that skips the pairs whose
+        boxes lie farther apart than the threshold (:func:`_boxes_within`,
+        the insertion prune), the bounding-box face test over both frames
+        at once (:func:`_bbox_faces_within`), and
+        :func:`~repro.hermes.distances.hausdorff_distance_pairs` for just
+        the pairs that fail co-movement and pass that test.  Both tests
+        only skip pairs the threshold refuses anyway, so every cell is what
+        the unpruned per-pair distances give; every cell counts in
+        ``merge_pairs_evaluated``.
         """
         params = self.params
         assert params is not None and params.distance_threshold is not None
@@ -558,14 +593,14 @@ class ReTraTree:
         cached = self._merge_edges.get(key)
         if cached is not None and cached[0] == versions:
             return cached[1]
-        frame = self._rep_frame(earlier)
-        edges = np.zeros((len(earlier.entries), len(later.entries)), dtype=np.bool_)
-        for j, entry in enumerate(later.entries):
-            rep = entry.representative.traj
-            linked = spatiotemporal_distance_batch(frame, rep, max_samples=32) <= threshold
-            if np.any(~linked & _bbox_faces_within(frame, rep, threshold)):
-                linked |= hausdorff_distance_batch(frame, rep) <= threshold
-            edges[:, j] = linked
+        a, b = self._rep_frame(earlier), self._rep_frame(later)
+        reps = [entry.representative.traj for entry in later.entries]
+        candidates = _boxes_within(b.xmins, b.xmaxs, b.ymins, b.ymaxs, a, threshold)
+        edges = np.ascontiguousarray(
+            spatiotemporal_distance_matrix(a, reps, 32, candidates).T <= threshold
+        )
+        rows, cols = np.nonzero(~edges & _bbox_faces_within(a, b, threshold))
+        edges[rows, cols] = hausdorff_distance_pairs(a, b, rows, cols) <= threshold
         self._merge_edges[key] = (versions, edges)
         self.stats.merge_pairs_evaluated += edges.size
         return edges
@@ -812,9 +847,11 @@ class ReTraTree:
         "unclustered", "representatives") partition ``name``.  *Read*: the
         slot directories and chunk headers of all of their pages, in one
         :func:`~repro.storage.heapfile.count_records` call — no record is
-        decoded.  *Checked*: opening verifies every page against the
-        manifest's CRCs (``StorageManager.get_or_create``), and each
-        heapfile's record count must equal ``recorded``.  The heapfile
+        decoded.  *Checked*: opening reads each file once and verifies every
+        page against the manifest's CRCs before anything is counted
+        (``StorageManager.get_or_create``, which leaves the verified pages
+        in the partition's buffer pool, so the count reads no page from
+        disk), and each heapfile's record count must equal ``recorded``.  The heapfile
         decides whether the two describe the same tree state: records
         inserted after the last persist (and flushed by buffer-pool
         eviction) are counted, records that never reached disk are not, and
@@ -848,8 +885,10 @@ class ReTraTree:
         exactly as on a tree that was never closed.
 
         Every partition the section names is opened eagerly, a sub-chunk's
-        partitions together (:meth:`_reopen_partitions`), so page-CRC damage
-        and a record count that disagrees with the manifest surface here, as
+        partitions together (:meth:`_reopen_partitions`), each file read
+        once, whole, and every page CRC-checked before any record is
+        decoded — the representatives included — so page-CRC damage and a
+        record count that disagrees with the manifest surface here, as
         :class:`~repro.storage.errors.CorruptPartitionError` — a
         :class:`ValueError` — and the engine degrades to a rebuild instead
         of recovering a tree referencing phantom trajectories.  The typical

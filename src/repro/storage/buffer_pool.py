@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.storage.page import Page
+from repro.storage.page import PAGE_SIZE, Page
 from repro.storage.pager import Pager
 
 __all__ = ["BufferPool", "BufferPoolStats"]
@@ -93,6 +93,19 @@ class BufferPool:
         page = self._pager.read_page(page_no)
         self._admit(page_no, _Frame(page))
         return page
+
+    def preload(self, image: bytes) -> None:
+        """Cache the pages of ``image``, the pager's file just read whole, as clean frames.
+
+        Each page cached counts once in ``pages_read`` — it was read from
+        disk — and none as a miss: nothing asked for it yet.  Only the first
+        ``capacity`` pages are kept, so a scan in page order hits them
+        before it starts evicting.
+        """
+        view = memoryview(image)
+        for page_no in range(min(len(image) // PAGE_SIZE, self._capacity)):
+            self._admit(page_no, _Frame(Page(view[page_no * PAGE_SIZE : (page_no + 1) * PAGE_SIZE])))
+            self.stats.pages_read += 1
 
     def mark_dirty(self, page_no: int) -> None:
         """Record that the cached copy of ``page_no`` has been modified."""

@@ -158,43 +158,34 @@ class StorageManager:
         """Create a new named partition; raises if the name already exists."""
         if name in self._partitions:
             raise ValueError(f"partition {name!r} already exists")
-        if self.directory is not None:
-            path = self.directory / f"{name}.part"
-            pager = FilePager(path, io=self.io)
-            on_disk = True
-        else:
-            path = None
-            pager = InMemoryPager()
-            on_disk = False
-        pool = BufferPool(pager, capacity=self._buffer_pool_pages)
-        info = PartitionInfo(name=name, heapfile=HeapFile(pool), on_disk=on_disk, path=path)
-        self._partitions[name] = info
-        return info
+        return self._open(name, None)
 
     def get_or_create(self, name: str) -> PartitionInfo:
-        """Return the named partition, creating it on first use.
+        """Return the named partition, opening or creating it on first use.
 
         When the committed manifest recorded page checksums for ``name``
-        (see :meth:`set_expected_checksums`), the existing partition file
-        is verified against them once — on this first open — and a
-        mismatch raises :class:`CorruptPartitionError` *before* any record
-        is decoded, so corrupt bytes never reach a query answer.  Warm
-        paths (partition already open) pay nothing.
+        (see :meth:`set_expected_checksums`), the first open reads the
+        partition file once, whole, through its pager and checks it — a
+        torn tail, the page count, every page's CRC32 — before any record
+        is decoded, so corrupt bytes never reach a query answer; the
+        verified pages then fill the partition's buffer pool, so the heap
+        file's free-space scan and the first record read cost no second
+        read.  A refused open registers nothing and keeps no file handle.
+        Warm paths (partition already open) pay nothing.
         """
-        if name in self._partitions:
-            return self._partitions[name]
-        if name in self._expected_checksums:
-            self._verify_partition(name)
-        return self.create_partition(name)
+        info = self._partitions.get(name)
+        if info is not None:
+            return info
+        return self._open(name, self._expected_checksums.get(name))
 
     def set_expected_checksums(self, checksums: Manifest | None) -> None:
         """Register the manifest's per-partition page checksums for recovery.
 
         ``checksums`` maps partition name to a list of per-page CRC32s (the
         manifest's ``checksums`` key, which lists every partition the
-        manifest references).  Each entry is verified lazily on the
-        partition's first open and then dropped; a partition without an entry
-        (one the manifest does not reference) opens unverified.
+        manifest references).  Each entry is verified on the partition's
+        first :meth:`get_or_create` and then dropped; a partition without an
+        entry (one the manifest does not reference) opens unverified.
         """
         self._expected_checksums = {
             name: [int(c) for c in crcs]
@@ -202,50 +193,69 @@ class StorageManager:
             if isinstance(name, str) and isinstance(crcs, list)
         }
 
-    def _verify_partition(self, name: str) -> None:
-        """Check a partition file against its recorded page checksums.
+    def _open(self, name: str, expected: list[int] | None) -> PartitionInfo:
+        """Open (or create) partition ``name`` and register it.
 
-        The expectation entry is dropped only after verification succeeds:
-        a failing open leaves it in place so every retry re-verifies and
-        raises the same diagnostic — a corrupt partition never gets a
-        second, unverified chance to decode into a query answer.
+        With ``expected`` page CRCs, an existing file is read once and
+        checked (:meth:`_verified_image`), its pages preloaded into the pool.
+        The expectation is dropped only after that succeeds: a failing open
+        leaves it in place, so every retry re-verifies and raises the same
+        diagnostic — a corrupt partition never gets a second, unverified
+        chance to decode into a query answer.  An absent file opens empty
+        and lets the caller's record-count checks report what is missing.
         """
-        expected = self._expected_checksums[name]
         if self.directory is None:
             self._expected_checksums.pop(name, None)
-            return
-        path = self.directory / f"{name}.part"
-        if not path.exists():
-            # Absent file: let the caller's record-count checks report the
-            # missing records (an empty partition is created in its place).
-            self._expected_checksums.pop(name, None)
-            return
-        data = self._retry(lambda: self.io.read_bytes(path))
-        if len(data) % PAGE_SIZE != 0:
+            pool = BufferPool(InMemoryPager(), capacity=self._buffer_pool_pages)
+            path = None
+        else:
+            path = self.directory / f"{name}.part"
+            pager = FilePager(path, io=self.io)
+            pool = BufferPool(pager, capacity=self._buffer_pool_pages)
+            if expected is not None:
+                verified = pager.created
+                try:
+                    if not verified:
+                        pool.preload(self._verified_image(name, pager, expected))
+                        verified = True
+                finally:
+                    if not verified:
+                        self.io_retries += pager.io_retries
+                        pager.close()
+                del self._expected_checksums[name]
+        info = PartitionInfo(name=name, heapfile=HeapFile(pool), on_disk=path is not None, path=path)
+        self._partitions[name] = info
+        return info
+
+    @staticmethod
+    def _verified_image(name: str, pager: FilePager, expected: list[int]) -> bytes:
+        """The partition file read whole, checked against its recorded page CRCs.
+
+        Raises :class:`CorruptPartitionError` naming the first failing
+        check: a torn tail (:meth:`FilePager.read_image`), a page count
+        other than the manifest's, then the first page whose CRC32 differs.
+        """
+        image = pager.read_image()
+        pages = len(image) // PAGE_SIZE
+        if pages != len(expected):
             raise CorruptPartitionError(
-                f"partition {name!r} has size {len(data)}, not a multiple of "
-                "the page size — the file tail is torn",
-                path=path,
-                offset=len(data) - (len(data) % PAGE_SIZE),
-            )
-        actual = page_checksums(data)
-        if len(actual) != len(expected):
-            raise CorruptPartitionError(
-                f"partition {name!r} holds {len(actual)} pages but the "
+                f"partition {name!r} holds {pages} pages but the "
                 f"manifest recorded {len(expected)}",
-                path=path,
-                offset=min(len(actual), len(expected)) * PAGE_SIZE,
+                path=pager.path,
+                offset=min(pages, len(expected)) * PAGE_SIZE,
             )
-        for page_no, (got, want) in enumerate(zip(actual, expected)):
+        view = memoryview(image)
+        for page_no, want in enumerate(expected):
+            got = zlib.crc32(view[page_no * PAGE_SIZE : (page_no + 1) * PAGE_SIZE])
             if got != want:
                 raise CorruptPartitionError(
                     f"partition {name!r} page {page_no} fails its CRC32 check "
                     f"(stored {want}, computed {got})",
-                    path=path,
+                    path=pager.path,
                     offset=page_no * PAGE_SIZE,
                     generation=partition_generation(name),
                 )
-        self._expected_checksums.pop(name, None)
+        return image
 
     def get(self, name: str) -> PartitionInfo:
         """Return the named partition; raises :class:`KeyError` if absent."""

@@ -61,7 +61,7 @@ class Page:
 
     __slots__ = ("data",)
 
-    def __init__(self, data: bytes | bytearray | None = None) -> None:
+    def __init__(self, data: bytes | bytearray | memoryview | None = None) -> None:
         if data is None:
             self.data = bytearray(PAGE_SIZE)
             self._write_header(0, PAGE_SIZE)

@@ -16,6 +16,12 @@ errors — the kind a loaded NFS mount or a USB hiccup produces — do not
 fail a query or a checkpoint that a second attempt would have served.
 Retries performed are counted in :attr:`FilePager.io_retries`.
 
+A :class:`FilePager` opens its file without touching the directory (the
+catalog that owns the directory creates it once) and can read the whole
+file in one shimmed call (:meth:`FilePager.read_image`), which is how a
+partition is verified and its buffer pool filled on a cold open
+(:meth:`repro.storage.catalog.StorageManager.get_or_create`).
+
 A :class:`FilePager` also remembers what it wrote, so durability costs what
 changed: :meth:`FilePager.sync` skips the fsync when nothing was written
 since the last one, and :meth:`FilePager.page_checksums` re-reads only the
@@ -95,33 +101,44 @@ class FilePager(Pager):
     The file is opened unbuffered through the I/O shim, so every page
     write issued here is a real syscall — which is what makes the fault
     injector's crash simulation (and the engine's checkpoint ordering
-    argument) faithful.
+    argument) faithful.  Opening creates the file when it is absent
+    (:attr:`created`) but never its directory, and costs no ``stat``: the
+    size comes from a seek to the end, and a size that is not a whole
+    number of pages raises :class:`CorruptPartitionError` (a torn tail).
     """
 
     def __init__(self, path: str | FsPath, io: IOShim | None = None) -> None:
         self.path = FsPath(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._io = io if io is not None else DEFAULT_IO
         #: Transient I/O failures absorbed by retries since opening.
         self.io_retries = 0
-        # Open for read/write, creating the file if needed.
-        mode = "r+b" if self.path.exists() else "w+b"
-        self._file = self._io.open(self.path, mode)
+        # Open for read/write, creating the file if needed.  The directory
+        # is the caller's: a catalog makes it once, not on every open.
+        try:
+            self._file = self._io.open(self.path, "r+b")
+            #: Whether this open created the file (it did not exist).
+            self.created = False
+        except FileNotFoundError:
+            self._file = self._io.open(self.path, "w+b")
+            self.created = True
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
         if size % PAGE_SIZE != 0:
             self._file.close()
-            raise CorruptPartitionError(
-                f"{self.path} has size {size}, not a multiple of the page size "
-                "— the file tail is torn",
-                path=self.path,
-                offset=size - (size % PAGE_SIZE),
-            )
+            raise self._torn(size)
         self._num_pages = size // PAGE_SIZE
         # Pages written since mark_committed(), and whether anything was
         # written since the last fsync.
         self._written: set[int] = set()
         self._unsynced = False
+
+    def _torn(self, size: int) -> CorruptPartitionError:
+        return CorruptPartitionError(
+            f"partition {self.path.stem!r} has size {size}, not a multiple of the "
+            "page size — the file tail is torn",
+            path=self.path,
+            offset=size - (size % PAGE_SIZE),
+        )
 
     def _retry(self, fn):
         """Run one physical I/O op with bounded retry, counting retries."""
@@ -171,6 +188,22 @@ class FilePager(Pager):
 
     def read_page(self, page_no: int) -> Page:
         return Page(self._read_bytes(page_no))
+
+    def read_image(self) -> bytes:
+        """The whole file, in one shimmed read (with transient-error retry).
+
+        Raises :class:`CorruptPartitionError` when what was read is not a
+        whole number of pages (the tail was torn after the open).
+        """
+
+        def read() -> bytes:
+            self._file.seek(0)
+            return self._io.read(self._file, -1)
+
+        image = self._retry(read)
+        if len(image) % PAGE_SIZE != 0:
+            raise self._torn(len(image))
+        return image
 
     def write_page(self, page_no: int, page: Page) -> None:
         if not (0 <= page_no < self._num_pages):

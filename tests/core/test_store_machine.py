@@ -1,0 +1,101 @@
+"""A durable connection driven by random load / append / qut / reopen steps.
+
+One hypothesis state machine over ``repro.connect(path)``.  After every
+step that can change an answer, three routes to the same QuT window must
+agree: the SQL statement and the fluent builder give the same rows; the
+engine's answer equals the per-partition loader in ``tests/qut/oracles.py``
+bit for bit; and a reopened connection (a cold tree read from disk) gives
+the rows the warm connection gave before it closed.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+import repro
+from repro.datagen import lane_scenario
+from repro.hermes.mod import MOD
+from repro.hermes.types import Period
+from tests.qut.oracles import PerPartitionQuT
+from tests.qut.test_derived_state import result_signature
+
+QUT_SQL = "SELECT QUT(f, :wi, :we)"
+BASE = 18
+MOD_F, _TRUTH = lane_scenario(n_trajectories=BASE + 12, n_lanes=3, n_samples=16, seed=5, name="f")
+TRAJECTORIES = MOD_F.trajectories()
+PERIOD = MOD_F.period
+FRACTIONS = st.sampled_from([(0.0, 1.0), (0.1, 0.45), (0.3, 0.8), (0.55, 0.6), (0.7, 1.0)])
+
+
+def window_of(lo: float, hi: float) -> Period:
+    return Period(PERIOD.tmin + lo * PERIOD.duration, PERIOD.tmin + hi * PERIOD.duration)
+
+
+class DurableStore(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="store-machine-"))
+        self.conn = repro.connect(self.root)
+        self.stored = 0
+        self.window = window_of(0.0, 1.0)
+
+    def rows(self, window: Period) -> list[dict]:
+        return self.conn.execute(QUT_SQL, {"wi": window.tmin, "we": window.tmax}).fetchall()
+
+    @precondition(lambda self: self.stored == 0)
+    @rule()
+    def load(self) -> None:
+        self.conn.engine.load_mod("f", MOD(name="f", trajectories=TRAJECTORIES[:BASE]))
+        self.stored = BASE
+
+    @precondition(lambda self: 0 < self.stored < len(TRAJECTORIES))
+    @rule(size=st.integers(min_value=1, max_value=6))
+    def append(self, size: int) -> None:
+        batch = TRAJECTORIES[self.stored : self.stored + size]
+        assert self.conn.dataset("f").append(batch).persisted
+        self.stored += len(batch)
+
+    @precondition(lambda self: self.stored > 0)
+    @rule(fractions=FRACTIONS)
+    def qut(self, fractions: tuple[float, float]) -> None:
+        self.window = window_of(*fractions)
+        sql = self.rows(self.window)
+        fluent = self.conn.dataset("f").qut(self.window.tmin, self.window.tmax).run()
+        assert sql == fluent
+        engine = self.conn.engine
+        answer = engine.qut("f", self.window)
+        oracle = PerPartitionQuT(engine.retratree("f")).query(self.window)
+        assert result_signature(answer) == result_signature(oracle)
+
+    @precondition(lambda self: self.stored > 0)
+    @rule()
+    def reopen(self) -> None:
+        warm = self.rows(self.window)
+        self.conn.close()
+        self.conn = repro.connect(self.root)
+        assert self.conn.engine.retratree("f").recovered
+        assert self.rows(self.window) == warm
+
+    @invariant()
+    def holds_what_was_stored(self) -> None:
+        if self.stored:
+            assert len(self.conn.engine.get_mod("f")) == self.stored
+
+    def teardown(self) -> None:
+        self.conn.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+
+DurableStore.TestCase.settings = settings(
+    max_examples=6,
+    stateful_step_count=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestDurableStore = DurableStore.TestCase

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.hermes.distances import (
     hausdorff_distance,
-    hausdorff_distance_batch,
+    hausdorff_distance_pairs,
     spatiotemporal_distance,
     spatiotemporal_distance_batch,
 )
@@ -96,25 +96,37 @@ def planar_trajectory(draw, obj_id: str):
     return Trajectory(obj_id, "0", xs, ys, np.arange(n, dtype=float))
 
 
+def all_pairs(rows_a, rows_b):
+    """Every ``(i, j)`` row pair of two trajectory lists, as index arrays."""
+    i, j = np.divmod(np.arange(len(rows_a) * len(rows_b)), len(rows_b))
+    return i, j
+
+
 class TestHausdorffBatch:
+    """:func:`hausdorff_distance_pairs` equals :func:`hausdorff_distance` bit for bit."""
+
     def test_matches_scalar_per_row(self, parallel_pair, linear_trajectory):
         a, b = parallel_pair
         short = make_linear_trajectory("s", "0", (3, 3), (4, 7), n=2)  # single segment
         far = make_linear_trajectory("far", "0", (500, 500), (510, 500))
         rows = [a, b, short, far, linear_trajectory]
         frame = MODFrame.from_trajectories(rows)
-        for probe in rows:
-            batch = hausdorff_distance_batch(frame, probe)
-            assert batch.shape == (len(rows),)
-            assert np.all(np.isfinite(batch))
-            assert batch.tolist() == [hausdorff_distance(row, probe) for row in rows]
+        i, j = all_pairs(rows, rows)
+        pairs = hausdorff_distance_pairs(frame, frame, i, j)
+        assert pairs.shape == (len(rows) ** 2,)
+        assert np.all(np.isfinite(pairs))
+        assert pairs.tolist() == [hausdorff_distance(rows[p], rows[q]) for p, q in zip(i, j)]
 
     def test_identical_point_sets_are_zero(self, linear_trajectory):
         frame = MODFrame.from_trajectories([linear_trajectory, linear_trajectory])
-        assert hausdorff_distance_batch(frame, linear_trajectory).tolist() == [0.0, 0.0]
+        i, j = all_pairs([0, 1], [0, 1])
+        assert hausdorff_distance_pairs(frame, frame, i, j).tolist() == [0.0] * 4
 
     def test_empty_frame(self, linear_trajectory):
-        assert hausdorff_distance_batch(MODFrame([]), linear_trajectory).shape == (0,)
+        none = np.zeros(0, dtype=np.intp)
+        frame = MODFrame.from_trajectories([linear_trajectory])
+        assert hausdorff_distance_pairs(MODFrame([]), frame, none, none).shape == (0,)
+        assert hausdorff_distance_pairs(frame, frame, none, none).shape == (0,)
 
     def test_chunked_batches_agree(self, monkeypatch, parallel_pair):
         import repro.hermes.distances as distances
@@ -122,18 +134,27 @@ class TestHausdorffBatch:
         a, b = parallel_pair
         rows = [a, b, make_linear_trajectory("c", "0", (0, 9), (1, 9), n=3)] * 3
         frame = MODFrame.from_trajectories(rows)
-        whole = hausdorff_distance_batch(frame, b)
-        monkeypatch.setattr(distances, "MAX_BATCH_CELLS", 1)  # one row per batch
-        assert hausdorff_distance_batch(frame, b).tolist() == whole.tolist()
+        i, j = all_pairs(rows, rows[:2])
+        whole = hausdorff_distance_pairs(frame, frame, i, j)
+        monkeypatch.setattr(distances, "MAX_BATCH_CELLS", 1)  # one pair per batch
+        assert hausdorff_distance_pairs(frame, frame, i, j).tolist() == whole.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_scalar_on_generated_sets(self, data):
-        rows = [
-            data.draw(planar_trajectory(f"r{i}"))
-            for i in range(data.draw(st.integers(min_value=1, max_value=6)))
+        """Ragged rows (2-12 samples) and any subset of pairs, in any order."""
+        sides = [
+            [
+                data.draw(planar_trajectory(f"{side}{k}"))
+                for k in range(data.draw(st.integers(min_value=1, max_value=6)))
+            ]
+            for side in "ab"
         ]
-        probe = data.draw(planar_trajectory("probe"))
-        batch = hausdorff_distance_batch(MODFrame.from_trajectories(rows), probe)
-        scalar = np.array([hausdorff_distance(row, probe) for row in rows])
-        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-12)
+        i, j = all_pairs(*sides)
+        order = data.draw(st.permutations(range(len(i))), label="pair order")
+        keep = data.draw(st.lists(st.booleans(), min_size=len(i), max_size=len(i)))
+        i, j = i[list(order)][keep], j[list(order)][keep]
+        frames = [MODFrame.from_trajectories(side) for side in sides]
+        pairs = hausdorff_distance_pairs(*frames, i, j)
+        scalar = [hausdorff_distance(sides[0][p], sides[1][q]) for p, q in zip(i, j)]
+        assert pairs.tolist() == scalar

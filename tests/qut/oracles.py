@@ -4,7 +4,8 @@ All of these used to live in ``repro.qut.query``.  The engine now merges
 from the matrices the tree derives once (``ReTraTree.merge_adjacency``),
 decodes each touched sub-chunk as one batch (``ReTraTree.load_subchunk``)
 and restricts it by slicing that batch's frame.  What it replaced survives
-here as the equivalence oracles: the per-pair merge loop, the per-member
+here as the equivalence oracles: the per-pair merge loop, the per-entry
+loop that filled a merge matrix one column at a time, the per-member
 restriction loop, and the per-partition loader — one decode per partition,
 then one re-concatenated frame per partially covered sub-chunk.
 
@@ -177,6 +178,37 @@ def merge_across_subchunks_scalar(
             members.extend(partial[idx][2])
         merged.append((representative(best), members))
     return merged
+
+
+def merge_adjacency_per_entry(tree: ReTraTree, earlier: SubChunk, later: SubChunk) -> tuple[np.ndarray, int]:
+    """The per-entry merge loop ``ReTraTree.merge_adjacency`` replaced, and its pair count.
+
+    One column per entry of ``later``: the co-movement distances from its
+    representative to every representative of ``earlier`` in one
+    :func:`spatiotemporal_distance_batch` call; when some row fails that
+    test yet passes the bounding-box face pre-reject, the Hausdorff
+    distance of every row (here the scalar :func:`hausdorff_distance`, bit
+    for bit the batched kernel this loop called) links it too.  Returns the
+    ``(len(earlier.entries), len(later.entries))`` matrix and the number of
+    pairs it evaluated (every cell).
+    """
+    threshold = tree.params.distance_threshold
+    reps = [entry.representative.traj for entry in earlier.entries]
+    frame = MODFrame.from_trajectories(reps)
+    edges = np.zeros((len(earlier.entries), len(later.entries)), dtype=np.bool_)
+    for j, entry in enumerate(later.entries):
+        rep = entry.representative.traj
+        linked = spatiotemporal_distance_batch(frame, rep, max_samples=32) <= threshold
+        gap = np.maximum(
+            np.maximum(np.abs(frame.xmins - rep.xs.min()), np.abs(frame.xmaxs - rep.xs.max())),
+            np.maximum(np.abs(frame.ymins - rep.ys.min()), np.abs(frame.ymaxs - rep.ys.max())),
+        )
+        gap = np.sqrt(gap * gap)
+        faces_within = gap <= threshold + 4.0 * np.spacing(gap + threshold)
+        if np.any(~linked & faces_within):
+            linked |= np.array([hausdorff_distance(row, rep) for row in reps]) <= threshold
+        edges[:, j] = linked
+    return edges, edges.size
 
 
 def assign_to_representatives(

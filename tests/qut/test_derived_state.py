@@ -20,7 +20,7 @@ from repro.datagen import (
     orbit_scenario,
     urban_scenario,
 )
-from repro.hermes.distances import hausdorff_distance, hausdorff_distance_batch
+from repro.hermes.distances import hausdorff_distance, hausdorff_distance_pairs
 from repro.hermes.frame import MODFrame
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import Period
@@ -34,7 +34,7 @@ from repro.qut.retratree import (
 )
 from repro.storage.catalog import StorageManager
 from tests.conftest import make_linear_trajectory, restriction_signature
-from tests.qut.oracles import merge_across_subchunks_scalar
+from tests.qut.oracles import merge_across_subchunks_scalar, merge_adjacency_per_entry
 from tests.qut.test_retratree import flow_mod
 from tests.storage.oracles import record_to_subtrajectory as _record_to_subtrajectory
 from tests.storage.oracles import scan_records_per_slot
@@ -156,33 +156,132 @@ class TestMergeMatchesScalarOracle:
         )
 
 
+def merge_tree(threshold: float, earlier: list[Trajectory], later: list[Trajectory]):
+    """A level-3-only tree of two sub-chunks holding ``earlier`` / ``later`` as representatives."""
+    tree = ReTraTree(QuTParams())
+    tree.params = QuTParams(tau=40.0, delta=20.0, distance_threshold=threshold)
+    subchunks = []
+    for sub_idx, trajs in enumerate([earlier, later]):
+        subchunk = SubChunk(chunk_idx=0, sub_idx=sub_idx, period=Period(20.0 * sub_idx, 20.0 * sub_idx + 20.0))
+        for position, traj in enumerate(trajs):
+            rep = SubTrajectory(traj.key, 0, traj.num_points - 1, traj)
+            subchunk.entries.append(ClusterEntry(position, rep, partition_name=""))
+        subchunk.touch_entries()
+        tree._subchunks[subchunk.key] = subchunk
+        subchunks.append(subchunk)
+    return tree, subchunks
+
+
+def assert_matrix_equals_the_oracle(tree: ReTraTree, earlier: SubChunk, later: SubChunk) -> np.ndarray:
+    before = tree.stats.merge_pairs_evaluated
+    edges = tree.merge_adjacency(earlier, later)
+    expected, pairs = merge_adjacency_per_entry(tree, earlier, later)
+    assert edges.dtype == np.bool_ and edges.shape == expected.shape
+    assert np.array_equal(edges, expected)
+    assert tree.stats.merge_pairs_evaluated - before == pairs
+    return edges
+
+
+class TestMergeMatrixEqualsThePerEntryOracle:
+    """One batched pass per sub-chunk pair fills the matrix the per-entry loop filled."""
+
+    @pytest.mark.parametrize("scenario", ["lanes", "aircraft", "urban"])
+    def test_every_adjacent_pair_of_a_built_tree(self, scenario):
+        mod, _truth = SCENARIOS[scenario](n_trajectories=40, n_samples=30, seed=4)
+        tree = ReTraTree.build(mod)
+        subchunks = tree.subchunks()
+        linked = 0
+        for earlier, later in zip(subchunks, subchunks[1:]):
+            linked += int(assert_matrix_equals_the_oracle(tree, earlier, later).sum())
+        assert linked > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_on_generated_subchunk_pairs(self, data):
+        """0-30 representatives a side; lifespans shared, partly shared or
+        disjoint (distance ``inf``); copies of an earlier representative
+        moved by the threshold give or take a few ulps, whose bounding-box
+        face gap sits on the pre-reject's slack."""
+        threshold = data.draw(st.sampled_from([0.5, 1.0, 2.5, 3.0]), label="threshold")
+        coord = st.integers(min_value=-6, max_value=6).map(lambda v: v / 2.0)
+
+        def draw_traj(name: str, starts: list[float]) -> Trajectory:
+            n = data.draw(st.integers(min_value=2, max_value=6))
+            t0 = data.draw(st.sampled_from(starts))
+            return Trajectory(
+                name,
+                "0",
+                data.draw(st.lists(coord, min_size=n, max_size=n)),
+                data.draw(st.lists(coord, min_size=n, max_size=n)),
+                np.linspace(t0, t0 + data.draw(st.sampled_from([5.0, 10.0])), n),
+            )
+
+        earlier = [
+            draw_traj(f"a{i}", [0.0, 5.0, 60.0])
+            for i in range(data.draw(st.integers(min_value=0, max_value=30), label="earlier"))
+        ]
+        later = []
+        for j in range(data.draw(st.integers(min_value=0, max_value=30), label="later")):
+            if earlier and data.draw(st.booleans(), label="moved copy"):
+                source = data.draw(st.sampled_from(earlier))
+                ulps = data.draw(st.integers(min_value=-4, max_value=4), label="ulps")
+                shift = (threshold + ulps * np.spacing(threshold)) * data.draw(st.sampled_from([1.0, -1.0]))
+                along_x = data.draw(st.booleans())
+                later.append(
+                    Trajectory(
+                        f"b{j}",
+                        "0",
+                        source.xs + shift if along_x else source.xs,
+                        source.ys if along_x else source.ys + shift,
+                        source.ts + data.draw(st.sampled_from([0.0, 100.0])),
+                    )
+                )
+            else:
+                later.append(draw_traj(f"b{j}", [0.0, 5.0, 100.0]))
+        tree, (a, b) = merge_tree(threshold, earlier, later)
+        assert_matrix_equals_the_oracle(tree, a, b)
+
+        frames = [MODFrame.from_trajectories(trajs) for trajs in (earlier, later)]
+        i, j = np.divmod(np.arange(len(earlier) * len(later)), max(len(later), 1))
+        pairs = hausdorff_distance_pairs(*frames, i, j) if len(i) else np.empty(0)
+        assert pairs.tolist() == [hausdorff_distance(earlier[p], later[q]) for p, q in zip(i, j)]
+
+
+def faces_within(frame: MODFrame, probe: Trajectory, d: float) -> list[bool]:
+    """``_bbox_faces_within`` of every frame row against one probe."""
+    return _bbox_faces_within(frame, MODFrame.from_trajectories([probe]), d)[:, 0].tolist()
+
+
 class TestBoundingBoxPreReject:
-    """``_bbox_faces_within`` may only reject rows whose Hausdorff distance exceeds ``d``."""
+    """``_bbox_faces_within`` may only reject pairs whose Hausdorff distance exceeds ``d``."""
 
     def test_disjoint_boxes_are_rejected(self):
         near = make_linear_trajectory("a", "0", (0, 0), (10, 0))
         far = make_linear_trajectory("b", "0", (100, 100), (110, 100))
         frame = MODFrame.from_trajectories([near, far])
-        assert _bbox_faces_within(frame, near, 5.0).tolist() == [True, False]
+        assert faces_within(frame, near, 5.0) == [True, False]
+        assert _bbox_faces_within(frame, frame, 5.0).tolist() == [[True, False], [False, True]]
 
     def test_threshold_exactly_on_the_bound_is_kept(self):
         a = make_linear_trajectory("a", "0", (0, 0), (10, 0))
         b = make_linear_trajectory("b", "0", (0, 3), (10, 3))  # H == bbox gap == 3
         frame = MODFrame.from_trajectories([a])
         assert hausdorff_distance(a, b) == 3.0
-        assert _bbox_faces_within(frame, b, 3.0).tolist() == [True]
-        assert _bbox_faces_within(frame, b, np.nextafter(3.0, 0.0)).tolist() == [True]
-        assert _bbox_faces_within(frame, b, 2.999).tolist() == [False]
+        assert faces_within(frame, b, 3.0) == [True]
+        assert faces_within(frame, b, np.nextafter(3.0, 0.0)) == [True]
+        assert faces_within(frame, b, 2.999) == [False]
 
     def test_an_underflowing_gap_is_kept_like_the_kernel_reads_it(self):
         """A 1.7e-262 offset squares to 0, so the kernel reads H == 0; the
-        pre-reject must measure that gap the same way and keep the row."""
+        pre-reject must measure that gap the same way and keep the pair."""
         row = Trajectory("r", "0", [0.0, 0.0], [0.0, 0.0], [0.0, 1.0])
         probe = Trajectory("p", "0", [0.0, 0.0], [0.0, 1.6866863872727535e-262], [0.0, 1.0])
         frame = MODFrame.from_trajectories([row])
+        zero = np.zeros(1, dtype=np.intp)
         assert hausdorff_distance(row, probe) == 0.0
-        assert hausdorff_distance_batch(frame, probe).tolist() == [0.0]
-        assert _bbox_faces_within(frame, probe, 0.0).tolist() == [True]
+        pairs = hausdorff_distance_pairs(frame, MODFrame.from_trajectories([probe]), zero, zero)
+        assert pairs.tolist() == [0.0]
+        assert faces_within(frame, probe, 0.0) == [True]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -204,7 +303,7 @@ class TestBoundingBoxPreReject:
         frame = MODFrame.from_trajectories(rows)
         for row, traj in enumerate(rows):
             exact = hausdorff_distance(traj, probe)
-            assert _bbox_faces_within(frame, probe, exact)[row]
+            assert faces_within(frame, probe, exact)[row]
 
 
 # -- counters: what a warm, an appended-to and a cold tree recompute -----------------

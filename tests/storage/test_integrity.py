@@ -1,14 +1,20 @@
-"""Integrity properties: bit-flip detection and format-4-only manifest acceptance."""
+"""Integrity properties: bit-flip detection, a rebuild past a damaged tree
+partition, and format-4-only manifest acceptance."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cli import main_fsck
 from repro.core.engine import HermesEngine
 from repro.datagen import lane_scenario
+from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import MANIFEST_FILENAME
 from repro.storage.errors import CorruptManifestError, StorageCorruptionError
 from repro.storage.fsck import QUARANTINE_DIRNAME, fsck_store
@@ -75,9 +81,9 @@ class TestBitFlipDetection:
             # For dataset partitions a cold engine refuses to decode the
             # damaged bytes outright.  (A damaged *tree* partition instead
             # degrades to a rebuild — derived state, never served corrupt —
-            # which re-persists the tree; that path is covered by the fsck
-            # repair tests, and exercising it here would mutate this
-            # module-scoped store between hypothesis examples.)
+            # which re-persists the tree; TestTreePartitionBitFlips covers
+            # that path on a copy of its store per example, since a rebuild
+            # here would mutate this module-scoped store between examples.)
             if "__dataset" in path.name:
                 engine = HermesEngine.on_disk(root)
                 try:
@@ -87,6 +93,67 @@ class TestBitFlipDetection:
                     engine.close()
         finally:
             path.write_bytes(original)
+
+
+@pytest.fixture(scope="module")
+def tree_store(tmp_path_factory):
+    """A closed store with a persisted tree, the warm QuT rows over a window,
+    and every non-empty tree partition file (members, unclustered, reps)."""
+    root = tmp_path_factory.mktemp("treeflip") / "s"
+    mod, _truth = lane_scenario(n_trajectories=16, n_lanes=2, n_samples=24, seed=11, name="d")
+    conn = repro.connect(root)
+    conn.engine.load_mod("d", mod)
+    window = {"wi": mod.period.tmin + 0.2 * mod.period.duration, "we": mod.period.tmax}
+    warm = conn.execute(TREE_QUT, window).fetchall()
+    conn.close()
+    section = json.loads((root / "d" / MANIFEST_FILENAME).read_text())["tree"]
+    names = [section["reps_partition"]] + [
+        name
+        for sc in section["subchunks"]
+        for name in [sc["unclustered_partition"], *(e["partition"] for e in sc["entries"])]
+    ]
+    parts = [root / "d" / f"{name}.part" for name in names]
+    parts = [p for p in parts if p.exists() and p.stat().st_size > 0]
+    kinds = {("reps" if p.stem == section["reps_partition"] else "tree") for p in parts}
+    assert kinds == {"reps", "tree"} and len(parts) > 2
+    return root, window, warm, parts
+
+
+TREE_QUT = "SELECT QUT(d, :wi, :we)"
+
+
+class TestTreePartitionBitFlips:
+    """Property: a bit flipped in a member, unclustered or representatives
+    partition makes a cold engine rebuild the tree, never answer from it —
+    and the rebuilt answer is the warm one."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_flip_degrades_to_a_rebuild_with_the_warm_rows(self, tree_store, tmp_path, data):
+        root, window, warm, parts = tree_store
+        victim = parts[data.draw(st.integers(0, len(parts) - 1), label="partition")]
+        offset = data.draw(st.integers(0, victim.stat().st_size - 1), label="byte offset")
+        bit = data.draw(st.integers(0, 7), label="bit")
+        copy = Path(tempfile.mkdtemp(dir=tmp_path)) / "s"
+        shutil.copytree(root, copy)
+        path = copy / victim.relative_to(root)
+        flipped = bytearray(path.read_bytes())
+        flipped[offset] ^= 1 << bit
+        path.write_bytes(bytes(flipped))
+
+        builds = ReTraTree.build_calls
+        conn = repro.connect(copy)
+        try:
+            assert conn.execute(TREE_QUT, window).fetchall() == warm
+            assert not conn.engine.retratree("d").recovered
+            assert ReTraTree.build_calls == builds + 1
+        finally:
+            conn.close()
+        shutil.rmtree(copy.parent)
 
 
 class TestCorruptManifestRecovery:
