@@ -17,8 +17,9 @@
   counts, orphaned crash debris.  Exits nonzero while unrepaired errors
   remain.
 
-The other script, ``repro-lint``, points straight at
-:func:`repro.analysis.driver.main`.
+The project's invariants that no linter states — every write through the
+I/O shim, frozen plans, deterministic answer paths, scoped shared memory,
+typed storage errors — are tier-1 tests (``tests/pins.txt`` names them).
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ Determinism contract: this module draws no randomness of its own — every
 random choice happens inside the seeded scenario generators and degradation
 profiles — and it reads no clock, so a report is a pure function of its
 recorded seeds: two runs write byte-identical files and accuracy history is
-a diff (timings are ``benchmarks/e2e``'s job).  The module is inside the
-scope of the ``repro-lint`` REPRO105 determinism rule.
+a diff (timings are ``benchmarks/e2e``'s job).  ``tests/test_determinism.py``
+fails when the module calls a clock or a global random stream.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ def staged_tmp_path(path: Path) -> Path:
     manifest write, fsck's manifest repair) stages through this one
     naming scheme — ``<name>.json.tmp`` next to the target — so crash
     recovery and the orphan sweep recognise leftover staging files by a
-    single pattern, and the io-discipline checker (repro-lint REPRO101)
-    has one blessed tmp-path construction to point at.
+    single pattern, and the commit-order check of
+    ``tests/core/test_crash_sweep.py`` knows which file each rename stages.
     """
     return path.with_suffix(path.suffix + ".tmp")
 

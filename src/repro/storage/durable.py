@@ -294,11 +294,15 @@ class DurableCatalog:
     """The datasets persisted under one storage directory.
 
     Constructing the catalog *recovers* the store: one manifest read per
-    dataset directory, nothing else.  A dataset whose manifest passes
-    :func:`manifest_problem` is catalogued as *pending* — its archive decodes
-    on the first :meth:`load`, its partitions verify against the recorded
-    page checksums on their first open, and crash debris in its directory is
-    swept at once.  A dataset whose manifest does not pass is recorded as
+    dataset directory, nothing else.  The catalog keeps each dataset's
+    committed manifest as it verified it there, and replaces that copy only
+    when a commit of its own returns; the tree reopen, the status report and
+    every commit read the copy instead of the file.  A dataset whose
+    manifest passes :func:`manifest_problem` is catalogued as *pending* —
+    its archive decodes on the first :meth:`load`, its partitions verify
+    against the recorded page checksums on their first open, and crash
+    debris in its directory is swept at once.  A dataset whose manifest does
+    not pass is recorded as
     damaged and left untouched, byte for byte, for ``repro-fsck``: one
     damaged dataset never hides the healthy ones.
 
@@ -323,6 +327,9 @@ class DurableCatalog:
         self._pending: dict[str, Manifest] = {}
         # Directory name -> diagnostic of datasets withheld as damaged.
         self._damaged: dict[str, str] = {}
+        # Dataset -> its committed manifest.  Commits edit a copy, stored once
+        # the commit returns; a failed one leaves no entry (see _commit).
+        self._manifests: dict[str, Manifest] = {}
         if not self.root.exists():
             return
         for sub in sorted(p for p in self.root.iterdir() if p.is_dir()):
@@ -338,6 +345,7 @@ class DurableCatalog:
             sweep(storage, manifest)
             self._pending[manifest["dataset"]] = manifest
             self._storages[manifest["dataset"]] = storage
+            self._manifests[manifest["dataset"]] = manifest
 
     # -- names and handles --------------------------------------------------------
 
@@ -388,10 +396,33 @@ class DurableCatalog:
         path = storage.manifest_path if storage is not None else None
         return (path or self.root / name / MANIFEST_FILENAME).exists()
 
-    @staticmethod
-    def _committed(storage: StorageManager | None) -> Manifest | None:
-        """The directory's manifest when it is a committed format-4 one."""
-        return _read_committed(storage)[0] if storage is not None else None
+    def _committed(self, name: str) -> Manifest | None:
+        """Dataset ``name``'s committed format-4 manifest, or ``None``.
+
+        The catalog's copy; the directory is read only when there is none —
+        a dataset this catalog has not committed yet, or one whose last
+        commit failed, leaving the file in a state only a read can tell.
+        The copy is shared: callers that edit it edit a ``dict`` copy.
+        """
+        storage = self._storages.get(name)
+        if storage is None:
+            return None
+        if name not in self._manifests:
+            manifest = _read_committed(storage)[0]
+            if manifest is None:
+                return None
+            self._manifests[name] = manifest
+        return self._manifests[name]
+
+    def _commit(self, name: str, storage: StorageManager, manifest: Manifest) -> None:
+        """Commit ``manifest`` and keep it as the dataset's copy once the commit returns.
+
+        The old copy is dropped first: a commit that raises — before or after
+        its rename — leaves no copy, so the next reader re-reads the file.
+        """
+        self._manifests.pop(name, None)
+        commit_manifest(storage, manifest)
+        self._manifests[name] = manifest
 
     # -- recovery -----------------------------------------------------------------
 
@@ -462,7 +493,7 @@ class DurableCatalog:
         partitions — the dataset moved on without the tree being
         maintained, so the caller rebuilds.
         """
-        manifest = self._committed(self._storages.get(name))
+        manifest = self._committed(name)
         if manifest is None:
             return None
         section = _tree_section(manifest)
@@ -543,7 +574,7 @@ class DurableCatalog:
         """
         storage = self.storage(name)
         partition = self._fresh_partition(
-            storage, f"{name}__dataset_g", seed, self._committed(storage) or {}
+            storage, f"{name}__dataset_g", seed, self._committed(name) or {}
         )
         manifest: Manifest = {
             "dataset": name,
@@ -552,7 +583,7 @@ class DurableCatalog:
             "deltas": [],
             "tree": None,
         }
-        commit_manifest(storage, manifest)
+        self._commit(name, storage, manifest)
         self._pending.pop(name, None)
         self._damaged.pop(name, None)
 
@@ -573,9 +604,10 @@ class DurableCatalog:
         keeps serving warm and a cold successor recovers the last good state.
         """
         storage = self.storage(name)
-        manifest = self._committed(storage)
-        if manifest is None:
+        committed = self._committed(name)
+        if committed is None:
             return False
+        manifest = dict(committed)
         partition = self._fresh_partition(storage, f"{name}__dataset_g", seed, manifest)
         row_keys = self._archive(storage, partition, trajectories)
         manifest["deltas"] = [
@@ -584,7 +616,7 @@ class DurableCatalog:
         ]
         if tree is not None:
             self._stage_tree(storage, name, seed, manifest, tree)
-        commit_manifest(storage, manifest)
+        self._commit(name, storage, manifest)
         return True
 
     def commit_tree(self, name: str, seed: int, tree: _TreeStructure) -> None:
@@ -595,10 +627,11 @@ class DurableCatalog:
         after the expensive bulk load.
         """
         storage = self.storage(name)
-        manifest = self._committed(storage)
-        if manifest is not None:
+        committed = self._committed(name)
+        if committed is not None:
+            manifest = dict(committed)
             self._stage_tree(storage, name, seed, manifest, tree)
-            commit_manifest(storage, manifest)
+            self._commit(name, storage, manifest)
 
     def forget_tree(self, name: str) -> None:
         """Un-register the persisted index and reclaim every tree partition.
@@ -608,19 +641,19 @@ class DurableCatalog:
         manifest referencing deleted heapfiles.  The dataset archive stays.
         """
         storage = self._storages.get(name)
-        manifest = self._committed(storage)
-        if storage is None or manifest is None:
+        committed = self._committed(name)
+        if storage is None or committed is None:
             return
-        if _tree_section(manifest) is None:
-            sweep(storage, manifest)  # partitions of a build that never committed
+        if _tree_section(committed) is None:
+            sweep(storage, committed)  # partitions of a build that never committed
             return
-        manifest["tree"] = None
-        commit_manifest(storage, manifest)
+        self._commit(name, storage, {**committed, "tree": None})
 
     def drop(self, name: str) -> None:
         """Delete dataset ``name``'s partition files, manifest and directory."""
         self._pending.pop(name, None)
         self._damaged.pop(name, None)
+        self._manifests.pop(name, None)
         try:
             self.check_name(name)
         except ValueError:
@@ -649,7 +682,7 @@ class DurableCatalog:
         """
         storage = self._storages.get(name)
         persisted = self.is_persisted(name)
-        manifest = self._committed(storage)
+        manifest = self._committed(name)
         status: dict[str, object] = {
             "persisted": persisted,
             "storage_partitions": len(storage.partitions()) if storage is not None else 0,
@@ -677,3 +710,4 @@ class DurableCatalog:
         for storage in self._storages.values():
             storage.close()
         self._storages.clear()
+        self._manifests.clear()

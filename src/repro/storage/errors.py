@@ -8,7 +8,7 @@ recovery) reports what it found:
 
 * :class:`StorageError` — root of the storage layer's *exception
   contract*: the only project type public storage functions are allowed
-  to let escape (machine-checked by lint rule REPRO111),
+  to let escape (held by ``tests/storage/test_error_contract.py``),
 * :class:`StorageCorruptionError` — base for corruption findings; every
   message carries the remediation hint (``run repro-fsck``) so an
   operator landing on a stack trace knows the next step,
@@ -57,8 +57,8 @@ def partition_generation(name: str | Path) -> int | None:
 class StorageError(RuntimeError):
     """Base class for every error the storage layer's public surface raises.
 
-    The exception *contract* of ``repro.storage`` (machine-checked by the
-    REPRO111 lint rule): a public storage function may only let
+    The exception *contract* of ``repro.storage`` (damaged stores drive it
+    in ``tests/storage/test_error_contract.py``): a public storage function may only let
     ``StorageError`` subclasses escape, plus a short documented list of
     pass-through builtins (``ValueError``, ``KeyError``, ``OSError``...).
     Callers therefore get one type to catch that cleanly separates "the

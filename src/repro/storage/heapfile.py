@@ -181,15 +181,6 @@ class HeapFile:
             parts.append(payload)
         return b"".join(parts)
 
-    def delete(self, rid: RID) -> None:
-        """Delete the record (all of its chunks) starting at ``rid``."""
-        cursor: RID | None = rid
-        while cursor is not None:
-            page = self._pool.get_page(cursor.page_no)
-            _, nxt = _decode_chunk(page.read(cursor.slot))
-            page.delete(cursor.slot)
-            self._pool.mark_dirty(cursor.page_no)
-            cursor = nxt
 
 @dataclass(frozen=True)
 class HeapRecords:

@@ -149,12 +149,6 @@ class Page:
             raise _outside_data_area(slot, offset, length, num_slots)
         return bytes(self.data[offset : offset + length])
 
-    def delete(self, slot: int) -> None:
-        """Mark the record at ``slot`` as deleted (space is not reclaimed)."""
-        if not (0 <= slot < self.num_slots):
-            raise KeyError(f"slot {slot} out of range")
-        self._write_slot(slot, 0, 0)
-
     def to_bytes(self) -> bytes:
         """The raw page image."""
         return bytes(self.data)

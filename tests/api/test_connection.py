@@ -152,6 +152,31 @@ class TestConcurrentCursors:
         assert merged_b == conn.execute("SELECT obj_id, t FROM flights").fetchall()
         assert a.max_buffered <= 40 and b.max_buffered <= 40
 
+    def test_interleaved_streaming_statements_leave_generation_state_alone(self, conn):
+        """Reading is not a mutation: a cursor draining lazily, interleaved with
+        others on the same engine, never moves a dataset's generation token."""
+        period = conn.engine.get_mod("lanes").period
+        statements = [
+            ("SELECT * FROM lanes", None),
+            ("SELECT COUNT(*) FROM lanes WHERE x > :x", {"x": 0.0}),
+            ("SELECT S2T(lanes)", None),
+            ("SELECT QUT(lanes, :wi, :we)", {"wi": period.tmin, "we": period.tmax}),
+            ("SELECT SUMMARY(lanes)", None),
+        ]
+        alone = [conn.execute(sql, params).fetchall() for sql, params in statements]
+        engine = conn.engine
+        before = (engine._generation_counter, dict(engine._generations))
+        cursors = [conn.execute(sql, params) for sql, params in statements]
+        drained: list[list[dict]] = [[] for _ in cursors]
+        while True:
+            pages = [cur.fetchmany(7) for cur in cursors]
+            for rows, page in zip(drained, pages):
+                rows.extend(page)
+            if not any(pages):
+                break
+        assert (engine._generation_counter, dict(engine._generations)) == before
+        assert drained == alone
+
     def test_open_cursor_survives_dataset_replacement(self, conn, lanes_small):
         """Rows already streaming keep coming from the captured snapshot."""
         mod, _ = lanes_small

@@ -18,7 +18,9 @@ observes, and those must match exactly.
 """
 
 import json
+import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +28,8 @@ from repro.core.engine import HermesEngine
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
-from repro.storage.catalog import MANIFEST_FILENAME
-from repro.storage.faults import FaultInjector, InjectedCrash
+from repro.storage.catalog import MANIFEST_FILENAME, staged_tmp_path
+from repro.storage.faults import FaultInjector, InjectedCrash, IOShim
 from repro.storage.fsck import fsck_store
 
 from tests.conftest import make_linear_trajectory
@@ -197,6 +199,144 @@ def test_crash_sweep(chain, tmp_path, phase_idx):
             f"{name}@{at}: QuT answer diverged from the recovered "
             f"{'pre' if expected is pre else 'post'}-op state"
         )
+
+
+class RecordingShim(IOShim):
+    """A pass-through shim that logs every call that can put bytes on disk.
+
+    ``log`` holds ``(kind, path)`` per call, ``kind`` one of ``open`` (for
+    writing), ``write``, ``fsync``, ``replace`` (logged under its source and
+    then as ``replaced`` under its target), ``unlink`` and ``fsync_dir``.
+    """
+
+    def __init__(self) -> None:
+        self.log: list[tuple[str, Path]] = []
+
+    def _note(self, kind: str, path) -> None:
+        self.log.append((kind, Path(os.path.abspath(path))))
+
+    def open(self, path, mode):
+        if set(mode) & set("wax+"):
+            self._note("open", path)
+        return super().open(path, mode)
+
+    def write(self, fh, data):
+        self._note("write", fh.name)
+        super().write(fh, data)
+
+    def fsync(self, fh):
+        self._note("fsync", fh.name)
+        super().fsync(fh)
+
+    def replace(self, src, dst):
+        self._note("replace", src)
+        self._note("replaced", dst)
+        super().replace(src, dst)
+
+    def unlink(self, path):
+        self._note("unlink", path)
+        super().unlink(path)
+
+    def fsync_dir(self, path):
+        self._note("fsync_dir", path)
+        super().fsync_dir(path)
+
+
+def unshimmed_files(root: Path, log) -> list[str]:
+    """Files under ``root`` that no shimmed call opened for writing or renamed into place."""
+    written = {path for kind, path in log if kind in ("open", "replaced")}
+    return sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*")
+        if path.is_file() and Path(os.path.abspath(path)) not in written
+    )
+
+
+def commit_order_violations(log) -> list[str]:
+    """Every rename that did not run as stage → fsync → replace → directory fsync.
+
+    For each ``replace`` the source must be the target's staging file, opened
+    and written through the shim, with an ``fsync`` after its last write and
+    before the rename; the target's directory must be fsynced after the
+    rename and before the next one.
+    """
+    problems = []
+    renames = [i for i, (kind, _) in enumerate(log) if kind == "replace"]
+    for n, i in enumerate(renames):
+        src, dst = log[i][1], log[i + 1][1]
+        if src != staged_tmp_path(dst):
+            problems.append(f"{dst.name}: renamed from {src.name}, not its staging file")
+        staged = [kind for kind, path in log[:i] if path == src]
+        opened = max((j for j, kind in enumerate(staged) if kind == "open"), default=None)
+        if opened is None:
+            problems.append(f"{dst.name}: staging file never opened through the shim")
+            continue
+        since = [kind for kind in staged[opened:] if kind in ("write", "fsync")]
+        if "write" not in since:
+            problems.append(f"{dst.name}: staging file never written through the shim")
+        elif since[-1] != "fsync":
+            problems.append(f"{dst.name}: renamed before its staged write was fsynced")
+        end = renames[n + 1] if n + 1 < len(renames) else len(log)
+        if ("fsync_dir", dst.parent) not in log[i + 2 : end]:
+            problems.append(f"{dst.name}: directory not fsynced after the rename")
+    return problems
+
+
+class TestEveryWriteGoesThroughTheShim:
+    """The sweep can only cut power at calls it sees: the workload makes no other."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("recorded")
+        shim = RecordingShim()
+        files = []
+        for _name, phase in PHASES:
+            engine = HermesEngine.on_disk(root, io=shim)
+            phase(engine)
+            engine.close()
+            files.append(unshimmed_files(root, shim.log))
+        return shim.log, files
+
+    def test_every_stored_file_was_written_through_the_shim(self, recorded):
+        log, files = recorded
+        assert any(kind == "open" for kind, _ in log)
+        assert files == [[] for _ in PHASES]
+
+    def test_every_commit_stages_fsyncs_renames_then_fsyncs_the_directory(self, recorded):
+        log, _ = recorded
+        assert sum(kind == "replace" for kind, _ in log) >= 3
+        assert commit_order_violations(log) == []
+
+    def test_the_order_check_names_each_broken_step(self, tmp_path):
+        target = tmp_path / MANIFEST_FILENAME
+        tmp = staged_tmp_path(target)
+
+        def commit(*steps):
+            events = {
+                "open": [("open", tmp)],
+                "write": [("write", tmp)],
+                "fsync": [("fsync", tmp)],
+                "replace": [("replace", tmp), ("replaced", target)],
+                "fsync_dir": [("fsync_dir", tmp_path)],
+            }
+            return commit_order_violations([e for step in steps for e in events[step]])
+
+        assert commit("open", "write", "fsync", "replace", "fsync_dir") == []
+        assert commit("write", "fsync", "replace", "fsync_dir") == [
+            "manifest.json: staging file never opened through the shim"
+        ]
+        assert commit("open", "fsync", "replace", "fsync_dir") == [
+            "manifest.json: staging file never written through the shim"
+        ]
+        assert commit("open", "write", "replace", "fsync_dir") == [
+            "manifest.json: renamed before its staged write was fsynced"
+        ]
+        assert commit("open", "write", "replace", "fsync", "fsync_dir") == [
+            "manifest.json: renamed before its staged write was fsynced"
+        ]
+        assert commit("open", "write", "fsync", "replace") == [
+            "manifest.json: directory not fsynced after the rename"
+        ]
 
 
 class TestColdStartOrphanSweep:

@@ -19,7 +19,8 @@ from repro.hermes.mod import MOD
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.retratree import ReTraTree
-from repro.storage.catalog import MANIFEST_FILENAME
+from repro.storage.catalog import MANIFEST_FILENAME, StorageManager
+from repro.storage.faults import FaultInjector
 
 from tests.conftest import membership_signature, run_sql
 
@@ -510,6 +511,25 @@ class TestColdOpenDecodesNothing:
         cold.close()
 
 
+    def test_a_cold_query_reads_the_manifest_once(self, archived, monkeypatch):
+        """The catalog keeps the manifest it verified at open; the tree
+        reopen and the query read that copy, not the file again."""
+        root, window, expected, _rebuilt = archived
+        reads = []
+        real_read = StorageManager.read_manifest
+
+        def counted(storage, verify=True):
+            reads.append(storage.directory)
+            return real_read(storage, verify)
+
+        monkeypatch.setattr(StorageManager, "read_manifest", counted)
+        cold = HermesEngine.on_disk(root)
+        assert exact_answer(cold.qut("lanes", window)) == expected
+        assert cold.retratree("lanes").recovered
+        assert reads == [root / "lanes"]
+        cold.close()
+
+
 class TestDropReclaimsDisk:
     def test_drop_deletes_partition_files(self, warm, tmp_path):
         engine, _ = warm
@@ -603,6 +623,26 @@ class TestDropReclaimsDisk:
 
 
 class TestManifestHygiene:
+    def test_a_failed_commit_leaves_the_committed_manifest_to_the_file(self, tmp_path):
+        """A commit that raises after its retries never becomes the catalog's
+        copy: the next commit builds on what the file holds."""
+        mod, _ = lane_scenario(n_trajectories=12, n_lanes=2, n_samples=16, seed=4)
+        trajs = mod.trajectories()
+        injector = FaultInjector()
+        engine = HermesEngine.on_disk(tmp_path / "s", io=injector)
+        engine.load_mod("lanes", MOD(name="lanes", trajectories=trajs[:8]))
+        injector.fail_next("replace", count=4)
+        with pytest.raises(OSError):
+            engine.append("lanes", trajs[8:10])
+        on_disk = json.loads((tmp_path / "s" / "lanes" / MANIFEST_FILENAME).read_text())
+        assert on_disk["deltas"] == []
+        assert engine.catalog.status("lanes")["delta_partitions"] == 0
+        assert engine.append("lanes", trajs[10:]).persisted
+        engine.close()
+        cold = HermesEngine.on_disk(tmp_path / "s")
+        assert [t.key for t in cold.get_mod("lanes")] == [t.key for t in trajs[:8] + trajs[10:]]
+        cold.close()
+
     def test_manifest_written_on_load(self, tmp_path, lanes_small):
         mod, _ = lanes_small
         engine = HermesEngine.on_disk(tmp_path / "engine")

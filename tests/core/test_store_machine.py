@@ -1,29 +1,39 @@
-"""A durable connection driven by random load / append / qut / reopen steps.
+"""A durable connection driven by random load / append / crash / qut / reopen steps.
 
 One hypothesis state machine over ``repro.connect(path)``.  After every
 step that can change an answer, three routes to the same QuT window must
 agree: the SQL statement and the fluent builder give the same rows; the
 engine's answer equals the per-partition loader in ``tests/qut/oracles.py``
 bit for bit; and a reopened connection (a cold tree read from disk) gives
-the rows the warm connection gave before it closed.
+the rows the warm connection gave before it closed.  A crash step cuts the
+power at a drawn operation of an append; the reopened store holds the rows
+of either the state before the append or the state after it.  No step lets
+an error escape outside the storage and API error contract
+(``tests/storage/test_error_contract.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
+from hypothesis.errors import HypothesisException
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import repro
+from repro.core.engine import HermesEngine
 from repro.datagen import lane_scenario
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
+from repro.storage.faults import FaultInjector, InjectedCrash
 from tests.qut.oracles import PerPartitionQuT
 from tests.qut.test_derived_state import result_signature
+from tests.storage.test_error_contract import CONTRACT, within_contract
 
 QUT_SQL = "SELECT QUT(f, :wi, :we)"
 BASE = 18
@@ -35,6 +45,49 @@ FRACTIONS = st.sampled_from([(0.0, 1.0), (0.1, 0.45), (0.3, 0.8), (0.55, 0.6), (
 
 def window_of(lo: float, hi: float) -> Period:
     return Period(PERIOD.tmin + lo * PERIOD.duration, PERIOD.tmin + hi * PERIOD.duration)
+
+
+def contract_only(step):
+    """A rule that may fail, but only with an error of the contract's types."""
+
+    @functools.wraps(step)
+    def checked(self, *args, **kwargs):
+        try:
+            return step(self, *args, **kwargs)
+        except (*CONTRACT, HypothesisException):
+            raise
+        except Exception as exc:
+            raise AssertionError(f"{step.__name__}: {exc!r} is outside the error contract") from exc
+
+    return checked
+
+
+def keys_of(trajectories) -> list[tuple[str, str]]:
+    return [t.key for t in trajectories]
+
+
+def warm_engine(root: Path, injector: FaultInjector) -> HermesEngine:
+    """An engine on ``root`` through ``injector`` that has reopened the persisted tree.
+
+    Warming the tree first makes the next append maintain the index and
+    commit dataset and index at once.
+    """
+    engine = HermesEngine.on_disk(root, io=injector)
+    assert engine.retratree("f").recovered
+    return engine
+
+
+def append_ops(root: Path, batch) -> int:
+    """The mutating operations an append of ``batch`` makes, counted on a copy of the store."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "s"
+        shutil.copytree(root, copy)
+        injector = FaultInjector()
+        engine = warm_engine(copy, injector)
+        before = injector.ops
+        engine.append("f", batch)
+        engine.close()
+        return injector.ops - before
 
 
 class DurableStore(RuleBasedStateMachine):
@@ -50,19 +103,45 @@ class DurableStore(RuleBasedStateMachine):
 
     @precondition(lambda self: self.stored == 0)
     @rule()
+    @contract_only
     def load(self) -> None:
         self.conn.engine.load_mod("f", MOD(name="f", trajectories=TRAJECTORIES[:BASE]))
         self.stored = BASE
 
     @precondition(lambda self: 0 < self.stored < len(TRAJECTORIES))
     @rule(size=st.integers(min_value=1, max_value=6))
+    @contract_only
     def append(self, size: int) -> None:
         batch = TRAJECTORIES[self.stored : self.stored + size]
         assert self.conn.dataset("f").append(batch).persisted
         self.stored += len(batch)
 
+    @precondition(lambda self: 0 < self.stored < len(TRAJECTORIES))
+    @rule(size=st.integers(min_value=1, max_value=4), data=st.data())
+    @contract_only
+    def crash(self, size: int, data) -> None:
+        batch = TRAJECTORIES[self.stored : self.stored + size]
+        self.conn.engine.retratree("f")  # persisted, so both runs below reopen one tree
+        self.conn.close()
+        at = data.draw(st.integers(0, append_ops(self.root, batch) - 1), label="crash op")
+        injector = FaultInjector()
+        engine = warm_engine(self.root, injector)
+        injector.arm_crash(at_op=injector.ops + at)
+        with pytest.raises(InjectedCrash):
+            engine.append("f", batch)
+        # The process is dead; what it still attempts fails inside the contract.
+        within_contract(lambda: engine.qut("f", self.window))
+        within_contract(engine.close)
+        self.conn = repro.connect(self.root)
+        recovered = keys_of(self.conn.engine.get_mod("f"))
+        before = keys_of(TRAJECTORIES[: self.stored])
+        after = keys_of(TRAJECTORIES[: self.stored + len(batch)])
+        assert recovered in (before, after), f"crash at op {at} recovered neither state"
+        self.stored = len(recovered)
+
     @precondition(lambda self: self.stored > 0)
     @rule(fractions=FRACTIONS)
+    @contract_only
     def qut(self, fractions: tuple[float, float]) -> None:
         self.window = window_of(*fractions)
         sql = self.rows(self.window)
@@ -75,6 +154,7 @@ class DurableStore(RuleBasedStateMachine):
 
     @precondition(lambda self: self.stored > 0)
     @rule()
+    @contract_only
     def reopen(self) -> None:
         warm = self.rows(self.window)
         self.conn.close()

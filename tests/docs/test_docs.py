@@ -38,20 +38,6 @@ DOCS = ROOT / "docs"
 # error classes), the storage layer's contract modules and the lint package.
 DOCUMENTED = [
     "repro/__init__.py",
-    "repro/analysis/__init__.py",
-    "repro/analysis/__main__.py",
-    "repro/analysis/base.py",
-    "repro/analysis/determinism.py",
-    "repro/analysis/driver.py",
-    "repro/analysis/durability.py",
-    "repro/analysis/exception_contracts.py",
-    "repro/analysis/flow/__init__.py",
-    "repro/analysis/flow/callgraph.py",
-    "repro/analysis/flow/cfg.py",
-    "repro/analysis/flow/summaries.py",
-    "repro/analysis/io_discipline.py",
-    "repro/analysis/plan_purity.py",
-    "repro/analysis/shm_hygiene.py",
     "repro/api.py",
     "repro/core/engine.py",
     "repro/core/ingest.py",

@@ -107,6 +107,7 @@ class TestFrameRoundTrip:
     def test_to_shm_from_shm_is_exact_and_zero_copy(self, lanes_small):
         mod, _ = lanes_small
         frame = MODFrame.from_mod(mod)
+        before = _segment_listing()
         with ShmArena() as arena:
             segment, meta = frame.to_shm(arena)
             attached = MODFrame.from_shm(segment, meta, arena=arena)
@@ -123,6 +124,12 @@ class TestFrameRoundTrip:
             # same discipline the worker-side attach cache follows.
             del attached
         assert arena.live_segments() == []
+        # Without an arena the segment belongs to the process-wide default,
+        # which drains at exit; any other owner would leak it past the call.
+        segment, _meta = frame.to_shm()
+        assert segment in default_arena().live_segments()
+        default_arena().release(segment)
+        assert _segment_listing() - before == set()
 
 
 # -- the pooled S2T fit, the one scatter's caller ------------------------------------

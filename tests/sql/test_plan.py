@@ -1,11 +1,14 @@
 """The logical-plan layer: parsing, binding, rendering, front-end identity."""
 
+from dataclasses import is_dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import connect
 from repro.core.engine import HermesEngine
+from repro.sql import plan as plan_module
 from repro.sql.errors import SQLBindError, SQLExecutionError
 from repro.sql.plan import (
     SIGNATURES,
@@ -282,6 +285,18 @@ class TestBinding:
         assert bound is not template
         assert template.parameters()  # template stays re-bindable
         assert not bound.parameters()
+
+    def test_every_plan_dataclass_is_frozen(self):
+        """Memo keys and shared templates rely on plans never changing."""
+        classes = [
+            value
+            for value in vars(plan_module).values()
+            if isinstance(value, type)
+            and is_dataclass(value)
+            and value.__module__ == plan_module.__name__
+        ]
+        assert Parameter in classes and ScanPlan in classes
+        assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
 
 
 class TestExplainRendering:

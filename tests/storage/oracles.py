@@ -108,6 +108,22 @@ def record_to_subtrajectory(raw: bytes) -> SubTrajectory:
     return SubTrajectory((rec.obj_id, rec.traj_id), start, end, traj)
 
 
+def kill_slot(page: Page, slot: int) -> None:
+    """Zero one slot entry: a dead slot, as the readers find it on disk."""
+    _U32.pack_into(page.data, 4 + 4 * slot, 0)
+
+
+def delete_record(heap: HeapFile, rid: RID) -> None:
+    """Kill the slot of every chunk of the record whose head is at ``rid``."""
+    cursor: RID | None = rid
+    while cursor is not None:
+        page = heap.buffer_pool.get_page(cursor.page_no)
+        _, nxt = _decode_chunk(page.read(cursor.slot))
+        kill_slot(page, cursor.slot)
+        heap.buffer_pool.mark_dirty(cursor.page_no)
+        cursor = nxt
+
+
 def page_records_per_slot(page: Page) -> list[tuple[int, bytes]]:
     """All live ``(slot, record)`` pairs of the page, one slot at a time."""
     out = []

@@ -5,7 +5,7 @@ exactly what ``encode_record`` wrote — ids, parent bounds and every sample
 bit for bit, as the record-at-a-time parser in ``tests/storage/oracles.py``
 reads it — and must refuse each corruption with the oracle's exact message,
 wherever the record sits in the batch.  The generated sub-chunks hold 1–6
-heap files, some empty, with dead slots punched by ``HeapFile.delete``,
+heap files, some empty, with dead slots (zeroed slot entries),
 records chained past a page, and empty and multi-byte UTF-8 ids.
 """
 
@@ -33,6 +33,7 @@ from tests.conftest import make_linear_trajectory, restriction_signature, stored
 from tests.qut.test_retratree import flow_mod
 from tests.storage.oracles import (
     decode_record,
+    delete_record,
     read_partitions_per_record,
     read_records_per_slot,
     record_to_subtrajectory,
@@ -211,7 +212,7 @@ def build_heap(raws: list[bytes], dead: list[int]) -> HeapFile:
     heap = HeapFile(BufferPool(InMemoryPager(), capacity=16))
     rids = [heap.insert(raw) for raw in raws]
     for position in sorted({i % len(rids) for i in dead} if rids else ()):
-        heap.delete(rids[position])
+        delete_record(heap, rids[position])
     return heap
 
 

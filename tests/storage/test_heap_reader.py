@@ -4,8 +4,8 @@
 joins their pooled pages once and reads every slot directory and chunk flag
 as arrays (``slot_directories``); ``count_records`` reads the same
 headers and counts.  ``tests/storage/oracles.py`` keeps the per-slot walk;
-over generated sub-chunks of 1–6 files — empty files, dead slots punched with
-``HeapFile.delete``, records chained over pages, random slot-entry and
+over generated sub-chunks of 1–6 files — empty files, dead slots (zeroed
+slot entries), records chained over pages, random slot-entry and
 chunk-header damage in any file — the reader must yield each file's records
 in the same order, or raise a ``ValueError`` with the text the walk gives for
 the first damage in sub-chunk order, and every page is fetched exactly once.
@@ -25,6 +25,8 @@ from repro.storage.records import decode_records, encode_record
 from tests.conftest import stored_records
 from tests.storage.oracles import (
     count_records_per_slot,
+    delete_record,
+    kill_slot,
     page_records_per_slot,
     read_records_per_slot,
     scan_records_per_slot,
@@ -54,7 +56,7 @@ def build_heap(ops, capacity: int = 64, salt: int = 0) -> tuple[HeapFile, list[R
         if op == "insert":
             live.append(heap.insert(payload(i + salt, arg)))
         elif live:
-            heap.delete(live.pop(arg % len(live)))
+            delete_record(heap, live.pop(arg % len(live)))
     return heap, live
 
 
@@ -236,8 +238,8 @@ class TestSlotDirectory:
         page = Page()
         for i in range(5):
             page.insert(bytes([i]) * (i + 1))
-        page.delete(1)
-        page.delete(4)
+        kill_slot(page, 1)
+        kill_slot(page, 4)
         pages, slots, offsets, lengths, damage = slot_directories(pages_image(Page(), page))
         assert damage is None
         assert pages.tolist() == [1, 1, 1]

