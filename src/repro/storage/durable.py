@@ -67,7 +67,8 @@ Manifest schema (``format_version`` 4 — the only format read or written)
     }
 
 A manifest that is not exactly this — another ``format_version``, no
-``manifest_crc`` or one that does not match, no ``checksums`` map — is
+``manifest_crc`` or one that does not match, no ``checksums`` map, or a
+stamped one whose ``row_keys`` or ``deltas`` are not the shapes above — is
 **damaged**: its dataset is withheld from :meth:`DurableCatalog.pending`,
 asking for it raises :class:`~repro.storage.errors.CorruptManifestError`, and
 ``repro-fsck`` reports an error.
@@ -181,14 +182,41 @@ def dataset_state(manifest: Manifest) -> list[str]:
     return [name for name, _, role in manifest_partitions(manifest) if role != "tree"]
 
 
+def _row_keys_problem(row_keys: object, owner: str) -> str | None:
+    if isinstance(row_keys, list) and all(isinstance(key, list) for key in row_keys):
+        return None
+    return f"{owner} has no row_keys list of [obj_id, traj_id] keys"
+
+
+def _rows_problem(manifest: Manifest) -> str | None:
+    """Why a stamped manifest's row order cannot be decoded, or ``None``.
+
+    Recovery decodes the base archive in ``row_keys`` order and then every
+    delta in ``deltas`` order; a missing or retyped one would silently serve
+    fewer rows, so it is a layout problem, not an empty batch.
+    """
+    problem = _row_keys_problem(manifest.get("row_keys"), "the base archive")
+    deltas = manifest.get("deltas")
+    if problem is not None or not isinstance(deltas, list):
+        return problem or "manifest has no deltas list"
+    for i, delta in enumerate(deltas):
+        if not isinstance(delta, dict) or not isinstance(delta.get("partition"), str):
+            return f"delta {i} names no partition"
+        problem = _row_keys_problem(delta.get("row_keys"), f"delta {i}")
+        if problem is not None:
+            return problem
+    return None
+
+
 def manifest_problem(manifest: object) -> tuple[str, str] | None:
     """Why a parsed manifest is not a committed format-4 one, or ``None``.
 
     Returns ``(kind, detail)``: ``"manifest_unsupported"`` when the layout
     cannot be interpreted at all (wrong ``format_version``, no dataset or
-    base partition), ``"manifest_checksum"`` when it can but its integrity
-    stamps are missing or do not match — in which case nothing in it,
-    including the partition names a sweep would key on, can be trusted.
+    base partition, or — under a matching stamp — no decodable row order),
+    ``"manifest_checksum"`` when it can but its integrity stamps are missing
+    or do not match — in which case nothing in it, including the partition
+    names a sweep would key on, can be trusted.
     """
     if not isinstance(manifest, dict):
         return "manifest_unsupported", "manifest is not a JSON object"
@@ -215,7 +243,8 @@ def manifest_problem(manifest: object) -> tuple[str, str] | None:
             "stamp is missing, or the file was modified or damaged after "
             "its commit)",
         )
-    return None
+    rows = _rows_problem(manifest)
+    return None if rows is None else ("manifest_unsupported", rows)
 
 
 def _read_committed(storage: StorageManager) -> tuple[Manifest | None, str | None]:
@@ -439,13 +468,9 @@ class DurableCatalog:
         """
         manifest = self._pending[name]
         storage = self.storage(name)
-        ordered = self._decode(
-            storage, name, manifest["frame_partition"], manifest.get("row_keys") or []
-        )
-        for delta in manifest.get("deltas") or []:
-            ordered.extend(
-                self._decode(storage, name, delta["partition"], delta.get("row_keys") or [])
-            )
+        ordered = self._decode(storage, name, manifest["frame_partition"], manifest["row_keys"])
+        for delta in manifest["deltas"]:
+            ordered.extend(self._decode(storage, name, delta["partition"], delta["row_keys"]))
         del self._pending[name]
         return ordered
 

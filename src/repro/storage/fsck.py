@@ -6,8 +6,9 @@ three layers of evidence against each other:
 
 1. **the manifest** — readable JSON that
    :func:`~repro.storage.durable.manifest_problem` accepts: format 4, a
-   matching ``manifest_crc`` stamp, a ``checksums`` map.  Anything else is
-   an error, never "legacy";
+   matching ``manifest_crc`` stamp, a ``checksums`` map, a row order
+   (``row_keys`` and ``deltas``) it can decode.  Anything else is an
+   error, never "legacy";
 2. **the partition files it references** (walked by
    :func:`~repro.storage.durable.manifest_partitions`) — present, a whole
    number of pages, page CRC32s matching the manifest's recorded

@@ -307,36 +307,89 @@ class TestEveryWriteGoesThroughTheShim:
         assert sum(kind == "replace" for kind, _ in log) >= 3
         assert commit_order_violations(log) == []
 
-    def test_the_order_check_names_each_broken_step(self, tmp_path):
-        target = tmp_path / MANIFEST_FILENAME
-        tmp = staged_tmp_path(target)
 
-        def commit(*steps):
-            events = {
-                "open": [("open", tmp)],
-                "write": [("write", tmp)],
-                "fsync": [("fsync", tmp)],
-                "replace": [("replace", tmp), ("replaced", target)],
-                "fsync_dir": [("fsync_dir", tmp_path)],
-            }
-            return commit_order_violations([e for step in steps for e in events[step]])
+def staged_commit(directory: Path, *steps: str, source: Path | None = None):
+    """The shim log of one manifest commit in ``directory`` made of ``steps``."""
+    target = directory / MANIFEST_FILENAME
+    tmp = source or staged_tmp_path(target)
+    events = {
+        "open": [("open", tmp)],
+        "write": [("write", tmp)],
+        "fsync": [("fsync", tmp)],
+        "replace": [("replace", tmp), ("replaced", target)],
+        "fsync_dir": [("fsync_dir", directory)],
+    }
+    return [event for step in steps for event in events[step]]
 
-        assert commit("open", "write", "fsync", "replace", "fsync_dir") == []
-        assert commit("write", "fsync", "replace", "fsync_dir") == [
-            "manifest.json: staging file never opened through the shim"
+
+#: One commit's steps, and what the order check must say about them.
+ORDER_CASES = {
+    "intact": (("open", "write", "fsync", "replace", "fsync_dir"), None),
+    "never-opened": (
+        ("write", "fsync", "replace", "fsync_dir"),
+        "staging file never opened through the shim",
+    ),
+    "never-written": (
+        ("open", "fsync", "replace", "fsync_dir"),
+        "staging file never written through the shim",
+    ),
+    "fsync-dropped": (
+        ("open", "write", "replace", "fsync_dir"),
+        "renamed before its staged write was fsynced",
+    ),
+    "fsync-after-replace": (
+        ("open", "write", "replace", "fsync", "fsync_dir"),
+        "renamed before its staged write was fsynced",
+    ),
+    "written-after-fsync": (
+        ("open", "write", "fsync", "write", "replace", "fsync_dir"),
+        "renamed before its staged write was fsynced",
+    ),
+    "fsync_dir-dropped": (
+        ("open", "write", "fsync", "replace"),
+        "directory not fsynced after the rename",
+    ),
+    "fsync_dir-before-replace": (
+        ("open", "write", "fsync", "fsync_dir", "replace"),
+        "directory not fsynced after the rename",
+    ),
+}
+
+
+class TestTheShimChecksThemselves:
+    """Each broken step of a commit, and each unshimmed file, is named."""
+
+    @pytest.mark.parametrize(("steps", "problem"), ORDER_CASES.values(), ids=ORDER_CASES.keys())
+    def test_the_order_check_names_each_broken_step(self, tmp_path, steps, problem):
+        expected = [] if problem is None else [f"{MANIFEST_FILENAME}: {problem}"]
+        assert commit_order_violations(staged_commit(tmp_path, *steps)) == expected
+
+    def test_a_rename_from_another_file_is_named(self, tmp_path):
+        other = tmp_path / "elsewhere.json"
+        log = staged_commit(tmp_path, "open", "write", "fsync", "replace", "fsync_dir", source=other)
+        assert commit_order_violations(log) == [
+            "manifest.json: renamed from elsewhere.json, not its staging file"
         ]
-        assert commit("open", "fsync", "replace", "fsync_dir") == [
-            "manifest.json: staging file never written through the shim"
-        ]
-        assert commit("open", "write", "replace", "fsync_dir") == [
-            "manifest.json: renamed before its staged write was fsynced"
-        ]
-        assert commit("open", "write", "replace", "fsync", "fsync_dir") == [
-            "manifest.json: renamed before its staged write was fsynced"
-        ]
-        assert commit("open", "write", "fsync", "replace") == [
+
+    def test_each_commit_needs_its_own_directory_fsync(self, tmp_path):
+        first = staged_commit(tmp_path, "open", "write", "fsync", "replace")
+        second = staged_commit(tmp_path, "open", "write", "fsync", "replace", "fsync_dir")
+        assert commit_order_violations(first + second) == [
             "manifest.json: directory not fsynced after the rename"
         ]
+        assert commit_order_violations(second + second) == []
+
+    def test_a_file_written_around_the_shim_is_listed(self, tmp_path):
+        (tmp_path / "raw.part").write_bytes(b"x")
+        (tmp_path / "shimmed.part").write_bytes(b"x")
+        (tmp_path / MANIFEST_FILENAME).write_text("{}")
+        log = [("open", tmp_path / "shimmed.part"), *staged_commit(tmp_path, "replace")]
+        assert unshimmed_files(tmp_path, log) == ["raw.part"]
+
+    def test_a_file_in_a_subdirectory_is_listed(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "raw.part").write_bytes(b"x")
+        assert unshimmed_files(tmp_path, []) == [str(Path("d") / "raw.part")]
 
 
 class TestColdStartOrphanSweep:

@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from repro.storage.catalog import MANIFEST_FILENAME, StorageManager
+from repro.storage.catalog import MANIFEST_FILENAME, StorageManager, manifest_checksum
 from repro.storage.durable import (
     MANIFEST_FORMAT,
     DurableCatalog,
@@ -165,6 +165,74 @@ class TestCommitAndReopen:
         assert not (tmp_path / "d").exists()
         again.raise_if_damaged("d")
         again.close()
+
+
+def _set(key, value):
+    return lambda m: m.__setitem__(key, value)
+
+
+def _set_delta(key, value):
+    return lambda m: m["deltas"][0].__setitem__(key, value)
+
+
+#: Damage to the row order recovery decodes (the base's ``row_keys``, then
+#: every delta's), each of which a stamp restamped over it used to let
+#: through: a missing list read as empty and served only the other rows.
+ROW_ORDER_DAMAGE = {
+    "row_keys-missing": lambda m: m.pop("row_keys"),
+    "row_keys-null": _set("row_keys", None),
+    "row_keys-object": _set("row_keys", {"b0": ["b0", "0"]}),
+    "row_keys-string": _set("row_keys", "b0"),
+    "row_keys-key-not-a-list": lambda m: m["row_keys"].__setitem__(0, "b0"),
+    "deltas-missing": lambda m: m.pop("deltas"),
+    "deltas-null": _set("deltas", None),
+    "deltas-object": lambda m: m.__setitem__("deltas", {"0": m["deltas"][0]}),
+    "delta-not-an-object": lambda m: m["deltas"].__setitem__(0, m["deltas"][0]["partition"]),
+    "delta-partition-missing": lambda m: m["deltas"][0].pop("partition"),
+    "delta-partition-number": _set_delta("partition", 7),
+    "delta-row_keys-missing": lambda m: m["deltas"][0].pop("row_keys"),
+    "delta-row_keys-null": _set_delta("row_keys", None),
+    "delta-row_keys-key-not-a-list": lambda m: m["deltas"][0]["row_keys"].__setitem__(0, 3),
+}
+
+
+class TestAStampedManifestWithoutItsRowOrder:
+    """A matching ``manifest_crc`` vouches for the bytes, not the layout: a
+    stamped manifest whose row order cannot be decoded is unsupported."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        def build(damage):
+            catalog = DurableCatalog(tmp_path)
+            catalog.commit_dataset("d", trajectories("b", 5), 1)
+            assert catalog.commit_append("d", trajectories("n", 2), 2)
+            catalog.close()
+            manifest = manifest_of(tmp_path)
+            damage(manifest)
+            manifest["manifest_crc"] = manifest_checksum(manifest)
+            (tmp_path / "d" / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+            return manifest
+
+        return build
+
+    @pytest.mark.parametrize("damage", ROW_ORDER_DAMAGE.values(), ids=ROW_ORDER_DAMAGE.keys())
+    def test_manifest_problem_calls_it_unsupported(self, damaged, damage):
+        kind, detail = manifest_problem(damaged(damage))
+        assert kind == "manifest_unsupported"
+        assert "row_keys" in detail or "delta" in detail
+
+    @pytest.mark.parametrize("damage", ROW_ORDER_DAMAGE.values(), ids=ROW_ORDER_DAMAGE.keys())
+    def test_withheld_reported_and_quarantined(self, tmp_path, damaged, damage):
+        damaged(damage)
+        cold = DurableCatalog(tmp_path)
+        assert cold.pending() == []
+        with pytest.raises(CorruptManifestError, match="row_keys|delta"):
+            cold.raise_if_damaged("d")
+        cold.close()
+        assert [i.kind for i in fsck_store(tmp_path).errors] == ["manifest_unsupported"]
+        assert fsck_store(tmp_path, repair=True).clean
+        assert not (tmp_path / "d").exists()
+        assert fsck_store(tmp_path).clean
 
 
 class TestCrashAtEveryOpOfOneCommit:

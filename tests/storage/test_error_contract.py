@@ -39,7 +39,7 @@ from repro.storage.catalog import (
     page_checksums,
 )
 from repro.storage.durable import DurableCatalog, manifest_partitions
-from repro.storage.errors import StorageError
+from repro.storage.errors import CorruptManifestError, StorageError
 from repro.storage.faults import InjectedCrash
 from repro.storage.fsck import fsck_store
 from repro.storage.heapfile import read_records
@@ -229,3 +229,51 @@ class TestDamagedStoresRaiseContractTypes:
                 manifest["checksums"][name] = page_checksums(image)
             write_manifest(root, manifest, restamp=True)
             exercise(root)
+
+
+@pytest.mark.parametrize("owner", ["base", "delta"])
+def test_a_restamped_manifest_without_row_keys_serves_no_rows(store, tmp_path, owner):
+    """A stamp over a manifest that lost a ``row_keys`` list does not make it
+    a smaller dataset: nothing is served, and the diagnostic names the list."""
+    root, manifest = damaged_copy(store, str(tmp_path))
+    del (manifest if owner == "base" else manifest["deltas"][0])["row_keys"]
+    write_manifest(root, manifest, restamp=True)
+    with repro.connect(root) as conn:
+        with pytest.raises(SQLError):
+            conn.execute("SELECT COUNT(*) FROM d").fetchall()
+        with pytest.raises(CorruptManifestError, match="row_keys"):
+            conn.execute("SELECT SUMMARY(d)").fetchall()
+    assert [issue.kind for issue in fsck_store(root).errors] == ["manifest_unsupported"]
+
+
+class TestTheContractCheckItself:
+    """``within_contract`` lets the documented types through and nothing else."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            CorruptManifestError("damaged", path="manifest.json"),
+            StorageError("damaged"),
+            SQLError("bad statement"),
+            InjectedCrash("power cut"),
+            ValueError("bad argument"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_a_contract_type_is_an_answer(self, error):
+        def fail():
+            raise error
+
+        within_contract(fail)
+
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("bare"), AttributeError("typo"), ZeroDivisionError("empty")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_any_other_type_escapes(self, error):
+        def fail():
+            raise error
+
+        with pytest.raises(type(error)):
+            within_contract(fail)

@@ -8,7 +8,9 @@ that reads the wall clock (``time.time``, ``datetime.now``, ``date.today``
 and their kin) or draws from an interpreter-global stream (module-level
 ``random.*`` or ``numpy.random.*``).  Measuring a duration
 (``time.perf_counter``) and constructing a seeded generator
-(``random.Random(seed)``, ``np.random.default_rng(seed)``) stay legal.
+(``random.Random(seed)``, ``np.random.default_rng(seed)``, a numpy bit
+generator) stay legal; ``random.SystemRandom`` reads the operating system's
+entropy pool and is not.
 
 A call is resolved through the names its module imported, so
 ``from time import time as now; now()`` is found as ``time.time``; a method
@@ -42,7 +44,20 @@ CLOCKS = frozenset(
 #: Attributes of ``random`` / ``numpy.random`` that build or seed a generator
 #: instead of drawing from the global one.
 SEEDED = frozenset(
-    {"Random", "SystemRandom", "default_rng", "Generator", "RandomState", "SeedSequence", "seed"}
+    {
+        "Random",
+        "default_rng",
+        "Generator",
+        "RandomState",
+        "SeedSequence",
+        "seed",
+        "BitGenerator",
+        "MT19937",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
+    }
 )
 
 
@@ -135,6 +150,14 @@ def tree_with(tmp_path: Path, source: str) -> Path:
         ("import numpy as np\nnp.random.rand()\n", "numpy.random.rand"),
         ("import numpy.random\nnumpy.random.permutation(3)\n", "numpy.random.permutation"),
         ("from numpy import random as npr\nnpr.normal()\n", "numpy.random.normal"),
+        ("from time import time_ns\ntime_ns()\n", "time.time_ns"),
+        ("from datetime import datetime as dt\ndt.utcnow()\n", "datetime.datetime.utcnow"),
+        ("import datetime as d\nd.datetime.today()\n", "datetime.datetime.today"),
+        ("from datetime import date\ndate.today()\n", "datetime.date.today"),
+        ("import random as r\nr.choice([1])\n", "random.choice"),
+        ("import random\nrandom.SystemRandom().random()\n", "random.SystemRandom"),
+        ("from numpy.random import rand\nrand()\n", "numpy.random.rand"),
+        ("import numpy.random as npr\nnpr.shuffle([])\n", "numpy.random.shuffle"),
     ],
 )
 def test_each_ambient_shape_is_found(tmp_path, source, call):
@@ -150,6 +173,11 @@ def test_each_ambient_shape_is_found(tmp_path, source, call):
         "import numpy as np\nrng = np.random.default_rng(7)\nrng.normal()\n",
         "import numpy as np\nnp.random.RandomState(3).rand()\n",
         "def time():\n    return 0\ntime()\n",
+        "import time\nt0 = time.perf_counter_ns()\n",
+        "import numpy as np\nrng = np.random.Generator(np.random.PCG64(7))\n",
+        "import numpy as np\nchildren = np.random.SeedSequence(7).spawn(2)\n",
+        "from . import random\nrandom.random()\n",
+        "class C:\n    def time(self):\n        return 0\n\n    def f(self):\n        return self.time()\n",
     ],
 )
 def test_timers_and_seeded_generators_are_legal(tmp_path, source):
