@@ -135,21 +135,27 @@ def main_sql(argv: list[str] | None = None) -> int:
     from repro.api import Connection
     from repro.core.engine import HermesEngine
 
+    from repro.storage.errors import StorageCorruptionError
+
     if args.disk:
         engine = HermesEngine.on_disk(args.disk)
     else:
         engine = None
-    if args.csv:
-        engine = engine or HermesEngine.in_memory()
-        engine.load_csv(args.dataset, args.csv)
-    elif engine is not None and args.dataset in engine.datasets():
-        pass  # recovered from disk; keep it
-    else:
-        demo = _load_demo_engine(args.dataset, args.demo, args.n, args.seed)
-        if engine is None:
-            engine = demo
+    try:
+        if args.csv:
+            engine = engine or HermesEngine.in_memory()
+            engine.load_csv(args.dataset, args.csv)
+        elif engine is not None and engine.resolve(args.dataset):
+            pass  # recovered from disk; keep it
         else:
-            engine.load_mod(args.dataset, demo.get_mod(args.dataset))
+            demo = _load_demo_engine(args.dataset, args.demo, args.n, args.seed)
+            if engine is None:
+                engine = demo
+            else:
+                engine.load_mod(args.dataset, demo.get_mod(args.dataset))
+    except StorageCorruptionError as exc:  # withheld as damaged: never replaced
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     conn = Connection(engine=engine)
 
     bound_params: dict[str, object] = {}
@@ -165,7 +171,6 @@ def main_sql(argv: list[str] | None = None) -> int:
     def run(statement: str) -> None:
         from repro.sql.plan import ExplainPlan, bind_for_execution
         from repro.sql.planner import plan_sql
-        from repro.storage.errors import StorageCorruptionError
 
         nonlocal corruption_seen
         try:

@@ -162,6 +162,7 @@ class HermesEngine:
         """
         if self.catalog is not None:
             self.catalog.check_name(name)
+        self.resolve(name)  # a name withheld as damaged is refused: repro-fsck --repair first
         self._datasets[name] = mod
         self._invalidate(name)
         if self.catalog is not None:
@@ -253,18 +254,32 @@ class HermesEngine:
         """The MOD registered under ``name``; raises :class:`KeyError` if unknown.
 
         A dataset recovered from disk is materialised (archive records
-        decoded) on first access here.  A dataset whose on-disk manifest
-        was found damaged at recovery raises
-        :class:`~repro.storage.errors.CorruptManifestError` instead of
-        ``KeyError`` — the data may well still be there, it just cannot be
-        trusted until ``repro-fsck`` has looked at it.
+        decoded) on first access here.  The name is looked up by
+        :meth:`resolve`, so a dataset withheld as damaged raises
+        :class:`~repro.storage.errors.CorruptManifestError` instead.
         """
-        self._materialise(name)
-        if name not in self._datasets:
-            if self.catalog is not None:
-                self.catalog.raise_if_damaged(name)
+        if not self.resolve(name):
             raise KeyError(f"unknown dataset {name!r}; loaded: {self.datasets()}")
+        self._materialise(name)
         return self._datasets[name]
+
+    def resolve(self, name: str) -> bool:
+        """Whether ``name`` is a dataset of this engine: the one dataset lookup.
+
+        Registered datasets and catalogued ones not yet decoded are found.
+        A name whose on-disk manifest was withheld at recovery as damaged
+        raises :class:`~repro.storage.errors.CorruptManifestError` — the
+        data may well still be there, it just cannot be trusted until
+        ``repro-fsck`` has looked at it — so no caller can answer "unknown
+        dataset" for it.  :meth:`get_mod`, :meth:`load_mod` and every SQL
+        statement and table function look their dataset up here; ``DROP``
+        catches the error to give such a dataset up.
+        """
+        if name in self._datasets or (self.catalog is not None and name in self.catalog.pending()):
+            return True
+        if self.catalog is not None:
+            self.catalog.raise_if_damaged(name)
+        return False
 
     def datasets(self) -> list[str]:
         """Names of the registered datasets (including recovered ones)."""

@@ -88,18 +88,10 @@ from repro.hermes.types import BoxST, Period
 from repro.qut.params import QuTParams
 from repro.s2t.pipeline import S2TClustering
 from repro.storage.catalog import StorageManager
-from repro.storage.errors import CorruptPartitionError
-from repro.storage.heapfile import RID, count_records
+from repro.storage.heapfile import RID
 from repro.storage.records import decode_records, encode_record, read_partitions
 
 __all__ = ["ClusterEntry", "SubChunk", "ReTraTree", "subtrajectory_from_slice"]
-
-
-def _partition_path(storage: StorageManager, name: str):
-    """The partition's on-disk file, or ``None`` for in-memory storage."""
-    if storage.directory is None:
-        return None
-    return storage.directory / f"{name}.part"
 
 
 def _bbox_faces_within(a: MODFrame, b: MODFrame, d: float) -> np.ndarray:
@@ -839,39 +831,6 @@ class ReTraTree:
             "subchunks": subchunks,
         }
 
-    def _reopen_partitions(self, partitions: list[tuple[str, str, int]]) -> list[int]:
-        """Open existing partitions and check their record counts against the manifest.
-
-        ``partitions`` holds ``(name, role, recorded)`` triples: ``recorded``
-        is the count the manifest holds for the ``role`` ("member",
-        "unclustered", "representatives") partition ``name``.  *Read*: the
-        slot directories and chunk headers of all of their pages, in one
-        :func:`~repro.storage.heapfile.count_records` call — no record is
-        decoded.  *Checked*: opening reads each file once and verifies every
-        page against the manifest's CRCs before anything is counted
-        (``StorageManager.get_or_create``, which leaves the verified pages
-        in the partition's buffer pool, so the count reads no page from
-        disk), and each heapfile's record count must equal ``recorded``.  The heapfile
-        decides whether the two describe the same tree state: records
-        inserted after the last persist (and flushed by buffer-pool
-        eviction) are counted, records that never reached disk are not, and
-        either way the first mismatch raises
-        :class:`~repro.storage.errors.CorruptPartitionError`.
-        ``PartitionInfo.record_count`` is caller tracked, so reopening
-        restores it.  Returns the counts, in order.
-        """
-        infos = [self.storage.get_or_create(name) for name, _role, _recorded in partitions]
-        counts = count_records([info.heapfile for info in infos])
-        for info, (name, role, recorded), count in zip(infos, partitions, counts):
-            info.record_count = count
-            if count != int(recorded):
-                raise CorruptPartitionError(
-                    f"{role} partition {name!r} holds {count} records but the "
-                    f"manifest recorded {recorded}; the tree state is torn",
-                    path=_partition_path(self.storage, name),
-                )
-        return counts
-
     @classmethod
     def from_manifest(cls, manifest: dict, storage: StorageManager) -> "ReTraTree":
         """Reopen a persisted tree: the inverse of :meth:`to_manifest`.
@@ -885,10 +844,12 @@ class ReTraTree:
         exactly as on a tree that was never closed.
 
         Every partition the section names is opened eagerly, a sub-chunk's
-        partitions together (:meth:`_reopen_partitions`), each file read
-        once, whole, and every page CRC-checked before any record is
-        decoded — the representatives included — so page-CRC damage and a
-        record count that disagrees with the manifest surface here, as
+        partitions together (:meth:`~repro.storage.catalog.StorageManager.open_partitions`):
+        each file is read once, whole, and verified against its recorded
+        page CRCs and record count before any record is decoded — the
+        representatives included — from slot directories and chunk headers
+        alone, its pages then left in its buffer pool.  Page-CRC damage and
+        a record count that disagrees with the manifest surface here, as
         :class:`~repro.storage.errors.CorruptPartitionError` — a
         :class:`ValueError` — and the engine degrades to a rebuild instead
         of recovering a tree referencing phantom trajectories.  The typical
@@ -915,11 +876,9 @@ class ReTraTree:
         )
         tree.params = QuTParams.from_dict(manifest["params"])
         tree._next_cluster_id = int(manifest["next_cluster_id"])
-        reps_name = manifest.get("reps_partition") or tree._reps_partition
-        expected_reps = manifest.get("reps_count")
-        if expected_reps is not None:
-            tree._reopen_partitions([(reps_name, "representatives", expected_reps)])
-        reps = storage.get_or_create(reps_name)
+        [reps] = storage.open_partitions(
+            [(manifest.get("reps_partition") or tree._reps_partition, manifest["reps_count"])]
+        )
         representatives = iter(
             decode_records(
                 [
@@ -937,18 +896,19 @@ class ReTraTree:
                 period=Period(*sc_data["period"]),
                 unclustered_partition=sc_data["unclustered_partition"],
             )
-            subchunk.unclustered_count, *member_counts = tree._reopen_partitions(
-                [(subchunk.unclustered_partition, "unclustered", sc_data["unclustered_count"])]
-                + [(e["partition"], "member", e["member_count"]) for e in sc_data["entries"]]
+            storage.open_partitions(
+                [(subchunk.unclustered_partition, sc_data["unclustered_count"])]
+                + [(e["partition"], e["member_count"]) for e in sc_data["entries"]]
             )
-            for entry_data, member_count in zip(sc_data["entries"], member_counts):
+            subchunk.unclustered_count = sc_data["unclustered_count"]
+            for entry_data in sc_data["entries"]:
                 bbox = entry_data["bbox"]
                 subchunk.entries.append(
                     ClusterEntry(
                         cluster_id=int(entry_data["cluster_id"]),
                         representative=next(representatives),
                         partition_name=entry_data["partition"],
-                        member_count=member_count,
+                        member_count=entry_data["member_count"],
                         bbox=BoxST(*bbox) if bbox is not None else None,
                     )
                 )

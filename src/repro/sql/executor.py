@@ -46,6 +46,7 @@ from repro.sql.plan import (
     ShowPlan,
     plan_lines,
 )
+from repro.storage.errors import CorruptManifestError
 
 __all__ = ["ResultSet", "PlanExecutor", "iter_script"]
 
@@ -162,13 +163,17 @@ class PlanExecutor:
     # -- DDL / DML ------------------------------------------------------------------------
 
     def _create(self, plan: CreatePlan) -> list[dict[str, object]]:
-        if plan.dataset in self.engine.datasets():
+        if self.engine.resolve(plan.dataset):
             raise SQLExecutionError(f"dataset {plan.dataset!r} already exists")
         self.engine.load_mod(plan.dataset, MOD(name=plan.dataset))
         return [{"created": plan.dataset}]
 
     def _drop(self, plan: DropPlan) -> list[dict[str, object]]:
-        if plan.dataset not in self.engine.datasets():
+        try:
+            known = self.engine.resolve(plan.dataset)
+        except CorruptManifestError:
+            known = True  # a dataset withheld as damaged is given up
+        if not known:
             raise SQLExecutionError(f"unknown dataset {plan.dataset!r}")
         self.engine.drop(plan.dataset)
         return [{"dropped": plan.dataset}]
@@ -194,7 +199,7 @@ class PlanExecutor:
         each *statement* is one append commit, like a DBMS transaction.
         """
         name = plan.dataset
-        if name not in self.engine.datasets():
+        if not self.engine.resolve(name):
             raise SQLExecutionError(f"unknown dataset {name!r}; CREATE DATASET it first")
         coerced: list[tuple[tuple[str, str], tuple[float, float, float]]] = []
         for row in plan.rows:
@@ -318,7 +323,7 @@ class PlanExecutor:
         return True
 
     def _count(self, plan: CountPlan) -> list[dict[str, object]]:
-        if plan.dataset not in self.engine.datasets():
+        if not self.engine.resolve(plan.dataset):
             raise SQLExecutionError(f"unknown dataset {plan.dataset!r}")
         self._check_predicates(plan.predicates)
         mod = self.engine.get_mod(plan.dataset)
@@ -328,7 +333,7 @@ class PlanExecutor:
         return [{"count": count}]
 
     def _scan(self, plan: ScanPlan) -> ResultSet:
-        if plan.dataset not in self.engine.datasets():
+        if not self.engine.resolve(plan.dataset):
             raise SQLExecutionError(f"unknown dataset {plan.dataset!r}")
         columns = _POINT_COLUMNS if plan.columns == ("*",) else plan.columns
         unknown = set(columns) - set(_POINT_COLUMNS)

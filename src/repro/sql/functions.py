@@ -68,15 +68,14 @@ def _cluster_rows(result: ClusteringResult) -> list[dict[str, object]]:
 def _require_dataset(engine: HermesEngine, args: tuple, function: str) -> str:
     """The dataset named by the first argument; refused if it is not registered.
 
-    An unknown name gets the executor's ``unknown dataset`` error; a dataset
-    withheld at recovery as damaged keeps its own diagnostic.
+    The name is looked up by :meth:`~repro.core.engine.HermesEngine.resolve`:
+    an unknown one gets the executor's ``unknown dataset`` error, a dataset
+    withheld at recovery as damaged its ``CorruptManifestError``.
     """
     if not isinstance(args[0], str):
         raise SQLExecutionError(f"{function} requires a dataset name as its first argument")
     dataset = args[0]
-    if dataset not in engine.datasets():
-        if engine.catalog is not None:
-            engine.catalog.raise_if_damaged(dataset)
+    if not engine.resolve(dataset):
         raise SQLExecutionError(f"unknown dataset {dataset!r}")
     return dataset
 

@@ -21,27 +21,25 @@ import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterable
-from typing import Any, TypeVar
+from collections.abc import Callable, Iterable, Sequence
+from typing import Any, NamedTuple, TypeVar
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.errors import (
-    CorruptManifestError,
-    CorruptPartitionError,
-    partition_generation,
-)
+from repro.storage.errors import CorruptManifestError, CorruptPartitionError
 from repro.storage.faults import DEFAULT_IO, IOShim, with_retries
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, count_records
 from repro.storage.page import PAGE_SIZE
-from repro.storage.pager import FilePager, InMemoryPager
+from repro.storage.pager import FilePager, InMemoryPager, torn_tail
 
 __all__ = [
     "StorageManager",
     "PartitionInfo",
+    "Expected",
     "MANIFEST_FILENAME",
     "manifest_checksum",
     "page_checksums",
     "staged_tmp_path",
+    "verify_partitions",
 ]
 
 MANIFEST_FILENAME = "manifest.json"
@@ -83,20 +81,109 @@ def manifest_checksum(manifest: Manifest) -> int:
 
 
 def page_checksums(data: bytes) -> list[int]:
-    """Per-page CRC32s of a partition file image.
+    """Per-page CRC32s of a partition file image of whole pages."""
+    view = memoryview(data)
+    return [zlib.crc32(view[i : i + PAGE_SIZE]) for i in range(0, len(data), PAGE_SIZE)]
 
-    Raises :class:`CorruptPartitionError` when the image is not a whole
-    number of pages (a torn tail cannot be checksummed page-by-page).
+
+class Expected(NamedTuple):
+    """What a committed manifest records for one partition.
+
+    ``crcs`` is its list of per-page CRC32s and ``count`` its number of
+    records, each ``None`` when the manifest records none, or records
+    something other than ints (``bool`` is not an int here).
     """
-    if len(data) % PAGE_SIZE != 0:
-        raise CorruptPartitionError(
-            f"partition image of {len(data)} bytes is not a whole number of "
-            f"{PAGE_SIZE}-byte pages",
-            offset=len(data) - (len(data) % PAGE_SIZE),
+
+    crcs: list[int] | None
+    count: int | None
+
+
+def _part_path(directory: Path | None, name: str) -> Path | None:
+    return directory / f"{name}.part" if directory is not None else None
+
+
+def _page_problem(name: str, image: bytes, crcs: list[int] | None, directory: Path | None):
+    """Steps 1-3 of :func:`verify_partitions`: the file's size and pages."""
+    if len(image) % PAGE_SIZE:
+        return torn_tail(name, len(image), _part_path(directory, name))
+    if crcs is None:
+        return None
+    pages = len(image) // PAGE_SIZE
+    if pages != len(crcs):
+        return CorruptPartitionError(
+            f"partition {name!r} holds {pages} pages but the manifest recorded {len(crcs)}",
+            path=_part_path(directory, name),
+            offset=min(pages, len(crcs)) * PAGE_SIZE,
+            kind="checksum_mismatch",
         )
-    return [
-        zlib.crc32(data[i : i + PAGE_SIZE]) for i in range(0, len(data), PAGE_SIZE)
+    for page_no, (got, want) in enumerate(zip(page_checksums(image), crcs)):
+        if got != want:
+            return CorruptPartitionError(
+                f"partition {name!r} page {page_no} fails its CRC32 check "
+                f"(stored {want}, computed {got})",
+                path=_part_path(directory, name),
+                offset=page_no * PAGE_SIZE,
+                kind="checksum_mismatch",
+            )
+    return None
+
+
+def _record_counts(images: list[bytes]) -> list[int | ValueError]:
+    """Each image's record count, or the error its heap raises; one pass while all decode."""
+    try:
+        return count_records(images)
+    except ValueError:
+        pass
+    counts: list[int | ValueError] = []
+    for image in images:
+        try:
+            counts.extend(count_records([image]))
+        except ValueError as exc:
+            counts.append(exc)
+    return counts
+
+
+def verify_partitions(
+    partitions: Sequence[tuple[str, bytes, Expected]], directory: Path | None = None
+) -> list[CorruptPartitionError | None]:
+    """Each partition image's first problem against what was recorded for it, or ``None``.
+
+    The one partition verifier, pure: the verified open
+    (:meth:`StorageManager.open_partitions`) and ``repro-fsck`` both judge
+    a partition with it.  ``partitions`` holds ``(name, image, expected)``
+    triples — the partition file read whole and what the manifest recorded
+    for it — and ``directory`` locates the files the problems name.  Each
+    image's first failing check, in this order, is its problem:
+
+    1. a torn tail: a size that is not a whole number of pages;
+    2. a page count other than the number of ``expected.crcs``;
+    3. the first page whose CRC32 is not the recorded one;
+    4. a heap that does not decode
+       (:func:`~repro.storage.heapfile.count_records` raises);
+    5. a record count other than ``expected.count``.
+
+    An expectation that is ``None`` skips its steps (2-3, or 4-5).  The
+    problem is the :class:`CorruptPartitionError` the open raises, tagged
+    with the ``repro-fsck`` finding kind it is reported under.  The records
+    of all images still to count are counted in one pass.
+    """
+    problems = [_page_problem(name, image, expected.crcs, directory) for name, image, expected in partitions]
+    counted = [
+        i for i, problem in enumerate(problems) if problem is None and partitions[i][2].count is not None
     ]
+    for i, got in zip(counted, _record_counts([partitions[i][1] for i in counted]) if counted else []):
+        name, _image, expected = partitions[i]
+        if isinstance(got, ValueError):
+            problems[i] = CorruptPartitionError(
+                f"partition {name!r} is undecodable: {got}", path=_part_path(directory, name)
+            )
+        elif got != expected.count:
+            problems[i] = CorruptPartitionError(
+                f"partition {name!r} holds {got} records but the manifest "
+                f"recorded {expected.count} (torn commit)",
+                path=_part_path(directory, name),
+            )
+    return problems
 
 
 @dataclass
@@ -138,7 +225,7 @@ class StorageManager:
         self._partitions: dict[str, PartitionInfo] = {}
         # Per-page CRC32s the committed manifest recorded per partition;
         # consumed (verified, then discarded) on the first open of each
-        # partition file — see get_or_create / set_expected_checksums.
+        # partition file — see open_partitions / set_expected_checksums.
         self._expected_checksums: dict[str, list[int]] = {}
         # Manifest of an in-memory manager (a directory-backed one reads and
         # writes manifest.json instead, so state survives the process).
@@ -158,104 +245,112 @@ class StorageManager:
         """Create a new named partition; raises if the name already exists."""
         if name in self._partitions:
             raise ValueError(f"partition {name!r} already exists")
-        return self._open(name, None)
+        return self.open_partitions([(name, None)])[0]
 
     def get_or_create(self, name: str) -> PartitionInfo:
         """Return the named partition, opening or creating it on first use.
 
-        When the committed manifest recorded page checksums for ``name``
-        (see :meth:`set_expected_checksums`), the first open reads the
-        partition file once, whole, through its pager and checks it — a
-        torn tail, the page count, every page's CRC32 — before any record
-        is decoded, so corrupt bytes never reach a query answer; the
-        verified pages then fill the partition's buffer pool, so the heap
-        file's free-space scan and the first record read cost no second
-        read.  A refused open registers nothing and keeps no file handle.
-        Warm paths (partition already open) pay nothing.
+        The first open checks the file against the page CRCs the committed
+        manifest recorded for it (:meth:`open_partitions`).  Warm paths
+        (partition already open) pay nothing.
         """
         info = self._partitions.get(name)
         if info is not None:
             return info
-        return self._open(name, self._expected_checksums.get(name))
+        return self.open_partitions([(name, None)])[0]
 
     def set_expected_checksums(self, checksums: Manifest | None) -> None:
         """Register the manifest's per-partition page checksums for recovery.
 
-        ``checksums`` maps partition name to a list of per-page CRC32s (the
-        manifest's ``checksums`` key, which lists every partition the
-        manifest references).  Each entry is verified on the partition's
-        first :meth:`get_or_create` and then dropped; a partition without an
-        entry (one the manifest does not reference) opens unverified.
+        ``checksums`` maps partition name to its list of per-page CRC32s (the
+        manifest's ``checksums`` key, which the durable catalog registers only
+        once :func:`~repro.storage.durable.manifest_problem` found an int list
+        for every partition the manifest references).  Each list is checked as
+        recorded on the partition's first open and then dropped; a partition
+        without a list opens unverified.
         """
         self._expected_checksums = {
-            name: [int(c) for c in crcs]
-            for name, crcs in (checksums or {}).items()
-            if isinstance(name, str) and isinstance(crcs, list)
+            name: crcs for name, crcs in (checksums or {}).items() if isinstance(crcs, list)
         }
 
-    def _open(self, name: str, expected: list[int] | None) -> PartitionInfo:
-        """Open (or create) partition ``name`` and register it.
+    def open_partitions(self, partitions: Sequence[tuple[str, int | None]]) -> list[PartitionInfo]:
+        """The named partitions, each checked against what the manifest recorded for it.
 
-        With ``expected`` page CRCs, an existing file is read once and
-        checked (:meth:`_verified_image`), its pages preloaded into the pool.
-        The expectation is dropped only after that succeeds: a failing open
-        leaves it in place, so every retry re-verifies and raises the same
-        diagnostic — a corrupt partition never gets a second, unverified
-        chance to decode into a query answer.  An absent file opens empty
-        and lets the caller's record-count checks report what is missing.
+        ``partitions`` pairs each name with the record count the manifest
+        recorded for it (``None``: no count to check).  A partition not yet
+        open is opened, an absent file created empty.  When there is
+        something to check — the page CRCs :meth:`set_expected_checksums`
+        registered for it, or a count — an existing file is read once, whole,
+        and its pages then fill the partition's buffer pool, so the heap
+        file's free-space scan and the first record read cost no second
+        read.  A partition already open has its pooled pages counted.  One
+        :func:`verify_partitions` call judges them all, so corrupt bytes
+        never reach a query answer, and the first problem raises: then no
+        partition of the call is registered, no file handle is kept and the
+        expectations stay, so every retry re-verifies and raises the same
+        diagnostic.  A partition with a count keeps it as its
+        ``record_count``.
+        """
+        fresh: dict[str, tuple[BufferPool, Path | None, bytes | None]] = {}
+        checks: list[tuple[str, bytes, Expected]] = []
+        try:
+            for name, count in partitions:
+                info = self._partitions.get(name)
+                if info is not None:
+                    if count is not None:
+                        pool = info.heapfile.buffer_pool
+                        image = b"".join(pool.get_page(no).data for no in range(pool.num_pages()))
+                        checks.append((name, image, Expected(None, count)))
+                    continue
+                if name in fresh:
+                    continue
+                crcs = self._expected_checksums.get(name)
+                pool, path, image = self._pool(name, read=crcs is not None or count is not None)
+                fresh[name] = (pool, path, image)
+                if image is not None or count is not None:
+                    checks.append((name, image or b"", Expected(None if image is None else crcs, count)))
+            problem = next(filter(None, verify_partitions(checks, self.directory)), None)
+            if problem is not None:
+                raise problem
+        except BaseException:
+            for pool, _path, _image in fresh.values():
+                self.io_retries += pool.io_retries
+                pool.close()
+            raise
+        for name, (pool, path, image) in fresh.items():
+            if image:
+                pool.preload(image)
+            self._expected_checksums.pop(name, None)
+            self._partitions[name] = PartitionInfo(
+                name=name, heapfile=HeapFile(pool), on_disk=path is not None, path=path
+            )
+        infos = []
+        for name, count in partitions:
+            info = self._partitions[name]
+            if count is not None:
+                info.record_count = count
+            infos.append(info)
+        return infos
+
+    def _pool(self, name: str, read: bool) -> tuple[BufferPool, Path | None, bytes | None]:
+        """A buffer pool over partition ``name``, its file, and the file read whole.
+
+        The file is read only when ``read`` is set and it existed; a failed
+        read keeps no file handle.
         """
         if self.directory is None:
-            self._expected_checksums.pop(name, None)
-            pool = BufferPool(InMemoryPager(), capacity=self._buffer_pool_pages)
-            path = None
-        else:
-            path = self.directory / f"{name}.part"
-            pager = FilePager(path, io=self.io)
-            pool = BufferPool(pager, capacity=self._buffer_pool_pages)
-            if expected is not None:
-                verified = pager.created
-                try:
-                    if not verified:
-                        pool.preload(self._verified_image(name, pager, expected))
-                        verified = True
-                finally:
-                    if not verified:
-                        self.io_retries += pager.io_retries
-                        pager.close()
-                del self._expected_checksums[name]
-        info = PartitionInfo(name=name, heapfile=HeapFile(pool), on_disk=path is not None, path=path)
-        self._partitions[name] = info
-        return info
-
-    @staticmethod
-    def _verified_image(name: str, pager: FilePager, expected: list[int]) -> bytes:
-        """The partition file read whole, checked against its recorded page CRCs.
-
-        Raises :class:`CorruptPartitionError` naming the first failing
-        check: a torn tail (:meth:`FilePager.read_image`), a page count
-        other than the manifest's, then the first page whose CRC32 differs.
-        """
-        image = pager.read_image()
-        pages = len(image) // PAGE_SIZE
-        if pages != len(expected):
-            raise CorruptPartitionError(
-                f"partition {name!r} holds {pages} pages but the "
-                f"manifest recorded {len(expected)}",
-                path=pager.path,
-                offset=min(pages, len(expected)) * PAGE_SIZE,
-            )
-        view = memoryview(image)
-        for page_no, want in enumerate(expected):
-            got = zlib.crc32(view[page_no * PAGE_SIZE : (page_no + 1) * PAGE_SIZE])
-            if got != want:
-                raise CorruptPartitionError(
-                    f"partition {name!r} page {page_no} fails its CRC32 check "
-                    f"(stored {want}, computed {got})",
-                    path=pager.path,
-                    offset=page_no * PAGE_SIZE,
-                    generation=partition_generation(name),
-                )
-        return image
+            return BufferPool(InMemoryPager(), capacity=self._buffer_pool_pages), None, None
+        path = self.directory / f"{name}.part"
+        pager = FilePager(path, io=self.io)
+        image = None
+        if read and not pager.created:
+            try:
+                image = pager.read_image()
+            except BaseException:
+                self.io_retries += pager.io_retries
+                pager.close()
+                raise
+        return BufferPool(pager, capacity=self._buffer_pool_pages), path, image
 
     def get(self, name: str) -> PartitionInfo:
         """Return the named partition; raises :class:`KeyError` if absent."""
@@ -454,6 +549,8 @@ class StorageManager:
             if not path.exists():
                 continue
             data = self._retry(lambda p=path: self.io.read_bytes(p))
+            if len(data) % PAGE_SIZE:
+                raise torn_tail(name, len(data), path)
             sums[name] = page_checksums(data)
         return sums
 

@@ -8,8 +8,10 @@ is committed — the engine (:mod:`repro.core.engine`), the append path
 (:mod:`repro.core.ingest`) and ``repro-fsck`` (:mod:`repro.storage.fsck`)
 all go through it:
 
-* :func:`manifest_partitions` — the one walker: every partition a manifest
-  references, with the record count it committed and its role;
+* :func:`manifest_partitions` — every partition a manifest references, with
+  what it recorded for it (typed: its page CRCs and record count, each
+  ``None`` when not recorded as ints) and its role, over the one walk the
+  commit, the sweep and staging take for the names alone;
 * :func:`commit_manifest` — the one commit: checkpoint → stamp →
   :meth:`~repro.storage.catalog.StorageManager.write_manifest` →
   :func:`sweep`;
@@ -68,10 +70,13 @@ Manifest schema (``format_version`` 4 — the only format read or written)
 
 A manifest that is not exactly this — another ``format_version``, no
 ``manifest_crc`` or one that does not match, no ``checksums`` map, or a
-stamped one whose ``row_keys`` or ``deltas`` are not the shapes above — is
-**damaged**: its dataset is withheld from :meth:`DurableCatalog.pending`,
-asking for it raises :class:`~repro.storage.errors.CorruptManifestError`, and
-``repro-fsck`` reports an error.
+stamped one whose ``row_keys`` or ``deltas`` are not the shapes above, or in
+which a referenced partition lacks its list of int page CRCs or its int
+record count (``row_keys`` length, ``reps_count``, ``unclustered_count``,
+``member_count``) — is **damaged**: its dataset is withheld from
+:meth:`DurableCatalog.pending`, every statement on it raises
+:class:`~repro.storage.errors.CorruptManifestError` (``DROP`` gives it up),
+and ``repro-fsck`` reports an error.
 
 The commit protocol: stage → checkpoint → stamp → commit → sweep
 ----------------------------------------------------------------
@@ -94,6 +99,7 @@ from typing import Protocol
 from repro.hermes.trajectory import Trajectory
 from repro.storage.catalog import (
     MANIFEST_FILENAME,
+    Expected,
     Manifest,
     StorageManager,
     manifest_checksum,
@@ -108,6 +114,7 @@ __all__ = [
     "DurableCatalog",
     "commit_manifest",
     "dataset_state",
+    "expectation_problem",
     "manifest_partitions",
     "manifest_problem",
     "sweep",
@@ -137,22 +144,18 @@ def _length(value: object) -> int | None:
     return len(value) if isinstance(value, list) else None
 
 
+def _is_int(value: object) -> bool:
+    return type(value) is int  # not a bool, which is an int subclass
+
+
 def _tree_section(manifest: Manifest) -> Manifest | None:
     """The persisted index section, if any."""
     section = manifest.get("tree")
     return section if isinstance(section, dict) else None
 
 
-def manifest_partitions(manifest: Manifest) -> Iterator[tuple[str, object, str]]:
-    """Every partition a manifest references: ``(name, recorded_count, role)``.
-
-    ``role`` is ``"base"``, ``"delta:<i>"`` (``i`` indexes ``deltas``) or
-    ``"tree"`` (representatives, members and unclustered partitions of the
-    index) — it decides what losing the partition costs.  Dataset partitions come first, in decode order.
-    Counts are the raw manifest values (``None`` when not recorded); a
-    manifest under diagnosis may hold anything there, so callers that act
-    on a count coerce it themselves.
-    """
+def _references(manifest: Manifest) -> Iterator[tuple[str, object, str]]:
+    """The one walk: every partition a manifest references, its count as stored, its role."""
     if isinstance(manifest.get("frame_partition"), str):
         yield manifest["frame_partition"], _length(manifest.get("row_keys")), "base"
     for i, delta in enumerate(_items(manifest.get("deltas"))):
@@ -173,13 +176,44 @@ def manifest_partitions(manifest: Manifest) -> Iterator[tuple[str, object, str]]
                 yield entry["partition"], entry.get("member_count"), "tree"
 
 
+def manifest_partitions(manifest: Manifest) -> Iterator[tuple[str, Expected, str]]:
+    """Every partition a manifest references: ``(name, expected, role)``.
+
+    ``role`` is ``"base"``, ``"delta:<i>"`` (``i`` indexes ``deltas``) or
+    ``"tree"`` (representatives, members and unclustered partitions of the
+    index) — it decides what losing the partition costs.  Dataset partitions
+    come first, in decode order.  ``expected`` is what the manifest recorded
+    for the partition, typed: its ``checksums`` list when every entry is an
+    int, and its record count when that is an int (a base or delta's is the
+    length of its ``row_keys``), each ``None`` otherwise — the one reading
+    of those values, so no caller coerces one.
+    """
+    checksums = manifest.get("checksums")
+    checksums = checksums if isinstance(checksums, dict) else {}
+    for name, count, role in _references(manifest):
+        crcs = checksums.get(name)
+        typed = isinstance(crcs, list) and all(map(_is_int, crcs))
+        yield name, Expected(crcs if typed else None, count if _is_int(count) else None), role
+
+
+def expectation_problem(name: str, expected: Expected) -> str | None:
+    """Why partition ``name`` cannot be verified against ``expected``, or ``None``."""
+    missing = [what for what, value in zip(("page checksums", "record count"), expected) if value is None]
+    if not missing:
+        return None
+    return (
+        f"the manifest records no numeric {' and '.join(missing)} for partition {name!r}; "
+        "its content cannot be verified"
+    )
+
+
 def dataset_state(manifest: Manifest) -> list[str]:
     """The partitions archiving the dataset: the base plus every delta.
 
     This list is the *dataset state* identity a persisted tree records: a
     tree serialised against one state is stale for any other.
     """
-    return [name for name, _, role in manifest_partitions(manifest) if role != "tree"]
+    return [name for name, _, role in _references(manifest) if role != "tree"]
 
 
 def _row_keys_problem(row_keys: object, owner: str) -> str | None:
@@ -213,7 +247,9 @@ def manifest_problem(manifest: object) -> tuple[str, str] | None:
 
     Returns ``(kind, detail)``: ``"manifest_unsupported"`` when the layout
     cannot be interpreted at all (wrong ``format_version``, no dataset or
-    base partition, or — under a matching stamp — no decodable row order),
+    base partition, or — under a matching stamp — no decodable row order or
+    a referenced partition without its typed expectations,
+    :func:`expectation_problem`),
     ``"manifest_checksum"`` when it can but its integrity stamps are missing
     or do not match — in which case nothing in it, including the partition
     names a sweep would key on, can be trusted.
@@ -243,8 +279,11 @@ def manifest_problem(manifest: object) -> tuple[str, str] | None:
             "stamp is missing, or the file was modified or damaged after "
             "its commit)",
         )
-    rows = _rows_problem(manifest)
-    return None if rows is None else ("manifest_unsupported", rows)
+    problem = _rows_problem(manifest) or next(
+        filter(None, (expectation_problem(name, expected) for name, expected, _ in manifest_partitions(manifest))),
+        None,
+    )
+    return None if problem is None else ("manifest_unsupported", problem)
 
 
 def _read_committed(storage: StorageManager) -> tuple[Manifest | None, str | None]:
@@ -276,7 +315,7 @@ def sweep(storage: StorageManager, manifest: Manifest) -> None:
     superseded representatives generation, a forgotten tree, or what a
     crash between an earlier commit and its sweep left behind.
     """
-    referenced = {name for name, _, _ in manifest_partitions(manifest)}
+    referenced = {name for name, _, _ in _references(manifest)}
     for info in storage.partitions():
         if info.name not in referenced:
             storage.drop_partition(info.name)
@@ -308,7 +347,7 @@ def commit_manifest(storage: StorageManager, manifest: Manifest) -> None:
     # one index: its trees are unreferenced (swept), so the index rebuilds.
     manifest.pop("shards", None)
     manifest["format_version"] = MANIFEST_FORMAT
-    referenced = [name for name, _, _ in manifest_partitions(manifest)]
+    referenced = [name for name, _, _ in _references(manifest)]
     old = manifest.get("checksums")
     manifest["checksums"] = storage.partition_checksums(
         referenced, old if isinstance(old, dict) else {}
@@ -459,18 +498,24 @@ class DurableCatalog:
         """Decode a pending dataset's archive, in the committed row order.
 
         The base archive first, then every committed delta in append order
-        — the exact row order the warm process ended with.  Raises
-        :class:`~repro.storage.errors.CorruptPartitionError` when a
-        partition fails its recorded page checksums, does not decode, or
-        lacks a record the manifest promises; the dataset then *stays
-        pending*, so every retry repeats the diagnostic instead of
-        degrading to "unknown dataset".
+        — the exact row order the warm process ended with.  The archive's
+        partitions open together, each verified against its recorded page
+        checksums and record count
+        (:meth:`~repro.storage.catalog.StorageManager.open_partitions`).
+        Raises :class:`~repro.storage.errors.CorruptPartitionError` when a
+        partition fails that, does not decode, or lacks a record the
+        manifest promises; the dataset then *stays pending*, so every retry
+        repeats the diagnostic instead of degrading to "unknown dataset".
         """
         manifest = self._pending[name]
         storage = self.storage(name)
-        ordered = self._decode(storage, name, manifest["frame_partition"], manifest["row_keys"])
-        for delta in manifest["deltas"]:
-            ordered.extend(self._decode(storage, name, delta["partition"], delta["row_keys"]))
+        archive = [(manifest["frame_partition"], manifest["row_keys"])] + [
+            (delta["partition"], delta["row_keys"]) for delta in manifest["deltas"]
+        ]
+        storage.open_partitions([(partition, len(keys)) for partition, keys in archive])
+        ordered = []
+        for partition, keys in archive:
+            ordered.extend(self._decode(storage, name, partition, keys))
         del self._pending[name]
         return ordered
 
@@ -495,7 +540,6 @@ class DurableCatalog:
                 f"does not decode: {exc}",
                 path=info.path,
             ) from exc
-        info.record_count = len(batch)
         by_key: dict[tuple[str, ...], Trajectory] = dict(
             zip(batch.parent_keys, batch.trajectories())
         )
@@ -537,7 +581,7 @@ class DurableCatalog:
         attempt) — staging must never write into a file a committed
         manifest still points at.
         """
-        taken = {name for name, _, _ in manifest_partitions(manifest)}
+        taken = {name for name, _, _ in _references(manifest)}
         counter = seed
         while True:
             partition = f"{stem}{counter}"
@@ -595,8 +639,12 @@ class DurableCatalog:
         (``N >= seed``, the caller's generation token) the old manifest does
         not reference, so a crash mid-replacement leaves either the old or
         the new archive recoverable; the predecessor's partitions — old
-        archive, deltas, derived tree — are swept after the commit.
+        archive, deltas, derived tree — are swept after the commit.  A
+        dataset withheld as damaged is refused
+        (:meth:`raise_if_damaged`): its files are ``repro-fsck``'s to
+        quarantine, not a replacement's to sweep.
         """
+        self.raise_if_damaged(name)
         storage = self.storage(name)
         partition = self._fresh_partition(
             storage, f"{name}__dataset_g", seed, self._committed(name) or {}
@@ -610,7 +658,6 @@ class DurableCatalog:
         }
         self._commit(name, storage, manifest)
         self._pending.pop(name, None)
-        self._damaged.pop(name, None)
 
     def commit_append(
         self,

@@ -14,7 +14,8 @@ recovery) reports what it found:
   operator landing on a stack trace knows the next step,
 * :class:`CorruptPartitionError` — a partition heapfile failed validation;
   names the file, the byte offset of the first bad page and the partition
-  generation parsed from its ``_g<N>`` suffix,
+  generation parsed from its ``_g<N>`` suffix, and carries the ``repro-fsck``
+  finding kind it is reported under,
 * :class:`CorruptManifestError` — the catalog's ``manifest.json`` root is
   unreadable or fails its integrity check.
 
@@ -98,6 +99,14 @@ class CorruptPartitionError(StorageCorruptionError, ValueError):
     generation:
         The partition generation parsed from the ``_g<N>`` name suffix, or
         ``None`` for unsuffixed partitions.
+    kind:
+        The ``repro-fsck`` finding kind of the damage: ``checksum_mismatch``
+        (a page count or page CRC other than the manifest's) or
+        ``torn_partition`` (a torn tail, an undecodable heap, a record count
+        other than the manifest's).
+    detail:
+        ``message`` alone, without location or remediation: the text
+        ``repro-fsck`` reports for the same damage.
     """
 
     def __init__(
@@ -107,7 +116,10 @@ class CorruptPartitionError(StorageCorruptionError, ValueError):
         path: str | Path | None = None,
         offset: int | None = None,
         generation: int | None = None,
+        kind: str = "torn_partition",
     ) -> None:
+        self.detail = message
+        self.kind = kind
         self.path = Path(path) if path is not None else None
         self.offset = offset
         if generation is None and path is not None:

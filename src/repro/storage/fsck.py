@@ -7,13 +7,17 @@ three layers of evidence against each other:
 1. **the manifest** — readable JSON that
    :func:`~repro.storage.durable.manifest_problem` accepts: format 4, a
    matching ``manifest_crc`` stamp, a ``checksums`` map, a row order
-   (``row_keys`` and ``deltas``) it can decode.  Anything else is an
-   error, never "legacy";
+   (``row_keys`` and ``deltas``) it can decode, an int CRC list and record
+   count for every partition.  Anything else is an error, never "legacy";
 2. **the partition files it references** (walked by
-   :func:`~repro.storage.durable.manifest_partitions`) — present, a whole
-   number of pages, page CRC32s matching the manifest's recorded
-   checksums, and heapfile record counts matching the counts the manifest
-   committed;
+   :func:`~repro.storage.durable.manifest_partitions`, which types what the
+   manifest recorded for each) — present, and passing
+   :func:`~repro.storage.catalog.verify_partitions`, the one verifier the
+   cold open runs too: whole pages, their count and CRC32s as recorded, a
+   decodable heap holding the recorded number of records.  A finding's
+   kind and detail are the damage's ``CorruptPartitionError`` — the open
+   raises the same text.  Under a stale stamp, a partition without a
+   typed expectation is a ``checksum_mismatch`` on its role;
 3. **the directory contents** — partition files and manifest staging
    files nothing references (the debris a crash between a manifest commit
    and its sweep leaves behind).
@@ -48,22 +52,23 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.catalog import MANIFEST_FILENAME, StorageManager, page_checksums
+from repro.storage.catalog import MANIFEST_FILENAME, Expected, StorageManager, verify_partitions
 from repro.storage.durable import (
     QUARANTINE_DIRNAME,
     commit_manifest,
+    expectation_problem,
     manifest_partitions,
     manifest_problem,
     sweep,
 )
-from repro.storage.errors import StorageError
 from repro.storage.faults import DEFAULT_IO, IOShim
-from repro.storage.heapfile import HeapFile, count_records
-from repro.storage.page import PAGE_SIZE, Page
-from repro.storage.pager import Pager
+from repro.storage.page import PAGE_SIZE
 
 __all__ = ["FsckIssue", "FsckReport", "fsck_store", "QUARANTINE_DIRNAME"]
+
+#: Partition bytes verified per call: one record-count pass over many small
+#: files costs what one over a single file does, and memory stays bounded.
+_BATCH_BYTES = 64 * PAGE_SIZE
 
 
 @dataclass
@@ -96,6 +101,11 @@ class FsckIssue:
     severity: str = "error"
     repaired: bool = False
     action: str = ""
+
+    def resolve(self, action: str) -> None:
+        """Mark the issue repaired by ``action``."""
+        self.repaired = True
+        self.action = action
 
     def as_row(self) -> dict[str, object]:
         """The issue as one flat report row (CLI/JSON output)."""
@@ -160,56 +170,6 @@ class FsckReport:
         )
 
 
-class _BytesPager(Pager):
-    """Read-only pager over an in-memory file image (fsck never writes)."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-
-    def num_pages(self) -> int:
-        """Number of whole pages in the image (a torn tail page is not one)."""
-        return len(self._data) // PAGE_SIZE
-
-    def allocate_page(self) -> int:  # pragma: no cover - fsck is read-only
-        """Refused: fsck never grows a file."""
-        raise StorageError("fsck pagers are read-only")
-
-    def read_page(self, page_no: int) -> Page:
-        """The page at ``page_no``, sliced from the image."""
-        start = page_no * PAGE_SIZE
-        return Page(self._data[start : start + PAGE_SIZE])
-
-    def write_page(self, page_no: int, page: Page) -> None:  # pragma: no cover
-        """Refused: fsck never writes a page."""
-        raise StorageError("fsck pagers are read-only")
-
-
-def _record_count(data: bytes) -> int:
-    """Number of complete records in a partition file image.
-
-    Raises ``ValueError``/``KeyError`` when the heapfile structure itself
-    is undecodable (corrupt slots, broken continuation chains).
-    """
-    pool = BufferPool(_BytesPager(data), capacity=max(1, len(data) // PAGE_SIZE + 1))
-    return count_records([HeapFile(pool)])[0]
-
-
-def _as_int(value) -> int | None:
-    """``int(value)`` when it cleanly coerces, else ``None``.
-
-    Corruption can turn a recorded count or CRC into a string, null or
-    object that still parses as JSON; fsck's job is to *diagnose* such a
-    manifest, so every number it reads from one goes through here instead
-    of a bare ``int(...)`` that would crash the scan with a traceback.
-    """
-    if isinstance(value, bool):
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return None
-
-
 def _quarantine(root: Path, source: Path) -> Path:
     """Move a file or directory under ``<root>/_quarantine/``, never clobbering.
 
@@ -252,8 +212,7 @@ def _check_dataset(
                     directory.rmdir()
                 except OSError:  # pragma: no cover - foreign files present
                     pass
-                issue.repaired = True
-                issue.action = "deleted uncommitted files"
+                issue.resolve("deleted uncommitted files")
         return
 
     # -- layer 1: the manifest itself -------------------------------------
@@ -266,9 +225,7 @@ def _check_dataset(
             "manifest_unreadable", manifest_path, f"manifest is unreadable: {exc}"
         )
         if repair:
-            target = _quarantine(root, directory)
-            issue.repaired = True
-            issue.action = f"dataset directory quarantined to {target}"
+            issue.resolve(f"dataset directory quarantined to {_quarantine(root, directory)}")
         return
 
     report.datasets.append(directory.name)
@@ -280,154 +237,57 @@ def _check_dataset(
         if kind == "manifest_unsupported":
             # Nothing else about this layout can be interpreted safely.
             if repair:
-                target = _quarantine(root, directory)
-                stamp_issue.repaired = True
-                stamp_issue.action = f"dataset directory quarantined to {target}"
+                stamp_issue.resolve(f"dataset directory quarantined to {_quarantine(root, directory)}")
             return
 
     # -- layer 2: the referenced partitions --------------------------------
-    checksums = manifest.get("checksums")
     expectations = list(manifest_partitions(manifest))
     referenced = {name for name, _, _ in expectations}
     damaged_roles: dict[str, FsckIssue] = {}
     damaged_issues: list[tuple[str, FsckIssue]] = []
 
-    def damage(issue: FsckIssue, role: str) -> None:
+    def damage(kind: str, path: Path, detail: str, role: str) -> None:
+        issue = report.add(kind, path, detail)
         damaged_roles.setdefault(role, issue)
         damaged_issues.append((role, issue))
 
-    if stamp_issue is not None and not isinstance(checksums, dict):
+    if stamp_issue is not None and not isinstance(manifest.get("checksums"), dict):
         # Without the checksums map no partition can be verified, so not
         # even the base archive is trustworthy: repair quarantines.
-        damage(stamp_issue, "base")
-        checksums = None
+        damaged_roles["base"] = stamp_issue
+    batch: list[tuple[str, bytes, Expected, str]] = []
 
-    for name, recorded_count, role in expectations:
+    def verify() -> None:
+        for (name, _, _, role), problem in zip(batch, verify_partitions([b[:3] for b in batch], directory)):
+            if problem is not None:
+                damage(problem.kind, directory / f"{name}.part", problem.detail, role)
+        batch.clear()
+
+    for name, expected, role in expectations:
         path = directory / f"{name}.part"
-        expected_count = _as_int(recorded_count)
-        if recorded_count is not None and expected_count is None:
-            # The manifest itself is type-corrupt here (a count that is a
-            # string/null/object); without a trustworthy expectation the
-            # partition cannot be pronounced healthy — mark the role
-            # damaged so repair degrades it rather than trusting it.
-            damage(
-                report.add(
-                    "checksum_mismatch",
-                    manifest_path,
-                    f"manifest records a non-numeric count {recorded_count!r} "
-                    f"for partition {name!r} (manifest value corrupt)",
-                ),
-                role,
-            )
-            continue
-        if not path.exists():
-            damage(
-                report.add(
-                    "missing_partition",
-                    path,
-                    f"partition {name!r} is referenced by the manifest ({role}) "
-                    "but its file is missing",
-                ),
-                role,
-            )
-            continue
-        data = io.read_bytes(path)
-        if len(data) % PAGE_SIZE != 0:
-            damage(
-                report.add(
-                    "torn_partition",
-                    path,
-                    f"size {len(data)} is not a multiple of the page size "
-                    "(torn tail)",
-                ),
-                role,
-            )
-            continue
-        expected_crcs = checksums.get(name) if checksums is not None else []
-        if not isinstance(expected_crcs, list):
-            damage(
-                report.add(
-                    "checksum_mismatch",
-                    path,
-                    f"partition {name!r} has no recorded page checksums; its "
-                    "content cannot be verified",
-                ),
-                role,
-            )
-            continue
-        if checksums is not None:
-            actual_crcs = page_checksums(data)
-            coerced_crcs = [_as_int(want) for want in expected_crcs]
-            bad_page = next(
-                (
-                    i
-                    for i, (got, want) in enumerate(zip(actual_crcs, coerced_crcs))
-                    if want is None or got != want
-                ),
-                None,
-            )
-            if len(actual_crcs) != len(expected_crcs) or bad_page is not None:
-                if bad_page is not None and coerced_crcs[bad_page] is None:
-                    where = (
-                        f"page {bad_page}: recorded checksum "
-                        f"{expected_crcs[bad_page]!r} is not numeric "
-                        "(manifest value corrupt)"
-                    )
-                elif bad_page is not None:
-                    where = f"page {bad_page} (offset {bad_page * PAGE_SIZE})"
-                else:
-                    where = f"page count {len(actual_crcs)} != {len(expected_crcs)}"
-                damage(
-                    report.add(
-                        "checksum_mismatch",
-                        path,
-                        f"partition {name!r} fails its CRC32 check at {where}",
-                    ),
-                    role,
-                )
-                continue
-        try:
-            count = _record_count(data)
-        except (ValueError, KeyError) as exc:
-            damage(
-                report.add(
-                    "torn_partition", path, f"partition {name!r} is undecodable: {exc}"
-                ),
-                role,
-            )
-            continue
-        if expected_count is not None and count != expected_count:
-            damage(
-                report.add(
-                    "torn_partition",
-                    path,
-                    f"partition {name!r} holds {count} records but the "
-                    f"manifest recorded {expected_count} (torn commit)",
-                ),
-                role,
-            )
+        unverifiable = expectation_problem(name, expected)
+        if unverifiable is not None:
+            # Only under a stale stamp: a stamped manifest lacking an
+            # expectation is unsupported, and was returned from above.
+            damage("checksum_mismatch", path, unverifiable, role)
+        elif not path.exists():
+            detail = f"partition {name!r} is referenced by the manifest ({role}) but its file is missing"
+            damage("missing_partition", path, detail, role)
+        else:
+            batch.append((name, io.read_bytes(path), expected, role))
+            if sum(len(image) for _, image, _, _ in batch) >= _BATCH_BYTES:
+                verify()
+    verify()
 
     # -- layer 3: directory debris -----------------------------------------
-    orphan_issues: list[FsckIssue] = []
-    for path in sorted(directory.glob("*.part")):
-        if path.stem not in referenced:
-            orphan_issues.append(
-                report.add(
-                    "orphan_file",
-                    path,
-                    "partition file is referenced by nothing (crash debris)",
-                    severity="warning",
-                )
-            )
-    for path in sorted(directory.glob("*.json.tmp")):
-        orphan_issues.append(
-            report.add(
-                "stale_staging",
-                path,
-                "manifest staging file from an interrupted commit",
-                severity="warning",
-            )
-        )
+    orphan_issues = [
+        report.add("orphan_file", path, "partition file is referenced by nothing (crash debris)", "warning")
+        for path in sorted(directory.glob("*.part"))
+        if path.stem not in referenced
+    ] + [
+        report.add("stale_staging", path, "manifest staging file from an interrupted commit", "warning")
+        for path in sorted(directory.glob("*.json.tmp"))
+    ]
 
     if not repair:
         return
@@ -435,18 +295,13 @@ def _check_dataset(
     # -- repair -------------------------------------------------------------
     manifest_dirty = False
 
-    base_issue = damaged_roles.get("base")
-    if base_issue is not None:
+    if "base" in damaged_roles:
         target = _quarantine(root, directory)
-        for _role, issue in damaged_issues:
-            issue.repaired = True
-            issue.action = f"dataset directory quarantined to {target}"
+        for issue in [stamp_issue, *(issue for _, issue in damaged_issues)]:
+            if issue is not None:
+                issue.resolve(f"dataset directory quarantined to {target}")
         for issue in orphan_issues:
-            issue.repaired = True
-            issue.action = "removed with the quarantined dataset"
-        if stamp_issue is not None:
-            stamp_issue.repaired = True
-            stamp_issue.action = f"dataset directory quarantined to {target}"
+            issue.resolve("removed with the quarantined dataset")
         return
 
     degraded = [d for d in manifest.get("degraded") or [] if isinstance(d, str)]
@@ -471,8 +326,7 @@ def _check_dataset(
             f"append batch {index} (partition {name!r}) was corrupt and has "
             "been removed; its trajectories are lost"
         )
-        issue.repaired = True
-        issue.action = action
+        issue.resolve(action)
         # Losing a delta invalidates any tree serialised over it.
         if manifest.get("tree") is not None:
             damaged_roles.setdefault("tree", issue)
@@ -482,19 +336,13 @@ def _check_dataset(
         # Reset the serialised tree structure; its partitions become
         # unreferenced and the commit's sweep removes them.
         manifest["tree"] = None
+        manifest_dirty = True
         for role, issue in damaged_issues:
             if role == "tree" and not issue.repaired:
-                issue.repaired = True
-                issue.action = (
+                issue.resolve(
                     "tree entry reset (next query rebuilds from the verified "
                     "archive); its partition files removed"
                 )
-        manifest_dirty = True
-    # Tree-role issues on an already-reset tree ride on that reset.
-    for role, issue in damaged_issues:
-        if role == "tree" and not issue.repaired and manifest.get("tree") is None:
-            issue.repaired = True
-            issue.action = "tree entry reset; next query rebuilds"
 
     if degraded != (manifest.get("degraded") or []):
         manifest["degraded"] = degraded
@@ -513,11 +361,9 @@ def _check_dataset(
     finally:
         storage.close()
     for issue in orphan_issues:
-        issue.repaired = True
-        issue.action = "deleted"
+        issue.resolve("deleted")
     if stamp_issue is not None:
-        stamp_issue.repaired = True
-        stamp_issue.action = (
+        stamp_issue.resolve(
             "manifest re-stamped (content verified against partition "
             "checksums and record counts)"
         )

@@ -221,10 +221,11 @@ class _Chunks:
     damage: tuple[int, ValueError] | None
 
     @classmethod
-    def read(cls, heapfiles: Sequence[HeapFile]) -> "_Chunks":
+    def read(cls, files: Sequence[HeapFile | bytes]) -> "_Chunks":
         """One ``get_page`` per page of every file, every directory and chunk flag as arrays.
 
-        The pages' slot directories are read together
+        A file is a heap file, read through its buffer pool, or the page
+        images of one, joined.  The pages' slot directories are read together
         (:func:`~repro.storage.page.slot_directories`) and the chunks'
         continuation flags as one array.  The first damaged page — in file,
         then page order — is kept as ``damage``: its first slot outside the
@@ -234,10 +235,15 @@ class _Chunks:
         """
         datas = []
         first_page = [0]
-        for heapfile in heapfiles:
-            pool = heapfile.buffer_pool
-            datas.extend(pool.get_page(page_no).data for page_no in range(pool.num_pages()))
-            first_page.append(len(datas))
+        for file in files:
+            if isinstance(file, HeapFile):
+                pool = file.buffer_pool
+                pages = pool.num_pages()
+                datas.extend(pool.get_page(page_no).data for page_no in range(pages))
+            else:
+                pages = len(file) // PAGE_SIZE
+                datas.append(file)
+            first_page.append(first_page[-1] + pages)
         image = b"".join(datas)
         pages, slots, offsets, lengths, damage = slot_directories(image)
         starts = pages * PAGE_SIZE + offsets
@@ -285,18 +291,20 @@ class _Chunks:
             yield lo, hi, [[index[rid] for rid in chain] for chain in _record_chains(successors)]
 
 
-def count_records(heapfiles: Sequence[HeapFile]) -> list[int]:
-    """Number of records :func:`read_records` finds in each of ``heapfiles``, read from headers only.
+def count_records(files: Sequence[HeapFile | bytes]) -> list[int]:
+    """Number of records :func:`read_records` finds in each of ``files``, read from headers only.
 
-    The same page reads and checks as :func:`read_records` — one
-    ``get_page`` per page, no payload copied or joined — so the same
-    damage raises the same :class:`ValueError`: a slot outside the
-    page's data area, a short chunk, an unknown continuation flag, a
-    broken or a cyclic chain.  A file without continuation chunks (every
-    ReTraTree partition of records under ``_MAX_CHUNK`` bytes) is
-    counted from the slot directories alone.
+    A file is a heap file or the joined page images of one (a partition
+    file read whole, as ``repro-fsck`` and the verified open read it).  The
+    same page reads and checks as :func:`read_records` — one ``get_page``
+    per page of a heap file, no payload copied — so the same damage raises
+    the same :class:`ValueError`: a slot outside the page's data area, a
+    short chunk, an unknown continuation flag, a broken or a cyclic chain.
+    A file without continuation chunks (every ReTraTree partition of
+    records under ``_MAX_CHUNK`` bytes) is counted from the slot
+    directories alone.
     """
-    return [hi - lo if chains is None else len(chains) for lo, hi, chains in _Chunks.read(heapfiles).files()]
+    return [hi - lo if chains is None else len(chains) for lo, hi, chains in _Chunks.read(files).files()]
 
 
 def read_records(heapfiles: Sequence[HeapFile]) -> HeapRecords:

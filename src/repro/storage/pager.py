@@ -40,7 +40,17 @@ from repro.storage.errors import CorruptPartitionError
 from repro.storage.faults import DEFAULT_IO, IOShim, with_retries
 from repro.storage.page import PAGE_SIZE, Page
 
-__all__ = ["Pager", "FilePager", "InMemoryPager"]
+__all__ = ["Pager", "FilePager", "InMemoryPager", "torn_tail"]
+
+
+def torn_tail(name: str, size: int, path: FsPath | None = None) -> CorruptPartitionError:
+    """The refusal of partition ``name``'s file of ``size`` bytes, not a whole number of pages."""
+    return CorruptPartitionError(
+        f"partition {name!r} has size {size}, not a multiple of the page size "
+        "— the file tail is torn",
+        path=path,
+        offset=size - (size % PAGE_SIZE),
+    )
 
 
 class Pager(ABC):
@@ -125,20 +135,12 @@ class FilePager(Pager):
         size = self._file.tell()
         if size % PAGE_SIZE != 0:
             self._file.close()
-            raise self._torn(size)
+            raise torn_tail(self.path.stem, size, self.path)
         self._num_pages = size // PAGE_SIZE
         # Pages written since mark_committed(), and whether anything was
         # written since the last fsync.
         self._written: set[int] = set()
         self._unsynced = False
-
-    def _torn(self, size: int) -> CorruptPartitionError:
-        return CorruptPartitionError(
-            f"partition {self.path.stem!r} has size {size}, not a multiple of the "
-            "page size — the file tail is torn",
-            path=self.path,
-            offset=size - (size % PAGE_SIZE),
-        )
 
     def _retry(self, fn):
         """Run one physical I/O op with bounded retry, counting retries."""
@@ -202,7 +204,7 @@ class FilePager(Pager):
 
         image = self._retry(read)
         if len(image) % PAGE_SIZE != 0:
-            raise self._torn(len(image))
+            raise torn_tail(self.path.stem, len(image), self.path)
         return image
 
     def write_page(self, page_no: int, page: Page) -> None:

@@ -190,12 +190,15 @@ class TestRestartRecovery:
 
         cold = HermesEngine.on_disk(tmp_path / "engine")  # must not raise
         assert cold.datasets() == ["lanes"]
-        with pytest.raises(RuntimeError, match="incomplete"):
+        # The verified open counts the archive's records against the manifest.
+        recorded = len(manifest["row_keys"])
+        diagnostic = f"holds {recorded - 1} records but the manifest recorded {recorded} "
+        with pytest.raises(RuntimeError, match=diagnostic):
             cold.get_mod("lanes")
         # The diagnostic repeats on retry — the dataset does not silently
         # degrade to "unknown".
         assert cold.datasets() == ["lanes"]
-        with pytest.raises(RuntimeError, match="incomplete"):
+        with pytest.raises(RuntimeError, match=diagnostic):
             cold.get_mod("lanes")
 
     def test_damaged_tree_partition_degrades_to_rebuild(self, warm, tmp_path):

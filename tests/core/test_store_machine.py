@@ -7,7 +7,11 @@ engine's answer equals the per-partition loader in ``tests/qut/oracles.py``
 bit for bit; and a reopened connection (a cold tree read from disk) gives
 the rows the warm connection gave before it closed.  A crash step cuts the
 power at a drawn operation of an append; the reopened store holds the rows
-of either the state before the append or the state after it.  No step lets
+of either the state before the append or the state after it.  A damage step
+restamps the closed store's manifest over a defect its stamp cannot vouch
+for; every statement on the reopened dataset then raises
+``CorruptManifestError``, and after ``repro-fsck --repair`` quarantined it
+the catalog is empty.  No step lets
 an error escape outside the storage and API error contract
 (``tests/storage/test_error_contract.py``).
 """
@@ -15,6 +19,7 @@ an error escape outside the storage and API error contract
 from __future__ import annotations
 
 import functools
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -28,8 +33,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 import repro
 from repro.core.engine import HermesEngine
 from repro.datagen import lane_scenario
+from repro.hermes.io import write_csv
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
+from repro.storage.catalog import MANIFEST_FILENAME, manifest_checksum
+from repro.storage.errors import CorruptManifestError
 from repro.storage.faults import FaultInjector, InjectedCrash
 from tests.qut.oracles import PerPartitionQuT
 from tests.qut.test_derived_state import result_signature
@@ -41,6 +49,24 @@ MOD_F, _TRUTH = lane_scenario(n_trajectories=BASE + 12, n_lanes=3, n_samples=16,
 TRAJECTORIES = MOD_F.trajectories()
 PERIOD = MOD_F.period
 FRACTIONS = st.sampled_from([(0.0, 1.0), (0.1, 0.45), (0.3, 0.8), (0.55, 0.6), (0.7, 1.0)])
+#: Defects a restamped manifest cannot hide: no row order, a page CRC that is
+#: not a number, a partition without its CRC list.
+DEFECTS = {
+    "no-row-keys": lambda m: m.pop("row_keys"),
+    "non-numeric-crc": lambda m: m["checksums"][m["frame_partition"]].__setitem__(0, "x"),
+    "no-crc-list": lambda m: m["checksums"].pop(m["frame_partition"]),
+}
+#: One statement of every kind on the dataset; ``{csv}`` is a loadable file.
+STATEMENTS = (
+    "SELECT * FROM f",
+    "SELECT COUNT(*) FROM f",
+    "INSERT INTO f VALUES ('n', '0', 1.0, 2.0, 3.0), ('n', '0', 1.5, 2.5, 13.0)",
+    "SELECT SUMMARY(f)",
+    "SELECT S2T(f)",
+    f"SELECT QUT(f, {PERIOD.tmin}, {PERIOD.tmax})",
+    "CREATE DATASET f",
+    "LOAD DATASET f FROM '{csv}'",
+)
 
 
 def window_of(lo: float, hi: float) -> Period:
@@ -138,6 +164,28 @@ class DurableStore(RuleBasedStateMachine):
         after = keys_of(TRAJECTORIES[: self.stored + len(batch)])
         assert recovered in (before, after), f"crash at op {at} recovered neither state"
         self.stored = len(recovered)
+
+    @precondition(lambda self: self.stored > 0)
+    @rule(defect=st.sampled_from(sorted(DEFECTS)))
+    @contract_only
+    def damage(self, defect: str) -> None:
+        self.conn.close()
+        path = self.root / "f" / MANIFEST_FILENAME
+        manifest = json.loads(path.read_text())
+        DEFECTS[defect](manifest)
+        manifest["manifest_crc"] = manifest_checksum(manifest)
+        path.write_text(json.dumps(manifest))
+        self.conn = repro.connect(self.root)
+        with tempfile.TemporaryDirectory() as scratch:
+            csv = Path(scratch) / "f.csv"
+            write_csv(MOD(name="f", trajectories=TRAJECTORIES[:2]), csv)
+            for sql in STATEMENTS:
+                with pytest.raises(CorruptManifestError):
+                    self.conn.execute(sql.format(csv=csv)).fetchall()
+        report = self.conn.verify(repair=True)
+        assert report.clean and not (self.root / "f").exists()
+        assert self.conn.engine.datasets() == []
+        self.stored = 0
 
     @precondition(lambda self: self.stored > 0)
     @rule(fractions=FRACTIONS)

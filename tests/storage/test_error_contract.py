@@ -239,7 +239,7 @@ def test_a_restamped_manifest_without_row_keys_serves_no_rows(store, tmp_path, o
     del (manifest if owner == "base" else manifest["deltas"][0])["row_keys"]
     write_manifest(root, manifest, restamp=True)
     with repro.connect(root) as conn:
-        with pytest.raises(SQLError):
+        with pytest.raises(CorruptManifestError, match="row_keys"):
             conn.execute("SELECT COUNT(*) FROM d").fetchall()
         with pytest.raises(CorruptManifestError, match="row_keys"):
             conn.execute("SELECT SUMMARY(d)").fetchall()
