@@ -152,3 +152,13 @@ def test_repair_quarantines_and_the_name_is_free_again(store, tmp_path):
     with repro.connect(root) as conn:
         assert conn.engine.datasets() == ["ok"]
         assert conn.execute("CREATE DATASET d").fetchall() == [{"created": "d"}]
+
+
+def test_repro_sql_refuses_a_withheld_dataset_instead_of_replacing_it(store, tmp_path, capsys):
+    from repro.cli import main_sql
+
+    root = restamped(store, tmp_path, non_numeric_crc)
+    before = sorted(p.name for p in (root / "d").iterdir())
+    assert main_sql(["--disk", str(root), "--dataset", "d", "SELECT SUMMARY(d)"]) == 1
+    assert "repro-fsck" in capsys.readouterr().err
+    assert sorted(p.name for p in (root / "d").iterdir()) == before
