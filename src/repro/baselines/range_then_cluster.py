@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
 from repro.s2t.params import S2TParams
@@ -33,31 +33,21 @@ __all__ = ["RangeThenCluster"]
 class RangeThenCluster:
     """Temporal range query, then S2T from scratch on the restricted data.
 
-    The range query is a columnar slice of ``frame`` (the engine hands over
-    its cached dataset frame; without one, the frame of ``mod`` is built once
-    here), row-for-row equivalent to ``MOD.temporal_range``.  The sliced
-    frame is threaded through the S2T phases, so no phase re-snapshots the
-    restricted dataset.
+    The range query is a columnar slice of the dataset's frame (the engine
+    hands over its dataset; a MOD is snapshotted once here), row-for-row
+    equivalent to ``MOD.temporal_range``.  The S2T fit reads the sliced
+    frame as its dataset, so no phase re-snapshots the restricted data.
     """
 
-    def __init__(
-        self,
-        mod: MOD,
-        s2t_params: S2TParams | None = None,
-        frame: MODFrame | None = None,
-    ) -> None:
-        self.mod = mod
+    def __init__(self, dataset: MODFrame | MOD, s2t_params: S2TParams | None = None) -> None:
+        self.frame = as_frame(dataset)
         self.s2t_params = s2t_params or S2TParams()
-        self.frame = frame if frame is not None else MODFrame.from_mod(mod)
 
     def query(self, window: Period) -> ClusteringResult:
         """Cluster the sub-trajectories alive during ``window``."""
         # (i) temporal range query; (ii) the sliced frame's box tables.
         t0 = time.perf_counter()
-        restricted_frame = self.frame.slice_period(window)
-        restricted = restricted_frame.to_mod(
-            name=f"{self.mod.name}@[{window.tmin:.0f},{window.tmax:.0f}]"
-        )
+        restricted = self.frame.slice_period(window)
         range_time = time.perf_counter() - t0
 
         if len(restricted) == 0:
@@ -70,7 +60,7 @@ class RangeThenCluster:
             )
 
         # (iii) apply S2T-Clustering to the restricted frame.
-        result = S2TClustering(self.s2t_params).fit(restricted, frame=restricted_frame)
+        result = S2TClustering(self.s2t_params).fit(restricted)
         result.method = "range+s2t"
         result.timings = {"range_query": range_time, **result.timings}
         result.extras["window"] = (window.tmin, window.tmax)

@@ -4,24 +4,29 @@ The engine is the Python analogue of a Hermes@PostgreSQL installation:
 datasets are registered under names, clustering runs are invoked against a
 dataset name, and the per-dataset derived state is cached:
 
-* the **frame catalog** — each dataset's columnar
-  :class:`~repro.hermes.frame.MODFrame` is built once (``engine.frame``)
-  and handed to every consumer (S2T, range-then-cluster, the ReTraTree bulk
-  load), so no phase rebuilds its own snapshot;
+* the **frame catalog** — a dataset *is* one immutable columnar
+  :class:`~repro.hermes.frame.MODFrame` (``engine.frame``), the engine's
+  only copy of it.  ``load_mod`` snapshots the caller's MOD once, so later
+  changes to that MOD do not reach the dataset; every consumer (S2T,
+  range-then-cluster, the ReTraTree, the SQL scans and ``SUMMARY``) reads
+  the frame, and :meth:`HermesEngine.get_mod` is a
+  :class:`~repro.hermes.mod.MOD` view of it, built on request for the
+  boundary (CSV export, the baselines, holding patterns);
 * the **ReTraTree** built for a dataset, so subsequent QuT queries are
   progressive (no rebuilding).
 
-Both caches — plus the SQL executor's INSERT buffers — are invalidated
-together whenever a dataset is replaced (``load_mod``) or removed
-(``drop``).  Each mutation bumps the dataset's *generation* token, which is
-how the SQL executor detects externally replaced datasets.  The SQL
-front-end (:mod:`repro.sql`) executes against an engine instance.
+The tree — plus the SQL executor's INSERT buffers — is invalidated whenever
+a dataset is replaced (``load_mod``) or removed (``drop``).  Each mutation
+bumps the dataset's *generation* token, which is how the SQL executor
+detects externally replaced datasets.  The SQL front-end (:mod:`repro.sql`)
+executes against an engine instance.
 
 Appending (:meth:`HermesEngine.append`, the path SQL ``INSERT`` for *new*
-trajectories takes) is different: nothing is invalidated.  The cached frame
-grows in place, a cached ReTraTree absorbs the batch incrementally
-(:mod:`repro.core.ingest`), and only the generation token moves — so
-memoised results recompute while the expensive derived state survives.
+trajectories takes) is different: nothing is invalidated.  One
+concatenation makes the dataset's new frame and it is swapped in (a cursor
+keeps the frame it captured), a cached ReTraTree absorbs the batch
+incrementally (:mod:`repro.core.ingest`), and the generation token moves —
+so memoised results recompute while the expensive derived state survives.
 
 Durability
 ----------
@@ -38,8 +43,8 @@ commit → sweep protocol — and only tells it *when* to commit:
   ``append`` commits the batch together with the maintained tree
   (``catalog.commit_append``);
 * constructing a new engine over the same directory **recovers** every
-  catalogued dataset — the MOD, its frame-catalog entry and (lazily, on
-  first use) the ReTraTree — so a cold process answers ``qut`` and SQL
+  catalogued dataset — its frame, decoded on first use, and (lazily) the
+  ReTraTree — so a cold process answers ``qut`` and SQL
   queries from disk without re-running S2T;
 * ``drop`` (and dataset replacement through ``load_mod``) deletes the
   dataset's partition files and manifest, reclaiming the disk space.
@@ -59,7 +64,7 @@ from repro.baselines.range_then_cluster import RangeThenCluster
 from repro.baselines.toptics import TOpticsClustering, TOpticsParams
 from repro.baselines.traclus import TraclusClustering, TraclusParams
 from repro.core.parallel import WorkerPool, partitioned_s2t
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.io import read_csv, write_csv
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
@@ -109,7 +114,7 @@ class HermesEngine:
         #: The durable catalog (``None`` on in-memory engines): manifests,
         #: per-dataset storage managers, commits and recovery.
         self.catalog: DurableCatalog | None = None
-        self._datasets: dict[str, MOD] = {}
+        #: The datasets: one immutable frame each, the only copy.
         self._frames: dict[str, MODFrame] = {}
         self._retratrees: dict[str, ReTraTree] = {}
         self._last_results: dict[str, ClusteringResult] = {}
@@ -148,11 +153,12 @@ class HermesEngine:
     # -- dataset management ----------------------------------------------------------
 
     def load_mod(self, name: str, mod: MOD) -> None:
-        """Register an in-memory MOD under ``name`` (replaces any previous one).
+        """Register a snapshot of ``mod`` under ``name`` (replaces any previous one).
 
-        Invalidates every cache derived from the previous registration: the
-        frame-catalog entry, the ReTraTree and the last clustering result,
-        and bumps the dataset's generation token (which is how the SQL
+        The dataset is one frame of ``mod``'s trajectories, taken here: a
+        later change to ``mod`` does not reach it.  Invalidates every cache
+        derived from the previous registration — the ReTraTree and the last
+        clustering result — and bumps the dataset's generation token (which is how the SQL
         executor notices an externally replaced dataset).  On an on-disk
         engine the new dataset is archived *before* the previous
         registration's partition files are reclaimed — the manifest write is
@@ -163,13 +169,14 @@ class HermesEngine:
         if self.catalog is not None:
             self.catalog.check_name(name)
         self.resolve(name)  # a name withheld as damaged is refused: repro-fsck --repair first
-        self._datasets[name] = mod
+        frame = as_frame(mod)
+        self._frames[name] = frame
         self._invalidate(name)
         if self.catalog is not None:
-            self.catalog.commit_dataset(name, mod, self._generations[name])
+            self.catalog.commit_dataset(name, frame, self._generations[name])
 
     def _invalidate(self, name: str) -> None:
-        """Evict every cache derived from dataset ``name`` and bump its generation.
+        """Evict every cache derived from dataset ``name``'s frame and bump its generation.
 
         The SQL executor's buffered ``INSERT`` points for ``name`` go too:
         they belong to the registration being replaced or dropped.  Purely
@@ -177,7 +184,6 @@ class HermesEngine:
         (``load_mod``) can stage the successor before the predecessor's
         files go away; :meth:`drop` reclaims the disk explicitly.
         """
-        self._frames.pop(name, None)
         tree = self._retratrees.pop(name, None)
         if tree is not None and self.catalog is None:
             # A private (in-memory) manager dies with the tree; the
@@ -195,9 +201,9 @@ class HermesEngine:
 
         The generation move is what makes consumers that memoise by
         generation (prepared-statement result caches, the SQL executor's
-        point buffers) recompute against the extended dataset; the frame
-        and tree caches were maintained in place by the ingestion pipeline
-        and stay.
+        point buffers) recompute against the extended dataset; the
+        ingestion pipeline swapped the new frame in and maintained the tree,
+        and both stay.
         """
         self._append_batches[name] = self._append_batches.get(name, 0) + 1
         self._generation_counter += 1
@@ -206,13 +212,12 @@ class HermesEngine:
     def append(self, name: str, trajectories) -> "AppendReport":
         """Append new trajectories to a dataset without invalidating caches.
 
-        This is the ingestion fast path (see :mod:`repro.core.ingest`): the
-        registered MOD is replaced by an extended snapshot, the cached
-        columnar frame grows through the delta-concat path, a cached
-        ReTraTree absorbs the batch incrementally (voting against existing
+        This is the ingestion fast path (see :mod:`repro.core.ingest`): one
+        concatenation makes the dataset's new frame, a cached ReTraTree
+        absorbs the batch incrementally (voting against existing
         representatives; no bulk rebuild), and on a durable engine the batch
         is committed as a delta heapfile partition.  Open cursors streaming
-        the dataset keep their pre-append view.
+        the dataset keep the frame they captured.
 
         Parameters
         ----------
@@ -251,17 +256,14 @@ class HermesEngine:
         write_csv(self.get_mod(name), path)
 
     def get_mod(self, name: str) -> MOD:
-        """The MOD registered under ``name``; raises :class:`KeyError` if unknown.
+        """A :class:`~repro.hermes.mod.MOD` view of dataset ``name``, built on request.
 
-        A dataset recovered from disk is materialised (archive records
-        decoded) on first access here.  The name is looked up by
-        :meth:`resolve`, so a dataset withheld as damaged raises
-        :class:`~repro.storage.errors.CorruptManifestError` instead.
+        Its trajectories are zero-copy views of the dataset's frame
+        (:meth:`frame`, :meth:`~repro.hermes.frame.MODFrame.to_mod`); the
+        engine keeps no MOD, so changing the returned one changes nothing.
+        Raises :class:`KeyError` for an unknown name.
         """
-        if not self.resolve(name):
-            raise KeyError(f"unknown dataset {name!r}; loaded: {self.datasets()}")
-        self._materialise(name)
-        return self._datasets[name]
+        return self.frame(name).to_mod(name)
 
     def resolve(self, name: str) -> bool:
         """Whether ``name`` is a dataset of this engine: the one dataset lookup.
@@ -275,7 +277,7 @@ class HermesEngine:
         statement and table function look their dataset up here; ``DROP``
         catches the error to give such a dataset up.
         """
-        if name in self._datasets or (self.catalog is not None and name in self.catalog.pending()):
+        if name in self._frames or (self.catalog is not None and name in self.catalog.pending()):
             return True
         if self.catalog is not None:
             self.catalog.raise_if_damaged(name)
@@ -284,16 +286,16 @@ class HermesEngine:
     def datasets(self) -> list[str]:
         """Names of the registered datasets (including recovered ones)."""
         pending = self.catalog.pending() if self.catalog is not None else []
-        return sorted({*self._datasets, *pending})
+        return sorted({*self._frames, *pending})
 
     def drop(self, name: str) -> None:
-        """Remove a dataset, its cached frame/index and any SQL buffered state.
+        """Remove a dataset, its cached index and any SQL buffered state.
 
         On an on-disk engine this also deletes the dataset's partition files
         and manifest, so disk usage is reclaimed and a future same-named
         dataset starts from a clean directory instead of stale heapfiles.
         """
-        self._datasets.pop(name, None)
+        self._frames.pop(name, None)
         self._invalidate(name)
         if self.catalog is not None:
             self.catalog.drop(name)
@@ -308,16 +310,21 @@ class HermesEngine:
         return self._generations.get(name, 0)
 
     def frame(self, name: str) -> MODFrame:
-        """The dataset's cached columnar frame, building it on first use.
+        """Dataset ``name``: its one immutable frame.
 
-        This is the frame-catalog entry point: every engine consumer (S2T,
-        range-then-cluster, the ReTraTree bulk load) reads the dataset
-        through this one frame, so it is constructed at most once per
-        registration.  ``load_mod``/``drop`` evict the entry.
+        Every engine consumer (S2T, range-then-cluster, the ReTraTree, the
+        SQL scans) reads this frame.  A dataset recovered from disk is
+        decoded on first access here.  The name is looked up by
+        :meth:`resolve`, so a dataset withheld as damaged raises
+        :class:`~repro.storage.errors.CorruptManifestError`; an unknown one
+        raises :class:`KeyError`.
         """
-        self._materialise(name)  # seeds the frame entry too
+        if not self.resolve(name):
+            raise KeyError(f"unknown dataset {name!r}; loaded: {self.datasets()}")
         if name not in self._frames:
-            self._frames[name] = MODFrame.from_mod(self.get_mod(name))
+            # The generation token was assigned when the catalog was opened;
+            # decoding only reads what that generation committed.
+            self._frames[name] = self.catalog.load(name)
         return self._frames[name]
 
     def dataset_summary(self, name: str) -> dict[str, object]:
@@ -326,20 +333,19 @@ class HermesEngine:
         An empty dataset (just created, or holding only buffered INSERT
         points) has zero counts and ``None`` bounds.
         """
-        mod = self.get_mod(name)
+        frame = self.frame(name)
         summary: dict[str, object] = {
             "dataset": name,
-            "trajectories": len(mod),
-            "objects": len(mod.object_ids()),
-            "points": mod.total_points,
+            "trajectories": len(frame),
+            "objects": len({obj_id for obj_id, _ in frame.keys}),
+            "points": frame.total_points,
         }
-        if len(mod) == 0:
+        if len(frame) == 0:
             return summary | dict.fromkeys(("tmin", "tmax", "xmin", "xmax", "ymin", "ymax"))
-        period = mod.period
-        bbox = mod.bbox
+        bbox = frame.bbox
         return summary | {
-            "tmin": period.tmin,
-            "tmax": period.tmax,
+            "tmin": bbox.tmin,
+            "tmax": bbox.tmax,
             "xmin": bbox.xmin,
             "xmax": bbox.xmax,
             "ymin": bbox.ymin,
@@ -376,9 +382,8 @@ class HermesEngine:
 
         ``n_jobs`` (or ``params.n_jobs``) selects the execution mode: ``1``
         fits the whole MOD in-process; ``> 1`` runs the partition-parallel
-        scheduler (:func:`repro.core.parallel.partitioned_s2t`) over the
-        dataset's cached frame.  Either way the frame comes from the
-        engine's frame catalog — it is never rebuilt per run.
+        scheduler (:func:`repro.core.parallel.partitioned_s2t`).  Either way
+        the operator reads the dataset's frame — it is never rebuilt per run.
 
         .. warning::
            The two modes are different operators, not just different
@@ -399,20 +404,17 @@ class HermesEngine:
         jobs = n_jobs if n_jobs is not None else params.n_jobs
         if jobs < 1:
             raise ValueError("n_jobs must be at least 1")
-        mod = self.get_mod(name)
-        if len(mod) == 0:
-            result = S2TClustering(params).fit(mod)
-        elif jobs > 1 or n_partitions is not None:
+        frame = self.frame(name)
+        if len(frame) and (jobs > 1 or n_partitions is not None):
             result = partitioned_s2t(
-                mod,
+                frame,
                 params,
                 n_jobs=jobs,
                 n_partitions=n_partitions,
-                frame=self.frame(name),
                 pool=self.pool() if jobs > 1 else None,
             )
         else:
-            result = S2TClustering(params).fit(mod, frame=self.frame(name))
+            result = S2TClustering(params).fit(frame)
         self._last_results[name] = result
         return result
 
@@ -449,11 +451,10 @@ class HermesEngine:
             if tree is None:
                 self._forget_tree(name)
                 tree = ReTraTree.build(
-                    self.get_mod(name),
+                    self.frame(name),
                     params=params,
                     storage=self.catalog.storage(name) if self.catalog is not None else None,
                     name=name,
-                    frame=self.frame(name),
                 )
                 if self.catalog is not None and tree.params is not None:
                     # An empty tree (no resolved params) has nothing to
@@ -483,9 +484,7 @@ class HermesEngine:
         self, name: str, window: Period, params: S2TParams | None = None
     ) -> ClusteringResult:
         """The paper's scenario-2 baseline: range query + S2T on the slice."""
-        result = RangeThenCluster(
-            self.get_mod(name), params, frame=self.frame(name)
-        ).query(window)
+        result = RangeThenCluster(self.frame(name), params).query(window)
         self._last_results[name] = result
         return result
 
@@ -514,7 +513,7 @@ class HermesEngine:
 
         Deliberately cheap — the catalog reads one manifest per dataset
         (:class:`~repro.storage.durable.DurableCatalog`); archives decode on
-        first :meth:`get_mod`/:meth:`frame` access and the persisted tree
+        first :meth:`frame` access and the persisted tree
         reopens on the first :meth:`retratree` call.  Every recovered
         dataset gets a fresh generation token.
         """
@@ -522,24 +521,6 @@ class HermesEngine:
         for name in self.catalog.pending():
             self._generation_counter += 1
             self._generations[name] = self._generation_counter
-
-    def _materialise(self, name: str) -> None:
-        """Decode a catalogued-but-pending dataset into a live MOD + frame.
-
-        A no-op for anything else.  Corruption surfaces as
-        :class:`~repro.storage.errors.CorruptPartitionError` (a
-        ``RuntimeError``, not ``KeyError``), so callers can tell catalog
-        corruption apart from a simple unknown-dataset typo, and corrupt
-        bytes never materialise into query answers.
-        """
-        if name in self._datasets or self.catalog is None or name not in self.catalog.pending():
-            return
-        ordered = self.catalog.load(name)
-        # The generation token was assigned when the catalog was opened;
-        # materialisation only decodes what that generation committed, so no
-        # bump happens (or is needed) here.
-        self._datasets[name] = MOD(name=name, trajectories=ordered)
-        self._frames[name] = MODFrame.from_trajectories(ordered)
 
     def is_persisted(self, name: str) -> bool:
         """Whether dataset ``name`` has a durable manifest on disk."""
@@ -633,7 +614,6 @@ class HermesEngine:
         # they were derived from.  The generation counter keeps running so
         # generation-keyed consumers notice the world changed.
         for cache in (
-            self._datasets,
             self._frames,
             self._retratrees,
             self._last_results,
@@ -671,7 +651,7 @@ class HermesEngine:
         """Cached/persisted derived state of a dataset, for ``EXPLAIN``.
 
         Reports whether the dataset is loaded, its generation token, whether
-        its columnar frame and ReTraTree are cached in this process, whether
+        its frame is decoded and its ReTraTree cached in this process, whether
         a tree structure is persisted in the storage manifest, how many
         storage partitions back it on disk, and the append-path state: how
         many append batches this process applied since the last (re)load
@@ -692,7 +672,7 @@ class HermesEngine:
         pending = self.catalog.pending() if self.catalog is not None else []
         status: dict[str, object] = {
             "dataset": name,
-            "loaded": name in self._datasets or name in pending,
+            "loaded": name in self._frames or name in pending,
             "generation": self.dataset_generation(name),
             "frame_cached": name in self._frames,
             "tree_cached": cached_tree is not None,

@@ -15,10 +15,10 @@ the fluent ``conn.dataset(name).append(...)`` and SQL ``INSERT``-as-append:
   trajectories from identical inserts.  A key given two different positions
   at one instant is refused, never resolved silently.
 * :class:`IngestPipeline` applies a batch of complete trajectories to a
-  dataset *in place*: the registered MOD is replaced by an extended snapshot
-  (open cursors streaming the old one keep their pre-append view), the
-  cached :class:`~repro.hermes.frame.MODFrame` grows through the
-  delta-concat path (:meth:`~repro.hermes.frame.MODFrame.extend`), a cached
+  dataset: one concatenation
+  (:meth:`~repro.hermes.frame.MODFrame.concat`) of the dataset's frame and
+  the batch's makes the new immutable frame the engine swaps in (open
+  cursors streaming the old frame keep their pre-append view), a cached
   :class:`~repro.qut.retratree.ReTraTree` absorbs the batch incrementally
   (:meth:`~repro.qut.retratree.ReTraTree.append` — voting against existing
   representatives, opening fresh chunks for unseen time ranges, localised
@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-from repro.hermes.frame import MODFrame
-from repro.hermes.mod import MOD
+from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.trajectory import Trajectory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,10 +65,6 @@ class AppendReport:
     generation:
         The dataset's generation token *after* the append (unchanged for an
         empty batch).
-    frame_extended:
-        Whether a cached columnar frame was extended in place (``False``
-        when the frame catalog had no entry — the next ``engine.frame``
-        call builds from the extended MOD instead).
     tree_maintained:
         Whether a cached ReTraTree absorbed the batch incrementally.
     tree_counters:
@@ -92,7 +87,6 @@ class AppendReport:
     trajectories: int = 0
     points: int = 0
     generation: int = 0
-    frame_extended: bool = False
     tree_maintained: bool = False
     tree_counters: dict[str, int] | None = None
     persisted: bool = False
@@ -111,7 +105,6 @@ class AppendReport:
             "trajectories": self.trajectories,
             "points": self.points,
             "generation": self.generation,
-            "frame_extended": self.frame_extended,
             "tree_maintained": self.tree_maintained,
             "persisted": self.persisted,
             "io_retries": self.io_retries,
@@ -219,7 +212,7 @@ class IngestPipeline:
     """Applies append batches to an engine dataset, maintaining all caches.
 
     One pipeline per engine is enough — it holds no per-dataset state; all
-    state lives on the engine (datasets, frame catalog, trees, generations)
+    state lives on the engine (dataset frames, trees, generations)
     and, for durable engines, in the storage manifests.  See the module
     docstring for the full dataflow.
     """
@@ -235,8 +228,7 @@ class IngestPipeline:
         Parameters
         ----------
         name:
-            A registered dataset (recovered-but-unmaterialised datasets are
-            materialised first).
+            A registered dataset (a recovered one is decoded first).
         trajectories:
             New trajectories in arrival order, or a delta
             :class:`~repro.hermes.frame.MODFrame` of them.  Keys must be new
@@ -259,49 +251,30 @@ class IngestPipeline:
         """
         start = time.perf_counter()
         engine = self.engine
-        if isinstance(trajectories, MODFrame):
-            # A caller-built delta frame is used as-is; only the MOD
-            # extension and the tree need Trajectory objects, and those are
-            # zero-copy views into the frame's columns.
-            delta_frame: MODFrame | None = trajectories
-            trajs = [trajectories.trajectory_of(r) for r in range(len(trajectories))]
-        else:
-            delta_frame = None
-            trajs = list(trajectories)
-        mod = engine.get_mod(name)
+        delta = as_frame(trajectories)
+        frame = engine.frame(name)
         report = AppendReport(dataset=name, generation=engine.dataset_generation(name))
-        if not trajs:
+        if not len(delta):
             report.seconds = time.perf_counter() - start
             return report
-        self._check_new_keys(mod, trajs)
-        if delta_frame is None:
-            delta_frame = MODFrame.from_trajectories(trajs)
+        self._check_new_keys(frame, delta)
 
-        # 1. Dataset: register an *extended snapshot* — a new MOD object —
-        #    so open cursors that captured the old one keep streaming their
-        #    pre-append view (snapshot isolation at the MOD level).
-        extended = MOD(name=mod.name, trajectories=[*mod.trajectories(), *trajs])
-        engine._datasets[name] = extended
+        # 1. Dataset: one concatenation makes the new frame.  Open cursors
+        #    that captured the old frame keep streaming their pre-append
+        #    view; the old frame itself never changes.
+        engine._frames[name] = MODFrame.concat([frame, delta])
 
-        # Steps 2–3 can fail (a pathological batch tripping an overflow
+        # Step 2 can fail (a pathological batch tripping an overflow
         # re-clustering, say) — but the dataset above HAS changed, so the
         # generation token must move regardless, or memoised results keyed
         # by generation would keep serving pre-append answers against the
-        # already-extended dataset.  Hence the try/finally around them with
-        # step 4 in the finally.  And a failure mid-maintenance leaves the
-        # frame/tree half-mutated: they are evicted (the persisted tree
-        # structure too) so the next consumer rebuilds from the consistent
-        # extended MOD instead of serving a tree containing part of a batch.
+        # already-extended dataset.  Hence the try/finally with step 3 in the
+        # finally.  And a failure mid-maintenance leaves the tree
+        # half-mutated: it is evicted (the persisted tree structure too) so
+        # the next query rebuilds from the extended frame instead of serving
+        # a tree containing part of a batch.
         try:
-            # 2. Frame catalog: grow the cached frame through the
-            #    delta-concat path; an absent entry just rebuilds lazily
-            #    from the new MOD.
-            frame = engine._frames.get(name)
-            if frame is not None:
-                frame.extend(delta_frame)
-                report.frame_extended = True
-
-            # 3. Index maintenance: a cached ReTraTree absorbs the batch
+            # 2. Index maintenance: a cached ReTraTree absorbs the batch
             #    incrementally.  A tree that is only *persisted* (cold
             #    manifest, never queried in this process) is left untouched
             #    — its manifest becomes stale, which ``artifact_status``
@@ -309,20 +282,19 @@ class IngestPipeline:
             #    rebuilding.
             tree = engine._retratrees.get(name)
             if tree is not None:
-                report.tree_counters = tree.append(trajs, frame=delta_frame)
+                report.tree_counters = tree.append(delta)
                 report.tree_maintained = True
         except BaseException:
-            engine._frames.pop(name, None)
             engine._forget_tree(name)
             raise
         finally:
-            # 4. Generation token: consumers that memoise by generation
+            # 3. Generation token: consumers that memoise by generation
             #    (prepared-statement COUNT caches, SQL INSERT buffers) must
-            #    see the dataset move — without evicting the caches we just
-            #    updated.
+            #    see the dataset move — without evicting the tree we just
+            #    maintained.
             engine._note_append(name)
 
-        # 5. Durability: the catalog stages the batch as a delta partition
+        # 4. Durability: the catalog stages the batch as a delta partition
         #    and one manifest write commits dataset + maintained tree
         #    atomically (an empty tree has nothing to persist).  The retry
         #    delta around the commit surfaces absorbed transient I/O errors.
@@ -332,30 +304,30 @@ class IngestPipeline:
             retries_before = storage.io_stats()["io_retries"]
             maintained = tree is not None and tree.params is not None
             report.persisted = catalog.commit_append(
-                name, trajs, engine.dataset_generation(name), tree if maintained else None
+                name, delta, engine.dataset_generation(name), tree if maintained else None
             )
             report.io_retries = storage.io_stats()["io_retries"] - retries_before
 
-        report.trajectories = len(trajs)
-        report.points = int(delta_frame.total_points)
+        report.trajectories = len(delta)
+        report.points = delta.total_points
         report.generation = engine.dataset_generation(name)
         report.seconds = time.perf_counter() - start
         return report
 
     @staticmethod
-    def _check_new_keys(mod: MOD, trajs: Sequence[Trajectory]) -> None:
+    def _check_new_keys(frame: MODFrame, delta: MODFrame) -> None:
         """Reject batches that collide with existing keys or repeat keys."""
         seen: set[tuple[str, str]] = set()
-        for traj in trajs:
-            if traj.key in mod:
+        for key in delta.keys:
+            if frame.maybe_row_of(key) is not None:
                 raise ValueError(
-                    f"cannot append trajectory {traj.key!r}: the key already "
+                    f"cannot append trajectory {key!r}: the key already "
                     "exists in the dataset (appending points to an existing "
                     "trajectory is a replacement; reload the dataset instead)"
                 )
-            if traj.key in seen:
+            if key in seen:
                 raise ValueError(
-                    f"cannot append trajectory {traj.key!r}: the key repeats "
+                    f"cannot append trajectory {key!r}: the key repeats "
                     "within the batch"
                 )
-            seen.add(traj.key)
+            seen.add(key)

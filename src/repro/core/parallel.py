@@ -56,7 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.mod import MOD
 from repro.hermes.shm import ShmArena, ShmTransportError
 from repro.hermes.types import Period
@@ -119,12 +119,11 @@ class WorkerPool:
 def _fit_partition(task: tuple[MODFrame, S2TParams]) -> ClusteringResult:
     """Fit one temporal partition (runs inside a worker process).
 
-    The partition travels as a frame; the MOD is rebuilt from column views
-    on the worker side, so the only serialized payload is the raw columns.
+    The partition travels as a frame, and the fit reads it as its dataset,
+    so the only serialized payload is the raw columns.
     """
     frame, params = task
-    mod = frame.to_mod(name="partition")
-    return S2TClustering(params).fit(mod, frame=frame)
+    return S2TClustering(params).fit(frame)
 
 
 # -- worker-side shared-memory attachment cache --------------------------------
@@ -264,22 +263,21 @@ def _mean_task_bytes(tasks: list[tuple]) -> int:
 
 
 def partitioned_s2t(
-    mod: MOD,
+    dataset: MODFrame | MOD,
     params: S2TParams | None = None,
     n_jobs: int = 1,
     n_partitions: int | None = None,
-    frame: MODFrame | None = None,
     pool: WorkerPool | None = None,
 ) -> ClusteringResult:
     """S2T-Clustering fitted per temporal partition, optionally in parallel.
 
     Parameters
     ----------
-    mod:
-        The dataset to cluster.
+    dataset:
+        The dataset to cluster, as its frame (a MOD is snapshotted once).
     params:
         S2T tuning knobs.  Data-driven thresholds are resolved against the
-        *whole* MOD before partitioning, so all partitions agree on
+        *whole* dataset before partitioning, so all partitions agree on
         ``sigma``/``eps`` and results do not depend on the partition layout's
         local extents.
     n_jobs:
@@ -291,9 +289,6 @@ def partitioned_s2t(
         Temporal partition count; default :data:`DEFAULT_PARTITIONS`.
         Independent of ``n_jobs`` so results never depend on the worker
         count.
-    frame:
-        Optional prebuilt frame of ``mod`` (the engine's catalog entry);
-        built once here otherwise.
     pool:
         Optional :class:`WorkerPool` to run on (the engine passes its
         persistent ``engine.pool()``).  Without one, a private pool is
@@ -310,11 +305,10 @@ def partitioned_s2t(
     if n_partitions is not None and n_partitions < 1:
         raise ValueError("n_partitions must be at least 1")
     params = params or S2TParams()
-    if len(mod) == 0:
+    frame = as_frame(dataset)
+    if len(frame) == 0:
         return ClusteringResult(method="s2t", clusters=[], outliers=[], params=params)
-    if frame is None:
-        frame = MODFrame.from_mod(mod)
-    params = params.resolved(mod, frame)
+    params = params.resolved(frame)
     n_partitions = n_partitions or DEFAULT_PARTITIONS
 
     periods = frame.bbox.period.split(n_partitions)

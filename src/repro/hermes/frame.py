@@ -26,40 +26,37 @@ arithmetic on its time-sorted sample column.
 
 Frame lifecycle
 ---------------
-The frame is the engine's *canonical* dataset representation; every phase of
-S2T-Clustering, the ReTraTree bulk load and the baselines read it instead of
-rebuilding their own columnar snapshots:
+The frame *is* the dataset: :class:`~repro.core.engine.HermesEngine` holds
+one frame per dataset and no other copy, and every phase of S2T-Clustering,
+the ReTraTree and the SQL scans read it:
 
 * **Construction** — :meth:`MODFrame.from_mod` snapshots a whole MOD (one
   ``O(total samples)`` concatenation, row order = MOD insertion order);
   :meth:`MODFrame.from_trajectories` does the same for an arbitrary
-  trajectory sequence.  The lifespan/bbox tables are computed once at
-  construction; the key → row map and the banded timestamp column once, on
-  the first lookup by key or interpolation (or :meth:`MODFrame.extend`).
-* **Caching** — :class:`~repro.core.engine.HermesEngine` keeps a *frame
-  catalog*: ``engine.frame(name)`` builds the dataset's frame on first use
-  and hands the cached instance to every consumer
-  (``engine.s2t`` / ``engine.range_then_cluster`` / ``engine.retratree``),
-  so a dataset's frame is constructed at most once per load.
-* **Invalidation** — the catalog entry is dropped whenever the dataset
-  changes: ``engine.load_mod`` (which SQL ``INSERT`` re-materialisation goes
-  through) and ``engine.drop`` both evict it; the next consumer rebuilds.
+  trajectory sequence, and :func:`as_frame` is the one place an operator
+  handed a MOD snapshots it.  ``engine.load_mod`` snapshots the caller's
+  MOD once, so a later change to that MOD does not reach the dataset; a
+  cold open decodes the archive straight into one frame
+  (:meth:`repro.storage.durable.DurableCatalog.load`).  The lifespan/bbox
+  tables are computed at construction; the key → row map and the banded
+  timestamp column on the first lookup by key or interpolation.
+* **Immutability** — no method changes a built frame's rows or tables.  An
+  append makes a *new* frame, :meth:`MODFrame.concat` of the old one and
+  the delta, and the engine swaps it in; a cursor that captured the old
+  frame keeps streaming it.  That is the whole isolation story.
+* **Boundary views** — :meth:`MODFrame.to_mod` builds a
+  :class:`~repro.hermes.mod.MOD` of zero-copy :class:`Trajectory` views on
+  request (``engine.get_mod``: CSV export, the baselines, holding patterns,
+  partition workers); nothing in the engine keeps one.
 * **Slicing** — :meth:`MODFrame.slice_period` restricts a frame to a
   time period with interpolated boundary samples, mirroring
   :meth:`~repro.hermes.trajectory.Trajectory.slice_period` exactly.  The
   partition-parallel scheduler (:mod:`repro.core.parallel`) and the
-  ReTraTree bulk load derive their per-partition frames this way instead of
+  ReTraTree derive their per-partition frames this way instead of
   re-concatenating trajectory objects.
 * **Serialization** — frames pickle as their raw columns plus keys
   (:meth:`MODFrame.to_payload`); derived state is rebuilt on load.  This is
   the cheap path that ships partition frames to worker processes.
-* **Appending** — :meth:`MODFrame.extend` grows a frame *in place* with a
-  batch of new trajectories (the ingestion delta-concat path): the new
-  rows' columns are concatenated after the existing ones in one vectorised
-  pass, so the engine's cached catalog entry absorbs an append without the
-  per-trajectory Python loop of a full :meth:`from_mod` rebuild.  This is
-  the only mutation a frame ever undergoes; rows are append-only and
-  existing row indices never move.
 
 The trajectory invariant
 ------------------------
@@ -68,8 +65,8 @@ increasing ``t`` and finite ``x`` / ``y`` / ``t``
 (:func:`~repro.hermes.trajectory.sample_defect`).  The frame checks it once,
 vectorised over all rows, in ``_init_columns`` — the one place every
 construction path goes through (``__init__``, ``_from_columns``,
-:meth:`~MODFrame.from_payload`, :meth:`~MODFrame.from_shm`, slicing, the
-full-recompute branch of :meth:`~MODFrame.extend`) — and raises
+:meth:`~MODFrame.from_payload`, :meth:`~MODFrame.from_shm`, slicing,
+:meth:`~MODFrame.take` and :meth:`~MODFrame.concat`) — and raises
 :class:`ValueError` naming the first failing row.  A stored partition
 therefore loads as one checked frame (:func:`repro.storage.records.read_partitions`).
 
@@ -95,7 +92,7 @@ from repro.hermes.types import _EPS, BoxST, Period
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hermes.mod import MOD
 
-__all__ = ["MODFrame", "TrajectoryRows", "subtrajectory_from_slice"]
+__all__ = ["MODFrame", "TrajectoryRows", "as_frame", "subtrajectory_from_slice"]
 
 # Cap on the number of (trajectory, instant) cells materialised per batch;
 # larger requests are transparently chunked by the callers' helpers.
@@ -139,6 +136,21 @@ def subtrajectory_from_slice(parent: Trajectory, piece: Trajectory) -> SubTrajec
     return SubTrajectory(parent.key, start_idx, end_idx, sub_traj)
 
 
+def as_frame(dataset: "MODFrame | MOD | Iterable[Trajectory]") -> "MODFrame":
+    """The frame an operator runs on: ``dataset`` itself, or one snapshot of it.
+
+    Operators take the dataset's frame; a :class:`~repro.hermes.mod.MOD`
+    (or a sequence of trajectories) handed to one is snapshotted here, once.
+    """
+    from repro.hermes.mod import MOD
+
+    if isinstance(dataset, MODFrame):
+        return dataset
+    if isinstance(dataset, MOD):
+        return MODFrame.from_mod(dataset)
+    return MODFrame.from_trajectories(dataset)
+
+
 def _check_rows(
     keys: Sequence[tuple[str, str]],
     xs: np.ndarray,
@@ -180,10 +192,10 @@ def _check_rows(
 
 
 class MODFrame:
-    """Append-only columnar snapshot of a trajectory collection.
+    """Immutable columnar snapshot of a trajectory collection.
 
-    Existing rows never change; :meth:`extend` is the one mutation and only
-    appends rows at the end (see the module docstring's lifecycle notes).
+    Its rows and tables never change once built; an append is a new frame
+    (:meth:`concat`; see the module docstring's lifecycle notes).
 
     Attributes
     ----------
@@ -282,8 +294,8 @@ class MODFrame:
     def drop_indexes(self) -> None:
         """Free the key → row map and the time bands; their next use rebuilds them.
 
-        Both are built on first use (:meth:`row_of`, :meth:`positions_at_batch`,
-        :meth:`extend`): a decoded or sliced QuT batch is never looked up by
+        Both are built on first use (:meth:`row_of`, :meth:`positions_at_batch`):
+        a decoded or sliced QuT batch is never looked up by
         key, nor a fully covered one interpolated, and a clustering result
         whose fit interpolated its frame drops them before it is returned.
         """
@@ -291,19 +303,17 @@ class MODFrame:
         self._t0 = self._band_step = self._banded_ts = None
 
     def _rows_by_key(self) -> dict[tuple[str, str], int]:
-        """The key → row map, built on the first lookup or :meth:`extend`."""
+        """The key → row map, built on the first lookup."""
         if self._key_to_row is None:
             self._key_to_row = {key: i for i, key in enumerate(self.keys)}
         return self._key_to_row
 
     def _bands(self) -> tuple[float, float, np.ndarray]:
-        """``(t0, band_step, banded_ts)``, built on the first interpolation or :meth:`extend`.
+        """``(t0, band_step, banded_ts)``, built on the first interpolation.
 
         Disjoint time bands for the single-searchsorted trick (see module
-        docstring).  The band step must exceed the global time span so that
-        row i's shifted timestamps all precede row i+1's.  The 2x headroom
-        lets :meth:`extend` absorb forward-growing appends with an O(delta)
-        banded-column update until the span outgrows it.
+        docstring).  The band step, ``2 * span + 1``, exceeds the global
+        time span, so row i's shifted timestamps all precede row i+1's.
         """
         if self._banded_ts is None:
             n = len(self.keys)
@@ -340,6 +350,40 @@ class MODFrame:
         frame = cls.__new__(cls)
         frame._init_columns(keys, xs, ys, ts, offsets)
         return frame
+
+    @classmethod
+    def concat(cls, frames: Sequence["MODFrame"]) -> "MODFrame":
+        """One new frame holding the rows of ``frames``, in order.
+
+        The one concatenation: an append is ``concat([dataset, delta])``,
+        and a cold open concatenates the base archive and its deltas.  The
+        inputs are left as they are (a single frame is returned itself).
+        Keys are not checked for repeats; the append path checks them first.
+        """
+        if len(frames) == 1:
+            return frames[0]
+        bases = np.cumsum([0] + [frame.total_points for frame in frames[:-1]])
+        offsets = np.concatenate(
+            [np.zeros(1, dtype=np.intp)]
+            + [frame.offsets[1:] + base for frame, base in zip(frames, bases)]
+        )
+        return cls._from_columns(
+            [key for frame in frames for key in frame.keys],
+            *(np.concatenate([getattr(frame, col) for frame in frames]) for col in ("xs", "ys", "ts")),
+            offsets.astype(np.intp, copy=False),
+        )
+
+    def take(self, rows: Sequence[int]) -> "MODFrame":
+        """A new frame of rows ``rows`` of this one, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        offsets = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        flat = np.arange(int(offsets[-1]), dtype=np.intp) + np.repeat(starts - offsets[:-1], counts)
+        return MODFrame._from_columns(
+            [self.keys[row] for row in rows.tolist()], self.xs[flat], self.ys[flat], self.ts[flat], offsets
+        )
 
     # -- serialization --------------------------------------------------------
 
@@ -441,92 +485,6 @@ class MODFrame:
         xs, ys, ts = columns
         return cls._from_columns(keys, xs, ys, ts, offsets.astype(np.intp, copy=False))
 
-    # -- appending ------------------------------------------------------------
-
-    def extend(self, trajectories: Iterable[Trajectory] | "MODFrame") -> int:
-        """Append a batch of new trajectories to this frame, in place.
-
-        This is the ingestion delta-concat path: the batch (an iterable of
-        trajectories, or an already-built delta :class:`MODFrame`) is
-        snapshot into delta columns and concatenated after the existing
-        ones in one vectorised pass.  Derived state is updated in
-        ``O(delta)`` in the common case — the delta's lifespan/bbox tables
-        concatenate onto the existing ones, the key map gains only the new
-        rows, and the banded timestamp column extends in place as long as
-        the delta starts at or after the frame's time origin and the grown
-        span still fits under the band step (which is built with 2x
-        headroom); a batch that breaks either condition falls back to one
-        full derived-state recompute that re-establishes the headroom.
-        Existing rows keep their indices — consumers holding views into the
-        pre-extend columns keep valid (pre-append) snapshots, because the
-        old arrays are replaced, never mutated.
-
-        Parameters
-        ----------
-        trajectories:
-            The new rows, in append order.  Keys must not collide with
-            existing rows (or repeat within the batch).
-
-        Returns
-        -------
-        The number of rows appended (0 for an empty batch, which leaves the
-        frame untouched).
-
-        Raises
-        ------
-        ValueError
-            If a batch key duplicates an existing row's key or another
-            batch key.
-        """
-        delta = (
-            trajectories
-            if isinstance(trajectories, MODFrame)
-            else MODFrame.from_trajectories(trajectories)
-        )
-        if len(delta) == 0:
-            return 0
-        key_to_row = self._rows_by_key()
-        t0, band_step, banded_ts = self._bands()
-        batch_seen: set[tuple[str, str]] = set()
-        for key in delta.keys:
-            if key in key_to_row or key in batch_seen:
-                raise ValueError(f"cannot extend frame: duplicate trajectory key {key!r}")
-            batch_seen.add(key)
-        n_old = len(self.keys)
-        keys = self.keys + list(delta.keys)
-        xs = np.concatenate([self.xs, delta.xs])
-        ys = np.concatenate([self.ys, delta.ys])
-        ts = np.concatenate([self.ts, delta.ts])
-        offsets = np.concatenate([self.offsets, delta.offsets[1:] + self.offsets[-1]])
-        new_span = (
-            max(float(self.tmaxs.max()), float(delta.tmaxs.max())) - t0 if n_old else 0.0
-        )
-        if n_old == 0 or float(delta.tmins.min()) < t0 or new_span >= band_step - 0.5:
-            # Banding invalidated (new origin, or span outgrew the band
-            # headroom): one full recompute re-establishes the invariants.
-            self._init_columns(keys, xs, ys, ts, offsets)
-            return len(delta)
-        # O(delta) path: extend the derived tables instead of recomputing
-        # them over every row.
-        for i, key in enumerate(delta.keys):
-            key_to_row[key] = n_old + i
-        self.keys = keys
-        self.xs, self.ys, self.ts, self.offsets = xs, ys, ts, offsets
-        self.tmins = np.concatenate([self.tmins, delta.tmins])
-        self.tmaxs = np.concatenate([self.tmaxs, delta.tmaxs])
-        self.xmins = np.concatenate([self.xmins, delta.xmins])
-        self.xmaxs = np.concatenate([self.xmaxs, delta.xmaxs])
-        self.ymins = np.concatenate([self.ymins, delta.ymins])
-        self.ymaxs = np.concatenate([self.ymaxs, delta.ymaxs])
-        delta_rows = np.repeat(
-            np.arange(n_old, n_old + len(delta), dtype=np.intp),
-            np.diff(delta.offsets),
-        )
-        self._banded_ts = np.concatenate(
-            [banded_ts, (delta.ts - t0) + delta_rows * band_step]
-        )
-        return len(delta)
-
     # -- row access ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -564,8 +522,8 @@ class MODFrame:
     def to_mod(self, name: str = "frame") -> "MOD":
         """Materialise the frame as a :class:`~repro.hermes.mod.MOD`.
 
-        The trajectories share the frame's columns (views, no copies); this
-        is how parallel workers rebuild a MOD from a shipped partition frame.
+        The trajectories share the frame's columns (views, no copies).  This
+        is the boundary view ``engine.get_mod`` hands out, built on request.
         """
         from repro.hermes.mod import MOD
 
@@ -829,18 +787,13 @@ class TrajectoryRows:
         return {**self.__dict__, "_built": None}
 
     @classmethod
-    def of(
-        cls, subtrajectories: Sequence[SubTrajectory], frame: MODFrame | None = None
-    ) -> "TrajectoryRows":
+    def of(cls, subtrajectories: Sequence[SubTrajectory]) -> "TrajectoryRows":
         """Rows holding built sub-trajectories, which are kept as row ``i``'s object.
 
-        ``frame`` is the optional prebuilt frame of their trajectories (row
-        ``i`` = ``subtrajectories[i].traj``); it is built here when omitted.
+        Row ``i`` of the frame built here is ``subtrajectories[i].traj``.
         """
-        if frame is None:
-            frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
         rows = cls(
-            frame,
+            MODFrame.from_trajectories(sub.traj for sub in subtrajectories),
             [sub.parent_key for sub in subtrajectories],
             [(sub.start_idx, sub.end_idx) for sub in subtrajectories],
         )
@@ -883,11 +836,6 @@ class TrajectoryRows:
 
     def __len__(self) -> int:
         return len(self.parent_keys)
-
-    def trajectories(self) -> list[Trajectory]:
-        """Each row as a :class:`Trajectory` view of the frame's columns."""
-        view = self.frame.trajectory_of
-        return [view(row) for row in range(len(self))]
 
     def subtrajectory(self, row: int) -> SubTrajectory:
         """Row ``row`` as a :class:`SubTrajectory` over a view of the frame's columns.

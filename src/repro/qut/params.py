@@ -18,7 +18,9 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
+from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
+from repro.hermes.trajectory import Trajectory
 from repro.s2t.params import S2TParams
 
 __all__ = ["QuTParams"]
@@ -45,30 +47,32 @@ class QuTParams:
     overflow_threshold: int = 32
     s2t: S2TParams = S2TParams()
 
-    def resolved(self, mod: MOD) -> "QuTParams":
-        """Return a copy with data-driven defaults resolved against ``mod``.
+    def resolved(self, dataset: MODFrame | MOD | Trajectory) -> "QuTParams":
+        """Return a copy with data-driven defaults resolved against ``dataset``.
 
-        Raises :class:`ValueError` when the MOD's spatial extent or diagonal
-        is not finite (coordinates near ``±float max``), whether or not
-        ``distance_threshold`` is given: distances across such a MOD
+        The extent is the dataset's ``bbox`` (a frame, a MOD or one
+        trajectory: each has one).
+        Raises :class:`ValueError` when its spatial extent or diagonal is not
+        finite (coordinates near ``±float max``), whether or not
+        ``distance_threshold`` is given: distances across such a dataset
         overflow, so neither the tree nor its overflow S2T runs can place a
-        piece in it.  A MOD of zero extent is refused too unless
+        piece in it.  A dataset of zero extent is refused too unless
         ``distance_threshold`` is given, since its default would be zero.
         """
-        period = mod.period
-        bbox = mod.bbox
+        bbox = dataset.bbox
+        period = bbox.period
         try:
             diag = (bbox.dx**2 + bbox.dy**2) ** 0.5
         except OverflowError:
             diag = math.inf
         if not math.isfinite(diag):
             raise ValueError(
-                f"MOD {mod.name!r} spans {bbox.dx!r} x {bbox.dy!r} in x/y: its "
+                f"the dataset spans {bbox.dx!r} x {bbox.dy!r} in x/y: its "
                 "spatial diagonal is not finite, so QuT cannot measure distances in it"
             )
         if diag == 0 and self.distance_threshold is None:
             raise ValueError(
-                f"MOD {mod.name!r} has zero x/y extent: distance_threshold defaults "
+                "the dataset has zero x/y extent: distance_threshold defaults "
                 "to a fraction of its spatial diagonal, so give it explicitly"
             )
         tau = self.tau if self.tau is not None else max(period.duration / 4.0, 1e-9)

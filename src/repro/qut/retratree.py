@@ -81,7 +81,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.hermes.distances import hausdorff_distance_pairs, spatiotemporal_distance_matrix
-from repro.hermes.frame import MODFrame, TrajectoryRows, subtrajectory_from_slice
+from repro.hermes.frame import MODFrame, TrajectoryRows, as_frame, subtrajectory_from_slice
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory, Trajectory
 from repro.hermes.types import BoxST, Period
@@ -331,13 +331,9 @@ class ReTraTree:
         """
         return self._raw_params
 
-    def _ensure_params(self, mod_or_traj: MOD | Trajectory) -> QuTParams:
+    def _ensure_params(self, traj: Trajectory) -> QuTParams:
         if self.params is None:
-            if isinstance(mod_or_traj, MOD):
-                self.params = self._raw_params.resolved(mod_or_traj)
-            else:
-                probe = MOD(name="probe", trajectories=[mod_or_traj])
-                self.params = self._raw_params.resolved(probe)
+            self.params = self._raw_params.resolved(traj)
         return self.params
 
     def _locate(self, t: float) -> tuple[int, int]:
@@ -616,14 +612,12 @@ class ReTraTree:
         self.stats.s2t_runs += 1
 
         # Run S2T on the pending pieces (as standalone trajectories).
-        mod = MOD(name=f"{self.name}_pending_{subchunk.chunk_idx}_{subchunk.sub_idx}")
         key_map: dict[tuple[str, str], SubTrajectory] = {}
         for sub in pending:
-            if sub.traj.key in key_map:
-                continue
-            key_map[sub.traj.key] = sub
-            mod.add(sub.traj)
-        result = S2TClustering(params.s2t).fit(mod)
+            key_map.setdefault(sub.traj.key, sub)
+        result = S2TClustering(params.s2t).fit(
+            MODFrame.from_trajectories(sub.traj for sub in key_map.values())
+        )
 
         # Back-propagate the new representatives into the in-memory level 3.
         # S2T may split one pending piece into several sub-trajectories; each
@@ -683,11 +677,7 @@ class ReTraTree:
 
     # -- incremental maintenance (the append path) ------------------------------------------
 
-    def append(
-        self,
-        trajectories: Sequence[Trajectory],
-        frame: MODFrame | None = None,
-    ) -> dict[str, int]:
+    def append(self, delta: MODFrame | Sequence[Trajectory]) -> dict[str, int]:
         """Absorb a batch of newly arrived trajectories without rebuilding.
 
         This is the paper's incremental-maintenance claim made concrete:
@@ -702,13 +692,11 @@ class ReTraTree:
 
         Parameters
         ----------
-        trajectories:
-            The new trajectories, in arrival order.
-        frame:
-            Optional columnar snapshot of exactly ``trajectories`` (the
-            ingestion pipeline's delta frame); built here when omitted.
-            Pieces are derived by slicing it per sub-chunk, the same
-            partition-frame path the bulk load uses.
+        delta:
+            The new trajectories, in arrival order, as a frame (the
+            ingestion pipeline's delta; a sequence of trajectories is
+            snapshotted once).  Pieces are derived by slicing it per
+            sub-chunk, the same partition-frame path the bulk load uses.
 
         Returns
         -------
@@ -720,7 +708,7 @@ class ReTraTree:
         adopts the first non-empty batch as its parameter probe and grid
         origin, exactly as a bulk load over that batch would.
         """
-        trajs = list(trajectories)
+        frame = as_frame(delta)
         counters = {
             "trajectories": 0,
             "pieces": 0,
@@ -730,22 +718,23 @@ class ReTraTree:
             "subchunks_new": 0,
             "s2t_runs": 0,
         }
-        if not trajs:
+        if not len(frame):
             return counters
         if self.params is None:
-            self.origin = min(float(t.period.tmin) for t in trajs)
-            probe = MOD(name=f"{self.name}_append_probe", trajectories=trajs)
-            self.params = self._raw_params.resolved(probe)
+            self.origin = float(frame.tmins.min())
+            self.params = self._raw_params.resolved(frame)
         pieces0 = self.stats.pieces_inserted
         assigned0 = self.stats.pieces_assigned
         unclustered0 = self.stats.pieces_unclustered
         s2t0 = self.stats.s2t_runs
         subchunks0 = len(self._subchunks)
-        if frame is None:
-            frame = MODFrame.from_trajectories(trajs)
         partition_frames: dict[tuple[int, int], MODFrame] = {}
         touched = self._insert_pieces(
-            [piece for traj in trajs for piece in self._cut(traj, partition_frames, frame)]
+            [
+                piece
+                for row in range(len(frame))
+                for piece in self._cut(frame.trajectory_of(row), partition_frames, frame)
+            ]
         )
         # Localised finalize: only sub-chunks this batch touched are
         # candidates for an S2T re-clustering of their outlier buffers.
@@ -754,7 +743,7 @@ class ReTraTree:
             if subchunk.unclustered_count >= self._flush_threshold():
                 self.flush_unclustered(subchunk)
         counters.update(
-            trajectories=len(trajs),
+            trajectories=len(frame),
             pieces=self.stats.pieces_inserted - pieces0,
             assigned=self.stats.pieces_assigned - assigned0,
             unclustered=self.stats.pieces_unclustered - unclustered0,
@@ -951,29 +940,29 @@ class ReTraTree:
     @classmethod
     def build(
         cls,
-        mod: MOD,
+        mod: MODFrame | MOD,
         params: QuTParams | None = None,
         storage: StorageManager | None = None,
         name: str = "retratree",
         frame: MODFrame | None = None,
     ) -> "ReTraTree":
-        """Build a ReTraTree over an existing MOD: the one bulk load.
+        """Build a ReTraTree over an existing dataset: the one bulk load.
 
-        The grid — origin and parameters — is resolved over the whole MOD.
-        Rows of ``frame`` (the MOD's columnar snapshot; the engine passes
-        its cached catalog entry, built here otherwise) are walked in dataset
-        order, and each sub-chunk's pieces derive from *partition frames*
-        sliced off ``frame`` (one batched pass per sub-chunk rather than a
-        concatenation per piece).
+        ``mod`` is the dataset's frame (what the engine passes); a MOD is
+        snapshotted once, or read through ``frame``, its prebuilt frame.
+        The grid — origin and parameters — is resolved over the whole
+        dataset.  Rows of the frame are walked in dataset order, and each
+        sub-chunk's pieces derive from *partition frames* sliced off it (one
+        batched pass per sub-chunk rather than a concatenation per piece).
         """
         ReTraTree.build_calls += 1
         tree = cls(params=params, storage=storage, name=name)
-        if len(mod) == 0:
-            return tree
         if frame is None:
-            frame = MODFrame.from_mod(mod)
-        tree.origin = mod.period.tmin
-        tree.params = tree.raw_params.resolved(mod)
+            frame = as_frame(mod)
+        if len(frame) == 0:
+            return tree
+        tree.origin = float(frame.tmins.min())
+        tree.params = tree.raw_params.resolved(frame)
         partition_frames: dict[tuple[int, int], MODFrame] = {}
         tree._insert_pieces(
             [

@@ -43,22 +43,19 @@ def greedy_clustering(
     subtrajectories: list[SubTrajectory],
     representatives: list[SubTrajectory],
     params: S2TParams,
-    *,
-    frame: MODFrame | None = None,
 ) -> tuple[ClusteringResult, float]:
     """Build clusters around the representatives.
 
     The representatives are drawn from ``subtrajectories`` (keys are
-    unique within a MOD).  ``frame`` is the optional prebuilt columnar
-    snapshot of ``subtrajectories`` (row ``i`` = ``subtrajectories[i].traj``);
-    when omitted it is built here.  This is :func:`cluster` with each
-    representative's distance row computed here, one at a time.
+    unique within a MOD).  This is :func:`cluster` over the frame of
+    ``subtrajectories``, with each representative's distance row computed
+    here, one at a time.
 
     Returns ``(result, elapsed_seconds)``.  The returned result's ``method``
     is ``"s2t"``; the pipeline overwrites timings with the per-phase view.
     """
     start = time.perf_counter()
-    pieces = TrajectoryRows.of(subtrajectories, frame)
+    pieces = TrajectoryRows.of(subtrajectories)
     row_of = {sub.key: row for row, sub in enumerate(subtrajectories)}
     try:
         picked = [row_of[rep.key] for rep in representatives]

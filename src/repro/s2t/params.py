@@ -87,34 +87,33 @@ class S2TParams:
     temporal_tolerance: float = 0.0
     n_jobs: int = 1
 
-    def resolved(self, mod: MOD, frame: MODFrame | None = None) -> "S2TParams":
-        """Return a copy with all ``None`` thresholds resolved against ``mod``.
+    def resolved(self, dataset: MODFrame | MOD) -> "S2TParams":
+        """Return a copy with all ``None`` thresholds resolved against ``dataset``.
 
-        The spatial extent is read from ``frame``'s bounding-box tables when
-        a columnar snapshot of ``mod`` is given (what a fit does: one
-        vectorised min / max per column), else from ``mod.bbox`` (one visit
-        per trajectory).  Both give the same box, so the same thresholds.
+        The spatial extent is the dataset's ``bbox``: a frame's is one
+        vectorised min / max per column of its box tables, a MOD's one visit
+        per trajectory; both give the same box, so the same thresholds.
 
-        Raises :class:`ValueError` when the MOD's spatial extent or diagonal
+        Raises :class:`ValueError` when the dataset's spatial extent or diagonal
         is not finite (coordinates near ``±float max``), whether or not
         ``sigma`` / ``eps`` are given: distances across such a MOD overflow,
-        so S2T has no answer to give for it.  A MOD of zero extent is refused
+        so S2T has no answer to give for it.  A dataset of zero extent is refused
         too unless ``sigma`` and ``eps`` are given, since their defaults
         would be zero.
         """
-        bbox = mod.bbox if frame is None else frame.bbox
+        bbox = dataset.bbox
         try:
             diag = ((bbox.dx) ** 2 + (bbox.dy) ** 2) ** 0.5
         except OverflowError:
             diag = math.inf
         if not math.isfinite(diag):
             raise ValueError(
-                f"MOD {mod.name!r} spans {bbox.dx!r} x {bbox.dy!r} in x/y: its "
+                f"the dataset spans {bbox.dx!r} x {bbox.dy!r} in x/y: its "
                 "spatial diagonal is not finite, so S2T cannot measure distances in it"
             )
         if diag == 0 and (self.sigma is None or self.eps is None):
             raise ValueError(
-                f"MOD {mod.name!r} has zero x/y extent: sigma and eps default to a "
+                "the dataset has zero x/y extent: sigma and eps default to a "
                 "fraction of its spatial diagonal, so give them explicitly"
             )
         sigma = self.sigma if self.sigma is not None else 0.03 * diag

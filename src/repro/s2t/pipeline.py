@@ -1,6 +1,6 @@
 """The full S2T-Clustering pipeline.
 
-``S2TClustering(params).fit(mod)`` runs, in order:
+``S2TClustering(params).fit(frame)`` runs, in order:
 
 1. voting            (NaTS phase 1),
 2. segmentation      (NaTS phase 2),
@@ -13,10 +13,11 @@ dictionary holds the per-phase wall-clock breakdown used by benchmark E10.
 Voting is the voter-major sweep of :mod:`repro.s2t.voting`; sampling and
 greedy clustering run on the batched columnar path (:mod:`repro.hermes.frame`).
 
-The pipeline is frame-native end to end: the MOD's columnar
-:class:`MODFrame` is built **once per fit** (or taken prebuilt from the
-engine's frame catalog / a partition scheduler) and shared by the voting and
-segmentation phases.  Segmentation gathers one frame of the
+The pipeline is frame-native end to end: the fit takes the dataset's
+:class:`~repro.hermes.frame.MODFrame` (the engine's dataset, or a partition
+scheduler's slice; a MOD is snapshotted once, by
+:func:`~repro.hermes.frame.as_frame`) and the voting and segmentation phases
+share it.  Segmentation gathers one frame of the
 *sub-trajectories* (:func:`~repro.s2t.segmentation.segment_frame`), scoped to
 the fit; the two SaCO phases share it, and sampling hands the distance row
 it computed for each representative to greedy clustering, so a fit issues
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import time
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.mod import MOD
 from repro.s2t.clustering import cluster
 from repro.s2t.params import S2TParams
@@ -63,26 +64,21 @@ class S2TClustering:
         self.params = params or S2TParams()
         self.last_voting_profile: VotingProfile | None = None
 
-    def fit(self, mod: MOD, frame: MODFrame | None = None) -> ClusteringResult:
-        """Cluster the MOD's sub-trajectories.
+    def fit(self, dataset: MODFrame | MOD) -> ClusteringResult:
+        """Cluster the dataset's sub-trajectories.
 
         Parameters
         ----------
-        mod:
-            The Moving Object Database to analyse.
-        frame:
-            Optional prebuilt columnar snapshot of ``mod`` (the engine's
-            frame catalog and the partition scheduler pass theirs here).
-            When omitted, the frame is built once and shared by the voting
-            and segmentation phases.
+        dataset:
+            The Moving Object Database to analyse, as its frame (a MOD is
+            snapshotted once).
         """
-        if len(mod) == 0:
+        frame = as_frame(dataset)
+        if len(frame) == 0:
             return ClusteringResult(method="s2t", clusters=[], outliers=[], params=self.params)
-        if frame is None:
-            frame = MODFrame.from_mod(mod)
-        params = self.params.resolved(mod, frame)
+        params = self.params.resolved(frame)
 
-        profile = compute_voting(mod, params, frame=frame)
+        profile = compute_voting(frame, params)
         self.last_voting_profile = profile
 
         start = time.perf_counter()

@@ -43,23 +43,19 @@ def select_representatives(
     subtrajectories: list[SubTrajectory],
     voting_mass: dict[tuple[str, str, int, int], float],
     params: S2TParams,
-    *,
-    frame: MODFrame | None = None,
 ) -> tuple[list[SubTrajectory], float]:
     """Greedy max-gain selection of the sampling set.
 
-    ``frame`` is the optional prebuilt columnar snapshot of
-    ``subtrajectories`` (row ``i`` = ``subtrajectories[i].traj``); when
-    omitted it is built here.  This is :func:`sample` with the masses looked
-    up by sub-trajectory key.
+    This is :func:`sample` over the frame of ``subtrajectories`` (row ``i``
+    = ``subtrajectories[i].traj``), with the masses looked up by
+    sub-trajectory key.
 
     Returns ``(representatives, elapsed_seconds)``.
     """
     start = time.perf_counter()
     if not subtrajectories:
         return [], time.perf_counter() - start
-    if frame is None:
-        frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
+    frame = MODFrame.from_trajectories(sub.traj for sub in subtrajectories)
     masses = np.array(
         [voting_mass.get(sub.key, 0.0) for sub in subtrajectories], dtype=float
     )

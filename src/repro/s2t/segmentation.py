@@ -50,7 +50,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.hermes.frame import MODFrame, TrajectoryRows
+from repro.hermes.frame import MODFrame, TrajectoryRows, as_frame
 from repro.hermes.mod import MOD
 from repro.hermes.trajectory import SubTrajectory
 from repro.s2t.params import S2TParams
@@ -243,7 +243,7 @@ def segment_frame(
 
 
 def segment_mod(
-    mod: MOD,
+    mod: MODFrame | MOD,
     profile: VotingProfile,
     params: S2TParams,
     frame: MODFrame | None = None,
@@ -252,13 +252,13 @@ def segment_mod(
 
     Returns ``(subtrajectories, voting_mass, elapsed_seconds)`` where
     ``voting_mass`` maps each sub-trajectory key to the mean vote of its
-    segments.  ``frame`` is the optional prebuilt columnar snapshot of
-    ``mod``; when omitted it is built here.  This is :func:`segment_frame`
-    with its masses keyed by sub-trajectory.
+    segments.  ``frame`` is the optional prebuilt frame of a MOD ``mod``;
+    when omitted, :func:`~repro.hermes.frame.as_frame` gives it.  This is
+    :func:`segment_frame` with its masses keyed by sub-trajectory.
     """
     start = time.perf_counter()
     if frame is None:
-        frame = MODFrame.from_mod(mod)
+        frame = as_frame(mod)
     _sub_frame, pieces, masses = segment_frame(frame, profile, params)
     subtrajectories = list(pieces)
     voting_mass = {sub.key: mass for sub, mass in zip(subtrajectories, masses.tolist())}

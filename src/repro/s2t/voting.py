@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hermes.frame import MODFrame
+from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.mod import MOD
 from repro.s2t.params import S2TParams
 
@@ -196,28 +196,28 @@ def _sweep(frame: MODFrame, params: S2TParams, profile: VotingProfile) -> None:
 
 
 def compute_voting(
-    mod: MOD,
+    mod: MODFrame | MOD,
     params: S2TParams,
     frame: MODFrame | None = None,
 ) -> VotingProfile:
-    """Run the voting phase over the whole MOD.
+    """Run the voting phase over the whole dataset.
 
     Parameters
     ----------
     mod:
-        The MOD to vote over.
+        The dataset to vote over: its frame (what a fit passes), or a MOD,
+        snapshotted once.
     params:
-        S2T parameters; ``None`` thresholds are resolved against ``mod``'s
-        extent, read from the frame's bounding-box tables.
+        S2T parameters; ``None`` thresholds are resolved against the
+        dataset's extent, read from the frame's bounding-box tables.
     frame:
-        Optional prebuilt columnar snapshot of ``mod`` (a fit passes the
-        frame it resolved its parameters from); the sweep then skips
+        Optional prebuilt frame of a MOD ``mod``; the sweep then skips
         rebuilding it.
     """
     start = time.perf_counter()
     if frame is None:
-        frame = MODFrame.from_mod(mod)
+        frame = as_frame(mod)
     profile = VotingProfile()
-    _sweep(frame, params.resolved(mod, frame), profile)
+    _sweep(frame, params.resolved(frame), profile)
     profile.elapsed_s = time.perf_counter() - start
     return profile

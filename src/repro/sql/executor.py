@@ -11,8 +11,8 @@ engine, shared by every connection over that engine): records for datasets
 declared with ``CREATE DATASET`` become trajectories as soon as an object
 has at least two samples.  Completed trajectories whose keys are *new* take
 the **append path** (:meth:`repro.core.engine.HermesEngine.append`):
-the dataset's cached frame and ReTraTree are maintained incrementally and,
-on a durable engine, the batch commits as a delta partition — nothing is
+one concatenation makes the dataset's new frame, its ReTraTree is
+maintained incrementally and, on a durable engine, the batch commits as a delta partition — nothing is
 invalidated or rebuilt.  A statement that adds points to an *existing*
 trajectory falls back to the historical full re-materialisation (a
 replacement, which invalidates caches), since changing a trajectory's
@@ -25,9 +25,11 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
+from typing import Any
 
 from repro.core.engine import HermesEngine
 from repro.core.ingest import AppendBuffer
+from repro.hermes.frame import MODFrame
 from repro.hermes.mod import MOD
 from repro.sql.errors import SQLBindError, SQLExecutionError
 from repro.sql.functions import call_function
@@ -218,8 +220,8 @@ class PlanExecutor:
             if not all(map(math.isfinite, sample)):
                 raise SQLExecutionError(f"INSERT x/y/t values must be finite; bad row {row!r}")
             coerced.append(((str(obj_id), str(traj_id)), sample))
-        mod = self.engine.get_mod(name)
-        if any(key in mod for key, _ in coerced):
+        frame = self.engine.frame(name)
+        if any(frame.maybe_row_of(key) is not None for key, _ in coerced):
             return self._insert_rebuild(name, coerced)
         buffer = self._buffer_for(name)
         try:
@@ -240,7 +242,7 @@ class PlanExecutor:
     ) -> list[dict[str, object]]:
         """Fallback for inserts that modify existing trajectories.
 
-        Merges the materialised dataset, the buffered incomplete points and
+        Merges the dataset's frame, the buffered incomplete points and
         the statement's rows into one point set and re-materialises it
         through ``engine.load_mod`` — a *replacement* that invalidates the
         frame/tree caches, because existing trajectories changed shape.
@@ -248,11 +250,8 @@ class PlanExecutor:
         """
         buffer = self._buffer_for(name)
         merged: dict[tuple[str, str], list[tuple[float, float, float]]] = defaultdict(list)
-        for traj in self.engine.get_mod(name):
-            for i in range(traj.num_points):
-                merged[(traj.obj_id, traj.traj_id)].append(
-                    (float(traj.ts[i]), float(traj.xs[i]), float(traj.ys[i]))
-                )
+        for row in self._iter_point_rows(self.engine.frame(name)):
+            merged[(row["obj_id"], row["traj_id"])].append((row["t"], row["x"], row["y"]))
         for key, samples in buffer.pending.items():
             merged[key].extend(samples)
         for key, sample in coerced:
@@ -275,16 +274,14 @@ class PlanExecutor:
 
     # -- queries over point records ------------------------------------------------------------
 
-    def _iter_point_rows(self, mod: MOD) -> Iterator[dict[str, object]]:
-        for traj in mod:
-            for i in range(traj.num_points):
-                yield {
-                    "obj_id": traj.obj_id,
-                    "traj_id": traj.traj_id,
-                    "x": float(traj.xs[i]),
-                    "y": float(traj.ys[i]),
-                    "t": float(traj.ts[i]),
-                }
+    @staticmethod
+    def _iter_point_rows(frame: MODFrame) -> Iterator[dict[str, Any]]:
+        """One row per sample of ``frame``, in row order, read from its columns."""
+        offsets = frame.offsets.tolist()
+        for row, (obj_id, traj_id) in enumerate(frame.keys):
+            lo, hi = offsets[row], offsets[row + 1]
+            for x, y, t in zip(frame.xs[lo:hi].tolist(), frame.ys[lo:hi].tolist(), frame.ts[lo:hi].tolist()):
+                yield {"obj_id": obj_id, "traj_id": traj_id, "x": x, "y": y, "t": t}
 
     @staticmethod
     def _check_predicates(predicates: tuple[Comparison, ...]) -> None:
@@ -326,9 +323,9 @@ class PlanExecutor:
         if not self.engine.resolve(plan.dataset):
             raise SQLExecutionError(f"unknown dataset {plan.dataset!r}")
         self._check_predicates(plan.predicates)
-        mod = self.engine.get_mod(plan.dataset)
+        frame = self.engine.frame(plan.dataset)
         count = sum(
-            1 for row in self._iter_point_rows(mod) if self._matches(row, plan.predicates)
+            1 for row in self._iter_point_rows(frame) if self._matches(row, plan.predicates)
         )
         return [{"count": count}]
 
@@ -350,13 +347,14 @@ class PlanExecutor:
             if isinstance(limit, bool) or not integral or limit < 0:
                 raise SQLExecutionError(f"LIMIT must be a non-negative integer, got {limit!r}")
             limit = int(limit)
-        # Capture the MOD now: a concurrently dropped/replaced dataset does
-        # not invalidate rows already flowing through an open cursor.
-        mod = self.engine.get_mod(plan.dataset)
+        # Capture the frame now: it never changes, so an append, drop or
+        # replacement does not reach rows already flowing through an open
+        # cursor.
+        frame = self.engine.frame(plan.dataset)
 
         def produce() -> Iterator[dict[str, object]]:
             matching = (
-                row for row in self._iter_point_rows(mod) if self._matches(row, plan.predicates)
+                row for row in self._iter_point_rows(frame) if self._matches(row, plan.predicates)
             )
             if plan.order_by is not None:
                 # Ordering is a pipeline breaker: materialise, sort, re-stream.

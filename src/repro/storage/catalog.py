@@ -102,8 +102,14 @@ def _part_path(directory: Path | None, name: str) -> Path | None:
     return directory / f"{name}.part" if directory is not None else None
 
 
-def _page_problem(name: str, image: bytes, crcs: list[int] | None, directory: Path | None):
-    """Steps 1-3 of :func:`verify_partitions`: the file's size and pages."""
+def _page_problem(name: str, image: bytes | None, crcs: list[int] | None, directory: Path | None):
+    """Steps 1-4 of :func:`verify_partitions`: the file's presence, size and pages."""
+    if image is None:
+        return CorruptPartitionError(
+            f"partition {name!r} is referenced by the manifest but its file is missing",
+            path=_part_path(directory, name),
+            kind="missing_partition",
+        )
     if len(image) % PAGE_SIZE:
         return torn_tail(name, len(image), _part_path(directory, name))
     if crcs is None:
@@ -144,25 +150,27 @@ def _record_counts(images: list[bytes]) -> list[int | ValueError]:
 
 
 def verify_partitions(
-    partitions: Sequence[tuple[str, bytes, Expected]], directory: Path | None = None
+    partitions: Sequence[tuple[str, bytes | None, Expected]], directory: Path | None = None
 ) -> list[CorruptPartitionError | None]:
     """Each partition image's first problem against what was recorded for it, or ``None``.
 
     The one partition verifier, pure: the verified open
     (:meth:`StorageManager.open_partitions`) and ``repro-fsck`` both judge
     a partition with it.  ``partitions`` holds ``(name, image, expected)``
-    triples — the partition file read whole and what the manifest recorded
-    for it — and ``directory`` locates the files the problems name.  Each
-    image's first failing check, in this order, is its problem:
+    triples — the partition file read whole (``None``: there is no file)
+    and what the manifest recorded for it — and ``directory`` locates the
+    files the problems name.  Each image's first failing check, in this
+    order, is its problem:
 
-    1. a torn tail: a size that is not a whole number of pages;
-    2. a page count other than the number of ``expected.crcs``;
-    3. the first page whose CRC32 is not the recorded one;
-    4. a heap that does not decode
+    1. no file at all (``missing_partition``);
+    2. a torn tail: a size that is not a whole number of pages;
+    3. a page count other than the number of ``expected.crcs``;
+    4. the first page whose CRC32 is not the recorded one;
+    5. a heap that does not decode
        (:func:`~repro.storage.heapfile.count_records` raises);
-    5. a record count other than ``expected.count``.
+    6. a record count other than ``expected.count``.
 
-    An expectation that is ``None`` skips its steps (2-3, or 4-5).  The
+    An expectation that is ``None`` skips its steps (3-4, or 5-6).  The
     problem is the :class:`CorruptPartitionError` the open raises, tagged
     with the ``repro-fsck`` finding kind it is reported under.  The records
     of all images still to count are counted in one pass.
@@ -263,11 +271,12 @@ class StorageManager:
         """Register the manifest's per-partition page checksums for recovery.
 
         ``checksums`` maps partition name to its list of per-page CRC32s (the
-        manifest's ``checksums`` key, which the durable catalog registers only
+        manifest's ``checksums`` key, which the durable catalog registers
         once :func:`~repro.storage.durable.manifest_problem` found an int list
-        for every partition the manifest references).  Each list is checked as
-        recorded on the partition's first open and then dropped; a partition
-        without a list opens unverified.
+        for every partition the manifest references, and again after every
+        commit, so a partition the new root no longer references has none).
+        Each list is checked as recorded on the partition's first open and
+        then dropped; a partition without a list opens unverified.
         """
         self._expected_checksums = {
             name: crcs for name, crcs in (checksums or {}).items() if isinstance(crcs, list)
@@ -278,12 +287,14 @@ class StorageManager:
 
         ``partitions`` pairs each name with the record count the manifest
         recorded for it (``None``: no count to check).  A partition not yet
-        open is opened, an absent file created empty.  When there is
-        something to check — the page CRCs :meth:`set_expected_checksums`
-        registered for it, or a count — an existing file is read once, whole,
-        and its pages then fill the partition's buffer pool, so the heap
-        file's free-space scan and the first record read cost no second
-        read.  A partition already open has its pooled pages counted.  One
+        open is opened.  When there is something to check — the page CRCs
+        :meth:`set_expected_checksums` registered for it, or a count — its
+        file is read once, whole, and its pages then fill the partition's
+        buffer pool, so the heap file's free-space scan and the first record
+        read cost no second read; an absent file is then a
+        ``missing_partition``, refused without creating it.  Only a
+        partition with nothing to check (one being staged) has an absent
+        file created empty.  A partition already open has its pooled pages counted.  One
         :func:`verify_partitions` call judges them all, so corrupt bytes
         never reach a query answer, and the first problem raises: then no
         partition of the call is registered, no file handle is kept and the
@@ -292,7 +303,7 @@ class StorageManager:
         ``record_count``.
         """
         fresh: dict[str, tuple[BufferPool, Path | None, bytes | None]] = {}
-        checks: list[tuple[str, bytes, Expected]] = []
+        checks: list[tuple[str, bytes | None, Expected]] = []
         try:
             for name, count in partitions:
                 info = self._partitions.get(name)
@@ -305,7 +316,11 @@ class StorageManager:
                 if name in fresh:
                     continue
                 crcs = self._expected_checksums.get(name)
-                pool, path, image = self._pool(name, read=crcs is not None or count is not None)
+                try:
+                    pool, path, image = self._pool(name, read=crcs is not None or count is not None)
+                except FileNotFoundError:
+                    checks.append((name, None, Expected(crcs, count)))
+                    continue
                 fresh[name] = (pool, path, image)
                 if image is not None or count is not None:
                     checks.append((name, image or b"", Expected(None if image is None else crcs, count)))
@@ -335,15 +350,16 @@ class StorageManager:
     def _pool(self, name: str, read: bool) -> tuple[BufferPool, Path | None, bytes | None]:
         """A buffer pool over partition ``name``, its file, and the file read whole.
 
-        The file is read only when ``read`` is set and it existed; a failed
-        read keeps no file handle.
+        With ``read`` set the file must exist (else :class:`FileNotFoundError`,
+        nothing created) and is read; a failed read keeps no file handle.
+        Without it an absent file is created.
         """
         if self.directory is None:
             return BufferPool(InMemoryPager(), capacity=self._buffer_pool_pages), None, None
         path = self.directory / f"{name}.part"
-        pager = FilePager(path, io=self.io)
+        pager = FilePager(path, io=self.io, create=not read)
         image = None
-        if read and not pager.created:
+        if read:
             try:
                 image = pager.read_image()
             except BaseException:

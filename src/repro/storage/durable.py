@@ -92,11 +92,11 @@ runs one, and so does every cold open).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Protocol
 
-from repro.hermes.trajectory import Trajectory
+from repro.hermes.frame import MODFrame
 from repro.storage.catalog import (
     MANIFEST_FILENAME,
     Expected,
@@ -355,6 +355,10 @@ def commit_manifest(storage: StorageManager, manifest: Manifest) -> None:
     manifest["manifest_crc"] = manifest_checksum(manifest)
     storage.write_manifest(manifest)
     storage.mark_committed()
+    # What a first open verifies against is now this root's record: a
+    # partition it no longer references (a forgotten tree) may be staged
+    # afresh under the same name.
+    storage.set_expected_checksums(manifest["checksums"])
     sweep(storage, manifest)
 
 
@@ -494,11 +498,12 @@ class DurableCatalog:
 
     # -- recovery -----------------------------------------------------------------
 
-    def load(self, name: str) -> list[Trajectory]:
-        """Decode a pending dataset's archive, in the committed row order.
+    def load(self, name: str) -> MODFrame:
+        """Decode a pending dataset's archive into one frame, in the committed row order.
 
         The base archive first, then every committed delta in append order
-        — the exact row order the warm process ended with.  The archive's
+        — the exact row order the warm process ended with — joined by one
+        :meth:`~repro.hermes.frame.MODFrame.concat`.  The archive's
         partitions open together, each verified against its recorded page
         checksums and record count
         (:meth:`~repro.storage.catalog.StorageManager.open_partitions`).
@@ -513,21 +518,22 @@ class DurableCatalog:
             (delta["partition"], delta["row_keys"]) for delta in manifest["deltas"]
         ]
         storage.open_partitions([(partition, len(keys)) for partition, keys in archive])
-        ordered = []
-        for partition, keys in archive:
-            ordered.extend(self._decode(storage, name, partition, keys))
+        frame = MODFrame.concat(
+            [self._decode(storage, name, partition, keys) for partition, keys in archive]
+        )
         del self._pending[name]
-        return ordered
+        return frame
 
     @staticmethod
     def _decode(
         storage: StorageManager, name: str, partition: str, row_keys: list[list[str]]
-    ) -> list[Trajectory]:
-        """One archive partition's trajectories, ordered by ``row_keys``.
+    ) -> MODFrame:
+        """One archive partition's frame, its rows ordered by ``row_keys``.
 
         The partition is read as one batch
-        (:func:`~repro.storage.records.read_partitions`); the trajectories
-        are views of its checked frame.
+        (:func:`~repro.storage.records.read_partitions`), a checked frame in
+        scan order; rows that scan out of the committed order are gathered
+        into it (:meth:`~repro.hermes.frame.MODFrame.take`).
         """
         info = storage.get_or_create(partition)
         try:
@@ -540,11 +546,9 @@ class DurableCatalog:
                 f"does not decode: {exc}",
                 path=info.path,
             ) from exc
-        by_key: dict[tuple[str, ...], Trajectory] = dict(
-            zip(batch.parent_keys, batch.trajectories())
-        )
+        row_of = {key: row for row, key in enumerate(batch.parent_keys)}
         try:
-            return [by_key[tuple(key)] for key in row_keys]
+            order = [row_of[tuple(key)] for key in row_keys]
         except KeyError as exc:
             raise CorruptPartitionError(
                 f"dataset {name!r} is catalogued but its archive is incomplete "
@@ -553,6 +557,7 @@ class DurableCatalog:
                 "manual inspection",
                 path=info.path,
             ) from exc
+        return batch.frame if order == list(range(len(batch))) else batch.frame.take(order)
 
     def tree_section(self, name: str) -> Manifest | None:
         """The persisted ``tree`` section, if it is current for the dataset.
@@ -594,21 +599,17 @@ class DurableCatalog:
             counter += 1
 
     @staticmethod
-    def _archive(
-        storage: StorageManager, partition: str, trajectories: Iterable[Trajectory]
-    ) -> list[list[str]]:
-        """Write one record per trajectory into a new partition; return the row keys.
+    def _archive(storage: StorageManager, partition: str, frame: MODFrame) -> list[list[str]]:
+        """Write one record per frame row into a new partition; return the row keys.
 
         The manifest records the row order explicitly because heapfile scan
         order can differ from insertion order once records span pages.
         """
         info = storage.create_partition(partition)
-        row_keys: list[list[str]] = []
-        for traj in trajectories:
-            info.heapfile.insert(encode_record(traj))
+        for row in range(len(frame)):
+            info.heapfile.insert(encode_record(frame.trajectory_of(row)))
             info.record_count += 1
-            row_keys.append(list(traj.key))
-        return row_keys
+        return [list(key) for key in frame.keys]
 
     def _stage_tree(
         self,
@@ -632,8 +633,8 @@ class DurableCatalog:
             "dataset_state": dataset_state(manifest),
         }
 
-    def commit_dataset(self, name: str, trajectories: Iterable[Trajectory], seed: int) -> None:
-        """Archive a dataset (replacing any predecessor) and commit its root.
+    def commit_dataset(self, name: str, frame: MODFrame, seed: int) -> None:
+        """Archive a dataset's frame (replacing any predecessor) and commit its root.
 
         The archive goes into a fresh ``<name>__dataset_g<N>`` partition
         (``N >= seed``, the caller's generation token) the old manifest does
@@ -652,7 +653,7 @@ class DurableCatalog:
         manifest: Manifest = {
             "dataset": name,
             "frame_partition": partition,
-            "row_keys": self._archive(storage, partition, trajectories),
+            "row_keys": self._archive(storage, partition, frame),
             "deltas": [],
             "tree": None,
         }
@@ -662,11 +663,11 @@ class DurableCatalog:
     def commit_append(
         self,
         name: str,
-        trajectories: Iterable[Trajectory],
+        delta: MODFrame,
         seed: int,
         tree: _TreeStructure | None = None,
     ) -> bool:
-        """Commit an append batch as a delta partition, with the maintained index.
+        """Commit an append batch (its ``delta`` frame) as a delta partition, with the maintained index.
 
         ``tree`` is the index that absorbed the batch; one manifest write
         commits dataset *and* index, one state.  Without it a persisted
@@ -681,7 +682,7 @@ class DurableCatalog:
             return False
         manifest = dict(committed)
         partition = self._fresh_partition(storage, f"{name}__dataset_g", seed, manifest)
-        row_keys = self._archive(storage, partition, trajectories)
+        row_keys = self._archive(storage, partition, delta)
         manifest["deltas"] = [
             *_items(manifest.get("deltas")),
             {"partition": partition, "row_keys": row_keys},

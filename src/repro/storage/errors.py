@@ -101,7 +101,8 @@ class CorruptPartitionError(StorageCorruptionError, ValueError):
         ``None`` for unsuffixed partitions.
     kind:
         The ``repro-fsck`` finding kind of the damage: ``checksum_mismatch``
-        (a page count or page CRC other than the manifest's) or
+        (a page count or page CRC other than the manifest's),
+        ``missing_partition`` (no file where the manifest records one) or
         ``torn_partition`` (a torn tail, an undecodable heap, a record count
         other than the manifest's).
     detail:

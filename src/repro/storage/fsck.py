@@ -255,7 +255,7 @@ def _check_dataset(
         # Without the checksums map no partition can be verified, so not
         # even the base archive is trustworthy: repair quarantines.
         damaged_roles["base"] = stamp_issue
-    batch: list[tuple[str, bytes, Expected, str]] = []
+    batch: list[tuple[str, bytes | None, Expected, str]] = []
 
     def verify() -> None:
         for (name, _, _, role), problem in zip(batch, verify_partitions([b[:3] for b in batch], directory)):
@@ -270,12 +270,13 @@ def _check_dataset(
             # Only under a stale stamp: a stamped manifest lacking an
             # expectation is unsupported, and was returned from above.
             damage("checksum_mismatch", path, unverifiable, role)
-        elif not path.exists():
-            detail = f"partition {name!r} is referenced by the manifest ({role}) but its file is missing"
-            damage("missing_partition", path, detail, role)
         else:
-            batch.append((name, io.read_bytes(path), expected, role))
-            if sum(len(image) for _, image, _, _ in batch) >= _BATCH_BYTES:
+            try:
+                image: bytes | None = io.read_bytes(path)
+            except FileNotFoundError:
+                image = None  # verify_partitions calls it a missing_partition
+            batch.append((name, image, expected, role))
+            if sum(len(held or b"") for _, held, _, _ in batch) >= _BATCH_BYTES:
                 verify()
     verify()
 

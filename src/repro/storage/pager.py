@@ -111,13 +111,14 @@ class FilePager(Pager):
     The file is opened unbuffered through the I/O shim, so every page
     write issued here is a real syscall — which is what makes the fault
     injector's crash simulation (and the engine's checkpoint ordering
-    argument) faithful.  Opening creates the file when it is absent
-    (:attr:`created`) but never its directory, and costs no ``stat``: the
-    size comes from a seek to the end, and a size that is not a whole
-    number of pages raises :class:`CorruptPartitionError` (a torn tail).
+    argument) faithful.  Opening creates the file when it is absent — unless
+    ``create`` is false, when it raises :class:`FileNotFoundError` and writes
+    nothing — but never its directory, and costs no ``stat``: the size comes
+    from a seek to the end, and a size that is not a whole number of pages
+    raises :class:`CorruptPartitionError` (a torn tail).
     """
 
-    def __init__(self, path: str | FsPath, io: IOShim | None = None) -> None:
+    def __init__(self, path: str | FsPath, io: IOShim | None = None, create: bool = True) -> None:
         self.path = FsPath(path)
         self._io = io if io is not None else DEFAULT_IO
         #: Transient I/O failures absorbed by retries since opening.
@@ -126,11 +127,10 @@ class FilePager(Pager):
         # is the caller's: a catalog makes it once, not on every open.
         try:
             self._file = self._io.open(self.path, "r+b")
-            #: Whether this open created the file (it did not exist).
-            self.created = False
         except FileNotFoundError:
+            if not create:
+                raise
             self._file = self._io.open(self.path, "w+b")
-            self.created = True
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
         if size % PAGE_SIZE != 0:

@@ -48,7 +48,7 @@ class TestRangeThenCluster:
         assert narrow.extras["num_subtrajectories"] <= full.extras["num_subtrajectories"]
 
     def test_supplied_frame_and_own_frame_agree(self, lanes_small, monkeypatch):
-        """With or without the engine's frame: same memberships, same votes."""
+        """Handed the dataset's frame or a MOD (snapshotted): same memberships, same votes."""
         mod, _ = lanes_small
         profiles = []
 
@@ -58,7 +58,7 @@ class TestRangeThenCluster:
 
         monkeypatch.setattr(pipeline, "compute_voting", recording)
         own = RangeThenCluster(mod)
-        supplied = RangeThenCluster(mod, frame=MODFrame.from_mod(mod))
+        supplied = RangeThenCluster(MODFrame.from_mod(mod))
         period = mod.period
         for lo, hi in [(0.0, 1.0), (0.2, 0.5), (0.6, 0.95)]:
             window = Period(period.tmin + lo * period.duration, period.tmin + hi * period.duration)

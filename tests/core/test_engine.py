@@ -1,8 +1,12 @@
 """Unit tests for the HermesEngine facade."""
 
+import numpy as np
 import pytest
 
 from repro.core.engine import HermesEngine
+from repro.datagen import lane_scenario
+from repro.hermes.mod import MOD
+from repro.hermes.trajectory import Trajectory
 from repro.hermes.types import Period
 from repro.s2t.params import S2TParams
 
@@ -20,7 +24,11 @@ def engine(lanes_small):
 class TestDatasetManagement:
     def test_load_and_get(self, engine, lanes_small):
         mod, _ = lanes_small
-        assert engine.get_mod("lanes") is mod
+        got = engine.get_mod("lanes")
+        assert got.keys() == mod.keys()
+        for view, traj in zip(got, mod):
+            for column in ("xs", "ys", "ts"):
+                assert np.array_equal(getattr(view, column), getattr(traj, column))
         assert engine.datasets() == ["lanes"]
 
     def test_unknown_dataset_raises_with_hint(self, engine):
@@ -121,8 +129,8 @@ class TestFrameCatalog:
 
         mod, _ = lanes_small
         engine = HermesEngine.in_memory()
-        engine.load_mod("lanes", mod)
         before = MODFrame.from_mod_calls
+        engine.load_mod("lanes", mod)  # the one snapshot: the dataset's frame
         engine.s2t("lanes")
         engine.range_then_cluster("lanes", mod.period)
         assert MODFrame.from_mod_calls == before + 1
@@ -187,3 +195,34 @@ class TestUnifiedInvalidation:
         run_sql(engine, "INSERT INTO scratch VALUES ('b', '0', 2.0, 2.0, 2.0)")
         rows = run_sql(engine, "SELECT obj_id FROM scratch")
         assert {row["obj_id"] for row in rows} == {"b"}
+
+
+class TestRegisteredDatasetIsASnapshot:
+    """``load_mod`` registers a snapshot: changing the caller's MOD afterwards
+    reaches no answer, warm or after a cold reopen."""
+
+    @staticmethod
+    def answers(engine) -> tuple:
+        return (
+            run_sql(engine, "SELECT SUMMARY(d)"),
+            run_sql(engine, "SELECT COUNT(*) FROM d"),
+            run_sql(engine, "SELECT S2T(d)"),
+        )
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["in_memory", "on_disk"])
+    def test_adding_to_the_loaded_mod_changes_no_answer(self, tmp_path, durable):
+        lanes, _ = lane_scenario(n_trajectories=10, seed=4)
+        reference = HermesEngine.in_memory()
+        reference.load_mod("d", MOD(name="d", trajectories=lanes.trajectories()))
+        expected = self.answers(reference)
+        assert expected[0][0]["trajectories"] == 10
+        assert expected[1] == [{"count": lanes.total_points}]
+
+        engine = HermesEngine.on_disk(tmp_path / "store") if durable else HermesEngine.in_memory()
+        mod = MOD(name="d", trajectories=lanes.trajectories())
+        engine.load_mod("d", mod)
+        mod.add(Trajectory("late", "0", [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]))
+        assert self.answers(engine) == expected
+        if durable:
+            engine.close()
+            assert self.answers(HermesEngine.on_disk(tmp_path / "store")) == expected

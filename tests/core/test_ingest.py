@@ -9,6 +9,7 @@ path — warm and cold (durable) engines alike.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
@@ -133,24 +134,29 @@ class TestIncrementalEquivalence:
         report = engine.append("lanes", batches[0])
         assert report.trajectories == len(batches[0])
         assert report.points == sum(t.num_points for t in batches[0])
-        assert report.frame_extended and report.tree_maintained
+        assert report.tree_maintained
         counters = report.tree_counters
         assert counters["trajectories"] == len(batches[0])
         assert counters["pieces"] == counters["assigned"] + counters["unclustered"]
         assert counters["subchunks_touched"] >= 1
 
-    def test_frame_and_mod_extended_in_place(self):
+    def test_append_swaps_in_a_new_frame_and_leaves_the_old_one(self):
         mod, base, batches = split_scenario()
         engine = HermesEngine.in_memory()
         engine.load_mod("lanes", MOD(name="lanes", trajectories=base))
         frame_before = engine.frame("lanes")
+        columns_before = [getattr(frame_before, col).copy() for col in ("xs", "ys", "ts", "offsets")]
         for batch in batches:
             engine.append("lanes", batch)
-        assert engine.frame("lanes") is frame_before  # same object, extended
-        reference = MODFrame.from_mod(engine.get_mod("lanes"))
-        assert frame_before.keys == reference.keys
-        assert (frame_before.ts == reference.ts).all()
-        assert (frame_before.xs == reference.xs).all()
+        frame = engine.frame("lanes")
+        assert frame is not frame_before
+        assert frame_before.keys == [t.key for t in base]
+        for col, before in zip(("xs", "ys", "ts", "offsets"), columns_before):
+            assert np.array_equal(getattr(frame_before, col), before)
+        reference = MODFrame.from_trajectories([*base, *(t for batch in batches for t in batch)])
+        assert frame.keys == reference.keys
+        for col in ("xs", "ys", "ts", "offsets", "tmins", "xmaxs"):
+            assert np.array_equal(getattr(frame, col), getattr(reference, col))
 
     def test_duplicate_key_rejected(self):
         mod, base, _ = split_scenario()
@@ -349,10 +355,10 @@ class TestAppendEdgeCases:
     def test_failed_tree_maintenance_evicts_caches_and_bumps_generation(
         self, monkeypatch
     ):
-        """If the tree chokes mid-maintenance the half-mutated tree (and
-        frame) must not keep serving: both are evicted so the next query
-        rebuilds from the consistent extended MOD — and the generation
-        still moves, because the dataset itself did change."""
+        """If the tree chokes mid-maintenance the half-mutated tree must not
+        keep serving: it is evicted so the next query rebuilds from the
+        extended frame — and the generation still moves, because the
+        dataset itself did change."""
         mod, base, batches = split_scenario()
         engine = HermesEngine.in_memory()
         engine.load_mod("lanes", MOD(name="lanes", trajectories=base))
@@ -360,7 +366,7 @@ class TestAppendEdgeCases:
         engine.qut("lanes", window, params=explicit_params(mod))
         generation = engine.dataset_generation("lanes")
 
-        def boom(self, trajectories, frame=None):
+        def boom(self, delta):
             raise RuntimeError("simulated maintenance failure")
 
         monkeypatch.setattr(ReTraTree, "append", boom)
@@ -370,7 +376,7 @@ class TestAppendEdgeCases:
 
         assert engine.dataset_generation("lanes") > generation
         status = engine.artifact_status("lanes")
-        assert status["tree_cached"] is False and status["frame_cached"] is False
+        assert status["tree_cached"] is False
         # The extended dataset is intact and the next query rebuilds cleanly.
         assert len(engine.get_mod("lanes")) == len(base) + len(batches[0])
         result = engine.qut("lanes", window, params=explicit_params(mod))

@@ -88,7 +88,7 @@ class TestSchedulerMechanics:
         mod, _ = lanes_small
         frame = MODFrame.from_mod(mod)
         before = MODFrame.from_mod_calls
-        partitioned_s2t(mod, n_jobs=1, frame=frame)
+        partitioned_s2t(frame, n_jobs=1)
         assert MODFrame.from_mod_calls == before
 
     def test_cluster_ids_renumbered_densely(self, lanes_small):

@@ -11,7 +11,11 @@ of either the state before the append or the state after it.  A damage step
 restamps the closed store's manifest over a defect its stamp cannot vouch
 for; every statement on the reopened dataset then raises
 ``CorruptManifestError``, and after ``repro-fsck --repair`` quarantined it
-the catalog is empty.  No step lets
+the catalog is empty.  A lose step deletes the closed store's base archive
+or its last delta; every read of the reopened dataset then raises
+``CorruptPartitionError`` and writes nothing, ``repro-fsck`` reports the
+missing partition, and its repair leaves an empty catalog (the base) or the
+base and the earlier deltas, marked degraded (a delta).  No step lets
 an error escape outside the storage and API error contract
 (``tests/storage/test_error_contract.py``).
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -37,7 +42,7 @@ from repro.hermes.io import write_csv
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
 from repro.storage.catalog import MANIFEST_FILENAME, manifest_checksum
-from repro.storage.errors import CorruptManifestError
+from repro.storage.errors import CorruptManifestError, CorruptPartitionError
 from repro.storage.faults import FaultInjector, InjectedCrash
 from tests.qut.oracles import PerPartitionQuT
 from tests.qut.test_derived_state import result_signature
@@ -67,6 +72,8 @@ STATEMENTS = (
     "CREATE DATASET f",
     "LOAD DATASET f FROM '{csv}'",
 )
+#: The reads that decode a dataset's archive.
+READS = ("SELECT * FROM f", "SELECT COUNT(*) FROM f", "SELECT SUMMARY(f)", "SELECT S2T(f)")
 
 
 def window_of(lo: float, hi: float) -> Period:
@@ -186,6 +193,35 @@ class DurableStore(RuleBasedStateMachine):
         assert report.clean and not (self.root / "f").exists()
         assert self.conn.engine.datasets() == []
         self.stored = 0
+
+    @precondition(lambda self: self.stored > 0)
+    @rule(data=st.data())
+    @contract_only
+    def lose(self, data) -> None:
+        self.conn.close()
+        directory = self.root / "f"
+        manifest = json.loads((directory / MANIFEST_FILENAME).read_text())
+        deltas = manifest["deltas"]
+        lost = data.draw(st.sampled_from(["base", "last delta"] if deltas else ["base"]), label="lost")
+        partition = deltas[-1]["partition"] if lost == "last delta" else manifest["frame_partition"]
+        path = directory / f"{partition}.part"
+        path.unlink()
+        listing = sorted(os.listdir(directory))
+        self.conn = repro.connect(self.root)
+        for sql in READS:
+            with pytest.raises(CorruptPartitionError):
+                self.conn.execute(sql).fetchall()
+            assert sorted(os.listdir(directory)) == listing, f"{sql} wrote into the damaged store"
+        assert ("missing_partition", str(path)) in {(i.kind, i.path) for i in self.conn.verify().issues}
+        self.conn.verify(repair=True)
+        if lost == "base":
+            assert self.conn.engine.datasets() == []
+            self.stored = 0
+        else:
+            assert self.conn.engine.artifact_status("f")["degraded"]
+            kept = [manifest["row_keys"], *(delta["row_keys"] for delta in deltas[:-1])]
+            self.stored = sum(map(len, kept))
+            assert [list(key) for key in self.conn.engine.frame("f").keys] == [k for keys in kept for k in keys]
 
     @precondition(lambda self: self.stored > 0)
     @rule(fractions=FRACTIONS)

@@ -248,57 +248,41 @@ class TestSerialization:
         assert MODFrame.from_mod_calls == before + 1
 
 
-class TestExtend:
-    """The delta-concat append path (`MODFrame.extend`)."""
+class TestConcat:
+    """The one concatenation (`MODFrame.concat`), and the row gather (`take`)."""
 
-    def test_extend_matches_full_rebuild(self):
+    def test_concat_matches_full_rebuild(self):
         trajs = _random_trajs(8, seed=21)
-        frame = MODFrame.from_trajectories(trajs[:5])
-        added = frame.extend(trajs[5:])
-        assert added == 3
+        frame = MODFrame.concat(
+            [MODFrame.from_trajectories(trajs[:5]), MODFrame.from_trajectories(trajs[5:])]
+        )
         reference = MODFrame.from_trajectories(trajs)
         assert _frames_equal(frame, reference)
         np.testing.assert_array_equal(frame.tmins, reference.tmins)
         np.testing.assert_array_equal(frame.xmaxs, reference.xmaxs)
         assert frame.row_of(trajs[6].key) == 6
 
-    def test_extend_accepts_delta_frame(self):
+    def test_concat_of_many_and_of_empty_frames(self):
         trajs = _random_trajs(6, seed=22)
-        frame = MODFrame.from_trajectories(trajs[:4])
-        frame.extend(MODFrame.from_trajectories(trajs[4:]))
-        assert _frames_equal(frame, MODFrame.from_trajectories(trajs))
+        empty = MODFrame.from_trajectories([])
+        parts = [empty, MODFrame.from_trajectories(trajs[:2]), empty, MODFrame.from_trajectories(trajs[2:])]
+        assert _frames_equal(MODFrame.concat(parts), MODFrame.from_trajectories(trajs))
+        assert len(MODFrame.concat([empty, empty])) == 0
 
-    def test_extend_empty_batch_is_noop(self):
-        trajs = _random_trajs(3, seed=23)
-        frame = MODFrame.from_trajectories(trajs)
-        ts_before = frame.ts
-        assert frame.extend([]) == 0
-        assert frame.ts is ts_before  # untouched, not even recomputed
+    def test_a_single_frame_is_its_own_concatenation(self):
+        frame = MODFrame.from_trajectories(_random_trajs(3, seed=23))
+        assert MODFrame.concat([frame]) is frame
 
-    def test_extend_from_empty_frame(self):
-        trajs = _random_trajs(4, seed=24)
-        frame = MODFrame.from_trajectories([])
-        frame.extend(trajs)
-        assert _frames_equal(frame, MODFrame.from_trajectories(trajs))
-
-    def test_extend_rejects_duplicate_keys(self):
-        trajs = _random_trajs(4, seed=25)
-        frame = MODFrame.from_trajectories(trajs)
-        with pytest.raises(ValueError, match="duplicate"):
-            frame.extend([trajs[1]])
-        dupe = _random_trajs(2, seed=26)
-        with pytest.raises(ValueError, match="duplicate"):
-            frame.extend([dupe[0], dupe[0]])
-
-    def test_kernels_after_extend_with_grown_span(self):
-        """Extending with rows beyond the old time span must rebuild the
-        banded-timestamp column, keeping positions_at_batch exact."""
+    def test_kernels_after_concat_with_grown_span(self):
+        """Rows beyond the old time span: the new frame bands its own span,
+        keeping positions_at_batch exact."""
         trajs = _random_trajs(5, seed=27)
-        frame = MODFrame.from_trajectories(trajs[:3])
+        head = MODFrame.from_trajectories(trajs[:3])
+        head.positions_at_batch([0], np.array([10.0]))  # the input's bands exist
         late = Trajectory(
             "late", "0", [0.0, 4.0, 8.0], [1.0, 5.0, 9.0], [500.0, 600.0, 700.0]
         )
-        frame.extend([*trajs[3:], late])
+        frame = MODFrame.concat([head, MODFrame.from_trajectories([*trajs[3:], late])])
         reference = MODFrame.from_trajectories([*trajs, late])
         grid = np.linspace(float(frame.tmins.min()), float(frame.tmaxs.max()), 9)
         rows = np.arange(len(frame))
@@ -307,15 +291,23 @@ class TestExtend:
         np.testing.assert_array_equal(x0, x1)
         np.testing.assert_array_equal(y0, y1)
 
-    def test_pre_extend_views_stay_valid(self):
-        """Consumers holding column views from before an extend keep their
-        snapshot: old arrays are replaced wholesale, never mutated."""
+    def test_inputs_are_left_as_they_are(self):
+        """Consumers holding an input frame (an open cursor) keep it."""
         trajs = _random_trajs(4, seed=28)
         frame = MODFrame.from_trajectories(trajs[:2])
-        xs_view = frame.xs[_block(frame, 0)]
-        snapshot = xs_view.copy()
-        frame.extend(trajs[2:])
-        np.testing.assert_array_equal(xs_view, snapshot)
+        before = {col: getattr(frame, col).copy() for col in ("xs", "ys", "ts", "offsets", "tmins")}
+        keys = list(frame.keys)
+        MODFrame.concat([frame, MODFrame.from_trajectories(trajs[2:])])
+        assert frame.keys == keys
+        for col, values in before.items():
+            np.testing.assert_array_equal(getattr(frame, col), values)
+
+    def test_take_gathers_rows_in_the_given_order(self):
+        trajs = _random_trajs(6, seed=29)
+        frame = MODFrame.from_trajectories(trajs)
+        order = [4, 0, 5, 2, 1, 3]
+        assert _frames_equal(frame.take(order), MODFrame.from_trajectories([trajs[i] for i in order]))
+        assert len(frame.take([])) == 0
 
 
 class TestLazyIndexes:
@@ -338,24 +330,22 @@ class TestLazyIndexes:
         assert self.built(unpickled) == (False, False)
         assert unpickled.row_of(trajs[4].key) == 4
 
-    def test_extend_builds_both_then_updates_them(self):
+    def test_a_concatenation_holds_neither_until_asked(self):
         trajs = _random_trajs(8, seed=32)
-        frame = MODFrame.from_trajectories(trajs)
-        late = Trajectory("late", "0", [0.0, 1.0], [0.0, 1.0], [60.0, 61.0])
-        frame.extend([late])  # inside the band headroom: the O(delta) update
-        assert self.built(frame) == (True, True)
+        head = MODFrame.from_trajectories(trajs)
+        head.positions_at_batch([0], np.array([10.0]))
+        assert head.maybe_row_of(("nobody", "0")) is None
         early = Trajectory("early", "0", [0.0, 1.0], [0.0, 1.0], [-60.0, -59.0])
+        frame = MODFrame.concat([head, MODFrame.from_trajectories([early])])
+        assert self.built(frame) == (False, False)
+        reference = MODFrame.from_trajectories(trajs + [early])
+        assert frame.row_of(early.key) == reference.row_of(early.key) == 8
         grid = np.linspace(-70.0, 70.0, 41)
-        for delta, built in [([], (True, True)), ([early], (False, False))]:
-            frame.extend(delta)  # an earlier origin: one full recompute, indexes dropped
-            assert self.built(frame) == built
-            reference = MODFrame.from_trajectories(trajs + [late] + delta)
-            assert frame.row_of(late.key) == reference.row_of(late.key) == 8
-            rows = np.arange(len(reference))
-            for got, want in zip(
-                frame.positions_at_batch(rows, grid), reference.positions_at_batch(rows, grid)
-            ):
-                np.testing.assert_array_equal(got, want)
+        rows = np.arange(len(reference))
+        for got, want in zip(
+            frame.positions_at_batch(rows, grid), reference.positions_at_batch(rows, grid)
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_an_s2t_result_holds_neither_until_asked(self):
         from repro.datagen import aircraft_scenario

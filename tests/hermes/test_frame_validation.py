@@ -113,10 +113,13 @@ class TestEveryConstructionPathChecks:
         assert len(MODFrame.from_payload(raw_frame(rows))) == 2
         assert len(MODFrame.from_payload(raw_frame([]))) == 0
 
-    def test_extend_checks_the_delta(self):
+    def test_concat_checks_its_rows(self):
         frame = MODFrame.from_trajectories([make_linear_trajectory("a")])
+        keys, xs, ys, ts, offsets = raw_frame(ONE_SAMPLE)
+        delta = MODFrame.__new__(MODFrame)  # unchecked columns, as a torn decode would give
+        delta.keys, delta.xs, delta.ys, delta.ts, delta.offsets = keys, xs, ys, ts, offsets
         with pytest.raises(ValueError, match="at least two samples"):
-            frame.extend(MODFrame.from_payload(raw_frame(ONE_SAMPLE)))
+            MODFrame.concat([frame, delta])
         assert len(frame) == 1
 
 

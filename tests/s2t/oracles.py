@@ -275,9 +275,11 @@ def _compute_voting_batched(
 
 
 def oracle_voting(
-    mod: MOD, params: S2TParams, frame: MODFrame | None = None
+    mod: MOD | MODFrame, params: S2TParams, frame: MODFrame | None = None
 ) -> VotingProfile:
-    """``compute_voting`` with the per-target kernel."""
+    """``compute_voting`` with the per-target kernel (``mod`` may be the frame a fit passes)."""
+    if isinstance(mod, MODFrame):
+        mod, frame = mod.to_mod(), mod
     start = time.perf_counter()
     params = params.resolved(mod)
     profile = VotingProfile()

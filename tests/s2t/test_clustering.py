@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hermes.frame import MODFrame
 from repro.s2t.clustering import greedy_clustering
 from repro.s2t.params import S2TParams
 from repro.s2t.sampling import select_representatives
@@ -185,11 +184,3 @@ class TestFlippedAssignmentMatchesScalarReference:
             result, _ = greedy_clustering([rep_a, rep_b, sub], reps, params)
             assert [m.obj_id for m in result.clusters[0].members] == [reps[0].obj_id, "s"]
             assert [m.obj_id for m in result.clusters[1].members] == [reps[1].obj_id]
-
-    def test_prebuilt_frame_gives_the_same_clusters(self, segmented_scenario):
-        _mod, subs, masses, params = segmented_scenario
-        reps, _ = select_representatives(subs, masses, params)
-        frame = MODFrame.from_trajectories(sub.traj for sub in subs)
-        own, _ = greedy_clustering(subs, reps, params)
-        shared, _ = greedy_clustering(subs, reps, params, frame=frame)
-        assert _signature(shared) == _signature(own)

@@ -109,7 +109,7 @@ class TestExtremeMagnitudes:
             with pytest.raises(ValueError, match="spatial diagonal is not finite") as walked:
                 S2TParams(**given).resolved(mod)
             with pytest.raises(ValueError) as framed:
-                S2TParams(**given).resolved(mod, MODFrame.from_mod(mod))
+                S2TParams(**given).resolved(MODFrame.from_mod(mod))
             assert str(framed.value) == str(walked.value)
             with pytest.raises(ValueError, match="spatial diagonal is not finite"):
                 S2TClustering(S2TParams(**given)).fit(mod)

@@ -186,18 +186,18 @@ class TestResolvedFromTheFrame:
         frame = MODFrame.from_mod(mod)
         assert frame.bbox == mod.bbox
         for params in (S2TParams(), S2TParams(sigma=1.5), S2TParams(eps=2.0, coverage_radius=3.0)):
-            assert params.resolved(mod, frame) == params.resolved(mod)
+            assert params.resolved(frame) == params.resolved(mod)
 
     def test_fits_never_walk_the_mod(self, lanes_small, monkeypatch):
         mod, _ = lanes_small
         frame = MODFrame.from_mod(mod)
-        whole = membership_signature(S2TClustering().fit(mod, frame=frame))
-        parts = membership_signature(partitioned_s2t(mod, frame=frame, n_partitions=3))
+        whole = membership_signature(S2TClustering().fit(frame))
+        parts = membership_signature(partitioned_s2t(frame, n_partitions=3))
 
         def walked(_mod):
             raise AssertionError("the fit walked the MOD's trajectories")
 
         monkeypatch.setattr(MOD, "bbox", property(walked))
         monkeypatch.setattr(MOD, "period", property(walked))
-        assert membership_signature(S2TClustering().fit(mod, frame=frame)) == whole
-        assert membership_signature(partitioned_s2t(mod, frame=frame, n_partitions=3)) == parts
+        assert membership_signature(S2TClustering().fit(frame)) == whole
+        assert membership_signature(partitioned_s2t(frame, n_partitions=3)) == parts

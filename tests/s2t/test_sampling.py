@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hermes.distances import spatiotemporal_distance
-from repro.hermes.frame import MODFrame
 from repro.s2t.params import S2TParams
-from repro.s2t.sampling import select_representatives
+from repro.hermes.frame import MODFrame
+from repro.s2t.sampling import sample, select_representatives
 from tests.conftest import make_linear_trajectory
 from tests.s2t.conftest import saco_candidates
 
@@ -173,9 +173,10 @@ class TestBatchedSelectionMatchesScalarOracle:
         # Same place, different time: inf distance, coverage 0, both selected.
         assert [r.obj_id for r in reps] == ["e", "l"]
 
-    def test_prebuilt_frame_gives_the_same_selection(self, segmented_scenario):
+    def test_the_entry_point_is_sample_over_the_sub_frame(self, segmented_scenario):
+        """``select_representatives`` picks what ``sample`` picks over its candidates' frame."""
         _mod, subs, masses, params = segmented_scenario
         frame = MODFrame.from_trajectories(sub.traj for sub in subs)
-        own, _ = select_representatives(subs, masses, params)
-        shared, _ = select_representatives(subs, masses, params, frame=frame)
-        _assert_same_selection(shared, own)
+        picked, _rows = sample(frame, np.array([masses.get(sub.key, 0.0) for sub in subs]), params)
+        reps, _ = select_representatives(subs, masses, params)
+        _assert_same_selection(reps, [subs[row] for row in picked])

@@ -135,9 +135,9 @@ def test_whole_fit_equals_the_oracle_segmentation(
         segment_frame(frame, votes, resolved), oracle_segment_frame(frame, votes, resolved)
     )
 
-    batched = S2TClustering(params).fit(mod, frame=frame)
+    batched = S2TClustering(params).fit(frame)
     monkeypatch.setattr(pipeline, "segment_frame", oracle_segment_frame)
-    oracle = S2TClustering(params).fit(mod, frame=frame)
+    oracle = S2TClustering(params).fit(frame)
     assert membership_signature(batched) == membership_signature(oracle)
     assert [c.representative.key for c in batched.clusters] == [
         c.representative.key for c in oracle.clusters

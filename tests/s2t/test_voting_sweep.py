@@ -122,9 +122,9 @@ class TestSweepEqualsOracle:
             )
             with monkeypatch.context() as patched:
                 patched.setattr(pipeline, "compute_voting", checked)
-                got = RangeThenCluster(mod, params, frame=frame).query(window)
+                got = RangeThenCluster(frame, params).query(window)
             sliced = frame.slice_period(window)
-            direct = S2TClustering(params).fit(sliced.to_mod(), frame=sliced)
+            direct = S2TClustering(params).fit(sliced)
             assert membership_signature(got) == membership_signature(direct)
             assert got.num_clusters > 0
         assert len(fits) == 3
@@ -136,10 +136,10 @@ def test_s2t_batch_memberships_equal_the_oracle_pipeline(monkeypatch):
     mod, _truth = aircraft_scenario(n_trajectories=400, n_samples=50, seed=1100, name="f")
     frame = MODFrame.from_mod(mod)
     params = S2TParams(min_cluster_support=2)
-    sweep = S2TClustering(params).fit(mod, frame=frame)
+    sweep = S2TClustering(params).fit(frame)
     monkeypatch.setattr(pipeline, "compute_voting", oracle_voting)
     monkeypatch.setattr(pipeline, "segment_frame", oracle_segment_frame)
-    oracle = S2TClustering(params).fit(mod, frame=frame)
+    oracle = S2TClustering(params).fit(frame)
     assert membership_signature(sweep) == membership_signature(oracle)
     assert [c.representative.key for c in sweep.clusters] == [
         c.representative.key for c in oracle.clusters

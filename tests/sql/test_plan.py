@@ -346,10 +346,11 @@ class TestExplainRendering:
     def test_artifact_lines_track_engine_caches(self, engine):
         lines = plan_lines(plan_sql("SELECT S2T(lanes)"), engine=engine)
         artifact = next(line for line in lines if line.startswith("artifacts[lanes]"))
-        assert "frame_cached=False" in artifact
-        engine.frame("lanes")
+        # The frame is the dataset: held from the load on; the tree is built on use.
+        assert "frame_cached=True" in artifact and "tree_cached=False" in artifact
+        engine.retratree("lanes")
         artifact = plan_lines(plan_sql("SELECT S2T(lanes)"), engine=engine)[-1]
-        assert "frame_cached=True" in artifact
+        assert "tree_cached=True" in artifact
         assert "loaded=True" in artifact
 
     def test_artifact_lines_report_persistence(self, tmp_path, lanes_small):

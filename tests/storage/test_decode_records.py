@@ -100,7 +100,7 @@ def assert_batch_matches(batch, raws: list[bytes]) -> None:
             assert restriction_signature([subs[row]]) == restriction_signature([oracle])
             assert subs[row].traj.key == oracle.traj.key
         else:
-            assert batch.trajectories()[row] == rec.to_trajectory()
+            assert batch.frame.trajectory_of(row) == rec.to_trajectory()
 
 
 class TestRoundTripEqualsOracle:
@@ -119,7 +119,7 @@ class TestRoundTripEqualsOracle:
         batch = decode_records([])
         assert len(batch) == 0 and len(batch.frame) == 0
         assert batch.parent_keys == [] and batch.bounds == []
-        assert batch.trajectories() == [] and batch.subtrajectories() == []
+        assert batch.subtrajectories() == []
 
     def test_records_chained_across_pages(self):
         """Records longer than a page come back from a heapfile scan intact."""

@@ -10,6 +10,7 @@ import shutil
 
 import pytest
 
+from repro.hermes.frame import as_frame
 from repro.storage.catalog import MANIFEST_FILENAME, StorageManager, manifest_checksum
 from repro.storage.durable import (
     MANIFEST_FORMAT,
@@ -89,10 +90,10 @@ class TestCommitAndReopen:
         base, batch = trajectories("b", 5), trajectories("n", 2)
         catalog = DurableCatalog(tmp_path)
         assert catalog.pending() == []
-        catalog.commit_dataset("d", base, seed=1)
+        catalog.commit_dataset("d", as_frame(base), seed=1)
         tree = FakeTree(catalog.storage("d"), "d", base)
         catalog.commit_tree("d", 1, tree)
-        assert catalog.commit_append("d", batch, 2, tree)
+        assert catalog.commit_append("d", as_frame(batch), 2, tree)
         catalog.close()
 
         manifest = manifest_of(tmp_path)
@@ -109,7 +110,7 @@ class TestCommitAndReopen:
             manifest["frame_partition"],
             manifest["deltas"][0]["partition"],
         ]
-        assert [t.key for t in cold.load("d")] == [t.key for t in base + batch]
+        assert cold.load("d").keys == [t.key for t in base + batch]
         assert cold.pending() == []  # decoded: the caller owns it now
         status = cold.status("d")
         assert status["delta_partitions"] == 1
@@ -120,9 +121,9 @@ class TestCommitAndReopen:
     def test_append_without_the_tree_leaves_it_stale(self, tmp_path):
         catalog = DurableCatalog(tmp_path)
         base = trajectories("b", 3)
-        catalog.commit_dataset("d", base, 1)
+        catalog.commit_dataset("d", as_frame(base), 1)
         catalog.commit_tree("d", 1, FakeTree(catalog.storage("d"), "d", base))
-        assert catalog.commit_append("d", trajectories("n", 1), 2)
+        assert catalog.commit_append("d", as_frame(trajectories("n", 1)), 2)
         assert catalog.status("d")["tree_stale"]
         assert catalog.tree_section("d") is None  # the caller rebuilds
         catalog.forget_tree("d")
@@ -133,7 +134,7 @@ class TestCommitAndReopen:
 
     def test_drop_reclaims_the_directory(self, tmp_path):
         catalog = DurableCatalog(tmp_path)
-        catalog.commit_dataset("d", trajectories("b", 2), 1)
+        catalog.commit_dataset("d", as_frame(trajectories("b", 2)), 1)
         catalog.drop("d")
         assert not (tmp_path / "d").exists()
         assert not catalog.is_persisted("d")
@@ -141,8 +142,8 @@ class TestCommitAndReopen:
 
     def test_damaged_manifest_is_withheld_and_left_alone(self, tmp_path):
         catalog = DurableCatalog(tmp_path)
-        catalog.commit_dataset("d", trajectories("b", 2), 1)
-        catalog.commit_dataset("ok", trajectories("k", 2), 2)
+        catalog.commit_dataset("d", as_frame(trajectories("b", 2)), 1)
+        catalog.commit_dataset("ok", as_frame(trajectories("k", 2)), 2)
         catalog.close()
         manifest = manifest_of(tmp_path)
         manifest.pop("manifest_crc")
@@ -156,7 +157,7 @@ class TestCommitAndReopen:
             cold.raise_if_damaged("d")
         cold.raise_if_damaged("ok")
         assert cold.status("d")["degraded"]
-        assert not cold.commit_append("d", trajectories("n", 1), 3)  # nothing to extend
+        assert not cold.commit_append("d", as_frame(trajectories("n", 1)), 3)  # nothing to extend
         cold.close()
         assert files(tmp_path / "d") == before  # no sweep under a bad stamp
 
@@ -204,8 +205,8 @@ class TestAStampedManifestWithoutItsRowOrder:
     def damaged(self, tmp_path):
         def build(damage):
             catalog = DurableCatalog(tmp_path)
-            catalog.commit_dataset("d", trajectories("b", 5), 1)
-            assert catalog.commit_append("d", trajectories("n", 2), 2)
+            catalog.commit_dataset("d", as_frame(trajectories("b", 5)), 1)
+            assert catalog.commit_append("d", as_frame(trajectories("n", 2)), 2)
             catalog.close()
             manifest = manifest_of(tmp_path)
             damage(manifest)
@@ -242,7 +243,7 @@ class TestCrashAtEveryOpOfOneCommit:
         base, batch = trajectories("b", 4), trajectories("n", 2)
         seed_root = tmp_path / "seed"
         catalog = DurableCatalog(seed_root)
-        catalog.commit_dataset("d", base, 1)
+        catalog.commit_dataset("d", as_frame(base), 1)
         catalog.commit_tree("d", 1, FakeTree(catalog.storage("d"), "d", base))
         catalog.close()
         pre = manifest_of(seed_root)
@@ -250,7 +251,7 @@ class TestCrashAtEveryOpOfOneCommit:
         def append(root, io):
             catalog = DurableCatalog(root, io=io)
             tree = FakeTree(catalog.storage("d"), "d", batch, already=len(base))
-            catalog.commit_append("d", batch, 2, tree)
+            catalog.commit_append("d", as_frame(batch), 2, tree)
             return catalog
 
         counted = tmp_path / "count"
@@ -276,7 +277,7 @@ class TestCrashAtEveryOpOfOneCommit:
             # The open swept whatever the crash stranded.
             assert files(work / "d") == referenced_files(recovered), f"op {at}"
             expected = base + batch if recovered == post else base
-            assert [t.key for t in cold.load("d")] == [t.key for t in expected]
+            assert cold.load("d").keys == [t.key for t in expected]
             cold.close()
         assert outcomes == {"pre", "post"}
 
@@ -288,7 +289,7 @@ class TestSweepDeletesExactlyTheUnreferenced:
         character class and miss the dataset's own stale partitions."""
         catalog = DurableCatalog(tmp_path)
         base = trajectories("b", 3)
-        catalog.commit_dataset(name, base, 1)
+        catalog.commit_dataset(name, as_frame(base), 1)
         catalog.commit_tree(name, 1, FakeTree(catalog.storage(name), name, base))
         directory = tmp_path / name
         debris = [
@@ -299,7 +300,7 @@ class TestSweepDeletesExactlyTheUnreferenced:
         ]
         for stale in debris:
             (directory / stale).write_bytes(b"")
-        assert catalog.commit_append(name, trajectories("n", 1), 2)
+        assert catalog.commit_append(name, as_frame(trajectories("n", 1)), 2)
         manifest = manifest_of(tmp_path, name)
         assert files(directory) == referenced_files(manifest)
         assert len(files(directory)) == 5  # manifest, base, delta, members, reps
@@ -309,9 +310,9 @@ class TestSweepDeletesExactlyTheUnreferenced:
     def test_replacement_sweeps_the_predecessor(self, tmp_path):
         catalog = DurableCatalog(tmp_path)
         base = trajectories("b", 3)
-        catalog.commit_dataset("d", base, 1)
+        catalog.commit_dataset("d", as_frame(base), 1)
         catalog.commit_tree("d", 1, FakeTree(catalog.storage("d"), "d", base))
-        catalog.commit_dataset("d", trajectories("r", 2), 5)
+        catalog.commit_dataset("d", as_frame(trajectories("r", 2)), 5)
         manifest = manifest_of(tmp_path)
         assert manifest["frame_partition"] == "d__dataset_g5"
         assert files(tmp_path / "d") == ["d__dataset_g5.part", MANIFEST_FILENAME]

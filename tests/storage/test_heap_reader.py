@@ -122,8 +122,8 @@ class TestEqualsThePerSlotOracle:
         scanned = stored_records(heap)
         assert scanned == [raw for _rid, raw in scan_records_per_slot(heap)]
         assert any(len(raw) > PAGE_SIZE for raw in scanned)
-        decoded = decode_records(scanned).trajectories()
-        by_key = {traj.key: traj for traj in decoded}
+        frame = decode_records(scanned).frame
+        by_key = {key: frame.trajectory_of(row) for row, key in enumerate(frame.keys)}
         for traj in trajs:
             assert by_key[traj.key].ts.tobytes() == traj.ts.tobytes()
             assert by_key[traj.key].xs.tobytes() == traj.xs.tobytes()

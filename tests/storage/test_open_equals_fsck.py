@@ -5,9 +5,9 @@ append delta or a ReTraTree member partition — of a closed store.  Then the
 verified open (the durable catalog's storage manager opening the partition
 with the page CRCs and record count the manifest recorded) must raise the
 ``CorruptPartitionError`` whose kind and text fsck reports for that file,
-the kind must be the one fsck has always used for the shape, and a
-``fsck_store(repair=False)`` run must open nothing for writing and create
-no file.
+the kind must be the one fsck has always used for the shape, and neither a
+``fsck_store(repair=False)`` run nor the refused open may open anything for
+writing or create, change or delete a file.
 """
 
 from __future__ import annotations
@@ -79,8 +79,13 @@ def _one_record_fewer(path: Path, manifest: dict) -> None:
     manifest["checksums"][path.stem] = _crcs(image)
 
 
+def _deleted(path: Path, manifest: dict) -> None:
+    path.unlink()
+
+
 #: shape -> (damage, the fsck kind it has always been reported under)
 SHAPES = {
+    "deleted-file": (_deleted, "missing_partition"),
     "flipped-byte": (_flip, "checksum_mismatch"),
     "torn-tail": (_torn, "torn_partition"),
     "extra-page": (_extra_page, "checksum_mismatch"),
@@ -156,3 +161,4 @@ def test_the_open_raises_what_fsck_reports(store, tmp_path, shape, role):
         finally:
             engine.close()
         assert str(served.value) == str(caught.value)
+    assert _files(root) == before

@@ -145,13 +145,23 @@ class TestDamageIsRefusedWithTheSameText:
 
 
 class TestCleanOpen:
-    def test_absent_file_opens_empty(self, store):
+    def test_absent_file_is_created_only_when_nothing_is_recorded(self, store):
+        """A file the manifest records is refused as missing, and not created;
+        a partition with nothing recorded (one being staged) opens empty."""
         directory, sums = store
-        (directory / f"{NAME}.part").unlink()
-        manager = reopen(directory, sums)
+        path = directory / f"{NAME}.part"
+        path.unlink()
+        text = (
+            f"partition {NAME!r} is referenced by the manifest but its file is missing "
+            f"[file={path}, generation=3]; {REMEDIATION}"
+        )
+        refuses(reopen(directory, sums), text, None)
+        assert sorted(os.listdir(directory)) == []
+        manager = reopen(directory, {})
         info = manager.get_or_create(NAME)
         assert info.heapfile.num_pages() == 0
         assert count_records([info.heapfile]) == [0]
+        assert sorted(os.listdir(directory)) == [f"{NAME}.part"]
         manager.close()
 
     def test_the_file_is_read_once(self, store):
