@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.s2t.clustering import greedy_clustering
+from repro.hermes.distances import spatiotemporal_distance_batch
+from repro.hermes.frame import MODFrame
+from repro.s2t.clustering import cluster, greedy_clustering
 from repro.s2t.params import S2TParams
 from repro.s2t.sampling import select_representatives
 from tests.conftest import make_linear_trajectory
@@ -184,3 +186,14 @@ class TestFlippedAssignmentMatchesScalarReference:
             result, _ = greedy_clustering([rep_a, rep_b, sub], reps, params)
             assert [m.obj_id for m in result.clusters[0].members] == [reps[0].obj_id, "s"]
             assert [m.obj_id for m in result.clusters[1].members] == [reps[1].obj_id]
+
+    def test_prebuilt_frame_gives_the_same_clusters(self, segmented_scenario):
+        """``cluster`` over a frame built apart from the pieces is ``greedy_clustering``."""
+        _mod, subs, masses, params = segmented_scenario
+        reps, _ = select_representatives(subs, masses, params)
+        frame = MODFrame.from_trajectories(sub.traj for sub in subs)
+        row_of = {sub.key: row for row, sub in enumerate(subs)}
+        rows = (spatiotemporal_distance_batch(frame, rep.traj, max_samples=32) for rep in reps)
+        shared = cluster(subs, [row_of[rep.key] for rep in reps], rows, params, frame)
+        own, _ = greedy_clustering(subs, reps, params)
+        assert _signature(shared) == _signature(own)
