@@ -5,10 +5,10 @@ of the ReTraTree and archived into R-tree-indexed partitions; when a
 partition of unclustered data overflows, S2T runs, new representatives are
 back-propagated, members are archived, and outliers are re-inserted.
 
-This benchmark streams the aircraft MOD into an empty ReTraTree trajectory by
-trajectory (the demonstration's streaming mode) and reports how much
-maintenance work the structure performed, checking the dataflow's accounting
-invariants.
+This benchmark appends the aircraft MOD to an empty ReTraTree as one batch
+(the tree's one insertion path, which the bulk load also takes) and reports
+how much maintenance work the structure performed, checking the dataflow's
+accounting invariants.
 """
 
 import pytest
@@ -20,11 +20,7 @@ from repro.qut.retratree import ReTraTree
 
 def stream_build(mod, overflow_threshold: int) -> ReTraTree:
     tree = ReTraTree(QuTParams(overflow_threshold=overflow_threshold))
-    tree.origin = mod.period.tmin
-    tree.params = QuTParams(overflow_threshold=overflow_threshold).resolved(mod)
-    for traj in mod:
-        tree.insert_trajectory(traj)
-    tree.finalize()
+    tree.append(mod)
     return tree
 
 

@@ -30,13 +30,9 @@ Design notes
   plan executor's result iterator through a bounded read-ahead buffer, so a
   full relation is only materialised by an explicit ``fetchall`` (or a
   pipeline breaker such as ``ORDER BY``).
-* Prepared statements parse and plan once and re-bind cheaply.  Statements
-  with no engine side effects (COUNT, pure table functions) additionally
-  memoise their results keyed by (bindings, dataset generation tokens) — a
-  ``DROP``/``load_mod`` replacement bumps the generation and forces a
-  recompute, never a stale answer.  Clustering statements always re-execute
-  (running them updates ``engine.last_result``, which downstream functions
-  read), and scans always stream.
+* Prepared statements parse and plan once, then bind and execute afresh
+  every time: they keep no results, so no answer can outlive the dataset it
+  was computed from, and scans stream like any other.
 * The engine holds no locks.  Every connection, cursor, prepared
   statement and dataset over an engine belongs to the thread that created
   the engine, as in :mod:`sqlite3` with ``check_same_thread``: a call from
@@ -82,22 +78,6 @@ __all__ = [
 ]
 
 Params = Mapping[str, object] | Sequence[object] | None
-
-# Plan types eligible for prepared-statement result memoisation: their
-# execution must be deterministic in the dataset contents alone AND touch no
-# engine state besides the dataset.  Clustering plans (S2T/QuT/TRACLUS/...)
-# are excluded because running them *writes* ``engine.last_result`` — a
-# cache hit would skip that write and make a later CLUSTER_HISTOGRAM
-# diverge from the uncached statement sequence.  ScanPlan is excluded so
-# scans keep streaming through the cursor's bounded buffer instead of
-# pinning whole relations.
-_MEMOISABLE_PLANS = (CountPlan, FunctionPlan)
-# The FunctionPlan subset that is genuinely side-effect-free and reads only
-# the dataset (CLUSTER_HISTOGRAM reads mutable last-result state; the
-# clustering functions write it).
-_PURE_FUNCTIONS = frozenset({"SUMMARY", "HOLDING_PATTERNS"})
-# FIFO cap on memoised (bindings → rows) entries per prepared statement.
-_PREPARED_CACHE_SIZE = 32
 
 
 class InterfaceError(SQLError):
@@ -456,32 +436,17 @@ class Cursor:
         return tuple((name, None, None, None, None, None, None) for name in self._columns)
 
 
-#: One memoised prepared-statement result: the generation tokens of every
-#: dataset the plan touched at execute time, plus the materialised rows.
-_MemoEntry = tuple[tuple[tuple[str, int], ...], list[dict[str, object]]]
-
-
 class PreparedStatement:
     """A statement parsed and planned once, re-bound per execution.
 
     ``execute(params)`` binds the cached plan (no re-parse, no re-plan) and
-    runs it.  Statements that are deterministic in the dataset alone and
-    have no engine side effects (COUNT, pure table functions) additionally
-    memoise their materialised result — FIFO-capped, served as row copies —
-    keyed by the binding values *and* the generation tokens of every
-    dataset the plan touches: replacing a dataset (``DROP`` + reload,
-    ``engine.load_mod``) bumps its token, so the next execution recomputes
-    instead of serving stale rows.  Clustering statements re-execute every
-    time (they update ``engine.last_result``), and point scans stream
-    through the cursor's bounded buffer like any other scan.
+    runs it on a fresh cursor, exactly as a one-shot statement would run.
     """
 
     def __init__(self, connection: Connection, sql: str) -> None:
         self.connection = connection
         self.sql = sql
         self._plan = plan_sql(sql)
-        # Memo cache shared by every cursor this statement hands out.
-        self._cache: dict[object, _MemoEntry] = {}
 
     @property
     def plan(self) -> LogicalPlan:
@@ -492,72 +457,19 @@ class PreparedStatement:
         """Labels of the statement's placeholders (``:sigma``, ``?1``, ...)."""
         return tuple(p.label for p in self._plan.parameters())
 
-    def _bind_key(self, params: Params) -> object | None:
-        if params is None:
-            key: tuple = ()
-        elif isinstance(params, Mapping):
-            key = tuple(sorted(params.items()))
-        else:
-            key = ("?",) + tuple(params)
-        try:
-            hash(key)
-        except TypeError:  # unhashable binding value: skip memoisation
-            return None
-        return key
-
-    def _generations(self, plan: LogicalPlan) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (name, self.connection.engine.dataset_generation(name))
-            for name in plan.datasets()
-        )
-
-    def _memoisable(self, plan: LogicalPlan) -> bool:
-        if not isinstance(plan, _MEMOISABLE_PLANS):
-            return False
-        if isinstance(plan, FunctionPlan) and plan.function not in _PURE_FUNCTIONS:
-            return False
-        return True
-
     def execute(self, params: Params = None) -> Cursor:
         """Bind ``params`` and execute, returning a fresh cursor.
 
         An ``EXPLAIN`` statement renders unbound placeholders as-is.
         """
         self.connection._check_open()
-        if params is not None and not isinstance(params, Mapping):
-            # Normalise one-shot iterables up front: bind() would drain
-            # them, leaving _bind_key an empty sequence and collapsing
-            # every execution onto one cache key.
-            params = tuple(params)
         bound = bind_for_execution(self._plan, params)
-        cursor = self.connection.cursor()
-        if not self._memoisable(bound):
-            return cursor.execute_plan(bound)
-        key = self._bind_key(params)
-        generations = self._generations(bound)
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None and cached[0] == generations:
-                # Serve row copies: a caller mutating a fetched dict must
-                # never corrupt the memoised result.
-                return _preloaded_cursor(cursor, [dict(row) for row in cached[1]])
-        rows = list(self.connection._executor.execute(bound))
-        if key is not None:
-            while len(self._cache) >= _PREPARED_CACHE_SIZE:
-                self._cache.pop(next(iter(self._cache)))  # FIFO eviction
-            self._cache[key] = (generations, rows)
-            return _preloaded_cursor(cursor, [dict(row) for row in rows])
-        return _preloaded_cursor(cursor, rows)
+        return self.connection.cursor().execute_plan(bound)
 
     def explain(self) -> str:
         """The plan tree plus cached-artifact info (placeholders allowed)."""
         self.connection._check_open()
         return "\n".join(plan_lines(self._plan, engine=self.connection.engine))
-
-
-def _preloaded_cursor(cursor: Cursor, rows: list[dict[str, object]]) -> Cursor:
-    """Point a cursor at an already-materialised row list."""
-    return cursor._reset(iter(rows), rowcount=len(rows))
 
 
 class Dataset:
@@ -659,10 +571,9 @@ class Dataset:
         Unlike the other builders this executes immediately (trajectory
         objects are not plan-serialisable): the batch goes straight to
         :meth:`repro.core.engine.HermesEngine.append`, which extends the
-        dataset, maintains the cached frame and ReTraTree incrementally,
-        bumps the generation token (so memoised prepared-statement results
-        over this dataset recompute) and, on a durable engine, commits a
-        delta partition.
+        dataset, maintains the cached ReTraTree incrementally, bumps the
+        generation token and, on a durable engine, commits a delta
+        partition.
 
         Parameters
         ----------

@@ -9,13 +9,14 @@ fluent front-ends share one logical-plan layer.
 time-aware analysis workflow of the paper's scenario 2.
 :func:`~repro.core.parallel.partitioned_s2t` is the partition-parallel S2T
 scheduler behind ``HermesEngine.s2t(name, n_jobs=...)``.
-:class:`~repro.core.ingest.IngestPipeline` (behind ``HermesEngine.append``)
-is the append-path ingestion subsystem: batches of new trajectories extend
-the cached frame and ReTraTree incrementally instead of invalidating them.
+``HermesEngine.append`` is the append path: a batch of new trajectories
+makes the dataset's new frame and is absorbed by its cached ReTraTree
+incrementally instead of invalidating it; :mod:`repro.core.ingest` holds
+its point buffer and its report.
 """
 
 from repro.core.engine import HermesEngine
-from repro.core.ingest import AppendBuffer, AppendReport, IngestPipeline
+from repro.core.ingest import AppendBuffer, AppendReport
 from repro.core.parallel import partitioned_s2t
 from repro.core.session import ProgressiveSession
 
@@ -23,7 +24,6 @@ __all__ = [
     "AppendBuffer",
     "AppendReport",
     "HermesEngine",
-    "IngestPipeline",
     "ProgressiveSession",
     "partitioned_s2t",
 ]

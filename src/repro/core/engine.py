@@ -17,16 +17,16 @@ dataset name, and the per-dataset derived state is cached:
 
 The tree — plus the SQL executor's INSERT buffers — is invalidated whenever
 a dataset is replaced (``load_mod``) or removed (``drop``).  Each mutation
-bumps the dataset's *generation* token, which is how the SQL executor
-detects externally replaced datasets.  The SQL front-end (:mod:`repro.sql`)
+bumps the dataset's *generation* token, which names the partitions a
+durable engine commits for it.  The SQL front-end (:mod:`repro.sql`)
 executes against an engine instance.
 
 Appending (:meth:`HermesEngine.append`, the path SQL ``INSERT`` for *new*
 trajectories takes) is different: nothing is invalidated.  One
 concatenation makes the dataset's new frame and it is swapped in (a cursor
 keeps the frame it captured), a cached ReTraTree absorbs the batch
-incrementally (:mod:`repro.core.ingest`), and the generation token moves —
-so memoised results recompute while the expensive derived state survives.
+incrementally, and the generation token moves — the expensive derived
+state survives.
 
 Durability
 ----------
@@ -55,7 +55,9 @@ In-memory engines have no catalog; their partitions die with the process.
 from __future__ import annotations
 
 import threading
+import time
 import weakref
+from collections.abc import Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -63,10 +65,12 @@ from repro.baselines.convoy import ConvoyDiscovery, ConvoyParams
 from repro.baselines.range_then_cluster import RangeThenCluster
 from repro.baselines.toptics import TOpticsClustering, TOpticsParams
 from repro.baselines.traclus import TraclusClustering, TraclusParams
+from repro.core.ingest import AppendReport
 from repro.core.parallel import WorkerPool, partitioned_s2t
 from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.io import read_csv, write_csv
 from repro.hermes.mod import MOD
+from repro.hermes.trajectory import Trajectory
 from repro.hermes.types import Period
 from repro.qut.params import QuTParams
 from repro.qut.query import QuTClustering
@@ -79,7 +83,6 @@ from repro.storage.errors import StorageError
 from repro.storage.faults import IOShim
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.ingest import AppendReport
     from repro.storage.fsck import FsckReport
 
 __all__ = ["HermesEngine"]
@@ -158,8 +161,8 @@ class HermesEngine:
         The dataset is one frame of ``mod``'s trajectories, taken here: a
         later change to ``mod`` does not reach it.  Invalidates every cache
         derived from the previous registration — the ReTraTree and the last
-        clustering result — and bumps the dataset's generation token (which is how the SQL
-        executor notices an externally replaced dataset).  On an on-disk
+        clustering result — and the SQL executor's INSERT buffers, and bumps
+        the dataset's generation token.  On an on-disk
         engine the new dataset is archived *before* the previous
         registration's partition files are reclaimed — the manifest write is
         the commit point, so a crash mid-replacement leaves either the old
@@ -196,42 +199,43 @@ class HermesEngine:
         if self._plan_executor is not None:
             self._plan_executor.forget(name)
 
-    def _note_append(self, name: str) -> None:
-        """Record an append: bump the generation *without* evicting caches.
-
-        The generation move is what makes consumers that memoise by
-        generation (prepared-statement result caches, the SQL executor's
-        point buffers) recompute against the extended dataset; the
-        ingestion pipeline swapped the new frame in and maintained the tree,
-        and both stay.
-        """
-        self._append_batches[name] = self._append_batches.get(name, 0) + 1
-        self._generation_counter += 1
-        self._generations[name] = self._generation_counter
-
-    def append(self, name: str, trajectories) -> "AppendReport":
+    def append(self, name: str, trajectories: Iterable[Trajectory] | MODFrame) -> AppendReport:
         """Append new trajectories to a dataset without invalidating caches.
 
-        This is the ingestion fast path (see :mod:`repro.core.ingest`): one
-        concatenation makes the dataset's new frame, a cached ReTraTree
-        absorbs the batch incrementally (voting against existing
-        representatives; no bulk rebuild), and on a durable engine the batch
-        is committed as a delta heapfile partition.  Open cursors streaming
-        the dataset keep the frame they captured.
+        This is the ingestion fast path.  One concatenation makes the
+        dataset's new frame, which is swapped in: an open cursor keeps the
+        frame it captured, and the old frame never changes.  The generation
+        token moves and names the batch's delta partition.  A cached ReTraTree
+        absorbs the batch incrementally (:meth:`~repro.qut.retratree.ReTraTree.append`:
+        voting against existing representatives, fresh chunks for unseen
+        time ranges, localised re-clustering; no bulk rebuild).  A tree only
+        *persisted* (never loaded in this process) is left alone: its
+        section goes stale, which :meth:`artifact_status` reports and the
+        next :meth:`retratree` call resolves by rebuilding.  On a durable
+        engine the batch is staged as a delta heapfile partition, and one
+        manifest write commits it together with the maintained tree.
+
+        Should the tree fail mid-maintenance, it holds part of the batch: it
+        is forgotten, cached and persisted, the batch is still committed
+        (without a tree), and the error propagates — the extended dataset
+        stays, so a cold reopen serves what this engine serves.
 
         Parameters
         ----------
         name:
-            A registered dataset name.
+            A registered dataset name (a recovered one is decoded first).
         trajectories:
             An iterable of new :class:`~repro.hermes.trajectory.Trajectory`
-            objects (or a delta :class:`~repro.hermes.frame.MODFrame`).
-            Keys must not already exist in the dataset.
+            objects (or a delta :class:`~repro.hermes.frame.MODFrame`), in
+            arrival order.  Keys must be new to the dataset; appending
+            *points* to an existing trajectory is a replacement — use the
+            SQL ``INSERT`` fallback or ``load_mod`` for that.
 
         Returns
         -------
         An :class:`~repro.core.ingest.AppendReport` describing what the
-        batch did.  An empty batch is a complete no-op.
+        batch did.  An empty batch is a complete no-op: no generation bump,
+        no disk write.
 
         Raises
         ------
@@ -241,9 +245,38 @@ class HermesEngine:
             If a batch key collides with an existing trajectory or repeats
             within the batch.
         """
-        from repro.core.ingest import IngestPipeline
-
-        return IngestPipeline(self).append(name, trajectories)
+        start = time.perf_counter()
+        delta = as_frame(trajectories)
+        frame = self.frame(name)
+        report = AppendReport(dataset=name, generation=self.dataset_generation(name))
+        if len(delta):
+            _check_new_keys(frame, delta)
+            self._frames[name] = MODFrame.concat([frame, delta])
+            self._append_batches[name] = self._append_batches.get(name, 0) + 1
+            self._generation_counter += 1
+            self._generations[name] = self._generation_counter
+            tree = self._retratrees.get(name)
+            try:
+                if tree is not None:
+                    report.tree_counters = tree.append(delta)
+                    report.tree_maintained = True
+            except BaseException:
+                tree = None
+                self._forget_tree(name)
+                raise
+            finally:
+                if self.catalog is not None:
+                    storage = self.catalog.storage(name)
+                    retries_before = storage.io_stats()["io_retries"]
+                    report.persisted = self.catalog.commit_append(
+                        name, delta, self._generations[name], tree
+                    )
+                    report.io_retries = storage.io_stats()["io_retries"] - retries_before
+            report.trajectories = len(delta)
+            report.points = delta.total_points
+            report.generation = self._generations[name]
+        report.seconds = time.perf_counter() - start
+        return report
 
     def load_csv(self, name: str, path: str | Path) -> MOD:
         """Load a point-record CSV and register it under ``name``."""
@@ -303,9 +336,9 @@ class HermesEngine:
     def dataset_generation(self, name: str) -> int:
         """Monotonic token bumped on every mutation of dataset ``name``.
 
-        Consumers that buffer state derived from a dataset (e.g. the SQL
-        executor's INSERT buffers) record the generation they read from and
-        re-seed when it moved.
+        A durable engine suffixes the partitions it commits for the dataset
+        with it; :meth:`artifact_status` and each
+        :class:`~repro.core.ingest.AppendReport` report it.
         """
         return self._generations.get(name, 0)
 
@@ -700,3 +733,21 @@ class HermesEngine:
             self._worker_pool = None
         if self.catalog is not None:
             self.catalog.close()
+
+
+def _check_new_keys(frame: MODFrame, delta: MODFrame) -> None:
+    """Reject append batches that collide with existing keys or repeat keys."""
+    seen: set[tuple[str, str]] = set()
+    for key in delta.keys:
+        if frame.maybe_row_of(key) is not None:
+            raise ValueError(
+                f"cannot append trajectory {key!r}: the key already "
+                "exists in the dataset (appending points to an existing "
+                "trajectory is a replacement; reload the dataset instead)"
+            )
+        if key in seen:
+            raise ValueError(
+                f"cannot append trajectory {key!r}: the key repeats "
+                "within the batch"
+            )
+        seen.add(key)

@@ -1,11 +1,12 @@
-"""The append-path ingestion subsystem.
+"""What the append path takes in and reports.
 
 The source paper's central structural claim is that the ReTraTree is
 *incrementally maintainable*: newly arriving trajectory data is absorbed
 into the existing temporally-partitioned chunks and clustered sub-chunks
-without rebuilding the index.  This module is that claim's engine-side
-implementation — the machinery behind ``engine.append(name, trajectories)``,
-the fluent ``conn.dataset(name).append(...)`` and SQL ``INSERT``-as-append:
+without rebuilding the index.  :meth:`repro.core.engine.HermesEngine.append`
+applies a batch — behind ``engine.append(name, trajectories)``, the fluent
+``conn.dataset(name).append(...)`` and SQL ``INSERT``-as-append — and this
+module holds what surrounds it:
 
 * :class:`AppendBuffer` accumulates raw *point* records (the SQL ``INSERT``
   unit) per ``(obj_id, traj_id)`` key and assembles them into complete
@@ -14,18 +15,7 @@ the fluent ``conn.dataset(name).append(...)`` and SQL ``INSERT``-as-append:
   full-rebuild materialisation applies, so the two paths produce identical
   trajectories from identical inserts.  A key given two different positions
   at one instant is refused, never resolved silently.
-* :class:`IngestPipeline` applies a batch of complete trajectories to a
-  dataset: one concatenation
-  (:meth:`~repro.hermes.frame.MODFrame.concat`) of the dataset's frame and
-  the batch's makes the new immutable frame the engine swaps in (open
-  cursors streaming the old frame keep their pre-append view), a cached
-  :class:`~repro.qut.retratree.ReTraTree` absorbs the batch incrementally
-  (:meth:`~repro.qut.retratree.ReTraTree.append` — voting against existing
-  representatives, opening fresh chunks for unseen time ranges, localised
-  re-clustering of touched sub-chunks only), the dataset's generation token
-  is bumped (so memoised prepared-statement results recompute), and on a
-  durable engine the batch is staged as a generation-suffixed *delta*
-  heapfile partition committed by a single manifest write.
+* :class:`AppendReport` says what one batch did.
 
 The load-bearing guarantee: after any sequence of appends, queries see the
 same dataset a from-scratch load of the concatenated data would see, QuT
@@ -35,23 +25,17 @@ answers stay within the paper's assignment tolerance of a full rebuild, and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
-from repro.hermes.frame import MODFrame, as_frame
 from repro.hermes.trajectory import Trajectory
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.engine import HermesEngine
-
-__all__ = ["AppendBuffer", "AppendReport", "IngestPipeline"]
+__all__ = ["AppendBuffer", "AppendReport"]
 
 
 @dataclass
 class AppendReport:
-    """What one append batch did, returned by :meth:`IngestPipeline.append`.
+    """What one append batch did, returned by :meth:`~repro.core.engine.HermesEngine.append`.
 
     Attributes
     ----------
@@ -206,128 +190,3 @@ class AppendBuffer:
     def clear(self) -> None:
         """Discard every buffered point (dataset dropped or replaced)."""
         self.pending.clear()
-
-
-class IngestPipeline:
-    """Applies append batches to an engine dataset, maintaining all caches.
-
-    One pipeline per engine is enough — it holds no per-dataset state; all
-    state lives on the engine (dataset frames, trees, generations)
-    and, for durable engines, in the storage manifests.  See the module
-    docstring for the full dataflow.
-    """
-
-    def __init__(self, engine: "HermesEngine") -> None:
-        self.engine = engine
-
-    def append(
-        self, name: str, trajectories: Iterable[Trajectory] | MODFrame
-    ) -> AppendReport:
-        """Append a batch of complete trajectories to dataset ``name``.
-
-        Parameters
-        ----------
-        name:
-            A registered dataset (a recovered one is decoded first).
-        trajectories:
-            New trajectories in arrival order, or a delta
-            :class:`~repro.hermes.frame.MODFrame` of them.  Keys must be new
-            to the dataset; appending *points* to an existing trajectory is
-            a replacement, not an append — use the SQL ``INSERT`` fallback
-            or ``load_mod`` for that.
-
-        Returns
-        -------
-        An :class:`AppendReport`.  An empty batch returns an all-zero
-        report without bumping the generation or touching disk.
-
-        Raises
-        ------
-        KeyError
-            If ``name`` is not a registered dataset.
-        ValueError
-            If a batch trajectory's key already exists in the dataset or
-            repeats within the batch.
-        """
-        start = time.perf_counter()
-        engine = self.engine
-        delta = as_frame(trajectories)
-        frame = engine.frame(name)
-        report = AppendReport(dataset=name, generation=engine.dataset_generation(name))
-        if not len(delta):
-            report.seconds = time.perf_counter() - start
-            return report
-        self._check_new_keys(frame, delta)
-
-        # 1. Dataset: one concatenation makes the new frame.  Open cursors
-        #    that captured the old frame keep streaming their pre-append
-        #    view; the old frame itself never changes.
-        engine._frames[name] = MODFrame.concat([frame, delta])
-
-        # Step 2 can fail (a pathological batch tripping an overflow
-        # re-clustering, say) — but the dataset above HAS changed, so the
-        # generation token must move regardless, or memoised results keyed
-        # by generation would keep serving pre-append answers against the
-        # already-extended dataset.  Hence the try/finally with step 3 in the
-        # finally.  And a failure mid-maintenance leaves the tree
-        # half-mutated: it is evicted (the persisted tree structure too) so
-        # the next query rebuilds from the extended frame instead of serving
-        # a tree containing part of a batch.
-        try:
-            # 2. Index maintenance: a cached ReTraTree absorbs the batch
-            #    incrementally.  A tree that is only *persisted* (cold
-            #    manifest, never queried in this process) is left untouched
-            #    — its manifest becomes stale, which ``artifact_status``
-            #    reports and the next ``retratree`` call resolves by
-            #    rebuilding.
-            tree = engine._retratrees.get(name)
-            if tree is not None:
-                report.tree_counters = tree.append(delta)
-                report.tree_maintained = True
-        except BaseException:
-            engine._forget_tree(name)
-            raise
-        finally:
-            # 3. Generation token: consumers that memoise by generation
-            #    (prepared-statement COUNT caches, SQL INSERT buffers) must
-            #    see the dataset move — without evicting the tree we just
-            #    maintained.
-            engine._note_append(name)
-
-        # 4. Durability: the catalog stages the batch as a delta partition
-        #    and one manifest write commits dataset + maintained tree
-        #    atomically (an empty tree has nothing to persist).  The retry
-        #    delta around the commit surfaces absorbed transient I/O errors.
-        catalog = engine.catalog
-        if catalog is not None:
-            storage = catalog.storage(name)
-            retries_before = storage.io_stats()["io_retries"]
-            maintained = tree is not None and tree.params is not None
-            report.persisted = catalog.commit_append(
-                name, delta, engine.dataset_generation(name), tree if maintained else None
-            )
-            report.io_retries = storage.io_stats()["io_retries"] - retries_before
-
-        report.trajectories = len(delta)
-        report.points = delta.total_points
-        report.generation = engine.dataset_generation(name)
-        report.seconds = time.perf_counter() - start
-        return report
-
-    @staticmethod
-    def _check_new_keys(frame: MODFrame, delta: MODFrame) -> None:
-        """Reject batches that collide with existing keys or repeat keys."""
-        seen: set[tuple[str, str]] = set()
-        for key in delta.keys:
-            if frame.maybe_row_of(key) is not None:
-                raise ValueError(
-                    f"cannot append trajectory {key!r}: the key already "
-                    "exists in the dataset (appending points to an existing "
-                    "trajectory is a replacement; reload the dataset instead)"
-                )
-            if key in seen:
-                raise ValueError(
-                    f"cannot append trajectory {key!r}: the key repeats "
-                    "within the batch"
-                )
-            seen.add(key)

@@ -24,10 +24,12 @@ by the new representatives) — exactly the dataflow of the paper's Figure 2.
 
 Insertion
 ---------
-The bulk load, an append and a flush's outlier re-insertion each cut their
-whole batch first and insert the pieces through one loop
+There is one way in, :meth:`ReTraTree.append`; the bulk load
+(:meth:`ReTraTree.build`) is an append into an empty tree.  An append cuts
+its whole batch first and inserts the pieces through one loop
 (:meth:`ReTraTree._insert_pieces`), absorbing them one by one in batch
-order.  A piece belongs to the sub-chunk holding its temporal midpoint.
+order, then re-clusters the outlier buffers of the sub-chunks it touched.
+A piece belongs to the sub-chunk holding its temporal midpoint.
 
 * *Lookahead*: on a sub-chunk's first piece, every piece still queued for
   it is decided in one pass against the sub-chunk's representative frame
@@ -76,7 +78,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -185,6 +187,14 @@ def _nearest_within(frame: MODFrame, trajs: Sequence[Trajectory], d: float) -> l
     return np.where(dists[np.arange(len(trajs)), best] <= d, best, -1).tolist()
 
 
+def _count(data: dict, name: str) -> int:
+    """``data[name]``, a record count of a tree section; :class:`ValueError` unless it is an ``int``."""
+    value = data[name]
+    if type(value) is not int:
+        raise ValueError(f"tree section: {name} is {value!r}, not an int")
+    return value
+
+
 @dataclass
 class ClusterEntry:
     """Level-3 entry: a representative and the partition archiving its members."""
@@ -234,8 +244,7 @@ class SubChunk:
         *unclustered* (outlier) buffer, and an overflowing buffer triggers a
         localised re-clustering of this sub-chunk only
         (:meth:`ReTraTree.flush_unclustered`).  This is the single
-        absorption step shared by the bulk load and the incremental append
-        path (:meth:`ReTraTree.append`).
+        absorption step of :meth:`ReTraTree.append`, and so of the bulk load.
 
         Parameters
         ----------
@@ -330,11 +339,6 @@ class ReTraTree:
         cached or persisted tree satisfies an explicit ``params`` request.
         """
         return self._raw_params
-
-    def _ensure_params(self, traj: Trajectory) -> QuTParams:
-        if self.params is None:
-            self.params = self._raw_params.resolved(traj)
-        return self.params
 
     def _locate(self, t: float) -> tuple[int, int]:
         """Chunk and sub-chunk indices of instant ``t``."""
@@ -449,39 +453,43 @@ class ReTraTree:
 
     # -- insertion ----------------------------------------------------------------------
 
-    def _crossed_subchunks(self, traj: Trajectory) -> Iterator[tuple[int, int]]:
-        """Keys of the sub-chunks ``traj``'s lifespan crosses, in time order.
+    def _cut(
+        self,
+        traj: Trajectory,
+        partition_frames: dict[tuple[int, int], MODFrame],
+        parent_frame: MODFrame,
+    ) -> list[SubTrajectory]:
+        """Cut ``traj``, a row of ``parent_frame``, at the sub-chunk boundaries it crosses.
 
-        The one sub-chunk cursor walk: from the sub-chunk holding the
-        trajectory's first instant, hop just past each sub-chunk's end until
-        the one holding its last instant.
+        A sub-chunk cursor walks the lifespan: from the sub-chunk holding
+        the first instant, it hops just past each sub-chunk's end until the
+        one holding the last instant.  Each piece comes from the sub-chunk's
+        *partition frame* — ``parent_frame.slice_period(subchunk period)``,
+        computed once for **all** trajectories of the batch in one pass —
+        not from a ``traj.slice_period`` per (trajectory, sub-chunk) pair;
+        the two slicings agree row for row.  Returns the pieces in time
+        order.
         """
-        params = self._ensure_params(traj)
-        assert params.delta is not None
+        self.stats.trajectories_inserted += 1
+        delta = self.params.delta
         end_chunk = self._locate(traj.period.tmax)
         cursor = traj.period.tmin
+        pieces = []
         seen: set[tuple[int, int]] = set()
         while True:
             key = self._locate(cursor)
             if key not in seen:
                 seen.add(key)
-                yield key
+                partition = partition_frames.get(key)
+                if partition is None:
+                    partition = parent_frame.slice_period(self._subchunk_period(*key))
+                    partition_frames[key] = partition
+                row = partition.maybe_row_of(traj.key)
+                if row is not None:
+                    pieces.append(subtrajectory_from_slice(traj, partition.trajectory_of(row)))
             if key == end_chunk or cursor >= traj.period.tmax:
-                break
-            cursor = self._subchunk_period(*key).tmax + params.delta * 1e-9
-
-    def insert_trajectory(self, traj: Trajectory) -> set[tuple[int, int]]:
-        """Insert a whole trajectory: cut at sub-chunk boundaries and insert each piece.
-
-        Returns the keys of the sub-chunks that received a piece.
-        """
-        self.stats.trajectories_inserted += 1
-        pieces = []
-        for key in self._crossed_subchunks(traj):
-            piece = traj.slice_period(self._subchunk_period(*key))
-            if piece is not None:
-                pieces.append(subtrajectory_from_slice(traj, piece))
-        return self._insert_pieces(pieces)
+                return pieces
+            cursor = self._subchunk_period(*key).tmax + delta * 1e-9
 
     def _insert_pieces(self, pieces: Sequence[SubTrajectory]) -> set[tuple[int, int]]:
         """Insert pieces in order, deciding each sub-chunk's queue in one pass.
@@ -665,38 +673,29 @@ class ReTraTree:
         subchunk.unclustered_count = len(leftovers)
         self.stats.maintenance_seconds += time.perf_counter() - start
 
-    def _flush_threshold(self) -> int:
-        """Minimum unclustered-buffer size worth an S2T re-clustering run."""
-        return max(2, self.params.gamma if self.params else 2)
-
-    def finalize(self) -> None:
-        """Flush every sub-chunk's unclustered partition (end of bulk load)."""
-        for subchunk in self.subchunks():
-            if subchunk.unclustered_count >= self._flush_threshold():
-                self.flush_unclustered(subchunk)
-
-    # -- incremental maintenance (the append path) ------------------------------------------
+    # -- incremental maintenance: the one way in -------------------------------------------------
 
     def append(self, delta: MODFrame | Sequence[Trajectory]) -> dict[str, int]:
         """Absorb a batch of newly arrived trajectories without rebuilding.
 
-        This is the paper's incremental-maintenance claim made concrete:
-        each trajectory is cut at the existing temporal grid, every piece is
-        voted against the touched sub-chunk's representatives
+        This is the paper's incremental-maintenance claim made concrete, and
+        the tree's only insertion path — :meth:`build` is an append into an
+        empty tree.  Each trajectory is cut at the temporal grid, every
+        piece is voted against the touched sub-chunk's representatives
         (:meth:`_insert_pieces`, one pruned pass per sub-chunk), pieces
         in time ranges the tree has never seen open fresh sub-chunks (which
         extends the grid in either direction — leading chunks get negative
-        chunk indices), and after the batch only the *touched* sub-chunks
-        whose outlier buffers grew past the flush threshold are re-clustered
-        locally.  :attr:`build_calls` is untouched — no bulk load runs.
+        chunk indices), and after the batch the *touched* sub-chunks whose
+        outlier buffers reached the flush threshold (``max(2, gamma)``) are
+        re-clustered, in key order.  :attr:`build_calls` is untouched.
 
         Parameters
         ----------
         delta:
             The new trajectories, in arrival order, as a frame (the
-            ingestion pipeline's delta; a sequence of trajectories is
-            snapshotted once).  Pieces are derived by slicing it per
-            sub-chunk, the same partition-frame path the bulk load uses.
+            engine's append delta, or the whole dataset of a bulk load; a
+            sequence of trajectories is snapshotted once).  Pieces are
+            derived by slicing it per sub-chunk (:meth:`_cut`).
 
         Returns
         -------
@@ -704,9 +703,9 @@ class ReTraTree:
         vs ``unclustered`` pieces, ``subchunks_touched``, ``subchunks_new``
         and ``s2t_runs`` (localised re-clusterings triggered).
 
-        A tree with no resolved parameters yet (built over an empty MOD)
-        adopts the first non-empty batch as its parameter probe and grid
-        origin, exactly as a bulk load over that batch would.
+        A tree with no resolved parameters yet — a fresh one, or one built
+        over an empty dataset — resolves them over the first non-empty
+        batch and takes its earliest instant as the grid origin.
         """
         frame = as_frame(delta)
         counters = {
@@ -736,11 +735,11 @@ class ReTraTree:
                 for piece in self._cut(frame.trajectory_of(row), partition_frames, frame)
             ]
         )
-        # Localised finalize: only sub-chunks this batch touched are
-        # candidates for an S2T re-clustering of their outlier buffers.
+        # Only sub-chunks this batch touched are candidates for an S2T
+        # re-clustering of their outlier buffers (on a fresh tree: all).
         for key in sorted(touched):
             subchunk = self._subchunks[key]
-            if subchunk.unclustered_count >= self._flush_threshold():
+            if subchunk.unclustered_count >= max(2, self.params.gamma):
                 self.flush_unclustered(subchunk)
         counters.update(
             trajectories=len(frame),
@@ -844,9 +843,9 @@ class ReTraTree:
         of recovering a tree referencing phantom trajectories.  The typical
         cause of a count mismatch is a crash in the middle of an append
         whose buffered member records were partly flushed by buffer-pool
-        eviction before the manifest commit; every mutation path (bulk
-        build, rebuild, :meth:`append` through the ingestion pipeline)
-        re-persists the manifest, so a committed state always passes.
+        eviction before the manifest commit; every mutation (a bulk load
+        or rebuild, an :meth:`append`) re-persists the manifest, so a
+        committed state always passes.
 
         Each entry's ``member_count`` and ``bbox``, and each sub-chunk's
         ``unclustered_count``, are then *trusted* as the manifest states
@@ -855,7 +854,9 @@ class ReTraTree:
         round-trips a float exactly — so an equal count means the same
         records and therefore the same box.  What is no longer noticed here
         is a record whose page passes its CRC yet does not decode; it fails
-        in the first query that loads it.
+        in the first query that loads it.  A count that is not an ``int``
+        (``null``, a float, a ``bool``) raises :class:`ValueError` naming its
+        field, since the partition it counts could not be checked.
         """
         tree = cls(
             params=QuTParams.from_dict(manifest["raw_params"]),
@@ -866,7 +867,7 @@ class ReTraTree:
         tree.params = QuTParams.from_dict(manifest["params"])
         tree._next_cluster_id = int(manifest["next_cluster_id"])
         [reps] = storage.open_partitions(
-            [(manifest.get("reps_partition") or tree._reps_partition, manifest["reps_count"])]
+            [(manifest.get("reps_partition") or tree._reps_partition, _count(manifest, "reps_count"))]
         )
         representatives = iter(
             decode_records(
@@ -885,11 +886,11 @@ class ReTraTree:
                 period=Period(*sc_data["period"]),
                 unclustered_partition=sc_data["unclustered_partition"],
             )
+            subchunk.unclustered_count = _count(sc_data, "unclustered_count")
             storage.open_partitions(
-                [(subchunk.unclustered_partition, sc_data["unclustered_count"])]
-                + [(e["partition"], e["member_count"]) for e in sc_data["entries"]]
+                [(subchunk.unclustered_partition, subchunk.unclustered_count)]
+                + [(e["partition"], _count(e, "member_count")) for e in sc_data["entries"]]
             )
-            subchunk.unclustered_count = sc_data["unclustered_count"]
             for entry_data in sc_data["entries"]:
                 bbox = entry_data["bbox"]
                 subchunk.entries.append(
@@ -897,7 +898,7 @@ class ReTraTree:
                         cluster_id=int(entry_data["cluster_id"]),
                         representative=next(representatives),
                         partition_name=entry_data["partition"],
-                        member_count=entry_data["member_count"],
+                        member_count=_count(entry_data, "member_count"),
                         bbox=BoxST(*bbox) if bbox is not None else None,
                     )
                 )
@@ -908,35 +909,6 @@ class ReTraTree:
 
     # -- bulk construction -----------------------------------------------------------------------
 
-    def _cut(
-        self,
-        traj: Trajectory,
-        partition_frames: dict[tuple[int, int], MODFrame],
-        parent_frame: MODFrame,
-    ) -> list[SubTrajectory]:
-        """Frame-native cut of :meth:`insert_trajectory`, used by the bulk load and append.
-
-        Walks the same sub-chunk cursor as :meth:`insert_trajectory`, but the
-        per-sub-chunk piece comes from the sub-chunk's *partition frame* —
-        ``parent_frame.slice_period(subchunk period)``, computed once for
-        **all** trajectories in one batched pass — instead of a fresh
-        ``traj.slice_period`` concatenation per (trajectory, sub-chunk) pair.
-        The slicing algorithms are row-for-row identical, so the pieces (and
-        therefore the resulting tree) match the incremental path exactly.
-        Returns the pieces in time order.
-        """
-        self.stats.trajectories_inserted += 1
-        pieces = []
-        for key in self._crossed_subchunks(traj):
-            partition = partition_frames.get(key)
-            if partition is None:
-                partition = parent_frame.slice_period(self._subchunk_period(*key))
-                partition_frames[key] = partition
-            row = partition.maybe_row_of(traj.key)
-            if row is not None:
-                pieces.append(subtrajectory_from_slice(traj, partition.trajectory_of(row)))
-        return pieces
-
     @classmethod
     def build(
         cls,
@@ -946,30 +918,14 @@ class ReTraTree:
         name: str = "retratree",
         frame: MODFrame | None = None,
     ) -> "ReTraTree":
-        """Build a ReTraTree over an existing dataset: the one bulk load.
+        """Build a ReTraTree over an existing dataset: an append into an empty tree.
 
         ``mod`` is the dataset's frame (what the engine passes); a MOD is
         snapshotted once, or read through ``frame``, its prebuilt frame.
         The grid — origin and parameters — is resolved over the whole
-        dataset.  Rows of the frame are walked in dataset order, and each
-        sub-chunk's pieces derive from *partition frames* sliced off it (one
-        batched pass per sub-chunk rather than a concatenation per piece).
+        dataset, and its rows are inserted in dataset order (:meth:`append`).
         """
         ReTraTree.build_calls += 1
         tree = cls(params=params, storage=storage, name=name)
-        if frame is None:
-            frame = as_frame(mod)
-        if len(frame) == 0:
-            return tree
-        tree.origin = float(frame.tmins.min())
-        tree.params = tree.raw_params.resolved(frame)
-        partition_frames: dict[tuple[int, int], MODFrame] = {}
-        tree._insert_pieces(
-            [
-                piece
-                for row in range(len(frame))
-                for piece in tree._cut(frame.trajectory_of(row), partition_frames, frame)
-            ]
-        )
-        tree.finalize()
+        tree.append(as_frame(mod) if frame is None else frame)
         return tree

@@ -142,8 +142,7 @@ class LogicalPlan:
         return ()
 
     def datasets(self) -> tuple[str, ...]:
-        """The dataset names the plan reads or writes (for EXPLAIN artifacts
-        and prepared-statement generation tracking)."""
+        """The dataset names the plan reads or writes (for EXPLAIN artifacts)."""
         name = getattr(self, "dataset", None)
         if isinstance(name, str):
             return (name,)

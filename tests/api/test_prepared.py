@@ -1,4 +1,4 @@
-"""Prepared statements: plan-once/re-bind, memoisation, generation invalidation."""
+"""Prepared statements: plan once, re-bind, and answer like one-shot SQL after every change."""
 
 import pytest
 
@@ -43,10 +43,9 @@ class TestPrepare:
         ).fetchall()
         assert prepared == one_shot
 
-    def test_identical_bindings_are_memoised(self, conn):
+    def test_identical_bindings_answer_alike(self, conn):
         stmt = conn.prepare("SELECT COUNT(*) FROM lanes WHERE t >= :t0")
         first = stmt.execute({"t0": 0.0}).fetchall()
-        assert stmt._cache  # memoised
         again = stmt.execute({"t0": 0.0}).fetchall()
         assert again == first
 
@@ -73,11 +72,10 @@ class TestPrepare:
         from repro.sql.errors import SQLExecutionError
 
         stmt = conn.prepare("SELECT S2T(lanes, :sigma)")
-        # A list is unhashable (no cache key) and not numeric: the executor's
-        # type validation must surface, never a TypeError from the cache.
+        # A list is not numeric: the executor's type validation must
+        # surface, never a TypeError.
         with pytest.raises(SQLExecutionError, match="numeric"):
             stmt.execute({"sigma": [1.0, 2.0]})
-        assert not stmt._cache
 
     def test_mutating_fetched_rows_does_not_corrupt_cache(self, conn):
         stmt = conn.prepare("SELECT COUNT(*) FROM lanes WHERE t >= :t0")
@@ -96,7 +94,6 @@ class TestPrepare:
             total += len(page)
         assert total == mod.total_points
         assert cur.max_buffered <= 25  # streamed, not preloaded
-        assert not stmt._cache
 
     def test_prepared_clustering_updates_last_result_like_one_shot(
         self, conn, lanes_small
@@ -141,18 +138,10 @@ class TestPrepare:
         assert none == [{"count": 0}]
         assert everything == [{"count": mod.total_points}]
 
-    def test_cache_is_fifo_capped(self, conn):
-        from repro.api import _PREPARED_CACHE_SIZE
-
-        stmt = conn.prepare("SELECT COUNT(*) FROM lanes WHERE t >= :t0")
-        for i in range(_PREPARED_CACHE_SIZE + 5):
-            stmt.execute({"t0": float(i)})
-        assert len(stmt._cache) <= _PREPARED_CACHE_SIZE
-
 
 class TestGenerationInvalidation:
     def test_rebind_after_load_mod_replacement_recomputes(self, conn, lanes_small):
-        """Replacing the dataset must invalidate memoised results."""
+        """A re-execution answers over the dataset that replaced the one first read."""
         mod, _ = lanes_small
         stmt = conn.prepare("SELECT COUNT(*) FROM lanes WHERE t >= :t0")
         before = stmt.execute({"t0": 0.0}).fetchall()

@@ -1,4 +1,4 @@
-"""The append-path ingestion subsystem (`repro.core.ingest`).
+"""The append path (`HermesEngine.append`, with `repro.core.ingest`'s buffer and report).
 
 The load-bearing guarantee pinned here: for a dataset split into a base
 load plus appended batches, QuT answers after incremental appends match a
@@ -253,6 +253,30 @@ class TestDurableAppend:
         # torn tree partitions may force a rebuild, never a wrong answer.
         assert membership_signature(cold_result) == membership_signature(pre_result)
 
+    def test_failed_tree_maintenance_still_commits_the_batch(self, tmp_path, monkeypatch):
+        """A failed append keeps the extended dataset warm, so it is committed
+        too: a cold reopen answers COUNT(*) and SUMMARY as the warm engine did."""
+        mod, _ = lane_scenario(n_trajectories=27, seed=3)
+        trajs = mod.trajectories()
+        statements = ("SELECT COUNT(*) FROM lanes", "SELECT SUMMARY(lanes)")
+        root = tmp_path / "engine"
+
+        def boom(self, delta):
+            raise RuntimeError("simulated maintenance failure")
+
+        with repro.connect(root) as warm:
+            warm.engine.load_mod("lanes", MOD(name="lanes", trajectories=trajs[:20]))
+            warm.engine.retratree("lanes")
+            monkeypatch.setattr(ReTraTree, "append", boom)
+            with pytest.raises(RuntimeError, match="simulated maintenance"):
+                warm.engine.append("lanes", trajs[20:25])
+            monkeypatch.undo()
+            assert warm.engine.append("lanes", trajs[25:]).persisted
+            answers = [warm.execute(sql).fetchall() for sql in statements]
+        with repro.connect(root) as cold:
+            assert len(cold.engine.frame("lanes")) == 27
+            assert [cold.execute(sql).fetchall() for sql in statements] == answers
+
     def test_unmaintained_persisted_tree_reported_stale_then_rebuilt(self, tmp_path):
         """Satellite regression: an append in a process that never loaded
         the persisted tree leaves the on-disk tree manifest stale; the
@@ -400,8 +424,8 @@ class TestAppendEdgeCases:
         assert keys == {"a", "b"}, "interleaved append discarded buffered points"
 
     def test_prepared_count_recomputes_after_append(self):
-        """Satellite: appends bump the generation token, so memoised
-        prepared-statement COUNTs recompute instead of serving stale rows."""
+        """A prepared COUNT re-executes after an append: it never serves
+        the pre-append count."""
         conn = repro.connect()
         conn.execute("CREATE DATASET lanes")
         conn.executemany(
@@ -410,7 +434,7 @@ class TestAppendEdgeCases:
         )
         stmt = conn.prepare("SELECT COUNT(*) FROM lanes")
         assert stmt.execute().fetchall() == [{"count": 4}]
-        assert stmt.execute().fetchall() == [{"count": 4}]  # memoised
+        assert stmt.execute().fetchall() == [{"count": 4}]
         conn.dataset("lanes").append(
             [Trajectory("b", "0", [0.0, 1.0], [0.0, 1.0], [0.0, 1.0])]
         )

@@ -117,9 +117,7 @@ class TestRestartRecovery:
         cold = HermesEngine.on_disk(tmp_path / "engine")
         tree = cold.retratree("lanes")
         extra = next(iter(mod))
-        tree.insert_trajectory(
-            type(extra)("newcomer", "0", extra.xs, extra.ys, extra.ts)
-        )
+        tree.append([type(extra)("newcomer", "0", extra.xs, extra.ys, extra.ts)])
         assert tree.stats.trajectories_inserted == 1
 
     def test_params_mismatch_triggers_rebuild(self, warm, tmp_path):

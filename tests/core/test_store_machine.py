@@ -5,7 +5,9 @@ step that can change an answer, three routes to the same QuT window must
 agree: the SQL statement and the fluent builder give the same rows; the
 engine's answer equals the per-partition loader in ``tests/qut/oracles.py``
 bit for bit; and a reopened connection (a cold tree read from disk) gives
-the rows the warm connection gave before it closed.  A crash step cuts the
+the rows the warm connection gave before it closed.  A failed-append step
+makes the tree's maintenance raise for one batch; the batch stays in the
+dataset, warm and, after a reopen, cold.  A crash step cuts the
 power at a drawn operation of an append; the reopened store holds the rows
 of either the state before the append or the state after it.  A damage step
 restamps the closed store's manifest over a defect its stamp cannot vouch
@@ -41,6 +43,7 @@ from repro.datagen import lane_scenario
 from repro.hermes.io import write_csv
 from repro.hermes.mod import MOD
 from repro.hermes.types import Period
+from repro.qut.retratree import ReTraTree
 from repro.storage.catalog import MANIFEST_FILENAME, manifest_checksum
 from repro.storage.errors import CorruptManifestError, CorruptPartitionError
 from repro.storage.faults import FaultInjector, InjectedCrash
@@ -110,6 +113,10 @@ def warm_engine(root: Path, injector: FaultInjector) -> HermesEngine:
     return engine
 
 
+def refuse_batch(tree: ReTraTree, delta) -> None:
+    raise RuntimeError("tree maintenance refused the batch")
+
+
 def append_ops(root: Path, batch) -> int:
     """The mutating operations an append of ``batch`` makes, counted on a copy of the store."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -147,6 +154,18 @@ class DurableStore(RuleBasedStateMachine):
     def append(self, size: int) -> None:
         batch = TRAJECTORIES[self.stored : self.stored + size]
         assert self.conn.dataset("f").append(batch).persisted
+        self.stored += len(batch)
+
+    @precondition(lambda self: 0 < self.stored < len(TRAJECTORIES))
+    @rule(size=st.integers(min_value=1, max_value=4))
+    @contract_only
+    def fail_append(self, size: int) -> None:
+        batch = TRAJECTORIES[self.stored : self.stored + size]
+        self.conn.engine.retratree("f")  # cached, so the append maintains it
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ReTraTree, "append", refuse_batch)
+            with pytest.raises(RuntimeError, match="refused the batch"):
+                self.conn.dataset("f").append(batch)
         self.stored += len(batch)
 
     @precondition(lambda self: 0 < self.stored < len(TRAJECTORIES))

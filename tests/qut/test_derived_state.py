@@ -422,12 +422,15 @@ class TestInvalidation:
     def test_flush_recreating_a_partition_under_the_same_name_invalidates(self):
         # Unrelated strays: S2T finds no cluster among them, so the flush
         # drops the unclustered partition and re-archives the same records
-        # under the same name (same record count).
-        tree = ReTraTree(QuTParams(tau=100.0, delta=100.0, overflow_threshold=50))
-        for i in range(4):
-            tree.insert_trajectory(
+        # under the same name (same record count).  gamma = 5 keeps the
+        # append's own flush (at max(2, gamma) buffered pieces) from running.
+        tree = ReTraTree(QuTParams(tau=100.0, delta=100.0, overflow_threshold=50, gamma=5))
+        tree.append(
+            [
                 make_linear_trajectory(f"s{i}", "0", (100 * i, 0), (100 * i + 1, 50), 0, 100, 6)
-            )
+                for i in range(4)
+            ]
+        )
         (subchunk,) = tree.subchunks()
         assert len(tree.load_unclustered(subchunk)) == 4
 

@@ -1,5 +1,6 @@
 """Unit tests for the ReTraTree structure and its incremental maintenance."""
 
+import dataclasses
 import json
 import struct
 
@@ -94,6 +95,32 @@ class TestReTraTreeBuild:
         assert tree.num_clusters >= 1
 
 
+@pytest.mark.parametrize(
+    "params",
+    [QuTParams(), QuTParams(overflow_threshold=6), QuTParams(tau=50.0, delta=25.0)],
+    ids=["default", "overflow-6", "tau-50-delta-25"],
+)
+def test_bulk_load_is_an_append_into_an_empty_tree(tmp_path, params):
+    """The bulk load and an append into a fresh tree leave the same stored bytes, manifest and stats."""
+    from repro.datagen import lane_scenario
+
+    mod, _ = lane_scenario(n_trajectories=40, n_lanes=3, n_samples=30, seed=4)
+
+    def persisted(tree: ReTraTree, directory) -> tuple:
+        manifest = tree.to_manifest()
+        tree.storage.checkpoint()
+        parts = {p.name: p.read_bytes() for p in sorted(directory.glob("*.part"))}
+        tree.storage.close()
+        stats = dataclasses.replace(tree.stats, maintenance_seconds=0.0)
+        return parts, manifest, stats
+
+    loaded = ReTraTree.build(mod, params, storage=StorageManager(tmp_path / "b"), name="t")
+    appended = ReTraTree(params, storage=StorageManager(tmp_path / "a"), name="t")
+    appended.append(mod)
+    assert loaded.stats.s2t_runs > 0
+    assert persisted(loaded, tmp_path / "b") == persisted(appended, tmp_path / "a")
+
+
 class TestIncrementalInsert:
     def test_incremental_insert_assigns_to_existing_entries(self):
         mod = flow_mod(n_per_flow=6)
@@ -101,22 +128,22 @@ class TestIncrementalInsert:
         clusters_before = tree.num_clusters
         assigned_before = tree.stats.pieces_assigned
         # A new trajectory following flow 0 should be absorbed by existing entries.
-        tree.insert_trajectory(
-            make_linear_trajectory("late", "0", (0, 0.15), (10, 0.15), 0.0, 100.0, 21)
-        )
+        tree.append([make_linear_trajectory("late", "0", (0, 0.15), (10, 0.15), 0.0, 100.0, 21)])
         assert tree.stats.pieces_assigned > assigned_before
         assert tree.num_clusters == clusters_before
 
     def test_overflow_triggers_s2t(self):
         mod = flow_mod(n_per_flow=3)
         tree = ReTraTree.build(mod, QuTParams(tau=100.0, delta=100.0, overflow_threshold=64))
-        # Bulk load with huge threshold ran S2T only in finalize();
+        # Bulk load with huge threshold ran S2T only after its batch;
         runs_before = tree.stats.s2t_runs
         # pour in enough far-away trajectories to overflow the unclustered partition.
-        for i in range(70):
-            tree.insert_trajectory(
+        tree.append(
+            [
                 make_linear_trajectory(f"new{i}", "0", (0, 200 + 0.2 * i), (10, 200 + 0.2 * i), 0.0, 100.0, 11)
-            )
+                for i in range(70)
+            ]
+        )
         assert tree.stats.s2t_runs > runs_before
 
     def test_stats_accounting(self):
@@ -332,7 +359,7 @@ class TestManifestRoundtrip:
         latecomer = make_linear_trajectory(
             "late", "0", (0, 0.15), (10, 0.15), 0.0, 100.0, 21
         )
-        tree.insert_trajectory(latecomer)
+        tree.append([latecomer])
         storage.checkpoint()
 
         with pytest.raises(ValueError, match="torn"):
@@ -354,6 +381,28 @@ class TestManifestRoundtrip:
             )
 
         assert archived_total(reopened) == archived_total(tree)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("unclustered_count", None),
+            ("member_count", None),
+            ("reps_count", None),
+            ("unclustered_count", 2.0),
+            ("member_count", True),
+        ],
+    )
+    def test_a_count_that_is_not_an_int_is_refused(self, tmp_path, field, value):
+        """The tree-null-count shape (and a float or bool count) opens no sub-chunk."""
+        storage = StorageManager(tmp_path / "tree")
+        tree = ReTraTree.build(flow_mod(), QuTParams(tau=100.0, delta=100.0), storage=storage, name="flows")
+        manifest = tree.to_manifest()
+        storage.checkpoint()
+        subchunk = next(sc for sc in manifest["subchunks"] if sc["entries"])
+        holder = {"reps_count": manifest, "unclustered_count": subchunk, "member_count": subchunk["entries"][0]}
+        holder[field][field] = value
+        with pytest.raises(ValueError, match=field):
+            ReTraTree.from_manifest(manifest, storage=StorageManager(tmp_path / "tree"))
 
     def test_empty_tree_rejects_persistence(self):
         with pytest.raises(ValueError, match="empty"):
